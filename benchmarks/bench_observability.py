@@ -68,7 +68,7 @@ def run_overhead_experiment(rows=400, passes=6, seed=11) -> dict:
 
 
 def run_time_to_fire_experiment(rows=400, healthy_passes=2,
-                                latency_ms=40.0, seed=11) -> dict:
+                                latency_ms=120.0, seed=11) -> dict:
     """Inject SlowServer, run until the latency page fires."""
     server = build_dash_service(rows=rows, seed=seed)
     client = JustClient(server, _USER)

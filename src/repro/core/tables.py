@@ -29,6 +29,11 @@ from repro.kvstore.scan import ScanSpec
 from repro.kvstore.store import KVStore
 
 
+def _multi_range_spec(ranges: list[KeyRange]) -> ScanSpec:
+    """One scan request covering a strategy's (inclusive) key ranges."""
+    return ScanSpec(ranges=[(kr.start, kr.end + b"\x00") for kr in ranges])
+
+
 class CommonTable:
     """A stored table with one or more spatio-temporal indexes."""
 
@@ -243,11 +248,9 @@ class CommonTable:
         table = self._index_tables[strategy_name]
         before = self.store.stats.snapshot()
         scanned = 0
-        for key_range in ranges:
-            for _key, payload in table.scan(
-                    ScanSpec(key_range.start, key_range.end), ctx):
-                scanned += 1
-                yield self.codec.decode_row(payload)
+        for _key, payload in table.scan(_multi_range_spec(ranges), ctx):
+            scanned += 1
+            yield self.codec.decode_row(payload)
         if job is not None:
             delta = self.store.stats.snapshot().delta(before)
             job.charge_store_scan(delta, num_ranges=len(ranges))
@@ -260,9 +263,9 @@ class CommonTable:
         """Batched :meth:`scan_ranges`: yields lists of decoded rows.
 
         Each yielded list is one key-value batch decoded in a tight
-        loop.  Batches fill *across* key-range boundaries — curve
-        strategies produce hundreds of small ranges, and chunking each
-        range separately would fragment the scan into hundreds of tiny
+        loop.  Batches fill *across* key-range and region boundaries —
+        curve strategies produce hundreds of small ranges, and chunking
+        each separately would fragment the scan into hundreds of tiny
         batches whose per-batch overhead erases the vectorization win.
         Store I/O and CPU are charged in a ``finally`` so an abandoned
         scan (deadline mid-batch, early consumer exit) still accounts
@@ -275,14 +278,9 @@ class CommonTable:
         decode = self.codec.decode_row
         scanned = 0
         batches = 0
-
-        def pairs():
-            for key_range in ranges:
-                yield from table.scan(
-                    ScanSpec(key_range.start, key_range.end), ctx)
-
+        pairs = table.scan(_multi_range_spec(ranges), ctx)
         try:
-            for kv_batch in chunk_pairs(pairs(),
+            for kv_batch in chunk_pairs(pairs,
                                         batch_rows or DEFAULT_BATCH_ROWS):
                 scanned += len(kv_batch)
                 batches += 1
@@ -398,11 +396,8 @@ class CommonTable:
         table = self._attr_tables[field_name]
         before = self.store.stats.snapshot()
         rows = []
-        for key_range in ranges:
-            for _key, payload in table.scan(
-                    ScanSpec(key_range.start, key_range.end), ctx):
-                rows.append(self.decorate_row(
-                    self.codec.decode_row(payload)))
+        for _key, payload in table.scan(_multi_range_spec(ranges), ctx):
+            rows.append(self.decorate_row(self.codec.decode_row(payload)))
         if job is not None:
             delta = self.store.stats.snapshot().delta(before)
             job.charge_store_scan(delta, num_ranges=len(ranges))

@@ -130,7 +130,11 @@ class IndexStrategy(ABC):
         """True when this strategy can serve ``query`` via key ranges."""
 
     def ranges(self, query: STQuery) -> list[KeyRange]:
-        """Key ranges whose union covers every possibly-matching record."""
+        """Key ranges whose union covers every possibly-matching record.
+
+        Sorted by start, pairwise disjoint: the store serves the whole
+        list in one forward pass and rejects any other order.
+        """
         if not self.supports(query):
             raise IndexError_(
                 f"index {self.name!r} cannot serve query {query!r}")
@@ -144,7 +148,8 @@ class IndexStrategy(ABC):
 
     @abstractmethod
     def _body_ranges(self, query: STQuery) -> list[tuple[bytes, bytes]]:
-        """Inclusive (start, end) ranges over the key body."""
+        """Inclusive (start, end) ranges over the key body, sorted by
+        start and pairwise disjoint."""
 
     # -- statistics for the cost-based planner -------------------------------
     def estimate_selectivity(self, query: STQuery,
@@ -596,14 +601,16 @@ class AttributeStrategy(IndexStrategy):
         raise IndexError_("attribute index serves value ranges only")
 
     def ranges_for_value(self, value) -> list[KeyRange]:
-        """Key ranges for an equality predicate on the indexed field."""
+        """Key ranges for an equality predicate on the indexed field,
+        sorted by start, pairwise disjoint (one per shard)."""
         body = self.encode_value(value)
         return [KeyRange(bytes([s]) + body + b"\x00",
                          bytes([s]) + body + b"\x00" + b"\xff" * 8)
                 for s in range(self.num_shards)]
 
     def ranges_for_between(self, low, high) -> list[KeyRange]:
-        """Key ranges for a BETWEEN predicate on the indexed field."""
+        """Key ranges for a BETWEEN predicate on the indexed field,
+        sorted by start, pairwise disjoint (one per shard)."""
         lo = self.encode_value(low)
         hi = self.encode_value(high)
         return [KeyRange(bytes([s]) + lo, bytes([s]) + hi + b"\xff" * 8)

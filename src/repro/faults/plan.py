@@ -79,12 +79,15 @@ GRAY_OPS = ("get", "put", "scan")
 class SlowServer:
     """Gray failure: every operation on one server pays extra latency.
 
-    The latency is simulated-clock milliseconds charged to the active
-    request's deadline/job (``latency_ms`` plus a seeded uniform draw
-    from ``[0, jitter_ms)``), so a slow server inflates statement tail
-    latency exactly the way a saturated region server would.  The fault
-    activates after ``after_ops`` region operations and, when
-    ``duration_ops`` is set, heals after that many more.
+    An operation is one region visit: a put or get, or one scan
+    reaching a region on the server — once per region, however many key
+    ranges the scan carries.  The latency is simulated-clock
+    milliseconds charged to the active request's deadline/job
+    (``latency_ms`` plus a seeded uniform draw from ``[0, jitter_ms)``),
+    so a slow server inflates statement tail latency exactly the way a
+    saturated region server would.  The fault activates after
+    ``after_ops`` region operations and, when ``duration_ops`` is set,
+    heals after that many more.
     """
 
     server: int

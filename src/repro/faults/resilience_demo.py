@@ -85,15 +85,21 @@ class WorkloadResult:
         return ordered[index]
 
 
-def build_service(fault: str = "slow", num_rows: int = 400,
-                  latency_ms: float = 30.0, probability: float = 0.3,
+def build_service(fault: str = "slow", num_rows: int = 3200,
+                  latency_ms: float = 60.0, probability: float = 0.9,
                   victim: int = 0, seed: int = 0,
-                  num_servers: int = 5) -> JustServer:
+                  num_servers: int = 3) -> JustServer:
     """A JustServer whose table spans many regions, one server sick.
 
     ``fault`` is ``"slow"``, ``"flaky"``, or ``"none"`` (control run).
     Small split/flush thresholds force the table across regions on every
-    server, so the victim's sickness hits a slice of every scan.
+    server, so the victim's sickness hits a slice of every scan.  A gray
+    fault fires once per region a scan visits on the victim, so the
+    defaults are sized for a statement to cross a dozen or so of the
+    victim's regions: the injected latency adds up to several deadline
+    budgets while one draw (``latency_ms`` plus up to half again of
+    jitter) stays below one, and a flapping victim fails nearly every
+    attempt that reaches it.
     """
     engine = JustEngine(num_servers=num_servers,
                         cost_model=SERVICE_COST_MODEL,
@@ -197,10 +203,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
     parser.add_argument("--fault", choices=["slow", "flaky", "none"],
                         default="slow")
     parser.add_argument("--queries", type=int, default=50)
-    parser.add_argument("--latency-ms", type=float, default=30.0,
-                        help="injected per-op latency (slow fault)")
-    parser.add_argument("--probability", type=float, default=0.3,
-                        help="per-op error probability (flaky fault)")
+    parser.add_argument("--latency-ms", type=float, default=60.0,
+                        help="injected latency per region visit (slow "
+                             "fault)")
+    parser.add_argument("--probability", type=float, default=0.9,
+                        help="error probability per region visit (flaky "
+                             "fault)")
     parser.add_argument("--timeout-ms", type=float, default=100.0,
                         help="statement deadline for the resilient modes")
     parser.add_argument("--seed", type=int, default=0)

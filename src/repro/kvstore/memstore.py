@@ -37,15 +37,18 @@ class MemStore:
             return True, self._data[key]
         return False, None
 
-    def scan(self, start: bytes, stop: bytes | None):
-        """Yield ``(key, value_or_tombstone)`` for keys in [start, stop);
-        ``stop=None`` is unbounded above."""
-        lo = bisect_left(self._sorted_keys, start)
-        hi = len(self._sorted_keys) if stop is None \
-            else bisect_left(self._sorted_keys, stop)
-        for i in range(lo, hi):
-            key = self._sorted_keys[i]
-            yield key, self._data[key]
+    def scan(self, ranges):
+        """Yield ``(key, value_or_tombstone)`` for keys in ``ranges``
+        (sorted, disjoint half-open bounds) in one forward pass."""
+        keys = self._sorted_keys
+        data = self._data
+        hi = 0
+        for start, stop in ranges:
+            lo = bisect_left(keys, start, hi)
+            hi = len(keys) if stop is None else bisect_left(keys, stop, lo)
+            for i in range(lo, hi):
+                key = keys[i]
+                yield key, data[key]
 
     def items_sorted(self):
         """All entries in key order (used by flush)."""

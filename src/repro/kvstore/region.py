@@ -93,21 +93,6 @@ class Region:
         self.writes += 1
         self.write_rate.record(self._now_ms())
 
-    # -- routing -----------------------------------------------------------
-    def owns(self, key: bytes) -> bool:
-        if key < self.start_key:
-            return False
-        return self.end_key is None or key < self.end_key
-
-    def overlaps(self, start: bytes, stop: bytes | None) -> bool:
-        """True when [start, stop) intersects this region's key range.
-
-        ``stop=None`` means unbounded above, mirroring ``end_key=None``.
-        """
-        if self.end_key is not None and start >= self.end_key:
-            return False
-        return stop is None or stop > self.start_key
-
     # -- write path ----------------------------------------------------------
     def put(self, key: bytes, value: bytes | None,
             seqno: int | None = None) -> None:
@@ -228,28 +213,22 @@ class Region:
     #: Rows yielded between cooperative deadline checks during a scan.
     CANCEL_CHECK_ROWS = 128
 
-    def scan(self, start: bytes, stop: bytes | None,
-             cache: BlockCache | None, ctx=None, replica=None):
-        """Yield live ``(key, value)`` pairs in [start, stop), key-sorted.
+    def scan(self, ranges, cache: BlockCache | None, ctx=None,
+             replica=None):
+        """Yield live ``(key, value)`` pairs of ``ranges``, key-sorted.
 
-        ``stop=None`` means unbounded above.  The merge is streaming: a
-        ``heapq.merge`` over the SSTable runs and the memstore, with
-        newest-wins precedence per key, so memory stays bounded by the
-        merge frontier, SSTable blocks are only charged as the merge
-        reaches them (an early ``LIMIT`` or cancellation stops paying
-        for blocks it never needed), and the deadline is checked every
-        ``CANCEL_CHECK_ROWS`` *merged* entries — a cancelled query
-        aborts mid-merge instead of after materializing the region.
+        ``ranges`` are sorted, disjoint half-open bounds; the region
+        holds only keys of its own span, so nothing needs clipping.  The
+        merge is streaming: one ``heapq.merge`` over the SSTable runs
+        and the memstore, each walking the whole range list in a single
+        forward pass, with newest-wins precedence per key.  So memory
+        stays bounded by the merge frontier, SSTable blocks are only
+        charged as the merge reaches them (an early ``LIMIT`` or
+        cancellation stops paying for them), and the deadline is
+        checked every ``CANCEL_CHECK_ROWS`` *merged* entries — a
+        cancelled query aborts mid-merge instead of after materializing
+        the region.
         """
-        lo = max(start, self.start_key)
-        if stop is None:
-            hi = self.end_key
-        elif self.end_key is None:
-            hi = stop
-        else:
-            hi = min(stop, self.end_key)
-        if hi is not None and hi <= lo:
-            return
         # Rank 0 is the memstore (newest); SSTables count up from the
         # newest run.  Streams yield (key, rank, value): merge order is
         # (key, rank), so for equal keys the newest version comes first
@@ -259,9 +238,9 @@ class Region:
         server = self.server if replica is None else replica.server
         newest = len(self.sstables)
         streams = [self._ranked_sstable_stream(sstable, newest - i,
-                                               lo, hi, cache, server)
+                                               ranges, cache, server)
                    for i, sstable in enumerate(self.sstables)]
-        streams.append(self._ranked_memstore_stream(lo, hi, memstore))
+        streams.append(self._ranked_memstore_stream(ranges, memstore))
         previous: bytes | None = None
         processed = 0
         for key, _rank, value in heapq.merge(*streams):
@@ -275,30 +254,13 @@ class Region:
             if value is not None:  # tombstones yield nothing
                 yield key, value
 
-    def scan_batches(self, start: bytes, stop: bytes | None,
-                     cache: BlockCache | None, ctx=None, replica=None,
-                     batch_rows: int | None = None):
-        """Batched :meth:`scan`: yields lists of ``(key, value)`` pairs.
-
-        Same streaming merge, same lazy block charging, same in-merge
-        deadline checks — the entries are just handed to the consumer a
-        batch at a time so it can amortize per-row work (decode,
-        accounting) across the batch.
-        """
-        from repro.kvstore.scan import DEFAULT_BATCH_ROWS, chunk_pairs
-        yield from chunk_pairs(
-            self.scan(start, stop, cache, ctx, replica=replica),
-            batch_rows or DEFAULT_BATCH_ROWS)
-
-    def _ranked_sstable_stream(self, sstable: SSTable, rank: int,
-                               lo: bytes, hi: bytes | None,
+    def _ranked_sstable_stream(self, sstable: SSTable, rank: int, ranges,
                                cache: BlockCache | None, server: int):
-        for key, value in sstable.scan(lo, hi, cache, server):
+        for key, value in sstable.scan(ranges, cache, server):
             yield key, rank, value
 
-    def _ranked_memstore_stream(self, lo: bytes, hi: bytes | None,
-                                memstore: MemStore):
-        for key, value in memstore.scan(lo, hi):
+    def _ranked_memstore_stream(self, ranges, memstore: MemStore):
+        for key, value in memstore.scan(ranges):
             self._stats.record_memstore_read(
                 len(key) + (len(value) if value is not None else 0))
             yield key, 0, value

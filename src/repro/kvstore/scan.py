@@ -39,21 +39,48 @@ def prefix_successor(prefix: bytes) -> bytes | None:
     return trimmed[:-1] + bytes([trimmed[-1] + 1])
 
 
+#: One half-open key range ``[start, stop)``; ``stop=None`` is unbounded.
+Bounds = tuple[bytes, bytes | None]
+
+
 @dataclass(frozen=True, slots=True)
 class ScanSpec:
-    """An inclusive key-range scan request.
+    """A scan request: one inclusive key range, or a list of ``ranges``.
 
     ``end=None`` means unbounded above, so the default spec covers a
     whole table whatever its key lengths.  ``limit`` stops the scan after
     that many live entries.  When ``end_exclusive`` is set the range is
     ``[start, end)`` instead, which lets prefix scans use an exact
     successor-of-prefix upper bound.
+
+    ``ranges`` (HBase's ``MultiRowRangeFilter``) are half-open
+    :data:`Bounds`, sorted and pairwise disjoint (adjacent is fine); one
+    scan serves them all.  It is what the store reads: a spec built from
+    ``start``/``end`` holds its one range there too.
     """
 
     start: bytes = b""
     end: bytes | None = None
     limit: int | None = None
     end_exclusive: bool = False
+    ranges: tuple[Bounds, ...] | None = None
+
+    def __post_init__(self) -> None:
+        ranges = self.ranges
+        if ranges is None:
+            end = self.end
+            if end is not None and not self.end_exclusive:
+                end += b"\x00"
+            ranges = ((self.start, end),)
+        # Every source walks the ranges in one forward pass, so they
+        # must come in scan order; empty ones select nothing.
+        kept = tuple((start, stop) for start, stop in ranges
+                     if stop is None or start < stop)
+        for (_, stop), (start, _) in zip(kept, kept[1:]):
+            if stop is None or start < stop:
+                raise ValueError("scan ranges must be sorted and disjoint: "
+                                 f"{start!r} follows one ending at {stop!r}")
+        object.__setattr__(self, "ranges", kept)
 
     @classmethod
     def full(cls) -> "ScanSpec":
@@ -67,11 +94,3 @@ class ScanSpec:
             # No finite upper bound exists; scan to the end of the table.
             return cls(prefix, None)
         return cls(prefix, successor, end_exclusive=True)
-
-    @property
-    def stop(self) -> bytes | None:
-        """The exclusive upper bound equivalent to this spec's range;
-        ``None`` is unbounded above."""
-        if self.end is None:
-            return None
-        return self.end if self.end_exclusive else self.end + b"\x00"

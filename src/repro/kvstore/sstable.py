@@ -85,34 +85,43 @@ class SSTable:
         if cache is not None:
             cache.admit(key, size)
 
-    def scan(self, start: bytes, stop: bytes | None,
-             cache: BlockCache | None = None, server: int = 0):
-        """Yield entries with start <= key < stop, charging touched blocks;
-        ``stop=None`` is unbounded above.
+    def scan(self, ranges, cache: BlockCache | None = None,
+             server: int = 0):
+        """Yield entries with a key in ``ranges`` (sorted, disjoint
+        :data:`~repro.kvstore.scan.Bounds`), charging touched blocks.
 
-        The scan proceeds block-at-a-time: each block is charged once as
-        the scan reaches it, then its entries stream out of a plain
+        One forward pass serves every range: each seeks from where the
+        previous one ended.  The pass proceeds block-at-a-time: a block
+        is charged once, as the pass first reaches it (even if several
+        ranges land in it), then its entries stream out of a plain
         index range — no per-entry block lookup.  Charging stays lazy,
         so an early ``LIMIT`` or a cancelled consumer never pays for
         blocks the merge did not reach.
         """
         keys = self._keys
         values = self._values
-        lo = bisect_left(keys, start)
-        hi = len(keys) if stop is None else bisect_left(keys, stop)
-        if lo >= hi:
-            return
         starts = self._block_starts
-        block = self._block_of(lo)
-        i = lo
-        while i < hi:
-            block_end = starts[block + 1] if block + 1 < len(starts) \
-                else len(keys)
-            self._charge_block(block, cache, server)
-            for j in range(i, min(hi, block_end)):
-                yield keys[j], values[j]
-            i = block_end
-            block += 1
+        size = len(keys)
+        hi = 0
+        charged = -1
+        for start, stop in ranges:
+            lo = bisect_left(keys, start, hi)
+            if lo >= size:
+                return
+            hi = size if stop is None else bisect_left(keys, stop, lo)
+            if lo >= hi:
+                continue
+            block = self._block_of(lo)
+            while lo < hi:
+                block_end = starts[block + 1] if block + 1 < len(starts) \
+                    else size
+                if block != charged:
+                    self._charge_block(block, cache, server)
+                    charged = block
+                for j in range(lo, min(hi, block_end)):
+                    yield keys[j], values[j]
+                lo = block_end
+                block += 1
 
     def get(self, key: bytes, cache: BlockCache | None = None,
             server: int = 0) -> tuple[bool, bytes | None]:

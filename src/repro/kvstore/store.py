@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import heapq
 import zlib
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
+from itertools import islice
+from operator import itemgetter
 
 from repro.errors import (
     RegionUnavailableError,
@@ -15,7 +18,12 @@ from repro.kvstore.blockcache import BlockCache
 from repro.kvstore.iostats import IOStats
 from repro.kvstore.recovery import RecoveryReport, recover_server
 from repro.kvstore.region import DEFAULT_FLUSH_BYTES, Region
-from repro.kvstore.scan import DEFAULT_BATCH_ROWS, ScanSpec, chunk_pairs
+from repro.kvstore.scan import (
+    DEFAULT_BATCH_ROWS,
+    Bounds,
+    ScanSpec,
+    chunk_pairs,
+)
 from repro.kvstore.sstable import DEFAULT_BLOCK_BYTES, SSTable
 from repro.kvstore.wal import (
     DEFAULT_PERIODIC_BYTES,
@@ -34,6 +42,9 @@ DEFAULT_SPLIT_BYTES = 4 * 1024 * 1024
 
 #: Upper bound on pre-split regions and salt buckets (one key byte).
 MAX_BUCKETS = 255
+
+
+_range_start = itemgetter(0)
 
 
 def salt_of(key: bytes, buckets: int) -> int:
@@ -115,8 +126,33 @@ class KVTable:
         index = bisect_right(self._region_starts, key) - 1
         return self._regions[index]
 
-    def _regions_overlapping(self, start: bytes, stop: bytes) -> list[Region]:
-        return [r for r in self._regions if r.overlaps(start, stop)]
+    def _regions_overlapping(self, bounds: Sequence[Bounds]
+                             ) -> list[tuple[Region, Sequence[Bounds]]]:
+        """Every region ``bounds`` (a :attr:`ScanSpec.ranges`) touch,
+        in key order, each with the slice of ``bounds`` overlapping it.
+
+        Regions and slices both come from bisects: regions no range
+        reaches are never looked at, and only a range straddling a
+        region boundary appears in two slices.
+        """
+        starts = self._region_starts
+        visits = []
+        taken, index = 0, -1
+        while taken < len(bounds):
+            # The region after a straddled boundary, or else the owner
+            # of the next range's start.
+            index = max(index + 1,
+                        bisect_right(starts, bounds[taken][0]) - 1)
+            region = self._regions[index]
+            end = region.end_key
+            upto = len(bounds) if end is None else bisect_left(
+                bounds, end, taken, key=_range_start)
+            visits.append((region, bounds[taken:upto]))
+            last_stop = bounds[upto - 1][1]
+            straddles = end is not None and (last_stop is None
+                                             or last_stop > end)
+            taken = upto - 1 if straddles else upto
+        return visits
 
     def regions(self) -> list[Region]:
         return list(self._regions)
@@ -163,6 +199,10 @@ class KVTable:
     def scan(self, spec: ScanSpec, ctx=None):
         """Yield live ``(key, value)`` pairs across regions, key-sorted.
 
+        One scan serves the spec's whole range list: faults tick and
+        ``scans_started`` rises once, and every region the ranges touch
+        is visited once (see :meth:`_scan_regions`).
+
         ``ctx`` (a :class:`repro.resilience.RequestContext`) makes the
         scan deadline-aware — the remaining budget is checked before
         each region and periodically within one — and enables graceful
@@ -171,19 +211,7 @@ class KVTable:
         report and the scan continues over the live regions instead of
         failing all-or-nothing.
         """
-        self._store.tick_faults("scan")
-        self._stats.record_scan()
-        if self.salt_buckets:
-            stream = self._scan_salted(spec, ctx)
-        else:
-            stream = self._scan_span(spec.start, spec.stop, ctx)
-        remaining = spec.limit
-        for key, value in stream:
-            yield key, value
-            if remaining is not None:
-                remaining -= 1
-                if remaining <= 0:
-                    return
+        yield from islice(self._open_scan(spec, ctx), spec.limit)
 
     def scan_batches(self, spec: ScanSpec, ctx=None,
                      batch_rows: int | None = None):
@@ -194,16 +222,9 @@ class KVTable:
         table layer's columnar decode) amortize per-row work.  Batches
         never span regions, so per-region span accounting stays exact.
         """
-        self._store.tick_faults("scan")
-        self._stats.record_scan()
-        batch_rows = batch_rows or DEFAULT_BATCH_ROWS
-        if self.salt_buckets:
-            stream = chunk_pairs(self._scan_salted(spec, ctx), batch_rows)
-        else:
-            stream = self._scan_span_batches(spec.start, spec.stop, ctx,
-                                             batch_rows)
         remaining = spec.limit
-        for batch in stream:
+        for batch in self._open_scan(spec, ctx,
+                                     batch_rows or DEFAULT_BATCH_ROWS):
             if remaining is not None and len(batch) >= remaining:
                 yield batch[:remaining]
                 return
@@ -211,79 +232,54 @@ class KVTable:
                 remaining -= len(batch)
             yield batch
 
-    def _scan_salted(self, spec: ScanSpec, ctx=None):
-        """Fan the logical range out over every salt bucket and merge.
+    def _open_scan(self, spec: ScanSpec, ctx, batch_rows: int | None = None):
+        """Count one scan and open its stream of pairs (or, with
+        ``batch_rows``, of lists of pairs)."""
+        self._store.tick_faults("scan")
+        self._stats.record_scan()
+        if not self.salt_buckets:
+            return self._scan_regions(spec.ranges, ctx, batch_rows)
+        pairs = self._scan_salted(spec.ranges, ctx)
+        return pairs if batch_rows is None \
+            else chunk_pairs(pairs, batch_rows)
+
+    def _scan_salted(self, bounds: Sequence[Bounds], ctx=None):
+        """Fan the logical ranges out over every salt bucket and merge.
 
         Each bucket holds a contiguous salted copy of the logical key
-        space, so one per-bucket scan of ``salt + [start, stop)`` with
-        the salt byte stripped yields the bucket's rows in logical
+        space, so one per-bucket pass over every ``salt + [start, stop)``
+        with the salt byte stripped yields the bucket's rows in logical
         order; a ``heapq.merge`` over the buckets restores the global
         order.  A logical key lives in exactly one bucket, so merge
         comparisons never tie (and never reach the values).
         """
-        stop = spec.stop
-
         def bucket_stream(bucket: int):
             prefix = bytes([bucket])
-            if stop is None:
-                # The bucket's whole key space: everything under the
-                # salt byte (buckets are < 255, so prefix+1 exists).
-                bucket_stop = bytes([bucket + 1])
-            else:
-                bucket_stop = prefix + stop
-            for key, value in self._scan_span(prefix + spec.start,
-                                              bucket_stop, ctx):
+            # An unbounded range ends with the bucket's key space
+            # (buckets are < 255, so prefix+1 exists).
+            salted = [(prefix + start,
+                       bytes([bucket + 1]) if stop is None
+                       else prefix + stop)
+                      for start, stop in bounds]
+            for key, value in self._scan_regions(salted, ctx):
                 yield key[1:], value
 
         yield from heapq.merge(*(bucket_stream(b)
                                  for b in range(self.salt_buckets)))
 
-    def _scan_span(self, start: bytes, stop: bytes | None, ctx=None):
-        """Yield live ``(key, value)`` across regions of one key span."""
-        profile = getattr(ctx, "profile", None) if ctx is not None \
-            else None
-        for region in self._regions_overlapping(start, stop):
-            if ctx is not None:
-                ctx.check(f"scan of {self.name!r}")
-            try:
-                replica = self._store.route_read(self.name, region,
-                                                 "scan", ctx)
-            except RegionUnavailableError as exc:
-                if ctx is not None and ctx.partial_results:
-                    ctx.record_skip(self.name, region.region_id,
-                                    region.server, str(exc))
-                    continue
-                raise
-            server = region.server if replica is None \
-                else replica.server
-            cache = self._store.cache_for(server)
-            region.record_read()
-            before = self._stats.snapshot() if profile is not None \
-                else None
-            region_rows = 0
-            try:
-                for key, value in region.scan(start, stop, cache, ctx,
-                                              replica=replica):
-                    self._stats.record_result(len(key) + len(value))
-                    region_rows += 1
-                    yield key, value
-            finally:
-                if profile is not None:
-                    self._record_region_span(profile, region, before,
-                                             region_rows)
+    def _scan_regions(self, bounds: Sequence[Bounds], ctx=None,
+                      batch_rows: int | None = None):
+        """Yield the live entries of ``bounds``, one visit per region:
+        one routing/availability check, one hotness tick, one trace span
+        and one :meth:`Region.scan` over the ranges that fall in it.
 
-    def _scan_span_batches(self, start: bytes, stop: bytes | None,
-                           ctx=None,
-                           batch_rows: int = DEFAULT_BATCH_ROWS):
-        """Batched :meth:`_scan_span`: lists of pairs, region by region.
-
-        Result-byte accounting is summed once per batch instead of once
-        per row — the totals are identical, the bookkeeping is not on
-        the per-record hot path anymore.
+        Entries come out as pairs, or — with ``batch_rows`` — as lists
+        of pairs whose result bytes are accounted once per batch.
         """
         profile = getattr(ctx, "profile", None) if ctx is not None \
             else None
-        for region in self._regions_overlapping(start, stop):
+        record_result = self._stats.record_result
+        for region, ranges in self._regions_overlapping(bounds):
             if ctx is not None:
                 ctx.check(f"scan of {self.name!r}")
             try:
@@ -302,27 +298,32 @@ class KVTable:
             before = self._stats.snapshot() if profile is not None \
                 else None
             region_rows = 0
+            stream = region.scan(ranges, cache, ctx, replica=replica)
             try:
-                for batch in region.scan_batches(start, stop, cache, ctx,
-                                                 replica=replica,
-                                                 batch_rows=batch_rows):
-                    self._stats.record_result(
-                        sum(len(key) + len(value)
-                            for key, value in batch))
-                    region_rows += len(batch)
-                    yield batch
+                if batch_rows is None:
+                    for key, value in stream:
+                        record_result(len(key) + len(value))
+                        region_rows += 1
+                        yield key, value
+                else:
+                    for batch in chunk_pairs(stream, batch_rows):
+                        record_result(sum(len(key) + len(value)
+                                          for key, value in batch))
+                        region_rows += len(batch)
+                        yield batch
             finally:
                 if profile is not None:
                     self._record_region_span(profile, region, before,
-                                             region_rows)
+                                             region_rows, len(ranges))
 
     def _record_region_span(self, profile, region, before,
-                            region_rows: int) -> None:
+                            region_rows: int, num_ranges: int) -> None:
         """Merge one region visit into the trace's per-region scan span.
 
-        An index query scans many key ranges, each visiting the same
-        regions; one span per (table, region) under the current operator
-        keeps the trace readable — counts accumulate across ranges.
+        One operator may visit a region more than once (a salted table
+        visits per bucket, k-NN scans cell after cell); one span per
+        (table, region) under the current operator keeps the trace
+        readable — counts accumulate across visits.
         """
         delta = self._stats.snapshot().delta(before)
         span = None
@@ -344,7 +345,7 @@ class KVTable:
         span.attrs["blocks_read"] += delta.blocks_read
         span.attrs["cache_hits"] += delta.cache_hits
         span.attrs["disk_bytes_read"] += delta.disk_bytes_read
-        span.attrs["ranges"] += 1
+        span.attrs["ranges"] += num_ranges
         model = self._store.cost_model
         if model is not None:
             span.sim_ms += (

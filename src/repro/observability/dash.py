@@ -115,9 +115,11 @@ def build_dash_service(rows: int = 600, seed: int = 7,
 
 
 def inject_slow_server(server: JustServer, victim: int = 0,
-                       latency_ms: float = 40.0,
+                       latency_ms: float = 120.0,
                        seed: int = 7) -> None:
-    """Attach the gray fault: every op on ``victim`` pays extra latency."""
+    """Attach the gray fault: every region visit on ``victim`` pays
+    extra latency — by default enough for one visit to break the
+    latency SLO, so every statement that reaches the victim is bad."""
     plan = FaultPlan([SlowServer(victim, latency_ms,
                                  jitter_ms=latency_ms / 2)], seed=seed)
     FaultInjector(plan).attach(server.engine.store)
@@ -201,8 +203,9 @@ def main(argv: list[str] | None = None, out=None) -> int:
                         help="healthy workload passes (default 3)")
     parser.add_argument("--fault-passes", type=int, default=12,
                         help="max workload passes under the gray fault")
-    parser.add_argument("--latency-ms", type=float, default=40.0,
-                        help="injected per-op latency on the victim")
+    parser.add_argument("--latency-ms", type=float, default=120.0,
+                        help="injected latency per region visit on the "
+                             "victim")
     parser.add_argument("--once", action="store_true",
                         help="render a single end-of-run frame "
                              "(CI smoke mode)")

@@ -22,6 +22,7 @@ from repro.curves import (
 from repro.curves.strategies import shard_of
 from repro.errors import IndexError_
 from repro.geometry import Envelope, LineString, Point
+from repro.kvstore import ScanSpec
 
 
 def point_record(fid, lng, lat, t=None):
@@ -200,6 +201,55 @@ class TestAttributeStrategy:
         assert any(kr.start <= key <= kr.end for kr in ranges)
         outside = strategy.key_for_value("9", 150.0)
         assert not any(kr.start <= outside <= kr.end for kr in ranges)
+
+
+def assert_sorted_and_disjoint(ranges):
+    """The contract the store's one-pass multi-range scan relies on."""
+    for kr in ranges:
+        assert kr.start <= kr.end
+    for kr, following in zip(ranges, ranges[1:]):
+        assert kr.end < following.start
+    # ...which is exactly what the multi-range ScanSpec accepts.
+    ScanSpec(ranges=[(kr.start, kr.end + b"\x00") for kr in ranges])
+
+
+windows = st.tuples(st.floats(-179.0, 178.0), st.floats(-89.0, 88.0),
+                    st.floats(1e-4, 1.0), st.floats(1e-4, 1.0))
+periods = st.tuples(st.floats(0.0, 86400.0 * 400),
+                    st.floats(1.0, 86400.0 * 9))
+
+
+class TestRangeContract:
+    """``ranges()`` are sorted by start and pairwise disjoint."""
+
+    @pytest.mark.parametrize("name", ["z2", "z3", "z2t", "xz2", "xz3",
+                                      "xz2t"])
+    @settings(max_examples=60, deadline=None)
+    @given(window=windows, period=periods,
+           shards=st.integers(1, 5),
+           unit=st.sampled_from([TimePeriod.DAY, TimePeriod.WEEK]))
+    def test_curve_ranges(self, name, window, period, shards, unit):
+        strategy = strategy_from_name(name, period=unit,
+                                      num_shards=shards)
+        lng, lat, width, height = window
+        t_min, duration = period
+        query = STQuery(Envelope(lng, lat, lng + width, lat + height),
+                        t_min, t_min + duration)
+        ranges = strategy.ranges(query)
+        assert ranges
+        assert_sorted_and_disjoint(ranges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(low=st.floats(-1e9, 1e9), high=st.floats(-1e9, 1e9),
+           text=st.text(max_size=12), shards=st.integers(1, 5))
+    def test_attribute_ranges(self, low, high, text, shards):
+        strategy = AttributeStrategy("v", num_shards=shards)
+        low, high = min(low, high), max(low, high)
+        assert_sorted_and_disjoint(strategy.ranges_for_between(low, high))
+        assert_sorted_and_disjoint(strategy.ranges_for_value(low))
+        assert_sorted_and_disjoint(strategy.ranges_for_value(text))
+        assert_sorted_and_disjoint(
+            strategy.ranges_for_between(text, text + "z"))
 
 
 class TestFactory:

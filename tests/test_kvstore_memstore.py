@@ -34,16 +34,16 @@ def test_scan_sorted_half_open():
     ms = MemStore()
     for key in (b"d", b"a", b"c", b"b", b"e"):
         ms.put(key, key.upper())
-    got = list(ms.scan(b"b", b"d"))
+    got = list(ms.scan([(b"b", b"d")]))
     assert got == [(b"b", b"B"), (b"c", b"C")]
-    assert list(ms.scan(b"b", b"d\x00")) == \
+    assert list(ms.scan([(b"b", b"d\x00")])) == \
         [(b"b", b"B"), (b"c", b"C"), (b"d", b"D")]
 
 
 def test_scan_empty_range():
     ms = MemStore()
     ms.put(b"a", b"1")
-    assert list(ms.scan(b"x", b"z")) == []
+    assert list(ms.scan([(b"x", b"z")])) == []
 
 
 def test_items_sorted():

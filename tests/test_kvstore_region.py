@@ -1,4 +1,4 @@
-"""Region internals: routing, flush/compaction, merge correctness."""
+"""Region internals: flush/compaction, merge correctness."""
 
 from repro.kvstore.iostats import IOStats
 from repro.kvstore.region import Region
@@ -9,29 +9,6 @@ def make_region(**kwargs):
                     flush_bytes=1024, block_bytes=256)
     defaults.update(kwargs)
     return Region(**defaults)
-
-
-class TestRouting:
-    def test_owns_unbounded(self):
-        region = make_region()
-        assert region.owns(b"")
-        assert region.owns(b"\xff\xff")
-
-    def test_owns_bounded(self):
-        region = make_region(start_key=b"m", end_key=b"t")
-        assert not region.owns(b"a")
-        assert region.owns(b"m")
-        assert region.owns(b"s\xff")
-        assert not region.owns(b"t")  # end exclusive
-
-    def test_overlaps(self):
-        # overlaps() takes a half-open [start, stop) request range.
-        region = make_region(start_key=b"m", end_key=b"t")
-        assert region.overlaps(b"a", b"m\x00")  # includes start key
-        assert region.overlaps(b"p", b"z")
-        assert not region.overlaps(b"a", b"m")  # stops short of start
-        assert not region.overlaps(b"t", b"z")  # starts at excl end
-        assert not region.overlaps(b"a", b"l")
 
 
 class TestFlushCompact:
@@ -58,7 +35,7 @@ class TestFlushCompact:
         region.flush()
         region.compact()
         assert region.get(b"a", None) is None
-        assert list(region.scan(b"", b"\xff", None)) == []
+        assert list(region.scan([(b"", b"\xff")], None)) == []
         assert len(region.sstables) == 1
 
     def test_scan_merges_memstore_over_sstables(self):
@@ -67,14 +44,14 @@ class TestFlushCompact:
         region.flush()
         region.put(b"a", b"new")       # memstore shadows the run
         region.put(b"b", b"only-mem")
-        got = dict(region.scan(b"", b"\xff", None))
+        got = dict(region.scan([(b"", b"\xff")], None))
         assert got == {b"a": b"new", b"b": b"only-mem"}
 
     def test_scan_respects_region_bounds(self):
         region = make_region(start_key=b"c", end_key=b"f")
         for key in (b"c", b"d", b"e"):
             region.put(key, key)
-        got = [k for k, _v in region.scan(b"", b"\xff", None)]
+        got = [k for k, _v in region.scan([(b"", b"\xff")], None)]
         assert got == [b"c", b"d", b"e"]
 
     def test_all_entries_for_split(self):
@@ -91,7 +68,7 @@ class TestScanBounds:
         region = make_region()
         for key in (b"a", b"b", b"c"):
             region.put(key, key)
-        got = [k for k, _v in region.scan(b"a", b"c", None)]
+        got = [k for k, _v in region.scan([(b"a", b"c")], None)]
         assert got == [b"a", b"b"]
 
     def test_region_end_key_caps_scan(self):
@@ -99,5 +76,5 @@ class TestScanBounds:
         region.put(b"a", b"1")
         region.put(b"b", b"2")
         # Keys at/above the region's end key belong to the next region.
-        got = [k for k, _v in region.scan(b"", b"\xff", None)]
+        got = [k for k, _v in region.scan([(b"", b"\xff")], None)]
         assert got == [b"a", b"b"]

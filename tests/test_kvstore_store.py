@@ -207,7 +207,7 @@ class TestRegionSplitting:
         # A limit larger than the first region's share must continue
         # seamlessly into the next region, in key order.
         first_region_keys = len(list(
-            table._regions[0].scan(b"", b"\xff" * 8, None)))
+            table._regions[0].scan([(b"", b"\xff" * 8)], None)))
         limit = first_region_keys + 25
         got = [k for k, _ in table.scan(ScanSpec(limit=limit))]
         assert got == [f"{i:06d}".encode() for i in range(limit)]
@@ -281,3 +281,258 @@ class TestIOAccounting:
         cold_delta = store.stats.disk_bytes_read - base
         assert cached_delta == 0
         assert cold_delta > 0
+
+
+def _key(i: int) -> bytes:
+    return f"{i:05d}".encode()
+
+
+def _every_tenth_range(count: int, width: int = 3):
+    """``count`` disjoint ranges: ``width`` keys out of every ten."""
+    return [(_key(10 * i), _key(10 * i + width)) for i in range(count)]
+
+
+class TestScanSpecRanges:
+    def test_rejects_unsorted_and_overlapping(self):
+        with pytest.raises(ValueError):
+            ScanSpec(ranges=[(b"m", b"p"), (b"a", b"c")])
+        with pytest.raises(ValueError):
+            ScanSpec(ranges=[(b"a", b"m"), (b"l", b"p")])
+        with pytest.raises(ValueError):
+            ScanSpec(ranges=[(b"a", None), (b"x", b"z")])
+        with pytest.raises(ValueError):
+            ScanSpec(ranges=((b"a", b"c"), (b"a", b"c")))
+
+    def test_adjacent_ranges_and_empty_ranges_are_fine(self):
+        spec = ScanSpec(ranges=[(b"a", b"c"), (b"c", b"e"), (b"e", None)])
+        assert spec.ranges == ((b"a", b"c"), (b"c", b"e"), (b"e", None))
+        # A range that selects nothing is dropped, wherever it sits.
+        spec = ScanSpec(ranges=[(b"x", b"b"), (b"c", b"c"), (b"d", b"e")])
+        assert spec.ranges == ((b"d", b"e"),)
+        assert ScanSpec(ranges=[]).ranges == ()
+
+    def test_single_range_is_the_one_element_case(self):
+        assert ScanSpec(b"a", b"c").ranges == ((b"a", b"c\x00"),)
+        assert ScanSpec(b"a", b"c", end_exclusive=True).ranges == \
+            ((b"a", b"c"),)
+        assert ScanSpec.full().ranges == ((b"", None),)
+        assert ScanSpec(b"c", b"a").ranges == ()
+        table = small_store().create_table("t")
+        table.put(b"b", b"v")
+        assert list(table.scan(ScanSpec(b"c", b"a"))) == []
+        assert list(table.scan(ScanSpec(ranges=[]))) == []
+
+
+def overlaps(region, start, stop) -> bool:
+    """True when [start, stop) intersects the region's key range."""
+    if region.end_key is not None and start >= region.end_key:
+        return False
+    return stop is None or stop > region.start_key
+
+
+class TestRegionRouting:
+    def linear(self, table, bounds):
+        """The definition: every region some range overlaps, and for
+        each the ranges that overlap it."""
+        visits = []
+        for region in table.regions():
+            ranges = [b for b in bounds if overlaps(region, *b)]
+            if ranges:
+                visits.append((region, ranges))
+        return visits
+
+    def routed(self, table, bounds):
+        return [(region, list(ranges))
+                for region, ranges in table._regions_overlapping(bounds)]
+
+    def test_presplit_64_matches_the_linear_definition(self):
+        import random
+        table = small_store().create_table("t", presplit=64)
+        assert table.num_regions == 64
+        rng = random.Random(64)
+        for _ in range(300):
+            cuts = sorted({bytes(rng.randrange(256)
+                                 for _ in range(rng.randint(1, 3)))
+                           for _ in range(rng.randint(2, 12))})
+            gaps = list(zip(cuts, cuts[1:])) + [(cuts[-1], None)]
+            bounds = ScanSpec(ranges=[
+                gap for gap in gaps if rng.random() < 0.6]).ranges
+            assert self.routed(table, bounds) == self.linear(table, bounds)
+
+    def test_single_ranges_on_region_boundaries(self):
+        table = small_store().create_table("t", presplit=64)
+        for bounds in ([(b"", None)], [(b"\x04", b"\x08")],
+                       [(b"\x03\xff", b"\x04")], [(b"\x04", b"\x04\x00")],
+                       [(b"\xfc", None)], [(b"\xff\xff", None)]):
+            assert self.routed(table, bounds) == self.linear(table, bounds)
+        first, second, third = table.regions()[:3]
+        assert (second.start_key, second.end_key) == (b"\x04", b"\x08")
+
+        def regions(start, stop):
+            return [r for r, _ in table._regions_overlapping(
+                [(start, stop)])]
+
+        assert regions(b"\x03", b"\x04\x00") == [first, second]
+        assert regions(b"\x03", b"\x04") == [first]  # stops short
+        assert regions(b"\x08", b"\x09") == [third]  # end is exclusive
+        assert regions(b"\x05", b"\x06") == [second]
+
+    def test_split_table_routes_like_the_linear_definition(self):
+        store = small_store(split_bytes=2048, flush_bytes=512)
+        table = store.create_table("t")
+        for i in range(400):
+            table.put(_key(i), b"v" * 40)
+        assert table.num_regions > 4
+        bounds = ScanSpec(ranges=_every_tenth_range(40)).ranges
+        assert self.routed(table, bounds) == self.linear(table, bounds)
+        # A range straddling a boundary shows up on both sides of it.
+        straddled = table.regions()[1].start_key
+        routed = self.routed(table, [(b"", straddled + b"\x00")])
+        assert [region for region, _ in routed] == table.regions()[:2]
+
+
+class TestMultiRangeScan:
+    def loaded(self, rows=600, runs=3):
+        """A one-region table whose rows sit in ``runs`` SSTables."""
+        store = small_store(flush_bytes=1 << 30, split_bytes=1 << 30,
+                            block_bytes=256)
+        table = store.create_table("t")
+        for run in range(runs):
+            for i in range(run, rows, runs):
+                table.put(_key(i), b"v" * 40)
+            table.flush()
+        return store, table
+
+    def split_over_servers(self):
+        """A 600-row table that has split into regions on every server."""
+        store = small_store(split_bytes=4096, flush_bytes=1024)
+        table = store.create_table("t")
+        for i in range(600):
+            table.put(_key(i), b"v" * 40)
+        assert table.num_regions > 3
+        return store, table
+
+    def test_one_scan_and_one_visit_per_region(self):
+        store, table = self.split_over_servers()
+        reads = {r.region_id: r.reads for r in table.regions()}
+        before = store.stats.snapshot()
+        ranges = _every_tenth_range(60)
+        rows = list(table.scan(ScanSpec(ranges=ranges)))
+        delta = store.stats.snapshot().delta(before)
+        assert [k for k, _ in rows] == [
+            _key(10 * i + j) for i in range(60) for j in range(3)]
+        assert delta.scans_started == 1
+        assert delta.result_bytes == sum(len(k) + len(v) for k, v in rows)
+        # Hotness counts the statement once per region it touched.
+        assert all(r.reads == reads[r.region_id] + 1
+                   for r in table.regions())
+
+    def test_each_block_charged_at_most_once_per_pass(self):
+        store, table = self.loaded()
+        (region,) = table.regions()
+        charged = []
+        for sstable in region.sstables:
+            original = sstable._charge_block
+
+            def spy(block, cache, server, _sstable=sstable,
+                    _original=original):
+                charged.append((_sstable.sstable_id, block))
+                _original(block, cache, server)
+            sstable._charge_block = spy
+        # 200 narrow ranges, several to a 256-byte block.
+        ranges = [(_key(3 * i), _key(3 * i + 1)) for i in range(200)]
+        assert len(list(table.scan(ScanSpec(ranges=ranges)))) == 200
+        assert len(charged) == len(set(charged))
+        assert len(charged) <= sum(s.num_blocks for s in region.sstables)
+
+    def test_block_charging_stays_lazy_under_early_exit(self):
+        store, table = self.loaded()
+        (region,) = table.regions()
+        before = store.stats.snapshot()
+        scan = table.scan(ScanSpec(ranges=_every_tenth_range(60)))
+        first = next(scan)
+        scan.close()
+        delta = store.stats.snapshot().delta(before)
+        assert first[0] == _key(0)
+        # The merge primed one entry per run, so one block per run.
+        assert delta.blocks_read + delta.cache_hits == len(region.sstables)
+        # The abandoned generator accounted exactly what it handed out.
+        assert delta.result_bytes == len(first[0]) + len(first[1])
+        # LIMIT stops the same way.
+        before = store.stats.snapshot()
+        rows = list(table.scan(
+            ScanSpec(ranges=_every_tenth_range(60), limit=2)))
+        delta = store.stats.snapshot().delta(before)
+        assert len(rows) == 2
+        assert delta.blocks_read + delta.cache_hits <= \
+            2 * len(region.sstables)
+        assert delta.result_bytes == sum(len(k) + len(v) for k, v in rows)
+
+    def test_batched_scan_accounts_batches_handed_out(self):
+        store, table = self.loaded()
+        before = store.stats.snapshot()
+        scan = table.scan_batches(
+            ScanSpec(ranges=_every_tenth_range(60)), batch_rows=16)
+        batch = next(scan)
+        scan.close()
+        delta = store.stats.snapshot().delta(before)
+        assert [k for k, _ in batch] == [
+            _key(10 * i + j) for i in range(6) for j in range(3)][:16]
+        assert delta.scans_started == 1
+        assert delta.result_bytes == sum(len(k) + len(v) for k, v in batch)
+
+    def test_deadline_cancels_mid_pass(self):
+        from repro.errors import QueryTimeoutError
+        from repro.kvstore.region import Region
+        from repro.resilience import Deadline, RequestContext
+        store, table = self.loaded(rows=3000, runs=1)
+        (region,) = table.regions()
+        deadline = Deadline(1.0)
+        ctx = RequestContext(deadline=deadline)
+        consumed = []
+        with pytest.raises(QueryTimeoutError):
+            for key, _value in table.scan(
+                    ScanSpec(ranges=_every_tenth_range(300, width=8)),
+                    ctx):
+                consumed.append(key)
+                if len(consumed) == 10:
+                    deadline.charge(2.0)  # budget gone mid-pass
+        # The pass was abandoned within one cancellation window, many
+        # ranges short of the end, and stopped charging blocks there.
+        assert 10 <= len(consumed) <= Region.CANCEL_CHECK_ROWS
+        assert store.stats.blocks_read < region.sstables[0].num_blocks / 2
+
+    def test_partial_results_skip_a_dead_region(self):
+        from repro.errors import RegionUnavailableError
+        from repro.resilience import RequestContext
+        store, table = self.split_over_servers()
+        table.flush()
+        victim = table.regions()[1]
+        others = [r for r in table.regions()
+                  if r.server != victim.server]
+        assert others
+        store.crash_server(victim.server, defer_failover=True)
+        spec = ScanSpec(ranges=_every_tenth_range(60))
+        with pytest.raises(RegionUnavailableError):
+            list(table.scan(spec))
+        ctx = RequestContext(partial_results=True)
+        rows = list(table.scan(spec, ctx))
+        dead = [r for r in table.regions() if r.server == victim.server]
+        assert sorted(s["region_id"] for s in ctx.skipped_report) == \
+            sorted(r.region_id for r in dead)
+        expected = [_key(10 * i + j) for i in range(60) for j in range(3)]
+        assert [k for k, _ in rows] == [
+            k for k in expected
+            if not any(overlaps(r, k, k + b"\x00") for r in dead)]
+
+    def test_gray_fault_fires_once_per_region_visit(self):
+        from repro.faults import FaultInjector, FaultPlan, SlowServer
+        from repro.resilience import Deadline, RequestContext
+        store, table = self.split_over_servers()
+        slow = [r for r in table.regions() if r.server == 0]
+        assert slow
+        FaultInjector(FaultPlan([SlowServer(0, latency_ms=10.0)],
+                                seed=0)).attach(store)
+        ctx = RequestContext(deadline=Deadline(1e9))
+        list(table.scan(ScanSpec(ranges=_every_tenth_range(60)), ctx))
+        assert ctx.deadline.consumed_ms == pytest.approx(10.0 * len(slow))

@@ -217,7 +217,7 @@ class TestMonitoredService:
         queries = workload_queries(11)
         for sql in queries:
             client.execute_query(sql)
-        inject_slow_server(server, latency_ms=40.0, seed=11)
+        inject_slow_server(server, latency_ms=120.0, seed=11)
         alert = server.engine.monitor.slos.alert("statement-latency",
                                                  "page")
         for _ in range(20):

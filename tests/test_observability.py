@@ -275,6 +275,49 @@ class TestExplainAnalyze:
         rs = poi_engine.sql("EXPLAIN ANALYZE " + ST_QUERY)
         assert sum(r["cache_hits"] for r in rs.rows) > 0
 
+    def test_region_spans_match_per_range_totals(self, poi_rows):
+        """One multi-range scan reports, per region, the rows, ranges
+        and disk blocks that one scan per key range adds up to."""
+        from repro.core.engine import JustEngine
+        from repro.core.schema import Schema
+        from repro.curves import STQuery
+        from repro.geometry import Envelope
+        from conftest import POI_SCHEMA_FIELDS
+
+        engine = JustEngine(flush_bytes=4 * 1024, split_bytes=16 * 1024)
+        engine.create_table("poi", Schema(list(POI_SCHEMA_FIELDS)))
+        engine.insert("poi", poi_rows)
+        table = engine.table("poi")
+        table.flush()
+
+        def region_spans(profile):
+            return {span.attrs["region"]: (span.attrs["table"],
+                                           span.attrs["rows"],
+                                           span.attrs["ranges"],
+                                           span.attrs["blocks_read"])
+                    for _depth, span in profile.root.walk()
+                    if span.kind == "region_scan"}
+
+        engine.store.clear_caches()
+        ctx = RequestContext()
+        engine.sql("EXPLAIN ANALYZE " + ST_QUERY, ctx=ctx)
+        traced = region_spans(ctx.profile)
+        assert len(traced) > 1  # the ranges straddle region boundaries
+        (kv_name,) = {name for name, *_ in traced.values()}
+        strategy_name = kv_name.rpartition("__")[2]
+
+        ranges = table.strategies[strategy_name].ranges(
+            STQuery(Envelope(116.1, 39.85, 116.25, 39.95), T0, T0 + 86400))
+        engine.store.clear_caches()
+        ctx = RequestContext(profile=QueryProfile())
+        kv_table = engine.store.table(kv_name)
+        for key_range in ranges:
+            list(kv_table.scan(ScanSpec(key_range.start, key_range.end),
+                               ctx))
+        per_range = region_spans(ctx.profile)
+        assert traced == per_range
+        assert sum(r for _, _, r, _ in traced.values()) >= len(ranges)
+
 
 # -- service-layer observability ---------------------------------------------
 
@@ -495,7 +538,7 @@ class TestStreamingScan:
         stats = region._stats
         consumed = []
         with pytest.raises(QueryTimeoutError):
-            for key, _value in region.scan(b"", None, None, ctx=ctx):
+            for key, _value in region.scan([(b"", None)], None, ctx=ctx):
                 consumed.append(key)
         # The merge really was abandoned partway: at most one
         # cancellation window of rows came out, and the lazy block
@@ -509,7 +552,7 @@ class TestStreamingScan:
             region.put(f"{i:05d}".encode(), b"v" * 40)
         region.flush()
         stats = region._stats
-        iterator = region.scan(b"", None, None)
+        iterator = region.scan([(b"", None)], None)
         for _ in range(10):
             next(iterator)
         iterator.close()
@@ -526,7 +569,7 @@ class TestStreamingScan:
         region.flush()
         region.put(b"a", b"new")   # memstore beats both runs
         region.put(b"c", None)     # memstore tombstone masks the run
-        rows = dict(region.scan(b"", None, None))
+        rows = dict(region.scan([(b"", None)], None))
         assert rows == {b"a": b"new", b"b": b"keep"}
 
     def test_tombstone_in_newer_run_masks_older(self):
@@ -535,7 +578,7 @@ class TestStreamingScan:
         region.flush()
         region.put(b"x", None)
         region.flush()
-        assert list(region.scan(b"", None, None)) == []
+        assert list(region.scan([(b"", None)], None)) == []
 
 
 # -- histogram buckets and exemplars ------------------------------------------
