@@ -83,8 +83,7 @@ class JustEngine:
                  split_bytes: int | None = None,
                  flush_bytes: int | None = None,
                  replication_factor: int = 1,
-                 read_mode: str = "primary",
-                 vectorized: bool = True):
+                 read_mode: str = "primary"):
         #: Process-wide observability registry: the store's I/O stats,
         #: the SQL operators, and the service layer all report into it.
         from repro.observability.events import EventLog
@@ -137,10 +136,6 @@ class JustEngine:
         self.adaptive_execution = adaptive_execution
         self.oltp_threshold_bytes = oltp_threshold_bytes
         self.local_overhead_ms = local_overhead_ms
-        #: Batch-at-a-time SQL execution: columnar scan batches out of
-        #: the kvstore, vectorized filter/project/aggregate.  Off runs
-        #: the row-at-a-time path (the benchmark baseline).
-        self.vectorized = vectorized
         #: Optional hot-region load balancer (see :meth:`enable_balancer`);
         #: None means placement stays pure round-robin.
         self.balancer = None
@@ -500,15 +495,13 @@ class JustEngine:
                 return
         job.charge_fixed("driver", self.cluster.model.query_overhead_ms)
 
-    def spatial_range_query(self, table_name: str, envelope: Envelope,
-                            predicate: str = "intersects",
-                            ctx=None) -> QueryResult:
-        """All records intersecting (or within) a spatial rectangle."""
+    def _range_query(self, table_name: str, query: STQuery,
+                     predicate: str, ctx) -> QueryResult:
+        """Plan, charge and run one index-served range query."""
         table = self.table(table_name)
         job = self.cluster.job()
         if ctx is not None:
             ctx.bind(job)
-        query = STQuery(envelope=envelope)
         if table.strategies:
             strategy_name, effective = self._plan(table, query)
             self._charge_query_overhead(job, table, strategy_name,
@@ -524,30 +517,21 @@ class JustEngine:
             rows = table.query(query, predicate, job, ctx=ctx)
         return QueryResult(rows, job)
 
+    def spatial_range_query(self, table_name: str, envelope: Envelope,
+                            predicate: str = "intersects",
+                            ctx=None) -> QueryResult:
+        """All records intersecting (or within) a spatial rectangle."""
+        return self._range_query(table_name, STQuery(envelope=envelope),
+                                 predicate, ctx)
+
     def st_range_query(self, table_name: str, envelope: Envelope | None,
                        t_min: float, t_max: float,
                        predicate: str = "intersects",
                        ctx=None) -> QueryResult:
         """All records in a spatial rectangle during [t_min, t_max]."""
-        table = self.table(table_name)
-        job = self.cluster.job()
-        if ctx is not None:
-            ctx.bind(job)
-        query = STQuery(envelope, t_min, t_max)
-        if table.strategies:
-            strategy_name, effective = self._plan(table, query)
-            self._charge_query_overhead(job, table, strategy_name,
-                                        effective)
-            rows = table.query(effective, predicate, job, strategy_name,
-                               ctx)
-            if effective is not query:
-                rows = [r for r in rows if table._matches(r, query,
-                                                          predicate)]
-        else:
-            job.charge_fixed("driver",
-                             self.cluster.model.query_overhead_ms)
-            rows = table.query(query, predicate, job, ctx=ctx)
-        return QueryResult(rows, job)
+        return self._range_query(table_name,
+                                 STQuery(envelope, t_min, t_max),
+                                 predicate, ctx)
 
     def knn(self, table_name: str, lng: float, lat: float,
             k: int, min_cell_km: float = 1.0) -> QueryResult:

@@ -23,14 +23,34 @@ _S_PREFERENCE = ("z2", "xz2")
 _TEMPORAL = ("z2t", "xz2t", "z3", "xz3")
 
 
+def _clamp_to_time_extent(table, query: STQuery) -> STQuery:
+    """``query`` with its time window cut to the table's observed extent.
+
+    The temporal strategies enumerate every period bin a window touches,
+    so ``BETWEEN 0 AND 1e12`` would plan millions of bins that hold no
+    data.  ``table.time_extent`` is grow-only, hence a superset of every
+    stored row's extent: clamping drops no row.  A window that misses
+    the extent comes back empty (:attr:`STQuery.is_empty`), which every
+    strategy serves with no key ranges.
+    """
+    extent = table.time_extent
+    if not query.has_temporal or extent is None or \
+            (extent[0] <= query.t_min and query.t_max <= extent[1]):
+        return query
+    return STQuery(query.envelope, max(query.t_min, extent[0]),
+                   min(query.t_max, extent[1]))
+
+
 def choose_strategy(table, query: STQuery) -> tuple[str, STQuery]:
     """Pick ``(strategy_name, effective_query)`` for a table and query.
 
     The effective query may be widened (e.g. a temporal-only query gains
-    the world envelope) so the chosen strategy can serve it; exact
+    the world envelope) so the chosen strategy can serve it, and its
+    time window is clamped to the table's time extent; exact
     post-filtering still applies the original predicate.
     """
     available = table.strategies
+    query = _clamp_to_time_extent(table, query)
 
     def first(names):
         for name in names:
@@ -45,8 +65,10 @@ def choose_strategy(table, query: STQuery) -> tuple[str, STQuery]:
             return name, query
         name = first(_S_PREFERENCE)
         if name is not None:
-            # Spatial index only: serve the spatial part, post-filter time.
-            return name, STQuery(envelope=query.envelope)
+            # Spatial index only: serve the spatial part, post-filter
+            # time — unless the window already rules every row out.
+            return name, query if query.is_empty \
+                else STQuery(envelope=query.envelope)
     elif query.has_spatial:
         name = first(_S_PREFERENCE)
         if name is not None:
@@ -111,8 +133,10 @@ def choose_strategy_cost_based(table, query: STQuery,
     """Pick the cheapest supporting index by estimated cost.
 
     Falls back to the rule-based choice when no index supports the query
-    directly (the rule-based path also handles query widening).
+    directly (the rule-based path also handles query widening).  The
+    window is clamped first, so costing never enumerates empty bins.
     """
+    query = _clamp_to_time_extent(table, query)
     candidates = []
     for name in table.strategies:
         strategy = table.strategies[name]

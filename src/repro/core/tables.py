@@ -10,6 +10,7 @@ historical updates need no index rebuild.
 from __future__ import annotations
 
 import time as _time
+from itertools import chain
 
 from repro.cluster.simclock import SimJob
 from repro.core.codec import RowCodec
@@ -21,11 +22,11 @@ from repro.curves.strategies import (
     KeyRange,
     STQuery,
 )
-from repro.dataframe import DataFrame
+from repro.dataframe import DataFrame, batches_from_rows
 from repro.errors import ExecutionError, SchemaError
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
-from repro.kvstore.scan import ScanSpec
+from repro.kvstore.scan import ScanSpec, chunk_pairs
 from repro.kvstore.store import KVStore
 
 
@@ -237,132 +238,103 @@ class CommonTable:
                 return geometry.intersects_envelope(query.envelope)
         return True
 
-    def scan_ranges(self, strategy_name: str, ranges: list[KeyRange],
-                    job: SimJob | None = None, ctx=None):
-        """Raw scan over one index's key ranges, yielding decoded rows.
+    def _decoded(self, chunks, num_ranges: int, job: SimJob | None):
+        """The one scan primitive: decode key-value ``chunks`` (lists of
+        pairs from one store scan), yielding one list of rows per chunk.
+
+        Store I/O and CPU are charged in a ``finally`` so an abandoned
+        scan (deadline mid-chunk, early consumer exit) still accounts
+        exactly for the work it did.  Decode is per-record work, so it
+        pays the per-record CPU rate whatever the chunking.
+        """
+        before = self.store.stats.snapshot()
+        decode = self.codec.decode_row
+        scanned = 0
+        try:
+            for chunk in chunks:
+                scanned += len(chunk)
+                yield [decode(payload) for _key, payload in chunk]
+        finally:
+            if job is not None:
+                delta = self.store.stats.snapshot().delta(before)
+                job.charge_store_scan(delta, num_ranges=num_ranges)
+                job.charge_cpu_records(scanned)
+
+    def _range_chunks(self, kv_table, ranges: list[KeyRange],
+                      job: SimJob | None, ctx):
+        """Decoded chunks of one index table's key ranges, in key order.
+
+        Curve strategies produce hundreds of small ranges over many
+        regions, so chunks fill *across* range and region boundaries
+        from the store's merged pair stream.
+        """
+        pairs = kv_table.scan(_multi_range_spec(ranges), ctx)
+        return self._decoded(chunk_pairs(pairs), len(ranges), job)
+
+    def _st_rows(self, query: STQuery, predicate: str,
+                 job: SimJob | None, strategy_name: str | None, ctx):
+        """Index-served ST range: exact-filtered, decorated rows.
+
+        Without ``strategy_name`` the rule-based planner picks the index
+        and the (possibly widened or clamped) query it scans; the exact
+        filter always applies the caller's ``query``.
+        """
+        from repro.core.query import choose_strategy  # avoid import cycle
+        effective = query
+        if strategy_name is None:
+            strategy_name, effective = choose_strategy(self, query)
+        if effective.has_temporal and self.time_extent is None:
+            return  # no stored row carries a time: nothing to clamp to
+        ranges = self.strategies[strategy_name].ranges(effective)
+        if not ranges:
+            return  # an empty window: nothing to scan
+        for rows in self._range_chunks(self._index_tables[strategy_name],
+                                       ranges, job, ctx):
+            for row in rows:
+                if self._matches(row, query, predicate):
+                    yield self.decorate_row(row)
+
+    def _full_rows(self, job: SimJob | None, ctx):
+        """Every row, decorated, via the feature-id table (whose
+        region-local chunks are the cheaper stream for a full pass)."""
+        chunks = self._id_table.scan_batches(ScanSpec.full(), ctx)
+        return map(self.decorate_row,
+                   chain.from_iterable(self._decoded(chunks, 1, job)))
+
+    def _attribute_rows(self, field_name: str, ranges: list[KeyRange],
+                        job: SimJob | None, ctx):
+        """Decorated rows of a secondary attribute index's key ranges."""
+        chunks = self._range_chunks(self._attr_tables[field_name], ranges,
+                                    job, ctx)
+        return map(self.decorate_row, chain.from_iterable(chunks))
+
+    def query(self, query: STQuery, predicate: str = "intersects",
+              job: SimJob | None = None,
+              strategy_name: str | None = None, ctx=None) -> list[dict]:
+        """Index-served range query with exact post-filtering.
 
         ``ctx`` (a :class:`repro.resilience.RequestContext`) propagates
         the statement deadline and partial-results mode into the store's
         region iteration.
         """
-        table = self._index_tables[strategy_name]
-        before = self.store.stats.snapshot()
-        scanned = 0
-        for _key, payload in table.scan(_multi_range_spec(ranges), ctx):
-            scanned += 1
-            yield self.codec.decode_row(payload)
-        if job is not None:
-            delta = self.store.stats.snapshot().delta(before)
-            job.charge_store_scan(delta, num_ranges=len(ranges))
-            job.charge_cpu_records(scanned)
-
-    def scan_ranges_batches(self, strategy_name: str,
-                            ranges: list[KeyRange],
-                            job: SimJob | None = None, ctx=None,
-                            batch_rows: int | None = None):
-        """Batched :meth:`scan_ranges`: yields lists of decoded rows.
-
-        Each yielded list is one key-value batch decoded in a tight
-        loop.  Batches fill *across* key-range and region boundaries —
-        curve strategies produce hundreds of small ranges, and chunking
-        each separately would fragment the scan into hundreds of tiny
-        batches whose per-batch overhead erases the vectorization win.
-        Store I/O and CPU are charged in a ``finally`` so an abandoned
-        scan (deadline mid-batch, early consumer exit) still accounts
-        exactly for the work it did — with the batched CPU rate, since
-        decode here is amortized batch work.
-        """
-        from repro.kvstore.scan import DEFAULT_BATCH_ROWS, chunk_pairs
-        table = self._index_tables[strategy_name]
-        before = self.store.stats.snapshot()
-        decode = self.codec.decode_row
-        scanned = 0
-        batches = 0
-        pairs = table.scan(_multi_range_spec(ranges), ctx)
-        try:
-            for kv_batch in chunk_pairs(pairs,
-                                        batch_rows or DEFAULT_BATCH_ROWS):
-                scanned += len(kv_batch)
-                batches += 1
-                yield [decode(payload) for _key, payload in kv_batch]
-        finally:
-            if job is not None:
-                delta = self.store.stats.snapshot().delta(before)
-                job.charge_store_scan(delta, num_ranges=len(ranges))
-                job.charge_cpu_batch(scanned, batches)
-
-    def query(self, query: STQuery, predicate: str = "intersects",
-              job: SimJob | None = None,
-              strategy_name: str | None = None, ctx=None) -> list[dict]:
-        """Index-served range query with exact post-filtering."""
-        from repro.core.query import choose_strategy  # avoid import cycle
-        if strategy_name is None:
-            strategy_name, query = choose_strategy(self, query)
-        strategy = self.strategies[strategy_name]
-        ranges = strategy.ranges(query)
-        out = []
-        for row in self.scan_ranges(strategy_name, ranges, job, ctx):
-            if self._matches(row, query, predicate):
-                out.append(self.decorate_row(row))
-        return out
+        return list(self._st_rows(query, predicate, job, strategy_name,
+                                  ctx))
 
     def query_batches(self, query: STQuery, predicate: str = "intersects",
                       job: SimJob | None = None,
-                      strategy_name: str | None = None, ctx=None,
-                      batch_rows: int | None = None):
-        """Batched :meth:`query`: yields column-major :class:`RowBatch`es.
+                      strategy_name: str | None = None, ctx=None):
+        """:meth:`query` as a stream of column-major :class:`RowBatch`es."""
+        return batches_from_rows(
+            self._st_rows(query, predicate, job, strategy_name, ctx),
+            self.columns())
 
-        Rows flow straight from block decode through the exact
-        spatio-temporal post-filter into a columnar batch builder; the
-        per-row dict never crosses an operator boundary.
-        """
-        from repro.core.query import choose_strategy  # avoid import cycle
-        from repro.dataframe.batch import DEFAULT_BATCH_ROWS, BatchBuilder
-        if strategy_name is None:
-            strategy_name, query = choose_strategy(self, query)
-        strategy = self.strategies[strategy_name]
-        ranges = strategy.ranges(query)
-        builder = BatchBuilder(self.columns(),
-                               batch_rows or DEFAULT_BATCH_ROWS)
-        for rows in self.scan_ranges_batches(strategy_name, ranges, job,
-                                             ctx, batch_rows):
-            for row in rows:
-                if self._matches(row, query, predicate):
-                    full = builder.add(self.decorate_row(row))
-                    if full is not None:
-                        yield full
-        tail = builder.take()
-        if tail is not None:
-            yield tail
+    def full_scan(self, job: SimJob | None = None, ctx=None) -> list[dict]:
+        """Every row, via the feature-id table."""
+        return list(self._full_rows(job, ctx))
 
-    def full_scan_batches(self, job: SimJob | None = None, ctx=None,
-                          batch_rows: int | None = None):
-        """Batched :meth:`full_scan`: yields :class:`RowBatch`es."""
-        from repro.dataframe.batch import DEFAULT_BATCH_ROWS, BatchBuilder
-        before = self.store.stats.snapshot()
-        decode = self.codec.decode_row
-        decorate = self.decorate_row
-        builder = BatchBuilder(self.columns(),
-                               batch_rows or DEFAULT_BATCH_ROWS)
-        scanned = 0
-        batches = 0
-        try:
-            for kv_batch in self._id_table.scan_batches(
-                    ScanSpec.full(), ctx, batch_rows):
-                scanned += len(kv_batch)
-                batches += 1
-                for _key, payload in kv_batch:
-                    full = builder.add(decorate(decode(payload)))
-                    if full is not None:
-                        yield full
-            tail = builder.take()
-            if tail is not None:
-                yield tail
-        finally:
-            if job is not None:
-                delta = self.store.stats.snapshot().delta(before)
-                job.charge_store_scan(delta, num_ranges=1)
-                job.charge_cpu_batch(scanned, batches)
+    def full_scan_batches(self, job: SimJob | None = None, ctx=None):
+        """:meth:`full_scan` as a stream of :class:`RowBatch`es."""
+        return batches_from_rows(self._full_rows(job, ctx), self.columns())
 
     def _attribute_index(self, field_name: str):
         try:
@@ -375,9 +347,8 @@ class CommonTable:
     def attribute_query(self, field_name: str, value,
                         job: SimJob | None = None, ctx=None) -> list[dict]:
         """Equality lookup served by a secondary attribute index."""
-        index = self._attribute_index(field_name)
-        return self._attribute_ranges(field_name,
-                                      index.ranges_for_value(value), job, ctx)
+        ranges = self._attribute_index(field_name).ranges_for_value(value)
+        return list(self._attribute_rows(field_name, ranges, job, ctx))
 
     def attribute_range_query(self, field_name: str, low, high,
                               job: SimJob | None = None,
@@ -386,35 +357,9 @@ class CommonTable:
 
         The index range is inclusive; callers post-filter exact bounds.
         """
-        index = self._attribute_index(field_name)
-        return self._attribute_ranges(
-            field_name, index.ranges_for_between(low, high), job, ctx)
-
-    def _attribute_ranges(self, field_name: str,
-                          ranges: list[KeyRange],
-                          job: SimJob | None, ctx=None) -> list[dict]:
-        table = self._attr_tables[field_name]
-        before = self.store.stats.snapshot()
-        rows = []
-        for _key, payload in table.scan(_multi_range_spec(ranges), ctx):
-            rows.append(self.decorate_row(self.codec.decode_row(payload)))
-        if job is not None:
-            delta = self.store.stats.snapshot().delta(before)
-            job.charge_store_scan(delta, num_ranges=len(ranges))
-            job.charge_cpu_records(len(rows))
-        return rows
-
-    def full_scan(self, job: SimJob | None = None, ctx=None) -> list[dict]:
-        """Every row, via the feature-id table."""
-        before = self.store.stats.snapshot()
-        rows = []
-        for _key, payload in self._id_table.scan(ScanSpec.full(), ctx):
-            rows.append(self.decorate_row(self.codec.decode_row(payload)))
-        if job is not None:
-            delta = self.store.stats.snapshot().delta(before)
-            job.charge_store_scan(delta, num_ranges=1)
-            job.charge_cpu_records(len(rows))
-        return rows
+        ranges = self._attribute_index(field_name).ranges_for_between(
+            low, high)
+        return list(self._attribute_rows(field_name, ranges, job, ctx))
 
     def to_dataframe(self, job: SimJob | None = None) -> DataFrame:
         return DataFrame.from_rows(self.full_scan(job), self.columns())

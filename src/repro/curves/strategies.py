@@ -68,6 +68,11 @@ class STQuery:
     def has_temporal(self) -> bool:
         return self.t_min is not None and self.t_max is not None
 
+    @property
+    def is_empty(self) -> bool:
+        """An inverted time window: no instant satisfies it."""
+        return self.has_temporal and self.t_min > self.t_max
+
 
 @dataclass(frozen=True, slots=True)
 class KeyRange:
@@ -138,6 +143,8 @@ class IndexStrategy(ABC):
         if not self.supports(query):
             raise IndexError_(
                 f"index {self.name!r} cannot serve query {query!r}")
+        if query.is_empty:
+            return []
         body_ranges = self._body_ranges(query)
         out = []
         for shard in range(self.num_shards):
@@ -166,6 +173,8 @@ class IndexStrategy(ABC):
         """
         if not self.supports(query):
             return 1.0
+        if query.is_empty:
+            return 0.0
         spatial = self._curve_fraction(query)
         if data_envelope is not None:
             occupancy = max(1e-12,

@@ -2,9 +2,10 @@
 
 The SQL layer pushes spatio-temporal predicates into key-value store scans
 and runs everything else — projections, residual filters, aggregates,
-sorts, joins — on these DataFrames.  A DataFrame is a list of row
-partitions; operations produce new DataFrames and never mutate rows in
-place.  Rows are plain ``dict`` objects keyed by column name.
+sorts, joins — on these DataFrames.  A DataFrame is a list of
+column-major ``RowBatch``es, one per partition; operations produce new
+DataFrames and never mutate columns in place.  Rows read out of it are
+plain ``dict`` objects keyed by column name.
 """
 
 from repro.dataframe.batch import (

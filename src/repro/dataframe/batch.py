@@ -78,7 +78,7 @@ class RowBatch:
         """Narrow to ``columns``, sharing the underlying lists.
 
         A column the batch does not carry reads as all-None, matching
-        ``row.get`` semantics on the row path.
+        ``row.get`` on a row that omits it.
         """
         none_column = None
         data = {}

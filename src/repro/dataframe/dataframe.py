@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
-from repro.dataframe.batch import DEFAULT_BATCH_ROWS, RowBatch
+from repro.dataframe.batch import RowBatch
 from repro.dataframe.functions import AggregateSpec
 from repro.errors import ExecutionError
 
@@ -17,96 +17,67 @@ class DataFrame:
     """An immutable, partitioned collection of ``dict`` rows.
 
     ``columns`` is the declared output schema; rows may omit columns (the
-    value reads as ``None``) but must not carry extras after a
-    ``select``.  Operations return new DataFrames; partitioning is
-    preserved where the operation allows and rebalanced otherwise.
+    value reads as ``None``) but never carry extras.  Operations return
+    new DataFrames; partitioning is preserved where the operation allows
+    and rebalanced otherwise.
 
-    A DataFrame may be backed by column-major :class:`RowBatch`es
-    instead of row lists (the vectorized scan path builds these).  Row
-    partitions are then materialized lazily — one partition per batch —
-    the first time a row-oriented operation needs them; columnar
-    operations (``count``, ``select``, ``limit``) have fast paths that
-    never pivot back to rows.
+    The backing is a list of column-major :class:`RowBatch`es, one per
+    non-empty partition, and nothing else: :meth:`from_rows` pivots on
+    construction, columnar operations (``count``, ``select``, ``limit``)
+    work on the column lists, and the row-shaped methods are views that
+    materialize each batch's rows on demand.
     """
 
-    def __init__(self, partitions: list[list[Row]] | None,
-                 columns: list[str],
-                 batches: list[RowBatch] | None = None):
-        self._parts = partitions
-        self._batches = batches
+    def __init__(self, batches: list[RowBatch], columns: list[str]):
+        self._batches = [b for b in batches if len(b)]
         self.columns = list(columns)
 
     # -- construction --------------------------------------------------------
     @classmethod
     def from_rows(cls, rows: Iterable[Row], columns: list[str] | None = None,
                   num_partitions: int = DEFAULT_PARTITIONS) -> "DataFrame":
-        """Build a DataFrame, hashing rows round-robin into partitions."""
+        """Build a DataFrame, dealing rows round-robin into partitions."""
         rows = list(rows)
         if columns is None:
             columns = list(rows[0].keys()) if rows else []
         num_partitions = max(1, num_partitions)
-        partitions: list[list[Row]] = [[] for _ in range(num_partitions)]
-        for i, row in enumerate(rows):
-            partitions[i % num_partitions].append(row)
-        return cls(partitions, columns)
+        return cls([RowBatch.from_rows(rows[i::num_partitions], columns)
+                    for i in range(min(num_partitions, len(rows)))],
+                   columns)
 
     @classmethod
     def from_batches(cls, batches: list[RowBatch],
                      columns: list[str]) -> "DataFrame":
-        """Build a batch-backed DataFrame (one partition per batch)."""
-        return cls(None, columns, batches=list(batches))
+        """Build a DataFrame over ``batches`` (one partition each)."""
+        return cls(batches, columns)
 
     @classmethod
     def empty(cls, columns: list[str]) -> "DataFrame":
-        return cls([[]], columns)
-
-    # -- batch backing -------------------------------------------------------
-    @property
-    def _partitions(self) -> list[list[Row]]:
-        if self._parts is None:
-            self._parts = [b.to_rows() for b in self._batches] or [[]]
-        return self._parts
-
-    @property
-    def num_batches(self) -> int:
-        """Batches backing this DataFrame (0 when row-backed)."""
-        return len(self._batches) if self._batches is not None else 0
-
-    def to_batches(self, batch_rows: int = DEFAULT_BATCH_ROWS) \
-            -> list[RowBatch]:
-        """This DataFrame's rows as column-major batches.
-
-        Batch-backed frames return their batches as-is; row-backed
-        frames pivot each non-empty partition into one batch.
-        """
-        if self._batches is not None:
-            return list(self._batches)
-        return [RowBatch.from_rows(p, self.columns)
-                for p in self._partitions if p]
+        return cls([], columns)
 
     # -- basic accessors -------------------------------------------------------
     @property
+    def num_batches(self) -> int:
+        return len(self._batches)
+
+    @property
     def num_partitions(self) -> int:
-        if self._parts is None:
-            return max(1, len(self._batches))
-        return len(self._partitions)
+        return max(1, len(self._batches))
+
+    def to_batches(self) -> list[RowBatch]:
+        """This DataFrame's rows as column-major batches."""
+        return list(self._batches)
 
     def iter_rows(self) -> Iterator[Row]:
-        if self._parts is None:
-            for batch in self._batches:
-                yield from batch.iter_rows()
-            return
-        for partition in self._partitions:
-            yield from partition
+        for batch in self._batches:
+            yield from batch.iter_rows()
 
     def collect(self) -> list[Row]:
         """All rows as a list (the driver-side materialization)."""
         return list(self.iter_rows())
 
     def count(self) -> int:
-        if self._parts is None:
-            return sum(len(b) for b in self._batches)
-        return sum(len(p) for p in self._partitions)
+        return sum(len(b) for b in self._batches)
 
     def first(self) -> Row | None:
         for row in self.iter_rows():
@@ -122,49 +93,43 @@ class DataFrame:
         unknown = [c for c in columns if c not in self.columns]
         if unknown:
             raise ExecutionError(f"unknown columns in select: {unknown}")
-        if self._parts is None:
-            # Columnar: share the kept column lists, no row rebuilds.
-            return DataFrame.from_batches(
-                [b.select(columns) for b in self._batches], columns)
-        parts = [[{c: row.get(c) for c in columns} for row in p]
-                 for p in self._partitions]
-        return DataFrame(parts, columns)
+        # Columnar: share the kept column lists, no row rebuilds.
+        return DataFrame([b.select(columns) for b in self._batches],
+                         columns)
 
     def where(self, predicate: Callable[[Row], bool]) -> "DataFrame":
-        parts = [[row for row in p if predicate(row)]
-                 for p in self._partitions]
-        return DataFrame(parts, self.columns)
+        return self.map_partitions(
+            lambda rows: [row for row in rows if predicate(row)],
+            self.columns)
 
     def with_column(self, name: str,
                     fn: Callable[[Row], object]) -> "DataFrame":
         """Add or replace a column computed per row."""
-        parts = [[{**row, name: fn(row)} for row in p]
-                 for p in self._partitions]
         columns = self.columns if name in self.columns \
             else self.columns + [name]
-        return DataFrame(parts, columns)
+        return DataFrame(
+            [b.with_column(name, [fn(row) for row in b.iter_rows()])
+             for b in self._batches], columns)
 
     def map_rows(self, fn: Callable[[Row], Row],
                  columns: list[str]) -> "DataFrame":
         """1-1 transformation to a new row shape."""
-        parts = [[fn(row) for row in p] for p in self._partitions]
-        return DataFrame(parts, columns)
+        return self.map_partitions(
+            lambda rows: [fn(row) for row in rows], columns)
 
     def flat_map(self, fn: Callable[[Row], Iterable[Row]],
                  columns: list[str]) -> "DataFrame":
         """1-N transformation (the engine's 1-N analysis operations)."""
-        parts = []
-        for p in self._partitions:
-            out: list[Row] = []
-            for row in p:
-                out.extend(fn(row))
-            parts.append(out)
-        return DataFrame(parts, columns)
+        return self.map_partitions(
+            lambda rows: [out for row in rows for out in fn(row)], columns)
 
     def map_partitions(self, fn: Callable[[list[Row]], list[Row]],
                        columns: list[str]) -> "DataFrame":
-        """Partition-wise transformation (N-M analysis operations)."""
-        return DataFrame([fn(list(p)) for p in self._partitions], columns)
+        """Partition-wise transformation (N-M analysis operations):
+        ``fn`` maps each batch's rows to new rows."""
+        return DataFrame(
+            [RowBatch.from_rows(fn(b.to_rows()), columns)
+             for b in self._batches], columns)
 
     # -- global operations -------------------------------------------------------
     def distinct(self) -> "DataFrame":
@@ -176,8 +141,7 @@ class DataFrame:
             if key not in seen:
                 seen.add(key)
                 out.append(row)
-        return DataFrame.from_rows(out, self.columns,
-                                   len(self._partitions))
+        return DataFrame.from_rows(out, self.columns, self.num_partitions)
 
     def order_by(self, keys: list[str],
                  ascending: list[bool] | None = None) -> "DataFrame":
@@ -188,36 +152,29 @@ class DataFrame:
         # Stable multi-key sort: apply keys right-to-left.
         for key, asc in reversed(list(zip(keys, ascending))):
             rows.sort(key=lambda r: _sort_key(r.get(key)), reverse=not asc)
-        return DataFrame([rows], self.columns)
+        return DataFrame.from_rows(rows, self.columns, 1)
 
     def limit(self, n: int) -> "DataFrame":
-        if self._parts is None:
-            # Columnar: slice whole batches instead of copying rows.
-            kept: list[RowBatch] = []
-            remaining = n
-            for batch in self._batches:
-                if remaining <= 0:
-                    break
-                if len(batch) <= remaining:
-                    kept.append(batch)
-                    remaining -= len(batch)
-                else:
-                    kept.append(batch.slice(0, remaining))
-                    remaining = 0
-            return DataFrame.from_batches(kept, self.columns)
-        rows = []
-        for row in self.iter_rows():
-            if len(rows) >= n:
+        # Columnar: slice whole batches instead of copying rows.
+        kept: list[RowBatch] = []
+        remaining = n
+        for batch in self._batches:
+            if remaining <= 0:
                 break
-            rows.append(row)
-        return DataFrame([rows], self.columns)
+            if len(batch) <= remaining:
+                kept.append(batch)
+                remaining -= len(batch)
+            else:
+                kept.append(batch.slice(0, remaining))
+                remaining = 0
+        return DataFrame(kept, self.columns)
 
     def union(self, other: "DataFrame") -> "DataFrame":
         if self.columns != other.columns:
             raise ExecutionError(
                 f"union of incompatible schemas: {self.columns} vs "
                 f"{other.columns}")
-        return DataFrame(self._partitions + other._partitions, self.columns)
+        return DataFrame(self._batches + other._batches, self.columns)
 
     def group_by(self, keys: list[str],
                  aggregates: list[AggregateSpec]) -> "DataFrame":
@@ -241,8 +198,7 @@ class DataFrame:
             for spec, acc in zip(aggregates, accs):
                 row[spec.output] = spec.final(acc)
             out.append(row)
-        return DataFrame.from_rows(out, columns,
-                                   max(1, len(self._partitions)))
+        return DataFrame.from_rows(out, columns, self.num_partitions)
 
     def join(self, other: "DataFrame", on: list[str],
              how: str = "inner") -> "DataFrame":
@@ -284,19 +240,12 @@ class DataFrame:
         scalar's 32 bytes would make a frame of trajectory blobs look
         as cheap to ship as a frame of integers.
         """
-        if self._parts is None:
-            total = 0
-            for batch in self._batches:
-                total += 64 * len(batch)  # row object overhead
-                for values in batch.data.values():
-                    for value in values:
-                        total += estimate_value_bytes(value)
-            return total
         total = 0
-        for row in self.iter_rows():
-            total += 64  # row object overhead
-            for value in row.values():
-                total += estimate_value_bytes(value)
+        for batch in self._batches:
+            total += 64 * len(batch)  # row object overhead
+            for values in batch.data.values():
+                for value in values:
+                    total += estimate_value_bytes(value)
         return total
 
     def __repr__(self) -> str:

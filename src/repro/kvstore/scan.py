@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Entries per batch on the batched scan path.  Matches the dataframe
-#: layer's row-batch size so one KV batch decodes into one RowBatch.
-DEFAULT_BATCH_ROWS = 256
+# One key-value chunk decodes into one RowBatch, so the chunk size is
+# the dataframe layer's batch size, not a second constant.
+from repro.dataframe.batch import DEFAULT_BATCH_ROWS
 
 
-def chunk_pairs(pairs, batch_rows: int = DEFAULT_BATCH_ROWS):
-    """Group a ``(key, value)`` stream into lists of ``batch_rows``.
+def chunk_pairs(pairs):
+    """Group a ``(key, value)`` stream into lists of
+    :data:`DEFAULT_BATCH_ROWS`.
 
     The source generator is pulled lazily, one batch ahead of the
     consumer, so deadline checks and lazy block charges inside the
@@ -19,7 +20,7 @@ def chunk_pairs(pairs, batch_rows: int = DEFAULT_BATCH_ROWS):
     batch: list = []
     for pair in pairs:
         batch.append(pair)
-        if len(batch) >= batch_rows:
+        if len(batch) >= DEFAULT_BATCH_ROWS:
             yield batch
             batch = []
     if batch:

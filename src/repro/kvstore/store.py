@@ -18,12 +18,7 @@ from repro.kvstore.blockcache import BlockCache
 from repro.kvstore.iostats import IOStats
 from repro.kvstore.recovery import RecoveryReport, recover_server
 from repro.kvstore.region import DEFAULT_FLUSH_BYTES, Region
-from repro.kvstore.scan import (
-    DEFAULT_BATCH_ROWS,
-    Bounds,
-    ScanSpec,
-    chunk_pairs,
-)
+from repro.kvstore.scan import Bounds, ScanSpec, chunk_pairs
 from repro.kvstore.sstable import DEFAULT_BLOCK_BYTES, SSTable
 from repro.kvstore.wal import (
     DEFAULT_PERIODIC_BYTES,
@@ -213,8 +208,7 @@ class KVTable:
         """
         yield from islice(self._open_scan(spec, ctx), spec.limit)
 
-    def scan_batches(self, spec: ScanSpec, ctx=None,
-                     batch_rows: int | None = None):
+    def scan_batches(self, spec: ScanSpec, ctx=None):
         """Batched :meth:`scan`: yields lists of ``(key, value)`` pairs.
 
         Identical routing, deadline, partial-results, and accounting
@@ -223,8 +217,7 @@ class KVTable:
         never span regions, so per-region span accounting stays exact.
         """
         remaining = spec.limit
-        for batch in self._open_scan(spec, ctx,
-                                     batch_rows or DEFAULT_BATCH_ROWS):
+        for batch in self._open_scan(spec, ctx, batched=True):
             if remaining is not None and len(batch) >= remaining:
                 yield batch[:remaining]
                 return
@@ -232,16 +225,15 @@ class KVTable:
                 remaining -= len(batch)
             yield batch
 
-    def _open_scan(self, spec: ScanSpec, ctx, batch_rows: int | None = None):
-        """Count one scan and open its stream of pairs (or, with
-        ``batch_rows``, of lists of pairs)."""
+    def _open_scan(self, spec: ScanSpec, ctx, batched: bool = False):
+        """Count one scan and open its stream of pairs (or, when
+        ``batched``, of lists of pairs)."""
         self._store.tick_faults("scan")
         self._stats.record_scan()
         if not self.salt_buckets:
-            return self._scan_regions(spec.ranges, ctx, batch_rows)
+            return self._scan_regions(spec.ranges, ctx, batched)
         pairs = self._scan_salted(spec.ranges, ctx)
-        return pairs if batch_rows is None \
-            else chunk_pairs(pairs, batch_rows)
+        return chunk_pairs(pairs) if batched else pairs
 
     def _scan_salted(self, bounds: Sequence[Bounds], ctx=None):
         """Fan the logical ranges out over every salt bucket and merge.
@@ -268,13 +260,13 @@ class KVTable:
                                  for b in range(self.salt_buckets)))
 
     def _scan_regions(self, bounds: Sequence[Bounds], ctx=None,
-                      batch_rows: int | None = None):
+                      batched: bool = False):
         """Yield the live entries of ``bounds``, one visit per region:
         one routing/availability check, one hotness tick, one trace span
         and one :meth:`Region.scan` over the ranges that fall in it.
 
-        Entries come out as pairs, or — with ``batch_rows`` — as lists
-        of pairs whose result bytes are accounted once per batch.
+        Entries come out as pairs, or — when ``batched`` — as lists of
+        pairs whose result bytes are accounted once per batch.
         """
         profile = getattr(ctx, "profile", None) if ctx is not None \
             else None
@@ -300,13 +292,13 @@ class KVTable:
             region_rows = 0
             stream = region.scan(ranges, cache, ctx, replica=replica)
             try:
-                if batch_rows is None:
+                if not batched:
                     for key, value in stream:
                         record_result(len(key) + len(value))
                         region_rows += 1
                         yield key, value
                 else:
-                    for batch in chunk_pairs(stream, batch_rows):
+                    for batch in chunk_pairs(stream):
                         record_result(sum(len(key) + len(value)
                                           for key, value in batch))
                         region_rows += len(batch)

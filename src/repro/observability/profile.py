@@ -163,8 +163,9 @@ def analyze_rows(profile: QueryProfile) -> list[dict]:
     """EXPLAIN ANALYZE rows: one per operator/region-scan span.
 
     Columns mirror what HBase+Spark tooling would report per operator:
-    output rows, row batches processed (0 on the row-at-a-time path),
-    HFile blocks read from disk, block-cache hits, the hit rate over
+    output rows, row batches processed (source batches for a scan, the
+    batches backing the output frame for every other operator), HFile
+    blocks read from disk, block-cache hits, the hit rate over
     touched blocks, and inclusive simulated milliseconds.
     """
     rows = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.core.knn import knn_query
 from repro.curves.strategies import STQuery
-from repro.dataframe import DataFrame, RowBatch
+from repro.dataframe import DataFrame, RowBatch, batches_from_rows
 from repro.errors import ExecutionError
 from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
@@ -101,7 +101,7 @@ def execute_plan(plan: LogicalNode, engine, job, ctx=None) -> DataFrame:
             span.attrs["rows_out"] = df.count()
             # The scan node records its source batch count (plus batch
             # timings) itself; every other operator reports the batches
-            # backing its output frame (0 on the row-at-a-time path).
+            # backing its output frame.
             span.attrs.setdefault("batches", df.num_batches)
     metrics = getattr(engine, "metrics", None)
     if metrics is not None:
@@ -120,18 +120,8 @@ def _execute_node(plan: LogicalNode, engine, job, ctx=None) -> DataFrame:
         return _execute_system_scan(plan, engine, job)
     if isinstance(plan, FilterNode):
         child = execute_plan(plan.child, engine, job, ctx)
-        extra = _extra_functions(engine)
-        if getattr(engine, "vectorized", False) and child.num_batches:
-            batches = child.to_batches()
-            metrics = getattr(engine, "metrics", None)
-            out = [_filter_batch(b, [plan.predicate], extra, metrics)
-                   for b in batches]
-            job.charge_cpu_batch(child.count(), len(batches))
-            return DataFrame.from_batches([b for b in out if len(b)],
-                                          child.columns)
-        job.charge_cpu_records(child.count())
-        return child.where(
-            lambda row: eval_expr(plan.predicate, row, extra) is True)
+        job.charge_cpu_batch(child.count(), child.num_batches)
+        return _filter_frame(child, plan.predicate, engine)
     if isinstance(plan, ProjectNode):
         return _execute_project(plan, engine, job, ctx)
     if isinstance(plan, AggregateNode):
@@ -176,29 +166,34 @@ def _extra_functions(engine) -> dict:
 # -- scans ---------------------------------------------------------------------
 
 def _execute_view_scan(plan: ViewScanNode, engine, job) -> DataFrame:
-    view = engine.view(plan.view_name)
-    df = view.dataframe
-    job.charge_fixed("spark_stage", engine.cluster.model.spark_stage_ms)
-    job.charge_memory_scan(df.estimated_bytes())
-    if plan.pushed_filter is not None:
-        extra = _extra_functions(engine)
-        df = df.where(lambda row: eval_expr(plan.pushed_filter, row,
-                                            extra) is True)
-    return df
+    return _memory_scan(engine.view(plan.view_name).dataframe,
+                        plan.pushed_filter, engine, job)
 
 
 def _execute_system_scan(plan: SystemScanNode, engine, job) -> DataFrame:
     """Materialize a virtual ``sys.*`` table as an in-memory scan."""
     st = engine.system_table(plan.table_name)
-    rows = st.rows()
-    df = DataFrame.from_rows(rows, list(st.columns))
+    df = DataFrame.from_rows(st.rows(), list(st.columns))
+    return _memory_scan(df, plan.pushed_filter, engine, job)
+
+
+def _memory_scan(df: DataFrame, pushed_filter: Expr | None, engine,
+                 job) -> DataFrame:
+    """One Spark stage over an in-memory frame (views, ``sys.*``)."""
     job.charge_fixed("spark_stage", engine.cluster.model.spark_stage_ms)
     job.charge_memory_scan(df.estimated_bytes())
-    if plan.pushed_filter is not None:
-        extra = _extra_functions(engine)
-        df = df.where(lambda row: eval_expr(plan.pushed_filter, row,
-                                            extra) is True)
+    if pushed_filter is not None:
+        df = _filter_frame(df, pushed_filter, engine)
     return df
+
+
+def _filter_frame(df: DataFrame, predicate: Expr, engine) -> DataFrame:
+    """``df``'s rows where ``predicate`` is TRUE, batch at a time."""
+    extra = _extra_functions(engine)
+    metrics = getattr(engine, "metrics", None)
+    return DataFrame.from_batches(
+        [_filter_batch(b, [predicate], extra, metrics)
+         for b in df.to_batches()], df.columns)
 
 
 def _st_query(preds: _ScanPredicates) -> STQuery:
@@ -240,6 +235,13 @@ def _apply_pushed_st_filter(table, preds: _ScanPredicates,
 
 
 def _execute_scan(plan: ScanNode, engine, job, ctx=None) -> DataFrame:
+    """Serve a table scan batch-at-a-time from the best access path.
+
+    Every path — k-NN, primary key, attribute index, ST range, full
+    scan — becomes one stream of column-major :class:`RowBatch`es; the
+    residual filter evaluates one mask per batch and the pushed
+    projection narrows batches by sharing column lists.
+    """
     table = engine.table(plan.table_name)
     preds = _classify_conjuncts(plan.pushed_filter, table)
     extra = _extra_functions(engine)
@@ -249,46 +251,20 @@ def _execute_scan(plan: ScanNode, engine, job, ctx=None) -> DataFrame:
         point, k = preds.knn
         result = knn_query(table, point.lng, point.lat, k, job)
         rows = _apply_pushed_st_filter(table, preds, result.rows)
+        source = batches_from_rows(rows, table.columns())
     elif preds.fid is not None:
         row = table.get(str(preds.fid), ctx, job=job)
         job.charge_cpu_records(1)
-        rows = [row] if row is not None else []
-        rows = _apply_pushed_st_filter(table, preds, rows)
+        rows = _apply_pushed_st_filter(
+            table, preds, [row] if row is not None else [])
+        source = batches_from_rows(rows, table.columns())
     elif preds.attr is not None and preds.envelope is None \
             and preds.t_min is None:
         field_name, value = preds.attr
-        rows = table.attribute_query(field_name, value, job, ctx)
-    elif getattr(engine, "vectorized", False):
-        return _execute_scan_batched(plan, table, preds, engine, job,
-                                     ctx, columns, extra)
+        source = batches_from_rows(
+            table.attribute_query(field_name, value, job, ctx),
+            table.columns())
     elif _has_pushed_st(preds):
-        rows = table.query(_st_query(preds), preds.spatial_mode, job,
-                           ctx=ctx)
-    else:
-        rows = table.full_scan(job, ctx)
-
-    if preds.residual:
-        job.charge_cpu_records(len(rows))
-        rows = [row for row in rows
-                if all(eval_expr(c, row, extra) is True
-                       for c in preds.residual)]
-    if plan.pushed_projection is not None:
-        rows = [{c: row.get(c) for c in columns} for row in rows]
-    return DataFrame.from_rows(rows, columns,
-                               engine.cluster.num_servers)
-
-
-def _execute_scan_batched(plan: ScanNode, table, preds: _ScanPredicates,
-                          engine, job, ctx, columns: list[str],
-                          extra: dict) -> DataFrame:
-    """Range/full scan served batch-at-a-time.
-
-    Rows stream out of SSTable block decode as column-major
-    :class:`RowBatch`es; the residual filter evaluates one mask per
-    batch and the pushed projection narrows batches by sharing column
-    lists — no per-row dict ever crosses this function.
-    """
-    if _has_pushed_st(preds):
         source = table.query_batches(_st_query(preds),
                                      preds.spatial_mode, job, ctx=ctx)
     else:
@@ -296,12 +272,10 @@ def _execute_scan_batched(plan: ScanNode, table, preds: _ScanPredicates,
 
     batches: list[RowBatch] = []
     rows_in = 0
-    num_source = 0
     batch_ms: list[float] = []
     last_ms = job.elapsed_ms
     metrics = getattr(engine, "metrics", None)
     for batch in source:
-        num_source += 1
         rows_in += len(batch)
         if preds.residual:
             batch = _filter_batch(batch, preds.residual, extra, metrics)
@@ -309,18 +283,17 @@ def _execute_scan_batched(plan: ScanNode, table, preds: _ScanPredicates,
             metrics.counter("sql.batches").inc()
         if plan.pushed_projection is not None:
             batch = batch.select(columns)
-        if len(batch):
-            batches.append(batch)
+        batches.append(batch)
         now = job.elapsed_ms
         batch_ms.append(now - last_ms)
         last_ms = now
     if preds.residual:
-        job.charge_cpu_batch(rows_in, num_source)
+        job.charge_cpu_batch(rows_in, len(batch_ms))
 
     profile = getattr(ctx, "profile", None) if ctx is not None else None
     if profile is not None:
         span = profile.current
-        span.attrs["batches"] = num_source
+        span.attrs["batches"] = len(batch_ms)
         if batch_ms:
             span.attrs["batch_ms_max"] = round(max(batch_ms), 3)
             span.attrs["batch_ms_avg"] = round(
@@ -329,7 +302,7 @@ def _execute_scan_batched(plan: ScanNode, table, preds: _ScanPredicates,
 
 
 def _count_batch(metrics, fallback: bool) -> None:
-    """Vectorized-exec accounting: batches seen and row-path fallbacks."""
+    """Batch accounting: batches seen and per-row fallbacks."""
     if metrics is None:
         return
     metrics.counter("sql.batches").inc()
@@ -527,20 +500,11 @@ def _execute_project(plan: ProjectNode, engine, job, ctx=None) -> DataFrame:
         return _execute_set_projection(plan, child, set_items[0], extra,
                                        engine, job)
 
-    names = [n for _e, n in plan.projections]
-    if getattr(engine, "vectorized", False) and child.num_batches:
-        metrics = getattr(engine, "metrics", None)
-        out = [_project_batch(b, plan.projections, extra, metrics)
-               for b in child.to_batches()]
-        job.charge_cpu_batch(child.count(), child.num_batches)
-        return DataFrame.from_batches(out, names)
-    job.charge_cpu_records(child.count())
-
-    def project(row: dict) -> dict:
-        return {name: eval_expr(expr, row, extra)
-                for expr, name in plan.projections}
-
-    return child.map_rows(project, names)
+    metrics = getattr(engine, "metrics", None)
+    out = [_project_batch(b, plan.projections, extra, metrics)
+           for b in child.to_batches()]
+    job.charge_cpu_batch(child.count(), child.num_batches)
+    return DataFrame.from_batches(out, [n for _e, n in plan.projections])
 
 
 def _project_batch(batch: RowBatch, projections, extra: dict,
@@ -621,41 +585,6 @@ def _execute_dbscan(plan: ProjectNode, child: DataFrame, nm_item,
 
 # -- aggregation / sorting ----------------------------------------------------------
 
-def _execute_aggregate(plan: AggregateNode, engine, job,
-                       ctx=None) -> DataFrame:
-    child = execute_plan(plan.child, engine, job, ctx)
-    extra = _extra_functions(engine)
-    if getattr(engine, "vectorized", False) and child.num_batches:
-        return _execute_aggregate_batched(
-            plan, child, extra, job,
-            metrics=getattr(engine, "metrics", None))
-    job.charge_cpu_records(child.count(), us_per_record=4.0)
-
-    group_names = [name for _e, name in plan.group_exprs]
-    prepared = child
-    for expr, name in plan.group_exprs:
-        prepared = prepared.with_column(
-            name, lambda row, e=expr: eval_expr(e, row, extra))
-
-    specs: list[AggregateSpec] = []
-    for call, output in plan.agg_calls:
-        factory = AGGREGATE_FUNCTIONS[call.name]
-        if call.is_star_count or not call.args:
-            specs.append(factory(output))
-            continue
-        arg = call.args[0]
-        temp = f"__agg_in_{output}"
-        prepared = prepared.with_column(
-            temp, lambda row, e=arg: eval_expr(e, row, extra))
-        specs.append(factory(temp, output))
-    if not group_names:
-        # Global aggregate: group by a constant key.
-        prepared = prepared.with_column("__global", lambda _row: 0)
-        result = prepared.group_by(["__global"], specs)
-        return result.select([s.output for s in specs])
-    return prepared.group_by(group_names, specs)
-
-
 def _eval_column(expr: Expr, batch: RowBatch, extra: dict,
                  metrics=None) -> list:
     """One expression over one batch, with row-at-a-time fallback."""
@@ -667,16 +596,17 @@ def _eval_column(expr: Expr, batch: RowBatch, extra: dict,
         return [eval_expr(expr, row, extra) for row in batch.iter_rows()]
 
 
-def _execute_aggregate_batched(plan: AggregateNode, child: DataFrame,
-                               extra: dict, job,
-                               metrics=None) -> DataFrame:
+def _execute_aggregate(plan: AggregateNode, engine, job,
+                       ctx=None) -> DataFrame:
     """Hash aggregation folding column-major batches directly.
 
     Group keys and aggregate inputs are evaluated once per batch as
     whole columns; the fold then indexes into those lists instead of
-    materializing widened per-row dicts the way the row path's
-    ``with_column`` chain does.
+    materializing widened per-row dicts.
     """
+    child = execute_plan(plan.child, engine, job, ctx)
+    extra = _extra_functions(engine)
+    metrics = getattr(engine, "metrics", None)
     specs: list[AggregateSpec] = []
     agg_exprs: list[Expr | None] = []
     for call, output in plan.agg_calls:
@@ -720,7 +650,8 @@ def _execute_aggregate_batched(plan: AggregateNode, child: DataFrame,
         for spec, acc in zip(specs, accs):
             row[spec.output] = spec.final(acc)
         out.append(row)
-    return DataFrame.from_rows(out, columns, child.num_partitions)
+    # One row per group: a single batch, however many the input had.
+    return DataFrame.from_rows(out, columns, 1)
 
 
 def _execute_sort(plan: SortNode, engine, job, ctx=None) -> DataFrame:

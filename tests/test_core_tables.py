@@ -6,8 +6,9 @@ from repro.core.plugins import TrajectoryPlugin
 from repro.core.tables import ViewTable
 from repro.curves import STQuery
 from repro.dataframe import DataFrame
-from repro.errors import SchemaError
+from repro.errors import QueryTimeoutError, SchemaError
 from repro.geometry import Envelope, Point
+from repro.resilience import Deadline, RequestContext
 from repro.trajectory import STSeries, Trajectory
 
 from conftest import T0, make_poi_rows
@@ -135,6 +136,76 @@ class TestTrajectoryPlugin:
     def test_columns_include_item(self, engine):
         table = engine.create_plugin_table("traj", "trajectory")
         assert table.columns()[-1] == "item"
+
+
+class _MidScanDeadline(RequestContext):
+    """Expires at the first in-region cancellation check, i.e. after the
+    scan has merged ``Region.CANCEL_CHECK_ROWS`` entries."""
+
+    def __init__(self):
+        super().__init__(deadline=Deadline(1e6))
+
+    def check(self, operation: str = "") -> None:
+        if operation.startswith("region "):
+            self.deadline.charge(2e6)
+        super().check(operation)
+
+
+class TestScanAccounting:
+    """Every read charges through one ``finally``: abandoned scans
+    account for the work they did, on the row and the batch API alike."""
+
+    WORLD = Envelope(116.0, 39.8, 116.5, 40.1)
+
+    @pytest.fixture
+    def cold_engine(self):
+        from repro import JustEngine
+        engine = JustEngine()
+        engine.sql("CREATE TABLE poi (fid integer:primary key, "
+                   "name string, time date, geom point) USERDATA "
+                   "{'just.attribute.indices': 'name'}")
+        engine.insert("poi", make_poi_rows(3000))
+        engine.table("poi").flush()
+        engine.store.clear_caches()
+        return engine
+
+    def test_cancelled_range_query_reports_its_io(self, cold_engine):
+        ctx = _MidScanDeadline()
+        with pytest.raises(QueryTimeoutError):
+            cold_engine.st_range_query("poi", self.WORLD, T0,
+                                       T0 + 5 * 86400, ctx=ctx)
+        assert ctx.job.breakdown["disk_read"] > 0
+
+    def test_cancelled_attribute_lookup_reports_its_io(self, cold_engine):
+        ctx = _MidScanDeadline()
+        with pytest.raises(QueryTimeoutError):
+            cold_engine.sql("SELECT fid FROM poi WHERE name = 'poi3'",
+                            ctx=ctx)
+        assert ctx.job.breakdown["disk_read"] > 0
+
+    def test_early_exit_charges_exactly_the_rows_pulled(self, cold_engine,
+                                                        monkeypatch):
+        table = cold_engine.table("poi")
+        decode_row = table.codec.decode_row
+        decoded = []
+        monkeypatch.setattr(
+            table.codec, "decode_row",
+            lambda payload: decoded.append(1) or decode_row(payload))
+        job = cold_engine.cluster.job()
+        before = cold_engine.store.stats.snapshot()
+        batches = table.query_batches(STQuery(envelope=self.WORLD),
+                                      job=job)
+        first = next(batches)
+        assert job.breakdown == {}  # charged when the scan ends
+        batches.close()
+        delta = cold_engine.store.stats.snapshot().delta(before)
+        assert len(first) == len(decoded) < table.row_count
+        assert job.breakdown["cpu"] == pytest.approx(
+            len(decoded) * job.model.cpu_us_per_record / 1000.0
+            / job.num_servers)
+        assert job.breakdown["network"] == pytest.approx(
+            job.model.network_ms(delta.result_bytes) / job.num_servers)
+        assert job.breakdown["disk_read"] > 0
 
 
 class TestViewTable:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import TableExistsError, TableNotFoundError
 from repro.kvstore import KVStore, ScanSpec
-from repro.kvstore.scan import prefix_successor
+from repro.kvstore.scan import DEFAULT_BATCH_ROWS, prefix_successor
 
 
 def small_store(**kwargs):
@@ -469,15 +469,15 @@ class TestMultiRangeScan:
         assert delta.result_bytes == sum(len(k) + len(v) for k, v in rows)
 
     def test_batched_scan_accounts_batches_handed_out(self):
-        store, table = self.loaded()
+        store, table = self.loaded(rows=3000, runs=1)
         before = store.stats.snapshot()
-        scan = table.scan_batches(
-            ScanSpec(ranges=_every_tenth_range(60)), batch_rows=16)
+        scan = table.scan_batches(ScanSpec(ranges=_every_tenth_range(300)))
         batch = next(scan)
         scan.close()
         delta = store.stats.snapshot().delta(before)
         assert [k for k, _ in batch] == [
-            _key(10 * i + j) for i in range(6) for j in range(3)][:16]
+            _key(10 * i + j) for i in range(300)
+            for j in range(3)][:DEFAULT_BATCH_ROWS]
         assert delta.scans_started == 1
         assert delta.result_bytes == sum(len(k) + len(v) for k, v in batch)
 

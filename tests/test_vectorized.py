@@ -1,16 +1,15 @@
-"""Vectorized (batch-at-a-time) execution: RowBatch mechanics, the
-column-wise expression evaluator, executor equivalence with the
-row-at-a-time baseline, accounting exactness, and the scan-path
-correctness fixes that rode along (pushed spatio-temporal conjuncts on
-the point-get/kNN paths, point-get I/O charging, recursive container
-sizing)."""
+"""Batch-at-a-time execution: RowBatch mechanics, the column-wise
+expression evaluator, the executor against a plain-Python oracle,
+accounting exactness, and the scan-path correctness fixes that rode
+along (pushed spatio-temporal conjuncts on the point-get/kNN paths,
+point-get I/O charging, recursive container sizing)."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as hyp
 
-from repro import JustEngine, Point, Schema
+from repro import Envelope, JustEngine, Point, Schema
 from repro.dataframe import DataFrame, RowBatch, estimate_value_bytes
 from repro.dataframe.batch import BatchBuilder, batches_from_rows
 from repro.errors import ExecutionError, QueryTimeoutError
@@ -141,25 +140,69 @@ class TestEvalExprBatch:
         assert eval_expr_batch(lit(7), batch, {}) == [7] * len(MIXED_ROWS)
 
 
-# -- executor equivalence: vectorized vs row-at-a-time ------------------------
+# -- the executor against a plain-Python oracle -------------------------------
+#
+# The reference side is computed from ``make_poi_rows()`` with list
+# comprehensions only: no engine, no scan, no decode, no ``_matches``,
+# no expression evaluator is shared with the code under test.
 
-EQUIVALENCE_STATEMENTS = [
-    "SELECT * FROM poi",
+def _in_box(row, min_lng, min_lat, max_lng, max_lat) -> bool:
+    geom = row["geom"]
+    return min_lng <= geom.lng <= max_lng and min_lat <= geom.lat <= max_lat
+
+
+def _count_by_name(rows):
+    names = sorted({r["name"] for r in rows})
+    return [{"name": n, "cnt": sum(r["name"] == n for r in rows)}
+            for n in names]
+
+
+def _window_summary(rows):
+    times = [r["time"] for r in rows
+             if _in_box(r, 116.0, 39.8, 116.3, 40.0)]
+    return [{"cnt": len(times), "lo": min(times), "hi": max(times)}]
+
+
+#: statement -> (expected rows from the fixture rows, is the order fixed?)
+ORACLE_STATEMENTS = {
+    "SELECT * FROM poi":
+        (lambda rows: rows, False),
     "SELECT fid, name FROM poi WHERE geom WITHIN "
-    "st_makeMBR(116.1, 39.85, 116.3, 40.0)",
-    f"SELECT fid FROM poi WHERE time BETWEEN {T0} AND {T0 + 86400}",
+    "st_makeMBR(116.1, 39.85, 116.3, 40.0)":
+        (lambda rows: [{"fid": r["fid"], "name": r["name"]} for r in rows
+                       if _in_box(r, 116.1, 39.85, 116.3, 40.0)], False),
+    f"SELECT fid FROM poi WHERE time BETWEEN {T0} AND {T0 + 86400}":
+        (lambda rows: [{"fid": r["fid"]} for r in rows
+                       if T0 <= r["time"] <= T0 + 86400], False),
     f"SELECT name FROM poi WHERE geom WITHIN "
     f"st_makeMBR(116.0, 39.8, 116.5, 40.1) AND time > {T0 + 43200} "
-    f"AND name LIKE 'poi1%'",
-    "SELECT fid * 2 AS dbl, upper(name) AS caps FROM poi WHERE fid < 50",
-    "SELECT name, count(*) AS cnt FROM poi GROUP BY name ORDER BY name",
+    f"AND name LIKE 'poi1%'":
+        (lambda rows: [{"name": r["name"]} for r in rows
+                       if _in_box(r, 116.0, 39.8, 116.5, 40.1)
+                       and r["time"] > T0 + 43200
+                       and r["name"].startswith("poi1")], False),
+    "SELECT fid * 2 AS dbl, upper(name) AS caps FROM poi WHERE fid < 50":
+        (lambda rows: [{"dbl": r["fid"] * 2, "caps": r["name"].upper()}
+                       for r in rows if r["fid"] < 50], False),
+    "SELECT name, count(*) AS cnt FROM poi GROUP BY name ORDER BY name":
+        (_count_by_name, True),
     "SELECT count(*) AS cnt, min(time) AS lo, max(time) AS hi FROM poi "
-    "WHERE geom WITHIN st_makeMBR(116.0, 39.8, 116.3, 40.0)",
-    "SELECT avg(fid) AS a FROM poi WHERE name = 'nope'",
-    "SELECT fid FROM poi WHERE fid / 0 IS NULL",
-    "SELECT DISTINCT name FROM poi WHERE fid % 3 = 0",
-    "SELECT fid, name FROM poi ORDER BY fid DESC LIMIT 7",
-]
+    "WHERE geom WITHIN st_makeMBR(116.0, 39.8, 116.3, 40.0)":
+        (_window_summary, False),
+    # No input rows, no groups: this engine's global aggregate over an
+    # empty input yields no row.
+    "SELECT avg(fid) AS a FROM poi WHERE name = 'nope'":
+        (lambda rows: [], False),
+    "SELECT fid FROM poi WHERE fid / 0 IS NULL":
+        (lambda rows: [{"fid": r["fid"]} for r in rows], False),
+    "SELECT DISTINCT name FROM poi WHERE fid % 3 = 0":
+        (lambda rows: [{"name": n} for n in
+                       {r["name"] for r in rows if r["fid"] % 3 == 0}],
+         False),
+    "SELECT fid, name FROM poi ORDER BY fid DESC LIMIT 7":
+        (lambda rows: [{"fid": r["fid"], "name": r["name"]} for r in
+                       sorted(rows, key=lambda r: -r["fid"])[:7]], True),
+}
 
 
 def canonical(rows):
@@ -168,8 +211,8 @@ def canonical(rows):
         for row in rows)
 
 
-def _make_engine(vectorized: bool, rows=None, flush=True) -> JustEngine:
-    engine = JustEngine(vectorized=vectorized)
+def _make_engine(rows=None, flush=True) -> JustEngine:
+    engine = JustEngine()
     engine.create_table("poi", Schema(list(POI_SCHEMA_FIELDS)))
     engine.insert("poi", rows if rows is not None else make_poi_rows())
     if flush:
@@ -178,19 +221,21 @@ def _make_engine(vectorized: bool, rows=None, flush=True) -> JustEngine:
 
 
 @pytest.fixture(scope="module")
-def engine_pair():
+def poi_engine_and_rows():
     rows = make_poi_rows()
-    return (_make_engine(True, rows), _make_engine(False, rows))
+    return _make_engine(rows), rows
 
 
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("statement", EQUIVALENCE_STATEMENTS)
-    def test_seeded_suite_agrees(self, engine_pair, statement):
-        batched, rowwise = engine_pair
-        got = batched.sql(statement).rows
-        want = rowwise.sql(statement).rows
-        if "LIMIT" in statement and "ORDER BY" not in statement:
-            assert len(got) == len(want)
+    @pytest.mark.parametrize("statement", ORACLE_STATEMENTS)
+    def test_seeded_suite_agrees(self, poi_engine_and_rows, statement):
+        engine, rows = poi_engine_and_rows
+        oracle, ordered = ORACLE_STATEMENTS[statement]
+        got = engine.sql(statement).rows
+        want = oracle(rows)
+        if ordered:
+            assert [canonical([r]) for r in got] == \
+                [canonical([r]) for r in want]
         else:
             assert canonical(got) == canonical(want)
 
@@ -198,32 +243,107 @@ class TestExecutorEquivalence:
     @given(lng=hyp.floats(116.0, 116.45), lat=hyp.floats(39.8, 40.05),
            span=hyp.floats(0.01, 0.3), t_off=hyp.floats(0, 86400 * 5),
            fid_cut=hyp.integers(0, 500))
-    def test_randomized_filter_projection_property(self, engine_pair,
-                                                   lng, lat, span,
-                                                   t_off, fid_cut):
-        """Residual filter + projection parity on randomized predicates."""
-        batched, rowwise = engine_pair
+    def test_randomized_filter_projection_property(
+            self, poi_engine_and_rows, lng, lat, span, t_off, fid_cut):
+        """Index window + residual filter + projection on randomized
+        predicates return exactly the rows a list comprehension keeps."""
+        engine, rows = poi_engine_and_rows
         statement = (
             f"SELECT fid, name FROM poi WHERE geom WITHIN "
             f"st_makeMBR({lng}, {lat}, {lng + span}, {lat + span}) "
             f"AND time < {T0 + t_off} AND fid >= {fid_cut}")
-        assert canonical(batched.sql(statement).rows) == \
-            canonical(rowwise.sql(statement).rows)
+        want = [{"fid": r["fid"], "name": r["name"]} for r in rows
+                if _in_box(r, lng, lat, lng + span, lat + span)
+                and r["time"] < T0 + t_off and r["fid"] >= fid_cut]
+        assert canonical(engine.sql(statement).rows) == canonical(want)
 
-    def test_batched_scan_is_cheaper(self, engine_pair):
-        """Same I/O, less CPU: the vectorized scan wins on CPU time."""
-        batched, rowwise = engine_pair
-        statement = ("SELECT fid FROM poi WHERE geom WITHIN "
-                     "st_makeMBR(116.0, 39.8, 116.5, 40.1) "
-                     "AND name LIKE 'poi%'")
-        fast = batched.sql(statement).job
-        slow = rowwise.sql(statement).job
-        assert fast.breakdown["cpu"] < slow.breakdown["cpu"]
-        # I/O accounting is identical under batching.
-        assert fast.breakdown["disk_read"] == \
-            pytest.approx(slow.breakdown["disk_read"])
-        assert fast.breakdown["seek"] == pytest.approx(
-            slow.breakdown["seek"])
+    def test_engine_api_and_sql_scan_cost_the_same(
+            self, poi_engine_and_rows):
+        """One read path, one price: the same window costs the same
+        I/O through ``engine.st_range_query`` and through SQL, and the
+        same CPU when the plan is a bare scan."""
+        from repro.sql.executor import (
+            analyze_select,
+            optimize,
+            parse_statement,
+        )
+        from repro.sql.logical import ScanNode
+        from repro.sql.physical import execute_plan
+        engine, _rows = poi_engine_and_rows
+        window = (116.0, 39.8, 116.5, 40.1)
+        api = engine.st_range_query(
+            "poi", Envelope(*window), T0, T0 + 2 * 86400,
+            predicate="within").job.breakdown
+        statement = (
+            f"SELECT * FROM poi WHERE geom WITHIN st_makeMBR{window} "
+            f"AND time BETWEEN {T0} AND {T0 + 2 * 86400}")
+        sql = engine.sql(statement).job.breakdown
+        for label in ("disk_read", "seek", "network"):
+            assert sql[label] == api[label], label
+        # The statement's plan is Project over Scan; run the scan alone.
+        scan = optimize(analyze_select(
+            engine, parse_statement(statement), "")).child
+        assert isinstance(scan, ScanNode)
+        job = engine.cluster.job()
+        execute_plan(scan, engine, job)
+        assert job.breakdown["cpu"] == api["cpu"] > 0
+
+
+class TestOneExecutor:
+    """There is one executor: every access path feeds it batches."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        engine = JustEngine()
+        engine.sql("CREATE TABLE poi (fid integer:primary key, "
+                   "name string, time date, geom point) USERDATA "
+                   "{'just.attribute.indices': 'name'}")
+        engine.insert("poi", make_poi_rows())
+        engine.table("poi").flush()
+        engine.sql("CREATE VIEW near AS SELECT fid, name FROM poi "
+                   "WHERE fid < 20")
+        return engine
+
+    @pytest.mark.parametrize("path, statement", [
+        ("Scan[", "SELECT fid FROM poi WHERE geom IN "
+                  "st_KNN(st_makePoint(116.25, 39.9), 5)"),
+        ("Scan[", "SELECT * FROM poi WHERE fid = 7"),
+        ("Scan[", "SELECT fid FROM poi WHERE name = 'poi3'"),
+        ("Scan[", "SELECT fid FROM poi WHERE geom WITHIN "
+                  "st_makeMBR(116.0, 39.8, 116.5, 40.1) "
+                  f"AND time BETWEEN {T0} AND {T0 + 86400}"),
+        ("Scan[", "SELECT fid FROM poi"),
+        ("ViewScan[", "SELECT fid FROM near WHERE fid > 3"),
+        ("SystemScan[", "SELECT * FROM sys.tables"),
+    ], ids=["knn", "fid", "attribute", "st_range", "full", "view", "sys"])
+    def test_every_access_path_reports_batches(self, engine, path,
+                                               statement):
+        rs = engine.sql("EXPLAIN ANALYZE " + statement)
+        assert rs.rows[0]["rows"] > 0
+        for operator in rs.rows:
+            if "RegionScan[" not in operator["operator"]:
+                assert operator["batches"] >= 1, operator
+        assert any(path in r["operator"] for r in rs.rows)
+
+    def test_raising_operand_falls_back_per_batch(self, engine):
+        """``name + 1`` raises column-at-a-time; each batch is then
+        re-evaluated row by row and counted as a fallback."""
+        fallbacks = engine.metrics.counter("sql.batch_fallbacks")
+        before = fallbacks.value
+        with pytest.raises((ExecutionError, TypeError)):
+            engine.sql("SELECT name + 1 AS n FROM poi")
+        assert fallbacks.value > before
+        # A side only short-circuiting skips: the batch evaluator trips
+        # on it, the per-row fallback returns the row answer.
+        before = fallbacks.value
+        rs = engine.sql("SELECT fid FROM poi "
+                        "WHERE fid < 0 AND name + 1 = 2")
+        assert rs.rows == []
+        assert fallbacks.value > before
+
+    def test_vectorized_switch_is_gone(self):
+        with pytest.raises(TypeError):
+            JustEngine(vectorized=True)
 
 
 # -- scan-path correctness fixes ----------------------------------------------
@@ -233,7 +353,7 @@ class TestPushedConjunctsOnPointPaths:
 
     @pytest.fixture
     def engine(self):
-        return _make_engine(True)
+        return _make_engine()
 
     def test_fid_with_excluding_envelope(self, engine):
         row = engine.sql("SELECT * FROM poi WHERE fid = 7").rows[0]
@@ -290,14 +410,14 @@ class TestAttributeWithEnvelope:
 class TestPointGetAccounting:
     def test_pk_lookup_reports_io(self):
         """EXPLAIN ANALYZE on a primary-key lookup shows real I/O."""
-        engine = _make_engine(True)
+        engine = _make_engine()
         engine.store.clear_caches()
         rs = engine.sql("EXPLAIN ANALYZE SELECT * FROM poi WHERE fid = 7")
         scan = next(r for r in rs.rows if "Scan[" in r["operator"])
         assert scan["blocks_read"] + scan["cache_hits"] > 0
 
     def test_get_charges_job(self):
-        engine = _make_engine(True)
+        engine = _make_engine()
         engine.store.clear_caches()
         job = engine.cluster.job()
         row = engine.table("poi").get("7", job=job)
@@ -311,7 +431,7 @@ class TestPointGetAccounting:
 
 class TestDeadlineMidBatch:
     def test_batched_scan_honours_deadline(self):
-        engine = _make_engine(True)
+        engine = _make_engine()
         ctx = RequestContext(deadline=Deadline(0.01))
         with pytest.raises(QueryTimeoutError):
             engine.sql("SELECT * FROM poi WHERE geom WITHIN "
@@ -322,7 +442,7 @@ class TestDeadlineMidBatch:
 
 class TestCompressedRoundTrip:
     def test_gps_list_survives_scan_and_aggregate(self):
-        engine = JustEngine(vectorized=True)
+        engine = JustEngine()
         engine.sql("CREATE TABLE trips AS trajectory")
         table = engine.table("trips")
         rng = random.Random(3)
