@@ -7,9 +7,12 @@ pays off only for big fields (the trajectory ``gpsList``), while tiny
 fields can *grow* under compression (Figure 10a's ``JUSTcompress`` line);
 both behaviours fall out of real codecs here.
 
-``st_series`` values use fixed-point delta encoding (1e-6 degree ticks,
-millisecond timestamps), which is byte-efficient on its own and leaves the
-long runs of small deltas that DEFLATE then shrinks several-fold.
+``st_series`` values are delta-encoded over the series' fixed-point
+columns (1e-6 degree ticks, millisecond timestamps — see
+:class:`~repro.trajectory.model.STSeries`), which is byte-efficient on
+its own and leaves the long runs of small deltas that DEFLATE then
+shrinks several-fold.  Every sequence is packed and unpacked with one
+``struct`` call, not one per element.
 """
 
 from __future__ import annotations
@@ -17,19 +20,24 @@ from __future__ import annotations
 import gzip as _gzip
 import struct
 import zlib
+from itertools import accumulate, chain
+from operator import sub
 
 from repro.errors import SchemaError
 from repro.core.schema import FieldType, Schema
 from repro.geometry.linestring import LineString
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.trajectory.model import GPSPoint, STSeries, TSeries
+from repro.trajectory.model import STSeries, TSeries
 
 _FLAG_NULL = 0
 _FLAG_PLAIN = 1
 _FLAG_COMPRESSED = 2
 
 _GEOM_TAGS = {Point: 0, LineString: 1, Polygon: 2}
+_unpack_long = struct.Struct(">q").unpack
+_unpack_double = struct.Struct(">d").unpack
+_unpack_point = struct.Struct(">dd").unpack
 _I32_MIN, _I32_MAX = -(1 << 31), (1 << 31) - 1
 
 
@@ -83,71 +91,51 @@ def decompress_bytes(data: bytes, method: str) -> bytes:
 # -- per-type value encodings --------------------------------------------------
 
 def _encode_st_series(series: STSeries) -> bytes:
-    points = series.points
+    lng6, lat6, t_ms = series.fixed_point()
     out = bytearray()
-    write_varint(len(points), out)
-    if not points:
+    write_varint(len(t_ms), out)
+    if not t_ms:
         return bytes(out)
-    fixed = [(round(p.lng * 1e6), round(p.lat * 1e6),
-              round(p.time * 1000.0)) for p in points]
-    deltas_fit = all(
-        _I32_MIN <= b[i] - a[i] <= _I32_MAX
-        for a, b in zip(fixed, fixed[1:]) for i in range(3))
-    if deltas_fit:
+    deltas = list(chain.from_iterable(zip(
+        map(sub, lng6[1:], lng6), map(sub, lat6[1:], lat6),
+        map(sub, t_ms[1:], t_ms))))
+    if not deltas or (_I32_MIN <= min(deltas) and max(deltas) <= _I32_MAX):
         out.append(0)  # delta layout
-        out += struct.pack(">iiq", fixed[0][0], fixed[0][1], fixed[0][2])
-        for prev, cur in zip(fixed, fixed[1:]):
-            out += struct.pack(">iii", cur[0] - prev[0], cur[1] - prev[1],
-                               cur[2] - prev[2])
+        out += struct.pack(">iiq%di" % len(deltas),
+                           lng6[0], lat6[0], t_ms[0], *deltas)
     else:
         out.append(1)  # absolute layout
-        for lng6, lat6, t_ms in fixed:
-            out += struct.pack(">iiq", lng6, lat6, t_ms)
+        out += struct.pack(">" + "iiq" * len(t_ms),
+                           *chain.from_iterable(zip(lng6, lat6, t_ms)))
     return bytes(out)
 
 
 def _decode_st_series(data: bytes) -> STSeries:
     count, pos = read_varint(data, 0)
     if count == 0:
-        return STSeries([])
-    layout = data[pos]
-    pos += 1
-    points = []
-    if layout == 0:
-        lng6, lat6, t_ms = struct.unpack_from(">iiq", data, pos)
-        pos += 16
-        points.append(GPSPoint(lng6 / 1e6, lat6 / 1e6, t_ms / 1000.0))
-        for _ in range(count - 1):
-            dlng, dlat, dt = struct.unpack_from(">iii", data, pos)
-            pos += 12
-            lng6 += dlng
-            lat6 += dlat
-            t_ms += dt
-            points.append(GPSPoint(lng6 / 1e6, lat6 / 1e6, t_ms / 1000.0))
+        return STSeries.from_fixed_point([], [], [])
+    if data[pos] == 0:  # delta layout: first sample, then i32 deltas
+        first = struct.unpack_from(">iiq", data, pos + 1)
+        deltas = struct.unpack_from(">%di" % (3 * (count - 1)), data,
+                                    pos + 17)
+        columns = [list(accumulate(deltas[i::3], initial=first[i]))
+                   for i in range(3)]
     else:
-        for _ in range(count):
-            lng6, lat6, t_ms = struct.unpack_from(">iiq", data, pos)
-            pos += 16
-            points.append(GPSPoint(lng6 / 1e6, lat6 / 1e6, t_ms / 1000.0))
-    return STSeries(points)
+        flat = struct.unpack_from(">" + "iiq" * count, data, pos + 1)
+        columns = [list(flat[i::3]) for i in range(3)]
+    return STSeries.from_fixed_point(*columns)
 
 
-def _encode_coords(coords) -> bytes:
-    out = bytearray(struct.pack(">I", len(coords)))
-    for lng, lat in coords:
-        out += struct.pack(">dd", lng, lat)
-    return bytes(out)
+def _encode_pairs(pairs) -> bytes:
+    """A counted sequence of float pairs: coordinates or samples."""
+    return struct.pack(">I%dd" % (2 * len(pairs)), len(pairs),
+                       *chain.from_iterable(pairs))
 
 
-def _decode_coords(data: bytes, pos: int = 0):
-    (count,) = struct.unpack_from(">I", data, pos)
-    pos += 4
-    coords = []
-    for _ in range(count):
-        lng, lat = struct.unpack_from(">dd", data, pos)
-        pos += 16
-        coords.append((lng, lat))
-    return coords
+def _decode_pairs(data: bytes) -> list[tuple[float, float]]:
+    (count,) = struct.unpack_from(">I", data, 0)
+    flat = struct.unpack_from(">%dd" % (2 * count), data, 4)
+    return list(zip(flat[0::2], flat[1::2]))
 
 
 def encode_value(value, ftype: FieldType) -> bytes:
@@ -163,9 +151,9 @@ def encode_value(value, ftype: FieldType) -> bytes:
     if ftype == FieldType.POINT:
         return struct.pack(">dd", value.lng, value.lat)
     if ftype == FieldType.LINESTRING:
-        return _encode_coords(value.coords)
+        return _encode_pairs(value.coords)
     if ftype == FieldType.POLYGON:
-        return _encode_coords(value.ring)
+        return _encode_pairs(value.ring)
     if ftype == FieldType.GEOMETRY:
         tag = _GEOM_TAGS[type(value)]
         inner_type = (FieldType.POINT, FieldType.LINESTRING,
@@ -174,46 +162,45 @@ def encode_value(value, ftype: FieldType) -> bytes:
     if ftype == FieldType.ST_SERIES:
         return _encode_st_series(value)
     if ftype == FieldType.T_SERIES:
-        out = bytearray(struct.pack(">I", len(value)))
-        for t, v in value:
-            out += struct.pack(">dd", t, v)
-        return bytes(out)
+        return _encode_pairs(value.samples)
     raise SchemaError(f"cannot encode type {ftype}")
+
+
+def _decode_long(data: bytes) -> int:
+    return _unpack_long(data)[0]
+
+
+def _decode_double(data: bytes) -> float:
+    return _unpack_double(data)[0]
+
+
+def _decode_geometry(data: bytes):
+    inner_type = (FieldType.POINT, FieldType.LINESTRING,
+                  FieldType.POLYGON)[data[0]]
+    return _DECODERS[inner_type](data[1:])
+
+
+#: One decoder per field type; :class:`RowCodec` binds them per field
+#: once, so the scan path pays no type dispatch per value.
+_DECODERS = {
+    FieldType.INTEGER: _decode_long,
+    FieldType.LONG: _decode_long,
+    FieldType.DOUBLE: _decode_double,
+    FieldType.DATE: _decode_double,
+    FieldType.STRING: lambda data: data.decode("utf-8"),
+    FieldType.BOOLEAN: lambda data: data == b"\x01",
+    FieldType.POINT: lambda data: Point(*_unpack_point(data)),
+    FieldType.LINESTRING: lambda data: LineString(_decode_pairs(data)),
+    FieldType.POLYGON: lambda data: Polygon(_decode_pairs(data)),
+    FieldType.GEOMETRY: _decode_geometry,
+    FieldType.ST_SERIES: _decode_st_series,
+    FieldType.T_SERIES: lambda data: TSeries(_decode_pairs(data)),
+}
 
 
 def decode_value(data: bytes, ftype: FieldType):
     """Inverse of :func:`encode_value`."""
-    if ftype in (FieldType.INTEGER, FieldType.LONG):
-        return struct.unpack(">q", data)[0]
-    if ftype in (FieldType.DOUBLE, FieldType.DATE):
-        return struct.unpack(">d", data)[0]
-    if ftype == FieldType.STRING:
-        return data.decode("utf-8")
-    if ftype == FieldType.BOOLEAN:
-        return data == b"\x01"
-    if ftype == FieldType.POINT:
-        lng, lat = struct.unpack(">dd", data)
-        return Point(lng, lat)
-    if ftype == FieldType.LINESTRING:
-        return LineString(_decode_coords(data))
-    if ftype == FieldType.POLYGON:
-        return Polygon(_decode_coords(data))
-    if ftype == FieldType.GEOMETRY:
-        inner_type = (FieldType.POINT, FieldType.LINESTRING,
-                      FieldType.POLYGON)[data[0]]
-        return decode_value(data[1:], inner_type)
-    if ftype == FieldType.ST_SERIES:
-        return _decode_st_series(data)
-    if ftype == FieldType.T_SERIES:
-        (count,) = struct.unpack_from(">I", data, 0)
-        pos = 4
-        samples = []
-        for _ in range(count):
-            t, v = struct.unpack_from(">dd", data, pos)
-            pos += 16
-            samples.append((t, v))
-        return TSeries(samples)
-    raise SchemaError(f"cannot decode type {ftype}")
+    return _DECODERS[ftype](data)
 
 
 # -- row codec -----------------------------------------------------------------
@@ -228,6 +215,8 @@ class RowCodec:
     def __init__(self, schema: Schema, compression_enabled: bool = True):
         self.schema = schema
         self.compression_enabled = compression_enabled
+        self._decode_plan = [(f.name, _DECODERS[f.ftype], f.compress)
+                             for f in schema.fields]
 
     def encode_row(self, row: dict) -> bytes:
         out = bytearray()
@@ -248,19 +237,31 @@ class RowCodec:
                 out += payload
         return bytes(out)
 
-    def decode_row(self, data: bytes) -> dict:
+    def decode_row(self, data: bytes, wanted=None) -> dict:
+        """The row's fields named in ``wanted`` (``None``: every field).
+
+        A field that is not wanted is stepped over by its length prefix:
+        never sliced, decompressed or decoded.  Names in ``wanted`` that
+        are not schema fields (a plugin table's ``item``) are ignored.
+        """
         row: dict = {}
         pos = 0
-        for f in self.schema.fields:
+        for name, decode, compress in self._decode_plan:
             flag = data[pos]
             pos += 1
+            skip = wanted is not None and name not in wanted
             if flag == _FLAG_NULL:
-                row[f.name] = None
+                if not skip:
+                    row[name] = None
                 continue
-            length, pos = read_varint(data, pos)
-            payload = data[pos:pos + length]
+            length = data[pos]
+            pos += 1
+            if length >= 0x80:  # a multi-byte varint
+                length, pos = read_varint(data, pos - 1)
+            if not skip:
+                payload = data[pos:pos + length]
+                if flag == _FLAG_COMPRESSED:
+                    payload = decompress_bytes(payload, compress)
+                row[name] = decode(payload)
             pos += length
-            if flag == _FLAG_COMPRESSED:
-                payload = decompress_bytes(payload, f.compress)
-            row[f.name] = decode_value(payload, f.ftype)
         return row

@@ -41,6 +41,8 @@ class TrajectoryPlugin(CommonTable):
 
     kind = "plugin"
     plugin_type = "trajectory"
+    filter_fields = ("gps_list", "start_time", "end_time")
+    implicit_inputs = {"item": ("tid", "oid", "gps_list")}
 
     def __init__(self, name, store, strategies,
                  compression_enabled: bool = True,
@@ -80,10 +82,10 @@ class TrajectoryPlugin(CommonTable):
             return None
         return series.envelope
 
-    def decorate_row(self, row: dict) -> dict:
+    def decorate_row(self, row: dict, wanted=None) -> dict:
         """Attach the implicit ``item`` field: the full Trajectory."""
         series = row.get("gps_list")
-        if series is not None:
+        if series is not None and (wanted is None or "item" in wanted):
             row = dict(row)
             row["item"] = Trajectory(row["tid"], row.get("oid") or "",
                                      series)
@@ -133,6 +135,8 @@ class GeofencePlugin(CommonTable):
 
     kind = "plugin"
     plugin_type = "geofence"
+    filter_fields = ("area", "valid_from", "valid_to")
+    implicit_inputs = {"item": ("area",)}
 
     def __init__(self, name, store, strategies,
                  compression_enabled: bool = True,
@@ -152,9 +156,10 @@ class GeofencePlugin(CommonTable):
             return None
         return (float(valid_from), float(valid_to))
 
-    def decorate_row(self, row: dict) -> dict:
+    def decorate_row(self, row: dict, wanted=None) -> dict:
         """Attach the implicit ``item``: the fence polygon itself."""
-        if row.get("area") is not None:
+        if row.get("area") is not None and \
+                (wanted is None or "item" in wanted):
             row = dict(row)
             row["item"] = row["area"]
         return row

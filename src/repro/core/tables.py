@@ -10,6 +10,7 @@ historical updates need no index rebuild.
 from __future__ import annotations
 
 import time as _time
+from functools import partial
 from itertools import chain
 
 from repro.cluster.simclock import SimJob
@@ -39,6 +40,10 @@ class CommonTable:
     """A stored table with one or more spatio-temporal indexes."""
 
     kind = "common"
+
+    #: Implicit column -> the stored fields :meth:`decorate_row` builds
+    #: it from (plugin tables declare ``item`` here).
+    implicit_inputs: dict[str, tuple[str, ...]] = {}
 
     def __init__(self, name: str, schema: Schema, store: KVStore,
                  strategies: dict[str, IndexStrategy],
@@ -77,6 +82,11 @@ class CommonTable:
                 field_name)
             self._attr_tables[field_name] = store.create_table(
                 f"{name}__attr_{field_name}")
+        # What an upsert decodes of the row it replaces: only what that
+        # row's index, attribute and id keys are built from.
+        self._key_fields = self.decoded_fields(
+            [schema.primary_key.name, *self.attribute_indexes],
+            filtered=True)
         # Data statistics maintained on insert: used by the planner to
         # bound time-only queries and by k-NN to bound the search area.
         # These are grow-only (deletes never shrink the envelope or the
@@ -88,6 +98,31 @@ class CommonTable:
         self.stats = None  # TableStats from the last ANALYZE TABLE
 
     # -- record projection (overridden by plugin tables) ---------------------
+    @property
+    def filter_fields(self) -> tuple[str, ...]:
+        """Stored fields the ``record_*`` projections below read: what
+        the exact filter and the index keys of a row are computed from."""
+        fields = (self.schema.geometry_field, self.schema.time_field)
+        return tuple(f.name for f in fields if f is not None)
+
+    def decoded_fields(self, columns: list[str] | None,
+                       filtered: bool = False) -> frozenset[str] | None:
+        """What a scan that returns ``columns`` decodes: those columns,
+        the inputs of the implicit ones among them and, when the scan is
+        ``filtered`` by :meth:`_matches`, the fields the filter reads.
+        ``None`` stands for every field and every implicit column.
+        """
+        if columns is None:
+            return None
+        wanted = set(columns)
+        if filtered:
+            wanted.update(self.filter_fields)
+        for implicit, inputs in self.implicit_inputs.items():
+            if implicit in wanted:
+                wanted.update(inputs)
+        return None if wanted.issuperset(self.columns()) \
+            else frozenset(wanted)
+
     def record_geometry(self, row: dict) -> Geometry | None:
         field = self.schema.geometry_field
         return row.get(field.name) if field is not None else None
@@ -169,7 +204,7 @@ class CommonTable:
         if existing is None:
             return False
         if self.strategies or self.attribute_indexes:
-            old_row = self.codec.decode_row(existing)
+            old_row = self.codec.decode_row(existing, self._key_fields)
             if self.strategies:
                 record = self._indexed_record(old_row)
                 for sname, strategy in self.strategies.items():
@@ -213,8 +248,9 @@ class CommonTable:
             table.flush()
 
     # -- read path ---------------------------------------------------------------
-    def decorate_row(self, row: dict) -> dict:
-        """Hook for plugin tables to add implicit fields (e.g. ``item``)."""
+    def decorate_row(self, row: dict, wanted=None) -> dict:
+        """Hook for plugin tables to add the implicit fields (e.g.
+        ``item``) named in ``wanted`` (``None``: all of them)."""
         return row
 
     def _matches(self, row: dict, query: STQuery, predicate: str) -> bool:
@@ -238,9 +274,11 @@ class CommonTable:
                 return geometry.intersects_envelope(query.envelope)
         return True
 
-    def _decoded(self, chunks, num_ranges: int, job: SimJob | None):
+    def _decoded(self, chunks, num_ranges: int, job: SimJob | None,
+                 wanted=None):
         """The one scan primitive: decode key-value ``chunks`` (lists of
         pairs from one store scan), yielding one list of rows per chunk.
+        Rows carry the fields in ``wanted`` (:meth:`decoded_fields`).
 
         Store I/O and CPU are charged in a ``finally`` so an abandoned
         scan (deadline mid-chunk, early consumer exit) still accounts
@@ -253,7 +291,7 @@ class CommonTable:
         try:
             for chunk in chunks:
                 scanned += len(chunk)
-                yield [decode(payload) for _key, payload in chunk]
+                yield [decode(payload, wanted) for _key, payload in chunk]
         finally:
             if job is not None:
                 delta = self.store.stats.snapshot().delta(before)
@@ -261,7 +299,7 @@ class CommonTable:
                 job.charge_cpu_records(scanned)
 
     def _range_chunks(self, kv_table, ranges: list[KeyRange],
-                      job: SimJob | None, ctx):
+                      job: SimJob | None, ctx, wanted=None):
         """Decoded chunks of one index table's key ranges, in key order.
 
         Curve strategies produce hundreds of small ranges over many
@@ -269,10 +307,11 @@ class CommonTable:
         from the store's merged pair stream.
         """
         pairs = kv_table.scan(_multi_range_spec(ranges), ctx)
-        return self._decoded(chunk_pairs(pairs), len(ranges), job)
+        return self._decoded(chunk_pairs(pairs), len(ranges), job, wanted)
 
     def _st_rows(self, query: STQuery, predicate: str,
-                 job: SimJob | None, strategy_name: str | None, ctx):
+                 job: SimJob | None, strategy_name: str | None, ctx,
+                 columns: list[str] | None = None):
         """Index-served ST range: exact-filtered, decorated rows.
 
         Without ``strategy_name`` the rule-based planner picks the index
@@ -288,18 +327,22 @@ class CommonTable:
         ranges = self.strategies[strategy_name].ranges(effective)
         if not ranges:
             return  # an empty window: nothing to scan
+        wanted = self.decoded_fields(columns, filtered=True)
         for rows in self._range_chunks(self._index_tables[strategy_name],
-                                       ranges, job, ctx):
+                                       ranges, job, ctx, wanted):
             for row in rows:
                 if self._matches(row, query, predicate):
-                    yield self.decorate_row(row)
+                    yield self.decorate_row(row, wanted)
 
-    def _full_rows(self, job: SimJob | None, ctx):
+    def _full_rows(self, job: SimJob | None, ctx,
+                   columns: list[str] | None = None):
         """Every row, decorated, via the feature-id table (whose
         region-local chunks are the cheaper stream for a full pass)."""
+        wanted = self.decoded_fields(columns)
         chunks = self._id_table.scan_batches(ScanSpec.full(), ctx)
-        return map(self.decorate_row,
-                   chain.from_iterable(self._decoded(chunks, 1, job)))
+        return map(partial(self.decorate_row, wanted=wanted),
+                   chain.from_iterable(
+                       self._decoded(chunks, 1, job, wanted)))
 
     def _attribute_rows(self, field_name: str, ranges: list[KeyRange],
                         job: SimJob | None, ctx):
@@ -322,19 +365,26 @@ class CommonTable:
 
     def query_batches(self, query: STQuery, predicate: str = "intersects",
                       job: SimJob | None = None,
-                      strategy_name: str | None = None, ctx=None):
-        """:meth:`query` as a stream of column-major :class:`RowBatch`es."""
+                      strategy_name: str | None = None, ctx=None,
+                      columns: list[str] | None = None):
+        """:meth:`query` as a stream of column-major :class:`RowBatch`es
+        of ``columns`` (``None``: every column); fields that neither
+        they nor the exact filter read are never decoded."""
         return batches_from_rows(
-            self._st_rows(query, predicate, job, strategy_name, ctx),
-            self.columns())
+            self._st_rows(query, predicate, job, strategy_name, ctx,
+                          columns),
+            columns or self.columns())
 
     def full_scan(self, job: SimJob | None = None, ctx=None) -> list[dict]:
         """Every row, via the feature-id table."""
         return list(self._full_rows(job, ctx))
 
-    def full_scan_batches(self, job: SimJob | None = None, ctx=None):
-        """:meth:`full_scan` as a stream of :class:`RowBatch`es."""
-        return batches_from_rows(self._full_rows(job, ctx), self.columns())
+    def full_scan_batches(self, job: SimJob | None = None, ctx=None,
+                          columns: list[str] | None = None):
+        """:meth:`full_scan` as a stream of :class:`RowBatch`es of
+        ``columns`` (``None``: every column), decoding only those."""
+        return batches_from_rows(self._full_rows(job, ctx, columns),
+                                 columns or self.columns())
 
     def _attribute_index(self, field_name: str):
         try:

@@ -7,31 +7,33 @@ from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
 
 
+def _orient(a, b, c) -> int:
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    if v > 0:
+        return 1
+    if v < 0:
+        return -1
+    return 0
+
+
+def _on_segment(a, b, c) -> bool:
+    return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+
+
 def _segments_intersect(p1, p2, p3, p4) -> bool:
     """Exact test whether segments ``p1p2`` and ``p3p4`` intersect."""
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if v > 0:
-            return 1
-        if v < 0:
-            return -1
-        return 0
-
-    def on_segment(a, b, c):
-        return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
-
-    o1, o2 = orient(p1, p2, p3), orient(p1, p2, p4)
-    o3, o4 = orient(p3, p4, p1), orient(p3, p4, p2)
+    o1, o2 = _orient(p1, p2, p3), _orient(p1, p2, p4)
+    o3, o4 = _orient(p3, p4, p1), _orient(p3, p4, p2)
     if o1 != o2 and o3 != o4:
         return True
-    if o1 == 0 and on_segment(p1, p2, p3):
+    if o1 == 0 and _on_segment(p1, p2, p3):
         return True
-    if o2 == 0 and on_segment(p1, p2, p4):
+    if o2 == 0 and _on_segment(p1, p2, p4):
         return True
-    if o3 == 0 and on_segment(p3, p4, p1):
+    if o3 == 0 and _on_segment(p3, p4, p1):
         return True
-    if o4 == 0 and on_segment(p3, p4, p2):
+    if o4 == 0 and _on_segment(p3, p4, p2):
         return True
     return False
 
@@ -89,15 +91,21 @@ class LineString(Geometry):
         """Exact segment-vs-rectangle intersection test."""
         if not self._envelope.intersects(env):
             return False
-        corners = [
-            (env.min_lng, env.min_lat), (env.max_lng, env.min_lat),
-            (env.max_lng, env.max_lat), (env.min_lng, env.max_lat),
-        ]
-        for p in self._coords:
-            if env.contains_point(p[0], p[1]):
+        min_x, min_y, max_x, max_y = env.as_tuple()
+        for x, y in self._coords:
+            if min_x <= x <= max_x and min_y <= y <= max_y:
                 return True
+        corners = [(min_x, min_y), (max_x, min_y),
+                   (max_x, max_y), (min_x, max_y)]
         edges = list(zip(corners, corners[1:] + corners[:1]))
         for a, b in zip(self._coords, self._coords[1:]):
+            # A segment whose own bounding box misses the rectangle
+            # cannot cross an edge of it.
+            if (a[0] < min_x and b[0] < min_x) or \
+                    (a[0] > max_x and b[0] > max_x) or \
+                    (a[1] < min_y and b[1] < min_y) or \
+                    (a[1] > max_y and b[1] > max_y):
+                continue
             for c, d in edges:
                 if _segments_intersect(a, b, c, d):
                     return True

@@ -175,8 +175,13 @@ def analyze_rows(profile: QueryProfile) -> list[dict]:
         # Depth relative to the first operator keeps the service span
         # out of the indentation budget.
         rate = span.cache_hit_rate
+        name = span.name
+        decoded = span.attrs.get("decoded_fields")
+        if decoded is not None:  # a table scan: what it materialized
+            name += " decoded=" + (
+                decoded if decoded == "*" else f"[{', '.join(decoded)}]")
         rows.append({
-            "operator": "  " * (depth - 1) + span.name,
+            "operator": "  " * (depth - 1) + name,
             "rows": span.rows,
             "batches": span.attrs.get("batches", 0),
             "blocks_read": span.blocks_read,

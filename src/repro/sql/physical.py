@@ -238,37 +238,42 @@ def _execute_scan(plan: ScanNode, engine, job, ctx=None) -> DataFrame:
     """Serve a table scan batch-at-a-time from the best access path.
 
     Every path — k-NN, primary key, attribute index, ST range, full
-    scan — becomes one stream of column-major :class:`RowBatch`es; the
-    residual filter evaluates one mask per batch and the pushed
-    projection narrows batches by sharing column lists.
+    scan — becomes one stream of column-major :class:`RowBatch`es of the
+    pushed projection; the residual filter evaluates one mask per batch.
+    The ST range and the full scan hand the projection to the table,
+    which decodes only what it and its own exact filter read; the other
+    paths go through the row API and decode every field.
     """
     table = engine.table(plan.table_name)
     preds = _classify_conjuncts(plan.pushed_filter, table)
     extra = _extra_functions(engine)
-    columns = plan.pushed_projection or table.columns()
+    projection = plan.pushed_projection
+    columns = projection or table.columns()
+    decoded = None
 
     if preds.knn is not None:
         point, k = preds.knn
         result = knn_query(table, point.lng, point.lat, k, job)
         rows = _apply_pushed_st_filter(table, preds, result.rows)
-        source = batches_from_rows(rows, table.columns())
+        source = batches_from_rows(rows, columns)
     elif preds.fid is not None:
         row = table.get(str(preds.fid), ctx, job=job)
         job.charge_cpu_records(1)
         rows = _apply_pushed_st_filter(
             table, preds, [row] if row is not None else [])
-        source = batches_from_rows(rows, table.columns())
+        source = batches_from_rows(rows, columns)
     elif preds.attr is not None and preds.envelope is None \
             and preds.t_min is None:
         field_name, value = preds.attr
         source = batches_from_rows(
-            table.attribute_query(field_name, value, job, ctx),
-            table.columns())
+            table.attribute_query(field_name, value, job, ctx), columns)
     elif _has_pushed_st(preds):
-        source = table.query_batches(_st_query(preds),
-                                     preds.spatial_mode, job, ctx=ctx)
+        decoded = table.decoded_fields(projection, filtered=True)
+        source = table.query_batches(_st_query(preds), preds.spatial_mode,
+                                     job, ctx=ctx, columns=projection)
     else:
-        source = table.full_scan_batches(job, ctx)
+        decoded = table.decoded_fields(projection)
+        source = table.full_scan_batches(job, ctx, columns=projection)
 
     batches: list[RowBatch] = []
     rows_in = 0
@@ -281,8 +286,6 @@ def _execute_scan(plan: ScanNode, engine, job, ctx=None) -> DataFrame:
             batch = _filter_batch(batch, preds.residual, extra, metrics)
         elif metrics is not None:
             metrics.counter("sql.batches").inc()
-        if plan.pushed_projection is not None:
-            batch = batch.select(columns)
         batches.append(batch)
         now = job.elapsed_ms
         batch_ms.append(now - last_ms)
@@ -294,6 +297,8 @@ def _execute_scan(plan: ScanNode, engine, job, ctx=None) -> DataFrame:
     if profile is not None:
         span = profile.current
         span.attrs["batches"] = len(batch_ms)
+        span.attrs["decoded_fields"] = "*" if decoded is None else sorted(
+            decoded.intersection(table.schema.names))
         if batch_ms:
             span.attrs["batch_ms_max"] = round(max(batch_ms), 3)
             span.attrs["batch_ms_avg"] = round(

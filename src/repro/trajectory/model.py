@@ -38,9 +38,18 @@ class GPSPoint:
 
 
 class STSeries:
-    """An ordered, time-monotone sequence of GPS samples."""
+    """An ordered, time-monotone sequence of GPS samples.
 
-    __slots__ = ("_points", "_envelope")
+    The stored form is fixed point — 1e-6 degree ticks and millisecond
+    timestamps, one integer column each.  A series built by the codec
+    (:meth:`from_fixed_point`) *is* those three columns: ``len``,
+    ``envelope``, ``time_extent`` and ``as_linestring`` answer from them,
+    and the ``GPSPoint`` tuple is built on first access to ``points``
+    (iteration, indexing, ``==``, ``hash``) — a scan that filters on the
+    bounding box and selects ``tid`` never builds one.
+    """
+
+    __slots__ = ("_points", "_fixed", "_envelope")
 
     def __init__(self, points):
         pts = tuple(p if isinstance(p, GPSPoint) else GPSPoint(*p)
@@ -50,64 +59,103 @@ class STSeries:
                 raise SchemaError("st_series timestamps must be "
                                   "non-decreasing")
         self._points = pts
+        self._fixed = None
         self._envelope = None  # computed lazily, cached (immutable)
+
+    @classmethod
+    def from_fixed_point(cls, lng6: list[int], lat6: list[int],
+                         t_ms: list[int]) -> "STSeries":
+        """A series over its stored columns (equal-length lists)."""
+        if sorted(t_ms) != t_ms:
+            raise SchemaError("st_series timestamps must be "
+                              "non-decreasing")
+        series = object.__new__(cls)
+        series._points = None
+        series._fixed = (lng6, lat6, t_ms)
+        series._envelope = None
+        return series
+
+    def fixed_point(self) -> tuple[list[int], list[int], list[int]]:
+        """The stored columns ``(lng6, lat6, t_ms)`` of this series."""
+        if self._fixed is not None:
+            return self._fixed
+        pts = self._points
+        return ([round(p.lng * 1e6) for p in pts],
+                [round(p.lat * 1e6) for p in pts],
+                [round(p.time * 1000.0) for p in pts])
+
+    def _lnglat(self) -> tuple[list[float], list[float]]:
+        """Longitudes and latitudes in degrees, building no point."""
+        if self._points is not None:
+            return ([p.lng for p in self._points],
+                    [p.lat for p in self._points])
+        lng6, lat6, _t_ms = self._fixed
+        return [v / 1e6 for v in lng6], [v / 1e6 for v in lat6]
 
     @property
     def points(self) -> tuple[GPSPoint, ...]:
+        if self._points is None:
+            self._points = tuple(map(
+                GPSPoint, *self._lnglat(),
+                [v / 1000.0 for v in self._fixed[2]]))
         return self._points
 
     def __len__(self) -> int:
+        if self._fixed is not None:
+            return len(self._fixed[2])
         return len(self._points)
 
     def __iter__(self):
-        return iter(self._points)
+        return iter(self.points)
 
     def __getitem__(self, i):
-        return self._points[i]
+        return self.points[i]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, STSeries) and self._points == other._points
+        return isinstance(other, STSeries) and self.points == other.points
 
     def __hash__(self) -> int:
-        return hash(self._points)
+        return hash(self.points)
 
     def __repr__(self) -> str:
-        return f"STSeries({len(self._points)} points)"
+        return f"STSeries({len(self)} points)"
 
     @property
     def envelope(self) -> Envelope:
-        if not self._points:
+        if not len(self):
             raise SchemaError("empty st_series has no envelope")
         if self._envelope is None:
-            min_lng = max_lng = self._points[0].lng
-            min_lat = max_lat = self._points[0].lat
-            for p in self._points[1:]:
-                if p.lng < min_lng:
-                    min_lng = p.lng
-                elif p.lng > max_lng:
-                    max_lng = p.lng
-                if p.lat < min_lat:
-                    min_lat = p.lat
-                elif p.lat > max_lat:
-                    max_lat = p.lat
-            self._envelope = Envelope(min_lng, min_lat, max_lng, max_lat)
+            if self._fixed is not None:
+                # Division by a positive constant is monotone, so these
+                # are the very floats min/max over the points would find.
+                lng6, lat6, _t_ms = self._fixed
+                self._envelope = Envelope(
+                    min(lng6) / 1e6, min(lat6) / 1e6,
+                    max(lng6) / 1e6, max(lat6) / 1e6)
+            else:
+                lngs, lats = self._lnglat()
+                self._envelope = Envelope(min(lngs), min(lats),
+                                          max(lngs), max(lats))
         return self._envelope
 
     @property
     def time_extent(self) -> tuple[float, float]:
-        if not self._points:
+        if not len(self):
             raise SchemaError("empty st_series has no time extent")
+        if self._fixed is not None:
+            t_ms = self._fixed[2]
+            return t_ms[0] / 1000.0, t_ms[-1] / 1000.0
         return self._points[0].time, self._points[-1].time
 
     def as_linestring(self) -> LineString:
-        if len(self._points) < 2:
+        if len(self) < 2:
             raise SchemaError("st_series needs >= 2 points for a linestring")
-        return LineString((p.lng, p.lat) for p in self._points)
+        return LineString(zip(*self._lnglat()))
 
     def length_m(self) -> float:
         """Travelled distance in metres."""
-        return sum(a.distance_m(b)
-                   for a, b in zip(self._points, self._points[1:]))
+        points = self.points
+        return sum(a.distance_m(b) for a, b in zip(points, points[1:]))
 
 
 class TSeries:

@@ -31,6 +31,14 @@ def make_poi_rows(n: int = 500, seed: int = 11) -> list[dict]:
     } for i in range(n)]
 
 
+def on_the_stored_grid(points) -> list[tuple]:
+    """``(lng, lat, t)`` samples quantized to what the ``st_series``
+    codec stores (1e-6 degree, 1 ms): what a decode hands back, and the
+    exact geometry an oracle must test."""
+    return [(round(x * 1e6) / 1e6, round(y * 1e6) / 1e6,
+             round(t * 1000.0) / 1000.0) for x, y, t in points]
+
+
 @pytest.fixture
 def engine() -> JustEngine:
     return JustEngine()
@@ -57,3 +65,32 @@ def small_orders() -> list[dict]:
 @pytest.fixture(scope="session")
 def small_trajs():
     return generate_traj_dataset(40, 80, seed=7)
+
+
+@pytest.fixture
+def decompress_calls(monkeypatch) -> list:
+    """One entry per ``decompress_bytes`` call the row codec makes."""
+    from repro.core import codec
+    calls: list = []
+    real = codec.decompress_bytes
+
+    def counting(data, method):
+        calls.append(method)
+        return real(data, method)
+    monkeypatch.setattr(codec, "decompress_bytes", counting)
+    return calls
+
+
+@pytest.fixture
+def gps_points_built(monkeypatch) -> list:
+    """One entry per ``GPSPoint`` constructed, by anyone; ``clear()`` it
+    after set-up and assert on what the code under test added."""
+    from repro.trajectory import GPSPoint
+    built: list = []
+    real = GPSPoint.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(GPSPoint, "__init__", counting)
+    return built

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import JustEngine, Schema
+from repro import JustEngine, Point, Schema
+from repro.curves import STQuery
 from repro.datagen import generate_traj_dataset
 from repro.errors import SchemaError
 
@@ -47,6 +48,49 @@ class TestAttributeIndexMaintenance:
                        for r in table.attribute_query("name", "poi7"))
         assert [r["fid"] for r in
                 table.attribute_query("name", "renamed")] == [7]
+
+    def test_upsert_decodes_only_what_the_old_keys_need(self,
+                                                        monkeypatch):
+        """The old row is read for its primary key, filter fields and
+        attribute-indexed fields — and every old entry still goes."""
+        from repro.core.schema import Field, FieldType
+        engine = JustEngine()
+        engine.create_table(
+            "poi", Schema(list(POI_SCHEMA_FIELDS)
+                          + [Field("note", FieldType.STRING)]),
+            userdata={"just.attribute.indices": "name"})
+        engine.insert("poi", [dict(r, note=f"note {r['fid']}")
+                              for r in make_poi_rows(300, seed=13)])
+        table = engine.table("poi")
+        old = dict(table.get("7"))
+        asked = []
+        decode_row = table.codec.decode_row
+        monkeypatch.setattr(
+            table.codec, "decode_row",
+            lambda data, wanted=None: asked.append(wanted)
+            or decode_row(data, wanted))
+        new = dict(old, name="renamed", time=old["time"] + 86400.0,
+                   geom=Point(old["geom"].lng + 0.2, old["geom"].lat))
+        before = table.row_count
+        table.insert_rows([new])
+        assert asked == [frozenset({"fid", "name", "time", "geom"})]
+        monkeypatch.undo()
+        assert table.row_count == before
+        assert table.get("7") == new
+        assert table.attribute_query("name", "renamed") == [new]
+        assert not any(r["fid"] == 7
+                       for r in table.attribute_query("name", "poi7"))
+        # No index table keeps an entry under the old position or time.
+        around_old = STQuery(old["geom"].envelope.buffer(1e-6, 1e-6),
+                             old["time"] - 1.0, old["time"] + 1.0)
+        around_new = STQuery(new["geom"].envelope.buffer(1e-6, 1e-6),
+                             new["time"] - 1.0, new["time"] + 1.0)
+        for strategy_name in table.strategies:
+            assert not any(
+                r["fid"] == 7 for r in table.query(
+                    around_old, strategy_name=strategy_name))
+            assert [r["fid"] for r in table.query(
+                around_new, strategy_name=strategy_name)] == [7]
 
     def test_delete_removes_index_entry(self, attr_engine):
         table = attr_engine.table("poi")

@@ -1,5 +1,7 @@
 """Row serialization and field compression."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,8 +15,11 @@ from repro.core.codec import (
     write_varint,
 )
 from repro.core.schema import Field, FieldType, Schema
+from repro.errors import SchemaError
 from repro.geometry import LineString, Point, Polygon
 from repro.trajectory import GPSPoint, STSeries, TSeries
+
+from conftest import on_the_stored_grid
 
 
 class TestVarint:
@@ -188,3 +193,228 @@ class TestRowCodec:
         assert len(compressed.decode_row(
             compressed.encode_row(row))["gps"]) == 2000
         assert len(plain.decode_row(plain.encode_row(row))["gps"]) == 2000
+
+
+class TestSequenceCodecs:
+    """LineString/Polygon/TSeries share one bulk pack of float pairs."""
+
+    def test_long_sequences_round_trip(self):
+        coords = [(116.0 + i * 1e-4, 39.9 - i * 1e-5) for i in range(500)]
+        samples = [(1e9 + i * 0.5, i * 0.25) for i in range(500)]
+        for value, ftype in [(LineString(coords), FieldType.LINESTRING),
+                             (Polygon(coords), FieldType.POLYGON),
+                             (LineString(coords), FieldType.GEOMETRY),
+                             (TSeries(samples), FieldType.T_SERIES)]:
+            data = encode_value(value, ftype)
+            assert decode_value(data, ftype) == value
+            assert encode_value(decode_value(data, ftype), ftype) == data
+
+    def test_pair_layout_is_count_then_big_endian_doubles(self):
+        data = encode_value(TSeries([(1.0, 2.0), (3.0, 4.0)]),
+                            FieldType.T_SERIES)
+        assert data == struct.pack(">Idddd", 2, 1.0, 2.0, 3.0, 4.0)
+        assert encode_value(LineString([(1.0, 2.0), (3.0, 4.0)]),
+                            FieldType.LINESTRING) == data
+
+
+#: A fixed trajectory row and its stored bytes with every field plain
+#: (the ``JUSTnc`` layout; gzip framing carries a timestamp, so the
+#: compressed form is pinned through its decompressed payload instead).
+GOLDEN_ROW = {
+    "tid": "t1", "oid": "lorry-7",
+    "start_time": 1_400_000_000.25, "end_time": 1_400_000_060.5,
+    "start_point": Point(116.397128, 39.916527),
+    "end_point": Point(116.39, 39.92),
+    "gps_list": STSeries([(116.397128, 39.916527, 1_400_000_000.25),
+                          (116.3975, 39.917, 1_400_000_030.0),
+                          (116.39, 39.92, 1_400_000_060.5)]),
+}
+GOLDEN_SERIES_HEX = (
+    "0300"                              # 3 samples, delta layout
+    "06f01448" "026113ef" "00000145f680b0fa"   # first sample (i32 i32 i64)
+    "00000174" "000001d9" "00007436"    # +372, +473 ticks, +29 750 ms
+    "ffffe2b4" "00000bb8" "00007724")   # -7 500, +3 000 ticks, +30 500 ms
+GOLDEN_ROW_HEX = (
+    "01" "02" "7431"                    # tid: plain, 2 bytes
+    "01" "07" "6c6f7272792d37"          # oid
+    "01" "08" "41d4dc9380100000"        # start_time
+    "01" "08" "41d4dc938f200000"        # end_time
+    "01" "10" "405d196a8b8f14db" "4043f550c1b97354"   # start_point
+    "01" "10" "405d18f5c28f5c29" "4043f5c28f5c28f6"   # end_point
+    "01" "2a" + GOLDEN_SERIES_HEX)      # gps_list: plain, 42 bytes
+
+
+class TestStoredFormatIsPinned:
+    """Fails if the stored format moves (it must not: rows written by an
+    older build stay readable, and ``storage_amp`` stays put)."""
+
+    def trajectory_codec(self, compression_enabled):
+        from repro.core.plugins import TRAJECTORY_SCHEMA
+        return RowCodec(TRAJECTORY_SCHEMA, compression_enabled)
+
+    def test_plain_row_bytes(self):
+        codec = self.trajectory_codec(False)
+        data = codec.encode_row(GOLDEN_ROW)
+        assert data.hex() == GOLDEN_ROW_HEX
+        assert codec.encode_row(codec.decode_row(data)) == data
+
+    def test_compressed_row_wraps_the_same_series_bytes(self):
+        data = self.trajectory_codec(True).encode_row(GOLDEN_ROW)
+        head = len(GOLDEN_ROW_HEX) // 2 - 44   # up to gps_list's flag
+        assert data[:head].hex() == GOLDEN_ROW_HEX[:2 * head]
+        assert data[head] == 2                 # compressed
+        length, pos = read_varint(data, head + 1)
+        assert pos + length == len(data)
+        assert data[pos:pos + 4] == b"\x1f\x8b\x08\x00"  # gzip, deflate
+        assert decompress_bytes(data[pos:], "gzip").hex() == \
+            GOLDEN_SERIES_HEX
+
+    def test_reencoding_a_decoded_row_is_the_identity(self, monkeypatch):
+        import gzip
+        import types
+        # gzip stamps the current time into its header.
+        monkeypatch.setattr(gzip, "time",
+                            types.SimpleNamespace(time=lambda: 1.6e9))
+        codec = self.trajectory_codec(True)
+        data = codec.encode_row(GOLDEN_ROW)
+        assert codec.encode_row(codec.decode_row(data)) == data
+
+    def test_absolute_layout_bytes(self):
+        series = STSeries([(0.0, 0.0, 0.0), (1.0, -1.0, 86400.0 * 60)])
+        data = encode_value(series, FieldType.ST_SERIES)
+        assert data == b"\x02\x01" + struct.pack(
+            ">iiqiiq", 0, 0, 0, 1_000_000, -1_000_000, 5_184_000_000)
+        decoded = decode_value(data, FieldType.ST_SERIES)
+        assert encode_value(decoded, FieldType.ST_SERIES) == data
+
+
+PROJECTION_SCHEMA = Schema([
+    Field("fid", FieldType.INTEGER, primary_key=True),
+    Field("name", FieldType.STRING),
+    Field("time", FieldType.DATE),
+    Field("geom", FieldType.POINT),
+    Field("note", FieldType.STRING, compress="zip"),
+    Field("gps_list", FieldType.ST_SERIES, compress="gzip"),
+    Field("tail", FieldType.BOOLEAN),
+])
+PROJECTION_ROW = {
+    "fid": 7, "name": "alpha", "time": 1_500_000_000.0,
+    "geom": Point(116.4, 39.9), "note": "n" * 300,   # a 2-byte varint
+    "gps_list": STSeries([(116.4, 39.9, 1_500_000_000.0 + i)
+                          for i in range(50)]),
+    "tail": True,
+}
+_NULLABLE = [n for n in PROJECTION_SCHEMA.names if n != "fid"]
+
+
+class TestDecodeProjection:
+    """``decode_row(data, wanted)``: the late-materialization contract."""
+
+    @given(wanted=st.sets(st.sampled_from(PROJECTION_SCHEMA.names
+                                          + ["item"])),
+           nulls=st.sets(st.sampled_from(_NULLABLE)),
+           compression_enabled=st.booleans())
+    def test_equals_the_full_decode_restricted_to_wanted(
+            self, wanted, nulls, compression_enabled):
+        codec = RowCodec(PROJECTION_SCHEMA, compression_enabled)
+        row = {k: None if k in nulls else v
+               for k, v in PROJECTION_ROW.items()}
+        data = codec.encode_row(row)
+        full = codec.decode_row(data)
+        assert list(full) == PROJECTION_SCHEMA.names
+        assert codec.decode_row(data, frozenset(wanted)) == \
+            {k: v for k, v in full.items() if k in wanted}
+
+    def test_an_unwanted_compressed_field_is_never_decompressed(
+            self, decompress_calls):
+        codec = RowCodec(PROJECTION_SCHEMA)
+        data = codec.encode_row(PROJECTION_ROW)
+        row = codec.decode_row(data, {"fid", "name", "tail"})
+        assert row == {"fid": 7, "name": "alpha", "tail": True}
+        assert decompress_calls == []
+        codec.decode_row(data, {"fid", "note"})
+        assert decompress_calls == ["zip"]
+        codec.decode_row(data)
+        assert decompress_calls == ["zip", "zip", "gzip"]
+
+    def test_names_that_are_not_schema_fields_are_ignored(self):
+        codec = RowCodec(PROJECTION_SCHEMA)
+        data = codec.encode_row(PROJECTION_ROW)
+        assert codec.decode_row(data, {"item", "fid", "ghost"}) == \
+            {"fid": 7}
+        assert codec.decode_row(data, frozenset()) == {}
+
+
+_WALK = [(116.0 + i * 1.37e-4, 39.9 - (i % 7) * 2.1e-5,
+          1_500_000_000.0 + i * 30.125) for i in range(40)]
+_GAPPED = _WALK[:3] + [(117.0, 40.0, 1_500_000_000.0 + 86400.0 * 60)]
+
+
+class TestDecodedSeriesIsItsColumns:
+    """A codec-built ``STSeries`` answers from the stored integer
+    columns; ``GPSPoint``s exist only once something reads them."""
+
+    @pytest.mark.parametrize("points", [
+        _WALK, _GAPPED, _WALK[:2], _WALK[:1], []],
+        ids=["delta", "absolute", "two", "one", "empty"])
+    def test_summaries_build_no_points_and_equal_the_eager_ones(
+            self, points, gps_points_built):
+        eager = STSeries(on_the_stored_grid(points))
+        data = encode_value(STSeries(points), FieldType.ST_SERIES)
+        gps_points_built.clear()
+        decoded = decode_value(data, FieldType.ST_SERIES)
+        assert len(decoded) == len(eager)
+        if points:
+            assert decoded.envelope == eager.envelope
+            assert decoded.time_extent == eager.time_extent
+        else:
+            with pytest.raises(SchemaError):
+                decoded.envelope
+            with pytest.raises(SchemaError):
+                decoded.time_extent
+        if len(points) >= 2:
+            assert decoded.as_linestring() == eager.as_linestring()
+        else:
+            with pytest.raises(SchemaError):
+                decoded.as_linestring()
+        assert encode_value(decoded, FieldType.ST_SERIES) == data
+        assert gps_points_built == []
+        # Reading the points materializes them, once.
+        assert decoded.points == eager.points
+        assert len(gps_points_built) == len(points)
+        assert list(decoded) == list(eager) and decoded.points is \
+            decoded.points
+        if points:
+            assert decoded[0] == eager[0] and decoded[-1] == eager[-1]
+        assert len(gps_points_built) == len(points)
+
+    @pytest.mark.parametrize("points", [_WALK, _GAPPED, _WALK[:1], []],
+                             ids=["delta", "absolute", "one", "empty"])
+    def test_equality_and_hash_span_both_constructions(self, points):
+        eager = STSeries(on_the_stored_grid(points))
+        decoded = decode_value(
+            encode_value(STSeries(points), FieldType.ST_SERIES),
+            FieldType.ST_SERIES)
+        assert decoded == eager and eager == decoded
+        assert hash(decoded) == hash(eager)
+        assert decoded.length_m() == eager.length_m()
+        if points:
+            other = STSeries(on_the_stored_grid(points[:-1]))
+            assert decoded != other
+
+    def test_a_negative_time_delta_is_rejected_at_decode(self):
+        from repro.core.plugins import TRAJECTORY_SCHEMA
+        good = bytes.fromhex(GOLDEN_ROW_HEX)
+        bad = good[:-4] + struct.pack(">i", -31_000)   # the last dt
+        codec = RowCodec(TRAJECTORY_SCHEMA, compression_enabled=False)
+        assert len(codec.decode_row(good)["gps_list"]) == 3
+        with pytest.raises(SchemaError):
+            codec.decode_row(bad)
+        # ... but a row that never decodes the field never sees it.
+        assert codec.decode_row(bad, {"tid"}) == {"tid": "t1"}
+
+    def test_unordered_absolute_timestamps_are_rejected_too(self):
+        data = b"\x02\x01" + struct.pack(">iiqiiq", 0, 0, 5_000,
+                                         1, 1, 4_999)
+        with pytest.raises(SchemaError):
+            decode_value(data, FieldType.ST_SERIES)

@@ -190,7 +190,7 @@ class TestScanAccounting:
         decoded = []
         monkeypatch.setattr(
             table.codec, "decode_row",
-            lambda payload: decoded.append(1) or decode_row(payload))
+            lambda *args: decoded.append(1) or decode_row(*args))
         job = cold_engine.cluster.job()
         before = cold_engine.store.stats.snapshot()
         batches = table.query_batches(STQuery(envelope=self.WORLD),

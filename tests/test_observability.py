@@ -264,6 +264,33 @@ class TestExplainAnalyze:
         # The flushed table forces real block I/O somewhere in the tree.
         assert sum(r["blocks_read"] + r["cache_hits"] for r in rows) > 0
 
+    def test_scan_reports_the_fields_it_decoded(self, poi_engine):
+        """The pushed projection plus what the table's own exact filter
+        reads; ``*`` when the statement (or the access path) wants every
+        field."""
+        def scan_of(statement):
+            ctx = RequestContext()
+            rs = poi_engine.sql("EXPLAIN ANALYZE " + statement, ctx=ctx)
+            span = next(s for _d, s in ctx.profile.root.walk()
+                        if s.attrs.get("op") == "ScanNode")
+            label = next(r["operator"] for r in rs.rows
+                         if "Scan[" in r["operator"])
+            return span.attrs, label
+
+        attrs, label = scan_of(ST_QUERY)
+        assert attrs["decoded_fields"] == ["fid", "geom", "time"]
+        assert attrs["batches"] > 0
+        assert label.endswith("decoded=[fid, geom, time]")
+        attrs, label = scan_of("SELECT name, count(*) AS n FROM poi "
+                               "GROUP BY name")
+        assert attrs["decoded_fields"] == ["name"]
+        attrs, label = scan_of("SELECT * FROM poi")
+        assert attrs["decoded_fields"] == "*"
+        assert label.endswith("decoded=*")
+        # A primary-key get goes through the row API: every field.
+        attrs, _label = scan_of("SELECT name FROM poi WHERE fid = 7")
+        assert attrs["decoded_fields"] == "*"
+
     def test_matches_plain_select_rows(self, poi_engine):
         expected = len(poi_engine.sql(ST_QUERY))
         rs = poi_engine.sql("EXPLAIN ANALYZE " + ST_QUERY)
