@@ -37,12 +37,15 @@ class KNNResult:
 def knn_query(table, lng: float, lat: float, k: int,
               job: SimJob | None = None,
               min_cell_km: float = DEFAULT_MIN_CELL_KM,
-              search_area: Envelope | None = None) -> KNNResult:
+              search_area: Envelope | None = None,
+              ctx=None) -> KNNResult:
     """Algorithm 1: k nearest records to ``(lng, lat)`` in ``table``.
 
     Distances are planar (degree-space) Euclidean, as in the paper.
     ``search_area`` defaults to the table's observed data envelope
-    (falling back to the world) and bounds the expansion.
+    (falling back to the world) and bounds the expansion.  ``ctx`` (a
+    :class:`repro.resilience.RequestContext`) reaches every area's range
+    query, and the deadline is checked once per area.
     """
     if k <= 0:
         raise ExecutionError("k must be positive")
@@ -61,6 +64,7 @@ def knn_query(table, lng: float, lat: float, k: int,
                         next(counter), search_area))
 
     seen_fids: set[str] = set()
+    row_count = table.row_count
     areas_queried = 0
     areas_pruned = 0
 
@@ -69,18 +73,25 @@ def knn_query(table, lng: float, lat: float, k: int,
 
     while aq:
         d_area, _n, area = heapq.heappop(aq)
-        if len(cq) == k and d_area > dmax():
+        if (len(cq) == k and d_area > dmax()) \
+                or len(seen_fids) >= row_count:
+            # Lemma 1: no remaining area can improve the result — or
+            # none holds a row not yet seen (an empty table from the
+            # start): without a k-th candidate to prune against, the
+            # expansion would quarter the whole search area down to g.
             areas_pruned += 1 + len(aq)
-            break  # Lemma 1: no remaining area can improve the result
+            break
         if area.width > g_degrees or area.height > g_degrees:
             for child in area.quadrants():
                 heapq.heappush(
                     aq, (child.min_distance_to_point(lng, lat),
                          next(counter), child))
             continue
+        if ctx is not None:
+            ctx.check("knn")
         areas_queried += 1
         rows = table.query(STQuery(envelope=area), predicate="intersects",
-                           job=job)
+                           job=job, ctx=ctx)
         for row in rows:
             fid = table.schema.fid_of(row)
             if fid in seen_fids:

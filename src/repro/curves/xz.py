@@ -15,26 +15,11 @@ JUSTd/JUSTy/JUSTc variants use for trajectories.
 from __future__ import annotations
 
 import math
-from collections import deque
+from operator import add
 
+from repro.curves.zranges import DEFAULT_MAX_RANGES, _merge_ranges
 from repro.errors import IndexError_
 from repro.geometry.envelope import Envelope
-
-DEFAULT_MAX_RANGES = 256
-
-
-def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    if not ranges:
-        return []
-    ranges.sort()
-    merged = [ranges[0]]
-    for lo, hi in ranges[1:]:
-        last_lo, last_hi = merged[-1]
-        if lo <= last_hi + 1:
-            merged[-1] = (last_lo, max(last_hi, hi))
-        else:
-            merged.append((lo, hi))
-    return merged
 
 
 class _XZBase:
@@ -45,21 +30,21 @@ class _XZBase:
             raise IndexError_("XZ resolution g must be >= 1")
         self.g = g
         self.dims = dims
-        self._fanout = 1 << dims  # 4 for XZ2, 8 for XZ3
-
-    def _subtree_size(self, level: int) -> int:
-        """Codes owned by a cell at ``level`` including itself."""
-        f = self._fanout
-        return (f ** (self.g - level + 1) - 1) // (f - 1)
-
-    def _child_step(self, level: int) -> int:
-        """Code distance between sibling children of a cell at ``level``."""
-        f = self._fanout
-        return (f ** (self.g - level) - 1) // (f - 1)
+        f = self._fanout = 1 << dims  # 4 for XZ2, 8 for XZ3
+        #: Per level: codes owned by a cell including itself, and the
+        #: code distance between sibling children of a cell.
+        self._subtree_sizes = [(f ** (g - level + 1) - 1) // (f - 1)
+                               for level in range(g + 1)]
+        self._child_steps = [(f ** (g - level) - 1) // (f - 1)
+                             for level in range(g + 1)]
+        #: Per quadrant number: which half of the cell, per dimension.
+        self._quadrant_halves = [tuple((quadrant >> d) & 1
+                                       for d in range(dims))
+                                 for quadrant in range(f)]
 
     def max_code(self) -> int:
         """Largest sequence code the curve can produce."""
-        return self._subtree_size(0) - 1
+        return self._subtree_sizes[0] - 1
 
     # -- element length ----------------------------------------------------
     def _element_length(self, mins: list[float], spans: list[float]) -> int:
@@ -93,7 +78,7 @@ class _XZBase:
         cell_hi = [1.0] * self.dims
         cs = 0
         for i in range(length):
-            step = self._child_step(i)
+            step = self._child_steps[i]
             quadrant = 0
             for d in range(self.dims):
                 center = (cell_lo[d] + cell_hi[d]) / 2.0
@@ -123,37 +108,62 @@ class _XZBase:
         dimension.  Every descendant's extended square lies inside the
         parent's extended square, so pruning on the extended square is
         exact for whole subtrees.
+
+        The walk is the breadth-first one of ``curves/zranges.py`` (same
+        budget rule; children in quadrant-number order; depth limit
+        ``g``), one level at a time over integer cell indexes: a cell of
+        index ``ix`` at ``level`` spans ``ix * 0.5**level`` to
+        ``(ix + 2) * 0.5**level`` once extended, and both products — like
+        ``q * 2**level`` — are exact in floating point, so comparing
+        ``ix`` with the rounded scaled window decides exactly what
+        comparing the corners with the window would.
         """
+        g = self.g
+        dims = range(self.dims)
+        halves = self._quadrant_halves
+        # Cell corners lie in [0, 2]: a bound beyond [-1, 3] decides
+        # every comparison as -1 or 3 does, and stays finite to scale.
+        q_lo = [min(3.0, max(-1.0, q)) for q in q_lo]
+        q_hi = [min(3.0, max(-1.0, q)) for q in q_hi]
         ranges: list[tuple[int, int]] = []
-        # queue entries: (level, cell lower corner per dim, cell code)
-        queue: deque[tuple[int, list[float], int]] = deque()
-        queue.append((0, [0.0] * self.dims, 0))
-
-        while queue:
-            level, lo, cs = queue.popleft()
-            width = 0.5 ** level
-            ext_hi = [lo[d] + 2.0 * width for d in range(self.dims)]
-            intersects = all(lo[d] <= q_hi[d] and ext_hi[d] >= q_lo[d]
-                             for d in range(self.dims))
-            if not intersects:
-                continue
-            contained = all(lo[d] >= q_lo[d] and ext_hi[d] <= q_hi[d]
-                            for d in range(self.dims))
-            budget_left = max_ranges - len(ranges) - len(queue)
-            if contained or level == self.g or budget_left <= 0:
-                ranges.append((cs, cs + self._subtree_size(level) - 1))
-                continue
-            # The element stored exactly at this cell may intersect the
-            # query even when no single child subtree fully covers it.
-            ranges.append((cs, cs))
-            step = self._child_step(level)
-            child_width = width / 2.0
-            for quadrant in range(self._fanout):
-                child_lo = [lo[d] + (child_width if quadrant & (1 << d)
-                                     else 0.0)
-                            for d in range(self.dims)]
-                queue.append((level + 1, child_lo, cs + 1 + quadrant * step))
-
+        cells = [(0,) * self.dims]  # lower-corner index per dimension
+        codes = [0]
+        level = 0
+        while codes:
+            scale = 2.0 ** level
+            # First / last index whose lower corner is inside the window.
+            first = [math.ceil(lo * scale) for lo in q_lo]
+            last = [math.floor(hi * scale) for hi in q_hi]
+            size = self._subtree_sizes[level]
+            step = self._child_steps[level]
+            next_cells: list[tuple[int, ...]] = []
+            next_codes: list[int] = []
+            behind = len(codes)  # cells of this level still queued
+            for cell, cs in zip(cells, codes):
+                behind -= 1
+                contained = True
+                for d in dims:
+                    ix = cell[d]
+                    if ix > last[d] or ix + 2 < first[d]:
+                        break  # extended cell misses the window
+                    if ix < first[d] or ix + 2 > last[d]:
+                        contained = False
+                else:
+                    queued = behind + len(next_codes)
+                    if contained or level == g \
+                            or max_ranges - len(ranges) - queued <= 0:
+                        ranges.append((cs, cs + size - 1))
+                        continue
+                    # The element stored exactly at this cell may
+                    # intersect the query even when no single child
+                    # subtree fully covers it.
+                    ranges.append((cs, cs))
+                    doubled = [2 * ix for ix in cell]
+                    for quadrant, half in enumerate(halves):
+                        next_cells.append(tuple(map(add, doubled, half)))
+                        next_codes.append(cs + 1 + quadrant * step)
+            cells, codes = next_cells, next_codes
+            level += 1
         return _merge_ranges(ranges)
 
 

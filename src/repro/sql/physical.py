@@ -253,7 +253,7 @@ def _execute_scan(plan: ScanNode, engine, job, ctx=None) -> DataFrame:
 
     if preds.knn is not None:
         point, k = preds.knn
-        result = knn_query(table, point.lng, point.lat, k, job)
+        result = knn_query(table, point.lng, point.lat, k, job, ctx=ctx)
         rows = _apply_pushed_st_filter(table, preds, result.rows)
         source = batches_from_rows(rows, columns)
     elif preds.fid is not None:

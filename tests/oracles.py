@@ -8,6 +8,9 @@ benchmark keeps its own copies, tests never import from ``benchmarks/``.)
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import product
+
 
 def segment_meets_box(x1, y1, x2, y2, box) -> bool:
     """Liang–Barsky clip of a segment against a closed rectangle."""
@@ -34,3 +37,138 @@ def polyline_meets_box(xy, box) -> bool:
     """Does any segment of the polyline ``xy`` touch the closed ``box``?"""
     return any(segment_meets_box(x1, y1, x2, y2, box)
                for (x1, y1), (x2, y2) in zip(xy, xy[1:]))
+
+
+# -- range planning: the reference walks --------------------------------------
+#
+# The walks ``curves/zranges.py`` and ``curves/xz.py`` shipped until the
+# integer kernels replaced them, kept verbatim as the definition of
+# "which ranges come out": breadth-first from the root, children in
+# ``product((0, 1), repeat=dims)`` order (Z) / quadrant-number order
+# (XZ), budget = ``max_ranges - emitted - still queued`` with disjoint
+# cells counted while queued, refinement ``max_recurse`` levels below
+# the common-prefix cell (Z) / down to level ``g`` (XZ).
+
+def merge_ranges(ranges):
+    """Sort and coalesce overlapping or adjacent inclusive ranges."""
+    if not ranges:
+        return []
+    ranges.sort()
+    merged = [ranges[0]]
+    for lo, hi in ranges[1:]:
+        last_lo, last_hi = merged[-1]
+        if lo <= last_hi + 1:
+            merged[-1] = (last_lo, max(last_hi, hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def interleave(coords, bits):
+    """Bit-by-bit Morton code; dimension 0 occupies the lowest bit."""
+    dims = len(coords)
+    z = 0
+    for bit in range(bits):
+        for d, c in enumerate(coords):
+            z |= ((c >> bit) & 1) << (bit * dims + d)
+    return z
+
+
+def _common_prefix_level(bits, q_lo, q_hi):
+    """Deepest level at which one cell still contains the whole query."""
+    level = 0
+    while level < bits:
+        shift = bits - level - 1
+        if any((lo >> shift) != (hi >> shift)
+               for lo, hi in zip(q_lo, q_hi)):
+            return level
+        level += 1
+    return bits
+
+
+def z_ranges_reference(bits, q_lo, q_hi, max_ranges, max_recurse):
+    """Covering Z ranges of the inclusive cell box ``q_lo``..``q_hi``."""
+    dims = len(q_lo)
+    depth_limit = min(bits,
+                      _common_prefix_level(bits, q_lo, q_hi) + max_recurse)
+    child_offsets = list(product((0, 1), repeat=dims))
+
+    ranges = []
+    # Breadth-first over (level, coords); coarse cells are decided first so
+    # that exhausting the budget degrades precision, not correctness.
+    queue = deque()
+    queue.append((0, tuple(0 for _ in range(dims))))
+
+    def cell_range(level, coords):
+        shift = dims * (bits - level)
+        z_lo = interleave(coords, bits) << shift
+        return z_lo, z_lo + (1 << shift) - 1
+
+    while queue:
+        level, coords = queue.popleft()
+        shift = bits - level
+        lo = tuple(c << shift for c in coords)
+        hi = tuple(((c + 1) << shift) - 1 for c in coords)
+        disjoint = any(lo[d] > q_hi[d] or hi[d] < q_lo[d]
+                       for d in range(dims))
+        if disjoint:
+            continue
+        contained = all(lo[d] >= q_lo[d] and hi[d] <= q_hi[d]
+                        for d in range(dims))
+        budget_left = max_ranges - len(ranges) - len(queue)
+        if contained or level >= depth_limit or budget_left <= 0:
+            ranges.append(cell_range(level, coords))
+            continue
+        for offsets in child_offsets:
+            child = tuple(c * 2 + o for c, o in zip(coords, offsets))
+            queue.append((level + 1, child))
+
+    return merge_ranges(ranges)
+
+
+def xz_ranges_reference(g, q_lo, q_hi, max_ranges):
+    """Covering XZ sequence-code ranges of a normalized query box.
+
+    ``q_lo``/``q_hi`` are per-dimension floats in the unit cube (2 for
+    XZ2, 3 for XZ3); ``g`` is the curve's resolution.
+    """
+    dims = len(q_lo)
+    fanout = 1 << dims
+
+    def subtree_size(level):
+        return (fanout ** (g - level + 1) - 1) // (fanout - 1)
+
+    def child_step(level):
+        return (fanout ** (g - level) - 1) // (fanout - 1)
+
+    ranges = []
+    # queue entries: (level, cell lower corner per dim, cell code)
+    queue = deque()
+    queue.append((0, [0.0] * dims, 0))
+
+    while queue:
+        level, lo, cs = queue.popleft()
+        width = 0.5 ** level
+        ext_hi = [lo[d] + 2.0 * width for d in range(dims)]
+        intersects = all(lo[d] <= q_hi[d] and ext_hi[d] >= q_lo[d]
+                         for d in range(dims))
+        if not intersects:
+            continue
+        contained = all(lo[d] >= q_lo[d] and ext_hi[d] <= q_hi[d]
+                        for d in range(dims))
+        budget_left = max_ranges - len(ranges) - len(queue)
+        if contained or level == g or budget_left <= 0:
+            ranges.append((cs, cs + subtree_size(level) - 1))
+            continue
+        # The element stored exactly at this cell may intersect the
+        # query even when no single child subtree fully covers it.
+        ranges.append((cs, cs))
+        step = child_step(level)
+        child_width = width / 2.0
+        for quadrant in range(fanout):
+            child_lo = [lo[d] + (child_width if quadrant & (1 << d)
+                                 else 0.0)
+                        for d in range(dims)]
+            queue.append((level + 1, child_lo, cs + 1 + quadrant * step))
+
+    return merge_ranges(ranges)
