@@ -42,6 +42,11 @@ from repro.sql.logical import (
 )
 
 
+_AGGREGATE_EXPRESSION = (
+    "expressions over aggregates are not supported; alias the aggregate "
+    "and wrap in an outer SELECT")
+
+
 def analyze_select(engine, stmt: SelectStmt,
                    namespace: str = "") -> LogicalNode:
     """Build the analyzed logical plan for a SELECT statement."""
@@ -74,6 +79,8 @@ def analyze_select(engine, stmt: SelectStmt,
     if is_aggregate:
         plan = _plan_aggregate(plan, stmt, named, available)
         if stmt.having is not None:
+            if contains_aggregate(stmt.having):
+                raise AnalysisError(_AGGREGATE_EXPRESSION)
             _check_columns(stmt.having, set(plan.columns), "HAVING")
             plan = FilterNode(plan, stmt.having)
         output_names = plan.columns
@@ -194,9 +201,7 @@ def _plan_aggregate(plan: LogicalNode, stmt: SelectStmt, named,
                 raise AnalysisError(
                     "non-aggregate expressions in an aggregate SELECT must "
                     "be GROUP BY keys")
-            raise AnalysisError(
-                "expressions over aggregates are not supported; alias the "
-                "aggregate and wrap in an outer SELECT")
+            raise AnalysisError(_AGGREGATE_EXPRESSION)
     node = AggregateNode(plan, group_exprs, agg_calls)
     return ProjectNode(node, outputs)
 

@@ -84,6 +84,50 @@ class Aliased(Expr):
     alias: str
 
 
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The direct sub-expressions of ``expr``, in evaluation order.
+
+    This and :func:`with_children` are the only places that know a
+    node's shape; every traversal is written on top of them.  The set
+    function of an :class:`InFunc` is part of the node (the planner
+    serves it, nothing evaluates or replaces it), so its arguments
+    count as the membership test's own children.
+    """
+    if isinstance(expr, BinaryOp):
+        return (expr.left, expr.right)
+    if isinstance(expr, (UnaryOp, IsNull)):
+        return (expr.operand,)
+    if isinstance(expr, Between):
+        return (expr.operand, expr.low, expr.high)
+    if isinstance(expr, FuncCall):
+        return tuple(expr.args)
+    if isinstance(expr, Aliased):
+        return (expr.expr,)
+    if isinstance(expr, InFunc):
+        return (expr.operand, *expr.func.args)
+    return ()
+
+
+def with_children(expr: Expr, new: tuple[Expr, ...]) -> Expr:
+    """A copy of ``expr`` over ``new`` sub-expressions (same arity and
+    order as :func:`children` returned)."""
+    if isinstance(expr, BinaryOp):
+        return BinaryOp(expr.op, *new)
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(expr.op, *new)
+    if isinstance(expr, IsNull):
+        return IsNull(*new, expr.negated)
+    if isinstance(expr, Between):
+        return Between(*new)
+    if isinstance(expr, FuncCall):
+        return FuncCall(expr.name, tuple(new))
+    if isinstance(expr, Aliased):
+        return Aliased(*new, expr.alias)
+    if isinstance(expr, InFunc):
+        return InFunc(new[0], FuncCall(expr.func.name, tuple(new[1:])))
+    return expr
+
+
 # -- statements -----------------------------------------------------------------
 
 class Statement:

@@ -74,15 +74,20 @@ def execute_statement(engine, statement: str,
 
 # -- SELECT -----------------------------------------------------------------------
 
-def _run_select(engine, stmt: SelectStmt, namespace: str,
-                ctx=None) -> ResultSet:
-    plan = analyze_select(engine, stmt, namespace)
-    plan = optimize(plan)
+def _plan_and_run(engine, select: SelectStmt, namespace: str, ctx):
+    """Analyze, optimize and execute one SELECT on a fresh job bound to
+    ``ctx``; returns ``(dataframe, job)``."""
+    plan = optimize(analyze_select(engine, select, namespace))
     job = engine.cluster.job()
     if ctx is not None:
         ctx.bind(job)
     job.charge_fixed("driver", engine.cluster.model.query_overhead_ms)
-    df = execute_plan(plan, engine, job, ctx)
+    return execute_plan(plan, engine, job, ctx), job
+
+
+def _run_select(engine, stmt: SelectStmt, namespace: str,
+                ctx=None) -> ResultSet:
+    df, job = _plan_and_run(engine, stmt, namespace, ctx)
     result = ResultSet.from_dataframe(df, job)
     if ctx is not None:
         if ctx.profile is not None:
@@ -110,11 +115,7 @@ def _run_explain_analyze(engine, stmt: ExplainStmt, namespace: str,
     if owned_profile:
         ctx.profile = QueryProfile(statement="EXPLAIN ANALYZE")
     profile = ctx.profile
-    plan = optimize(analyze_select(engine, stmt.select, namespace))
-    job = engine.cluster.job()
-    ctx.bind(job)
-    job.charge_fixed("driver", engine.cluster.model.query_overhead_ms)
-    df = execute_plan(plan, engine, job, ctx)
+    df, job = _plan_and_run(engine, stmt.select, namespace, ctx)
     profile.finish(job.elapsed_ms, rows=df.count())
     result = ResultSet.from_rows(
         analyze_rows(profile),
@@ -151,12 +152,7 @@ def _run_create_table(engine, stmt: CreateTableStmt,
 
 def _run_create_view(engine, stmt: CreateViewStmt,
                      namespace: str, ctx=None) -> ResultSet:
-    plan = optimize(analyze_select(engine, stmt.select, namespace))
-    job = engine.cluster.job()
-    if ctx is not None:
-        ctx.bind(job)
-    job.charge_fixed("driver", engine.cluster.model.query_overhead_ms)
-    df = execute_plan(plan, engine, job, ctx)
+    df, job = _plan_and_run(engine, stmt.select, namespace, ctx)
     engine.create_view(namespace + stmt.name, df,
                        owner=namespace or None)
     return ResultSet.status(f"view {stmt.name} created "
@@ -265,12 +261,12 @@ def _parse_load_filter(filter_text: str | None):
         try:
             if eval_expr(expr, source_row) is True:
                 return True
-        except (TypeError, ExecutionError):
+        except ExecutionError:
             pass
         coerced = {k: _coerce_scalar(v) for k, v in source_row.items()}
         try:
             return eval_expr(expr, coerced) is True
-        except (TypeError, ExecutionError):
+        except ExecutionError:
             return False
 
     return row_filter, limit

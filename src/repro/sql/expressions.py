@@ -1,9 +1,16 @@
-"""Expression evaluation and manipulation utilities."""
+"""Expression evaluation and manipulation utilities.
+
+:func:`eval_expr_batch` is the only evaluator: one walk of the
+expression tree per :class:`RowBatch`, looping over column lists at the
+leaves.  :func:`eval_expr` evaluates a single row as a batch of one.
+"""
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 
+from repro.dataframe.batch import RowBatch
 from repro.errors import ExecutionError
 from repro.sql.ast import (
     Aliased,
@@ -17,44 +24,76 @@ from repro.sql.ast import (
     Literal,
     Star,
     UnaryOp,
+    children,
 )
 from repro.sql.functions import (
+    AGGREGATE_FUNCTIONS,
     SCALAR_FUNCTIONS,
     SET_FUNCTIONS,
     lookup_scalar,
 )
 
 
-def eval_expr(expr: Expr, row: dict,
-              extra_functions: dict | None = None):
-    """Evaluate an expression against one row (dict of column values)."""
+#: What applying an operator or a scalar function to values of the
+#: wrong type or range raises.  Reported as :class:`ExecutionError`, so
+#: callers (and the service layers) catch that one class only.
+_APPLY_ERRORS = (TypeError, ValueError, ArithmeticError, AttributeError)
+
+
+@contextmanager
+def _applying(what: str):
+    try:
+        yield
+    except _APPLY_ERRORS as exc:
+        raise ExecutionError(f"cannot apply {what}: {exc}") from exc
+
+
+def eval_expr_batch(expr: Expr, batch: RowBatch,
+                    extra_functions: dict | None = None) -> list:
+    """Evaluate ``expr`` over every row of ``batch``; returns one list
+    of results, index-aligned with the batch's rows.
+
+    SQL three-valued logic: ``NULL`` propagates through operators,
+    division by zero yields ``NULL``, and ``AND``/``OR`` evaluate their
+    right side only on the rows the left side left undecided.  An
+    empty batch evaluates nothing, so nothing raises for it.
+    """
+    n = len(batch)
+    if not n:
+        return []
     if isinstance(expr, Literal):
-        return expr.value
+        return [expr.value] * n
     if isinstance(expr, Column):
-        if expr.name not in row:
+        if expr.name not in batch:
             raise ExecutionError(f"unknown column {expr.name!r}")
-        return row[expr.name]
+        return batch.column(expr.name)
     if isinstance(expr, Aliased):
-        return eval_expr(expr.expr, row, extra_functions)
+        return eval_expr_batch(expr.expr, batch, extra_functions)
     if isinstance(expr, UnaryOp):
-        value = eval_expr(expr.operand, row, extra_functions)
+        values = eval_expr_batch(expr.operand, batch, extra_functions)
         if expr.op == "-":
-            return None if value is None else -value
+            with _applying("unary '-'"):
+                return [None if v is None else -v for v in values]
         if expr.op == "not":
-            return None if value is None else not _truthy(value)
+            return [None if v is None else not bool(v) for v in values]
         raise ExecutionError(f"unknown unary operator {expr.op!r}")
     if isinstance(expr, Between):
-        value = eval_expr(expr.operand, row, extra_functions)
-        low = eval_expr(expr.low, row, extra_functions)
-        high = eval_expr(expr.high, row, extra_functions)
-        if value is None or low is None or high is None:
-            return None
-        return low <= value <= high
+        values = eval_expr_batch(expr.operand, batch, extra_functions)
+        lows = eval_expr_batch(expr.low, batch, extra_functions)
+        highs = eval_expr_batch(expr.high, batch, extra_functions)
+        with _applying("BETWEEN"):
+            return [None if v is None or lo is None or hi is None
+                    else lo <= v <= hi
+                    for v, lo, hi in zip(values, lows, highs)]
     if isinstance(expr, IsNull):
-        value = eval_expr(expr.operand, row, extra_functions)
-        return (value is not None) if expr.negated else (value is None)
+        values = eval_expr_batch(expr.operand, batch, extra_functions)
+        if expr.negated:
+            return [v is not None for v in values]
+        return [v is None for v in values]
     if isinstance(expr, BinaryOp):
-        return _eval_binary(expr, row, extra_functions)
+        if expr.op in ("and", "or"):
+            return _eval_logical(expr, batch, extra_functions)
+        return _eval_binary(expr, batch, extra_functions)
     if isinstance(expr, FuncCall):
         if extra_functions and expr.name in extra_functions:
             fn = extra_functions[expr.name]
@@ -64,8 +103,11 @@ def eval_expr(expr: Expr, row: dict,
                 f"projection of a SELECT")
         else:
             fn = lookup_scalar(expr.name)
-        args = [eval_expr(a, row, extra_functions) for a in expr.args]
-        return fn(*args)
+        arg_lists = [eval_expr_batch(a, batch, extra_functions)
+                     for a in expr.args]
+        with _applying(f"function {expr.name!r}"):
+            return [fn(*args) for args in zip(*arg_lists)] if arg_lists \
+                else [fn() for _ in range(n)]
     if isinstance(expr, InFunc):
         raise ExecutionError(
             f"{expr.func.name} membership must be served by the planner")
@@ -74,105 +116,88 @@ def eval_expr(expr: Expr, row: dict,
     raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
 
 
-def _truthy(value) -> bool:
-    return bool(value)
+def eval_expr(expr: Expr, row: dict,
+              extra_functions: dict | None = None):
+    """Evaluate an expression against one row (a batch of one)."""
+    return eval_expr_batch(expr, RowBatch.from_rows([row]),
+                           extra_functions)[0]
 
 
-def _eval_binary(expr: BinaryOp, row: dict, extra_functions):
+def _eval_logical(expr: BinaryOp, batch: RowBatch,
+                  extra_functions) -> list:
+    """``AND``/``OR``: a FALSE (TRUE) left side decides the row; the
+    right side sees only the other rows, exactly as a row-at-a-time
+    short-circuit would."""
+    decided = expr.op == "or"
+    lefts = eval_expr_batch(expr.left, batch, extra_functions)
+    pending = [left is None or bool(left) is not decided
+               for left in lefts]
+    rights = iter(eval_expr_batch(expr.right, batch.filter(pending),
+                                  extra_functions))
+    out = []
+    for left, undecided in zip(lefts, pending):
+        if not undecided:
+            out.append(decided)
+            continue
+        right = next(rights)
+        if right is not None and bool(right) is decided:
+            out.append(decided)
+        elif left is None or right is None:
+            out.append(None)
+        else:
+            out.append(not decided)
+    return out
+
+
+def _eval_binary(expr: BinaryOp, batch: RowBatch,
+                 extra_functions) -> list:
     op = expr.op
-    if op == "and":
-        left = eval_expr(expr.left, row, extra_functions)
-        if left is not None and not _truthy(left):
-            return False
-        right = eval_expr(expr.right, row, extra_functions)
-        if right is not None and not _truthy(right):
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if op == "or":
-        left = eval_expr(expr.left, row, extra_functions)
-        if left is not None and _truthy(left):
-            return True
-        right = eval_expr(expr.right, row, extra_functions)
-        if right is not None and _truthy(right):
-            return True
-        if left is None or right is None:
-            return None
-        return False
-    left = eval_expr(expr.left, row, extra_functions)
-    right = eval_expr(expr.right, row, extra_functions)
+    lefts = eval_expr_batch(expr.left, batch, extra_functions)
+    rights = eval_expr_batch(expr.right, batch, extra_functions)
     if op == "within":
-        return SCALAR_FUNCTIONS["st_within"](left, right)
-    if left is None or right is None:
-        return None
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            return None
-        quotient = left / right
-        return quotient
-    if op == "%":
-        if right == 0:
-            return None
-        return left % right
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    if op == "like":
-        return _like(str(left), str(right))
-    raise ExecutionError(f"unknown operator {op!r}")
+        within = SCALAR_FUNCTIONS["st_within"]
+        with _applying("WITHIN"):
+            return [within(left, right)
+                    for left, right in zip(lefts, rights)]
+    fn = _BINARY_OPS.get(op)
+    if fn is None:
+        raise ExecutionError(f"unknown operator {op!r}")
+    with _applying(f"operator {op!r}"):
+        return [None if left is None or right is None
+                else fn(left, right)
+                for left, right in zip(lefts, rights)]
 
 
 def _like(value: str, pattern: str) -> bool:
     regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
-    return re.fullmatch(regex, value) is not None
+    return re.fullmatch(regex, value, re.DOTALL) is not None
+
+
+_BINARY_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: None if b == 0 else a / b,
+    "%": lambda a, b: None if b == 0 else a % b,
+    "=": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "like": lambda a, b: _like(str(a), str(b)),
+}
 
 
 # -- structural helpers -------------------------------------------------------
 
 def referenced_columns(expr: Expr) -> set[str]:
     """All column names mentioned anywhere in an expression."""
+    if isinstance(expr, Column):
+        return {expr.name}
     out: set[str] = set()
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, Column):
-            out.add(node.name)
-        elif isinstance(node, Aliased):
-            walk(node.expr)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, IsNull):
-            walk(node.operand)
-        elif isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, InFunc):
-            walk(node.operand)
-            walk(node.func)
-
-    walk(expr)
+    for child in children(expr):
+        out |= referenced_columns(child)
     return out
 
 
@@ -212,20 +237,6 @@ def expr_name(expr: Expr, index: int) -> str:
 
 def contains_aggregate(expr: Expr) -> bool:
     """True when the expression involves an aggregate function call."""
-    from repro.sql.functions import AGGREGATE_FUNCTIONS
-
-    if isinstance(expr, FuncCall):
-        if expr.name in AGGREGATE_FUNCTIONS:
-            return True
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, Aliased):
-        return contains_aggregate(expr.expr)
-    if isinstance(expr, UnaryOp):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, BinaryOp):
-        return contains_aggregate(expr.left) or \
-            contains_aggregate(expr.right)
-    if isinstance(expr, Between):
-        return any(contains_aggregate(e)
-                   for e in (expr.operand, expr.low, expr.high))
-    return False
+    if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
+        return True
+    return any(contains_aggregate(child) for child in children(expr))

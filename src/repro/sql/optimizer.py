@@ -18,15 +18,14 @@ from __future__ import annotations
 from repro.errors import ExecutionError
 from repro.sql.ast import (
     Aliased,
-    Between,
     BinaryOp,
     Column,
     Expr,
     FuncCall,
     InFunc,
-    IsNull,
     Literal,
-    UnaryOp,
+    children,
+    with_children,
 )
 from repro.sql.expressions import (
     eval_expr,
@@ -65,54 +64,33 @@ def optimize(plan: LogicalNode) -> LogicalNode:
 
 def fold_expr(expr: Expr) -> Expr:
     """Recursively replace constant sub-expressions with literals."""
-    if isinstance(expr, Literal) or isinstance(expr, Column):
+    operands = children(expr)
+    if not operands:
         return expr
-    if isinstance(expr, Aliased):
-        return Aliased(fold_expr(expr.expr), expr.alias)
-    if isinstance(expr, UnaryOp):
-        operand = fold_expr(expr.operand)
-        folded = UnaryOp(expr.op, operand)
-        if isinstance(operand, Literal):
-            return _try_literal(folded)
-        return folded
-    if isinstance(expr, Between):
-        folded = Between(fold_expr(expr.operand), fold_expr(expr.low),
-                         fold_expr(expr.high))
-        if all(isinstance(e, Literal)
-               for e in (folded.operand, folded.low, folded.high)):
-            return _try_literal(folded)
-        return folded
-    if isinstance(expr, IsNull):
-        operand = fold_expr(expr.operand)
-        folded = IsNull(operand, expr.negated)
-        if isinstance(operand, Literal):
-            return _try_literal(folded)
-        return folded
-    if isinstance(expr, BinaryOp):
-        left, right = fold_expr(expr.left), fold_expr(expr.right)
-        folded = BinaryOp(expr.op, left, right)
-        if expr.op not in ("and", "or") and isinstance(left, Literal) \
-                and isinstance(right, Literal):
-            return _try_literal(folded)
-        return folded
+    folded = with_children(expr, tuple(fold_expr(e) for e in operands))
+    if _is_foldable(folded) and \
+            all(isinstance(e, Literal) for e in children(folded)):
+        return _try_literal(folded)
+    return folded
+
+
+def _is_foldable(expr: Expr) -> bool:
+    """May this node become a literal once all its operands are?
+
+    ``AND``/``OR`` are left as written, an alias keeps its name, and
+    ``IN st_KNN(...)`` is served by the scan planner.
+    """
     if isinstance(expr, FuncCall):
-        args = tuple(fold_expr(a) for a in expr.args)
-        folded = FuncCall(expr.name, args)
-        if expr.name in _FOLDABLE and args and \
-                all(isinstance(a, Literal) for a in args):
-            return _try_literal(folded)
-        return folded
-    if isinstance(expr, InFunc):
-        return InFunc(fold_expr(expr.operand),
-                      FuncCall(expr.func.name,
-                               tuple(fold_expr(a) for a in expr.func.args)))
-    return expr
+        return expr.name in _FOLDABLE
+    if isinstance(expr, BinaryOp):
+        return expr.op not in ("and", "or")
+    return not isinstance(expr, (Aliased, InFunc))
 
 
 def _try_literal(expr: Expr) -> Expr:
     try:
         return Literal(eval_expr(expr, {}))
-    except (ExecutionError, ArithmeticError, TypeError, ValueError):
+    except ExecutionError:
         return expr
 
 
@@ -249,26 +227,8 @@ def _passthrough_mapping(project: ProjectNode) -> dict[str, str]:
 def _rename_columns(expr: Expr, mapping: dict[str, str]) -> Expr:
     if isinstance(expr, Column):
         return Column(mapping.get(expr.name, expr.name))
-    if isinstance(expr, Aliased):
-        return Aliased(_rename_columns(expr.expr, mapping), expr.alias)
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, _rename_columns(expr.operand, mapping))
-    if isinstance(expr, Between):
-        return Between(_rename_columns(expr.operand, mapping),
-                       _rename_columns(expr.low, mapping),
-                       _rename_columns(expr.high, mapping))
-    if isinstance(expr, IsNull):
-        return IsNull(_rename_columns(expr.operand, mapping), expr.negated)
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(expr.op, _rename_columns(expr.left, mapping),
-                        _rename_columns(expr.right, mapping))
-    if isinstance(expr, FuncCall):
-        return FuncCall(expr.name, tuple(_rename_columns(a, mapping)
-                                         for a in expr.args))
-    if isinstance(expr, InFunc):
-        return InFunc(_rename_columns(expr.operand, mapping),
-                      _rename_columns(expr.func, mapping))
-    return expr
+    return with_children(expr, tuple(_rename_columns(e, mapping)
+                                     for e in children(expr)))
 
 
 # -- rule 3: projection pushdown ---------------------------------------------------

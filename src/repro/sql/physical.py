@@ -27,8 +27,11 @@ from repro.sql.ast import (
     InFunc,
     Literal,
 )
-from repro.sql.expressions import eval_expr, split_conjuncts
-from repro.sql.vectorized import eval_expr_batch
+from repro.sql.expressions import (
+    eval_expr,
+    eval_expr_batch,
+    split_conjuncts,
+)
 from repro.sql.functions import (
     AGGREGATE_FUNCTIONS,
     NM_FUNCTIONS,
@@ -284,8 +287,8 @@ def _execute_scan(plan: ScanNode, engine, job, ctx=None) -> DataFrame:
         rows_in += len(batch)
         if preds.residual:
             batch = _filter_batch(batch, preds.residual, extra, metrics)
-        elif metrics is not None:
-            metrics.counter("sql.batches").inc()
+        else:
+            _count_batch(metrics)
         batches.append(batch)
         now = job.elapsed_ms
         batch_ms.append(now - last_ms)
@@ -306,37 +309,22 @@ def _execute_scan(plan: ScanNode, engine, job, ctx=None) -> DataFrame:
     return DataFrame.from_batches(batches, columns)
 
 
-def _count_batch(metrics, fallback: bool) -> None:
-    """Batch accounting: batches seen and per-row fallbacks."""
-    if metrics is None:
-        return
-    metrics.counter("sql.batches").inc()
-    if fallback:
-        metrics.counter("sql.batch_fallbacks").inc()
+def _count_batch(metrics) -> None:
+    if metrics is not None:
+        metrics.counter("sql.batches").inc()
 
 
 def _filter_batch(batch: RowBatch, conjuncts: list[Expr],
                   extra: dict, metrics=None) -> RowBatch:
     """Keep the batch's rows where every conjunct evaluates to TRUE.
 
-    Falls back to the row-at-a-time evaluator for the whole batch when
-    vectorized evaluation raises — either a genuinely bad expression
-    (the fallback re-raises it from the offending row, preserving row
-    semantics) or a side that only short-circuiting would have skipped.
+    Each conjunct sees only the rows the earlier ones kept, as an
+    ``AND`` would have it.
     """
-    try:
-        masks = [eval_expr_batch(c, batch, extra) for c in conjuncts]
-    except (ExecutionError, TypeError):
-        _count_batch(metrics, fallback=True)
-        rows = [row for row in batch.iter_rows()
-                if all(eval_expr(c, row, extra) is True
-                       for c in conjuncts)]
-        return RowBatch.from_rows(rows, batch.columns)
-    _count_batch(metrics, fallback=False)
-    if len(masks) == 1:
-        return batch.filter(masks[0])
-    return batch.filter([all(m is True for m in ms)
-                         for ms in zip(*masks)])
+    _count_batch(metrics)
+    for conjunct in conjuncts:
+        batch = batch.filter(eval_expr_batch(conjunct, batch, extra))
+    return batch
 
 
 def _classify_conjuncts(predicate: Expr | None, table) -> _ScanPredicates:
@@ -515,18 +503,10 @@ def _execute_project(plan: ProjectNode, engine, job, ctx=None) -> DataFrame:
 def _project_batch(batch: RowBatch, projections, extra: dict,
                    metrics=None) -> RowBatch:
     """Evaluate scalar projections column-at-a-time over one batch."""
-    names = [n for _e, n in projections]
-    try:
-        data = {name: eval_expr_batch(expr, batch, extra)
-                for expr, name in projections}
-    except (ExecutionError, TypeError):
-        _count_batch(metrics, fallback=True)
-        rows = [{name: eval_expr(expr, row, extra)
-                 for expr, name in projections}
-                for row in batch.iter_rows()]
-        return RowBatch.from_rows(rows, names)
-    _count_batch(metrics, fallback=False)
-    return RowBatch(data, names, len(batch))
+    _count_batch(metrics)
+    data = {name: eval_expr_batch(expr, batch, extra)
+            for expr, name in projections}
+    return RowBatch(data, [n for _e, n in projections], len(batch))
 
 
 def _projection_kind(expr: Expr, extra: dict) -> str:
@@ -549,15 +529,24 @@ def _execute_set_projection(plan: ProjectNode, child: DataFrame, set_item,
                     if n != set_name]
     columns = [n for _e, n in plan.projections]
 
-    def expand(row: dict):
-        args = [eval_expr(a, row, extra) for a in inner.args]
-        results = fn(*args)
-        base = {name: eval_expr(expr, row, extra)
-                for expr, name in scalar_items}
-        for element in results:
-            yield {**base, set_name: element}
+    # The evaluator calls the set function like a scalar one (each
+    # row's value is that row's list of results) and types its errors.
+    functions = {**extra, inner.name: fn}
 
-    out = child.flat_map(expand, columns)
+    def expand(batch: RowBatch) -> RowBatch:
+        results = eval_expr_batch(inner, batch, functions)
+        scalars = [(name, eval_expr_batch(expr, batch, extra))
+                   for expr, name in scalar_items]
+        data = {name: [] for name in columns}
+        for i, elements in enumerate(results):
+            for element in elements:
+                data[set_name].append(element)
+                for name, values in scalars:
+                    data[name].append(values[i])
+        return RowBatch(data, columns, len(data[set_name]))
+
+    out = DataFrame.from_batches(
+        [expand(b) for b in child.to_batches()], columns)
     job.charge_cpu_records(out.count(), us_per_record=20.0)
     return out
 
@@ -574,11 +563,11 @@ def _execute_dbscan(plan: ProjectNode, child: DataFrame, nm_item,
     geom_arg, min_pts_arg, radius_arg = inner.args
     rows = child.collect()
     points = []
-    for row in rows:
-        geometry = eval_expr(geom_arg, row, extra)
-        if not isinstance(geometry, Point):
-            raise ExecutionError("st_DBSCAN clusters point geometries")
-        points.append((geometry.lng, geometry.lat))
+    for batch in child.to_batches():
+        for geometry in eval_expr_batch(geom_arg, batch, extra):
+            if not isinstance(geometry, Point):
+                raise ExecutionError("st_DBSCAN clusters point geometries")
+            points.append((geometry.lng, geometry.lat))
     min_pts = int(eval_expr(min_pts_arg, rows[0] if rows else {}, extra))
     radius = float(eval_expr(radius_arg, rows[0] if rows else {}, extra))
     labels = dbscan(points, min_pts, radius)
@@ -589,17 +578,6 @@ def _execute_dbscan(plan: ProjectNode, child: DataFrame, nm_item,
 
 
 # -- aggregation / sorting ----------------------------------------------------------
-
-def _eval_column(expr: Expr, batch: RowBatch, extra: dict,
-                 metrics=None) -> list:
-    """One expression over one batch, with row-at-a-time fallback."""
-    try:
-        return eval_expr_batch(expr, batch, extra)
-    except (ExecutionError, TypeError):
-        if metrics is not None:
-            metrics.counter("sql.batch_fallbacks").inc()
-        return [eval_expr(expr, row, extra) for row in batch.iter_rows()]
-
 
 def _execute_aggregate(plan: AggregateNode, engine, job,
                        ctx=None) -> DataFrame:
@@ -629,12 +607,11 @@ def _execute_aggregate(plan: AggregateNode, engine, job,
     total = 0
     for batch in batches:
         total += len(batch)
-        if metrics is not None:
-            metrics.counter("sql.batches").inc()
-        key_cols = [_eval_column(expr, batch, extra, metrics)
+        _count_batch(metrics)
+        key_cols = [eval_expr_batch(expr, batch, extra)
                     for expr, _name in plan.group_exprs]
         in_cols = [None if e is None
-                   else _eval_column(e, batch, extra, metrics)
+                   else eval_expr_batch(e, batch, extra)
                    for e in agg_exprs]
         for i in range(len(batch)):
             key = tuple(col[i] for col in key_cols)
@@ -666,18 +643,19 @@ def _execute_sort(plan: SortNode, engine, job, ctx=None) -> DataFrame:
     key_names = []
     ascending = []
     temp_columns = []
-    df = child
+    batches = child.to_batches()
     for i, (expr, asc) in enumerate(plan.keys):
         if isinstance(expr, Column):
             key_names.append(expr.name)
         else:
             temp = f"__sort_{i}"
-            df = df.with_column(
-                temp, lambda row, e=expr: eval_expr(e, row, extra))
+            batches = [b.with_column(temp, eval_expr_batch(expr, b, extra))
+                       for b in batches]
             key_names.append(temp)
             temp_columns.append(temp)
         ascending.append(asc)
+    df = DataFrame.from_batches(batches, child.columns + temp_columns)
     df = df.order_by(key_names, ascending)
     if temp_columns:
-        df = df.select([c for c in df.columns if c not in temp_columns])
+        df = df.select(child.columns)
     return df

@@ -1,6 +1,6 @@
 """Independent reference implementations the engine is checked against.
 
-Nothing here shares code with ``repro``: an oracle that called the code
+Nothing here shares logic with ``repro``: an oracle that called the code
 under test would agree with its bugs.  (ROADMAP item 6 lifts the
 brute-force references of ``benchmarks/perf/workloads.py`` here; the
 benchmark keeps its own copies, tests never import from ``benchmarks/``.)
@@ -8,8 +8,29 @@ benchmark keeps its own copies, tests never import from ``benchmarks/``.)
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from itertools import product
+
+from repro.errors import ExecutionError
+from repro.sql.ast import (
+    Aliased,
+    Between,
+    BinaryOp,
+    Column,
+    Expr,
+    FuncCall,
+    InFunc,
+    IsNull,
+    Literal,
+    Star,
+    UnaryOp,
+)
+from repro.sql.functions import (
+    SCALAR_FUNCTIONS,
+    SET_FUNCTIONS,
+    lookup_scalar,
+)
 
 
 def segment_meets_box(x1, y1, x2, y2, box) -> bool:
@@ -172,3 +193,133 @@ def xz_ranges_reference(g, q_lo, q_hi, max_ranges):
             queue.append((level + 1, child_lo, cs + 1 + quadrant * step))
 
     return merge_ranges(ranges)
+
+
+# -- expression evaluation: the reference row walk ----------------------------
+#
+# The row-at-a-time evaluator ``sql/expressions.py`` shipped until the
+# batch evaluator became the only one, kept verbatim as the definition
+# of JustQL value semantics (three-valued logic, NULL propagation,
+# short-circuit AND/OR, division by zero -> NULL).  It reads the AST
+# and the function registry (data, not evaluation logic) from ``repro``
+# and lets builtin exceptions escape as they are: a row "raises" when
+# any exception comes out.  One edit since: ``%`` in LIKE spans
+# newlines (``re.DOTALL``), the bug fixed in the same change.
+
+def eval_expr_reference(expr: Expr, row: dict,
+                        extra_functions: dict | None = None):
+    """Evaluate an expression against one row (dict of column values)."""
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Column):
+        if expr.name not in row:
+            raise ExecutionError(f"unknown column {expr.name!r}")
+        return row[expr.name]
+    if isinstance(expr, Aliased):
+        return eval_expr_reference(expr.expr, row, extra_functions)
+    if isinstance(expr, UnaryOp):
+        value = eval_expr_reference(expr.operand, row, extra_functions)
+        if expr.op == "-":
+            return None if value is None else -value
+        if expr.op == "not":
+            return None if value is None else not _truthy(value)
+        raise ExecutionError(f"unknown unary operator {expr.op!r}")
+    if isinstance(expr, Between):
+        value = eval_expr_reference(expr.operand, row, extra_functions)
+        low = eval_expr_reference(expr.low, row, extra_functions)
+        high = eval_expr_reference(expr.high, row, extra_functions)
+        if value is None or low is None or high is None:
+            return None
+        return low <= value <= high
+    if isinstance(expr, IsNull):
+        value = eval_expr_reference(expr.operand, row, extra_functions)
+        return (value is not None) if expr.negated else (value is None)
+    if isinstance(expr, BinaryOp):
+        return _eval_binary(expr, row, extra_functions)
+    if isinstance(expr, FuncCall):
+        if extra_functions and expr.name in extra_functions:
+            fn = extra_functions[expr.name]
+        elif expr.name in SET_FUNCTIONS:
+            raise ExecutionError(
+                f"{expr.name} produces multiple rows; use it as the "
+                f"projection of a SELECT")
+        else:
+            fn = lookup_scalar(expr.name)
+        args = [eval_expr_reference(a, row, extra_functions)
+                for a in expr.args]
+        return fn(*args)
+    if isinstance(expr, InFunc):
+        raise ExecutionError(
+            f"{expr.func.name} membership must be served by the planner")
+    if isinstance(expr, Star):
+        raise ExecutionError("'*' is not a value expression")
+    raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
+
+
+def _truthy(value) -> bool:
+    return bool(value)
+
+
+def _eval_binary(expr: BinaryOp, row: dict, extra_functions):
+    op = expr.op
+    if op == "and":
+        left = eval_expr_reference(expr.left, row, extra_functions)
+        if left is not None and not _truthy(left):
+            return False
+        right = eval_expr_reference(expr.right, row, extra_functions)
+        if right is not None and not _truthy(right):
+            return False
+        if left is None or right is None:
+            return None
+        return True
+    if op == "or":
+        left = eval_expr_reference(expr.left, row, extra_functions)
+        if left is not None and _truthy(left):
+            return True
+        right = eval_expr_reference(expr.right, row, extra_functions)
+        if right is not None and _truthy(right):
+            return True
+        if left is None or right is None:
+            return None
+        return False
+    left = eval_expr_reference(expr.left, row, extra_functions)
+    right = eval_expr_reference(expr.right, row, extra_functions)
+    if op == "within":
+        return SCALAR_FUNCTIONS["st_within"](left, right)
+    if left is None or right is None:
+        return None
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        if right == 0:
+            return None
+        quotient = left / right
+        return quotient
+    if op == "%":
+        if right == 0:
+            return None
+        return left % right
+    if op == "=":
+        return left == right
+    if op == "!=":
+        return left != right
+    if op == "<":
+        return left < right
+    if op == "<=":
+        return left <= right
+    if op == ">":
+        return left > right
+    if op == ">=":
+        return left >= right
+    if op == "like":
+        return _like(str(left), str(right))
+    raise ExecutionError(f"unknown operator {op!r}")
+
+
+def _like(value: str, pattern: str) -> bool:
+    regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
+    return re.fullmatch(regex, value, re.DOTALL) is not None

@@ -125,6 +125,23 @@ class TestHttpClient:
             # A fully drained handle is gone server-side.
             assert not http._handles
 
+    def test_system_tables_over_http(self, http):
+        """``sys.servers`` and ``sys.events`` cross the HTTP hop."""
+        engine = http.server.engine
+        with JustHttpClient(http, "ops") as client:
+            client.execute_query(
+                "CREATE TABLE t (fid integer:primary key, v double)")
+            client.execute_query("INSERT INTO t VALUES (1, 1.0)")
+            for table in engine.store.tables():
+                table.flush()
+            servers = list(client.execute_query(
+                "SELECT * FROM sys.servers"))
+            assert len(servers) == engine.store.num_servers
+            assert all(r["state"] == "alive" for r in servers)
+            events = list(client.execute_query(
+                "SELECT count(*) AS cnt FROM sys.events"))
+            assert events[0]["cnt"] > 0
+
     def test_remote_error_raised_locally(self, http):
         from repro.errors import JustError
         with JustHttpClient(http, "carol") as client:

@@ -130,6 +130,22 @@ class TestLoadStatement:
         assert "3 rows loaded" in rs.message
 
 
+    def test_load_numeric_filter_over_string_source(self, engine):
+        """File sources yield strings: ``"2" < 3`` is an
+        ``ExecutionError`` the filter answers by coercing and retrying;
+        a value that stays a string drops the row."""
+        engine.sql("CREATE TABLE t (fid string:primary key, time date, "
+                   "geom point)")
+        engine.register_source("src", [
+            {"id": str(i) if i else "n/a", "lng": 116.0, "lat": 39.9,
+             "ts": T0} for i in range(10)])
+        rs = engine.sql(
+            "LOAD hive:src TO geomesa:t CONFIG {"
+            "'fid': 'id', 'time': 'long_to_date_s(ts)', "
+            "'geom': 'lng_lat_to_point(lng, lat)'} FILTER 'id < 3'")
+        assert "2 rows loaded" in rs.message
+
+
 class TestNamespaces:
     def test_isolated_namespaces(self, engine):
         engine.sql("CREATE TABLE t (fid integer:primary key, geom point)",

@@ -80,6 +80,8 @@ class TestFunctions:
         assert eval_expr(expr, {"name": "xpoi12"}) is False
         under = BinaryOp("like", Column("name"), lit("a_c"))
         assert eval_expr(under, {"name": "abc"}) is True
+        anything = BinaryOp("like", Column("name"), lit("%"))
+        assert eval_expr(anything, {"name": "a\nb"}) is True
 
     def test_unknown_function(self):
         with pytest.raises(ExecutionError):

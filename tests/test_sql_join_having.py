@@ -94,6 +94,19 @@ class TestHaving:
                 "HAVING ghost > 1")
 
 
+    @pytest.mark.parametrize("statement", [
+        "SELECT count(*) IS NULL AS c FROM poi",
+        "SELECT name, count(*) AS cnt FROM poi GROUP BY name "
+        "HAVING NOT (count(*) IS NULL)",
+        "SELECT max(geom) IN st_KNN(st_makePoint(116.0, 39.9), 3) AS c "
+        "FROM poi",
+    ])
+    def test_aggregate_under_is_null_or_in_is_rejected(self, joined_engine,
+                                                       statement):
+        with pytest.raises(AnalysisError, match="alias the aggregate"):
+            joined_engine.sql(statement)
+
+
 class TestExplain:
     def test_explain_returns_plan_rows(self, joined_engine):
         rs = joined_engine.sql(

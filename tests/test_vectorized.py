@@ -5,6 +5,7 @@ along (pushed spatio-temporal conjuncts on the point-get/kNN paths,
 point-get I/O charging, recursive container sizing)."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as hyp
@@ -15,19 +16,25 @@ from repro.dataframe.batch import BatchBuilder, batches_from_rows
 from repro.errors import ExecutionError, QueryTimeoutError
 from repro.resilience import Deadline, RequestContext
 from repro.sql.ast import (
+    Aliased,
     Between,
     BinaryOp,
     Column,
     FuncCall,
+    InFunc,
     IsNull,
     Literal,
+    Star,
     UnaryOp,
+    children,
+    with_children,
 )
-from repro.sql.expressions import eval_expr
-from repro.sql.vectorized import eval_expr_batch
+from repro.sql.expressions import eval_expr_batch, referenced_columns
+from repro.sql.optimizer import _rename_columns, fold_expr
 from repro.trajectory import STSeries, Trajectory
 
 from conftest import POI_SCHEMA_FIELDS, T0, make_poi_rows
+from oracles import eval_expr_reference
 
 
 # -- RowBatch mechanics -------------------------------------------------------
@@ -84,7 +91,7 @@ class TestRowBatch:
         assert [len(b) for b in batches] == [2, 2, 1]
 
 
-# -- vectorized expression evaluation ----------------------------------------
+# -- batch expression evaluation ---------------------------------------------
 
 def col(name):
     return Column(name)
@@ -122,22 +129,169 @@ MIXED_ROWS = [
 ]
 
 
+# Random expression trees over all ten node kinds.  Columns mix types
+# on purpose (``a``/``b`` numeric with NULLs and zeros, ``s`` text,
+# ``m`` anything) so operators and functions raise on some rows and not
+# on others; what raises on every row (``*``, ``IN f(...)``, an absent
+# column, set/planner/unknown functions) is listed once among several
+# so that it mostly turns up under a guard.
+def _weighted(*pairs):
+    """``one_of`` with integer weights."""
+    table = [strategy for weight, strategy in pairs for _ in range(weight)]
+    return hyp.integers(0, len(table) - 1).flatmap(table.__getitem__)
+
+
+_LEAVES = _weighted(
+    (12, hyp.sampled_from(["a", "a", "b", "b", "m", "m", "m", "s"])
+     .map(Column)),
+    (6, hyp.sampled_from([None, True, False, 0, 1, 2, -1, 2.5, "x", "x%",
+                          "a\nb"]).map(Literal)),
+    (1, hyp.sampled_from([Column("ghost"), Star()])),
+)
+_BINARY = ["+", "-", "*", "/", "%", "=", "!=", "<", "<=", ">", ">=",
+           "like", "within"] + ["and", "or"] * 6
+_FUNCTIONS = ["upper", "abs", "length", "coalesce", "concat", "st_x"] * 4 \
+    + ["st_knn", "st_trajsegmentation", "no_such_fn"]
+
+
+def _nodes(operands):
+    call = hyp.builds(
+        FuncCall, hyp.sampled_from(_FUNCTIONS),
+        hyp.lists(operands, min_size=0, max_size=2).map(tuple))
+    return _weighted(
+        (10, hyp.builds(BinaryOp, hyp.sampled_from(_BINARY), operands,
+                        operands)),
+        (4, call),
+        (2, hyp.builds(UnaryOp, hyp.sampled_from(["-", "not"]), operands)),
+        (2, hyp.builds(Between, operands, operands, operands)),
+        (2, hyp.builds(IsNull, operands, hyp.booleans())),
+        (1, hyp.builds(Aliased, operands, hyp.just("x"))),
+        (1, hyp.builds(InFunc, operands, call)),
+    )
+
+
+def _depth(expr) -> int:
+    return 1 + max((_depth(c) for c in children(expr)), default=0)
+
+
+EXPR_TREES = hyp.recursive(_LEAVES, _nodes, max_leaves=8).filter(
+    lambda e: _depth(e) <= 4)
+
+_VALUES = {
+    "a": hyp.sampled_from([None, 0, 1, 3, -2, 2.5]),
+    "b": hyp.sampled_from([None, 0, 0.0, 1, 2, 3]),
+    "s": hyp.sampled_from([None, "", "x", "xyz", "a\nb"]),
+    "m": hyp.sampled_from([None, 0, 1, 1, -1, 2.5, 7, "x", True,
+                           Point(1.0, 2.0)]),
+}
+BATCH_ROWS = hyp.lists(hyp.fixed_dictionaries(_VALUES), min_size=1,
+                       max_size=6)
+
+
+def _reference(expr, rows):
+    """Per row: ``(value,)``, or ``None`` where the row walk raises."""
+    out = []
+    for row in rows:
+        try:
+            out.append((eval_expr_reference(expr, row),))
+        except Exception:   # the old walk let builtin errors escape
+            out.append(None)
+    return out
+
+
 class TestEvalExprBatch:
     @pytest.mark.parametrize("expr", EXPR_CASES,
                              ids=[repr(e)[:48] for e in EXPR_CASES])
     def test_matches_row_evaluator(self, expr):
         batch = RowBatch.from_rows(MIXED_ROWS, ["a", "b", "s"])
         assert eval_expr_batch(expr, batch, {}) == \
-            [eval_expr(expr, row, {}) for row in MIXED_ROWS]
+            [eval_expr_reference(expr, row, {}) for row in MIXED_ROWS]
+
+    @settings(max_examples=500, deadline=None)
+    @given(expr=EXPR_TREES, rows=BATCH_ROWS)
+    def test_random_trees_match_reference_walk(self, expr, rows):
+        """Row by row the reference's values; ``ExecutionError`` iff
+        the reference raises (anything) for at least one row."""
+        want = _reference(expr, rows)
+        batch = RowBatch.from_rows(rows, ["a", "b", "s", "m"])
+        if None in want:
+            with pytest.raises(ExecutionError):
+                eval_expr_batch(expr, batch)
+            return
+        got = eval_expr_batch(expr, batch)
+        assert [(v,) for v in got] == want
+        assert [type(v) for v in got] == [type(v) for (v,) in want]
+
+    @pytest.mark.parametrize("expr", [
+        # the right side would raise on every row the left side decides
+        BinaryOp("and", BinaryOp("<", col("a"), lit(0)),
+                 BinaryOp("=", BinaryOp("+", col("s"), lit(1)), lit(2))),
+        BinaryOp("or", BinaryOp(">=", col("a"), lit(0)),
+                 FuncCall("upper", (col("a"),))),
+        # ... and is never reached when the left side decides them all
+        BinaryOp("and", lit(False), col("ghost")),
+        BinaryOp("or", lit(True), FuncCall("no_such_fn", ())),
+    ], ids=["and-guard", "or-guard", "and-all-decided", "or-all-decided"])
+    def test_guarded_side_is_not_evaluated(self, expr):
+        rows = [{"a": 1, "s": "x"}, {"a": 2, "s": "y"}]
+        batch = RowBatch.from_rows(rows, ["a", "s"])
+        assert eval_expr_batch(expr, batch) == \
+            [eval_expr_reference(expr, row) for row in rows]
+
+    @pytest.mark.parametrize("expr, named", [
+        (BinaryOp("+", col("s"), lit(1)), "operator '+'"),
+        (BinaryOp(">", col("s"), lit(3)), "operator '>'"),
+        (UnaryOp("-", col("s")), "unary '-'"),
+        (Between(col("a"), lit("a"), lit("b")), "BETWEEN"),
+        (FuncCall("upper", (col("a"),)), "function 'upper'"),
+        (FuncCall("st_x", (col("s"),)), "function 'st_x'"),
+        (FuncCall("st_makepoint", (col("s"), lit(1))),
+         "function 'st_makepoint'"),
+    ])
+    def test_builtin_errors_are_typed_and_chained(self, expr, named):
+        batch = RowBatch.from_rows([{"a": 1, "s": "x"}], ["a", "s"])
+        with pytest.raises(ExecutionError,
+                           match=re.escape(named)) as raised:
+            eval_expr_batch(expr, batch)
+        assert isinstance(raised.value.__cause__,
+                          (TypeError, ValueError, AttributeError))
+
+    def test_engine_errors_pass_through_untouched(self):
+        def expired():
+            raise QueryTimeoutError(1.0, 2.0)
+        batch = RowBatch.from_rows([{"a": 1}], ["a"])
+        with pytest.raises(QueryTimeoutError):
+            eval_expr_batch(FuncCall("f", ()), batch, {"f": expired})
 
     def test_unknown_column_raises(self):
         batch = RowBatch.from_rows(MIXED_ROWS, ["a", "b", "s"])
         with pytest.raises(ExecutionError):
             eval_expr_batch(col("ghost"), batch, {})
+        # ... for the rows it has: no rows, nothing evaluated.
+        assert eval_expr_batch(col("ghost"), RowBatch.empty(["a"])) == []
 
     def test_literal_broadcasts(self):
         batch = RowBatch.from_rows(MIXED_ROWS, ["a", "b", "s"])
         assert eval_expr_batch(lit(7), batch, {}) == [7] * len(MIXED_ROWS)
+
+
+class TestTraversals:
+    """The walkers written on ``children``/``with_children``."""
+
+    @given(expr=EXPR_TREES)
+    def test_with_children_rebuilds_the_node(self, expr):
+        assert with_children(expr, children(expr)) == expr
+
+    @settings(max_examples=200, deadline=None)
+    @given(expr=EXPR_TREES, rows=BATCH_ROWS)
+    def test_folding_and_renaming_preserve_values(self, expr, rows):
+        want = _reference(expr, rows)
+        assert _reference(fold_expr(expr), rows) == want
+        renamed = _rename_columns(expr, {"a": "a2", "m": "m2"})
+        moved = [{**row, "a2": row["a"], "m2": row["m"]} for row in rows]
+        assert referenced_columns(renamed) <= {"a2", "b", "s", "m2",
+                                               "ghost"}
+        assert _reference(renamed, moved) == want
 
 
 # -- the executor against a plain-Python oracle -------------------------------
@@ -325,21 +479,18 @@ class TestOneExecutor:
                 assert operator["batches"] >= 1, operator
         assert any(path in r["operator"] for r in rs.rows)
 
-    def test_raising_operand_falls_back_per_batch(self, engine):
-        """``name + 1`` raises column-at-a-time; each batch is then
-        re-evaluated row by row and counted as a fallback."""
-        fallbacks = engine.metrics.counter("sql.batch_fallbacks")
-        before = fallbacks.value
-        with pytest.raises((ExecutionError, TypeError)):
+    def test_raising_operand_is_a_typed_error(self, engine):
+        """``name + 1`` is an ``ExecutionError`` naming the operator,
+        not a raw ``TypeError``."""
+        with pytest.raises(ExecutionError, match="operator '\\+'"):
             engine.sql("SELECT name + 1 AS n FROM poi")
-        assert fallbacks.value > before
-        # A side only short-circuiting skips: the batch evaluator trips
-        # on it, the per-row fallback returns the row answer.
-        before = fallbacks.value
-        rs = engine.sql("SELECT fid FROM poi "
-                        "WHERE fid < 0 AND name + 1 = 2")
-        assert rs.rows == []
-        assert fallbacks.value > before
+        # Guarded shapes return the row answer: the raising side never
+        # sees the rows the other side (or an earlier conjunct) rejected.
+        for where in ("fid < 0 AND name + 1 = 2",
+                      "(fid < 0 AND name + 1 = 2) OR fid = -1",
+                      "upper(name) = 'NOPE' AND name + 1 = 2"):
+            assert engine.sql(f"SELECT fid FROM poi WHERE {where}").rows \
+                == []
 
     def test_vectorized_switch_is_gone(self):
         with pytest.raises(TypeError):
