@@ -11,8 +11,8 @@ region-server crash mid-ingest, fail its regions over, and report
 
 from harness import FigureTable
 
-from repro.faults.demo import run_crash_experiment
 from repro.kvstore import SyncPolicy
+from repro.scenarios.fixtures import run_crash_experiment
 
 _KEYS = 3000
 _KILL_AFTER = 2000

@@ -31,7 +31,6 @@ from repro.baselines.base import (
     items_from_orders,
     items_from_trajectories,
 )
-from repro.balancer.workload import WorkloadConfig, run_workload
 from repro.cluster import Cluster, CostModel
 from repro.curves.strategies import STQuery
 from repro.datagen import (
@@ -42,6 +41,7 @@ from repro.datagen import (
 from repro.datagen.datasets import order_statistics, traj_statistics
 from repro.errors import SimulatedOutOfMemoryError
 from repro.geometry.distance import km_to_degrees
+from repro.scenarios.report import FigureTable
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
@@ -98,47 +98,6 @@ def median(values):
     if len(ordered) % 2:
         return ordered[middle]
     return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
-class FigureTable:
-    """One reproduced table/figure: rows of {param -> value} by series."""
-
-    def __init__(self, figure_id: str, title: str, param_name: str):
-        self.figure_id = figure_id
-        self.title = title
-        self.param_name = param_name
-        self.series: dict[str, dict] = {}
-
-    def add(self, series: str, param, value) -> None:
-        self.series.setdefault(series, {})[param] = value
-
-    def value(self, series: str, param):
-        return self.series[series][param]
-
-    def render(self) -> str:
-        params = []
-        for values in self.series.values():
-            for param in values:
-                if param not in params:
-                    params.append(param)
-        width = max(14, max((len(s) for s in self.series), default=10) + 2)
-        lines = [f"== {self.figure_id}: {self.title} ==",
-                 f"{self.param_name:>{width}} | " + " | ".join(
-                     f"{p!s:>10}" for p in params)]
-        for name, values in self.series.items():
-            cells = []
-            for param in params:
-                value = values.get(param, "-")
-                if isinstance(value, float):
-                    cells.append(f"{value:>10.1f}")
-                else:
-                    cells.append(f"{value!s:>10}")
-            lines.append(f"{name:>{width}} | " + " | ".join(cells))
-        return "\n".join(lines)
-
-    def as_json(self) -> dict:
-        return {"figure": self.figure_id, "title": self.title,
-                "param": self.param_name, "series": self.series}
 
 
 class ReportSink:
@@ -259,17 +218,6 @@ class FigureData:
                              record_scale=record_scale,
                              kv_put_us=15.0)
         return self._get("cost_model", build)
-
-    # -- multi-tenant skewed workload (balancer benchmark) -------------------
-    def skewed_workload(self, balancer_on: bool):
-        """Zipfian multi-tenant workload run, balancer off or on.
-
-        Both runs share one seeded :class:`WorkloadConfig`, so the only
-        difference between the cached results is the balancer itself.
-        """
-        key = f"skewed_workload_{'on' if balancer_on else 'off'}"
-        return self._get(key, lambda: run_workload(
-            WorkloadConfig(), balancer_on=balancer_on))
 
     def cluster(self) -> Cluster:
         return Cluster(memory_budget_bytes=self.memory_budget,

@@ -11,7 +11,7 @@ measure→decide→act loop over the simulated cluster:
   ticks on the simulated clock, applies plans, and records history
   for ``sys.balancer`` / ``sys.events``.
 * :mod:`repro.balancer.workload` — the zipfian multi-tenant workload
-  used by ``python -m repro balance`` and the benchmarks.
+  the ``balancer`` scenario runs.
 """
 
 from repro.balancer.executor import Balancer

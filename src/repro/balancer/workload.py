@@ -6,8 +6,8 @@ urban access pattern — while the simulated clock advances by each
 round's modeled cost.  Round-robin placement balances region *counts*
 perfectly and write *load* terribly; this module measures that gap
 (max/mean per-server write-load imbalance, hot-tenant cold-scan
-latency) with the balancer off and on.  Shared by ``python -m repro
-balance`` and ``benchmarks/bench_balancer.py``.
+latency) with the balancer off and on.  Run by the ``balancer``
+scenario (:mod:`repro.scenarios.balancer`).
 """
 
 from __future__ import annotations

@@ -10,39 +10,11 @@ Interactive::
     python -m repro
     justql> SHOW TABLES;
 
-Fault-tolerance demo (crash a region server, measure recovery)::
+Scenarios (every subsystem experiment, each checking its claims)::
 
-    python -m repro faults --policy sync --kill-after 2000
-
-Request-resilience demo (deadlines/partial results vs a sick server)::
-
-    python -m repro resilience --fault flaky --queries 50
-
-Observability demo (metrics registry, EXPLAIN ANALYZE, slow-query log)::
-
-    python -m repro metrics --rows 2000 --repeat 5
-
-Cluster-introspection demo (region heatmap over the sys.* tables)::
-
-    python -m repro top --once
-
-Load-balancer demo (zipfian multi-tenant skew, balancer off vs on)::
-
-    python -m repro balance --quick
-
-Replication demo (quorum writes, promote failover, hedged reads)::
-
-    python -m repro replicate --quick
-
-Streaming demo (watermarked windows, materialized views, geofence
-alerts over a transit-delay feed)::
-
-    python -m repro stream --quick
-
-Monitoring dashboard (sparklines over the scraped metrics history,
-SLO burn-rate alerting against an injected gray failure)::
-
-    python -m repro dash --once
+    python -m repro scenario            # all of them
+    python -m repro scenario -h         # the list, one line each
+    python -m repro scenario replication streaming
 
 The shell keeps one engine (and one user session) for its lifetime, prints
 result sets as aligned tables, and reports each query's simulated
@@ -179,30 +151,9 @@ class Shell:
 
 def main(argv: list[str] | None = None, out=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] == "faults":
-        from repro.faults.demo import main as faults_main
-        return faults_main(argv[1:], out=out)
-    if argv and argv[0] == "resilience":
-        from repro.faults.resilience_demo import main as resilience_main
-        return resilience_main(argv[1:], out=out)
-    if argv and argv[0] == "metrics":
-        from repro.observability.demo import main as metrics_main
-        return metrics_main(argv[1:], out=out)
-    if argv and argv[0] == "top":
-        from repro.observability.top import main as top_main
-        return top_main(argv[1:], out=out)
-    if argv and argv[0] == "balance":
-        from repro.balancer.demo import main as balance_main
-        return balance_main(argv[1:], out=out)
-    if argv and argv[0] == "replicate":
-        from repro.replication.demo import main as replicate_main
-        return replicate_main(argv[1:], out=out)
-    if argv and argv[0] == "stream":
-        from repro.streaming.demo import main as stream_main
-        return stream_main(argv[1:], out=out)
-    if argv and argv[0] == "dash":
-        from repro.observability.dash import main as dash_main
-        return dash_main(argv[1:], out=out)
+    if argv and argv[0] == "scenario":
+        from repro.scenarios import main as scenario_main
+        return scenario_main(argv[1:], out=out)
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="JustQL shell for the JUST reproduction engine.")

@@ -163,7 +163,7 @@ def generate_transit_feed(seed: int = 20140301, num_routes: int = 4,
                           trips_per_route: int = 6,
                           headway_s: float = 600.0,
                           disorder_s: float = 120.0) -> list[dict]:
-    """One-call realtime feed for demos/benchmarks/tests."""
+    """One-call realtime feed for scenarios and tests."""
     generator = TransitGenerator(seed=seed, num_routes=num_routes,
                                  stops_per_route=stops_per_route)
     return generator.realtime_feed(trips_per_route=trips_per_route,

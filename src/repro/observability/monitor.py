@@ -107,7 +107,7 @@ class Monitor:
         return True
 
     def tick(self) -> None:
-        """Force a scrape + evaluation now (tests, demos)."""
+        """Force a scrape + evaluation now (tests, scenarios)."""
         self.scraper.tick()
         self.slos.evaluate(self.engine.events.now_ms)
 

@@ -743,7 +743,7 @@ class ReplicationManager:
         return out
 
     def snapshot(self) -> dict:
-        """Summary counters for the ``/replication`` route and demos."""
+        """Summary counters for the ``/replication`` route and scenarios."""
         states = {LIVE: 0, TORN: 0, REBUILDING: 0}
         lag = 0
         replicas = 0

@@ -17,7 +17,7 @@ Aggregates (:class:`Count` / :class:`Sum` / :class:`Avg` /
 :class:`Min` / :class:`Max`) are commutative and associative, so the
 finalized output of a watermarked stream is *exactly* equal to a cold
 batch recomputation over the same events — the parity property the
-tests and ``benchmarks/bench_streaming.py`` assert.
+tests and the ``streaming`` scenario assert.
 
 Spatial heatmaps fall out of the key function: :func:`curve_cell_key`
 keys events by their reduced-precision Z2 curve cell, so a windowed

@@ -106,39 +106,6 @@ class TestMain:
         assert main(["--script", str(script)], out=out) == 0
         assert "1" in out.getvalue()
 
-    def test_faults_subcommand(self):
-        out = io.StringIO()
-        code = main(["faults", "--keys", "400", "--kill-after", "250",
-                     "--policy", "sync"], out=out)
-        text = out.getvalue()
-        assert code == 0
-        assert "crash after 250/400 writes" in text
-        assert "sync" in text
-        # SYNC must report zero lost acknowledged writes.
-        row = next(line for line in text.splitlines()
-                   if line.strip().startswith("sync"))
-        assert row.split("|")[2].strip() == "0"
-
-    def test_metrics_subcommand(self):
-        out = io.StringIO()
-        code = main(["metrics", "--rows", "400", "--repeat", "2"],
-                    out=out)
-        text = out.getvalue()
-        assert code == 0
-        assert "EXPLAIN ANALYZE" in text
-        assert "RegionScan[" in text
-        assert "kvstore.cache_hit_ratio" in text
-        assert "server.statement_sim_ms_p95" in text
-        assert "slow-query log" in text
-
-    def test_faults_all_policies(self):
-        out = io.StringIO()
-        assert main(["faults", "--keys", "300", "--kill-after", "200"],
-                    out=out) == 0
-        text = out.getvalue()
-        for policy in ("sync", "periodic", "async"):
-            assert policy in text
-
     def test_interactive_loop(self, monkeypatch):
         out = io.StringIO()
         stdin = io.StringIO("SHOW TABLES;\nexit;\n")

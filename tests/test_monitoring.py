@@ -23,10 +23,10 @@ from repro.observability.slo import (
     SloManager,
     default_windows,
 )
-from repro.observability.dash import (
-    build_dash_service,
-    inject_slow_server,
-    workload_queries,
+from repro.scenarios.fixtures import (
+    inject_gray_fault,
+    monitor_queries,
+    monitored_service,
 )
 from repro.service.client import JustClient
 from repro.service.http import JustHttpServer
@@ -212,12 +212,12 @@ def _order_event(i):
 
 class TestMonitoredService:
     def test_slow_server_pages_within_the_run(self):
-        server = build_dash_service(rows=200, seed=11)
+        server = monitored_service()
         client = JustClient(server, "ops")
-        queries = workload_queries(11)
+        queries = monitor_queries()
         for sql in queries:
             client.execute_query(sql)
-        inject_slow_server(server, latency_ms=120.0, seed=11)
+        inject_gray_fault(server, "slow", seed=11, latency_ms=120.0)
         alert = server.engine.monitor.slos.alert("statement-latency",
                                                  "page")
         for _ in range(20):
@@ -300,9 +300,9 @@ class TestMonitoredService:
         assert series.tier_points(0)[-1][1] >= 1
 
     def test_http_monitoring_routes(self):
-        server = build_dash_service(rows=100, seed=3)
+        server = monitored_service()
         client = JustClient(server, "ops")
-        for sql in workload_queries(3, count=4):
+        for sql in monitor_queries()[:4]:
             client.execute_query(sql)
         transport = JustHttpServer(server)
         history = transport.handle({"path": "/metrics/history",
@@ -324,10 +324,10 @@ class TestMonitoredService:
         client.close()
 
     def test_slow_queries_carry_trace_ids(self):
-        server = build_dash_service(rows=150, seed=5)
+        server = monitored_service()
         server.slow_query_log.threshold_ms = 0.0
         client = JustClient(server, "ops")
-        (sql,) = workload_queries(5, count=1)
+        sql = monitor_queries()[0]
         client.execute_query(sql)
         rows = client.execute_query(
             "SELECT trace_id, sim_ms FROM sys.slow_queries").rows

@@ -15,18 +15,18 @@ from repro.errors import (
     is_retryable,
     remote_error,
 )
-from repro.faults.resilience_demo import (
-    SERVICE_COST_MODEL,
-    WORKLOAD_USER,
-    build_service,
-    run_workload,
-)
 from repro.resilience import (
     AdmissionController,
     CircuitBreaker,
     Deadline,
     RequestContext,
     backoff_ms,
+)
+from repro.scenarios.fixtures import (
+    SERVICE_COST_MODEL,
+    WORKLOAD_USER,
+    resilience_service,
+    run_policy_workload,
 )
 from repro.service.client import JustClient
 from repro.service.server import JustServer
@@ -209,7 +209,7 @@ class TestDeadlineEndToEnd:
     """Acceptance: SlowServer + 100 ms deadline -> bounded timeout."""
 
     def test_slow_server_times_out_with_bounded_overrun(self):
-        server = build_service("slow", latency_ms=30.0)
+        server = resilience_service("slow", latency_ms=30.0)
         sid = server.connect(WORKLOAD_USER)
         with pytest.raises(QueryTimeoutError) as info:
             server.execute(sid, QUERY, timeout_ms=100.0)
@@ -221,14 +221,14 @@ class TestDeadlineEndToEnd:
         assert 0.0 < exc.overrun_ms < 50.0
 
     def test_without_deadline_statement_completes(self):
-        server = build_service("slow", latency_ms=30.0)
+        server = resilience_service("slow", latency_ms=30.0)
         sid = server.connect(WORKLOAD_USER)
         result = server.execute(sid, QUERY)
         assert len(result) > 0
         assert result.sim_ms > 100.0  # absorbed the injected latency
 
     def test_server_default_timeout_applies(self):
-        server = build_service("slow", latency_ms=30.0)
+        server = resilience_service("slow", latency_ms=30.0)
         server.default_timeout_ms = 100.0
         sid = server.connect(WORKLOAD_USER)
         with pytest.raises(QueryTimeoutError):
@@ -251,14 +251,14 @@ class TestPartialResults:
         return victim
 
     def test_full_failure_without_partial_mode(self):
-        server = build_service("none")
+        server = resilience_service("none")
         sid = server.connect(WORKLOAD_USER)
         self._crash_data_server(server)
         with pytest.raises(RegionUnavailableError):
             server.execute(sid, QUERY)
 
     def test_partial_mode_returns_live_rows_and_report(self):
-        server = build_service("none")
+        server = resilience_service("none")
         sid = server.connect(WORKLOAD_USER)
         complete = {r["fid"] for r in server.execute(sid, QUERY).rows}
         victim = self._crash_data_server(server)
@@ -277,7 +277,7 @@ class TestPartialResults:
         assert {r["fid"] for r in healed.rows} == complete
 
     def test_partial_mode_skips_intermittent_errors(self):
-        server = build_service("flaky", probability=1.0)
+        server = resilience_service("flaky", probability=1.0)
         sid = server.connect(WORKLOAD_USER)
         result = server.execute(sid, QUERY, partial_results=True)
         assert result.is_partial
@@ -287,7 +287,7 @@ class TestPartialResults:
 
 class TestAdmissionEndToEnd:
     def test_overload_sheds_and_is_retryable(self):
-        server = build_service("none")
+        server = resilience_service("none")
         server.admission = AdmissionController(max_in_flight=10,
                                                max_per_user=0)
         sid = server.connect(WORKLOAD_USER)
@@ -297,7 +297,7 @@ class TestAdmissionEndToEnd:
         assert server.admission_stats()["shed"] == 1
 
     def test_statements_release_capacity(self):
-        server = build_service("none")
+        server = resilience_service("none")
         sid = server.connect(WORKLOAD_USER)
         for _ in range(3):
             server.execute(sid, QUERY)
@@ -306,7 +306,7 @@ class TestAdmissionEndToEnd:
         assert stats["admitted"] == 3
 
     def test_failed_statement_releases_capacity(self):
-        server = build_service("slow")
+        server = resilience_service("slow")
         sid = server.connect(WORKLOAD_USER)
         with pytest.raises(QueryTimeoutError):
             server.execute(sid, QUERY, timeout_ms=50.0)
@@ -315,7 +315,7 @@ class TestAdmissionEndToEnd:
 
 class TestClientResilience:
     def test_breaker_fails_fast_after_retry_storm(self):
-        server = build_service("flaky")
+        server = resilience_service("flaky")
         now = [0.0]
         client = JustClient(server, WORKLOAD_USER,
                             sleep=lambda _s: None,
@@ -335,7 +335,7 @@ class TestClientResilience:
         assert server.admission_stats()["admitted"] == before
 
     def test_breaker_recovers_after_cooldown(self):
-        server = build_service("none")
+        server = resilience_service("none")
         now = [0.0]
         client = JustClient(server, WORKLOAD_USER,
                             sleep=lambda _s: None,
@@ -351,7 +351,7 @@ class TestClientResilience:
         assert client.breaker.state == "closed"
 
     def test_server_overload_retried_then_raised(self):
-        server = build_service("none")
+        server = resilience_service("none")
         server.admission = AdmissionController(max_in_flight=10,
                                                max_per_user=0)
         delays = []
@@ -437,10 +437,10 @@ class TestSessionExpiryInterplay:
 
 class TestWorkloadHarness:
     def test_workload_is_deterministic(self):
-        first = run_workload(build_service("flaky"), "partial",
-                             queries=8)
-        second = run_workload(build_service("flaky"), "partial",
-                              queries=8)
+        first = run_policy_workload(resilience_service("flaky"),
+                                    "partial", queries=8)
+        second = run_policy_workload(resilience_service("flaky"),
+                                     "partial", queries=8)
         assert first.latencies_ms == second.latencies_ms
         assert first.regions_skipped == second.regions_skipped
 

@@ -376,14 +376,3 @@ class TestServiceSurface:
         row = snapshot["streams"][0]
         assert row["loader"] == "gps->poi"
         assert row["lag"] == 0 and row["loaded"] == 3
-
-
-class TestDemo:
-    def test_stream_demo_smoke(self):
-        import io
-        from repro.streaming.demo import main
-        out = io.StringIO()
-        assert main(["--quick"], out=out) == 0
-        text = out.getvalue()
-        assert "parity ok" in text
-        assert "sys.streams" in text
