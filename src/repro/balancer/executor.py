@@ -36,6 +36,8 @@ class Balancer:
         self.moves = 0
         self.splits = 0
         self.merges = 0
+        #: Server-load imbalance as the last pass left it.
+        self.imbalance = 0.0
         #: ``sys.balancer`` rows: one per decision, newest last.
         self.history: deque[dict] = deque(maxlen=history_capacity)
         self._last_run_ms = float("-inf")
@@ -87,14 +89,7 @@ class Balancer:
         self.splits += splits
         self.merges += merges
         imbalance_after = imbalance(server_loads(store, now_ms), policy)
-        registry = getattr(store.stats, "metrics", None)
-        if registry is not None:
-            registry.counter("balancer.runs").inc()
-            registry.counter("balancer.moves").inc(moves)
-            registry.counter("balancer.splits").inc(splits)
-            registry.counter("balancer.merges").inc(merges)
-            registry.gauge("balancer.imbalance").set(
-                round(imbalance_after, 6))
+        self.imbalance = round(imbalance_after, 6)
         event = BalancerRunEvent(
             run=run, moves=moves, splits=splits, merges=merges,
             imbalance_before=round(imbalance_before, 3),

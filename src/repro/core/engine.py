@@ -10,6 +10,7 @@ range, spatio-temporal range, k-NN), and — through :meth:`JustEngine.sql`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.cluster.node import Cluster
 from repro.cluster.simclock import CostModel, SimJob
@@ -34,6 +35,7 @@ from repro.geometry.envelope import Envelope
 from repro.geometry.linestring import LineString
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.kvstore.iostats import COUNTERS as IO_COUNTERS
 from repro.kvstore.store import KVStore
 from repro.trajectory.model import STSeries, TSeries
 
@@ -84,8 +86,9 @@ class JustEngine:
                  flush_bytes: int | None = None,
                  replication_factor: int = 1,
                  read_mode: str = "primary"):
-        #: Process-wide observability registry: the store's I/O stats,
-        #: the SQL operators, and the service layer all report into it.
+        #: Process-wide observability registry: it reads the numbers the
+        #: store, replication, balancer, loaders and service layer keep,
+        #: and the SQL operators push theirs into it.
         from repro.observability.events import EventLog
         from repro.observability.metrics import MetricsRegistry
         self.metrics = MetricsRegistry()
@@ -95,7 +98,6 @@ class JustEngine:
         self.events = EventLog()
         self.cluster = Cluster(num_servers, memory_budget_bytes, cost_model)
         store_kwargs = {"cache_bytes_per_server": cache_bytes_per_server,
-                        "metrics": self.metrics,
                         "events": self.events,
                         # The store shares the cluster's cost model so
                         # kvstore-level trace spans (per-region scans)
@@ -113,12 +115,12 @@ class JustEngine:
             # Durable ingest: every region server keeps a write-ahead log
             # and the store survives injected region-server crashes.
             store_kwargs["wal_policy"] = wal_policy
+        self.store = KVStore(num_servers, **store_kwargs)
+        self._expose("kvstore", self.store.stats, IO_COUNTERS)
         if replication_factor > 1:
             # Region replication: a primary plus followers on distinct
             # servers, WAL shipping, quorum writes, fast promote failover.
-            store_kwargs["replication_factor"] = replication_factor
-            store_kwargs["read_mode"] = read_mode
-        self.store = KVStore(num_servers, **store_kwargs)
+            self.enable_replication(replication_factor, read_mode)
         self.catalog = Catalog()
         self.sources = SourceRegistry()
         self.compression_enabled = compression_enabled
@@ -147,6 +149,16 @@ class JustEngine:
         from repro.core.systables import install_system_tables
         install_system_tables(self)
 
+    # -- metrics -----------------------------------------------------------------
+    def _expose(self, prefix: str, owner, counters=(), gauges=(),
+                since=None) -> None:
+        """Have the registry read ``<prefix>.<attr>`` from ``owner``."""
+        for kind, names in (("counter", counters), ("gauge", gauges)):
+            for name in names:
+                self.metrics.expose(f"{prefix}.{name}",
+                                    partial(getattr, owner, name),
+                                    kind=kind, since=since)
+
     # -- load balancing ----------------------------------------------------------
     def enable_balancer(self, policy=None):
         """Attach a hot-region load balancer to this engine's store.
@@ -159,7 +171,11 @@ class JustEngine:
         """
         from repro.balancer import Balancer
         if self.balancer is None:
-            self.balancer = Balancer(self.store, policy)
+            self.balancer = balancer = Balancer(self.store, policy)
+            self._expose("balancer", balancer,
+                         counters=("runs", "moves", "splits", "merges"),
+                         gauges=("imbalance",),
+                         since=lambda: balancer.runs)
         elif policy is not None:
             self.balancer.policy = policy
         return self.balancer
@@ -198,9 +214,20 @@ class JustEngine:
         ``replication.maybe_tick()`` themselves.  Replica state surfaces
         in ``sys.replication`` and as events in ``sys.events``.
         """
-        return self.store.enable_replication(factor=factor,
-                                             read_mode=read_mode,
-                                             **kwargs)
+        if self.store.replication is None:
+            manager = self.store.enable_replication(
+                factor=factor, read_mode=read_mode, **kwargs)
+            self._expose("replication", manager, counters=(
+                "records_shipped", "bytes_shipped", "blocked_ships",
+                "dropped_ships", "quorum_failures", "lag_alerts",
+                "rebuilds", "promotions", "follower_reads",
+                "hedged_reads", "hedge_wins"))
+            # The lag gauges exist from the first anti-entropy pass.
+            self._expose("replication", manager,
+                         gauges=("max_lag_records", "lagging_followers"),
+                         since=lambda: manager.ticks)
+            self.metrics.expose_histogram(manager.quorum_ack_ms)
+        return self.store.replication
 
     # -- system tables -----------------------------------------------------------
     def register_system_table(self, name: str, columns, provider,

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, sub
 
 
 @dataclass
@@ -29,134 +30,72 @@ class IOSnapshot:
 
     def delta(self, earlier: "IOSnapshot") -> "IOSnapshot":
         """Counter increments between ``earlier`` and this snapshot."""
-        per_server = defaultdict(int)
-        for server, value in self.per_server_read.items():
-            per_server[server] = value - earlier.per_server_read.get(server, 0)
-        per_server_wal = defaultdict(int)
-        for server, value in self.per_server_wal.items():
-            per_server_wal[server] = \
-                value - earlier.per_server_wal.get(server, 0)
         return IOSnapshot(
-            disk_bytes_read=self.disk_bytes_read - earlier.disk_bytes_read,
-            disk_bytes_written=(self.disk_bytes_written
-                                - earlier.disk_bytes_written),
-            cache_bytes_read=self.cache_bytes_read - earlier.cache_bytes_read,
-            memstore_bytes_read=(self.memstore_bytes_read
-                                 - earlier.memstore_bytes_read),
-            result_bytes=self.result_bytes - earlier.result_bytes,
-            scans_started=self.scans_started - earlier.scans_started,
-            blocks_read=self.blocks_read - earlier.blocks_read,
-            cache_hits=self.cache_hits - earlier.cache_hits,
-            wal_bytes_written=(self.wal_bytes_written
-                               - earlier.wal_bytes_written),
-            wal_appends=self.wal_appends - earlier.wal_appends,
-            wal_syncs=self.wal_syncs - earlier.wal_syncs,
-            wal_bytes_replayed=(self.wal_bytes_replayed
-                                - earlier.wal_bytes_replayed),
-            per_server_read=dict(per_server),
-            per_server_wal=dict(per_server_wal),
-        )
+            *map(sub, _counters(self), _counters(earlier)),
+            {server: value - earlier.per_server_read.get(server, 0)
+             for server, value in self.per_server_read.items()},
+            {server: value - earlier.per_server_wal.get(server, 0)
+             for server, value in self.per_server_wal.items()})
+
+
+#: The scalar counters, declared once as :class:`IOSnapshot`'s leading
+#: fields; :class:`IOStats`, ``delta`` and the ``kvstore.*`` metric
+#: series (one per name) all follow this tuple.
+COUNTERS = tuple(f.name for f in fields(IOSnapshot) if f.type == "int")
+_counters = attrgetter(*COUNTERS)
 
 
 class IOStats:
     """Mutable counters shared by every component of one store.
 
-    ``bind_metrics`` additionally mirrors every increment into a
-    process-wide :class:`~repro.observability.metrics.MetricsRegistry`,
-    so the store's I/O shows up on the ``/metrics`` endpoint alongside
-    the service-layer counters without a second accounting path.
+    The store owns these numbers; an engine's metrics registry reads
+    them as ``kvstore.<counter>`` (see ``MetricsRegistry.expose``), so
+    there is no second accounting path to keep in step.
     """
 
-    def __init__(self, metrics=None) -> None:
-        self.disk_bytes_read = 0
-        self.disk_bytes_written = 0
-        self.cache_bytes_read = 0
-        self.memstore_bytes_read = 0
-        self.result_bytes = 0
-        self.scans_started = 0
-        self.blocks_read = 0
-        self.cache_hits = 0
-        self.wal_bytes_written = 0
-        self.wal_appends = 0
-        self.wal_syncs = 0
-        self.wal_bytes_replayed = 0
+    def __init__(self) -> None:
+        for name in COUNTERS:
+            setattr(self, name, 0)
         self.per_server_read: dict[int, int] = defaultdict(int)
         #: WAL bytes (appends + replay reads) per region server.
         self.per_server_wal: dict[int, int] = defaultdict(int)
-        self.metrics = None
-        if metrics is not None:
-            self.bind_metrics(metrics)
-
-    def bind_metrics(self, registry) -> None:
-        """Mirror counters into a metrics registry from now on."""
-        self.metrics = registry
-
-    def _inc(self, name: str, amount: int) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(amount)
 
     def record_disk_read(self, nbytes: int, server: int = 0) -> None:
         self.disk_bytes_read += nbytes
         self.blocks_read += 1
         self.per_server_read[server] += nbytes
-        self._inc("kvstore.disk_bytes_read", nbytes)
-        self._inc("kvstore.blocks_read", 1)
 
     def record_cache_read(self, nbytes: int) -> None:
         self.cache_bytes_read += nbytes
         self.cache_hits += 1
-        self._inc("kvstore.cache_bytes_read", nbytes)
-        self._inc("kvstore.cache_hits", 1)
 
     def record_disk_write(self, nbytes: int) -> None:
         self.disk_bytes_written += nbytes
-        self._inc("kvstore.disk_bytes_written", nbytes)
 
     def record_memstore_read(self, nbytes: int) -> None:
         self.memstore_bytes_read += nbytes
-        self._inc("kvstore.memstore_bytes_read", nbytes)
 
     def record_result(self, nbytes: int) -> None:
         self.result_bytes += nbytes
-        self._inc("kvstore.result_bytes", nbytes)
 
     def record_scan(self) -> None:
         self.scans_started += 1
-        self._inc("kvstore.scans_started", 1)
 
     def record_wal_append(self, nbytes: int, server: int = 0) -> None:
         self.wal_bytes_written += nbytes
         self.wal_appends += 1
         self.per_server_wal[server] += nbytes
-        self._inc("kvstore.wal_bytes_written", nbytes)
-        self._inc("kvstore.wal_appends", 1)
 
     def record_wal_sync(self) -> None:
         self.wal_syncs += 1
-        self._inc("kvstore.wal_syncs", 1)
 
     def record_wal_replay(self, nbytes: int, server: int = 0) -> None:
         self.wal_bytes_replayed += nbytes
         self.per_server_wal[server] += nbytes
-        self._inc("kvstore.wal_bytes_replayed", nbytes)
 
     def snapshot(self) -> IOSnapshot:
-        return IOSnapshot(
-            disk_bytes_read=self.disk_bytes_read,
-            disk_bytes_written=self.disk_bytes_written,
-            cache_bytes_read=self.cache_bytes_read,
-            memstore_bytes_read=self.memstore_bytes_read,
-            result_bytes=self.result_bytes,
-            scans_started=self.scans_started,
-            blocks_read=self.blocks_read,
-            cache_hits=self.cache_hits,
-            wal_bytes_written=self.wal_bytes_written,
-            wal_appends=self.wal_appends,
-            wal_syncs=self.wal_syncs,
-            wal_bytes_replayed=self.wal_bytes_replayed,
-            per_server_read=dict(self.per_server_read),
-            per_server_wal=dict(self.per_server_wal),
-        )
+        return IOSnapshot(*_counters(self), dict(self.per_server_read),
+                          dict(self.per_server_wal))
 
     def reset(self) -> None:
-        self.__init__(metrics=self.metrics)
+        self.__init__()

@@ -503,7 +503,6 @@ class KVStore:
                  wal_periodic_bytes: int = DEFAULT_PERIODIC_BYTES,
                  cost_model=None,
                  fault_injector=None,
-                 metrics=None,
                  events=None,
                  replication_factor: int = 1,
                  read_mode="primary"):
@@ -511,7 +510,7 @@ class KVStore:
         self.flush_bytes = flush_bytes
         self.split_bytes = split_bytes
         self.block_bytes = block_bytes
-        self.stats = IOStats(metrics=metrics)
+        self.stats = IOStats()
         #: Cluster event log; always present so regions, recovery, and
         #: the service layer can emit unconditionally.
         self.events = events if events is not None else EventLog()

@@ -277,7 +277,17 @@ class MetricsScraper:
         self.charge_clock = charge_clock
         self.scrapes = 0
         self.total_scrape_ms = 0.0
+        #: Series recorded by the latest scrape.
+        self.series = 0
         self._last_run_ms = -float("inf")
+
+        def scrapes():
+            return self.scrapes
+
+        registry.expose("monitor.scrapes", scrapes)
+        registry.expose("monitor.scrape_ms", lambda: self.total_scrape_ms)
+        registry.expose("monitor.series", lambda: self.series,
+                        kind="gauge", since=scrapes)
 
     def maybe_tick(self) -> bool:
         now = self.events.now_ms
@@ -295,11 +305,9 @@ class MetricsScraper:
         cost = self.base_cost_ms + self.cost_per_series_ms * recorded
         self.scrapes += 1
         self.total_scrape_ms += cost
+        self.series = recorded
         if self.charge_clock:
             self.events.advance(cost)
-        self.registry.counter("monitor.scrapes").inc()
-        self.registry.counter("monitor.scrape_ms").inc(cost)
-        self.registry.gauge("monitor.series").set(recorded)
 
     def _scrape_metric(self, key: str, metric, now: float) -> int:
         if not isinstance(metric, Histogram):

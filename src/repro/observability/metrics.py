@@ -80,6 +80,32 @@ class Gauge:
         self.value += delta
 
 
+class CounterView(Counter):
+    """A counter read from its owners: the sum of their numbers (every
+    client's breaker counts into ``breaker.opened``).  ``value`` has no
+    setter, so pushing into one raises."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, name: str):
+        self.name = name
+        self.reads: list = []
+
+    value = property(lambda self: sum(read() for read in self.reads))
+
+
+class GaugeView(Gauge):
+    """A gauge read from its owner (the newest one, if exposed again)."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, name: str):
+        self.name = name
+        self.reads: list = []
+
+    value = property(lambda self: self.reads[-1]())
+
+
 class Histogram:
     """A sample distribution with nearest-rank quantiles.
 
@@ -218,17 +244,22 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named metrics, created on first use and shared by name.
+    """Named metrics, shared by name: pushed into, or read from an owner.
 
-    One registry serves a whole deployment (engine + store + service):
-    components hold the registry and call :meth:`counter` /
-    :meth:`gauge` / :meth:`histogram`, which return the same object for
-    the same name + labels, exactly like a Prometheus client registry.
+    One registry serves a whole deployment (engine + store + service).
+    Numbers nobody else stores are pushed: :meth:`counter` /
+    :meth:`gauge` / :meth:`histogram` return the same object for the
+    same name + labels, exactly like a Prometheus client registry.
+    Numbers a component already keeps are declared once with
+    :meth:`expose` and read from that component whenever the registry
+    is listed, so they can never disagree with their owner.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
         self._help: dict[str, str] = {}
+        #: Exposed series not listed yet, with the tests that list them.
+        self._pending: dict[str, list] = {}
 
     def _get(self, name: str, labels: dict, cls, **kwargs):
         key = _metric_key(name, labels)
@@ -253,6 +284,34 @@ class MetricsRegistry:
         """Get-or-create; ``buckets`` applies only on first creation."""
         return self._get(name, labels, Histogram, buckets=buckets)
 
+    def expose(self, name: str, read, kind: str = "counter", since=None,
+               **labels) -> None:
+        """Declare a series whose value is ``read()``, kept by its owner.
+
+        The series is listed (``items`` / ``snapshot`` / ``render_text``
+        / the scraper / ``sys.metrics``) from the first listing at which
+        ``since()`` is truthy, and from then on.  ``since`` defaults to
+        ``read``: a series appears with its first non-zero value, as a
+        pushed counter appears with its first ``inc``.  Exposing a
+        counter again adds an owner to the sum; a gauge follows its
+        newest owner.
+        """
+        key = _metric_key(name, labels)
+        unlisted = key not in self._metrics or key in self._pending
+        view = self._get(name, labels,
+                         CounterView if kind == "counter" else GaugeView)
+        view.reads.append(read)
+        if unlisted:
+            self._pending.setdefault(key, []).append(since or read)
+
+    def expose_histogram(self, histogram: Histogram) -> None:
+        """List a histogram its owner observes into, from the first
+        observation (when ``histogram()`` would have created it)."""
+        if histogram.name in self._metrics:
+            raise TypeError(f"metric {histogram.name!r} already registered")
+        self._metrics[histogram.name] = histogram
+        self._pending[histogram.name] = [lambda: histogram.count]
+
     def describe(self, name: str, help_text: str) -> None:
         """Attach a ``# HELP`` line to a metric *base* name (no labels)."""
         self._help[name] = help_text
@@ -260,27 +319,25 @@ class MetricsRegistry:
     def help_text(self, name: str) -> str | None:
         return self._help.get(name)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._metrics
-
     def items(self) -> list[tuple[str, Counter | Gauge | Histogram]]:
-        """(flattened key, metric) pairs, sorted by key."""
-        return [(key, self._metrics[key])
-                for key in sorted(self._metrics)]
+        """(flattened key, metric) pairs of every listed series, sorted."""
+        for key in [key for key, tests in self._pending.items()
+                    if any(test() for test in tests)]:
+            del self._pending[key]
+        return [(key, self._metrics[key]) for key in sorted(self._metrics)
+                if key not in self._pending]
+
+    def __contains__(self, key: str) -> bool:
+        return any(key == listed for listed, _ in self.items())
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        return len(self.items())
 
     def snapshot(self) -> dict:
         """Every metric as JSON-safe data, keyed by flattened name."""
-        out = {}
-        for key in sorted(self._metrics):
-            metric = self._metrics[key]
-            if isinstance(metric, Histogram):
-                out[key] = metric.as_dict()
-            else:
-                out[key] = metric.value
-        return out
+        return {key: metric.as_dict() if isinstance(metric, Histogram)
+                else metric.value
+                for key, metric in self.items()}
 
     def render_text(self) -> str:
         """Prometheus-exposition-style text (one ``name value`` per line).
@@ -294,8 +351,7 @@ class MetricsRegistry:
         """
         lines: list[str] = []
         described: set[str] = set()
-        for key in sorted(self._metrics):
-            metric = self._metrics[key]
+        for key, metric in self.items():
             base, brace, labels = key.partition("{")
             labelpart = brace + labels
             if base not in described:

@@ -58,17 +58,22 @@ class SlowQueryLog:
         return self.threshold_ms is not None
 
     def observe(self, statement: str, user: str, sim_ms: float,
-                breakdown: dict[str, float] | None = None,
-                profile: dict | None = None,
-                trace_id: str = "") -> SlowQueryEntry | None:
-        """Log the statement when it crossed the threshold."""
+                job=None, profile=None) -> SlowQueryEntry | None:
+        """Log the statement when it crossed the threshold.
+
+        ``job`` (its ``breakdown``) and ``profile`` (a ``QueryProfile``)
+        are rendered only for a statement that makes an entry.
+        """
         if self.threshold_ms is None or sim_ms < self.threshold_ms:
             return None
         self._seq += 1
         self.total_logged += 1
-        entry = SlowQueryEntry(statement, user, sim_ms,
-                               dict(breakdown or {}), profile,
-                               seq=self._seq, trace_id=trace_id)
+        entry = SlowQueryEntry(
+            statement, user, sim_ms,
+            dict(job.breakdown) if job is not None else {},
+            profile.as_dict() if profile is not None else None,
+            seq=self._seq,
+            trace_id=profile.trace_id if profile is not None else "")
         self._entries.append(entry)
         return entry
 

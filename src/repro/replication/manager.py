@@ -42,6 +42,7 @@ from repro.observability.events import (
     ReplicaPromotedEvent,
     ReplicaRebuildEvent,
 )
+from repro.observability.metrics import Histogram
 from repro.replication.replica import (
     LIVE,
     REBUILDING,
@@ -100,22 +101,11 @@ class ReplicationManager:
         self.hedged_reads = 0
         self.hedge_wins = 0
         self.lag_alerts = 0
-
-    # -- metrics -------------------------------------------------------------
-    @property
-    def metrics(self):
-        """The shared registry (via the store's IOStats), or ``None``."""
-        return getattr(self.store.stats, "metrics", None)
-
-    def _inc(self, name: str, amount: int | float = 1) -> None:
-        registry = self.metrics
-        if registry is not None and amount:
-            registry.counter(name).inc(amount)
-
-    def _gauge(self, name: str, value: float) -> None:
-        registry = self.metrics
-        if registry is not None:
-            registry.gauge(name).set(value)
+        #: Worst follower backlog / followers over the alert threshold,
+        #: as of the last anti-entropy pass.
+        self.max_lag_records = 0
+        self.lagging_followers = 0
+        self.quorum_ack_ms = Histogram("replication.quorum_ack_ms")
 
     # -- placement -----------------------------------------------------------
     def _pick_servers(self, count: int, exclude: set[int],
@@ -192,8 +182,6 @@ class ReplicationManager:
         follower.shipped_records += 1
         self.records_shipped += 1
         self.bytes_shipped += record.nbytes
-        self._inc("replication.records_shipped")
-        self._inc("replication.bytes_shipped", record.nbytes)
 
     def _apply_marker(self, region, follower: FollowerReplica,
                       marker: FlushMarker) -> None:
@@ -229,12 +217,10 @@ class ReplicationManager:
             verdict = self._ship_verdict(follower.server)
             if verdict == "blocked":
                 self.blocked_ships += 1
-                self._inc("replication.blocked_ships")
                 return False
             follower.pending.popleft()
             if verdict == "drop":
                 self.dropped_ships += 1
-                self._inc("replication.dropped_ships")
                 follower.dropped_records += 1
                 follower.state = TORN
                 return False
@@ -256,12 +242,10 @@ class ReplicationManager:
         if verdict != "ok":
             if verdict == "blocked":
                 self.blocked_ships += 1
-                self._inc("replication.blocked_ships")
             else:
                 # Lost in flight but not acknowledged: the sender still
                 # holds it, so this is a retry, not a torn stream.
                 self.dropped_ships += 1
-                self._inc("replication.dropped_ships")
             follower.pending.append(record)
             return False
         self._apply_record(region, follower, record)
@@ -294,7 +278,6 @@ class ReplicationManager:
                 follower.pending.append(record)
         if sync and acks < self.quorum:
             self.quorum_failures += 1
-            self._inc("replication.quorum_failures")
             raise ReplicationQuorumError(table, region.region_id,
                                          region.server, acks,
                                          self.quorum)
@@ -302,13 +285,8 @@ class ReplicationManager:
             # Modeled quorum-ack latency: sequential synchronous ships,
             # one follower WAL fsync each (the primary's own fsync is
             # charged by the WAL itself).
-            registry = self.metrics
-            if registry is not None:
-                fsync_ms = getattr(self.store.cost_model, "fsync_ms",
-                                   4.0) if self.store.cost_model \
-                    is not None else 4.0
-                registry.histogram("replication.quorum_ack_ms").observe(
-                    (acks - 1) * fsync_ms)
+            fsync_ms = getattr(self.store.cost_model, "fsync_ms", 4.0)
+            self.quorum_ack_ms.observe((acks - 1) * fsync_ms)
 
     def on_flush(self, region, seqno: int) -> None:
         """The primary flushed its memstore; ship the marker in-stream."""
@@ -359,14 +337,13 @@ class ReplicationManager:
                     if follower.lag_records > self.lag_alert_records:
                         lagging += 1
                         self.lag_alerts += 1
-                        self._inc("replication.lag_alerts")
                         store.events.emit(ReplicaLagEvent(
                             table=table.name,
                             region_id=region.region_id,
                             server=follower.server,
                             lag_records=follower.lag_records))
-        self._gauge("replication.max_lag_records", max_lag)
-        self._gauge("replication.lagging_followers", lagging)
+        self.max_lag_records = max_lag
+        self.lagging_followers = lagging
         return {"healed": healed, "drained": drained}
 
     def _top_up(self, region, followers: list[FollowerReplica]) -> None:
@@ -413,7 +390,6 @@ class ReplicationManager:
         follower.applied_seqno = region.max_seqno
         follower.state = LIVE
         self.rebuilds += 1
-        self._inc("replication.rebuilds")
         store.events.emit(ReplicaRebuildEvent(
             table=table_name, region_id=region.region_id,
             server=follower.server, records_copied=copied))
@@ -520,7 +496,6 @@ class ReplicationManager:
             report.catchup_records += catchup
             report.reassignments[region.region_id] = best.server
             self.promotions += 1
-            self._inc("replication.promotions")
             store.events.emit(ReplicaPromotedEvent(
                 table=table.name, region_id=region.region_id,
                 server=best.server, from_server=from_server,
@@ -663,7 +638,6 @@ class ReplicationManager:
             if ctx is not None and follower_ms:
                 ctx.charge(follower_ms, label="gray_latency")
             self.follower_reads += 1
-            self._inc("replication.follower_reads")
             best.reads += 1
             return best
         if mode is ReadMode.FOLLOWER:
@@ -676,7 +650,6 @@ class ReplicationManager:
             if ctx is not None and follower_ms:
                 ctx.charge(follower_ms, label="gray_latency")
             self.follower_reads += 1
-            self._inc("replication.follower_reads")
             best.reads += 1
             return best
         # HEDGED: probe the primary; past the hedge delay, race a
@@ -690,7 +663,6 @@ class ReplicationManager:
                 ctx.charge(primary_ms, label="gray_latency")
             return None
         self.hedged_reads += 1
-        self._inc("replication.hedged_reads")
         follower_ms, follower_err = self._probe(best.server, op)
         if follower_err and primary_err:
             raise RegionUnavailableError(
@@ -704,7 +676,6 @@ class ReplicationManager:
         hedged_total = hedge_ms + follower_ms
         if primary_err or hedged_total < primary_ms:
             self.hedge_wins += 1
-            self._inc("replication.hedge_wins")
             if ctx is not None and hedged_total:
                 ctx.charge(hedged_total, label="hedged_read")
             best.reads += 1

@@ -231,12 +231,7 @@ class AdmissionController:
         self.admitted = 0
         self.shed = 0
         self.peak_in_flight = 0
-        self.metrics = None
         self.events = None
-
-    def bind_metrics(self, registry) -> None:
-        """Report admissions/sheds/in-flight into a metrics registry."""
-        self.metrics = registry
 
     def bind_events(self, log) -> None:
         """Emit an :class:`AdmissionShedEvent` per shed into ``log``."""
@@ -252,8 +247,6 @@ class AdmissionController:
 
     def _shed(self, scope: str, count: int, limit: int):
         self.shed += 1
-        if self.metrics is not None:
-            self.metrics.counter("admission.shed").inc()
         if self.events is not None:
             self.events.emit(AdmissionShedEvent(scope=scope, count=count,
                                                 limit=limit))
@@ -294,10 +287,6 @@ class AdmissionController:
             self.admitted += 1
             self.peak_in_flight = max(self.peak_in_flight,
                                       self._in_flight)
-            if self.metrics is not None:
-                self.metrics.counter("admission.admitted").inc()
-                self.metrics.gauge("admission.in_flight").set(
-                    self._in_flight)
 
     def release(self, user: str) -> None:
         with self._cond:
@@ -307,9 +296,6 @@ class AdmissionController:
                 self._per_user.pop(user, None)
             else:
                 self._per_user[user] = count
-            if self.metrics is not None:
-                self.metrics.gauge("admission.in_flight").set(
-                    self._in_flight)
             self._cond.notify()
 
     def stats(self) -> dict:
@@ -357,34 +343,24 @@ class CircuitBreaker:
         # Counters for operational visibility.
         self.times_opened = 0
         self.fast_failures = 0
-        self.metrics = None
         self.events = None
-
-    def bind_metrics(self, registry) -> None:
-        """Report opens/fast-failures into a metrics registry."""
-        self.metrics = registry
 
     def bind_events(self, log) -> None:
         """Emit a :class:`BreakerTripEvent` per open into ``log``."""
         self.events = log
-
-    def _count_fast_failure(self) -> None:
-        self.fast_failures += 1
-        if self.metrics is not None:
-            self.metrics.counter("breaker.fast_failures").inc()
 
     def before_call(self) -> None:
         """Gate one call; raises :class:`CircuitOpenError` when open."""
         if self.state == OPEN:
             elapsed = self._clock() - self.opened_at
             if elapsed < self.reset_timeout_s:
-                self._count_fast_failure()
+                self.fast_failures += 1
                 raise CircuitOpenError(self.reset_timeout_s - elapsed)
             self.state = HALF_OPEN
             self._probes_in_flight = 0
         if self.state == HALF_OPEN:
             if self._probes_in_flight >= self.half_open_probes:
-                self._count_fast_failure()
+                self.fast_failures += 1
                 raise CircuitOpenError(0.0)
             self._probes_in_flight += 1
 
@@ -414,8 +390,6 @@ class CircuitBreaker:
     def _trip(self) -> None:
         if self.state != OPEN:
             self.times_opened += 1
-            if self.metrics is not None:
-                self.metrics.counter("breaker.opened").inc()
             if self.events is not None:
                 self.events.emit(BreakerTripEvent(
                     consecutive_failures=self.consecutive_failures))

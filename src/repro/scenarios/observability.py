@@ -30,7 +30,6 @@ def run(out) -> ScenarioResult:
         for pass_no in range(1, _PASSES + 1):
             for sql in queries:
                 client.execute_query(sql)
-            server.metrics_snapshot()  # refresh derived gauges
             ratios.append(
                 server.metrics.gauge("kvstore.cache_hit_ratio").value)
             used = server.metrics.gauge("kvstore.cache_used_bytes").value
@@ -51,7 +50,6 @@ def run(out) -> ScenarioResult:
                    out, "EXPLAIN ANALYZE of one window query")
 
     print("\n== /metrics (registry dump) ==", file=out)
-    server.metrics_snapshot()
     print(server.metrics.render_text(), file=out)
 
     entries = server.slow_query_log.entries()

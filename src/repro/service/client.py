@@ -61,11 +61,16 @@ class JustClient:
         self.breaker = breaker if breaker is not None \
             else CircuitBreaker(clock=clock)
         # Breaker trips/fast-failures surface on the server's /metrics
-        # endpoint next to the faults that caused them.
+        # endpoint next to the faults that caused them.  (A stub server
+        # may have neither: tests/test_faults.py::TestClientRetry.)
+        breaker = self.breaker
         if getattr(server, "metrics", None) is not None:
-            self.breaker.bind_metrics(server.metrics)
+            server.metrics.expose("breaker.opened",
+                                  lambda: breaker.times_opened)
+            server.metrics.expose("breaker.fast_failures",
+                                  lambda: breaker.fast_failures)
         if getattr(server, "events", None) is not None:
-            self.breaker.bind_events(server.events)
+            breaker.bind_events(server.events)
         self.retries_attempted = 0
         self.reconnects = 0
         self._session_id = server.connect(user)

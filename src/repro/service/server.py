@@ -52,10 +52,8 @@ class JustServer:
         #: Server-side deadline applied when the client sends none
         #: (``None`` disables; like ``hbase.client.operation.timeout``).
         self.default_timeout_ms = default_timeout_ms
-        #: Process-wide registry shared with the engine and the store;
-        #: the admission controller reports into it too.
+        #: Process-wide registry shared with the engine and the store.
         self.metrics = self.engine.metrics
-        self.admission.bind_metrics(self.metrics)
         # Create the statement histogram bucketed up front: cumulative
         # le-buckets are what make windowed latency SLOs exact, and
         # buckets only apply on first creation.
@@ -73,6 +71,7 @@ class JustServer:
         #: here with their trace (``None`` disables the log).
         self.slow_query_log = SlowQueryLog(threshold_ms=slow_query_ms)
         self._profiles: deque[QueryProfile] = deque(maxlen=profile_capacity)
+        self._expose_series()
         # The engine installs sys.sessions / sys.slow_queries with empty
         # providers; the server owns the live state, so rebind them here.
         providers = {"sys.sessions": self._session_rows,
@@ -139,11 +138,8 @@ class JustServer:
         # latency alert can name an offending query.
         self.metrics.histogram("server.statement_sim_ms").observe(
             sim_ms, exemplar=profile.trace_id)
-        breakdown = dict(job.breakdown) if job is not None else {}
-        self.slow_query_log.observe(statement, user, sim_ms,
-                                    breakdown=breakdown,
-                                    profile=profile.as_dict(),
-                                    trace_id=profile.trace_id)
+        self.slow_query_log.observe(statement, user, sim_ms, job=job,
+                                    profile=profile)
         # Statement latencies are the event log's notion of elapsed time;
         # advancing it here is what makes region hotness rates decay.
         self.events.advance(sim_ms)
@@ -192,23 +188,39 @@ class JustServer:
         return self.admission.stats()
 
     # -- observability -------------------------------------------------------
-    def metrics_snapshot(self) -> dict:
-        """JSON-safe dump of every metric, with derived gauges refreshed.
+    def _expose_series(self) -> None:
+        """Declare the numbers the server's parts keep, read when listed.
 
         The block-cache hit ratio is derived at read time from the
         store's authoritative counters (hits over touched blocks), so it
         stays correct across flush/compact cycles instead of drifting as
         a sampled value would.
         """
-        stats = self.engine.store.stats
-        touched = stats.cache_hits + stats.blocks_read
-        ratio = stats.cache_hits / touched if touched else 0.0
-        self.metrics.gauge("kvstore.cache_hit_ratio").set(ratio)
-        used = sum(self.engine.store.cache_for(s).used_bytes
-                   for s in range(self.engine.store.num_servers))
-        self.metrics.gauge("kvstore.cache_used_bytes").set(used)
-        self.metrics.gauge("server.slow_queries_logged").set(
-            self.slow_query_log.total_logged)
+        store, expose = self.engine.store, self.metrics.expose
+
+        def admitted():
+            return self.admission.admitted
+
+        def cache_hit_ratio():
+            stats = store.stats
+            touched = stats.cache_hits + stats.blocks_read
+            return stats.cache_hits / touched if touched else 0.0
+
+        expose("admission.admitted", admitted)
+        expose("admission.shed", lambda: self.admission.shed)
+        expose("admission.in_flight", lambda: self.admission.in_flight,
+               kind="gauge", since=admitted)
+        for name, read in (
+                ("kvstore.cache_hit_ratio", cache_hit_ratio),
+                ("kvstore.cache_used_bytes",
+                 lambda: sum(store.cache_for(s).used_bytes
+                             for s in range(store.num_servers))),
+                ("server.slow_queries_logged",
+                 lambda: self.slow_query_log.total_logged)):
+            expose(name, read, kind="gauge", since=lambda: True)
+
+    def metrics_snapshot(self) -> dict:
+        """JSON-safe dump of every listed metric."""
         return self.metrics.snapshot()
 
     def recent_profiles(self, limit: int | None = None) -> list[QueryProfile]:

@@ -106,11 +106,9 @@ def execute_plan(plan: LogicalNode, engine, job, ctx=None) -> DataFrame:
             # timings) itself; every other operator reports the batches
             # backing its output frame.
             span.attrs.setdefault("batches", df.num_batches)
-    metrics = getattr(engine, "metrics", None)
-    if metrics is not None:
-        metrics.histogram("sql.operator_ms", op=op_name).observe(
-            job.elapsed_ms - start_ms)
-        metrics.counter("sql.operators_executed").inc()
+    engine.metrics.histogram("sql.operator_ms", op=op_name).observe(
+        job.elapsed_ms - start_ms)
+    engine.metrics.counter("sql.operators_executed").inc()
     return df
 
 
@@ -193,9 +191,8 @@ def _memory_scan(df: DataFrame, pushed_filter: Expr | None, engine,
 def _filter_frame(df: DataFrame, predicate: Expr, engine) -> DataFrame:
     """``df``'s rows where ``predicate`` is TRUE, batch at a time."""
     extra = _extra_functions(engine)
-    metrics = getattr(engine, "metrics", None)
     return DataFrame.from_batches(
-        [_filter_batch(b, [predicate], extra, metrics)
+        [_filter_batch(b, [predicate], extra, engine.metrics)
          for b in df.to_batches()], df.columns)
 
 
@@ -282,7 +279,7 @@ def _execute_scan(plan: ScanNode, engine, job, ctx=None) -> DataFrame:
     rows_in = 0
     batch_ms: list[float] = []
     last_ms = job.elapsed_ms
-    metrics = getattr(engine, "metrics", None)
+    metrics = engine.metrics
     for batch in source:
         rows_in += len(batch)
         if preds.residual:
@@ -310,12 +307,11 @@ def _execute_scan(plan: ScanNode, engine, job, ctx=None) -> DataFrame:
 
 
 def _count_batch(metrics) -> None:
-    if metrics is not None:
-        metrics.counter("sql.batches").inc()
+    metrics.counter("sql.batches").inc()
 
 
 def _filter_batch(batch: RowBatch, conjuncts: list[Expr],
-                  extra: dict, metrics=None) -> RowBatch:
+                  extra: dict, metrics) -> RowBatch:
     """Keep the batch's rows where every conjunct evaluates to TRUE.
 
     Each conjunct sees only the rows the earlier ones kept, as an
@@ -493,15 +489,14 @@ def _execute_project(plan: ProjectNode, engine, job, ctx=None) -> DataFrame:
         return _execute_set_projection(plan, child, set_items[0], extra,
                                        engine, job)
 
-    metrics = getattr(engine, "metrics", None)
-    out = [_project_batch(b, plan.projections, extra, metrics)
+    out = [_project_batch(b, plan.projections, extra, engine.metrics)
            for b in child.to_batches()]
     job.charge_cpu_batch(child.count(), child.num_batches)
     return DataFrame.from_batches(out, [n for _e, n in plan.projections])
 
 
 def _project_batch(batch: RowBatch, projections, extra: dict,
-                   metrics=None) -> RowBatch:
+                   metrics) -> RowBatch:
     """Evaluate scalar projections column-at-a-time over one batch."""
     _count_batch(metrics)
     data = {name: eval_expr_batch(expr, batch, extra)
@@ -589,7 +584,7 @@ def _execute_aggregate(plan: AggregateNode, engine, job,
     """
     child = execute_plan(plan.child, engine, job, ctx)
     extra = _extra_functions(engine)
-    metrics = getattr(engine, "metrics", None)
+    metrics = engine.metrics
     specs: list[AggregateSpec] = []
     agg_exprs: list[Expr | None] = []
     for call, output in plan.agg_calls:

@@ -116,11 +116,48 @@ class StreamLoader:
         self.total_dropped = 0
         self.polls = 0
         self.total_sim_ms = 0.0
+        self._expose_series(engine.metrics, start_offset)
 
     @property
     def lag(self) -> int:
         """Events published but not yet consumed."""
         return self.topic.end_offset - self.offset
+
+    def _expose_series(self, registry, start_offset: int) -> None:
+        """Declare this loader's numbers as ``streaming.*{loader=name}``;
+        the registry reads them from the loader and its operators."""
+        windows, alerters, mark = self._windows, self._alerters, \
+            self.watermark
+
+        def expose(name, read, **kwargs):
+            registry.expose(f"streaming.{name}", read, loader=self.name,
+                            **kwargs)
+
+        def polled():  # zero rows and zero lag are news after a poll
+            return self.polls
+
+        def has_watermark():
+            return mark.watermark is not None
+
+        expose("polls", polled)
+        expose("events_consumed", lambda: self.offset - start_offset)
+        expose("rows_loaded", lambda: self.total_loaded, since=polled)
+        expose("poll_sim_ms", lambda: self.total_sim_ms)
+        expose("events_dropped", lambda: self.total_dropped)
+        expose("windows_emitted",
+               lambda: sum(a.emitted_rows for a, _ in windows))
+        expose("alerts", lambda: sum(a.total_alerts for a in alerters))
+        expose("late_events",
+               lambda: sum(a.late_dropped for a, _ in windows))
+        expose("view_refresh_ms",
+               lambda: sum(v.total_refresh_ms for _, v in windows
+                           if v is not None))
+        expose("lag", lambda: self.lag, kind="gauge", since=polled)
+        expose("watermark", lambda: mark.watermark, kind="gauge",
+               since=has_watermark)
+        expose("watermark_delay_s",
+               lambda: mark.max_event_time - mark.watermark, kind="gauge",
+               since=has_watermark)
 
     # -- continuous-query attachments ---------------------------------------
 
@@ -180,59 +217,12 @@ class StreamLoader:
         self.offset += len(events)
         self.total_loaded += len(rows)
         self.total_dropped += dropped
-        late_before = sum(a.late_dropped for a, _ in self._windows)
-        refresh_before = sum(v.total_refresh_ms
-                             for _, v in self._windows if v is not None)
         emitted, alerts = self._run_pipeline(kept, job)
         self.polls += 1
         self.total_sim_ms += job.elapsed_ms
-        self._observe_poll(len(events), len(rows), dropped, emitted,
-                           alerts, late_before, refresh_before,
-                           job.elapsed_ms)
         return {"consumed": len(events), "loaded": len(rows),
                 "dropped": dropped, "emitted": emitted, "alerts": alerts,
                 "sim_ms": job.elapsed_ms}
-
-    def _observe_poll(self, consumed: int, loaded: int, dropped: int,
-                      emitted: int, alerts: int, late_before: int,
-                      refresh_before: float, sim_ms: float) -> None:
-        """Report one poll into the engine's metrics registry."""
-        registry = getattr(self.engine, "metrics", None)
-        if registry is None:
-            return
-        name = self.name
-        registry.counter("streaming.polls", loader=name).inc()
-        registry.counter("streaming.events_consumed",
-                         loader=name).inc(consumed)
-        registry.counter("streaming.rows_loaded", loader=name).inc(loaded)
-        if dropped:
-            registry.counter("streaming.events_dropped",
-                             loader=name).inc(dropped)
-        if emitted:
-            registry.counter("streaming.windows_emitted",
-                             loader=name).inc(emitted)
-        if alerts:
-            registry.counter("streaming.alerts", loader=name).inc(alerts)
-        late_delta = (sum(a.late_dropped for a, _ in self._windows)
-                      - late_before)
-        if late_delta:
-            registry.counter("streaming.late_events",
-                             loader=name).inc(late_delta)
-        refresh_delta = (sum(v.total_refresh_ms for _, v in self._windows
-                             if v is not None) - refresh_before)
-        if refresh_delta:
-            registry.counter("streaming.view_refresh_ms",
-                             loader=name).inc(refresh_delta)
-        registry.counter("streaming.poll_sim_ms",
-                         loader=name).inc(sim_ms)
-        registry.gauge("streaming.lag", loader=name).set(self.lag)
-        watermark = self.watermark.watermark
-        if watermark is not None:
-            registry.gauge("streaming.watermark", loader=name).set(
-                watermark)
-            registry.gauge("streaming.watermark_delay_s",
-                           loader=name).set(
-                self.watermark.max_event_time - watermark)
 
     def _run_pipeline(self, kept, job) -> tuple[int, int]:
         """Advance the watermark, windows, views, and alerters by one batch.
