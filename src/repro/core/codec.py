@@ -80,12 +80,22 @@ def compress_bytes(data: bytes, method: str) -> bytes:
     raise SchemaError(f"unknown compression method {method!r}")
 
 
+#: ``zlib.decompress`` window arguments.  31 = a gzip member: header,
+#: CRC-32 and length trailer are checked in C, without ``gzip.py``'s
+#: per-call ``BytesIO`` + ``GzipFile`` framing.
+_WBITS = {"gzip": 31, "zip": zlib.MAX_WBITS}
+
+
 def decompress_bytes(data: bytes, method: str) -> bytes:
-    if method == "gzip":
-        return _gzip.decompress(data)
-    if method == "zip":
-        return zlib.decompress(data)
-    raise SchemaError(f"unknown compression method {method!r}")
+    try:
+        wbits = _WBITS[method]
+    except KeyError:
+        raise SchemaError(
+            f"unknown compression method {method!r}") from None
+    try:
+        return zlib.decompress(data, wbits=wbits)
+    except zlib.error as exc:  # truncated, bit-flipped, not a stream
+        raise SchemaError(f"corrupt {method} payload: {exc}") from exc
 
 
 # -- per-type value encodings --------------------------------------------------

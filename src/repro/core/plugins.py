@@ -58,6 +58,14 @@ class TrajectoryPlugin(CommonTable):
         """All trajectories of one moving object (the ID query)."""
         return self.attribute_query("oid", oid, job)
 
+    def as_stored(self, row: dict) -> dict:
+        """The GPS list is stored in 1e-6 degree ticks; its MBR — hence
+        its XZ code and signature — is taken from those."""
+        series = row.get("gps_list")
+        if series is None:
+            return row
+        return {**row, "gps_list": series.as_stored()}
+
     # The index-relevant geometry is the GPS polyline, not a stored column.
     def record_geometry(self, row: dict) -> Geometry | None:
         series: STSeries | None = row.get("gps_list")

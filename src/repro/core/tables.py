@@ -31,9 +31,10 @@ from repro.kvstore.scan import ScanSpec, chunk_pairs
 from repro.kvstore.store import KVStore
 
 
-def _multi_range_spec(ranges: list[KeyRange]) -> ScanSpec:
+def _multi_range_spec(ranges: list[KeyRange], key_filter=None) -> ScanSpec:
     """One scan request covering a strategy's (inclusive) key ranges."""
-    return ScanSpec(ranges=[(kr.start, kr.end + b"\x00") for kr in ranges])
+    return ScanSpec(ranges=[(kr.start, kr.end + b"\x00") for kr in ranges],
+                    key_filter=key_filter)
 
 
 class CommonTable:
@@ -143,6 +144,13 @@ class CommonTable:
         geometry = self.record_geometry(row)
         return geometry.envelope if geometry is not None else None
 
+    def as_stored(self, row: dict) -> dict:
+        """``row`` with the values the codec stores lossily replaced by
+        what :meth:`RowCodec.decode_row` will give back, so the keys an
+        insert writes are the keys a later upsert or delete of the
+        decoded row removes.  Lossless schemas store what they get."""
+        return row
+
     def _indexed_record(self, row: dict) -> IndexedRecord:
         fid = self.schema.fid_of(row)
         geometry = self.record_geometry(row)
@@ -160,6 +168,7 @@ class CommonTable:
         encoded_bytes = 0
         for row in rows:
             self.schema.validate_row(row)
+            row = self.as_stored(row)
             fid = self.schema.fid_of(row)
             record = self._indexed_record(row) if self.strategies else None
             self._delete_existing(fid)
@@ -198,6 +207,9 @@ class CommonTable:
             else:
                 self.time_extent = (min(self.time_extent[0], record.t_min),
                                     max(self.time_extent[1], t_max))
+            if t_max > record.t_min:
+                for strategy in self.strategies.values():
+                    strategy.observe_extent(record.t_min, t_max)
 
     def _delete_existing(self, fid: str) -> bool:
         existing = self._id_table.get(fid.encode("utf-8"))
@@ -299,14 +311,16 @@ class CommonTable:
                 job.charge_cpu_records(scanned)
 
     def _range_chunks(self, kv_table, ranges: list[KeyRange],
-                      job: SimJob | None, ctx, wanted=None):
+                      job: SimJob | None, ctx, wanted=None,
+                      key_filter=None):
         """Decoded chunks of one index table's key ranges, in key order.
 
         Curve strategies produce hundreds of small ranges over many
         regions, so chunks fill *across* range and region boundaries
-        from the store's merged pair stream.
+        from the store's merged pair stream.  Keys that fail the
+        strategy's ``key_filter`` never leave the store.
         """
-        pairs = kv_table.scan(_multi_range_spec(ranges), ctx)
+        pairs = kv_table.scan(_multi_range_spec(ranges, key_filter), ctx)
         return self._decoded(chunk_pairs(pairs), len(ranges), job, wanted)
 
     def _st_rows(self, query: STQuery, predicate: str,
@@ -324,12 +338,14 @@ class CommonTable:
             strategy_name, effective = choose_strategy(self, query)
         if effective.has_temporal and self.time_extent is None:
             return  # no stored row carries a time: nothing to clamp to
-        ranges = self.strategies[strategy_name].ranges(effective)
+        strategy = self.strategies[strategy_name]
+        ranges = strategy.ranges(effective)
         if not ranges:
             return  # an empty window: nothing to scan
         wanted = self.decoded_fields(columns, filtered=True)
         for rows in self._range_chunks(self._index_tables[strategy_name],
-                                       ranges, job, ctx, wanted):
+                                       ranges, job, ctx, wanted,
+                                       strategy.key_filter(query)):
             for row in rows:
                 if self._matches(row, query, predicate):
                     yield self.decorate_row(row, wanted)

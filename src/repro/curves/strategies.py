@@ -21,7 +21,13 @@ Strategies provided:
 
 Key layout (all integers big-endian so byte order equals numeric order)::
 
-    [shard: 1][period: 4, biased][curve value: 8][0x00][feature id utf-8]
+    [shard: 1][period: 4, biased][curve body: 8][0x00][feature id utf-8]
+
+The curve body is the 64-bit curve value, except for XZ2/XZ2T, whose
+sequence code needs 32 bits: there it is ``code:u32`` followed by the
+record's MBR signature ``min_x:u8 min_y:u8 max_x:u8 max_y:u8`` (see
+:class:`~repro.curves.xz.XZ2Curve`), which a scan tests against the
+query window before it touches the value (:meth:`IndexStrategy.key_filter`).
 
 The one-byte shard prefix is GeoMesa's random-prefix load-balancing trick:
 records spread across ``num_shards`` contiguous key spaces (and therefore
@@ -30,6 +36,7 @@ across region servers); every query fans out one range set per shard.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from abc import ABC, abstractmethod
@@ -105,6 +112,40 @@ def _pack_curve(value: int) -> bytes:
     return struct.pack(">Q", value)
 
 
+_XZ2_BODY = struct.Struct(">IBBBB")  # sequence code, MBR signature
+
+
+def _xz2_curve(g: int) -> XZ2Curve:
+    curve = XZ2Curve(g)
+    if curve.max_code() >= 1 << 32:
+        raise IndexError_(
+            f"xz2 key bodies hold a 32-bit sequence code: g must be "
+            f"<= 15, got {g}")
+    return curve
+
+
+def _xz2_body(curve: XZ2Curve, envelope: Envelope) -> bytes:
+    code = curve.index(envelope)
+    return _XZ2_BODY.pack(code, *curve.signature(envelope, code))
+
+
+def _xz2_code_bounds(lo: int, hi: int) -> tuple[bytes, bytes]:
+    """Body bounds covering every signature of the codes ``lo..hi``."""
+    return (_XZ2_BODY.pack(lo, 0, 0, 0, 0),
+            _XZ2_BODY.pack(hi, 255, 255, 255, 255))
+
+
+def _xz2_key_filter(curve: XZ2Curve, window: Envelope, offset: int):
+    """Key test for bodies that start ``offset`` bytes into the key."""
+    meets = curve.signature_test(window)
+    unpack_from = _XZ2_BODY.unpack_from
+
+    def key_filter(key: bytes) -> bool:
+        return meets(*unpack_from(key, offset))
+
+    return key_filter
+
+
 class IndexStrategy(ABC):
     """Interface every index strategy implements."""
 
@@ -158,6 +199,21 @@ class IndexStrategy(ABC):
         """Inclusive (start, end) ranges over the key body, sorted by
         start and pairwise disjoint."""
 
+    def key_filter(self, query: STQuery):
+        """A ``key -> bool`` test a scan of :meth:`ranges` applies to
+        each key before it hands the value over, or ``None`` when the
+        key says no more than its range does (every point strategy).
+
+        Conservative: False only for keys whose record cannot meet the
+        query's spatial window; the exact test still runs on the rest.
+        """
+        return None
+
+    def observe_extent(self, t_min: float, t_max: float) -> None:
+        """A record lasting from ``t_min`` to ``t_max`` was stored.
+        Strategies that bin by start time widen their look-back to keep
+        reaching it (see :class:`_BinnedByStart`)."""
+
     # -- statistics for the cost-based planner -------------------------------
     def estimate_selectivity(self, query: STQuery,
                              time_extent: tuple[float, float] | None = None,
@@ -205,6 +261,43 @@ def _spatial_fraction_of(ranges: list[tuple[int, int]],
         return 1.0
     covered = sum(hi - lo + 1 for lo, hi in ranges)
     return min(1.0, covered / space)
+
+
+class _BinnedByStart:
+    """Look-back of a strategy that files a record under the period of
+    its *start* (XZ3, XZ2T): a window must also scan the periods in
+    which records still running at its start were filed.
+
+    ``lookback_periods`` (one, as GeoMesa assumes) covers every record
+    no longer than that many periods.  Longer ones are a table
+    statistic, grow-only like ``time_extent``: the longest seen, in
+    periods, and the earliest period one of them was filed under — the
+    extra look-back stops there, so a fence valid "forever" costs the
+    periods since it began, not the periods it will last.
+    """
+
+    period: TimePeriod
+    lookback_periods: int
+    _long_reach = 0
+    _long_first_bin = 0
+
+    def observe_extent(self, t_min: float, t_max: float) -> None:
+        reach = math.ceil((t_max - t_min) / self.period.seconds)
+        if reach <= self.lookback_periods:
+            return
+        first_bin = period_bin(t_min, self.period)
+        if not self._long_reach or first_bin < self._long_first_bin:
+            self._long_first_bin = first_bin
+        self._long_reach = max(self._long_reach, reach)
+
+    def _bins_reaching(self, query: STQuery) -> range:
+        """The period bins whose records can reach ``query``'s window."""
+        bins = period_bins_covering(query.t_min, query.t_max, self.period)
+        start = bins.start - self.lookback_periods
+        if self._long_reach:
+            start = min(start, max(bins.start - self._long_reach,
+                                   self._long_first_bin))
+        return range(start, bins.stop)
 
 
 def _bins_fraction(query: STQuery, period: TimePeriod,
@@ -259,18 +352,23 @@ class XZ2Strategy(IndexStrategy):
 
     def __init__(self, g: int = 12, **kwargs):
         super().__init__(**kwargs)
-        self.curve = XZ2Curve(g)
+        self.curve = _xz2_curve(g)
 
     def _key_body(self, record: IndexedRecord) -> bytes:
-        return _pack_curve(self.curve.index(record.geometry.envelope))
+        return _xz2_body(self.curve, record.geometry.envelope)
 
     def supports(self, query: STQuery) -> bool:
         return query.has_spatial
 
     def _body_ranges(self, query: STQuery) -> list[tuple[bytes, bytes]]:
-        return [(_pack_curve(lo), _pack_curve(hi))
+        return [_xz2_code_bounds(lo, hi)
                 for lo, hi in self.curve.ranges(query.envelope,
                                                 self.max_ranges)]
+
+    def key_filter(self, query: STQuery):
+        if not query.has_spatial:
+            return None
+        return _xz2_key_filter(self.curve, query.envelope, offset=1)
 
     def _curve_fraction(self, query: STQuery) -> float:
         ranges = self.curve.ranges(query.envelope, self.max_ranges)
@@ -374,12 +472,13 @@ class Z3Strategy(IndexStrategy):
 
 
 
-class XZ3Strategy(IndexStrategy):
+class XZ3Strategy(_BinnedByStart, IndexStrategy):
     """Per-period space-time XZ curve for extended objects (Figure 5a).
 
     Objects are binned by their start time (``t_min``); queries therefore
-    scan ``lookback_periods`` extra preceding periods to catch objects that
-    started earlier but extend into the query window.
+    scan ``lookback_periods`` extra preceding periods — more once longer
+    objects are stored, see :class:`_BinnedByStart` — to catch objects
+    that started earlier but extend into the query window.
     """
 
     name = "xz3"
@@ -409,8 +508,7 @@ class XZ3Strategy(IndexStrategy):
         return query.has_spatial and query.has_temporal
 
     def _body_ranges(self, query: STQuery) -> list[tuple[bytes, bytes]]:
-        bins = period_bins_covering(query.t_min, query.t_max, self.period)
-        bins = range(bins.start - self.lookback_periods, bins.stop)
+        bins = self._bins_reaching(query)
         out: list[tuple[bytes, bytes]] = []
         per_bin_budget = max(8, min(self.RANGE_BUDGET_CAP,
                                     self.max_ranges // max(1, len(bins))))
@@ -511,11 +609,12 @@ class Z2TStrategy(IndexStrategy):
         return _bins_fraction(query, self.period, time_extent)
 
 
-class XZ2TStrategy(IndexStrategy):
+class XZ2TStrategy(_BinnedByStart, IndexStrategy):
     """XZ2T (Section IV-C): a separate XZ2 index inside each time period.
 
-    Key = ``Num(t_min) :: XZ2(mbr)`` (Equation 3).  Like XZ3, binning is by
-    start time, so queries scan ``lookback_periods`` preceding periods.
+    Key = ``Num(t_min) :: XZ2(mbr) :: signature(mbr)`` (Equation 3 plus
+    the MBR signature).  Like XZ3, binning is by start time, so queries
+    scan ``lookback_periods`` preceding periods (:class:`_BinnedByStart`).
     """
 
     name = "xz2t"
@@ -524,30 +623,34 @@ class XZ2TStrategy(IndexStrategy):
                  lookback_periods: int = 1, **kwargs):
         super().__init__(**kwargs)
         self.period = period
-        self.curve = XZ2Curve(g)
+        self.curve = _xz2_curve(g)
         self.lookback_periods = lookback_periods
 
     def _key_body(self, record: IndexedRecord) -> bytes:
         if record.t_min is None:
             raise IndexError_("xz2t requires a time extent")
         bin_number = period_bin(record.t_min, self.period)
-        code = self.curve.index(record.geometry.envelope)
-        return _pack_period(bin_number) + _pack_curve(code)
+        return _pack_period(bin_number) + _xz2_body(
+            self.curve, record.geometry.envelope)
 
     def supports(self, query: STQuery) -> bool:
         return query.has_spatial and query.has_temporal
 
+    def key_filter(self, query: STQuery):
+        if not query.has_spatial:
+            return None
+        return _xz2_key_filter(self.curve, query.envelope, offset=5)
+
     def _body_ranges(self, query: STQuery) -> list[tuple[bytes, bytes]]:
-        bins = period_bins_covering(query.t_min, query.t_max, self.period)
-        bins = range(bins.start - self.lookback_periods, bins.stop)
+        bins = self._bins_reaching(query)
         per_bin_budget = max(8, self.max_ranges // max(1, len(bins)))
         spatial = self.curve.ranges(query.envelope, per_bin_budget)
         out: list[tuple[bytes, bytes]] = []
+        spatial = [_xz2_code_bounds(lo, hi) for lo, hi in spatial]
         for bin_number in bins:
             prefix = _pack_period(bin_number)
             for lo, hi in spatial:
-                out.append((prefix + _pack_curve(lo),
-                            prefix + _pack_curve(hi)))
+                out.append((prefix + lo, prefix + hi))
         return out
 
     def _curve_fraction(self, query: STQuery) -> float:

@@ -167,11 +167,88 @@ class _XZBase:
         return _merge_ranges(ranges)
 
 
+#: A signature coordinate counts 1/256ths of the enlarged element's side,
+#: i.e. 1/128ths of the cell's: ``2 ** (level + 7)`` steps per unit.
+_SIGNATURE_SHIFT = 7
+
+
 class XZ2Curve(_XZBase):
-    """XZ-ordering over 2D envelopes, resolution ``g`` (default 12)."""
+    """XZ-ordering over 2D envelopes, resolution ``g`` (default 12).
+
+    Beside the sequence code an MBR has a *signature*: its own corners
+    relative to the lower-left corner of its enlarged element, as four
+    bytes ``(min_x, min_y, max_x, max_y)`` counting 1/256ths of the
+    element's side.  Lower corners round down and upper corners up, on
+    the power-of-two-scaled coordinates of :meth:`_ranges_normalized`
+    (exact in floating point), so the box the bytes spell out covers
+    the MBR; a byte that saturates (0 below, 255 above) reads as "no
+    bound", which keeps that true even for an MBR the float arithmetic
+    of :meth:`index` let poke out of its element.
+    """
 
     def __init__(self, g: int = 12):
         super().__init__(g, dims=2)
+
+    def element(self, code: int) -> tuple[int, int, int]:
+        """``(level, ix, iy)`` of the cell a sequence code names: the
+        quadrant digits of :meth:`_sequence_code`, read back."""
+        level = ix = iy = 0
+        while code:
+            quadrant, code = divmod(code - 1, self._child_steps[level])
+            ix = 2 * ix + (quadrant & 1)
+            iy = 2 * iy + (quadrant >> 1)
+            level += 1
+        return level, ix, iy
+
+    def _signature_frame(self, code: int) -> tuple[float, int, int]:
+        """``(scale, x0, y0)``: signature steps per unit, and the corner
+        of ``code``'s element in those steps."""
+        level, ix, iy = self.element(code)
+        return (2.0 ** (level + _SIGNATURE_SHIFT),
+                ix << _SIGNATURE_SHIFT, iy << _SIGNATURE_SHIFT)
+
+    def signature(self, envelope: Envelope,
+                  code: int) -> tuple[int, int, int, int]:
+        """The signature of ``envelope`` inside the element of ``code``
+        (its own :meth:`index`)."""
+        scale, x0, y0 = self._signature_frame(code)
+        (x_lo, y_lo), (x_hi, y_hi) = self._normalize(envelope)
+        return (min(255, max(0, math.floor(x_lo * scale) - x0)),
+                min(255, max(0, math.floor(y_lo * scale) - y0)),
+                min(255, max(0, math.ceil(x_hi * scale) - x0 - 1)),
+                min(255, max(0, math.ceil(y_hi * scale) - y0 - 1)))
+
+    def signature_test(self, window: Envelope):
+        """``(code, min_x, min_y, max_x, max_y) -> bool``: can an MBR
+        with that code and signature meet ``window``?
+
+        Never False for an MBR that does (normalizing is monotone, the
+        rounding is outward).  What the window looks like from inside
+        an element is worked out once per distinct code: the candidates
+        of one statement share a few dozen.
+        """
+        # As in _ranges_normalized: beyond [-1, 3] decides as -1 or 3.
+        (qx_lo, qy_lo), (qx_hi, qy_hi) = (
+            [min(3.0, max(-1.0, q)) for q in corner]
+            for corner in self._normalize(window))
+        bounds: dict[int, tuple[int, int, int, int]] = {}
+
+        def meets(code, min_x, min_y, max_x, max_y):
+            try:
+                below_x, below_y, above_x, above_y = bounds[code]
+            except KeyError:
+                scale, x0, y0 = self._signature_frame(code)
+                # A saturated byte carries no bound: it passes whatever
+                # side of the element the window lies on.
+                below_x, below_y, above_x, above_y = bounds[code] = (
+                    max(0, math.floor(qx_hi * scale) - x0),
+                    max(0, math.floor(qy_hi * scale) - y0),
+                    min(255, math.ceil(qx_lo * scale) - x0 - 1),
+                    min(255, math.ceil(qy_lo * scale) - y0 - 1))
+            return (min_x <= below_x and min_y <= below_y
+                    and max_x >= above_x and max_y >= above_y)
+
+        return meets
 
     @staticmethod
     def _normalize(envelope: Envelope) -> tuple[list[float], list[float]]:

@@ -49,13 +49,25 @@ class LineString(Geometry):
         coords = tuple((float(lng), float(lat)) for lng, lat in coords)
         if len(coords) < 2:
             raise GeometryError("LineString requires at least two points")
+        lngs, lats = zip(*coords)
+        self._set(coords, Envelope(min(lngs), min(lats),
+                                   max(lngs), max(lats)))
+
+    @classmethod
+    def from_columns(cls, lngs: list[float], lats: list[float],
+                     envelope: Envelope) -> "LineString":
+        """The line over two equal-length columns of floats whose MBR
+        the caller already holds (a decoded ``st_series``): nothing is
+        coerced or re-derived, so ``envelope`` must be theirs."""
+        if len(lngs) < 2:
+            raise GeometryError("LineString requires at least two points")
+        line = object.__new__(cls)
+        line._set(tuple(zip(lngs, lats)), envelope)
+        return line
+
+    def _set(self, coords, envelope: Envelope) -> None:
         object.__setattr__(self, "_coords", coords)
-        object.__setattr__(self, "_envelope", Envelope(
-            min(c[0] for c in coords),
-            min(c[1] for c in coords),
-            max(c[0] for c in coords),
-            max(c[1] for c in coords),
-        ))
+        object.__setattr__(self, "_envelope", envelope)
 
     @property
     def coords(self) -> tuple[tuple[float, float], ...]:

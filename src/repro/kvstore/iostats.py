@@ -17,6 +17,8 @@ class IOSnapshot:
     memstore_bytes_read: int = 0
     result_bytes: int = 0
     scans_started: int = 0
+    #: Live keys a scan's ``key_filter`` turned away inside the region.
+    scan_keys_rejected: int = 0
     blocks_read: int = 0
     cache_hits: int = 0
     wal_bytes_written: int = 0
@@ -80,6 +82,9 @@ class IOStats:
 
     def record_scan(self) -> None:
         self.scans_started += 1
+
+    def record_key_rejected(self) -> None:
+        self.scan_keys_rejected += 1
 
     def record_wal_append(self, nbytes: int, server: int = 0) -> None:
         self.wal_bytes_written += nbytes

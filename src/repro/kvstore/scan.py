@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 # One key-value chunk decodes into one RowBatch, so the chunk size is
@@ -58,6 +59,13 @@ class ScanSpec:
     :data:`Bounds`, sorted and pairwise disjoint (adjacent is fine); one
     scan serves them all.  It is what the store reads: a spec built from
     ``start``/``end`` holds its one range there too.
+
+    ``key_filter`` (``key -> bool``, see ``IndexStrategy.key_filter``)
+    is applied to each live key inside the region visit, HBase
+    server-side-filter style: a rejected entry is counted
+    (``IOStats.scan_keys_rejected``) and never becomes a result — no
+    result bytes, no value handed over, and it does not count towards
+    ``limit``.
     """
 
     start: bytes = b""
@@ -65,6 +73,7 @@ class ScanSpec:
     limit: int | None = None
     end_exclusive: bool = False
     ranges: tuple[Bounds, ...] | None = None
+    key_filter: Callable[[bytes], bool] | None = None
 
     def __post_init__(self) -> None:
         ranges = self.ranges

@@ -231,11 +231,13 @@ class KVTable:
         self._store.tick_faults("scan")
         self._stats.record_scan()
         if not self.salt_buckets:
-            return self._scan_regions(spec.ranges, ctx, batched)
-        pairs = self._scan_salted(spec.ranges, ctx)
+            return self._scan_regions(spec.ranges, ctx, batched,
+                                      spec.key_filter)
+        pairs = self._scan_salted(spec.ranges, ctx, spec.key_filter)
         return chunk_pairs(pairs) if batched else pairs
 
-    def _scan_salted(self, bounds: Sequence[Bounds], ctx=None):
+    def _scan_salted(self, bounds: Sequence[Bounds], ctx=None,
+                     key_filter=None):
         """Fan the logical ranges out over every salt bucket and merge.
 
         Each bucket holds a contiguous salted copy of the logical key
@@ -243,8 +245,12 @@ class KVTable:
         with the salt byte stripped yields the bucket's rows in logical
         order; a ``heapq.merge`` over the buckets restores the global
         order.  A logical key lives in exactly one bucket, so merge
-        comparisons never tie (and never reach the values).
+        comparisons never tie (and never reach the values).  A
+        ``key_filter`` sees the logical key, behind the salt byte.
         """
+        salted_filter = None if key_filter is None \
+            else lambda key: key_filter(key[1:])
+
         def bucket_stream(bucket: int):
             prefix = bytes([bucket])
             # An unbounded range ends with the bucket's key space
@@ -253,20 +259,23 @@ class KVTable:
                        bytes([bucket + 1]) if stop is None
                        else prefix + stop)
                       for start, stop in bounds]
-            for key, value in self._scan_regions(salted, ctx):
+            for key, value in self._scan_regions(
+                    salted, ctx, key_filter=salted_filter):
                 yield key[1:], value
 
         yield from heapq.merge(*(bucket_stream(b)
                                  for b in range(self.salt_buckets)))
 
     def _scan_regions(self, bounds: Sequence[Bounds], ctx=None,
-                      batched: bool = False):
+                      batched: bool = False, key_filter=None):
         """Yield the live entries of ``bounds``, one visit per region:
         one routing/availability check, one hotness tick, one trace span
         and one :meth:`Region.scan` over the ranges that fall in it.
 
         Entries come out as pairs, or — when ``batched`` — as lists of
-        pairs whose result bytes are accounted once per batch.
+        pairs whose result bytes are accounted once per batch.  Entries
+        whose key fails ``key_filter`` stay in the region: they were
+        read (their blocks are charged) but are not a result.
         """
         profile = getattr(ctx, "profile", None) if ctx is not None \
             else None
@@ -291,6 +300,8 @@ class KVTable:
                 else None
             region_rows = 0
             stream = region.scan(ranges, cache, ctx, replica=replica)
+            if key_filter is not None:
+                stream = self._accepted(stream, key_filter)
             try:
                 if not batched:
                     for key, value in stream:
@@ -307,6 +318,16 @@ class KVTable:
                 if profile is not None:
                     self._record_region_span(profile, region, before,
                                              region_rows, len(ranges))
+
+    def _accepted(self, stream, key_filter):
+        """The pairs of ``stream`` whose key passes ``key_filter``; the
+        others are counted and dropped."""
+        rejected = self._stats.record_key_rejected
+        for pair in stream:
+            if key_filter(pair[0]):
+                yield pair
+            else:
+                rejected()
 
     def _record_region_span(self, profile, region, before,
                             region_rows: int, num_ranges: int) -> None:
@@ -331,9 +352,10 @@ class KVTable:
                 f"s{region.server}]",
                 kind="region_scan", table=self.name,
                 region=region.region_id, server=region.server,
-                rows=0, blocks_read=0, cache_hits=0, disk_bytes_read=0,
-                ranges=0)
+                rows=0, rejected=0, blocks_read=0, cache_hits=0,
+                disk_bytes_read=0, ranges=0)
         span.attrs["rows"] += region_rows
+        span.attrs["rejected"] += delta.scan_keys_rejected
         span.attrs["blocks_read"] += delta.blocks_read
         span.attrs["cache_hits"] += delta.cache_hits
         span.attrs["disk_bytes_read"] += delta.disk_bytes_read

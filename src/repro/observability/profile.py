@@ -153,8 +153,11 @@ class QueryProfile:
         for depth, span in self.root.walk():
             rate = span.cache_hit_rate
             rate_text = "-" if rate is None else f"{rate:.0%}"
+            rejected = span.attrs.get("rejected")
+            rejected_text = f" rejected={rejected}" if rejected else ""
             lines.append(f"{'  ' * depth}{span.name}  "
-                         f"rows={span.rows} blocks={span.blocks_read} "
+                         f"rows={span.rows}{rejected_text} "
+                         f"blocks={span.blocks_read} "
                          f"cache={rate_text} sim_ms={span.sim_ms:.2f}")
         return "\n".join(lines)
 
@@ -166,7 +169,9 @@ def analyze_rows(profile: QueryProfile) -> list[dict]:
     output rows, row batches processed (source batches for a scan, the
     batches backing the output frame for every other operator), HFile
     blocks read from disk, block-cache hits, the hit rate over
-    touched blocks, and inclusive simulated milliseconds.
+    touched blocks, and inclusive simulated milliseconds.  A region
+    scan that rejected keys on its scan's ``key_filter`` says how many
+    (``rejected=``, beside its ``rows``: the ones that passed).
     """
     rows = []
     for depth, span in profile.root.walk():
@@ -180,6 +185,8 @@ def analyze_rows(profile: QueryProfile) -> list[dict]:
         if decoded is not None:  # a table scan: what it materialized
             name += " decoded=" + (
                 decoded if decoded == "*" else f"[{', '.join(decoded)}]")
+        if span.attrs.get("rejected"):  # keys its key_filter turned away
+            name += f" rejected={span.attrs['rejected']}"
         rows.append({
             "operator": "  " * (depth - 1) + name,
             "rows": span.rows,

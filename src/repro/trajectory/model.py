@@ -75,6 +75,13 @@ class STSeries:
         series._envelope = None
         return series
 
+    def as_stored(self) -> "STSeries":
+        """This series after a round trip through the codec: itself when
+        it already is its stored columns, else one over them."""
+        if self._fixed is not None:
+            return self
+        return STSeries.from_fixed_point(*self.fixed_point())
+
     def fixed_point(self) -> tuple[list[int], list[int], list[int]]:
         """The stored columns ``(lng6, lat6, t_ms)`` of this series."""
         if self._fixed is not None:
@@ -150,7 +157,11 @@ class STSeries:
     def as_linestring(self) -> LineString:
         if len(self) < 2:
             raise SchemaError("st_series needs >= 2 points for a linestring")
-        return LineString(zip(*self._lnglat()))
+        if self._fixed is None:
+            return LineString(zip(*self._lnglat()))
+        # Stored columns divide into floats whose bounds are the cached
+        # envelope's: nothing for the constructor to coerce or find.
+        return LineString.from_columns(*self._lnglat(), self.envelope)
 
     def length_m(self) -> float:
         """Travelled distance in metres."""

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 
 from repro.errors import ExecutionError
 from repro.sql.ast import (
@@ -193,6 +195,45 @@ def xz_ranges_reference(g, q_lo, q_hi, max_ranges):
             queue.append((level + 1, child_lo, cs + 1 + quadrant * step))
 
     return merge_ranges(ranges)
+
+
+# -- XZ2 key bodies: the element of a code, the signature of an MBR ------------
+#
+# In exact rationals, from the definitions: a sequence code is a path of
+# quadrant digits (a cell's code is its parent's plus one plus the
+# quadrant number times the size of a child subtree); the signature is
+# the MBR measured from the cell's lower-left corner in 1/256ths of the
+# doubled cell, lower corners rounded down and upper ones up, a byte each.
+
+def xz2_element_reference(g, code):
+    """``(level, x, y)``: the cell a code names, its lower-left corner
+    as :class:`~fractions.Fraction` in the unit square."""
+    level, x, y = 0, Fraction(0), Fraction(0)
+    while code:
+        code -= 1
+        child_subtree = (4 ** (g - level) - 1) // 3
+        quadrant, code = divmod(code, child_subtree)
+        level += 1
+        x += Fraction(quadrant & 1, 2 ** level)
+        y += Fraction(quadrant >> 1, 2 ** level)
+    return level, x, y
+
+
+def xz2_signature_reference(g, code, mins, maxs):
+    """``(min_x, min_y, max_x, max_y)`` bytes of the normalized MBR
+    ``mins``/``maxs`` inside the element of ``code``.
+
+    ``max`` bytes hold the index of the last 1/256 the MBR reaches, so
+    the box they spell out ends at ``max + 1``; every byte saturates.
+    """
+    level, x, y = xz2_element_reference(g, code)
+    unit = Fraction(2, 2 ** level) / 256
+    def byte(value):
+        return min(255, max(0, value))
+    return (byte(floor((Fraction(mins[0]) - x) / unit)),
+            byte(floor((Fraction(mins[1]) - y) / unit)),
+            byte(ceil((Fraction(maxs[0]) - x) / unit) - 1),
+            byte(ceil((Fraction(maxs[1]) - y) / unit) - 1))
 
 
 # -- expression evaluation: the reference row walk ----------------------------

@@ -132,6 +132,48 @@ class TestCompression:
             assert len(packed) < len(data)
             assert decompress_bytes(packed, method) == data
 
+    @pytest.mark.parametrize("method", ["gzip", "zip"])
+    def test_a_damaged_payload_is_a_typed_error(self, method):
+        """Truncated or bit-flipped: ``SchemaError``, whatever zlib
+        calls it — gzip members still have their CRC-32 and length
+        trailer checked, without ``gzip.py`` framing them."""
+        data = bytes(range(256)) * 40
+        packed = compress_bytes(data, method)
+        middle = len(packed) // 2
+        damaged = {
+            "truncated": packed[:-5],
+            "cut in half": packed[:middle],
+            "empty": b"",
+            "bit flip in the stream": packed[:middle]
+            + bytes([packed[middle] ^ 0x10]) + packed[middle + 1:],
+            "bit flip in the checksum": packed[:-6]
+            + bytes([packed[-6] ^ 0x01]) + packed[-5:],
+            "not a stream": b"xx" + packed[2:],
+        }
+        if method == "gzip":    # the length trailer is gzip's own
+            damaged["bit flip in the length"] = \
+                packed[:-1] + bytes([packed[-1] ^ 0x01])
+        for what, payload in damaged.items():
+            with pytest.raises(SchemaError, match=f"corrupt {method}"):
+                decompress_bytes(payload, method)
+            assert what  # names the case in a failure's locals
+
+    def test_a_damaged_field_fails_the_row_not_its_neighbours(self):
+        from repro.core.plugins import TRAJECTORY_SCHEMA
+        codec = RowCodec(TRAJECTORY_SCHEMA)
+        row = {"tid": "t1", "oid": "o", "start_time": 1.0, "end_time": 2.0,
+               "start_point": None, "end_point": None,
+               "gps_list": STSeries([(116.0, 39.9, 1.0), (116.1, 39.9, 2.0)])}
+        payload = codec.encode_row(row)
+        damaged = payload[:-3] + bytes([payload[-3] ^ 0xFF]) + payload[-2:]
+        with pytest.raises(SchemaError, match="corrupt gzip"):
+            codec.decode_row(damaged)
+        assert codec.decode_row(damaged, {"tid"}) == {"tid": "t1"}
+
+    def test_unknown_method(self):
+        with pytest.raises(SchemaError, match="unknown compression"):
+            decompress_bytes(b"", "lz4")
+
     def test_compression_helps_big_series_only(self):
         """The Figure 10a lesson: compression shrinks big fields but can
         grow tiny ones."""

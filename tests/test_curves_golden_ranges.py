@@ -7,15 +7,29 @@ end).  This file pins that step: for every strategy and a fixed set of
 windows, the number of key ranges and (the first 64 bits of) a SHA-256
 over their concatenated ``start``/``end`` bytes.  The table was
 generated before the integer kernels landed (running this file as a
-script prints it), so it holds on both sides of that change.
+script prints it), so it holds on both sides of that change.  The
+``xz2``/``xz2t`` digests were regenerated once, deliberately, when
+their key body became ``code:u32 | MBR signature`` (same range counts,
+same codes — ``test_curves_range_kernels.py`` checks the code half
+against the reference walk); the other four are the original ones.
+
+The write side is pinned too: ``GOLDEN_KEYS`` holds ``strategy.key()``
+of a fixed set of records, in hex, so a change to what gets *stored*
+cannot hide behind range bounds that still cover it.
 """
 
 import hashlib
+import struct
 
 import pytest
 
-from repro.curves import STQuery, TimePeriod, strategy_from_name
-from repro.geometry import Envelope
+from repro.curves import (
+    IndexedRecord,
+    STQuery,
+    TimePeriod,
+    strategy_from_name,
+)
+from repro.geometry import Envelope, LineString, Point, Polygon
 
 DAY = 86400.0
 T0 = 17800 * DAY            # 2018-09-26T00:00:00Z, a period boundary
@@ -66,6 +80,46 @@ STRATEGIES = ("z2", "z2t", "z3", "xz2", "xz2t", "xz3")
 #: windows: fewer shards, a budget small enough for the per-period
 #: floor of 8 to bind, year-long periods.
 SMALL = dict(period=TimePeriod.YEAR, num_shards=2, max_ranges=24)
+
+
+#: name -> record.  Point strategies key the point ones; the XZ
+#: strategies key them all (a point is a zero-extent MBR).
+RECORDS = {
+    "point_beijing": IndexedRecord(
+        "p1", Point(116.397, 39.908), T0 + 100.0, T0 + 100.0),
+    "point_south_west": IndexedRecord(
+        "p2", Point(-58.381, -34.604), T0 + DAY - 1, T0 + DAY - 1),
+    "point_before_epoch": IndexedRecord(
+        "p3", Point(0.0, 0.0), -1.5 * DAY, -1.5 * DAY),
+    "point_world_corner": IndexedRecord(
+        "p4", Point(180.0, 90.0), T0, T0),
+    "trip_3km": IndexedRecord(
+        "t1", LineString([(116.30, 39.85), (116.31, 39.87),
+                          (116.327, 39.86)]), T0 + 8 * 3600, T0 + 9 * 3600),
+    "trip_over_midnight": IndexedRecord(
+        "t2", LineString([(116.25, 39.75), (116.2578125, 39.7578125)]),
+        T0 + 23 * 3600, T0 + 25 * 3600),
+    "trip_60h": IndexedRecord(
+        "t3", LineString([(121.47, 31.23), (121.52, 31.20)]),
+        T0 + 10 * 3600, T0 + 70 * 3600),
+    "fence_district": IndexedRecord(
+        "f1", Polygon([(116.2, 39.75), (116.4, 39.75), (116.4, 39.85),
+                       (116.2, 39.85)]), T0, T0 + 7 * DAY),
+    "span_hemispheres": IndexedRecord(
+        "s1", LineString([(-120.0, -45.0), (150.0, 60.0)]), T0, T0 + 60.0),
+}
+POINT_STRATEGIES = ("z2", "z2t", "z3")
+
+
+def _golden_key(strategy_name, record_name) -> str:
+    return strategy_from_name(strategy_name).key(
+        RECORDS[record_name]).hex()
+
+
+def _keyed_records(strategy_name):
+    return [name for name, record in RECORDS.items()
+            if strategy_name not in POINT_STRATEGIES
+            or record.geometry.is_point()]
 
 
 def _digest(ranges) -> str:
@@ -164,49 +218,49 @@ GOLDEN = {
         'inverted_time': (0, 'e3b0c44298fc1c14'),
     },
     'xz2': {
-        'knn_cell_beijing': (144, '86051f4caee0ba04'),
-        'knn_cell_south_west': (124, 'b47cb0c710501aa6'),
-        'knn_cell_on_origin': (216, '0a6773b142cd27ba'),
-        'knn_cell_antimeridian': (140, '3b01a6f943f642df'),
-        'knn_cell_quartered': (144, 'e13f39c43cc6df5d'),
-        'point': (144, 'f4d63e60f591acb1'),
-        '3km_1h': (136, '369ed56027ad368e'),
-        '3km_1day': (136, '369ed56027ad368e'),
-        '3km_over_midnight': (136, '369ed56027ad368e'),
-        '3km_3days': (136, '369ed56027ad368e'),
-        '3km_10days': (136, '369ed56027ad368e'),
-        '3km_40days': (136, '369ed56027ad368e'),
-        '30km_1week': (196, '5fd68e91af626956'),
-        'district_1s': (172, '99f4bedc43733895'),
-        'thin_lng_slab': (396, 'ab607362a368f1ba'),
-        'thin_lat_slab': (472, 'a2dace08d5bc2ee5'),
-        'hemisphere_east': (144, '1355075c76f74c43'),
-        'world_1day': (4, '5f7a506a02db8f8a'),
-        'world_1year': (4, '5f7a506a02db8f8a'),
-        'before_epoch': (136, '369ed56027ad368e'),
+        'knn_cell_beijing': (144, '357b2c04bb682910'),
+        'knn_cell_south_west': (124, '4224cca51b3d75f0'),
+        'knn_cell_on_origin': (216, '41b38b9f06b98d9c'),
+        'knn_cell_antimeridian': (140, '9a64bc2d44e2d0a4'),
+        'knn_cell_quartered': (144, 'ffefa98f965ec2ca'),
+        'point': (144, 'fc79b5c4a019c1df'),
+        '3km_1h': (136, '2cfa3ffb005abf24'),
+        '3km_1day': (136, '2cfa3ffb005abf24'),
+        '3km_over_midnight': (136, '2cfa3ffb005abf24'),
+        '3km_3days': (136, '2cfa3ffb005abf24'),
+        '3km_10days': (136, '2cfa3ffb005abf24'),
+        '3km_40days': (136, '2cfa3ffb005abf24'),
+        '30km_1week': (196, '04a2e0cb1cd6da2b'),
+        'district_1s': (172, '8f291768de807314'),
+        'thin_lng_slab': (396, '9e5c3423fdea1493'),
+        'thin_lat_slab': (472, 'b682faec99fefc3f'),
+        'hemisphere_east': (144, '4f335fcaba42e429'),
+        'world_1day': (4, 'a8c546db54579936'),
+        'world_1year': (4, 'a8c546db54579936'),
+        'before_epoch': (136, '2cfa3ffb005abf24'),
         'inverted_time': (0, 'e3b0c44298fc1c14'),
     },
     'xz2t': {
-        'knn_cell_beijing': (288, 'c7aa57a81b0ee5e9'),
-        'knn_cell_south_west': (248, 'd8be0d150dc5b0a4'),
-        'knn_cell_on_origin': (432, 'bcd602f318dfd7d4'),
-        'knn_cell_antimeridian': (280, 'de298c7c270208bd'),
-        'knn_cell_quartered': (288, 'd63cfc1458ad7130'),
-        'point': (288, 'ca3beca813cfed7d'),
-        '3km_1h': (272, 'd0d4fa1e6190f4fb'),
-        '3km_1day': (272, 'd0d4fa1e6190f4fb'),
-        '3km_over_midnight': (408, 'dcb5112a3c62eed8'),
-        '3km_3days': (544, '2656b4dca3f2bd72'),
-        '3km_10days': (440, '909f0fe7f44bc7cb'),
-        '3km_40days': (328, 'e3483f9e3fb4509b'),
-        '30km_1week': (736, '57f70cfcc441da32'),
-        'district_1s': (344, 'e0bd985978a9f087'),
-        'thin_lng_slab': (504, '138125dd131bb09e'),
-        'thin_lat_slab': (528, '21a5ce770ef3ff5d'),
-        'hemisphere_east': (152, '523a61a0c6e1723c'),
-        'world_1day': (8, '3450b01753127c05'),
-        'world_1year': (1468, '8306087a611f7cc4'),
-        'before_epoch': (408, '4916aa1ec1e0d4e9'),
+        'knn_cell_beijing': (288, '8f972f3506f08502'),
+        'knn_cell_south_west': (248, '6b3a6bc82f146e37'),
+        'knn_cell_on_origin': (432, '28f7d50e64fc2615'),
+        'knn_cell_antimeridian': (280, '1da4a6106469d84a'),
+        'knn_cell_quartered': (288, 'f08f02533aa552e3'),
+        'point': (288, '18e882e32c6ce6e1'),
+        '3km_1h': (272, '5ade602f34b4d31e'),
+        '3km_1day': (272, '5ade602f34b4d31e'),
+        '3km_over_midnight': (408, '4a17eef51a36549c'),
+        '3km_3days': (544, 'c488adb6e8468521'),
+        '3km_10days': (440, '7b86fa6da7dc98de'),
+        '3km_40days': (328, '4d2e20214b35391c'),
+        '30km_1week': (736, '8b2f5b0eb4b9804c'),
+        'district_1s': (344, '1644091133da851f'),
+        'thin_lng_slab': (504, 'b9fda12d8ff4d753'),
+        'thin_lat_slab': (528, '195dbd4a04fd0213'),
+        'hemisphere_east': (152, 'c114e8f83c141ae7'),
+        'world_1day': (8, '41b79c58a41bd71a'),
+        'world_1year': (1468, '0751333cb422f451'),
+        'before_epoch': (408, '6619d15f26ba5ed9'),
         'inverted_time': (0, 'e3b0c44298fc1c14'),
     },
     'xz3': {
@@ -249,14 +303,106 @@ GOLDEN_SMALL = {
     'xz2': (
         [20, 18, 16, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 24,
          24, 4, 2, 2, 20, 0],
-        'abb222695288cdfd'),
+        '91a1348e3bf2c0f1'),
     'xz2t': (
         [20, 20, 16, 12, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20, 20,
          28, 4, 4, 6, 20, 0],
-        '31435ad96477073d'),
+        '045fdebfc4d8015a'),
     'xz3': (
         [8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 6, 8, 0],
         '02dfe641720bd9d5'),
+}
+GOLDEN_KEYS = {
+    'z2': {
+        'point_beijing':
+            '0336e13c06453ec6d6007031',
+        'point_south_west':
+            '010c6f2d7480c08b6b007032',
+        'point_before_epoch':
+            '033000000000000000007033',
+        'point_world_corner':
+            '003fffffffffffffff007034',
+    },
+    'z2t': {
+        'point_beijing':
+            '038000458836e13c06453ec6d6007031',
+        'point_south_west':
+            '01800045880c6f2d7480c08b6b007032',
+        'point_before_epoch':
+            '037ffffffe3000000000000000007033',
+        'point_world_corner':
+            '00800045883fffffffffffffff007034',
+    },
+    'z3': {
+        'point_beijing':
+            '0380004588329a043e043aca67007031',
+        'point_south_west':
+            '01800045884f2efe6f6fb3013c007032',
+        'point_before_epoch':
+            '037ffffffe7000000000000000007033',
+        'point_world_corner':
+            '008000458836db6db6db6db6db007034',
+    },
+    'xz2': {
+        'point_beijing':
+            '030124b1462b102b10007031',
+        'point_south_west':
+            '01004250f760486048007032',
+        'point_before_epoch':
+            '030100000b00000000007033',
+        'point_world_corner':
+            '000155555480807f7f007034',
+        'trip_3km':
+            '030124b1171e6745a1007431',
+        'trip_over_midnight':
+            '010124b10c5544605b007432',
+        'trip_60h':
+            '03012245a3077c50d3007433',
+        'fence_district':
+            '000124b10b062297b3006631',
+        'span_hemispheres':
+            '00000000012a40ead5007331',
+    },
+    'xz2t': {
+        'point_beijing':
+            '03800045880124b1462b102b10007031',
+        'point_south_west':
+            '0180004588004250f760486048007032',
+        'point_before_epoch':
+            '037ffffffe0100000b00000000007033',
+        'point_world_corner':
+            '00800045880155555480807f7f007034',
+        'trip_3km':
+            '03800045880124b1171e6745a1007431',
+        'trip_over_midnight':
+            '01800045880124b10c5544605b007432',
+        'trip_60h':
+            '0380004588012245a3077c50d3007433',
+        'fence_district':
+            '00800045880124b10b062297b3006631',
+        'span_hemispheres':
+            '0080004588000000012a40ead5007331',
+    },
+    'xz3': {
+        'point_beijing':
+            '0380004588000000000073a934007031',
+        'point_south_west':
+            '01800045880000000000b4fdb4007032',
+        'point_before_epoch':
+            '037ffffffe0000000001000007007033',
+        'point_world_corner':
+            '008000458800000000007d6348007034',
+        'trip_3km':
+            '03800045880000000000863b70007431',
+        'trip_over_midnight':
+            '018000458800000000011acdb8007432',
+        'trip_60h':
+            '038000458800000000006db6dc007433',
+        'fence_district':
+            '008000458800000000006db6dc006631',
+        'span_hemispheres':
+            '00800045880000000000000001007331',
+    },
 }
 # GOLDEN-END
 
@@ -271,6 +417,26 @@ def test_default_strategy_key_ranges_are_pinned(strategy_name, window):
 @pytest.mark.parametrize("strategy_name", STRATEGIES)
 def test_small_budget_year_period_key_ranges_are_pinned(strategy_name):
     assert _small_digest(strategy_name) == GOLDEN_SMALL[strategy_name]
+
+
+@pytest.mark.parametrize("strategy_name", STRATEGIES)
+def test_written_keys_are_pinned(strategy_name):
+    assert {name: _golden_key(strategy_name, name)
+            for name in _keyed_records(strategy_name)} \
+        == GOLDEN_KEYS[strategy_name]
+
+
+def test_pinned_xz2_keys_are_code_then_signature():
+    """The code half is the curve's own sequence code (what the old
+    ``>Q`` body held), ``xz2t`` is a period prefix on the same body."""
+    curve = strategy_from_name("xz2").curve
+    for name, record in RECORDS.items():
+        key = bytes.fromhex(GOLDEN_KEYS["xz2"][name])
+        code, *signature = struct.unpack_from(">IBBBB", key, 1)
+        envelope = record.geometry.envelope
+        assert code == curve.index(envelope)
+        assert tuple(signature) == curve.signature(envelope, code)
+        assert GOLDEN_KEYS["xz2t"][name][10:26] == key[1:9].hex()
 
 
 def test_pinned_windows_exercise_the_planner():
@@ -296,4 +462,12 @@ if __name__ == "__main__":
         counts, digest = _small_digest(name)
         print(f"    {name!r}: (\n        {counts!r},\n"
               f"        {digest!r}),")
+    print("}")
+    print("GOLDEN_KEYS = {")
+    for name in STRATEGIES:
+        print(f"    {name!r}: {{")
+        for record_name in _keyed_records(name):
+            print(f"        {record_name!r}:\n"
+                  f"            {_golden_key(name, record_name)!r},")
+        print("    },")
     print("}")

@@ -1,8 +1,11 @@
 """Trajectory value objects."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import SchemaError
+from repro.errors import GeometryError, SchemaError
+from repro.geometry import Envelope, LineString
+from repro.geometry.wkt import to_wkt
 from repro.trajectory import GPSPoint, STSeries, Trajectory, TSeries
 
 
@@ -84,3 +87,47 @@ class TestTrajectory:
         assert sub.tid.startswith("t1#")
         assert sub.oid == "o1"
         assert sub.start_time == 60.0
+
+
+class TestAsLinestringFromStoredColumns:
+    """A decoded series hands ``LineString`` its float columns and its
+    cached envelope; the result is the public constructor's."""
+
+    samples = st.lists(
+        st.tuples(st.floats(-180.0, 180.0), st.floats(-90.0, 90.0)),
+        min_size=2, max_size=12)
+
+    @given(xy=samples)
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_the_public_constructor(self, xy):
+        raw = STSeries([(x, y, float(i)) for i, (x, y) in enumerate(xy)])
+        stored = raw.as_stored()
+        assert stored.as_stored() is stored and stored == raw.as_stored()
+        line = stored.as_linestring()
+        lngs, lats, _ = stored.fixed_point()
+        public = LineString([(v / 1e6, w / 1e6)
+                             for v, w in zip(lngs, lats)])
+        assert line == public and hash(line) == hash(public)
+        assert line.coords == public.coords
+        assert all(type(v) is float for c in line.coords for v in c)
+        assert line.envelope == public.envelope == stored.envelope
+        assert to_wkt(line) == to_wkt(public)
+        assert len(line) == len(public)
+        x, y = public.coords[0]
+        for window in (Envelope(x, y, x, y), Envelope(-1.0, -1.0, 1.0, 1.0),
+                       Envelope(min(x, 0.0), min(y, 0.0),
+                                max(x, 0.0), max(y, 0.0))):
+            assert line.intersects_envelope(window) == \
+                public.intersects_envelope(window)
+
+    def test_from_columns_needs_two_points(self):
+        with pytest.raises(GeometryError):
+            LineString.from_columns([1.0], [2.0],
+                                    Envelope(1.0, 2.0, 1.0, 2.0))
+
+    def test_a_raw_series_goes_through_the_public_constructor(self):
+        series = STSeries([(1, 2, 0.0), (3, 4, 1.0)])     # ints coerce
+        assert series.as_linestring().coords == ((1.0, 2.0), (3.0, 4.0))
+        assert all(type(v) is float
+                   for c in series.as_linestring().coords for v in c)
+
