@@ -20,7 +20,7 @@ from repro.curves.strategies import (
     AttributeStrategy,
     IndexedRecord,
     IndexStrategy,
-    KeyRange,
+    KeyBounds,
     STQuery,
 )
 from repro.dataframe import DataFrame, batches_from_rows
@@ -29,12 +29,6 @@ from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
 from repro.kvstore.scan import ScanSpec, chunk_pairs
 from repro.kvstore.store import KVStore
-
-
-def _multi_range_spec(ranges: list[KeyRange], key_filter=None) -> ScanSpec:
-    """One scan request covering a strategy's (inclusive) key ranges."""
-    return ScanSpec(ranges=[(kr.start, kr.end + b"\x00") for kr in ranges],
-                    key_filter=key_filter)
 
 
 class CommonTable:
@@ -310,7 +304,7 @@ class CommonTable:
                 job.charge_store_scan(delta, num_ranges=num_ranges)
                 job.charge_cpu_records(scanned)
 
-    def _range_chunks(self, kv_table, ranges: list[KeyRange],
+    def _range_chunks(self, kv_table, ranges: list[KeyBounds],
                       job: SimJob | None, ctx, wanted=None,
                       key_filter=None):
         """Decoded chunks of one index table's key ranges, in key order.
@@ -320,7 +314,8 @@ class CommonTable:
         from the store's merged pair stream.  Keys that fail the
         strategy's ``key_filter`` never leave the store.
         """
-        pairs = kv_table.scan(_multi_range_spec(ranges, key_filter), ctx)
+        pairs = kv_table.scan(
+            ScanSpec(ranges=ranges, key_filter=key_filter), ctx)
         return self._decoded(chunk_pairs(pairs), len(ranges), job, wanted)
 
     def _st_rows(self, query: STQuery, predicate: str,
@@ -360,7 +355,7 @@ class CommonTable:
                    chain.from_iterable(
                        self._decoded(chunks, 1, job, wanted)))
 
-    def _attribute_rows(self, field_name: str, ranges: list[KeyRange],
+    def _attribute_rows(self, field_name: str, ranges: list[KeyBounds],
                         job: SimJob | None, ctx):
         """Decorated rows of a secondary attribute index's key ranges."""
         chunks = self._range_chunks(self._attr_tables[field_name], ranges,

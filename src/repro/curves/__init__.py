@@ -15,7 +15,6 @@ from repro.curves.xz import XZ2Curve, XZ3Curve
 from repro.curves.timeperiod import TimePeriod, period_bin, period_offset
 from repro.curves.strategies import (
     STQuery,
-    KeyRange,
     IndexedRecord,
     IndexStrategy,
     Z2Strategy,
@@ -37,7 +36,6 @@ __all__ = [
     "period_bin",
     "period_offset",
     "STQuery",
-    "KeyRange",
     "IndexedRecord",
     "IndexStrategy",
     "Z2Strategy",

@@ -81,12 +81,12 @@ class STQuery:
         return self.has_temporal and self.t_min > self.t_max
 
 
-@dataclass(frozen=True, slots=True)
-class KeyRange:
-    """An inclusive byte-key range handed to the key-value store SCAN."""
-
-    start: bytes
-    end: bytes
+#: Half-open ``(start, stop)`` key bounds, the element of the store's
+#: ``ScanSpec.ranges``.  The inclusive body interval ``lo..hi`` becomes
+#: ``(lo, hi + _STOP_PAD)``, which sorts past every key with body ``hi``
+#: (those go on with ``0x00`` and the feature id).
+KeyBounds = tuple[bytes, bytes]
+_STOP_PAD = b"\xff\x00"
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,8 +175,10 @@ class IndexStrategy(ABC):
     def supports(self, query: STQuery) -> bool:
         """True when this strategy can serve ``query`` via key ranges."""
 
-    def ranges(self, query: STQuery) -> list[KeyRange]:
-        """Key ranges whose union covers every possibly-matching record.
+    def ranges(self, query: STQuery) -> list[KeyBounds]:
+        """Half-open key bounds whose union covers every possibly-matching
+        record, built once in the form the store scans
+        (``ScanSpec(ranges=...)``).
 
         Sorted by start, pairwise disjoint: the store serves the whole
         list in one forward pass and rejects any other order.
@@ -186,12 +188,12 @@ class IndexStrategy(ABC):
                 f"index {self.name!r} cannot serve query {query!r}")
         if query.is_empty:
             return []
-        body_ranges = self._body_ranges(query)
-        out = []
+        bodies = [(lo, hi + _STOP_PAD)
+                  for lo, hi in self._body_ranges(query)]
+        out: list[KeyBounds] = []
         for shard in range(self.num_shards):
             prefix = bytes([shard])
-            for lo, hi in body_ranges:
-                out.append(KeyRange(prefix + lo, prefix + hi + b"\xff"))
+            out += [(prefix + lo, prefix + stop) for lo, stop in bodies]
         return out
 
     @abstractmethod
@@ -665,6 +667,11 @@ class XZ2TStrategy(_BinnedByStart, IndexStrategy):
 # Attribute index
 # ---------------------------------------------------------------------------
 
+#: Stop suffix of an attribute range: UTF-8 holds no 0xff byte, so it
+#: sorts past every ``0x00`` + feature id that follows the value.
+_ATTR_STOP = b"\xff" * 8 + b"\x00"
+
+
 class AttributeStrategy(IndexStrategy):
     """Secondary index over one scalar attribute of the table.
 
@@ -712,20 +719,19 @@ class AttributeStrategy(IndexStrategy):
     def _body_ranges(self, query: STQuery) -> list[tuple[bytes, bytes]]:
         raise IndexError_("attribute index serves value ranges only")
 
-    def ranges_for_value(self, value) -> list[KeyRange]:
-        """Key ranges for an equality predicate on the indexed field,
+    def ranges_for_value(self, value) -> list[KeyBounds]:
+        """Key bounds for an equality predicate on the indexed field,
         sorted by start, pairwise disjoint (one per shard)."""
-        body = self.encode_value(value)
-        return [KeyRange(bytes([s]) + body + b"\x00",
-                         bytes([s]) + body + b"\x00" + b"\xff" * 8)
+        body = self.encode_value(value) + b"\x00"
+        return [(bytes([s]) + body, bytes([s]) + body + _ATTR_STOP)
                 for s in range(self.num_shards)]
 
-    def ranges_for_between(self, low, high) -> list[KeyRange]:
-        """Key ranges for a BETWEEN predicate on the indexed field,
+    def ranges_for_between(self, low, high) -> list[KeyBounds]:
+        """Key bounds for a BETWEEN predicate on the indexed field,
         sorted by start, pairwise disjoint (one per shard)."""
         lo = self.encode_value(low)
         hi = self.encode_value(high)
-        return [KeyRange(bytes([s]) + lo, bytes([s]) + hi + b"\xff" * 8)
+        return [(bytes([s]) + lo, bytes([s]) + hi + _ATTR_STOP)
                 for s in range(self.num_shards)]
 
 

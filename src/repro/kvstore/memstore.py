@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
+
+from repro.kvstore.scan import seek_spans
 
 #: Sentinel value marking a deleted key until compaction discards it.
 TOMBSTONE = None
@@ -39,13 +41,11 @@ class MemStore:
 
     def scan(self, ranges):
         """Yield ``(key, value_or_tombstone)`` for keys in ``ranges``
-        (sorted, disjoint half-open bounds) in one forward pass."""
+        (sorted, disjoint half-open bounds) in one forward pass that
+        seeks past the ranges holding no key (:func:`seek_spans`)."""
         keys = self._sorted_keys
         data = self._data
-        hi = 0
-        for start, stop in ranges:
-            lo = bisect_left(keys, start, hi)
-            hi = len(keys) if stop is None else bisect_left(keys, stop, lo)
+        for lo, hi in seek_spans(keys, ranges):
             for i in range(lo, hi):
                 key = keys[i]
                 yield key, data[key]

@@ -220,8 +220,10 @@ class Region:
         ``ranges`` are sorted, disjoint half-open bounds; the region
         holds only keys of its own span, so nothing needs clipping.  The
         merge is streaming: one ``heapq.merge`` over the SSTable runs
-        and the memstore, each walking the whole range list in a single
-        forward pass, with newest-wins precedence per key.  So memory
+        and the memstore, each seeking through the range list in a
+        single forward pass that pays per span of its own keys, not per
+        range (:func:`~repro.kvstore.scan.seek_spans`), with newest-wins
+        precedence per key.  So memory
         stays bounded by the merge frontier, SSTable blocks are only
         charged as the merge reaches them (an early ``LIMIT`` or
         cancellation stops paying for them), and the deadline is

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from operator import itemgetter, le, lt
 
 # One key-value chunk decodes into one RowBatch, so the chunk size is
 # the dataframe layer's batch size, not a second constant.
@@ -44,6 +46,73 @@ def prefix_successor(prefix: bytes) -> bytes | None:
 #: One half-open key range ``[start, stop)``; ``stop=None`` is unbounded.
 Bounds = tuple[bytes, bytes | None]
 
+_start = itemgetter(0)
+_stop = itemgetter(1)
+
+
+def seek_spans(keys: Sequence[bytes], ranges: Sequence[Bounds]):
+    """Yield ``(lo, hi)``: the index spans of the sorted ``keys`` that
+    fall in ``ranges`` (sorted, disjoint :data:`Bounds`), in key order.
+
+    A leapfrog between the two sorted lists, HBase
+    ``MultiRowRangeFilter``'s seek hint in both directions: the keys are
+    bisected for the current range's start, and when the key found lies
+    at or past that range's stop, the *ranges* are bisected for the
+    first one that can still hold it.  A source therefore pays
+    O(spans + 1) bisects on each list (more only where keys and empty
+    ranges alternate), not two per range: a k-NN cell's ~300 ranges
+    over a run that holds a few of its rows cost a handful of seeks.
+    Every span is non-empty.
+    """
+    count = len(ranges)
+    if not count:
+        return
+    size = len(keys)
+    # Stops are sorted too; an unbounded one can only be the last.
+    bounded = count - 1 if ranges[-1][1] is None else count
+    lo = i = 0
+    while i < count:
+        start, stop = ranges[i]
+        lo = bisect_left(keys, start, lo)
+        if lo >= size:
+            return
+        if stop is None:
+            yield lo, size
+            return
+        key = keys[lo]
+        if key >= stop:
+            i = bisect_right(ranges, key, i + 1, bounded, key=_stop)
+            continue
+        hi = bisect_left(keys, stop, lo + 1)
+        yield lo, hi
+        lo = hi
+        i += 1
+
+
+def _in_scan_order(ranges) -> tuple[Bounds, ...]:
+    """``ranges`` as a tuple without its empty ranges, once checked to be
+    sorted and pairwise disjoint (adjacent is fine).
+
+    The check is three C-level ``map`` passes over the start and stop
+    columns; Python loops only when a range is empty (to drop it) or
+    the order is wrong (to name the pair at fault).
+    """
+    ranges = tuple(ranges)
+    starts = list(map(_start, ranges))
+    stops = list(map(_stop, ranges))
+    if stops and stops[-1] is None:
+        stops.pop()  # unbounded is fine last, and only there
+    if None not in stops and all(map(lt, starts, stops)) \
+            and all(map(le, stops, starts[1:])):
+        return ranges
+    kept = tuple((start, stop) for start, stop in ranges
+                 if stop is None or start < stop)
+    for (_, stop), (start, _) in zip(kept, kept[1:]):
+        if stop is None or start < stop:
+            raise ValueError("scan ranges must be sorted and disjoint: "
+                             f"{start!r} follows one ending at {stop!r}")
+    return kept
+
 
 @dataclass(frozen=True, slots=True)
 class ScanSpec:
@@ -82,15 +151,10 @@ class ScanSpec:
             if end is not None and not self.end_exclusive:
                 end += b"\x00"
             ranges = ((self.start, end),)
-        # Every source walks the ranges in one forward pass, so they
-        # must come in scan order; empty ones select nothing.
-        kept = tuple((start, stop) for start, stop in ranges
-                     if stop is None or start < stop)
-        for (_, stop), (start, _) in zip(kept, kept[1:]):
-            if stop is None or start < stop:
-                raise ValueError("scan ranges must be sorted and disjoint: "
-                                 f"{start!r} follows one ending at {stop!r}")
-        object.__setattr__(self, "ranges", kept)
+        # Every source seeks through the ranges in one forward pass
+        # (seek_spans), so they must come in scan order; empty ones
+        # select nothing.
+        object.__setattr__(self, "ranges", _in_scan_order(ranges))
 
     @classmethod
     def full(cls) -> "ScanSpec":

@@ -7,6 +7,7 @@ from bisect import bisect_left, bisect_right
 
 from repro.kvstore.blockcache import BlockCache
 from repro.kvstore.iostats import IOStats
+from repro.kvstore.scan import seek_spans
 
 _SSTABLE_IDS = itertools.count()
 
@@ -90,27 +91,21 @@ class SSTable:
         """Yield entries with a key in ``ranges`` (sorted, disjoint
         :data:`~repro.kvstore.scan.Bounds`), charging touched blocks.
 
-        One forward pass serves every range: each seeks from where the
-        previous one ended.  The pass proceeds block-at-a-time: a block
-        is charged once, as the pass first reaches it (even if several
-        ranges land in it), then its entries stream out of a plain
-        index range — no per-entry block lookup.  Charging stays lazy,
-        so an early ``LIMIT`` or a cancelled consumer never pays for
-        blocks the merge did not reach.
+        One forward pass serves every range, seeking past ranges that
+        hold no key of this run (:func:`~repro.kvstore.scan.seek_spans`).
+        The pass proceeds block-at-a-time: a block is charged once, as
+        the pass first reaches it (even if several ranges land in it),
+        then its entries stream out of a plain index range — no
+        per-entry block lookup.  Charging stays lazy, so an early
+        ``LIMIT`` or a cancelled consumer never pays for blocks the
+        merge did not reach.
         """
         keys = self._keys
         values = self._values
         starts = self._block_starts
         size = len(keys)
-        hi = 0
         charged = -1
-        for start, stop in ranges:
-            lo = bisect_left(keys, start, hi)
-            if lo >= size:
-                return
-            hi = size if stop is None else bisect_left(keys, stop, lo)
-            if lo >= hi:
-                continue
+        for lo, hi in seek_spans(keys, ranges):
             block = self._block_of(lo)
             while lo < hi:
                 block_end = starts[block + 1] if block + 1 < len(starts) \

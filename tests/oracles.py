@@ -9,6 +9,7 @@ benchmark keeps its own copies, tests never import from ``benchmarks/``.)
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from itertools import product
@@ -234,6 +235,72 @@ def xz2_signature_reference(g, code, mins, maxs):
             byte(floor((Fraction(mins[1]) - y) / unit)),
             byte(ceil((Fraction(maxs[0]) - x) / unit) - 1),
             byte(ceil((Fraction(maxs[1]) - y) / unit) - 1))
+
+
+# -- multi-range scans: the reference forward walk ----------------------------
+#
+# The per-range walk ``SSTable.scan`` and ``MemStore.scan`` shipped until
+# the leapfrog seek (``kvstore/scan.py::seek_spans``) replaced it, kept
+# as the definition of what one sorted source yields for a range list
+# and in which order it charges blocks: every range in turn, each
+# bisecting from where the previous one ended — two bisects per range,
+# whether it holds a key or not.  It reads the source's sorted lists
+# and charges through the run's own ``_charge_block`` (the accounting
+# primitive, not the walk under test), and ``scan_ranges_reference`` is
+# the Python check ``ScanSpec`` ran on the same lists.
+
+def sstable_scan_reference(sstable, ranges, cache=None, server=0):
+    """``SSTable.scan``: entries of ``ranges``, blocks charged lazily,
+    each once per pass, as the walk first reaches them."""
+    keys = sstable._keys
+    values = sstable._values
+    starts = sstable._block_starts
+    size = len(keys)
+    hi = 0
+    charged = -1
+    for start, stop in ranges:
+        lo = bisect_left(keys, start, hi)
+        if lo >= size:
+            return
+        hi = size if stop is None else bisect_left(keys, stop, lo)
+        if lo >= hi:
+            continue
+        block = bisect_right(starts, lo) - 1
+        while lo < hi:
+            block_end = starts[block + 1] if block + 1 < len(starts) \
+                else size
+            if block != charged:
+                sstable._charge_block(block, cache, server)
+                charged = block
+            for j in range(lo, min(hi, block_end)):
+                yield keys[j], values[j]
+            lo = block_end
+            block += 1
+
+
+def memstore_scan_reference(memstore, ranges):
+    """``MemStore.scan``: ``(key, value_or_tombstone)`` of ``ranges``."""
+    keys = memstore._sorted_keys
+    data = memstore._data
+    hi = 0
+    for start, stop in ranges:
+        lo = bisect_left(keys, start, hi)
+        hi = len(keys) if stop is None else bisect_left(keys, stop, lo)
+        for i in range(lo, hi):
+            key = keys[i]
+            yield key, data[key]
+
+
+def scan_ranges_reference(ranges):
+    """``ScanSpec.ranges`` of a range list: empty ranges dropped, then
+    ``ValueError`` unless the rest are sorted and pairwise disjoint."""
+    kept = tuple((start, stop) for start, stop in ranges
+                 if stop is None or start < stop)
+    for (_, stop), (start, _) in zip(kept, kept[1:]):
+        if stop is None or start < stop:
+            raise ValueError("scan ranges must be sorted and disjoint: "
+                             f"{start!r} follows one ending at {stop!r}")
+    return kept
 
 
 # -- expression evaluation: the reference row walk ----------------------------

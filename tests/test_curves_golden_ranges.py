@@ -123,10 +123,12 @@ def _keyed_records(strategy_name):
 
 
 def _digest(ranges) -> str:
+    # ``stop[:-1]`` is the inclusive end the digests were pinned on:
+    # bounds are half-open, one 0x00 past it.
     sha = hashlib.sha256()
-    for kr in ranges:
-        sha.update(kr.start)
-        sha.update(kr.end)
+    for start, stop in ranges:
+        sha.update(start)
+        sha.update(stop[:-1])
     return sha.hexdigest()[:16]
 
 

@@ -31,8 +31,8 @@ def point_record(fid, lng, lat, t=None):
 
 def covered_by(strategy, record, query) -> bool:
     key = strategy.key(record)
-    return any(kr.start <= key <= kr.end
-               for kr in strategy.ranges(query))
+    return any(start <= key < stop
+               for start, stop in strategy.ranges(query))
 
 
 class TestKeyLayout:
@@ -170,9 +170,9 @@ class TestZ2TRangeEfficiency:
 
         def key_space(strategy):
             total = 0
-            for kr in strategy.ranges(query):
-                z_lo = int.from_bytes(kr.start[5:13], "big")
-                z_hi = int.from_bytes(kr.end[5:13], "big")
+            for start, stop in strategy.ranges(query):
+                z_lo = int.from_bytes(start[5:13], "big")
+                z_hi = int.from_bytes(stop[5:13], "big")
                 total += z_hi - z_lo + 1
             return total
 
@@ -184,9 +184,9 @@ class TestAttributeStrategy:
         strategy = AttributeStrategy("name", num_shards=4)
         key = strategy.key_for_value("42", "alice")
         ranges = strategy.ranges_for_value("alice")
-        assert any(kr.start <= key <= kr.end for kr in ranges)
+        assert any(start <= key < stop for start, stop in ranges)
         other = strategy.ranges_for_value("bob")
-        assert not any(kr.start <= key <= kr.end for kr in other)
+        assert not any(start <= key < stop for start, stop in other)
 
     def test_numeric_order_preserved(self):
         encode = AttributeStrategy.encode_value
@@ -198,19 +198,20 @@ class TestAttributeStrategy:
         strategy = AttributeStrategy("amount", num_shards=2)
         key = strategy.key_for_value("9", 50.0)
         ranges = strategy.ranges_for_between(10.0, 100.0)
-        assert any(kr.start <= key <= kr.end for kr in ranges)
+        assert any(start <= key < stop for start, stop in ranges)
         outside = strategy.key_for_value("9", 150.0)
-        assert not any(kr.start <= outside <= kr.end for kr in ranges)
+        assert not any(start <= outside < stop for start, stop in ranges)
 
 
 def assert_sorted_and_disjoint(ranges):
-    """The contract the store's one-pass multi-range scan relies on."""
-    for kr in ranges:
-        assert kr.start <= kr.end
-    for kr, following in zip(ranges, ranges[1:]):
-        assert kr.end < following.start
-    # ...which is exactly what the multi-range ScanSpec accepts.
-    ScanSpec(ranges=[(kr.start, kr.end + b"\x00") for kr in ranges])
+    """The contract the store's one-pass multi-range scan relies on:
+    half-open, non-empty, each stopping at or before the next start."""
+    for start, stop in ranges:
+        assert start < stop
+    for (_, stop), (following, _) in zip(ranges, ranges[1:]):
+        assert stop <= following
+    # ...which is exactly what the multi-range ScanSpec accepts, as is.
+    assert ScanSpec(ranges=ranges).ranges == tuple(ranges)
 
 
 windows = st.tuples(st.floats(-179.0, 178.0), st.floats(-89.0, 88.0),

@@ -38,9 +38,9 @@ class TestSectionIVB_Z2TMotivation:
 
         def covered_key_space(strategy):
             total = 0
-            for kr in strategy.ranges(query):
-                lo = int.from_bytes(kr.start[5:13], "big")
-                hi = int.from_bytes(kr.end[5:13], "big")
+            for start, stop in strategy.ranges(query):
+                lo = int.from_bytes(start[5:13], "big")
+                hi = int.from_bytes(stop[5:13], "big")
                 total += hi - lo + 1
             return total
 
@@ -57,9 +57,9 @@ class TestSectionIVB_Z2TMotivation:
         # followed by the MBR signature; an XZ3 body a 64-bit code.)
         def share(strategy, code_bytes):
             covered = 0
-            for kr in strategy.ranges(query):
-                lo = int.from_bytes(kr.start[5:5 + code_bytes], "big")
-                hi = int.from_bytes(kr.end[5:5 + code_bytes], "big")
+            for start, stop in strategy.ranges(query):
+                lo = int.from_bytes(start[5:5 + code_bytes], "big")
+                hi = int.from_bytes(stop[5:5 + code_bytes], "big")
                 covered += hi - lo + 1
             return covered / strategy.curve.max_code()
 

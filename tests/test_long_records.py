@@ -98,7 +98,7 @@ class TestLookBackAtStrategyLevel:
     LINE = LineString([(116.1, 39.9), (116.2, 39.95)])
 
     def _bins(self, strategy, query):
-        return sorted({kr.start[1:5] for kr in strategy.ranges(query)})
+        return sorted({start[1:5] for start, _ in strategy.ranges(query)})
 
     @pytest.mark.parametrize("cls", [XZ2TStrategy, XZ3Strategy])
     def test_grows_with_the_longest_and_stops_where_it_began(self, cls):
@@ -126,8 +126,8 @@ class TestLookBackAtStrategyLevel:
         key = strategy.key(record)
 
         def covered():
-            return any(kr.start <= key <= kr.end
-                       for kr in strategy.ranges(query))
+            return any(start <= key < stop
+                       for start, stop in strategy.ranges(query))
         assert not covered()
         strategy.observe_extent(record.t_min, record.t_max)
         assert covered()
@@ -149,5 +149,5 @@ class TestAFenceValidForever:
             hits = zones.active_fences(116.5, 39.5, at)
             assert [h["gid"] for h in hits] == ["Z1"]
             ranges = strategy.ranges(STQuery(ENV, at, at))
-            assert len({kr.start[1:5] for kr in ranges}) == bins
+            assert len({start[1:5] for start, _ in ranges}) == bins
             assert len(ranges) % (bins * shards) == 0

@@ -338,9 +338,8 @@ class TestExplainAnalyze:
         engine.store.clear_caches()
         ctx = RequestContext(profile=QueryProfile())
         kv_table = engine.store.table(kv_name)
-        for key_range in ranges:
-            list(kv_table.scan(ScanSpec(key_range.start, key_range.end),
-                               ctx))
+        for bounds in ranges:
+            list(kv_table.scan(ScanSpec(ranges=[bounds]), ctx))
         per_range = region_spans(ctx.profile)
         assert traced == per_range
         assert sum(r for _, _, r, _ in traced.values()) >= len(ranges)

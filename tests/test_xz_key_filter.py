@@ -215,12 +215,12 @@ class TestKeyLayout:
         q_lo, q_hi = XZ2Curve._normalize(envelope)
 
         def codes(strategy, ranges, offset):
-            assert all(kr.start[offset + 4:] == b"\x00" * 4
-                       and kr.end[offset + 4:] == b"\xff" * 5
-                       for kr in ranges)
-            return [(int.from_bytes(kr.start[offset:offset + 4], "big"),
-                     int.from_bytes(kr.end[offset:offset + 4], "big"))
-                    for kr in ranges]
+            assert all(start[offset + 4:] == b"\x00" * 4
+                       and stop[offset + 4:] == b"\xff" * 5 + b"\x00"
+                       for start, stop in ranges)
+            return [(int.from_bytes(start[offset:offset + 4], "big"),
+                     int.from_bytes(stop[offset:offset + 4], "big"))
+                    for start, stop in ranges]
 
         xz2 = XZ2Strategy(g=g, num_shards=1, max_ranges=max_ranges)
         assert codes(xz2, xz2.ranges(STQuery(envelope)), 1) == \
@@ -233,7 +233,7 @@ class TestKeyLayout:
         per_bin = xz_ranges_reference(
             g, q_lo, q_hi, max(8, max_ranges // len(bins)))
         assert codes(xz2t, ranges, 5) == per_bin * len(bins)
-        assert [kr.start[1:5] for kr in ranges[::len(per_bin)]] == \
+        assert [start[1:5] for start, _ in ranges[::len(per_bin)]] == \
             [struct.pack(">I", b + (1 << 31)) for b in bins]
 
     def test_keys_keep_their_length(self):
