@@ -10,9 +10,10 @@ Interactive::
     python -m repro
     justql> SHOW TABLES;
 
-Scenarios (every subsystem experiment, each checking its claims)::
+Scenarios (every paper figure and subsystem experiment, each checking
+its claims)::
 
-    python -m repro scenario            # all of them
+    python -m repro scenario            # all of them (minutes)
     python -m repro scenario -h         # the list, one line each
     python -m repro scenario replication streaming
 

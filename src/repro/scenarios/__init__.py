@@ -1,13 +1,17 @@
-"""Every subsystem experiment, written once and run by one command.
+"""Every paper figure and subsystem experiment, written once and run by
+one command.
 
 A scenario is a plain function ``run(out) -> ScenarioResult``: it
 narrates to ``out`` and returns the figure tables it reproduces plus the
-claims it checks.  :data:`SCENARIOS` is the registry; three consumers
-read it — ``python -m repro scenario [NAME ...]`` (this module's
-:func:`main`), ``benchmarks/bench_scenarios.py`` (records the tables to
-``bench_results.json``) and ``tests/test_scenarios.py`` (tier-1).
-Scenarios take no options: every size and seed is the one
-``bench_results.json`` records, and two runs print identical text.
+claims it checks.  :data:`SCENARIOS` is the registry: first the paper's
+Section VIII tables, figures and ablations (whose claims are named
+shapes of their tables, :data:`FIGURES`), then the subsystem
+experiments.  Three consumers read it — ``python -m repro scenario [NAME
+...]`` (this module's :func:`main`), ``benchmarks/reproduce.py``
+(regenerates ``bench_results.json`` and EXPERIMENTS.md from one run of
+all of them) and ``tests/test_scenarios.py`` (tier-1).  Scenarios take
+no options: every size and seed is the one ``bench_results.json``
+records, and two runs print identical text.
 """
 
 from __future__ import annotations
@@ -16,21 +20,40 @@ import argparse
 import sys
 
 from repro.scenarios import (
+    ablations,
     balancer,
     durability,
+    fig10,
+    fig11,
+    fig12,
+    fig13,
+    fig14,
     introspection,
     monitoring,
     observability,
     replication,
     resilience,
     streaming,
+    tables,
 )
 from repro.scenarios.report import FigureTable, ScenarioResult
 
-__all__ = ["SCENARIOS", "FigureTable", "ScenarioResult", "main",
-           "run_scenario", "summary"]
+__all__ = ["FIGURES", "PAPER", "SCENARIOS", "FigureTable", "ScenarioResult",
+           "main", "run_scenario", "summary"]
+
+#: The paper's Section VIII tables, figures and ablations, by scenario.
+PAPER = {
+    "tables": tables,
+    "fig10": fig10,
+    "fig11": fig11,
+    "fig12": fig12,
+    "fig13": fig13,
+    "fig14": fig14,
+    "ablations": ablations,
+}
 
 SCENARIOS = {
+    **{name: module.run for name, module in PAPER.items()},
     "durability": durability.run,
     "resilience": resilience.run,
     "observability": observability.run,
@@ -40,6 +63,10 @@ SCENARIOS = {
     "streaming": streaming.run,
     "monitoring": monitoring.run,
 }
+
+#: Every paper table, figure and ablation, by figure id.
+FIGURES = {fig.figure_id: fig
+           for module in PAPER.values() for fig in module.FIGURES}
 
 
 def summary(name: str) -> str:
@@ -52,21 +79,24 @@ def run_scenario(name: str, out) -> ScenarioResult:
     print(f"=== scenario {name}: {summary(name)} ===", file=out)
     result = SCENARIOS[name](out)
     for table in result.tables:
-        print(f"\n{table.render()}", file=out)
+        print(f"\n== {table.figure_id}: {table.title} ==\n"
+              f"{table.markdown()}", file=out)
     print(file=out)
-    for claim, ok in result.checks:
-        print(f"[{'ok' if ok else 'FAIL'}] {claim}", file=out)
+    for check in result.checks:
+        print(check, file=out)
     print(file=out)
     return result
 
 
 def main(argv: list[str], out=None) -> int:
-    """``python -m repro scenario [NAME ...]``; 1 if any check is false."""
+    """``python -m repro scenario [NAME ...]``; 1 if a check fails."""
     out = out if out is not None else sys.stdout
     parser = argparse.ArgumentParser(
         prog="python -m repro scenario",
         description="Run the named scenarios (all of them without a "
-                    "name); exit 1 if any check is false.",
+                    "name; the paper figures take minutes); exit 1 if a "
+                    "check is false, or a declared expected failure "
+                    "holds.",
         epilog="scenarios:\n" + "\n".join(
             f"  {name:<14} {summary(name)}" for name in SCENARIOS),
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -76,6 +106,7 @@ def main(argv: list[str], out=None) -> int:
     if unknown:
         parser.error(f"unknown scenario {', '.join(unknown)} "
                      f"(choose from {', '.join(SCENARIOS)})")
-    failed = [claim for name in names
-              for claim, ok in run_scenario(name, out).checks if not ok]
+    failed = [check for name in names
+              for check in run_scenario(name, out).checks
+              if not check.passed]
     return 1 if failed else 0

@@ -182,9 +182,7 @@ class CrashResult:
 def run_crash_experiment(policy: SyncPolicy, num_keys: int = 3000,
                          kill_after: int = 2000, *,
                          replication_factor: int = 1,
-                         presplit: bool = False,
-                         cost_model: CostModel | None = None
-                         ) -> CrashResult:
+                         presplit: bool = False) -> CrashResult:
     """Ingest, crash server 0 mid-stream, fail over, measure the damage.
 
     Every ``put`` that returns normally counts as acknowledged; after
@@ -197,7 +195,7 @@ def run_crash_experiment(policy: SyncPolicy, num_keys: int = 3000,
     time.
     """
     num_servers = 5
-    model = cost_model if cost_model is not None else CostModel()
+    model = CostModel()
     store = KVStore(num_servers=num_servers, wal_policy=policy,
                     flush_bytes=16 * 1024, split_bytes=64 * 1024,
                     block_bytes=1024, cost_model=model,

@@ -1,51 +1,35 @@
-"""Shared machinery for the figure/table benchmarks.
+"""The paper's datasets, parameter grids and query workload.
 
-Each ``bench_*`` module reproduces one table or figure of the paper.  The
-expensive part — building populated engines and baseline systems over the
-generated datasets and sweeping the paper's parameter grids — happens once
-per session inside :class:`FigureData`; the pytest-benchmark hooks then
-time one representative query per figure for wall-clock numbers, and every
-figure's full sweep (in simulated milliseconds) is printed and recorded to
-``bench_results.json`` so EXPERIMENTS.md can cite it.
-
-Scale knob: ``REPRO_BENCH_SCALE`` (default 1.0) multiplies dataset sizes.
+Every table, figure and ablation of Section VIII (the ``tables``,
+``fig10`` … ``fig14`` and ``ablations`` scenarios) measures over the one
+lazily built :data:`DATA`: the generated datasets, the engines and
+baseline systems loaded with them, and the seeded query generators.
+Each figure is a function decorated with :func:`figure`, which declares
+its table and the named shapes the table must show.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import random
-from pathlib import Path
+from statistics import median
 
-from repro import Envelope, JustEngine, Schema, Field, FieldType
-from repro.baselines import (
-    GeoSpark,
-    LocationSpark,
-    Simba,
-    SpatialHadoop,
-    SpatialSpark,
-    STHadoop,
-)
-from repro.baselines.base import (
-    items_from_orders,
-    items_from_trajectories,
-)
+from repro.baselines.base import items_from_orders, items_from_trajectories
 from repro.cluster import Cluster, CostModel
-from repro.curves.strategies import STQuery
+from repro.core.engine import JustEngine
+from repro.core.schema import Field, FieldType, Schema
 from repro.datagen import (
     generate_order_dataset,
     generate_synthetic_dataset,
     generate_traj_dataset,
 )
 from repro.datagen.datasets import order_statistics, traj_statistics
+from repro.datagen.trajgen import AREA
 from repro.errors import SimulatedOutOfMemoryError
+from repro.geometry import Envelope
 from repro.geometry.distance import km_to_degrees
-from repro.scenarios.report import FigureTable
+from repro.scenarios.report import Figure, ScenarioResult, Shape
 
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-#: Paper parameter grids (Table IV).  Defaults in bold there.
+#: Paper parameter grids (Table IV).
 FRACTIONS = (20, 40, 60, 80, 100)
 SPATIAL_WINDOWS_KM = (1, 2, 3, 4, 5)          # side of the square window
 TIME_WINDOWS = (("1h", 3600.0), ("6h", 6 * 3600.0), ("1d", 86400.0),
@@ -64,16 +48,22 @@ TRAJ_DEFAULT_K = 15
 #: use a coarser grid.
 TRAJ_KNN_CELL_KM = 5.0
 
-#: Queries per configuration; the paper uses 100 and takes the median.
-QUERY_REPS = int(os.environ.get("REPRO_BENCH_REPS", "5"))
+#: Queries per configuration: the paper runs 100 and takes the median.
+QUERY_REPS = 100
 
 # Sized so the Order:Traj raw ratio matches Table II's 10GB:136GB — the
 # memory-budget crossovers (which systems OOM at which Traj fraction while
 # every system still fits Order) depend on that ratio.
-ORDER_COUNT = int(10_000 * SCALE)
-TRAJ_COUNT = int(600 * SCALE)
+ORDER_COUNT = 10_000
+ORDER_SEED = 20181001
+TRAJ_COUNT = 600
 TRAJ_MEAN_POINTS = 250
+TRAJ_SEED = 20140301
 SYNTHETIC_MULTIPLIER = 4
+SYNTHETIC_SEED = 20141231
+#: Seeds of the query generators below.
+QUERY_SEEDS = {"order windows": 0, "traj windows": 1, "time ranges": 2,
+               "k-NN points": 3}
 
 ORDER_SCHEMA = Schema([
     Field("fid", FieldType.INTEGER, primary_key=True),
@@ -83,65 +73,77 @@ ORDER_SCHEMA = Schema([
     Field("category", FieldType.STRING),
 ])
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent \
-    / "bench_results.json"
-#: Metrics-registry snapshots of every engine a benchmark run built,
-#: dumped next to the figures so I/O accounting rides along.
-METRICS_PATH = RESULTS_PATH.parent / "bench_metrics.json"
-
 OOM = "OOM"
+MB = 1024.0 * 1024.0
 
 
-def median(values):
-    ordered = sorted(values)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
-class ReportSink:
-    """Collects figure tables, prints them, persists them to JSON."""
-
-    def __init__(self):
-        self.tables: dict[str, FigureTable] = {}
-
-    def record(self, table: FigureTable) -> FigureTable:
-        self.tables[table.figure_id] = table
-        print()
-        print(table.render())
-        self.flush()
-        return table
-
-    def flush(self) -> None:
-        # Merge with any figures recorded by other benchmark runs so
-        # partial invocations never clobber the results file.
-        existing = {}
-        if RESULTS_PATH.exists():
-            try:
-                existing = json.loads(RESULTS_PATH.read_text())
-            except (ValueError, OSError):
-                existing = {}
-        existing.update({fid: t.as_json()
-                         for fid, t in self.tables.items()})
-        RESULTS_PATH.write_text(
-            json.dumps(dict(sorted(existing.items())), indent=2,
-                       default=str))
-        snapshots = DATA.metrics_snapshots()
-        if snapshots:
-            METRICS_PATH.write_text(
-                json.dumps(snapshots, indent=2, default=str))
-
-
-REPORT = ReportSink()
+def provenance() -> dict:
+    """What ``bench_results.json`` was measured with."""
+    return {
+        "command": "python benchmarks/reproduce.py",
+        "query_reps": QUERY_REPS,
+        "datasets": {
+            "Order": {"records": ORDER_COUNT, "seed": ORDER_SEED},
+            "Traj": {"records": TRAJ_COUNT,
+                     "mean_points": TRAJ_MEAN_POINTS, "seed": TRAJ_SEED},
+            "Synthetic": {"copies_of_traj": SYNTHETIC_MULTIPLIER,
+                          "seed": SYNTHETIC_SEED},
+        },
+        "query_seeds": QUERY_SEEDS,
+    }
 
 
 # ---------------------------------------------------------------------------
-# Datasets and engines (built lazily, cached for the session)
+# Figures and their shapes
+# ---------------------------------------------------------------------------
+
+def figure(figure_id: str, title: str, param_name: str, *shapes: Shape):
+    """Declare the decorated ``measure(data, table)`` as one paper figure."""
+    def declare(measure) -> Figure:
+        return Figure(figure_id, title, param_name, measure, shapes)
+    return declare
+
+
+def measure(figures) -> ScenarioResult:
+    """Measure each figure over :data:`DATA` and check its shapes."""
+    result = ScenarioResult()
+    for fig in figures:
+        table = fig.table(DATA)
+        result.tables.append(table)
+        result.checks += [check._replace(claim=f"{fig.figure_id}: "
+                                               f"{check.claim}")
+                          for check in fig.check(table)]
+    return result
+
+
+def grows(table, series: str) -> bool:
+    """The series never falls as the parameter grows."""
+    row = table.row(series)
+    return row == sorted(row)
+
+
+def linear(table, series: str) -> bool:
+    """5x the data costs 3.5x to 6.5x as much."""
+    return 3.5 < table.value(series, 100) / table.value(series, 20) < 6.5
+
+
+def fits(table, system: str) -> list:
+    """The parameters at which ``system`` did not run out of memory."""
+    return [p for p in table.params() if table.value(system, p) != OOM]
+
+
+def exceeds(table, high: str, low: str, factor=1.0, at=None) -> bool:
+    """``high > factor x low`` at every parameter (or at those in ``at``)."""
+    return all(table.value(high, p) > factor * table.value(low, p)
+               for p in (at or table.params()))
+
+
+# ---------------------------------------------------------------------------
+# Datasets and engines (built lazily, cached for the process)
 # ---------------------------------------------------------------------------
 
 class FigureData:
-    """Lazily-built shared state for every figure benchmark."""
+    """Lazily built shared state for every figure."""
 
     def __init__(self):
         self._cache: dict[str, object] = {}
@@ -151,32 +153,21 @@ class FigureData:
             self._cache[key] = builder()
         return self._cache[key]
 
-    def metrics_snapshots(self) -> dict:
-        """Registry snapshot of every engine built so far, by cache key."""
-        out = {}
-        for key, value in self._cache.items():
-            engine = value.get("engine") \
-                if isinstance(value, dict) else value
-            metrics = getattr(engine, "metrics", None)
-            if metrics is not None:
-                out[key] = metrics.snapshot()
-        return out
-
     # -- datasets ------------------------------------------------------------
     @property
     def orders(self):
-        return self._get("orders",
-                         lambda: generate_order_dataset(ORDER_COUNT))
+        return self._get("orders", lambda: generate_order_dataset(
+            ORDER_COUNT, ORDER_SEED))
 
     @property
     def trajs(self):
         return self._get("trajs", lambda: generate_traj_dataset(
-            TRAJ_COUNT, TRAJ_MEAN_POINTS))
+            TRAJ_COUNT, TRAJ_MEAN_POINTS, TRAJ_SEED))
 
     @property
     def synthetic(self):
         return self._get("synthetic", lambda: generate_synthetic_dataset(
-            self.trajs, SYNTHETIC_MULTIPLIER))
+            self.trajs, SYNTHETIC_MULTIPLIER, SYNTHETIC_SEED))
 
     @property
     def order_stats(self):
@@ -195,6 +186,10 @@ class FigureData:
     def traj_fraction(self, percent: int):
         count = len(self.trajs) * percent // 100
         return self.trajs[:count]
+
+    def synthetic_fraction(self, percent: int):
+        count = len(self.synthetic) * percent // 100
+        return self.synthetic[:count]
 
     # -- memory budget (reproduces the paper's OOM crossovers) ---------------
     @property
@@ -231,7 +226,7 @@ class FigureData:
                           cost_model=self.cost_model,
                           block_bytes=256)
 
-    # -- JUST engines ----------------------------------------------------------
+    # -- JUST engines --------------------------------------------------------
     def _build_order_engine(self, compression: bool) -> dict:
         """Engine with the Order table under every index variant.
 
@@ -247,6 +242,7 @@ class FigureData:
         for name, userdata in variants.items():
             engine.create_table(f"order_{name}", ORDER_SCHEMA,
                                 userdata or None)
+        elapsed = dict.fromkeys(variants, 0.0)
         index_ms = {name: {} for name in variants}
         storage = {name: {} for name in variants}
         done = 0
@@ -255,12 +251,8 @@ class FigureData:
             batch = rows[done:]
             done = len(rows)
             for name in variants:
-                result = engine.insert(f"order_{name}", batch)
-                previous_percent = {20: None, 40: 20, 60: 40, 80: 60,
-                                    100: 80}[percent]
-                previous = index_ms[name].get(previous_percent, 0.0) \
-                    if previous_percent else 0.0
-                index_ms[name][percent] = previous + result.sim_ms
+                elapsed[name] += engine.insert(f"order_{name}", batch).sim_ms
+                index_ms[name][percent] = elapsed[name]
                 table = engine.table(f"order_{name}")
                 table.flush()
                 storage[name][percent] = table.storage_bytes()
@@ -283,6 +275,7 @@ class FigureData:
         for name, userdata in variants.items():
             engine.create_plugin_table(f"traj_{name}", "trajectory",
                                        userdata)
+        elapsed = dict.fromkeys(variants, 0.0)
         index_ms = {name: {} for name in variants}
         storage = {name: {} for name in variants}
         done = 0
@@ -294,11 +287,8 @@ class FigureData:
                 table = engine.table(f"traj_{name}")
                 job = engine.cluster.job()
                 table.insert_trajectories(batch, job)
-                previous_percent = {20: None, 40: 20, 60: 40, 80: 60,
-                                    100: 80}[percent]
-                previous = index_ms[name].get(previous_percent, 0.0) \
-                    if previous_percent else 0.0
-                index_ms[name][percent] = previous + job.elapsed_ms
+                elapsed[name] += job.elapsed_ms
+                index_ms[name][percent] = elapsed[name]
                 table.flush()
                 storage[name][percent] = table.storage_bytes()
         return {"engine": engine, "index_ms": index_ms,
@@ -361,62 +351,77 @@ class FigureData:
             return {"system": system, "load_ms": job.elapsed_ms}
         return self._get(key, build)
 
-    # -- query generators --------------------------------------------------------
-    def order_query_windows(self, window_km: float, count: int,
-                            seed: int = 0) -> list[Envelope]:
-        centers = self._get("order_centers", lambda: [
+    # -- query generators --------------------------------------------------
+    @property
+    def order_centers(self) -> list[tuple[float, float]]:
+        return self._get("order_centers", lambda: [
             (r["geom"].lng, r["geom"].lat) for r in self.orders[::97]])
-        return _windows(self.order_stats, window_km, count, seed,
-                        centers)
 
-    def traj_query_windows(self, window_km: float, count: int,
-                           seed: int = 1) -> list[Envelope]:
-        def midpoints():
-            out = []
-            for t in self.trajs[::7]:
-                mid = t.points[len(t.points) // 2]
-                out.append((mid.lng, mid.lat))
-            return out
+    @property
+    def traj_centers(self) -> list[tuple[float, float]]:
+        return self._get("traj_centers",
+                         lambda: midpoints(self.trajs[::7]))
 
-        centers = self._get("traj_centers", midpoints)
-        return _windows(self.traj_stats, window_km, count, seed,
-                        centers)
+    def order_query_windows(self, window_km: float) -> list[Envelope]:
+        return _windows(window_km, QUERY_SEEDS["order windows"],
+                        self.order_centers)
 
-    def time_ranges(self, stats, window_s: float, count: int,
-                    seed: int = 2) -> list[tuple[float, float]]:
-        rng = random.Random(seed)
-        span = stats.time_end - stats.time_start - window_s
-        out = []
-        for _ in range(count):
-            start = stats.time_start + rng.random() * max(1.0, span)
-            out.append((start, start + window_s))
-        return out
+    def traj_query_windows(self, window_km: float) -> list[Envelope]:
+        return _windows(window_km, QUERY_SEEDS["traj windows"],
+                        self.traj_centers)
 
 
-def _windows(stats, window_km: float, count: int,
-             seed: int, centers=None) -> list[Envelope]:
+def midpoints(trajs) -> list[tuple[float, float]]:
+    return [(t.points[len(t.points) // 2].lng,
+             t.points[len(t.points) // 2].lat) for t in trajs]
+
+
+def _windows(window_km: float, seed: int, centers) -> list[Envelope]:
     """Query windows centred on sampled data locations.
 
     Urban range queries target populated areas; sampling centres from the
     data (rather than uniformly from the bounding box) keeps per-window
     selectivity stable, as the paper's randomly-parameterized query
-    workload does.
+    workload does.  The same centres serve every window size, so a sweep
+    isolates the window-size effect instead of re-rolling locations.
     """
-    from repro.datagen.trajgen import AREA
-    # Same centres for every window size: the sweep then isolates
-    # the window-size effect instead of re-rolling query locations.
     rng = random.Random(seed)
     side = km_to_degrees(window_km)
     out = []
-    for _ in range(count):
-        if centers:
-            cx, cy = rng.choice(centers)
-        else:
-            cx = rng.uniform(AREA[0], AREA[2])
-            cy = rng.uniform(AREA[1], AREA[3])
+    for _ in range(QUERY_REPS):
+        cx, cy = rng.choice(centers)
         lng = min(max(cx - side / 2, AREA[0]), AREA[2] - side)
         lat = min(max(cy - side / 2, AREA[1]), AREA[3] - side)
         out.append(Envelope(lng, lat, lng + side, lat + side))
+    return out
+
+
+def time_ranges(stats, window_s: float) -> list[tuple[float, float]]:
+    """Query time ranges drawn uniformly over ``stats``' time span."""
+    rng = random.Random(QUERY_SEEDS["time ranges"])
+    span = stats.time_end - stats.time_start - window_s
+    out = []
+    for _ in range(QUERY_REPS):
+        start = stats.time_start + rng.random() * max(1.0, span)
+        out.append((start, start + window_s))
+    return out
+
+
+def query_points(centers, count: int = QUERY_REPS):
+    """k-NN query points.
+
+    Like the range-query windows, points are drawn near data locations
+    (dispatch-style queries originate where the fleet operates); a small
+    jitter keeps them off exact record positions.
+    """
+    rng = random.Random(QUERY_SEEDS["k-NN points"])
+    out = []
+    for _ in range(count):
+        cx, cy = rng.choice(centers)
+        cx += rng.gauss(0.0, 0.005)
+        cy += rng.gauss(0.0, 0.005)
+        out.append((min(max(cx, AREA[0]), AREA[2]),
+                    min(max(cy, AREA[1]), AREA[3])))
     return out
 
 
@@ -424,7 +429,7 @@ DATA = FigureData()
 
 
 # ---------------------------------------------------------------------------
-# Measurement helpers
+# Measurement: the median sim-ms of one configuration's queries
 # ---------------------------------------------------------------------------
 
 def just_spatial_ms(engine: JustEngine, table: str,
@@ -437,13 +442,13 @@ def just_spatial_ms(engine: JustEngine, table: str,
 
 
 def just_st_ms(engine: JustEngine, table: str, windows: list[Envelope],
-               time_ranges: list[tuple[float, float]]) -> float:
-    times = []
-    for window, (t_lo, t_hi) in zip(windows, time_ranges):
+               times: list[tuple[float, float]]) -> float:
+    sims = []
+    for window, (t_lo, t_hi) in zip(windows, times):
         engine.store.clear_caches()
-        times.append(engine.st_range_query(table, window, t_lo,
-                                           t_hi).sim_ms)
-    return median(times)
+        sims.append(engine.st_range_query(table, window, t_lo,
+                                          t_hi).sim_ms)
+    return median(sims)
 
 
 def just_knn_ms(engine: JustEngine, table: str, k: int,
@@ -465,12 +470,12 @@ def baseline_spatial_ms(loaded, windows: list[Envelope]):
                    for w in windows])
 
 
-def baseline_st_ms(loaded, windows, time_ranges):
+def baseline_st_ms(loaded, windows, times):
     if loaded == OOM:
         return OOM
     system = loaded["system"]
     return median([system.st_range_query(w, t_lo, t_hi).sim_ms
-                   for w, (t_lo, t_hi) in zip(windows, time_ranges)])
+                   for w, (t_lo, t_hi) in zip(windows, times)])
 
 
 def baseline_knn_ms(loaded, k: int, points):
@@ -479,26 +484,3 @@ def baseline_knn_ms(loaded, k: int, points):
     system = loaded["system"]
     return median([system.knn(lng, lat, k).sim_ms
                    for lng, lat in points])
-
-
-def query_points(stats, count: int, seed: int = 3, centers=None):
-    """k-NN query points.
-
-    Like the range-query windows, points are drawn near data locations
-    (dispatch-style queries originate where the fleet operates); a small
-    jitter keeps them off exact record positions.
-    """
-    from repro.datagen.trajgen import AREA
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        if centers:
-            cx, cy = rng.choice(centers)
-            cx += rng.gauss(0.0, 0.005)
-            cy += rng.gauss(0.0, 0.005)
-        else:
-            cx = rng.uniform(AREA[0], AREA[2])
-            cy = rng.uniform(AREA[1], AREA[3])
-        out.append((min(max(cx, AREA[0]), AREA[2]),
-                    min(max(cy, AREA[1]), AREA[3])))
-    return out

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Envelope
-from repro.spatial_index import GridIndex, KDTree, QuadTree, RTree
+from repro.spatial_index import GridIndex, QuadTree, RTree
 
 
 def random_points(n, seed=0):
@@ -137,32 +137,3 @@ class TestGridIndex:
         grid.insert(Envelope.of_point(0.5, 0.5), "a")
         assert grid.occupied_cells() == 1
 
-
-class TestKDTree:
-    def test_range_matches_brute_force(self):
-        points = random_points(600, seed=6)
-        tree = KDTree(points)
-        assert set(tree.range_query(QUERY)) == \
-            brute_force_points(points, QUERY)
-
-    def test_knn_matches_brute_force(self):
-        points = random_points(400, seed=7)
-        tree = KDTree(points)
-        got = tree.knn(116.5, 39.5, 15)
-        ranked = sorted(points, key=lambda p: (p[0] - 116.5) ** 2
-                        + (p[1] - 39.5) ** 2)
-        assert set(got) == {v for _x, _y, v in ranked[:15]}
-
-    def test_knn_ordering(self):
-        points = random_points(100, seed=8)
-        tree = KDTree(points)
-        got = tree.knn(116.5, 39.5, 10)
-        by_value = {v: (x, y) for x, y, v in points}
-        distances = [((by_value[v][0] - 116.5) ** 2
-                      + (by_value[v][1] - 39.5) ** 2) for v in got]
-        assert distances == sorted(distances)
-
-    def test_empty(self):
-        tree = KDTree([])
-        assert tree.range_query(QUERY) == []
-        assert tree.knn(0, 0, 3) == []
