@@ -36,10 +36,20 @@ from repro.geometry.linestring import LineString
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.kvstore.iostats import COUNTERS as IO_COUNTERS
-from repro.kvstore.store import KVStore
+from repro.kvstore.store import (
+    DEFAULT_BLOCK_BYTES,
+    DEFAULT_CACHE_BYTES,
+    DEFAULT_FLUSH_BYTES,
+    DEFAULT_SPLIT_BYTES,
+    KVStore,
+)
 from repro.trajectory.model import STSeries, TSeries
 
-_GB = 1024 ** 3
+#: Adaptive execution (future work #4): a request estimated to read at
+#: most this many index bytes runs on one machine, charged
+#: ``LOCAL_OVERHEAD_MS`` instead of the distributed-driver overhead.
+OLTP_THRESHOLD_BYTES = 64 * 1024
+LOCAL_OVERHEAD_MS = 5.0
 
 
 @dataclass
@@ -69,23 +79,16 @@ class JustEngine:
     """One engine instance == one deployed JUST cluster."""
 
     def __init__(self, num_servers: int = 5,
-                 memory_budget_bytes: int = 5 * 32 * _GB,
                  cost_model: CostModel | None = None,
                  compression_enabled: bool = True,
-                 num_shards: int = 4,
-                 max_ranges: int = 256,
-                 default_period: TimePeriod = TimePeriod.DAY,
-                 cache_bytes_per_server: int = 64 * 1024 * 1024,
-                 block_bytes: int | None = None,
+                 cache_bytes_per_server: int = DEFAULT_CACHE_BYTES,
+                 block_bytes: int = DEFAULT_BLOCK_BYTES,
                  cost_based_planner: bool = False,
                  adaptive_execution: bool = False,
-                 oltp_threshold_bytes: int = 64 * 1024,
-                 local_overhead_ms: float = 5.0,
                  wal_policy=None,
-                 split_bytes: int | None = None,
-                 flush_bytes: int | None = None,
-                 replication_factor: int = 1,
-                 read_mode: str = "primary"):
+                 split_bytes: int = DEFAULT_SPLIT_BYTES,
+                 flush_bytes: int = DEFAULT_FLUSH_BYTES,
+                 replication_factor: int = 1):
         #: Process-wide observability registry: it reads the numbers the
         #: store, replication, balancer, loaders and service layer keep,
         #: and the SQL operators push theirs into it.
@@ -96,37 +99,37 @@ class JustEngine:
         #: ...), shared with the store and the service layer; queryable
         #: as ``sys.events``.
         self.events = EventLog()
-        self.cluster = Cluster(num_servers, memory_budget_bytes, cost_model)
-        store_kwargs = {"cache_bytes_per_server": cache_bytes_per_server,
-                        "events": self.events,
-                        # The store shares the cluster's cost model so
-                        # kvstore-level trace spans (per-region scans)
-                        # can estimate simulated time.
-                        "cost_model": self.cluster.model}
-        if block_bytes is not None:
-            store_kwargs["block_bytes"] = block_bytes
-        if split_bytes is not None:
-            # Small split/flush thresholds let tests spread a modest table
-            # across many regions (and thus many servers) cheaply.
-            store_kwargs["split_bytes"] = split_bytes
-        if flush_bytes is not None:
-            store_kwargs["flush_bytes"] = flush_bytes
-        if wal_policy is not None:
-            # Durable ingest: every region server keeps a write-ahead log
-            # and the store survives injected region-server crashes.
-            store_kwargs["wal_policy"] = wal_policy
-        self.store = KVStore(num_servers, **store_kwargs)
+        self.cluster = Cluster(num_servers, model=cost_model)
+        # A WAL policy makes ingest durable (crash recovery); replication
+        # (a primary plus followers on distinct servers, WAL shipping,
+        # quorum writes, fast promote failover) needs one.  The store
+        # shares the cluster's cost model so its trace spans can
+        # estimate simulated time.
+        self.store = KVStore(num_servers,
+                             cache_bytes_per_server=cache_bytes_per_server,
+                             flush_bytes=flush_bytes,
+                             split_bytes=split_bytes,
+                             block_bytes=block_bytes,
+                             wal_policy=wal_policy,
+                             cost_model=self.cluster.model,
+                             events=self.events,
+                             replication_factor=replication_factor)
         self._expose("kvstore", self.store.stats, IO_COUNTERS)
-        if replication_factor > 1:
-            # Region replication: a primary plus followers on distinct
-            # servers, WAL shipping, quorum writes, fast promote failover.
-            self.enable_replication(replication_factor, read_mode)
+        manager = self.store.replication
+        if manager is not None:
+            self._expose("replication", manager, counters=(
+                "records_shipped", "bytes_shipped", "blocked_ships",
+                "dropped_ships", "quorum_failures", "lag_alerts",
+                "rebuilds", "promotions", "follower_reads",
+                "hedged_reads", "hedge_wins"))
+            # The lag gauges exist from the first anti-entropy pass.
+            self._expose("replication", manager,
+                         gauges=("max_lag_records", "lagging_followers"),
+                         since=lambda: manager.ticks)
+            self.metrics.expose_histogram(manager.quorum_ack_ms)
         self.catalog = Catalog()
         self.sources = SourceRegistry()
         self.compression_enabled = compression_enabled
-        self.num_shards = num_shards
-        self.max_ranges = max_ranges
-        self.default_period = default_period
         self._tables: dict[str, CommonTable] = {}
         self._views: dict[str, ViewTable] = {}
         self._topics: dict[str, object] = {}
@@ -136,8 +139,6 @@ class JustEngine:
         #: Future work #4: serve small requests on a single machine,
         #: skipping the distributed-job overhead (OLAP + OLTP combined).
         self.adaptive_execution = adaptive_execution
-        self.oltp_threshold_bytes = oltp_threshold_bytes
-        self.local_overhead_ms = local_overhead_ms
         #: Optional hot-region load balancer (see :meth:`enable_balancer`);
         #: None means placement stays pure round-robin.
         self.balancer = None
@@ -200,33 +201,10 @@ class JustEngine:
     @property
     def replication(self):
         """The store's :class:`~repro.replication.ReplicationManager`
-        (``None`` until replication is enabled)."""
-        return self.store.replication
-
-    def enable_replication(self, factor: int = 3,
-                           read_mode: str = "primary", **kwargs):
-        """Turn on region replication for this engine's store.
-
-        Returns the :class:`repro.replication.ReplicationManager`.
-        Requires a WAL policy (replication ships primary WAL records to
-        follower WALs).  The service layer ticks its anti-entropy chore
-        after every statement; library users call
-        ``replication.maybe_tick()`` themselves.  Replica state surfaces
-        in ``sys.replication`` and as events in ``sys.events``.
-        """
-        if self.store.replication is None:
-            manager = self.store.enable_replication(
-                factor=factor, read_mode=read_mode, **kwargs)
-            self._expose("replication", manager, counters=(
-                "records_shipped", "bytes_shipped", "blocked_ships",
-                "dropped_ships", "quorum_failures", "lag_alerts",
-                "rebuilds", "promotions", "follower_reads",
-                "hedged_reads", "hedge_wins"))
-            # The lag gauges exist from the first anti-entropy pass.
-            self._expose("replication", manager,
-                         gauges=("max_lag_records", "lagging_followers"),
-                         since=lambda: manager.ticks)
-            self.metrics.expose_histogram(manager.quorum_ack_ms)
+        (``None`` unless ``replication_factor > 1``).  The service layer
+        ticks its anti-entropy chore after every statement; library
+        users call ``replication.maybe_tick()`` themselves.  Replica
+        state surfaces in ``sys.replication`` and ``sys.events``."""
         return self.store.replication
 
     # -- system tables -----------------------------------------------------------
@@ -288,22 +266,23 @@ class JustEngine:
 
     def _build_strategies(self, names: list[str],
                           userdata: dict | None) -> dict:
+        """One strategy per index name, shaped by the table's USERDATA
+        (``just.time_period`` / ``just.num_shards`` / ``just.max_ranges``;
+        unset keys keep the strategy defaults)."""
         userdata = userdata or {}
-        period = self.default_period
+        shape = {}
         if "just.time_period" in userdata:
-            period = TimePeriod.from_name(userdata["just.time_period"])
-        num_shards = int(userdata.get("just.num_shards", self.num_shards))
-        max_ranges = int(userdata.get("just.max_ranges", self.max_ranges))
-        strategies = {}
-        for name in names:
-            strategy = strategy_from_name(name, period=period,
-                                          num_shards=num_shards,
-                                          max_ranges=max_ranges)
-            strategies[name] = strategy
-        return strategies
+            shape["period"] = TimePeriod.from_name(
+                userdata["just.time_period"])
+        for key in ("num_shards", "max_ranges"):
+            if f"just.{key}" in userdata:
+                shape[key] = int(userdata[f"just.{key}"])
+        return {name: strategy_from_name(name, **shape) for name in names}
 
-    def _index_names(self, schema: Schema,
-                     userdata: dict | None) -> list[str]:
+    def _index_names(self, userdata: dict | None,
+                     default: list[str]) -> list[str]:
+        """USERDATA ``geomesa.indices.enabled`` (empty entries skipped),
+        else ``default``."""
         if userdata and "geomesa.indices.enabled" in userdata:
             names = [n.strip() for n in
                      userdata["geomesa.indices.enabled"].split(",")
@@ -311,7 +290,7 @@ class JustEngine:
             if not names:
                 raise SchemaError("geomesa.indices.enabled is empty")
             return names
-        return self._default_index_names(schema)
+        return default
 
     # -- definition operations ----------------------------------------------------
     def create_table(self, name: str, schema: Schema,
@@ -319,7 +298,8 @@ class JustEngine:
         """CREATE TABLE with an explicit schema (common table)."""
         if self.catalog.exists(name) or name in self._views:
             raise TableExistsError(name)
-        index_names = self._index_names(schema, userdata)
+        index_names = self._index_names(
+            userdata, self._default_index_names(schema))
         strategies = self._build_strategies(index_names, userdata)
         presplit, salt_buckets = _placement_options(userdata)
         table = CommonTable(name, schema, self.store, strategies,
@@ -338,11 +318,7 @@ class JustEngine:
         if self.catalog.exists(name) or name in self._views:
             raise TableExistsError(name)
         cls = plugin_class(plugin_type)
-        if userdata and "geomesa.indices.enabled" in userdata:
-            index_names = [n.strip() for n in
-                           userdata["geomesa.indices.enabled"].split(",")]
-        else:
-            index_names = ["xz2", "xz2t"]
+        index_names = self._index_names(userdata, ["xz2", "xz2t"])
         strategies = self._build_strategies(index_names, userdata)
         presplit, salt_buckets = _placement_options(userdata)
         table = cls(name, self.store, strategies, self.compression_enabled,
@@ -517,8 +493,8 @@ class JustEngine:
                 query, table.time_extent, table.data_envelope)
             estimated = selectivity * max(
                 1, table.index_storage_bytes(strategy_name))
-            if estimated <= self.oltp_threshold_bytes:
-                job.charge_fixed("driver_local", self.local_overhead_ms)
+            if estimated <= OLTP_THRESHOLD_BYTES:
+                job.charge_fixed("driver_local", LOCAL_OVERHEAD_MS)
                 return
         job.charge_fixed("driver", self.cluster.model.query_overhead_ms)
 

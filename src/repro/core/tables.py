@@ -24,7 +24,7 @@ from repro.curves.strategies import (
     STQuery,
 )
 from repro.dataframe import DataFrame, batches_from_rows
-from repro.errors import ExecutionError, SchemaError
+from repro.errors import SchemaError
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
 from repro.kvstore.scan import ScanSpec, chunk_pairs
@@ -422,9 +422,6 @@ class CommonTable:
             low, high)
         return list(self._attribute_rows(field_name, ranges, job, ctx))
 
-    def to_dataframe(self, job: SimJob | None = None) -> DataFrame:
-        return DataFrame.from_rows(self.full_scan(job), self.columns())
-
     def columns(self) -> list[str]:
         return self.schema.names
 
@@ -478,9 +475,3 @@ class ViewTable:
 
     def estimated_bytes(self) -> int:
         return self.dataframe.estimated_bytes()
-
-
-def require_view(obj) -> ViewTable:
-    if not isinstance(obj, ViewTable):
-        raise ExecutionError(f"{obj!r} is not a view")
-    return obj

@@ -214,15 +214,3 @@ class FaultPlan:
         """Shorthand: kill ``server`` right after the ``ops``-th write."""
         return cls([KillServer(server, after_ops=ops, **kwargs)])
 
-    @classmethod
-    def slow_server(cls, server: int, latency_ms: float,
-                    seed: int = 0, **kwargs) -> "FaultPlan":
-        """Shorthand: one persistently slow region server."""
-        return cls([SlowServer(server, latency_ms, **kwargs)], seed=seed)
-
-    @classmethod
-    def flaky_server(cls, server: int, probability: float,
-                     seed: int = 0, **kwargs) -> "FaultPlan":
-        """Shorthand: one server failing a fraction of operations."""
-        return cls([IntermittentError(server, probability, **kwargs)],
-                   seed=seed)

@@ -34,6 +34,8 @@ from repro.observability.events import (
 
 #: Split a region once its data exceeds this many bytes.
 DEFAULT_SPLIT_BYTES = 4 * 1024 * 1024
+#: Block cache per region server.
+DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
 #: Upper bound on pre-split regions and salt buckets (one key byte).
 MAX_BUCKETS = 255
@@ -517,7 +519,7 @@ class KVStore:
     """
 
     def __init__(self, num_servers: int = 5,
-                 cache_bytes_per_server: int = 64 * 1024 * 1024,
+                 cache_bytes_per_server: int = DEFAULT_CACHE_BYTES,
                  flush_bytes: int = DEFAULT_FLUSH_BYTES,
                  split_bytes: int = DEFAULT_SPLIT_BYTES,
                  block_bytes: int = DEFAULT_BLOCK_BYTES,
@@ -601,23 +603,21 @@ class KVStore:
             cache.clear()
 
     # -- replication -----------------------------------------------------------
-    def enable_replication(self, factor: int = 3, read_mode="primary",
-                           **kwargs) -> "object":
+    def enable_replication(self, factor: int = 3,
+                           read_mode="primary") -> "object":
         """Turn on region replication (requires a WAL policy).
 
         Every existing and future region gets ``factor - 1`` follower
         replicas on distinct servers; see
         :class:`~repro.replication.manager.ReplicationManager`.
         ``read_mode`` sets the default serving mode for reads
-        (``primary`` / ``follower`` / ``hedged``); ``kwargs`` pass
-        through to the manager (``interval_ms``, ``hedge_ms``, ...).
+        (``primary`` / ``follower`` / ``hedged``).
         """
         from repro.replication.manager import ReplicationManager
         if self.replication is not None:
             return self.replication
         self.replication = ReplicationManager(self, factor=factor,
-                                              read_mode=read_mode,
-                                              **kwargs)
+                                              read_mode=read_mode)
         for table in self.tables():
             for region in table.regions():
                 self.replication.attach_region(region)

@@ -247,6 +247,12 @@ def suffixed_key(key: str, suffix: str) -> str:
     return f"{base}_{suffix}{brace}{labels}"
 
 
+#: Modeled simulated cost of one scrape: a fixed part plus one per
+#: series recorded.
+SCRAPE_BASE_COST_MS = 0.05
+SCRAPE_COST_PER_SERIES_MS = 0.002
+
+
 class MetricsScraper:
     """Simulated-clock chore sampling the registry into the history.
 
@@ -258,23 +264,18 @@ class MetricsScraper:
     exact windowed increases over latency distributions.
 
     Scraping is not free in real clusters and is not free here: each
-    tick charges a modeled cost (base + per-series) onto the shared
+    tick charges a modeled cost (``SCRAPE_BASE_COST_MS`` +
+    ``SCRAPE_COST_PER_SERIES_MS`` per recorded series) onto the shared
     simulated clock and accounts it in ``total_scrape_ms`` so the
     benchmark can report monitoring overhead honestly.
     """
 
     def __init__(self, registry, events, history: MetricsHistory,
-                 interval_ms: float = 250.0,
-                 base_cost_ms: float = 0.05,
-                 cost_per_series_ms: float = 0.002,
-                 charge_clock: bool = True):
+                 interval_ms: float = 250.0):
         self.registry = registry
         self.events = events
         self.history = history
         self.interval_ms = interval_ms
-        self.base_cost_ms = base_cost_ms
-        self.cost_per_series_ms = cost_per_series_ms
-        self.charge_clock = charge_clock
         self.scrapes = 0
         self.total_scrape_ms = 0.0
         #: Series recorded by the latest scrape.
@@ -302,12 +303,11 @@ class MetricsScraper:
         recorded = 0
         for key, metric in self.registry.items():
             recorded += self._scrape_metric(key, metric, now)
-        cost = self.base_cost_ms + self.cost_per_series_ms * recorded
+        cost = SCRAPE_BASE_COST_MS + SCRAPE_COST_PER_SERIES_MS * recorded
         self.scrapes += 1
         self.total_scrape_ms += cost
         self.series = recorded
-        if self.charge_clock:
-            self.events.advance(cost)
+        self.events.advance(cost)
 
     def _scrape_metric(self, key: str, metric, now: float) -> int:
         if not isinstance(metric, Histogram):

@@ -11,11 +11,7 @@ timeline the incidents happen on.
 
 from __future__ import annotations
 
-from repro.observability.history import (
-    DEFAULT_TIERS,
-    MetricsHistory,
-    MetricsScraper,
-)
+from repro.observability.history import MetricsHistory, MetricsScraper
 from repro.observability.slo import (
     AvailabilityObjective,
     LatencyObjective,
@@ -73,15 +69,12 @@ class Monitor:
 
     def __init__(self, engine,
                  interval_ms: float = DEFAULT_SCRAPE_INTERVAL_MS,
-                 tiers: tuple[tuple[int, int], ...] = DEFAULT_TIERS,
-                 objectives: list[Objective] | None = None,
-                 charge_clock: bool = True):
+                 objectives: list[Objective] | None = None):
         self.engine = engine
-        self.history = MetricsHistory(tiers)
+        self.history = MetricsHistory()
         self.scraper = MetricsScraper(engine.metrics, engine.events,
                                       self.history,
-                                      interval_ms=interval_ms,
-                                      charge_clock=charge_clock)
+                                      interval_ms=interval_ms)
         self.slos = SloManager(self.history, engine.events,
                                engine.metrics)
         for objective in (objectives if objectives is not None
@@ -95,9 +88,6 @@ class Monitor:
         engine.metrics.describe(
             "slo.burn_rate",
             "error-budget burn rate over the long alert window")
-
-    def add_objective(self, objective: Objective) -> Objective:
-        return self.slos.add(objective)
 
     def maybe_tick(self) -> bool:
         """Scrape + evaluate if the scrape interval elapsed."""

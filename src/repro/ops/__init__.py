@@ -21,11 +21,6 @@ from repro.ops.analysis.noise_filter import traj_noise_filter
 from repro.ops.analysis.segmentation import traj_segment
 from repro.ops.analysis.staypoint import StayPoint, traj_stay_points
 from repro.ops.analysis.dbscan import dbscan
-from repro.ops.analysis.similarity import (
-    frechet_distance,
-    hausdorff_distance,
-    k_similar_trajectories,
-)
 from repro.ops.analysis.mapmatching import MapMatcher, map_match
 
 __all__ = [
@@ -38,9 +33,6 @@ __all__ = [
     "StayPoint",
     "traj_stay_points",
     "dbscan",
-    "frechet_distance",
-    "hausdorff_distance",
-    "k_similar_trajectories",
     "MapMatcher",
     "map_match",
 ]

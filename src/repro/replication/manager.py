@@ -66,10 +66,7 @@ class ReplicationManager:
     """Keeps and uses follower replicas for every region of one store."""
 
     def __init__(self, store, factor: int = 3,
-                 read_mode: ReadMode | str = ReadMode.PRIMARY,
-                 interval_ms: float = DEFAULT_INTERVAL_MS,
-                 lag_alert_records: int = DEFAULT_LAG_ALERT_RECORDS,
-                 hedge_ms: float = DEFAULT_HEDGE_MS):
+                 read_mode: ReadMode | str = ReadMode.PRIMARY):
         if factor < 2:
             raise ValueError(f"replication factor must be >= 2, "
                              f"got {factor}")
@@ -82,9 +79,9 @@ class ReplicationManager:
         #: before it is acknowledged.
         self.quorum = factor // 2 + 1
         self.read_mode = read_mode_of(read_mode)
-        self.interval_ms = interval_ms
-        self.lag_alert_records = lag_alert_records
-        self.hedge_ms = hedge_ms
+        self.interval_ms = DEFAULT_INTERVAL_MS
+        self.lag_alert_records = DEFAULT_LAG_ALERT_RECORDS
+        self.hedge_ms = DEFAULT_HEDGE_MS
         self._followers: dict[int, list[FollowerReplica]] = {}
         self._last_tick_ms = float("-inf")
         # Lifetime counters (surfaced by snapshot() / sys.replication).

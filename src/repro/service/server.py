@@ -19,7 +19,7 @@ from repro.service.session import (
 from repro.sql.result import ResultSet
 
 #: How many finished statement traces the server keeps for ``/profile``.
-DEFAULT_PROFILE_CAPACITY = 64
+PROFILE_CAPACITY = 64
 
 
 class JustServer:
@@ -41,14 +41,11 @@ class JustServer:
 
     def __init__(self, engine: JustEngine | None = None,
                  session_timeout_s: float = DEFAULT_SESSION_TIMEOUT_S,
-                 admission: AdmissionController | None = None,
                  default_timeout_ms: float | None = None,
-                 slow_query_ms: float | None = DEFAULT_SLOW_MS,
-                 profile_capacity: int = DEFAULT_PROFILE_CAPACITY):
+                 slow_query_ms: float | None = DEFAULT_SLOW_MS):
         self.engine = engine if engine is not None else JustEngine()
         self.sessions = SessionManager(session_timeout_s)
-        self.admission = admission if admission is not None \
-            else AdmissionController()
+        self.admission = AdmissionController()
         #: Server-side deadline applied when the client sends none
         #: (``None`` disables; like ``hbase.client.operation.timeout``).
         self.default_timeout_ms = default_timeout_ms
@@ -70,7 +67,7 @@ class JustServer:
         #: Statements slower than ``slow_query_ms`` simulated ms land
         #: here with their trace (``None`` disables the log).
         self.slow_query_log = SlowQueryLog(threshold_ms=slow_query_ms)
-        self._profiles: deque[QueryProfile] = deque(maxlen=profile_capacity)
+        self._profiles: deque[QueryProfile] = deque(maxlen=PROFILE_CAPACITY)
         self._expose_series()
         # The engine installs sys.sessions / sys.slow_queries with empty
         # providers; the server owns the live state, so rebind them here.
@@ -179,9 +176,6 @@ class JustServer:
     def user_tables(self, user: str) -> list[str]:
         prefix = f"{user}__"
         return [n[len(prefix):] for n in self.engine.table_names(prefix)]
-
-    def active_users(self) -> list[str]:
-        return sorted({s.user for s in self.sessions.active_sessions()})
 
     def admission_stats(self) -> dict:
         """Operational counters from the admission controller."""

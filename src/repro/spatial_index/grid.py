@@ -67,9 +67,6 @@ class GridIndex:
                         out.append(value)
         return out
 
-    def cell_items(self, col: int, row: int) -> int:
-        return len(self._cells.get((col, row), ()))
-
     def occupied_cells(self) -> int:
         return sum(1 for items in self._cells.values() if items)
 

@@ -144,10 +144,6 @@ def make_map_matching_function(network):
     return matcher
 
 
-def is_aggregate_call(name: str) -> bool:
-    return name in AGGREGATE_FUNCTIONS
-
-
 def lookup_scalar(name: str) -> Callable:
     try:
         return SCALAR_FUNCTIONS[name]

@@ -161,12 +161,6 @@ class StreamLoader:
 
     # -- continuous-query attachments ---------------------------------------
 
-    def attach_window(self, aggregator, view=None):
-        """Feed mapped rows into ``aggregator``; finalized rows (if a
-        ``view`` is given) are applied to the materialized view."""
-        self._windows.append((aggregator, view))
-        return aggregator
-
     def materialize_window(self, view_name: str, aggregator, types=None,
                            owner: str | None = None):
         """Attach ``aggregator`` and maintain it as a catalog-registered

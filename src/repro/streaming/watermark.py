@@ -53,11 +53,6 @@ class WatermarkTracker:
             self.max_event_time = float(event_time)
         return self.watermark
 
-    def observe_many(self, event_times) -> float | None:
-        for t in event_times:
-            self.observe(t)
-        return self.watermark
-
     def is_late(self, event_time: float) -> bool:
         """True if an event at ``event_time`` is behind the watermark."""
         wm = self.watermark

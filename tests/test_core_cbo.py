@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Envelope, JustEngine, Point, Schema, STQuery
+from repro.core import engine as engine_module
 from repro.core.query import (
     choose_strategy_cost_based,
     estimate_scan_cost_ms,
@@ -142,24 +143,24 @@ class TestAnalyzeChangesPlans:
 
 
 class TestAdaptiveExecution:
+    # The whole 400-row z2 index is ~22 KB, under OLTP_THRESHOLD_BYTES:
+    # every window on it is "small" unless the threshold is lowered.
     def test_small_query_takes_local_path(self):
-        engine = build_engine(adaptive_execution=True,
-                              oltp_threshold_bytes=1 << 30)
+        engine = build_engine(adaptive_execution=True)
         result = engine.spatial_range_query(
             "poi", Envelope(116.1, 39.85, 116.101, 39.851))
         assert "driver_local" in result.breakdown
         assert "driver" not in result.breakdown
 
-    def test_large_query_takes_distributed_path(self):
-        engine = build_engine(adaptive_execution=True,
-                              oltp_threshold_bytes=0)
+    def test_large_query_takes_distributed_path(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "OLTP_THRESHOLD_BYTES", 0)
+        engine = build_engine(adaptive_execution=True)
         result = engine.spatial_range_query(
             "poi", Envelope(116.0, 39.8, 116.5, 40.1))
         assert "driver" in result.breakdown
 
     def test_adaptive_is_cheaper_for_point_lookups(self):
-        adaptive = build_engine(adaptive_execution=True,
-                                oltp_threshold_bytes=1 << 30)
+        adaptive = build_engine(adaptive_execution=True)
         classic = build_engine(adaptive_execution=False)
         tiny = Envelope(116.1, 39.85, 116.1001, 39.8501)
         fast = adaptive.spatial_range_query("poi", tiny).sim_ms

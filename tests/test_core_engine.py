@@ -7,11 +7,85 @@ from repro.curves.timeperiod import TimePeriod
 from repro.dataframe import DataFrame
 from repro.errors import (
     ExecutionError,
+    SchemaError,
     TableExistsError,
     TableNotFoundError,
 )
+from repro.kvstore import KVStore, SyncPolicy
+from repro.observability.events import EventLog
+from repro.observability.history import (
+    DEFAULT_TIERS,
+    MetricsHistory,
+    MetricsScraper,
+)
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.monitor import Monitor
+from repro.replication import ReplicationManager
+from repro.resilience import AdmissionController
+from repro.service import JustServer
 
 from conftest import POI_SCHEMA_FIELDS, T0, make_poi_rows
+
+
+def _durable_store() -> KVStore:
+    return KVStore(num_servers=3, wal_policy=SyncPolicy.SYNC)
+
+
+#: Constructor options that were removed, each with the value it used to
+#: default to: the values are constants now, so passing one is an error.
+REMOVED_OPTIONS = [
+    (JustEngine, "vectorized", True),
+    (JustEngine, "memory_budget_bytes", 5 * 32 * 1024 ** 3),
+    (JustEngine, "num_shards", 4),
+    (JustEngine, "max_ranges", 256),
+    (JustEngine, "default_period", TimePeriod.DAY),
+    (JustEngine, "oltp_threshold_bytes", 64 * 1024),
+    (JustEngine, "local_overhead_ms", 5.0),
+    (JustEngine, "read_mode", "primary"),
+    (lambda **kw: _durable_store().enable_replication(**kw),
+     "interval_ms", 200.0),
+    (lambda **kw: ReplicationManager(_durable_store(), **kw),
+     "interval_ms", 200.0),
+    (lambda **kw: ReplicationManager(_durable_store(), **kw),
+     "lag_alert_records", 64),
+    (lambda **kw: ReplicationManager(_durable_store(), **kw),
+     "hedge_ms", 5.0),
+    (lambda **kw: Monitor(JustEngine(), **kw), "tiers", DEFAULT_TIERS),
+    (lambda **kw: Monitor(JustEngine(), **kw), "charge_clock", True),
+    (lambda **kw: MetricsScraper(MetricsRegistry(), EventLog(),
+                                 MetricsHistory(), **kw),
+     "base_cost_ms", 0.05),
+    (lambda **kw: MetricsScraper(MetricsRegistry(), EventLog(),
+                                 MetricsHistory(), **kw),
+     "cost_per_series_ms", 0.002),
+    (lambda **kw: MetricsScraper(MetricsRegistry(), EventLog(),
+                                 MetricsHistory(), **kw),
+     "charge_clock", True),
+    (JustServer, "admission", AdmissionController()),
+    (JustServer, "profile_capacity", 64),
+]
+_OWNERS = ["JustEngine"] * 8 + ["KVStore.enable_replication"] + \
+    ["ReplicationManager"] * 3 + ["Monitor"] * 2 + \
+    ["MetricsScraper"] * 3 + ["JustServer"] * 2
+
+
+@pytest.mark.parametrize(
+    "build, option, old_default", REMOVED_OPTIONS,
+    ids=[f"{owner}-{option}"
+         for owner, (_, option, _) in zip(_OWNERS, REMOVED_OPTIONS)])
+def test_removed_constructor_option_is_a_type_error(build, option,
+                                                    old_default):
+    with pytest.raises(TypeError):
+        build(**{option: old_default})
+
+
+def test_replication_is_switched_on_by_the_factor_alone():
+    assert not hasattr(JustEngine, "enable_replication")
+    engine = JustEngine(wal_policy=SyncPolicy.SYNC, replication_factor=3)
+    assert engine.replication.factor == 3
+    engine.create_table("t", Schema(list(POI_SCHEMA_FIELDS)))
+    engine.insert("t", make_poi_rows(5))
+    assert engine.metrics.snapshot()["replication.records_shipped"] > 0
 
 
 class TestTableLifecycle:
@@ -68,6 +142,28 @@ class TestIndexConfiguration:
             "t", Schema(list(POI_SCHEMA_FIELDS)),
             userdata={"just.time_period": "year"})
         assert table.strategies["z2t"].period is TimePeriod.YEAR
+
+    @pytest.mark.parametrize("enabled", ["xz2,", "", " , "])
+    @pytest.mark.parametrize("kind", ["common", "plugin"])
+    def test_enabled_indices_parse_alike_for_every_table_kind(
+            self, engine, kind, enabled):
+        userdata = {"geomesa.indices.enabled": enabled}
+
+        def create():
+            if kind == "plugin":
+                return engine.create_plugin_table("t", "trajectory",
+                                                  userdata)
+            return engine.create_table("t", Schema([
+                Field("fid", FieldType.INTEGER, primary_key=True),
+                Field("geom", FieldType.POLYGON),
+            ]), userdata)
+
+        if enabled.strip(" ,"):
+            assert set(create().strategies) == {"xz2"}
+        else:
+            with pytest.raises(SchemaError, match="is empty"):
+                create()
+            assert not engine.has_table("t")
 
     def test_attribute_only_table(self, engine):
         table = engine.create_table("t", Schema([

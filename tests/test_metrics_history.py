@@ -186,13 +186,12 @@ def test_rate_never_negative_across_counter_resets(segments, window):
 
 # -- the scraper chore --------------------------------------------------------
 
-def _scraper(interval_ms=250.0, charge_clock=True):
+def _scraper(interval_ms=250.0):
     registry = MetricsRegistry()
     events = EventLog()
     history = MetricsHistory(DEFAULT_TIERS)
     return registry, events, MetricsScraper(
-        registry, events, history, interval_ms=interval_ms,
-        charge_clock=charge_clock)
+        registry, events, history, interval_ms=interval_ms)
 
 
 class TestMetricsScraper:
@@ -237,13 +236,6 @@ class TestMetricsScraper:
         assert events.now_ms > before
         assert scraper.total_scrape_ms == pytest.approx(
             events.now_ms - before)
-
-    def test_uncharged_scraper_leaves_clock_alone(self):
-        registry, events, scraper = _scraper(charge_clock=False)
-        registry.counter("c").inc()
-        scraper.tick()
-        assert events.now_ms == 0.0
-        assert scraper.total_scrape_ms > 0.0
 
     def test_scraper_reports_itself(self):
         registry, events, scraper = _scraper()

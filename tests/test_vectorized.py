@@ -492,10 +492,6 @@ class TestOneExecutor:
             assert engine.sql(f"SELECT fid FROM poi WHERE {where}").rows \
                 == []
 
-    def test_vectorized_switch_is_gone(self):
-        with pytest.raises(TypeError):
-            JustEngine(vectorized=True)
-
 
 # -- scan-path correctness fixes ----------------------------------------------
 
