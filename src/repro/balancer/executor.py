@@ -140,13 +140,3 @@ class Balancer:
     def history_rows(self) -> list[dict]:
         """``sys.balancer`` rows, oldest first."""
         return list(self.history)
-
-    def snapshot(self) -> dict:
-        now_ms = self.store.events.now_ms
-        loads = server_loads(self.store, now_ms)
-        return {
-            "runs": self.runs, "moves": self.moves,
-            "splits": self.splits, "merges": self.merges,
-            "imbalance": round(imbalance(loads, self.policy), 3),
-            "interval_ms": self.policy.interval_ms,
-        }

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.schema import Field, FieldType, Schema
-from repro.observability.metrics import Counter, Gauge, Histogram
+from repro.observability.metrics import Counter, Histogram
 
 #: Column name -> field type, for the catalog schemas of system tables.
 _LONG = FieldType.LONG
@@ -179,18 +179,14 @@ def _server_rows(engine) -> list[dict]:
 
 def _balancer_rows(engine) -> list[dict]:
     """The balancer's decision history (empty until one is enabled)."""
-    balancer = getattr(engine, "balancer", None)
-    if balancer is None:
-        return []
-    return balancer.history_rows()
+    balancer = engine.balancer
+    return [] if balancer is None else balancer.history_rows()
 
 
 def _replication_rows(engine) -> list[dict]:
     """One row per region replica (empty until replication is enabled)."""
     replication = engine.store.replication
-    if replication is None:
-        return []
-    return replication.rows()
+    return [] if replication is None else replication.rows()
 
 
 def _event_rows(engine) -> list[dict]:
@@ -199,26 +195,20 @@ def _event_rows(engine) -> list[dict]:
 
 def _metrics_history_rows(engine) -> list[dict]:
     """Retained scrape points (empty until monitoring is enabled)."""
-    monitor = getattr(engine, "monitor", None)
-    if monitor is None:
-        return []
-    return monitor.history_rows()
+    monitor = engine.monitor
+    return [] if monitor is None else monitor.history.rows()
 
 
 def _slo_rows(engine) -> list[dict]:
     """One row per objective (empty until monitoring is enabled)."""
-    monitor = getattr(engine, "monitor", None)
-    if monitor is None:
-        return []
-    return monitor.slo_rows()
+    monitor = engine.monitor
+    return [] if monitor is None else monitor.slos.rows(engine.events.now_ms)
 
 
 def _alert_rows(engine) -> list[dict]:
     """One row per (objective, severity) burn-rate alert."""
-    monitor = getattr(engine, "monitor", None)
-    if monitor is None:
-        return []
-    return monitor.alert_rows()
+    monitor = engine.monitor
+    return [] if monitor is None else monitor.slos.alert_rows()
 
 
 def _stream_rows(engine) -> list[dict]:

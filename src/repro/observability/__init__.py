@@ -33,6 +33,11 @@ instrumentation a production HBase/Spark deployment would have:
 * :class:`~repro.observability.monitor.Monitor` — the composed
   pipeline the engine owns (``engine.enable_monitoring()``), surfaced
   as ``sys.metrics_history`` / ``sys.slos`` / ``sys.alerts``.
+
+Operational state is read one way: ``SELECT … FROM sys.*``, in process
+through ``engine.sql`` and over HTTP through ``/execute``.  Only the
+histogram buckets and slow-query traces (``GET /metrics``) and the span
+trees (``GET /profile``), which no table holds, have routes of their own.
 """
 
 from repro.observability.events import (

@@ -8,7 +8,7 @@ cluster's *simulated* clock, collected in a bounded ring:
 
 * :class:`EventLog` — the ring.  One instance per engine, threaded into
   the kvstore and the service layer; ``emit`` stamps, ``events`` /
-  ``as_dicts`` read back, ``total_by_kind`` survives ring eviction.
+  ``rows`` read back, ``total_by_kind`` survives ring eviction.
   The log also owns the cluster-wide simulated clock (``now_ms``),
   advanced by the service layer with each statement's simulated cost,
   so event timestamps line up with query latencies.
@@ -45,15 +45,6 @@ class Event:
     #: Fields every event exposes as first-class ``sys.events`` columns
     #: (absent ones render as empty string / None).
     _ROW_FIELDS = ("table", "region_id", "server")
-
-    def as_dict(self) -> dict:
-        out = {"seq": self.seq, "sim_ms": round(self.sim_ms, 3),
-               "kind": self.kind}
-        for f in fields(self):
-            if f.name in ("seq", "sim_ms"):
-                continue
-            out[f.name] = getattr(self, f.name)
-        return out
 
     def row(self) -> dict:
         """The uniform ``sys.events`` row: shared columns + ``detail``."""
@@ -324,13 +315,6 @@ class EventLog:
         if kind is None:
             return list(self._events)
         return [e for e in self._events if e.kind == kind]
-
-    def as_dicts(self, kind: str | None = None,
-                 limit: int | None = None) -> list[dict]:
-        selected = self.events(kind)
-        if limit is not None and limit >= 0:
-            selected = selected[-limit:]
-        return [e.as_dict() for e in selected]
 
     def rows(self) -> list[dict]:
         """``sys.events`` rows, oldest first."""

@@ -100,29 +100,3 @@ class Monitor:
         """Force a scrape + evaluation now (tests, scenarios)."""
         self.scraper.tick()
         self.slos.evaluate(self.engine.events.now_ms)
-
-    # -- reporting -----------------------------------------------------------
-    @property
-    def now_ms(self) -> float:
-        return self.engine.events.now_ms
-
-    def history_rows(self, name: str | None = None,
-                     start_ms: float | None = None) -> list[dict]:
-        return self.history.rows(name=name, start_ms=start_ms)
-
-    def slo_rows(self) -> list[dict]:
-        return self.slos.rows(self.now_ms)
-
-    def alert_rows(self) -> list[dict]:
-        return self.slos.alert_rows()
-
-    def snapshot(self) -> dict:
-        firing = [a for a in self.slos.alert_rows()
-                  if a["state"] == "firing"]
-        return {"scrapes": self.scraper.scrapes,
-                "series": len(self.history),
-                "interval_ms": self.scraper.interval_ms,
-                "total_scrape_ms": round(self.scraper.total_scrape_ms,
-                                         3),
-                "objectives": len(self.slos.objectives),
-                "alerts_firing": len(firing)}

@@ -84,7 +84,7 @@ class ReplicationManager:
         self.hedge_ms = DEFAULT_HEDGE_MS
         self._followers: dict[int, list[FollowerReplica]] = {}
         self._last_tick_ms = float("-inf")
-        # Lifetime counters (surfaced by snapshot() / sys.replication).
+        # Lifetime counters (the registry reads them as replication.*).
         self.ticks = 0
         self.records_shipped = 0
         self.bytes_shipped = 0
@@ -709,37 +709,3 @@ class ReplicationManager:
                         "reads": follower.reads,
                         "shipped_records": follower.shipped_records})
         return out
-
-    def snapshot(self) -> dict:
-        """Summary counters for the ``/replication`` route and scenarios."""
-        states = {LIVE: 0, TORN: 0, REBUILDING: 0}
-        lag = 0
-        replicas = 0
-        for followers in self._followers.values():
-            for follower in followers:
-                replicas += 1
-                states[follower.state] += 1
-                lag += follower.lag_records
-        return {
-            "factor": self.factor, "quorum": self.quorum,
-            "read_mode": self.read_mode.value,
-            "regions": len(self._followers),
-            "follower_replicas": replicas,
-            "followers_live": states[LIVE],
-            "followers_torn": states[TORN],
-            "followers_rebuilding": states[REBUILDING],
-            "lag_records": lag,
-            "records_shipped": self.records_shipped,
-            "bytes_shipped": self.bytes_shipped,
-            "markers_shipped": self.markers_shipped,
-            "blocked_ships": self.blocked_ships,
-            "dropped_ships": self.dropped_ships,
-            "quorum_failures": self.quorum_failures,
-            "promotions": self.promotions,
-            "rebuilds": self.rebuilds,
-            "follower_reads": self.follower_reads,
-            "hedged_reads": self.hedged_reads,
-            "hedge_wins": self.hedge_wins,
-            "lag_alerts": self.lag_alerts,
-            "interval_ms": self.interval_ms,
-        }

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import (
     CircuitOpenError,

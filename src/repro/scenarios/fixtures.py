@@ -263,11 +263,10 @@ def hedged_read_latencies(replication_factor: int, read_mode: str) -> dict:
         ctx = RequestContext(deadline=Deadline(60_000.0))
         table.get(key, ctx=ctx)
         samples.append(ctx.deadline.consumed_ms)
-    counters = replication.snapshot() if replication is not None else {}
     return {"p50": percentile(samples, 0.50),
             "p95": percentile(samples, 0.95),
-            "hedged_reads": counters.get("hedged_reads", 0),
-            "hedge_wins": counters.get("hedge_wins", 0)}
+            "hedged_reads": replication.hedged_reads if replication else 0,
+            "hedge_wins": replication.hedge_wins if replication else 0}
 
 
 # ---------------------------------------------------------------------------

@@ -47,14 +47,12 @@ def _sql_surface(out) -> int:
                    "OR kind = 'replica_rebuild' OR kind = 'failover' "
                    "GROUP BY kind", out,
                    "after crash_server(0): replication events")
-
-    snapshot = server.replication_snapshot()
-    print("\n== /replication snapshot ==", file=out)
-    for key in ("factor", "quorum", "read_mode", "regions",
-                "follower_replicas", "followers_live",
-                "records_shipped", "quorum_failures", "promotions"):
-        print(f"{key:>18}: {snapshot[key]}", file=out)
-    return snapshot["promotions"]
+        show_query(client.execute_query,
+                   "SELECT state, count(*) AS followers, "
+                   "sum(lag_records) AS lag FROM sys.replication "
+                   "WHERE role = 'follower' GROUP BY state", out,
+                   "after crash_server(0): follower states")
+    return server.engine.store.replication.promotions
 
 
 def run(out) -> ScenarioResult:

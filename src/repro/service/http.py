@@ -82,6 +82,31 @@ def decode_row(row: dict) -> dict:
 
 # -- server ------------------------------------------------------------------------
 
+class _RequestError(Exception):
+    """A request that lacks a field or carries one of the wrong type."""
+
+
+def _field(request: dict, name: str, kind: type = str):
+    """The required field ``name`` of ``request``, of type ``kind``."""
+    value = request.get(name)
+    if not isinstance(value, kind):
+        raise _RequestError(f"field {name!r} must be a {kind.__name__}, "
+                            f"got {value!r}")
+    return value
+
+
+def _number(request: dict, name: str, convert: type):
+    """The optional numeric field ``name``, converted; ``None`` if absent."""
+    value = request.get(name)
+    if value is None:
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise _RequestError(f"field {name!r} must be a number, "
+                            f"got {value!r}") from None
+
+
 class JustHttpServer:
     """Routes JSON requests onto a :class:`JustServer`.
 
@@ -98,29 +123,22 @@ class JustHttpServer:
       Prometheus-scrape role).
     * ``GET  /profile``      {limit?} -> {profiles} — recent statement
       traces as span trees (the trace-backend role).
-    * ``GET  /events``       {kind?, limit?} -> {events, total_by_kind}
-      — the structured cluster event log (the master-UI events page).
-    * ``GET  /regions``      {} -> {regions} — per-region placement,
-      size, and decayed read/write hotness (``sys.regions`` over HTTP).
-    * ``GET  /balancer``     {} -> {enabled, servers, runs?, history?}
-      — balancer state: per-server load (``sys.servers``) plus, when a
-      balancer is enabled, its counters and decision history.
-    * ``GET  /replication``  {} -> {enabled, factor?, replicas?, ...}
-      — replication state: quorum/shipping counters plus one row per
-      replica (``sys.replication`` over HTTP).
-    * ``GET  /metrics/history`` {name?, start_ms?, limit?} ->
-      {enabled, series?, scrapes?, rows?} — retained metric scrapes
-      per downsampling tier (``sys.metrics_history`` over HTTP).
-    * ``GET  /slos``         {} -> {enabled, slos?, alerts?, ...}
-      — objectives with error-budget state plus per-severity
-      burn-rate alert state (``sys.slos``/``sys.alerts`` over HTTP).
+
+    Operational state — regions, servers, balancer decisions, replicas,
+    streams, events, metric history, SLOs and alerts — is read as
+    ``SELECT … FROM sys.*`` through ``/execute``, which pages, encodes
+    and reports errors like any other statement.  A request missing a
+    field, or carrying one of the wrong type, answers
+    ``{"error": ..., "kind": "RequestError"}``.  A session's unread
+    result handles go when it disconnects or expires.
     """
 
     def __init__(self, server: JustServer | None = None,
                  page_rows: int = DEFAULT_PAGE_ROWS):
         self.server = server if server is not None else JustServer()
         self.page_rows = page_rows
-        self._handles: dict[str, ResultSet] = {}
+        #: Open result handles: handle -> (owning session, result).
+        self._handles: dict[str, tuple[str, ResultSet]] = {}
         self._handle_ids = itertools.count(1)
 
     # -- entry point ----------------------------------------------------------
@@ -134,15 +152,19 @@ class JustHttpServer:
             response = self._route(request)
         except JustError as exc:
             response = {"error": str(exc), "kind": type(exc).__name__}
+        except _RequestError as exc:
+            response = {"error": str(exc), "kind": "RequestError"}
         # Guarantee the transport property: everything must survive JSON.
         return json.loads(json.dumps(response))
 
     def _route(self, request: dict) -> dict:
         path = request.get("path")
         if path == "/connect":
-            return {"session": self.server.connect(request["user"])}
+            return {"session": self.server.connect(_field(request, "user"))}
         if path == "/disconnect":
-            self.server.disconnect(request["session"])
+            session = _field(request, "session")
+            self.server.disconnect(session)
+            self._drop_handles(lambda owner: owner == session)
             return {}
         if path == "/execute":
             return self._execute(request)
@@ -152,43 +174,32 @@ class JustHttpServer:
             return {"metrics": self.server.metrics_snapshot(),
                     "slow_queries": self.server.slow_queries()}
         if path == "/profile":
-            limit = request.get("limit")
             profiles = self.server.recent_profiles(
-                int(limit) if limit is not None else None)
+                _number(request, "limit", int))
             return {"profiles": [p.as_dict() for p in profiles]}
-        if path == "/events":
-            limit = request.get("limit")
-            return self.server.events_snapshot(
-                kind=request.get("kind"),
-                limit=int(limit) if limit is not None else None)
-        if path == "/regions":
-            return {"regions": self.server.regions_snapshot()}
-        if path == "/balancer":
-            return self.server.balancer_snapshot()
-        if path == "/replication":
-            return self.server.replication_snapshot()
-        if path == "/streams":
-            return self.server.streams_snapshot()
-        if path == "/metrics/history":
-            limit = request.get("limit")
-            start_ms = request.get("start_ms")
-            return self.server.metrics_history_snapshot(
-                name=request.get("name"),
-                start_ms=float(start_ms) if start_ms is not None
-                else None,
-                limit=int(limit) if limit is not None else None)
-        if path == "/slos":
-            return self.server.slos_snapshot()
         return {"error": f"unknown path {path!r}", "kind": "RouteError"}
 
+    def _drop_handles(self, owned_by) -> None:
+        """Forget the result handles whose session ``owned_by`` selects."""
+        for handle, (owner, _) in list(self._handles.items()):
+            if owned_by(owner):
+                del self._handles[handle]
+
     def _execute(self, request: dict) -> dict:
+        session, sql = _field(request, "session"), _field(request, "sql")
         kwargs = {}
-        if request.get("timeout_ms") is not None:
-            kwargs["timeout_ms"] = float(request["timeout_ms"])
+        timeout_ms = _number(request, "timeout_ms", float)
+        if timeout_ms is not None:
+            kwargs["timeout_ms"] = timeout_ms
         if request.get("partial_results"):
             kwargs["partial_results"] = True
-        result = self.server.execute(request["session"], request["sql"],
-                                     **kwargs)
+        try:
+            result = self.server.execute(session, sql, **kwargs)
+        finally:
+            # Sessions expire inside execute(); their unread results go.
+            active = {s.session_id
+                      for s in self.server.sessions.active_sessions()}
+            self._drop_handles(lambda owner: owner not in active)
         rows = result.rows
         base = {"columns": result.columns,
                 "sim_ms": round(result.sim_ms, 3)}
@@ -198,17 +209,17 @@ class JustHttpServer:
             base["rows"] = [encode_row(row) for row in rows]
             return base
         handle = f"h{next(self._handle_ids)}"
-        self._handles[handle] = result
+        self._handles[handle] = (session, result)
         base["handle"] = handle
         base["total_rows"] = len(rows)
         return base
 
     def _fetch(self, request: dict) -> dict:
-        handle = request["handle"]
-        result = self._handles.get(handle)
-        if result is None:
+        handle = _field(request, "handle")
+        if handle not in self._handles:
             return {"error": f"unknown or exhausted handle {handle!r}",
                     "kind": "HandleError"}
+        _, result = self._handles[handle]
         rows = []
         while result.has_next() and len(rows) < self.page_rows:
             rows.append(encode_row(result.next()))

@@ -237,60 +237,3 @@ class JustServer:
                  "trace_id": e.trace_id,
                  "sim_ms": round(e.sim_ms, 3), "statement": e.statement}
                 for e in self.slow_query_log.entries()]
-
-    def events_snapshot(self, kind: str | None = None,
-                        limit: int | None = None) -> dict:
-        """JSON-safe event-log dump for the ``/events`` HTTP route."""
-        return {"events": self.events.as_dicts(kind=kind, limit=limit),
-                "total_by_kind": dict(self.events.total_by_kind)}
-
-    def regions_snapshot(self) -> list[dict]:
-        """JSON-safe ``sys.regions`` rows for the ``/regions`` route."""
-        return self.engine.system_rows("sys.regions")
-
-    def balancer_snapshot(self) -> dict:
-        """JSON-safe balancer state for the ``/balancer`` HTTP route."""
-        balancer = self.engine.balancer
-        snapshot = {"enabled": balancer is not None,
-                    "servers": self.engine.system_rows("sys.servers")}
-        if balancer is not None:
-            snapshot.update(balancer.snapshot())
-            snapshot["history"] = balancer.history_rows()
-        return snapshot
-
-    def streams_snapshot(self) -> dict:
-        """JSON-safe ``sys.streams`` rows for the ``/streams`` route."""
-        return {"streams": self.engine.system_rows("sys.streams")}
-
-    def metrics_history_snapshot(self, name: str | None = None,
-                                 start_ms: float | None = None,
-                                 limit: int | None = None) -> dict:
-        """JSON-safe metrics history for ``/metrics/history``."""
-        monitor = self.engine.monitor
-        snapshot = {"enabled": monitor is not None}
-        if monitor is not None:
-            rows = monitor.history_rows(name=name, start_ms=start_ms)
-            snapshot["series"] = len(monitor.history)
-            snapshot["scrapes"] = monitor.scraper.scrapes
-            snapshot["rows"] = rows if limit is None else rows[-limit:]
-        return snapshot
-
-    def slos_snapshot(self) -> dict:
-        """JSON-safe SLO + alert state for the ``/slos`` route."""
-        monitor = self.engine.monitor
-        snapshot = {"enabled": monitor is not None}
-        if monitor is not None:
-            snapshot.update(monitor.snapshot())
-            snapshot["slos"] = monitor.slo_rows()
-            snapshot["alerts"] = monitor.alert_rows()
-        return snapshot
-
-    def replication_snapshot(self) -> dict:
-        """JSON-safe replication state for the ``/replication`` route."""
-        replication = self.engine.store.replication
-        snapshot = {"enabled": replication is not None}
-        if replication is not None:
-            snapshot.update(replication.snapshot())
-            snapshot["replicas"] = self.engine.system_rows(
-                "sys.replication")
-        return snapshot

@@ -19,7 +19,7 @@ from repro.balancer import (
 )
 from repro.errors import RegionUnavailableError, SchemaError
 from repro.kvstore import KVStore, ScanSpec, SyncPolicy
-from repro.service.http import JustHttpServer
+from repro.service.http import JustHttpClient, JustHttpServer
 from repro.service.server import JustServer
 
 
@@ -399,13 +399,37 @@ class TestIntrospection:
 
     def test_http_balancer_route(self):
         http = JustHttpServer()
-        assert http.handle({"path": "/balancer"})["enabled"] is False
-        http.server.engine.enable_balancer()
-        snapshot = http.handle({"path": "/balancer"})
-        assert snapshot["enabled"] is True
-        assert snapshot["runs"] == 0
-        assert len(snapshot["servers"]) == \
-            http.server.engine.store.num_servers
+        client = JustHttpClient(http, "ops")
+
+        def query(sql):
+            return list(client.execute_query(sql))
+
+        def counters():
+            return {r["name"]: r["value"]
+                    for r in query("SELECT name, value FROM sys.metrics")
+                    if r["name"].startswith("balancer.")}
+
+        # No balancer: no decisions, no balancer.* series.
+        assert query("SELECT * FROM sys.balancer") == []
+        assert counters() == {}
+        engine = http.server.engine
+        balancer = engine.enable_balancer(BalancerPolicy(imbalance_ratio=1.1))
+        for i, writes in enumerate((300, 60)):
+            region = engine.store.create_table(f"raw{i}").regions()[0]
+            region.server = 0
+            heat(region, writes, engine.store.events.now_ms)
+        balancer.tick()
+        decisions = query("SELECT * FROM sys.balancer")
+        assert decisions == balancer.history_rows()
+        assert decisions[0]["action"] == "move"
+        assert counters() == {
+            "balancer.runs": 1, "balancer.moves": balancer.moves,
+            "balancer.splits": balancer.splits,
+            "balancer.merges": balancer.merges,
+            "balancer.imbalance": balancer.imbalance}
+        servers = query("SELECT server, state FROM sys.servers")
+        assert len(servers) == http.server.engine.store.num_servers
+        client.close()
 
     def test_server_statements_drive_balancer_ticks(self):
         server = JustServer()

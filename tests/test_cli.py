@@ -2,8 +2,6 @@
 
 import io
 
-import pytest
-
 from repro.cli import Shell, format_result, main, split_statements
 from repro.sql.result import ResultSet
 

@@ -1,7 +1,5 @@
 """Cost-based planning and adaptive execution (Section IX, #3 and #4)."""
 
-import pytest
-
 from repro import Envelope, JustEngine, Point, Schema, STQuery
 from repro.core import engine as engine_module
 from repro.core.query import (

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.knn import knn_query
-from repro.curves import STQuery
 from repro.errors import ExecutionError
 from repro.geometry import Envelope
 

@@ -112,9 +112,9 @@ class TestTimeWindowClamp:
         # Same bins planned, so the same simulated cost.
         assert wide.sim_ms == tight.sim_ms
         # The SQL path plans through the table's own chooser.
-        rs = engine.sql(f"SELECT fid FROM poi WHERE geom WITHIN "
-                        f"st_makeMBR(116.0, 39.8, 116.5, 40.1) "
-                        f"AND time BETWEEN 0 AND 1e12")
+        rs = engine.sql("SELECT fid FROM poi WHERE geom WITHIN "
+                        "st_makeMBR(116.0, 39.8, 116.5, 40.1) "
+                        "AND time BETWEEN 0 AND 1e12")
         assert sorted(r["fid"] for r in rs.rows) == expected
 
     def test_wide_window_on_trajectory_extents_with_lookback(self, engine):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.plugins import TrajectoryPlugin
 from repro.core.tables import ViewTable
 from repro.curves import STQuery
 from repro.dataframe import DataFrame

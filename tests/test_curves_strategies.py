@@ -11,7 +11,6 @@ from repro.curves import (
     IndexedRecord,
     STQuery,
     TimePeriod,
-    XZ2Strategy,
     XZ2TStrategy,
     XZ3Strategy,
     Z2Strategy,

@@ -1,6 +1,5 @@
 """Z-order curve bit manipulation and locality properties."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.curves.zorder import (

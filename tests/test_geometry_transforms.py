@@ -1,6 +1,5 @@
 """Coordinate transform properties."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.geometry import (

@@ -29,7 +29,7 @@ from repro.scenarios.fixtures import (
     monitored_service,
 )
 from repro.service.client import JustClient
-from repro.service.http import JustHttpServer
+from repro.service.http import JustHttpClient, JustHttpServer
 
 from conftest import POI_SCHEMA_FIELDS, T0
 
@@ -304,23 +304,37 @@ class TestMonitoredService:
         client = JustClient(server, "ops")
         for sql in monitor_queries()[:4]:
             client.execute_query(sql)
-        transport = JustHttpServer(server)
-        history = transport.handle({"path": "/metrics/history",
-                                    "name": "monitor.scrapes"})
-        assert history["enabled"] is True
-        assert history["rows"]
-        assert all(r["name"] == "monitor.scrapes"
-                   for r in history["rows"])
-        slos = transport.handle({"path": "/slos"})
-        assert slos["enabled"] is True
-        assert {s["slo"] for s in slos["slos"]} == \
+        monitor = server.engine.monitor
+        remote = JustHttpClient(JustHttpServer(server), "ops")
+
+        def query(sql):
+            return list(remote.execute_query(sql))
+
+        history = query("SELECT name, ts_ms FROM sys.metrics_history "
+                        "WHERE name = 'monitor.scrapes' AND tier = 0")
+        assert history
+        series = query("SELECT name, count(*) AS n "
+                       "FROM sys.metrics_history GROUP BY name")
+        assert 0 < len(series) <= len(monitor.history)
+        counters = {r["name"]: r["value"] for r in query(
+            "SELECT name, value FROM sys.metrics "
+            "WHERE name = 'monitor.scrapes' OR name = 'monitor.scrape_ms'")}
+        assert 0 < counters["monitor.scrapes"] <= monitor.scraper.scrapes
+        assert 0 < counters["monitor.scrape_ms"] \
+            <= monitor.scraper.total_scrape_ms
+        slos = query("SELECT slo, state FROM sys.slos")
+        assert {s["slo"] for s in slos} == \
             {"statement-availability", "statement-latency"}
-        assert len(slos["alerts"]) == 4
-        # Monitoring off: both routes degrade to {"enabled": False}.
-        off = JustHttpServer()
-        assert off.handle({"path": "/metrics/history"}) == \
-            {"enabled": False}
-        assert off.handle({"path": "/slos"}) == {"enabled": False}
+        assert len(query("SELECT * FROM sys.alerts")) == 4
+        firing = query("SELECT slo FROM sys.alerts WHERE state = 'firing'")
+        assert len(firing) == sum(a["state"] == "firing"
+                                  for a in monitor.slos.alert_rows())
+        # Monitoring off: the same statements answer no rows.
+        off = JustHttpClient(JustHttpServer(), "ops")
+        for table in ("sys.metrics_history", "sys.slos", "sys.alerts"):
+            assert list(off.execute_query(f"SELECT * FROM {table}")) == []
+        remote.close()
+        off.close()
         client.close()
 
     def test_slow_queries_carry_trace_ids(self):

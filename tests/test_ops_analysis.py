@@ -1,6 +1,5 @@
 """1-1, 1-N and N-M analysis operations."""
 
-import math
 import random
 
 import pytest
@@ -146,7 +145,7 @@ class TestDBSCAN:
         b = [(116.3 + rng.gauss(0, 0.002), 40.0 + rng.gauss(0, 0.002))
              for _ in range(60)]
         labels = dbscan(a + b, min_pts=5, radius=0.01)
-        assert len({l for l in labels if l != NOISE}) == 2
+        assert len({label for label in labels if label != NOISE}) == 2
         assert len(set(labels[:60])) == 1  # cluster a is coherent
 
     def test_isolated_points_are_noise(self):
@@ -187,5 +186,5 @@ class TestDBSCAN:
                   for _ in range(100)]
         labels = dbscan(points, min_pts=4, radius=0.08)
         assert len(labels) == 100
-        clusters = {l for l in labels if l != NOISE}
+        clusters = {label for label in labels if label != NOISE}
         assert clusters == set(range(len(clusters)))

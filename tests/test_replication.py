@@ -16,13 +16,11 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     IntermittentError,
-    KillServer,
-    LossyShipping,
     PartitionedFollower,
     SlowServer,
 )
 from repro.kvstore import KVStore, SyncPolicy
-from repro.replication import LIVE, REBUILDING, TORN
+from repro.replication import LIVE
 from repro.resilience import Deadline, RequestContext
 
 
@@ -407,10 +405,9 @@ class TestSurface:
         roles = [r["role"] for r in rows]
         assert roles.count("primary") == 1
         assert roles.count("follower") == 2
-        snapshot = store.replication.snapshot()
-        assert snapshot["factor"] == 3
-        assert snapshot["quorum"] == 2
-        assert snapshot["records_shipped"] == 1
+        replication = store.replication
+        assert (replication.factor, replication.quorum) == (3, 2)
+        assert replication.records_shipped == 1
 
     def test_engine_sql_over_sys_replication(self):
         from repro.core.engine import JustEngine
@@ -426,14 +423,41 @@ class TestSurface:
 
     def test_http_replication_route(self):
         from repro.core.engine import JustEngine
-        from repro.service.http import JustHttpServer
+        from repro.service.http import JustHttpClient, JustHttpServer
         from repro.service.server import JustServer
         engine = JustEngine(wal_policy=SyncPolicy.SYNC,
                             replication_factor=3)
-        transport = JustHttpServer(JustServer(engine))
-        response = transport.handle({"path": "/replication"})
-        assert response["enabled"] is True
-        assert response["factor"] == 3
-        off = JustHttpServer(JustServer())
-        assert off.handle({"path": "/replication"}) \
-            == {"enabled": False}
+        client = JustHttpClient(JustHttpServer(JustServer(engine)), "ops")
+        client.execute_query("CREATE TABLE t (fid integer:primary key, "
+                             "geom point)")
+        client.execute_query(
+            "INSERT INTO t VALUES (1, st_makePoint(1.0, 2.0))")
+        states = list(client.execute_query(
+            "SELECT state, count(*) AS n, sum(lag_records) AS lag "
+            "FROM sys.replication WHERE role = 'follower' "
+            "GROUP BY state"))
+        primaries = list(client.execute_query(
+            "SELECT count(*) AS n FROM sys.replication "
+            "WHERE role = 'primary'"))
+        # Quorum 2 of 3: per region one follower acked, the other ships
+        # lazily and sits one record behind.
+        regions = primaries[0]["n"]
+        assert [(r["state"], r["n"], r["lag"]) for r in states] == \
+            [("live", 2 * regions, regions)]
+        # The manager's counters are replication.* series, listed from
+        # their first non-zero value.
+        manager = engine.store.replication
+        listed = {r["name"]: r["value"] for r in client.execute_query(
+            "SELECT name, value FROM sys.metrics")}
+        assert listed["replication.records_shipped"] > 0
+        for name in ("records_shipped", "bytes_shipped", "blocked_ships",
+                     "dropped_ships", "quorum_failures", "promotions",
+                     "rebuilds", "follower_reads", "hedged_reads",
+                     "hedge_wins", "lag_alerts"):
+            assert listed.get(f"replication.{name}", 0) == \
+                getattr(manager, name)
+        client.close()
+        off = JustHttpClient(JustHttpServer(JustServer()), "ops")
+        assert list(off.execute_query("SELECT * FROM sys.replication")) \
+            == []
+        off.close()

@@ -94,6 +94,73 @@ class TestServerRouting:
         assert response["rows"][0]["geom"]["@type"] == "wkt"
 
 
+#: The routes the HTTP surface dropped: that state is ``sys.*`` now.
+REMOVED_ROUTES = ("/events", "/regions", "/balancer", "/replication",
+                  "/streams", "/metrics/history", "/slos")
+
+
+class TestRequestValidation:
+    @pytest.mark.parametrize("path", REMOVED_ROUTES)
+    def test_removed_route_answers_route_error(self, http, path):
+        assert http.handle({"path": path})["kind"] == "RouteError"
+
+    @pytest.mark.parametrize("request_", [
+        {"path": "/execute"},
+        {"path": "/execute", "session": "s1"},
+        {"path": "/connect"},
+        {"path": "/disconnect", "session": ["s1"]},
+        {"path": "/fetch"},
+        {"path": "/profile", "limit": "x"},
+    ], ids=["execute-no-session", "execute-no-sql", "connect-no-user",
+            "disconnect-bad-session", "fetch-no-handle", "profile-limit"])
+    def test_malformed_request_answers_request_error(self, http, request_):
+        response = http.handle(request_)
+        assert response["kind"] == "RequestError"
+        assert isinstance(response["error"], str)
+
+    def test_bad_timeout_answers_request_error(self, http):
+        session = http.handle({"path": "/connect",
+                               "user": "alice"})["session"]
+        response = http.handle({"path": "/execute", "session": session,
+                                "sql": "SHOW TABLES", "timeout_ms": "x"})
+        assert response["kind"] == "RequestError"
+
+
+def _open_large_result(http, user):
+    """Connect ``user`` and leave one paged (unread) result open."""
+    session = http.handle({"path": "/connect", "user": user})["session"]
+    execute = {"path": "/execute", "session": session}
+    http.handle({**execute, "sql": "CREATE TABLE n (fid integer:primary "
+                                   "key, name string)"})
+    values = ", ".join(f"({i}, 'r{i}')" for i in range(25))
+    http.handle({**execute, "sql": f"INSERT INTO n VALUES {values}"})
+    response = http.handle({**execute, "sql": "SELECT fid FROM n"})
+    assert response["total_rows"] == 25
+    return session, response["handle"]
+
+
+class TestResultHandles:
+    def test_disconnect_drops_the_sessions_handles(self, http):
+        session, handle = _open_large_result(http, "alice")
+        _, kept = _open_large_result(http, "bob")
+        http.handle({"path": "/disconnect", "session": session})
+        assert set(http._handles) == {kept}
+        response = http.handle({"path": "/fetch", "handle": handle})
+        assert response["kind"] == "HandleError"
+
+    def test_expired_sessions_handles_drop_on_next_execute(self, http):
+        _, handle = _open_large_result(http, "alice")
+        (stale,) = http.server.sessions.active_sessions()
+        stale.last_active_at -= 2 * http.server.sessions.timeout_s
+        live = http.handle({"path": "/connect", "user": "bob"})["session"]
+        assert handle in http._handles
+        http.handle({"path": "/execute", "session": live,
+                     "sql": "SHOW TABLES"})
+        assert not http._handles
+        response = http.handle({"path": "/fetch", "handle": handle})
+        assert response["kind"] == "HandleError"
+
+
 class TestHttpClient:
     def test_paper_snippet_over_http(self, http):
         with JustHttpClient(http, "alice") as client:

@@ -22,7 +22,6 @@ from repro.sql.ast import (
     Star,
     StoreViewStmt,
     SubquerySource,
-    TableSource,
 )
 from repro.sql.parser import parse_statement
 

@@ -9,7 +9,7 @@ from repro.errors import (
     ReplicationQuorumError,
     TableExistsError,
 )
-from repro.streaming import StreamLoader, StreamTopic
+from repro.streaming import StreamTopic
 
 from conftest import POI_SCHEMA_FIELDS, T0
 

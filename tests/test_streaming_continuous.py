@@ -359,9 +359,9 @@ class TestServiceSurface:
     def test_streams_route_over_http(self, engine):
         from repro import Schema
         from conftest import POI_SCHEMA_FIELDS
-        from repro.service.http import JustHttpServer
+        from repro.service.http import JustHttpClient, JustHttpServer
         from repro.service.server import JustServer
-        http = JustHttpServer(JustServer(engine))
+        client = JustHttpClient(JustHttpServer(JustServer(engine)), "ops")
         engine.create_table("poi", Schema(list(POI_SCHEMA_FIELDS)))
         topic = engine.create_topic("gps")
         topic.append_many(
@@ -371,8 +371,6 @@ class TestServiceSurface:
             "fid": "to_int(oid)", "name": "oid",
             "time": "long_to_date_ms(ts)",
             "geom": "lng_lat_to_point(lng, lat)"}).drain()
-        snapshot = http.handle({"path": "/streams"})
-        assert len(snapshot["streams"]) == 1
-        row = snapshot["streams"][0]
+        (row,) = client.execute_query("SELECT * FROM sys.streams")
         assert row["loader"] == "gps->poi"
         assert row["lag"] == 0 and row["loaded"] == 3

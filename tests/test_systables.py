@@ -151,21 +151,30 @@ class TestOverHttp:
         client.close()
 
     def test_events_route(self, served, session):
-        http = JustHttpServer(served)
-        response = http.handle({"path": "/events", "limit": 5})
-        assert "events" in response and "total_by_kind" in response
-        assert len(response["events"]) <= 5
-        assert response["total_by_kind"].get("flush", 0) > 0
+        # The newest events page through /execute; lifetime per-kind
+        # totals (which survive ring eviction) stay in process.
+        client = JustHttpClient(JustHttpServer(served), "carol")
+        rows = list(client.execute_query(
+            "SELECT seq, kind FROM sys.events ORDER BY seq DESC LIMIT 5"))
+        assert 0 < len(rows) <= 5
+        assert rows == sorted(rows, key=lambda r: -r["seq"])
+        counts = {r["kind"]: r["n"] for r in client.execute_query(
+            "SELECT kind, count(*) AS n FROM sys.events GROUP BY kind")}
+        assert counts.get("flush", 0) > 0
+        assert served.events.total_by_kind["flush"] >= counts["flush"]
+        client.close()
 
     def test_events_route_kind_filter(self, served, session):
-        http = JustHttpServer(served)
-        response = http.handle({"path": "/events", "kind": "flush"})
-        assert response["events"]
-        assert all(e["kind"] == "flush" for e in response["events"])
+        client = JustHttpClient(JustHttpServer(served), "carol")
+        rows = list(client.execute_query(
+            "SELECT * FROM sys.events WHERE kind = 'flush'"))
+        assert rows
+        assert all(r["kind"] == "flush" for r in rows)
+        client.close()
 
     def test_regions_route(self, served, session):
-        http = JustHttpServer(served)
-        response = http.handle({"path": "/regions"})
-        assert response["regions"]
-        row = response["regions"][0]
-        assert {"table", "region_id", "server", "read_rate"} <= set(row)
+        client = JustHttpClient(JustHttpServer(served), "carol")
+        rows = list(client.execute_query("SELECT * FROM sys.regions"))
+        assert rows
+        assert {"table", "region_id", "server", "read_rate"} <= set(rows[0])
+        client.close()
