@@ -177,6 +177,24 @@ class SessionError(JustError):
     """A service-layer session operation failed (expired, unknown user...)."""
 
 
+class MetricCardinalityError(JustError):
+    """A pushed metric name was asked for one label set too many.
+
+    Every label set is a series the scraper records on every tick, so
+    an unbounded label value (a statement text, a trace id) would grow
+    the monitor's cost and memory without limit; the registry refuses
+    the new series instead.
+    """
+
+    def __init__(self, name: str, key: str, limit: int):
+        super().__init__(
+            f"metric {name!r} already has {limit} label sets; "
+            f"refusing {key!r}")
+        self.name = name
+        self.key = key
+        self.limit = limit
+
+
 class SimulatedOutOfMemoryError(JustError):
     """A simulated system exceeded its cluster memory budget.
 

@@ -12,16 +12,19 @@ dense, old history is sparse, and memory is O(tiers × capacity) per
 series no matter how long the cluster runs — the same shape as
 Prometheus retention + recording rules or an RRDtool archive set.
 
-Window queries (:func:`increase`, :func:`rate_per_s`,
-:func:`avg_over_time`, …) are **counter-reset aware**: a sample smaller
-than its predecessor means the process restarted (failover, promote),
-and the new value counts as growth from zero instead of producing a
-negative rate — Prometheus ``rate()`` semantics.
+Window queries (``increase``, ``rate``, ``avg_over_time``, …) are
+**counter-reset aware**: a sample smaller than its predecessor means
+the process restarted (failover, promote), and the new value counts as
+growth from zero instead of producing a negative rate — Prometheus
+``rate()`` semantics.  Their cost does not grow with uptime: rings are
+time-ordered, so a window is found by bisection, and counter rings
+carry running totals, so ``increase``/``rate`` read two points.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.observability.metrics import Counter, Histogram
@@ -35,31 +38,6 @@ DEFAULT_TIERS: tuple[tuple[int, int], ...] = ((1, 512), (8, 512),
 
 
 # -- window functions over point lists ----------------------------------------
-
-def increase(points: list[tuple[float, float]]) -> float:
-    """Total counter growth across ``points``, reset-aware, never < 0.
-
-    A drop between adjacent samples is a counter reset (restart or
-    failover re-registration): the post-reset value is growth from
-    zero.  Growth before the reset that the previous sample had not yet
-    seen is unavoidably lost, exactly as in Prometheus ``increase()``.
-    """
-    total = 0.0
-    for (_, prev), (_, cur) in zip(points, points[1:]):
-        delta = cur - prev
-        total += delta if delta >= 0 else cur
-    return total
-
-
-def rate_per_s(points: list[tuple[float, float]]) -> float:
-    """Reset-aware per-second rate over ``points`` (0 if degenerate)."""
-    if len(points) < 2:
-        return 0.0
-    elapsed_ms = points[-1][0] - points[0][0]
-    if elapsed_ms <= 0:
-        return 0.0
-    return increase(points) / (elapsed_ms / 1000.0)
-
 
 def avg_over_time(points: list[tuple[float, float]]) -> float:
     return (sum(v for _, v in points) / len(points)) if points else 0.0
@@ -77,48 +55,149 @@ def last_over_time(points: list[tuple[float, float]]) -> float:
     return points[-1][1] if points else 0.0
 
 
-WINDOW_FUNCS = {
-    "increase": increase,
-    "rate": rate_per_s,
+#: Aggregations :meth:`MetricsHistory.query` applies to the in-window
+#: points; ``increase`` and ``rate`` are answered from running totals.
+OVER_TIME_FUNCS = {
     "avg_over_time": avg_over_time,
     "max_over_time": max_over_time,
     "min_over_time": min_over_time,
     "last_over_time": last_over_time,
 }
 
+#: Every function name :meth:`MetricsHistory.query` accepts.
+WINDOW_FUNCS = ("increase", "rate", *OVER_TIME_FUNCS)
+
+
+def _growth(prev: float, cur: float) -> float:
+    """Reset-aware growth between adjacent samples: a drop is a counter
+    reset (restart or failover re-registration), so the post-reset
+    value is growth from zero.  Growth before the reset that the
+    previous sample had not yet seen is lost, as in Prometheus."""
+    delta = cur - prev
+    return delta if delta >= 0 else cur
+
+
+class Ring:
+    """One retention tier: the newest ``capacity`` points, as columns.
+
+    ``ts`` never decreases, so a window is two bisections.  A counter
+    ring also keeps ``totals`` (unboxed doubles): each point's
+    reset-adjusted running total of growth from its tier predecessor,
+    so ``increase`` between two retained points is the difference of
+    their totals.  Gauge rings keep only ``(ts, value)``.  Evicted
+    points stay in the lists until ``capacity // 8 + 1`` of them have
+    gathered and are then deleted in one slice, so an append never
+    shifts the columns.
+    """
+
+    __slots__ = ("capacity", "first", "ts", "values", "totals")
+
+    def __init__(self, capacity: int, counter: bool):
+        self.capacity = capacity
+        #: Index of the oldest retained point.
+        self.first = 0
+        self.ts: list[float] = []
+        self.values: list[float] = []
+        self.totals: array | None = array("d") if counter else None
+
+    def __len__(self) -> int:
+        return len(self.ts) - self.first
+
+    def append(self, ts: float, value: float) -> None:
+        totals = self.totals
+        if totals is not None:
+            totals.append(totals[-1] + _growth(self.values[-1], value)
+                          if totals else 0.0)
+        self.ts.append(ts)
+        self.values.append(value)
+        if len(self.ts) - self.first > self.capacity:
+            self.first += 1
+            if self.first > self.capacity // 8:
+                del self.ts[:self.first], self.values[:self.first]
+                if totals is not None:
+                    del totals[:self.first]
+                self.first = 0
+
+    def points(self, lo: int, hi: int) -> list[tuple[float, float]]:
+        return list(zip(self.ts[lo:hi], self.values[lo:hi]))
+
+    def increase(self, lo: int, hi: int) -> float:
+        """Reset-aware growth from point ``lo`` to point ``hi - 1``."""
+        if hi - lo < 2:
+            return 0.0
+        if self.totals is not None:
+            return self.totals[hi - 1] - self.totals[lo]
+        total = 0.0  # a gauge ring keeps no totals: walk the window
+        values = self.values
+        for i in range(lo + 1, hi):
+            total += _growth(values[i - 1], values[i])
+        return total
+
 
 @dataclass
 class Series:
-    """One metric series: tiered rings of ``(sim_ms, value)`` points."""
+    """One metric series: tiered :class:`Ring` columns of points."""
 
     name: str
     kind: str  # "counter" | "gauge"
     tiers: tuple[tuple[int, int], ...] = DEFAULT_TIERS
-    rings: list[deque] = field(default_factory=list)
+    rings: list[Ring] = field(default_factory=list)
     samples: int = 0  # total points ever recorded (drives tier strides)
+    last_ms: float = -float("inf")
 
     def __post_init__(self) -> None:
         if not self.rings:
-            self.rings = [deque(maxlen=capacity)
+            self.rings = [Ring(capacity, self.kind == "counter")
                           for _stride, capacity in self.tiers]
 
     def record(self, sim_ms: float, value: float) -> None:
+        if sim_ms < self.last_ms:
+            raise ValueError(f"series {self.name!r}: point at {sim_ms} "
+                             f"sim-ms precedes {self.last_ms}")
+        self.last_ms = sim_ms
         index = self.samples
         self.samples += 1
         for (stride, _capacity), ring in zip(self.tiers, self.rings):
             if index % stride == 0:
-                ring.append((sim_ms, value))
+                ring.append(sim_ms, value)
 
-    def points(self, start_ms: float | None = None,
-               end_ms: float | None = None,
-               baseline: bool = False) -> list[tuple[float, float]]:
-        """Points in ``[start_ms, end_ms]`` from the finest covering tier.
+    def _span(self, start_ms: float | None, end_ms: float | None,
+              baseline: bool) -> tuple[Ring | None, int, int]:
+        """``(ring, lo, hi)``: the window is ``ring``'s ``[lo, hi)``.
 
         Tier selection mirrors a Prometheus federation of retention
         tiers: use the densest tier whose retained range still reaches
         back to ``start_ms``; when no tier covers the window, fall back
         to whichever tier reaches furthest back (densest on ties, so a
-        young series is always served raw).
+        young series is always served raw).  With ``baseline`` the
+        window starts one point early, at the last one before
+        ``start_ms``.
+        """
+        chosen = None
+        for ring in self.rings:
+            if not len(ring):
+                continue
+            oldest = ring.ts[ring.first]
+            if start_ms is not None and oldest <= start_ms:
+                chosen = ring
+                break
+            if chosen is None or oldest < chosen.ts[chosen.first]:
+                chosen = ring
+        if chosen is None:
+            return None, 0, 0
+        lo, hi = chosen.first, len(chosen.ts)
+        if start_ms is not None:
+            lo = bisect_left(chosen.ts, start_ms, lo, hi)
+        if end_ms is not None:
+            hi = bisect_right(chosen.ts, end_ms, lo, hi)
+        if baseline and start_ms is not None and lo > chosen.first:
+            lo -= 1
+        return chosen, lo, hi
+
+    def points(self, start_ms: float | None = None,
+               end_ms: float | None = None,
+               baseline: bool = False) -> list[tuple[float, float]]:
+        """Points in ``[start_ms, end_ms]`` from the finest covering tier.
 
         With ``baseline`` the last retained point *before* ``start_ms``
         is prepended.  Counters are step functions sampled at scrapes,
@@ -128,32 +207,28 @@ class Series:
         which starves short burn-rate windows whenever statements cost
         more simulated time than the window spans.
         """
-        chosen = None
-        for ring in self.rings:
-            if not ring:
-                continue
-            if start_ms is not None and ring[0][0] <= start_ms:
-                chosen = ring
-                break
-            if chosen is None or ring[0][0] < chosen[0][0]:
-                chosen = ring
-        if chosen is None:
-            return []
-        selected = [(ts, value) for ts, value in chosen
-                    if (start_ms is None or ts >= start_ms)
-                    and (end_ms is None or ts <= end_ms)]
-        if baseline and start_ms is not None:
-            before = None
-            for ts, value in chosen:
-                if ts >= start_ms:
-                    break
-                before = (ts, value)
-            if before is not None:
-                selected.insert(0, before)
-        return selected
+        ring, lo, hi = self._span(start_ms, end_ms, baseline)
+        return ring.points(lo, hi) if ring is not None else []
+
+    def increase(self, start_ms: float, end_ms: float) -> float:
+        """Reset-aware growth over ``[start_ms, end_ms]``, from the
+        baseline point entering the window; never < 0 on a counter."""
+        ring, lo, hi = self._span(start_ms, end_ms, baseline=True)
+        return ring.increase(lo, hi) if ring is not None else 0.0
+
+    def rate_per_s(self, start_ms: float, end_ms: float) -> float:
+        """Reset-aware per-second rate over the window (0 if degenerate)."""
+        ring, lo, hi = self._span(start_ms, end_ms, baseline=True)
+        if hi - lo < 2:
+            return 0.0
+        elapsed_ms = ring.ts[hi - 1] - ring.ts[lo]
+        if elapsed_ms <= 0:
+            return 0.0
+        return ring.increase(lo, hi) / (elapsed_ms / 1000.0)
 
     def tier_points(self, tier: int) -> list[tuple[float, float]]:
-        return list(self.rings[tier])
+        ring = self.rings[tier]
+        return ring.points(ring.first, len(ring.ts))
 
 
 class MetricsHistory:
@@ -181,25 +256,26 @@ class MetricsHistory:
     def __len__(self) -> int:
         return len(self.series)
 
-    def window(self, name: str, start_ms: float | None,
-               end_ms: float | None,
-               baseline: bool = False) -> list[tuple[float, float]]:
-        series = self.series.get(name)
-        return (series.points(start_ms, end_ms, baseline=baseline)
-                if series else [])
-
     def query(self, func: str, name: str, window_ms: float,
               now_ms: float) -> float:
         """``func(name[window_ms])`` evaluated at ``now_ms``.
 
         Counter deltas (``increase``/``rate``) use the baseline sample
         entering the window, so they stay exact when the window holds
-        fewer than two scrapes; the ``*_over_time`` aggregations see
-        only in-window points.
+        fewer than two scrapes, and cost two bisections at any uptime;
+        the ``*_over_time`` aggregations see only in-window points.
         """
-        return WINDOW_FUNCS[func](
-            self.window(name, now_ms - window_ms, now_ms,
-                        baseline=func in ("increase", "rate")))
+        if func not in WINDOW_FUNCS:
+            raise KeyError(func)
+        series = self.series.get(name)
+        if series is None:
+            return 0.0
+        start_ms = now_ms - window_ms
+        if func == "increase":
+            return series.increase(start_ms, now_ms)
+        if func == "rate":
+            return series.rate_per_s(start_ms, now_ms)
+        return OVER_TIME_FUNCS[func](series.points(start_ms, now_ms))
 
     def rate(self, name: str, window_ms: float, now_ms: float) -> float:
         return self.query("rate", name, window_ms, now_ms)
@@ -215,7 +291,8 @@ class MetricsHistory:
         ``rate_per_s`` is the reset-aware rate between a point and its
         tier predecessor (NULL for gauges and for each tier's first
         retained point), so plain JustQL ``WHERE``/``GROUP BY`` over
-        this table is already a windowed rate query.
+        this table is already a windowed rate query.  ``start_ms``
+        drops older points; each ring is entered by bisection.
         """
         out: list[dict] = []
         names = [name] if name is not None else self.names()
@@ -223,18 +300,25 @@ class MetricsHistory:
             series = self.series.get(series_name)
             if series is None:
                 continue
+            counter = series.kind == "counter"
             for tier, ring in enumerate(series.rings):
-                prev: tuple[float, float] | None = None
-                for ts, value in ring:
+                ts, values = ring.ts, ring.values
+                lo = ring.first
+                if start_ms is not None:
+                    lo = bisect_left(ts, start_ms, lo)
+                for i in range(lo, len(ts)):
                     rate = None
-                    if series.kind == "counter" and prev is not None:
-                        rate = rate_per_s([prev, (ts, value)])
-                    prev = (ts, value)
-                    if start_ms is not None and ts < start_ms:
-                        continue
+                    if counter and i > ring.first:
+                        # From the pair itself, not the running totals,
+                        # so a float counter's rate is exact too.
+                        elapsed_ms = ts[i] - ts[i - 1]
+                        rate = (0.0 if elapsed_ms <= 0 else
+                                _growth(values[i - 1], values[i])
+                                / (elapsed_ms / 1000.0))
                     out.append({"name": series_name,
                                 "kind": series.kind, "tier": tier,
-                                "ts_ms": round(ts, 3), "value": value,
+                                "ts_ms": round(ts[i], 3),
+                                "value": values[i],
                                 "rate_per_s":
                                     None if rate is None
                                     else round(rate, 6)})

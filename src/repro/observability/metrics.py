@@ -10,7 +10,9 @@ what the benchmark harness needs for tail-latency attribution.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
+
+from repro.errors import MetricCardinalityError
 
 #: Default latency bucket bounds (simulated milliseconds).  Cumulative
 #: ``le`` bucket counters make *windowed* latency SLIs exact: the SLO
@@ -19,6 +21,19 @@ from bisect import bisect_left
 DEFAULT_LATENCY_BUCKETS_MS = (
     1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
     2500.0, 5000.0)
+
+#: Most label sets one metric name may push (``counter`` / ``gauge`` /
+#: ``histogram``).  Each is a series every scrape records, so a label
+#: fed from an unbounded value is refused with
+#: :class:`~repro.errors.MetricCardinalityError` rather than growing
+#: the monitor tick; ``src/`` pushes a few dozen per name at most.
+MAX_LABEL_SETS = 1000
+
+#: Samples appended since the last read that are folded into a
+#: histogram's sorted view one ``insort`` at a time; a longer tail is
+#: appended and the view re-sorted once (timsort merges the sorted run
+#: and the tail in linear time).
+_INSORT_MAX = 16
 
 
 def _escape_label_value(value) -> str:
@@ -120,12 +135,18 @@ class Histogram:
     replaced by its successor when off-stride) so max-style quantiles
     track the newest data.  With the default 8192-sample buffer the
     reproduction's workloads never decimate.
+
+    The sorted view of the buffer is kept between reads: ``observe``
+    only appends to the buffer, and a read folds the samples appended
+    since the last one into the view (``insort`` for a few, one
+    ``list.sort`` of sorted run + tail for many), so a scrape per
+    statement pays a bisection per new sample, not a full sort.
     """
 
     __slots__ = ("name", "count", "sum", "_samples", "_max_samples",
                  "_stride", "_phase", "_tail_provisional", "_sorted",
-                 "buckets", "_bucket_counts", "_bucket_exemplars",
-                 "last_exemplar")
+                 "_folded", "buckets", "_bucket_counts",
+                 "_bucket_exemplars", "last_exemplar")
 
     def __init__(self, name: str, max_samples: int = 8192,
                  buckets: tuple[float, ...] | None = None):
@@ -137,9 +158,10 @@ class Histogram:
         self._stride = 1
         self._phase = 0
         self._tail_provisional = False
-        #: Sorted view of ``_samples``, invalidated on observe so one
-        #: snapshot (p50+p95+p99) pays a single O(n log n) sort.
+        #: Sorted view of ``_samples[:_folded]``; None until the first
+        #: read and after a decimation, which rebuild it whole.
         self._sorted: list[float] | None = None
+        self._folded = 0
         self.buckets: tuple[float, ...] = (
             tuple(sorted(buckets)) if buckets else ())
         # Cumulative ``le`` counts, one per bound (no +Inf slot; that is
@@ -154,7 +176,6 @@ class Histogram:
     def observe(self, value: float, exemplar: object = None) -> None:
         self.count += 1
         self.sum += value
-        self._sorted = None
         if self.buckets:
             slot = bisect_left(self.buckets, value)
             for i in range(slot, len(self.buckets)):
@@ -165,21 +186,27 @@ class Histogram:
             self.last_exemplar = exemplar
             if self.buckets:
                 self._bucket_exemplars[slot] = (self.count, exemplar)
+        samples = self._samples
         if self._tail_provisional:
             # The previous observation was off-stride and kept only so
             # the buffer tail tracks the latest value; its successor
-            # replaces it.
-            self._samples.pop()
+            # replaces it, in the sorted view too if a read folded it.
+            dropped = samples.pop()
             self._tail_provisional = False
+            if self._folded > len(samples):
+                self._folded -= 1
+                del self._sorted[bisect_left(self._sorted, dropped)]
         self._phase += 1
         if self._phase >= self._stride:
             self._phase = 0
-            if len(self._samples) >= self._max_samples:
-                self._samples = self._samples[::2]
+            if len(samples) >= self._max_samples:
+                samples = self._samples = samples[::2]
                 self._stride *= 2
-            self._samples.append(value)
+                self._sorted = None
+                self._folded = 0
+            samples.append(value)
         else:
-            self._samples.append(value)
+            samples.append(value)
             self._tail_provisional = True
 
     @property
@@ -211,11 +238,21 @@ class Histogram:
         """Nearest-rank quantile over the retained samples."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._samples:
+        samples = self._samples
+        if not samples:
             return 0.0
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
         ordered = self._sorted
+        if ordered is None:
+            ordered = self._sorted = sorted(samples)
+        elif self._folded < len(samples):
+            tail = samples[self._folded:]
+            if len(tail) <= _INSORT_MAX:
+                for value in tail:
+                    insort(ordered, value)
+            else:
+                ordered += tail
+                ordered.sort()
+        self._folded = len(samples)
         rank = max(0, min(len(ordered) - 1,
                           int(q * len(ordered) + 0.5) - 1))
         return ordered[rank]
@@ -257,6 +294,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        #: Label sets pushed per metric name (``MAX_LABEL_SETS``).
+        self._label_sets: dict[str, int] = {}
         self._help: dict[str, str] = {}
         #: Exposed series not listed yet, with the tests that list them.
         self._pending: dict[str, list] = {}
@@ -265,6 +304,12 @@ class MetricsRegistry:
         key = _metric_key(name, labels)
         metric = self._metrics.get(key)
         if metric is None:
+            if labels and cls in (Counter, Gauge, Histogram):
+                pushed = self._label_sets.get(name, 0)
+                if pushed >= MAX_LABEL_SETS:
+                    raise MetricCardinalityError(name, key,
+                                                 MAX_LABEL_SETS)
+                self._label_sets[name] = pushed + 1
             metric = cls(key, **kwargs)
             self._metrics[key] = metric
         elif not isinstance(metric, cls):

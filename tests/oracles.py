@@ -431,3 +431,127 @@ def _eval_binary(expr: BinaryOp, row: dict, extra_functions):
 def _like(value: str, pattern: str) -> bool:
     regex = re.escape(pattern).replace("%", ".*").replace("_", ".")
     return re.fullmatch(regex, value, re.DOTALL) is not None
+
+
+# -- monitoring: the reference series walk and histogram sort -----------------
+#
+# What ``observability/history.py`` and ``Histogram`` shipped until the
+# monitor tick stopped growing with uptime, kept as the definition of
+# a window query and of a quantile.  A series is a list of tiers, each
+# the newest ``capacity`` of every ``stride``-th ``(ts, value)`` point;
+# a window is found by walking the chosen tier, ``increase`` walks the
+# adjacent pairs, and a quantile re-sorts the whole retained buffer.
+
+def increase_reference(points) -> float:
+    """Total counter growth across ``points``, reset-aware: a drop
+    between adjacent samples counts the post-reset value as growth."""
+    total = 0.0
+    for (_, prev), (_, cur) in zip(points, points[1:]):
+        delta = cur - prev
+        total += delta if delta >= 0 else cur
+    return total
+
+
+def rate_per_s_reference(points) -> float:
+    """Reset-aware per-second rate over ``points`` (0 if degenerate)."""
+    if len(points) < 2:
+        return 0.0
+    elapsed_ms = points[-1][0] - points[0][0]
+    if elapsed_ms <= 0:
+        return 0.0
+    return increase_reference(points) / (elapsed_ms / 1000.0)
+
+
+class SeriesReference:
+    """``Series``: tiered ``deque`` rings of ``(ts, value)`` tuples."""
+
+    def __init__(self, tiers):
+        self.tiers = tuple(tiers)
+        self.rings = [deque(maxlen=capacity) for _, capacity in tiers]
+        self.samples = 0
+
+    def record(self, ts, value) -> None:
+        index = self.samples
+        self.samples += 1
+        for (stride, _), ring in zip(self.tiers, self.rings):
+            if index % stride == 0:
+                ring.append((ts, value))
+
+    def points(self, start_ms=None, end_ms=None, baseline=False):
+        """The densest tier reaching back to ``start_ms`` (else the one
+        reaching furthest back), walked for the window; ``baseline``
+        prepends the last point before ``start_ms``."""
+        chosen = None
+        for ring in self.rings:
+            if not ring:
+                continue
+            if start_ms is not None and ring[0][0] <= start_ms:
+                chosen = ring
+                break
+            if chosen is None or ring[0][0] < chosen[0][0]:
+                chosen = ring
+        if chosen is None:
+            return []
+        selected = [(ts, value) for ts, value in chosen
+                    if (start_ms is None or ts >= start_ms)
+                    and (end_ms is None or ts <= end_ms)]
+        if baseline and start_ms is not None:
+            before = None
+            for ts, value in chosen:
+                if ts >= start_ms:
+                    break
+                before = (ts, value)
+            if before is not None:
+                selected.insert(0, before)
+        return selected
+
+    def rows(self, kind, start_ms=None):
+        """``(tier, ts, value, rate_per_s)`` of ``sys.metrics_history``:
+        every retained point, the rate against its tier predecessor."""
+        out = []
+        for tier, ring in enumerate(self.rings):
+            prev = None
+            for ts, value in ring:
+                rate = None
+                if kind == "counter" and prev is not None:
+                    rate = rate_per_s_reference([prev, (ts, value)])
+                prev = (ts, value)
+                if start_ms is not None and ts < start_ms:
+                    continue
+                out.append((tier, ts, value, rate))
+        return out
+
+
+class HistogramReference:
+    """``Histogram``'s sample buffer: stride decimation, a provisional
+    newest sample, and nearest-rank quantiles over a full sort."""
+
+    def __init__(self, max_samples=8192):
+        self.samples = []
+        self.max_samples = max_samples
+        self.stride = 1
+        self.phase = 0
+        self.tail_provisional = False
+
+    def observe(self, value) -> None:
+        if self.tail_provisional:
+            self.samples.pop()
+            self.tail_provisional = False
+        self.phase += 1
+        if self.phase >= self.stride:
+            self.phase = 0
+            if len(self.samples) >= self.max_samples:
+                self.samples = self.samples[::2]
+                self.stride *= 2
+            self.samples.append(value)
+        else:
+            self.samples.append(value)
+            self.tail_provisional = True
+
+    def quantile(self, q) -> float:
+        if not self.samples:
+            return 0.0
+        ordered = sorted(self.samples)
+        rank = max(0, min(len(ordered) - 1,
+                          int(q * len(ordered) + 0.5) - 1))
+        return ordered[rank]

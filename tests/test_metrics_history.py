@@ -10,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import increase_reference, rate_per_s_reference
 from repro.observability.events import EventLog
 from repro.observability.history import (
     DEFAULT_TIERS,
+    OVER_TIME_FUNCS,
     MetricsHistory,
     MetricsScraper,
     Series,
     WINDOW_FUNCS,
-    increase,
-    rate_per_s,
     suffixed_key,
 )
 from repro.observability.metrics import MetricsRegistry
@@ -26,28 +26,45 @@ from repro.observability.metrics import MetricsRegistry
 
 # -- window functions ---------------------------------------------------------
 
+def _history(points, kind="counter"):
+    history = MetricsHistory()
+    for ts, value in points:
+        history.record("c", kind, ts, value)
+    return history
+
+
 class TestWindowFunctions:
     def test_increase_is_plain_delta_without_resets(self):
-        points = [(0.0, 10.0), (1.0, 14.0), (2.0, 20.0)]
-        assert increase(points) == 10.0
+        history = _history([(0.0, 10.0), (1.0, 14.0), (2.0, 20.0)])
+        assert history.increase("c", 2.0, 2.0) == 10.0
 
     def test_increase_counts_post_reset_value_as_growth(self):
         # 10 -> 14 (+4), restart, 3 (+3 from zero): total 7, never -11.
-        points = [(0.0, 10.0), (1.0, 14.0), (2.0, 3.0)]
-        assert increase(points) == 7.0
+        for kind in ("counter", "gauge"):
+            history = _history([(0.0, 10.0), (1.0, 14.0), (2.0, 3.0)],
+                               kind)
+            assert history.increase("c", 2.0, 2.0) == 7.0
 
     def test_rate_per_s_uses_elapsed_time(self):
-        points = [(0.0, 0.0), (2_000.0, 10.0)]
-        assert rate_per_s(points) == pytest.approx(5.0)
+        history = _history([(0.0, 0.0), (2_000.0, 10.0)])
+        assert history.rate("c", 2_000.0, 2_000.0) == pytest.approx(5.0)
 
     def test_rate_degenerate_windows_are_zero(self):
-        assert rate_per_s([]) == 0.0
-        assert rate_per_s([(5.0, 3.0)]) == 0.0
-        assert rate_per_s([(5.0, 3.0), (5.0, 9.0)]) == 0.0
+        assert MetricsHistory().rate("c", 10.0, 5.0) == 0.0
+        assert _history([(5.0, 3.0)]).rate("c", 10.0, 5.0) == 0.0
+        assert _history([(5.0, 3.0), (5.0, 9.0)]).rate(
+            "c", 10.0, 5.0) == 0.0
 
     def test_suffixed_key_inserts_before_labels(self):
         assert suffixed_key("h", "count") == "h_count"
         assert suffixed_key("h{op=scan}", "count") == "h_count{op=scan}"
+
+    def test_unknown_function_and_time_travel_are_errors(self):
+        history = _history([(5.0, 3.0)])
+        with pytest.raises(KeyError):
+            history.query("median", "c", 10.0, 5.0)
+        with pytest.raises(ValueError):
+            history.record("c", "counter", 4.0, 4.0)
 
 
 # -- tiered series ------------------------------------------------------------
@@ -134,6 +151,11 @@ def _select_points(raw, tiers, start_ms, end_ms, baseline):
     return selected
 
 
+#: The reference walks over a selected point list.
+_REFERENCE_FUNCS = {"increase": increase_reference,
+                    "rate": rate_per_s_reference, **OVER_TIME_FUNCS}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     deltas=st.lists(st.floats(min_value=0.0, max_value=100.0,
@@ -145,14 +167,16 @@ def _select_points(raw, tiers, start_ms, end_ms, baseline):
 def test_downsampled_query_equals_raw_recompute(deltas, func, window):
     """Tiering is transparent: the tiered store answers every window
     query exactly as recomputing the same selection from the raw
-    stream would — including windows old enough to fall off tier 0."""
+    stream would — including windows old enough to fall off tier 0.
+    The values are floats, so running totals may differ from the
+    reference's pairwise sum in the last bits (``approx``)."""
     tiers = ((1, 16), (4, 32), (16, 64))
     raw = _monotone_counter(deltas)
     history = MetricsHistory(tiers)
     for ts, value in raw:
         history.record("c", "counter", ts, value)
     now_ms = raw[-1][0]
-    expected = WINDOW_FUNCS[func](_select_points(
+    expected = _REFERENCE_FUNCS[func](_select_points(
         raw, tiers, now_ms - window, now_ms,
         baseline=func in ("increase", "rate")))
     assert history.query(func, "c", window, now_ms) == \
@@ -270,3 +294,14 @@ class TestHistoryRows:
         rows = history.rows("a", start_ms=1_000.0)
         assert {r["name"] for r in rows} == {"a"}
         assert all(r["ts_ms"] >= 1_000.0 for r in rows)
+
+    def test_rows_floor_between_points_keeps_the_predecessor_rate(self):
+        history = MetricsHistory()
+        for ts, value in ((0.0, 0), (1_000.0, 10), (2_000.0, 30)):
+            history.record("c", "counter", ts, value)
+        rows = [r for r in history.rows("c", start_ms=1_500.0)
+                if r["tier"] == 0]
+        assert [(r["ts_ms"], r["rate_per_s"]) for r in rows] == \
+            [(2_000.0, 20.0)]
+        assert history.rows("c", start_ms=1_500.0) == [
+            r for r in history.rows("c") if r["ts_ms"] >= 1_500.0]

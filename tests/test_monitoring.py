@@ -30,6 +30,7 @@ from repro.scenarios.fixtures import (
 )
 from repro.service.client import JustClient
 from repro.service.http import JustHttpClient, JustHttpServer
+from repro.service.server import JustServer
 
 from conftest import POI_SCHEMA_FIELDS, T0
 
@@ -108,6 +109,73 @@ class TestObjectives:
         objective = LatencyObjective(name="lat", target=0.9,
                                      metric="lat", threshold_ms=100.0)
         assert objective.exemplar(registry) == "slow-trace"
+
+
+# -- evaluation cost at uptime ------------------------------------------------
+
+class _CountedMs(float):
+    """A scrape timestamp counting the comparisons made against it:
+    how many retained points a window query reads."""
+
+    reads = 0
+
+    def __lt__(self, other):
+        _CountedMs.reads += 1
+        return float.__lt__(self, other)
+
+    def __le__(self, other):
+        _CountedMs.reads += 1
+        return float.__le__(self, other)
+
+    def __gt__(self, other):
+        _CountedMs.reads += 1
+        return float.__gt__(self, other)
+
+    def __ge__(self, other):
+        _CountedMs.reads += 1
+        return float.__ge__(self, other)
+
+
+class TestEvaluationCostAtUptime:
+    def test_evaluate_reads_do_not_grow_with_retained_points(
+            self, monkeypatch):
+        """One evaluation of the default objectives after ~100 and after
+        3 000 scrapes reads about the same number of points, though the
+        rings it queries hold ~9x more: windows are found by bisection
+        (a few more comparisons per doubling) and counter increases are
+        two running totals, not a walk."""
+        record = MetricsHistory.record
+        monkeypatch.setattr(
+            MetricsHistory, "record",
+            lambda self, name, kind, sim_ms, value: record(
+                self, name, kind, _CountedMs(sim_ms), value))
+        engine = JustEngine()
+        monitor = engine.enable_monitoring()
+        JustServer(engine)  # registers the statement histogram
+        statements = engine.metrics.counter("server.statements",
+                                            status="ok")
+        latency = engine.metrics.histogram("server.statement_sim_ms")
+
+        def scrape_until(scrapes):
+            while monitor.scraper.scrapes < scrapes:
+                statements.inc()
+                latency.observe(100.0)
+                engine.events.advance(250.0)
+                monitor.scraper.tick()
+
+        def reads_of_one_evaluation():
+            _CountedMs.reads = 0
+            monitor.slos.evaluate(engine.events.now_ms)
+            return _CountedMs.reads
+
+        scrape_until(100)
+        early = reads_of_one_evaluation()
+        scrape_until(3_000)
+        late = reads_of_one_evaluation()
+        series = monitor.history.get("server.statements{status=ok}")
+        assert len(series.tier_points(0)) + len(series.tier_points(1)) \
+            >= 8 * 100
+        assert 0 < early and late < 1.25 * early
 
 
 # -- the alert state machine --------------------------------------------------

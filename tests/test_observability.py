@@ -2,17 +2,28 @@
 slow-query log, cache lifecycle, and streaming-scan cancellation."""
 
 import json
+import random
 
 import pytest
 
-from repro.errors import QueryTimeoutError
+from repro.core.engine import JustEngine
+from repro.errors import MetricCardinalityError, QueryTimeoutError
+from repro.geometry import Point
 from repro.kvstore import KVStore, ScanSpec
 from repro.kvstore.iostats import IOStats
 from repro.kvstore.region import Region
-from repro.observability.metrics import Counter, Histogram, MetricsRegistry
+from repro.kvstore.wal import SyncPolicy
+from repro.observability.metrics import (
+    MAX_LABEL_SETS,
+    Counter,
+    Histogram,
+    MetricsRegistry,
+)
 from repro.observability.profile import QueryProfile, analyze_rows
 from repro.observability.slowlog import SlowQueryLog
 from repro.resilience import Deadline, RequestContext
+from repro.scenarios.fixtures import AREA, POINT_SCHEMA, window_queries
+from repro.service.client import JustClient
 from repro.service.http import JustHttpServer
 from repro.service.server import JustServer
 
@@ -51,6 +62,65 @@ class TestMetricsRegistry:
         registry.counter("x").inc()
         with pytest.raises(TypeError):
             registry.gauge("x")
+
+    def test_label_sets_per_name_are_capped(self):
+        registry = MetricsRegistry()
+        for i in range(MAX_LABEL_SETS):
+            registry.counter("c", shard=i).inc()
+        # Known label sets and unlabelled series still resolve.
+        assert registry.counter("c", shard=0).value == 1
+        registry.counter("c").inc()
+        with pytest.raises(MetricCardinalityError) as refused:
+            registry.gauge("c", shard=MAX_LABEL_SETS)
+        assert refused.value.key == f"c{{shard={MAX_LABEL_SETS}}}"
+        # The cap is per name and on the push path only.
+        registry.histogram("h", op="scan").observe(1.0)
+        registry.expose("c", lambda: 1, shard="read-through")
+        assert len(registry) == MAX_LABEL_SETS + 3
+
+    def test_cap_leaves_a_full_engine_listing_unchanged(self):
+        """A replicated, balanced and monitored engine lists the same
+        36 keys it listed before the cap existed."""
+        engine = JustEngine(num_servers=3, replication_factor=3,
+                            wal_policy=SyncPolicy.SYNC)
+        engine.enable_balancer()
+        engine.enable_monitoring()
+        server = JustServer(engine)
+        rng = random.Random(7)
+        lo_lng, lo_lat, hi_lng, hi_lat = AREA
+        engine.create_table("u__pts", POINT_SCHEMA)
+        engine.insert("u__pts", [
+            {"fid": i, "time": T0 + rng.random() * 86_400,
+             "geom": Point(lo_lng + rng.random() * (hi_lng - lo_lng),
+                           lo_lat + rng.random() * (hi_lat - lo_lat))}
+            for i in range(300)])
+        with JustClient(server, "u") as client:
+            for sql in window_queries("pts", 4, seed=3, side=0.2):
+                list(client.execute_query(sql))
+        engine.balancer.tick()
+        engine.monitor.tick()
+        assert [key for key, _ in engine.metrics.items()] == [
+            "admission.admitted", "admission.in_flight",
+            "balancer.imbalance", "balancer.merges", "balancer.moves",
+            "balancer.runs", "balancer.splits",
+            "kvstore.cache_hit_ratio", "kvstore.cache_used_bytes",
+            "kvstore.memstore_bytes_read", "kvstore.result_bytes",
+            "kvstore.scans_started", "kvstore.wal_appends",
+            "kvstore.wal_bytes_written", "kvstore.wal_syncs",
+            "monitor.scrape_ms", "monitor.scrapes", "monitor.series",
+            "replication.bytes_shipped",
+            "replication.lagging_followers",
+            "replication.max_lag_records", "replication.quorum_ack_ms",
+            "replication.records_shipped", "server.slow_queries_logged",
+            "server.statement_sim_ms", "server.statements{status=ok}",
+            "slo.budget_remaining{slo=statement-availability}",
+            "slo.budget_remaining{slo=statement-latency}",
+            "slo.burn_rate{severity=page,slo=statement-availability}",
+            "slo.burn_rate{severity=page,slo=statement-latency}",
+            "slo.burn_rate{severity=ticket,slo=statement-availability}",
+            "slo.burn_rate{severity=ticket,slo=statement-latency}",
+            "sql.batches", "sql.operator_ms{op=ProjectNode}",
+            "sql.operator_ms{op=ScanNode}", "sql.operators_executed"]
 
     def test_gauge_set_and_add(self):
         registry = MetricsRegistry()
@@ -305,7 +375,6 @@ class TestExplainAnalyze:
     def test_region_spans_match_per_range_totals(self, poi_rows):
         """One multi-range scan reports, per region, the rows, ranges
         and disk blocks that one scan per key range adds up to."""
-        from repro.core.engine import JustEngine
         from repro.core.schema import Schema
         from repro.curves import STQuery
         from repro.geometry import Envelope
@@ -649,7 +718,8 @@ class TestHistogramBuckets:
         h.observe(5.0, exemplar="fast")
         assert h.exemplar_above(10.0) is None
 
-    def test_quantile_view_sorts_once_until_dirty(self, monkeypatch):
+    def test_quantile_view_sorts_once_then_folds_new_samples(
+            self, monkeypatch):
         import repro.observability.metrics as metrics_mod
         calls = []
         builtin_sorted = sorted
@@ -665,11 +735,14 @@ class TestHistogramBuckets:
             h.observe(v)
         h.as_dict()  # p50 + p95 + p99: one sort, cached view reused
         assert len(calls) == 1
-        h.quantile(0.5)
+        # Every later observe + read folds the new sample into the view
+        # instead of re-sorting the retained buffer.
+        for v in (9.0, 0.5, 2.5, 4.0):
+            h.observe(v)
+            h.quantile(0.5)
         assert len(calls) == 1
-        h.observe(9.0)  # new sample dirties the cache
-        h.quantile(0.5)
-        assert len(calls) == 2
+        assert h.quantile(0.0) == 0.5 and h.quantile(1.0) == 9.0
+        assert h.p50 == 2.5
 
 
 # -- Prometheus exposition round-trip -----------------------------------------
