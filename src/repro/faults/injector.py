@@ -53,8 +53,6 @@ class FaultInjector:
         self.ship_count = 0
         self.slow_ms_injected = 0.0
         self.errors_injected = 0
-        self.ships_blocked = 0
-        self.ships_dropped = 0
 
     def attach(self, store) -> "FaultInjector":
         """Install this injector on ``store`` and return it."""
@@ -160,10 +158,8 @@ class FaultInjector:
             if not self._ship_active(fault):
                 continue
             if isinstance(fault, PartitionedFollower):
-                self.ships_blocked += 1
                 return "blocked"
             if self._ship_rng.random() < fault.probability:
-                self.ships_dropped += 1
                 return "drop"
         return "ok"
 

@@ -1,12 +1,13 @@
 """Crash recovery: region failover and WAL replay.
 
-When a region server dies, its memstores die with it.  Recovery walks
-the dead server's write-ahead log, reassigns each of its regions to a
-surviving server, and replays the unflushed edits into the reassigned
-regions' fresh memstores (re-logging them on the destination server so
-durability holds across chained failures).  The result is summarized in
-a :class:`RecoveryReport` — recovery time here is simulated
-milliseconds from the cluster cost model, exactly like query latency.
+When a region server dies, its memstores die with it.  Recovery gives
+each of its regions a new primary — a promoted follower replica when
+one is caught up enough, else a fresh memstore on a surviving server —
+and replays the dead server's surviving write-ahead log into it
+(re-logging the edits on the new server so durability holds across
+chained failures).  The result is summarized in a
+:class:`RecoveryReport` — recovery time here is simulated milliseconds
+from the cluster cost model, exactly like query latency.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.kvstore.wal import WALRecord
+from repro.observability.events import FailoverEvent, ReplicaPromotedEvent
 
 
 @dataclass
@@ -39,75 +41,77 @@ class RecoveryReport:
     reassignments: dict[int, int] = field(default_factory=dict)
 
 
-def recover_server(store, server: int,
-                   records: list[WALRecord],
-                   discarded_records: int = 0,
-                   model=None, only_regions: set[int] | None = None,
-                   emit_event: bool = True) -> RecoveryReport:
-    """Fail a dead server's regions over to survivors and replay its WAL.
+def recover_server(store, server: int, records: list[WALRecord],
+                   discarded_records: int = 0) -> RecoveryReport:
+    """Recover every region whose primary lived on the dead ``server``.
 
-    ``records`` is the surviving (synced, unflushed) log suffix from
-    :meth:`WriteAheadLog.crash`; with the WAL disabled it is empty and
-    failover silently loses every unflushed edit.  ``only_regions``
-    restricts recovery to a subset of the dead server's regions (the
-    replication manager promotes the rest from follower replicas), and
-    ``emit_event=False`` suppresses the FailoverEvent so a wrapping
-    recovery can emit one combined event instead.
+    Each region restarts on its most-caught-up promotable follower when
+    replication has one — adopting the follower's memstore, seqno
+    watermark and warm cache — or else reopens cold, with an empty
+    memstore, on the next placeable server.  One pass over ``records``
+    (the surviving synced, unflushed log suffix from
+    :meth:`WriteAheadLog.crash`; empty without a WAL, which silently
+    loses every unflushed edit) then re-applies each record above the
+    new copy's applied seqno, re-logging it on the new server so
+    durability holds across chained failures.  The replica sets are
+    repaired last: that work is not part of the unavailability window
+    that ``recovery_ms`` prices.
     """
-    if model is None:
-        from repro.cluster.simclock import CostModel
-        model = CostModel()
+    model = store.cost_model
+    replication = store.replication
     report = RecoveryReport(server=server,
                             discarded_records=discarded_records)
-    region_map = {}
+    before = store.stats.snapshot()
+    # region_id -> (table, region, promoted follower or None)
+    recovered = {}
     for table in store.tables():
         for region in table.regions():
             if region.server != server:
                 continue
-            if only_regions is not None \
-                    and region.region_id not in only_regions:
-                continue
             region.memstore.clear()  # the server's RAM is gone
-            # Eagerly drop the dead server's cached blocks for this
-            # region, matching the move_region source-side eviction.
-            # crash_server clears the whole cache anyway; this keeps
-            # failover correct on its own for any future path that
-            # reaches it without the wholesale clear.
-            region.evict_cached_blocks(server=server)
-            region.server = store.next_server()
-            region.wal = store.wal_for(region.server)
-            # The destination server starts with a cold view of this
-            # region: drop any blocks its cache may hold for the
-            # region's SSTables.
-            region.evict_cached_blocks(server=region.server)
-            # Sequence numbers are per-server, so the dead server's high
-            # watermark means nothing to the destination WAL — left in
-            # place it would checkpoint the new log above seqnos it has
-            # not issued yet, truncating live records and losing them at
-            # the next crash.  Replay rebuilds it from the destination's
-            # own seqnos.
-            region.max_seqno = 0
-            region_map[region.region_id] = (table, region)
+            follower = None
+            if replication is not None:
+                follower = replication.promote(region)
+            if follower is None:
+                store.reopen_region(region, store.next_server())
+            if replication is not None:
+                replication.resync(region)
+            recovered[region.region_id] = (table, region, follower)
             report.reassignments[region.region_id] = region.server
-    report.regions_reassigned = len(region_map)
+    report.regions_reassigned = len(recovered)
 
-    before = store.stats.snapshot()
+    reapplied = dict.fromkeys(recovered, 0)
     for record in records:
-        entry = region_map.get(record.region_id)
+        entry = recovered.get(record.region_id)
         if entry is None:
-            continue  # region split or table dropped after the append
-        _table, region = entry
+            # A region split or dropped after the append, or one this
+            # server only held a follower copy of.
+            continue
+        _table, region, follower = entry
+        if follower is not None and record.seqno <= follower.applied_seqno:
+            continue  # the promoted copy holds it already
         seqno = None
-        wal = store.wal_for(region.server)
-        if wal is not None:
-            seqno = wal.append(record.table, region.region_id,
-                               record.key, record.value)
+        if region.wal is not None:
+            seqno = region.wal.append(record.table, record.region_id,
+                                      record.key, record.value)
         region.put(record.key, record.value, seqno)
+        reapplied[record.region_id] += 1
         report.replayed_records += 1
         report.replayed_bytes += record.nbytes
-    # Replay bypasses KVTable._mutate, so re-check the split threshold for
-    # every rehomed region rather than deferring to the next mutation.
-    for table, region in region_map.values():
+    for table, region, follower in recovered.values():
+        if follower is None:
+            continue
+        report.promoted_regions += 1
+        report.catchup_records += reapplied[region.region_id]
+        store.events.emit(ReplicaPromotedEvent(
+            table=table.name, region_id=region.region_id,
+            server=region.server, from_server=server,
+            applied_seqno=follower.applied_seqno,
+            catchup_records=reapplied[region.region_id]))
+    # Re-applied edits bypass KVTable._mutate, so re-check the split
+    # threshold for every recovered region rather than deferring to the
+    # next mutation.
+    for table, region, _follower in recovered.values():
         if region.total_bytes >= store.split_bytes:
             table._split(region)
     store.stats.record_wal_replay(report.replayed_bytes, server)
@@ -115,9 +119,11 @@ def recover_server(store, server: int,
 
     scale = model.effective_record_scale
     report.recovery_ms = (
-        # split & sequentially read the dead server's log,
-        model.disk_read_ms(report.replayed_bytes)
-        # re-log the edits on the destination servers,
+        # split & sequentially read the dead server's surviving log
+        # (nothing to split when it hosted no primary),
+        model.disk_read_ms(sum(r.nbytes for r in records)
+                           if recovered else 0)
+        # re-log the edits on the new primaries' servers,
         + model.disk_write_ms(delta.wal_bytes_written)
         + delta.wal_syncs * model.fsync_ms
         # flushes triggered mid-replay,
@@ -125,13 +131,17 @@ def recover_server(store, server: int,
         # re-insert each edit and reopen each region.
         + report.replayed_records * model.kv_put_us * scale / 1000.0
         + report.regions_reassigned * model.region_reopen_ms)
-    events = getattr(store, "events", None)
-    if events is not None and emit_event:
-        from repro.observability.events import FailoverEvent
-        events.emit(FailoverEvent(
-            server=server,
-            regions_reassigned=report.regions_reassigned,
-            replayed_records=report.replayed_records,
-            discarded_records=report.discarded_records,
-            recovery_ms=round(report.recovery_ms, 3)))
+    if replication is not None:
+        # In HBase a region serves as soon as it is reassigned and
+        # re-replication is background work, so it stays out of
+        # recovery_ms — but under SYNC the repair restores a write
+        # quorum before failover returns.
+        replication.repair(server, [(table, region) for table, region, _f
+                                    in recovered.values()])
+    store.events.emit(FailoverEvent(
+        server=server,
+        regions_reassigned=report.regions_reassigned,
+        replayed_records=report.replayed_records,
+        discarded_records=report.discarded_records,
+        recovery_ms=round(report.recovery_ms, 3)))
     return report

@@ -363,11 +363,10 @@ class KVTable:
         span.attrs["disk_bytes_read"] += delta.disk_bytes_read
         span.attrs["ranges"] += num_ranges
         model = self._store.cost_model
-        if model is not None:
-            span.sim_ms += (
-                model.disk_read_ms(delta.disk_bytes_read)
-                + model.memory_scan_ms(delta.cache_bytes_read
-                                       + delta.memstore_bytes_read))
+        span.sim_ms += (
+            model.disk_read_ms(delta.disk_bytes_read)
+            + model.memory_scan_ms(delta.cache_bytes_read
+                                   + delta.memstore_bytes_read))
 
     def flush(self) -> None:
         """Flush every region's memstore (used before size measurements)."""
@@ -526,7 +525,6 @@ class KVStore:
                  wal_policy: SyncPolicy | None = None,
                  wal_periodic_bytes: int = DEFAULT_PERIODIC_BYTES,
                  cost_model=None,
-                 fault_injector=None,
                  events=None,
                  replication_factor: int = 1,
                  read_mode="primary"):
@@ -539,8 +537,12 @@ class KVStore:
         #: the service layer can emit unconditionally.
         self.events = events if events is not None else EventLog()
         self.wal_policy = wal_policy
+        if cost_model is None:
+            from repro.cluster.simclock import CostModel
+            cost_model = CostModel()
         self.cost_model = cost_model
-        self.fault_injector = fault_injector
+        #: A :class:`~repro.faults.FaultInjector` once one is attached.
+        self.fault_injector = None
         self._wals: list[WriteAheadLog] | None = None
         if wal_policy is not None:
             self._wals = [WriteAheadLog(s, self.stats, wal_policy,
@@ -741,13 +743,14 @@ class KVStore:
         return self.failover(server)
 
     def failover(self, server: int) -> RecoveryReport:
-        """Recover a dead server's regions.
+        """Recover a dead server's regions (see
+        :func:`~repro.kvstore.recovery.recover_server`).
 
-        Without replication every region is reassigned and its WAL
-        replayed; with replication, regions whose primary lived here
-        are *promoted* onto their most-caught-up follower and only the
-        promotion catch-up is replayed.  Either way the dead server's
-        block cache is invalidated eagerly (idempotent after
+        A region whose primary lived here is *promoted* onto its
+        most-caught-up follower when replication has one, else reopened
+        on a survivor; either way the surviving WAL records it lacks
+        are replayed and its replica set is repaired.  The dead
+        server's block cache is invalidated eagerly (idempotent after
         :meth:`crash_server`'s wholesale clear) so no stale entries of
         moved-away regions outlive the failover.
         """
@@ -755,12 +758,7 @@ class KVStore:
             raise ValueError(f"server {server} has no pending recovery")
         records, discarded = self._pending_crashes.pop(server)
         self._caches[server].clear()
-        if self.replication is not None:
-            report = self.replication.failover(server, records,
-                                               discarded)
-        else:
-            report = recover_server(self, server, records, discarded,
-                                    model=self.cost_model)
+        report = recover_server(self, server, records, discarded)
         self.recovering_servers.discard(server)
         self.recovery_log.append(report)
         return report
@@ -770,19 +768,36 @@ class KVStore:
         return self.recovery_log[-1] if self.recovery_log else None
 
     # -- elastic placement ------------------------------------------------------
+    def reopen_region(self, region: Region, dest: int) -> None:
+        """Reopen ``region`` cold on ``dest`` (a move, or a failover that
+        replays the log).
+
+        Only the source server's cached blocks for the region are
+        evicted — follower servers keep serving the same shared
+        SSTables, so theirs stay valid — and the destination starts
+        cold.  The region binds ``dest``'s WAL and resets its seqno
+        watermark: sequence numbers are per-server, so the source's
+        watermark means nothing to the destination log, and left in
+        place it would checkpoint that log above seqnos it has not
+        issued yet, truncating live records.
+        """
+        region.evict_cached_blocks(server=region.server)
+        region.server = dest
+        region.wal = self.wal_for(dest)
+        region.max_seqno = 0
+        region.evict_cached_blocks(server=dest)
+
     def move_region(self, region: Region, dest: int) -> float:
         """Move one region to ``dest`` (the balancer's act primitive).
 
         HBase ``move_region`` semantics in miniature: the memstore is
         flushed so the source WAL can be checkpointed up to the
         region's high watermark (its records are all persisted — a
-        later crash of the source replays nothing for it), the source
-        server's cached blocks for the region are invalidated, and the
-        region reopens cold on ``dest`` with that server's WAL and a
-        reset seqno watermark (sequence numbers are per-server; the
-        same rule failover applies).  The region is unavailable for the
-        simulated duration of the move — reads/writes raise
-        :class:`RegionUnavailableError` until the clock passes it.
+        later crash of the source replays nothing for it), and the
+        region reopens cold on ``dest`` (:meth:`reopen_region`).  The
+        region is unavailable for the simulated duration of the move —
+        reads/writes raise :class:`RegionUnavailableError` until the
+        clock passes it.
         Returns the simulated move time in ms.
         """
         source = region.server
@@ -801,19 +816,10 @@ class KVStore:
             # of this region either way.
             region.wal.checkpoint(region.region_id, region.max_seqno)
         flushed = self.stats.snapshot().delta(before)
-        # Source cache only: follower servers (if any) keep serving the
-        # same shared SSTables, so their cached blocks stay valid.
-        region.evict_cached_blocks(server=source)
-        region.server = dest
-        region.wal = self.wal_for(dest)
-        region.max_seqno = 0
-        region.evict_cached_blocks(server=dest)  # destination opens cold
+        self.reopen_region(region, dest)
         if self.replication is not None:
             self.replication.on_primary_moved(region, source, dest)
         model = self.cost_model
-        if model is None:
-            from repro.cluster.simclock import CostModel
-            model = CostModel()
         move_ms = (model.region_reopen_ms
                    + model.disk_write_ms(flushed.disk_bytes_written))
         region.unavailable_until_ms = self.events.now_ms + move_ms

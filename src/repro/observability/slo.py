@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.observability.events import AlertEvent, SloBurnEvent
 from repro.observability.history import MetricsHistory, suffixed_key
-from repro.observability.metrics import Histogram
+from repro.observability.metrics import Gauge, Histogram
 
 
 @dataclass(frozen=True)
@@ -236,6 +236,9 @@ class SloManager:
         self.registry = registry
         self.objectives: list[Objective] = []
         self._alerts: dict[tuple[str, str], AlertState] = {}
+        #: ``slo.*`` gauges by name and label values, held from their
+        #: first evaluation on.
+        self._gauges: dict[tuple, Gauge] = {}
         self.evaluations = 0
 
     def add(self, objective: Objective) -> Objective:
@@ -254,14 +257,22 @@ class SloManager:
     def alert(self, slo: str, severity: str) -> AlertState | None:
         return self._alerts.get((slo, severity))
 
+    def _gauge(self, name: str, **labels) -> Gauge:
+        """``registry.gauge``, with the label key formatted only once."""
+        key = (name, *labels.values())
+        gauge = self._gauges.get(key)
+        if gauge is None:
+            gauge = self._gauges[key] = self.registry.gauge(name, **labels)
+        return gauge
+
     def evaluate(self, now_ms: float) -> None:
         self.evaluations += 1
         for objective in self.objectives:
             for window in objective.windows:
                 self._evaluate_window(objective, window, now_ms)
             if self.registry is not None:
-                self.registry.gauge(
-                    "slo.budget_remaining", slo=objective.name).set(
+                self._gauge("slo.budget_remaining",
+                            slo=objective.name).set(
                     round(objective.budget_remaining(self.history,
                                                      now_ms), 6))
 
@@ -279,8 +290,8 @@ class SloManager:
         alert.burn_short = burn_short or 0.0
         alert.updated_ms = now_ms
         if self.registry is not None:
-            self.registry.gauge("slo.burn_rate", slo=objective.name,
-                                severity=window.severity).set(
+            self._gauge("slo.burn_rate", slo=objective.name,
+                        severity=window.severity).set(
                 round(alert.burn_long, 6))
 
         if alert.state in ("ok", "resolved"):

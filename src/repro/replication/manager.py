@@ -10,8 +10,9 @@ mechanisms:
   write is only acknowledged once a quorum (primary included) holds it
   durably; ``PERIODIC``/``ASYNC`` enqueue and ship lazily, exposing the
   backlog as per-replica lag.
-* **Fast failover** — when a primary's server dies, the most-caught-up
-  live follower is *promoted*: its memstore and its local WAL records
+* **Fast failover** — when a primary's server dies, recovery
+  (:func:`~repro.kvstore.recovery.recover_server`) *promotes* the
+  most-caught-up live follower: its memstore and its local WAL records
   simply become the region's, and only the records it had not applied
   yet are replayed.  The unavailability window shrinks from a full WAL
   replay to a region reopen plus that catch-up.
@@ -35,13 +36,8 @@ primary's own log tail is torn.
 from __future__ import annotations
 
 from repro.errors import RegionUnavailableError, ReplicationQuorumError
-from repro.kvstore.recovery import RecoveryReport, recover_server
 from repro.kvstore.wal import SyncPolicy, WALRecord
-from repro.observability.events import (
-    ReplicaLagEvent,
-    ReplicaPromotedEvent,
-    ReplicaRebuildEvent,
-)
+from repro.observability.events import ReplicaLagEvent, ReplicaRebuildEvent
 from repro.observability.metrics import Histogram
 from repro.replication.replica import (
     LIVE,
@@ -160,10 +156,17 @@ class ReplicationManager:
 
     # -- write path: shipping and quorum -------------------------------------
     def _ship_verdict(self, server: int) -> str:
+        """The fault injector's verdict on one ship to ``server``; the
+        one place blocked and dropped ships are counted."""
         injector = self.store.fault_injector
         if injector is None:
             return "ok"
-        return injector.on_ship(server)
+        verdict = injector.on_ship(server)
+        if verdict == "blocked":
+            self.blocked_ships += 1
+        elif verdict == "drop":
+            self.dropped_ships += 1
+        return verdict
 
     def _apply_record(self, region, follower: FollowerReplica,
                       record: WALRecord) -> None:
@@ -213,11 +216,9 @@ class ReplicationManager:
                 continue
             verdict = self._ship_verdict(follower.server)
             if verdict == "blocked":
-                self.blocked_ships += 1
                 return False
             follower.pending.popleft()
             if verdict == "drop":
-                self.dropped_ships += 1
                 follower.dropped_records += 1
                 follower.state = TORN
                 return False
@@ -235,14 +236,10 @@ class ReplicationManager:
         if not self._drain(region, follower):
             follower.pending.append(record)
             return False
-        verdict = self._ship_verdict(follower.server)
-        if verdict != "ok":
-            if verdict == "blocked":
-                self.blocked_ships += 1
-            else:
-                # Lost in flight but not acknowledged: the sender still
-                # holds it, so this is a retry, not a torn stream.
-                self.dropped_ships += 1
+        if self._ship_verdict(follower.server) != "ok":
+            # Blocked, or lost in flight but not acknowledged: the
+            # sender still holds it, so this is a retry, not a torn
+            # stream.
             follower.pending.append(record)
             return False
         self._apply_record(region, follower, record)
@@ -282,8 +279,8 @@ class ReplicationManager:
             # Modeled quorum-ack latency: sequential synchronous ships,
             # one follower WAL fsync each (the primary's own fsync is
             # charged by the WAL itself).
-            fsync_ms = getattr(self.store.cost_model, "fsync_ms", 4.0)
-            self.quorum_ack_ms.observe((acks - 1) * fsync_ms)
+            self.quorum_ack_ms.observe(
+                (acks - 1) * self.store.cost_model.fsync_ms)
 
     def on_flush(self, region, seqno: int) -> None:
         """The primary flushed its memstore; ship the marker in-stream."""
@@ -367,12 +364,7 @@ class ReplicationManager:
         wal = store.wal_for(follower.server)
         copied = 0
         for key, value in region.memstore.items_sorted():
-            verdict = self._ship_verdict(follower.server)
-            if verdict != "ok":
-                if verdict == "blocked":
-                    self.blocked_ships += 1
-                else:
-                    self.dropped_ships += 1
+            if self._ship_verdict(follower.server) != "ok":
                 # Drop the partial copy; its WAL records are retired so
                 # the next attempt starts clean.
                 follower.reset()
@@ -408,155 +400,71 @@ class ReplicationManager:
                 if self._rebuild(table_name, region, follower):
                     live += 1
 
-    # -- failover: promote instead of replay ---------------------------------
-    def failover(self, server: int, records: list[WALRecord],
-                 discarded: int) -> RecoveryReport:
-        """Recover every region the dead ``server`` touched.
+    # -- failover: promotion and replica-set repair ---------------------------
+    def promote(self, region) -> FollowerReplica | None:
+        """Make the most-caught-up promotable follower ``region``'s
+        primary, or return ``None`` when no follower qualifies.
 
-        Regions whose *primary* lived there are promoted onto their
-        most-caught-up live follower — the promotion inherits the
-        follower's memstore and local WAL records wholesale, then
-        replays only the surviving primary-log records the follower had
-        not applied (its lag).  Regions with no promotable follower fall
-        back to the full WAL replay.  Follower replicas the dead server
-        hosted for *other* regions are dropped and re-placed.
+        A ``LIVE`` or ``TORN`` follower on a live server qualifies; the
+        highest ``applied_seqno`` holds every acknowledged edit in its
+        prefix, and ties break on the lower server id for determinism.
+        The follower's private memstore and its local WAL records
+        *become* the region's, and its block cache stays warm —
+        shared-SSTable blocks it cached while serving follower reads are
+        still valid.
         """
         store = self.store
-        model = store.cost_model
-        if model is None:
-            from repro.cluster.simclock import CostModel
-            model = CostModel()
-        report = RecoveryReport(server=server,
-                                discarded_records=discarded)
-        promote: list[tuple] = []   # (table, region, eligible followers)
-        replay_ids: set[int] = set()
-        follower_losses: list[tuple] = []
-        for table in store.tables():
-            for region in table.regions():
-                followers = self._followers.get(region.region_id)
-                if region.server == server:
-                    eligible = [
-                        f for f in (followers or ())
-                        if f.state in (LIVE, TORN)
-                        and f.server not in store.dead_servers
-                        and f.server not in store.recovering_servers]
-                    if eligible:
-                        promote.append((table, region, eligible))
-                    else:
-                        replay_ids.add(region.region_id)
-                elif followers and any(f.server == server
-                                       for f in followers):
-                    follower_losses.append((table, region))
+        followers = self._followers.get(region.region_id, [])
+        eligible = [f for f in followers
+                    if f.state in (LIVE, TORN)
+                    and f.server not in store.dead_servers
+                    and f.server not in store.recovering_servers]
+        if not eligible:
+            return None
+        best = max(eligible, key=lambda f: (f.applied_seqno, -f.server))
+        followers.remove(best)
+        region.memstore = best.memstore
+        region.server = best.server
+        region.wal = store.wal_for(best.server)
+        # Seqnos are per server: the promoted watermark is the
+        # follower's own WAL position.
+        region.max_seqno = best.local_max_seqno
+        self.promotions += 1
+        return best
 
-        before = store.stats.snapshot()
-        for table, region, eligible in promote:
-            # The max applied_seqno is the most-caught-up replica; every
-            # acknowledged edit is in its prefix.  Ties break on the
-            # lower server id for determinism.
-            best = max(eligible,
-                       key=lambda f: (f.applied_seqno, -f.server))
-            followers = self._followers[region.region_id]
-            followers.remove(best)
-            for follower in list(followers):
-                if follower.server in store.dead_servers:
-                    followers.remove(follower)
-                    continue
-                # Their stream position refers to the dead primary's
-                # WAL; re-sync them against the promoted one.
-                self._release_follower(region, follower)
+    def resync(self, region) -> None:
+        """``region`` has a new primary after a failover: the remaining
+        followers' stream positions refer to the dead primary's WAL, so
+        they re-sync against the new one.  Followers on dead servers are
+        dropped, and so is one the new primary landed on (a replayed
+        region is placed without regard to its replicas)."""
+        followers = self._followers.get(region.region_id, [])
+        for follower in list(followers):
+            if follower.server in self.store.dead_servers:
+                followers.remove(follower)
+                continue
+            self._release_follower(region, follower)
+            if follower.server == region.server:
+                followers.remove(follower)
+            else:
                 follower.reset()
-            from_server = region.server
-            # Promotion proper: the follower's private memstore and its
-            # local WAL records *become* the region's.  Its block cache
-            # stays warm — shared-SSTable blocks it cached while serving
-            # follower reads are still valid.
-            region.memstore = best.memstore
-            region.server = best.server
-            region.wal = store.wal_for(best.server)
-            # Seqnos are per server: the promoted watermark is the
-            # follower's own WAL position (the PR 1 failover lesson).
-            region.max_seqno = best.local_max_seqno
-            catchup = 0
-            for record in records:
-                if record.region_id != region.region_id \
-                        or record.seqno <= best.applied_seqno:
-                    continue
-                seqno = None
-                if region.wal is not None:
-                    seqno = region.wal.append(record.table,
-                                              record.region_id,
-                                              record.key, record.value)
-                region.put(record.key, record.value, seqno)
-                catchup += 1
-                report.replayed_records += 1
-                report.replayed_bytes += record.nbytes
-            report.catchup_records += catchup
-            report.reassignments[region.region_id] = best.server
-            self.promotions += 1
-            store.events.emit(ReplicaPromotedEvent(
-                table=table.name, region_id=region.region_id,
-                server=best.server, from_server=from_server,
-                applied_seqno=best.applied_seqno,
-                catchup_records=catchup))
 
-        delta = store.stats.snapshot().delta(before)
-        promoted = len(promote)
-        report.promoted_regions = promoted
-        report.regions_reassigned += promoted
-        scale = model.effective_record_scale
-        report.recovery_ms += (
-            promoted * model.region_reopen_ms
-            + model.disk_read_ms(sum(r.nbytes for r in records)
-                                 if promoted else 0)
-            + model.disk_write_ms(delta.wal_bytes_written)
-            + delta.wal_syncs * model.fsync_ms
-            + model.disk_write_ms(delta.disk_bytes_written)
-            + report.catchup_records * model.kv_put_us * scale / 1000.0)
-        # Replica sets are restored *after* the promoted regions are
-        # back online: in HBase the region serves as soon as it is
-        # reassigned, and re-replication is background work — only the
-        # synchronous quorum restoration below keeps SYNC writes
-        # ackable immediately, and it is not part of the unavailability
-        # window either.
-        for table, region, _eligible in promote:
-            followers = self._followers[region.region_id]
+    def repair(self, server: int, recovered: list) -> None:
+        """Restore every replica set the dead ``server`` touched: the
+        recovered ``(table, region)`` pairs first, then the regions it
+        only hosted followers of.  Each is topped up to ``factor - 1``
+        followers and, under ``SYNC``, rebuilt until writes find a
+        quorum again (the rest heal lazily via the chore)."""
+        losses = [(table, region) for table in self.store.tables()
+                  for region in table.regions()
+                  if server in self.follower_servers(region.region_id)]
+        for table, region in recovered + losses:
+            followers = self._followers.get(region.region_id)
+            if followers is None:
+                continue  # split during recovery
+            followers[:] = [f for f in followers if f.server != server]
             self._top_up(region, followers)
             self._restore_quorum(table.name, region, followers)
-        for table, region in follower_losses:
-            followers = self._followers[region.region_id]
-            for follower in list(followers):
-                if follower.server == server:
-                    followers.remove(follower)
-            self._top_up(region, followers)
-            self._restore_quorum(table.name, region, followers)
-        if replay_ids:
-            # No promotable follower (e.g. every replica was rebuilding
-            # or its server is gone too): the PR 1 replay path.
-            sub = recover_server(
-                store, server,
-                [r for r in records if r.region_id in replay_ids],
-                0, model=model, only_regions=replay_ids,
-                emit_event=False)
-            report.regions_reassigned += sub.regions_reassigned
-            report.replayed_records += sub.replayed_records
-            report.replayed_bytes += sub.replayed_bytes
-            report.recovery_ms += sub.recovery_ms
-            report.reassignments.update(sub.reassignments)
-            # Replay placement ignores replicas; restore anti-affinity
-            # where the new primary landed on one of its followers.
-            for region_id, dest in sub.reassignments.items():
-                followers = self._followers.get(region_id, [])
-                for follower in list(followers):
-                    if follower.server == dest:
-                        followers.remove(follower)
-        from repro.observability.events import FailoverEvent
-        store.events.emit(FailoverEvent(
-            server=server,
-            regions_reassigned=report.regions_reassigned,
-            replayed_records=report.replayed_records,
-            discarded_records=report.discarded_records,
-            recovery_ms=round(report.recovery_ms, 3)))
-        return report
 
     # -- placement hooks (balancer integration) ------------------------------
     def on_primary_moved(self, region, source: int, dest: int) -> None:

@@ -63,10 +63,11 @@ REMOVED_OPTIONS = [
      "charge_clock", True),
     (JustServer, "admission", AdmissionController()),
     (JustServer, "profile_capacity", 64),
+    (KVStore, "fault_injector", None),
 ]
 _OWNERS = ["JustEngine"] * 8 + ["KVStore.enable_replication"] + \
     ["ReplicationManager"] * 3 + ["Monitor"] * 2 + \
-    ["MetricsScraper"] * 3 + ["JustServer"] * 2
+    ["MetricsScraper"] * 3 + ["JustServer"] * 2 + ["KVStore"]
 
 
 @pytest.mark.parametrize(

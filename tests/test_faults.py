@@ -92,8 +92,9 @@ class TestFaultInjector:
         assert store.dead_servers == {0}
 
     def test_injector_constructor_wiring(self):
-        store = durable_store(
-            fault_injector=FaultInjector(FaultPlan.kill_after(1, 1)))
+        store = durable_store()
+        injector = FaultInjector(FaultPlan.kill_after(1, 1))
+        assert injector.attach(store) is injector
         table = store.create_table("t")
         table.put(b"a", b"1")
         assert store.dead_servers == {1}

@@ -20,7 +20,7 @@ from repro.faults import (
     SlowServer,
 )
 from repro.kvstore import KVStore, SyncPolicy
-from repro.replication import LIVE
+from repro.replication import LIVE, REBUILDING
 from repro.resilience import Deadline, RequestContext
 
 
@@ -212,15 +212,31 @@ class TestFailover:
         store.crash_server(victim, lost_tail_records=25)
         assert all(table.get(k) == v for k, v in acked.items())
 
-    def test_failover_restores_quorum_for_writes(self):
-        store = replicated_store(factor=3, num_servers=3)
+    @pytest.mark.parametrize("promotable", [True, False],
+                             ids=["follower-promoted", "log-replayed"])
+    def test_failover_restores_quorum_for_writes(self, promotable):
+        store = replicated_store(factor=3, num_servers=4)
         table, acked = self.ingest(store, n=100)
-        region = table.regions()[0]
-        store.crash_server(region.server)
-        # Immediately after promotion (no chore tick yet) a SYNC write
-        # still finds a quorum of live followers.
+        region = table._region_for(b"post")
+        manager = store.replication
+        if not promotable:
+            # Every follower mid-rebuild: nothing to promote, so the
+            # failover replays the dead primary's log instead.
+            for follower in manager.followers(region.region_id):
+                follower.state = REBUILDING
+        victim = region.server
+        report = store.crash_server(victim)
+        assert (report.promoted_regions > 0) == promotable
+        assert all(table.get(k) == v for k, v in acked.items())
+        # Immediately after failover (no chore tick yet) a SYNC write
+        # still finds a quorum of live followers ...
         table.put(b"post", b"v")
         assert table.get(b"post") == b"v"
+        # ... and the replica set is whole again, anti-affine.
+        servers = manager.follower_servers(region.region_id)
+        assert len(servers) == manager.factor - 1
+        assert len(set(servers) | {region.server}) == manager.factor
+        assert not set(servers) & store.dead_servers
 
     def test_anti_entropy_heals_after_failover(self):
         store = replicated_store(factor=3)
