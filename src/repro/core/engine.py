@@ -15,7 +15,7 @@ from functools import partial
 from repro.cluster.node import Cluster
 from repro.cluster.simclock import CostModel, SimJob
 from repro.core.catalog import Catalog, TableMeta
-from repro.core.knn import KNNResult, knn_query
+from repro.core.knn import DEFAULT_MIN_CELL_KM, KNNResult, knn_query
 from repro.core.loader import SourceRegistry, apply_config, load_file
 from repro.core.query import choose_strategy, choose_strategy_cost_based
 from repro.core.plugins import plugin_class
@@ -537,7 +537,8 @@ class JustEngine:
                                  predicate, ctx)
 
     def knn(self, table_name: str, lng: float, lat: float,
-            k: int, min_cell_km: float = 1.0) -> QueryResult:
+            k: int,
+            min_cell_km: float = DEFAULT_MIN_CELL_KM) -> QueryResult:
         """The k records nearest to a query point (Algorithm 1)."""
         table = self.table(table_name)
         job = self.cluster.job()

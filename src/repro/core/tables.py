@@ -318,6 +318,13 @@ class CommonTable:
             ScanSpec(ranges=ranges, key_filter=key_filter), ctx)
         return self._decoded(chunk_pairs(pairs), len(ranges), job, wanted)
 
+    def index_chunks(self, strategy_name: str, ranges: list[KeyBounds],
+                     job: SimJob | None, ctx):
+        """Undecorated rows of one index's key ranges, one list per
+        chunk, unfiltered (the k-NN walk's scan of a cell's keys)."""
+        return self._range_chunks(self._index_tables[strategy_name],
+                                  ranges, job, ctx)
+
     def _st_rows(self, query: STQuery, predicate: str,
                  job: SimJob | None, strategy_name: str | None, ctx,
                  columns: list[str] | None = None):

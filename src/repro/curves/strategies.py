@@ -51,12 +51,13 @@ from repro.curves.timeperiod import (
     period_start,
 )
 from repro.curves.xz import XZ2Curve, XZ3Curve
-from repro.curves.zorder import Z2Curve, Z3Curve
+from repro.curves.zorder import Z2Curve, Z3Curve, interleave2
 from repro.curves.zranges import DEFAULT_MAX_RANGES, z2_ranges, z3_ranges
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
 
 _PERIOD_BIAS = 1 << 31  # biased so negative bins still sort correctly
+_Z2_GRID = Z2Curve()
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,8 +189,12 @@ class IndexStrategy(ABC):
                 f"index {self.name!r} cannot serve query {query!r}")
         if query.is_empty:
             return []
-        bodies = [(lo, hi + _STOP_PAD)
-                  for lo, hi in self._body_ranges(query)]
+        return self._per_shard(self._body_ranges(query))
+
+    def _per_shard(self, bodies: list[tuple[bytes, bytes]]
+                   ) -> list[KeyBounds]:
+        """Key bounds of inclusive body ranges under every shard prefix."""
+        bodies = [(lo, hi + _STOP_PAD) for lo, hi in bodies]
         out: list[KeyBounds] = []
         for shard in range(self.num_shards):
             prefix = bytes([shard])
@@ -210,6 +215,37 @@ class IndexStrategy(ABC):
         query's spatial window; the exact test still runs on the rest.
         """
         return None
+
+    # -- k-NN cells (core/knn.py) ------------------------------------------
+    #: Deepest quadtree level with keys of its own (XZ2: its ``g``).
+    cell_depth: int = Z2Curve.BITS_PER_DIM
+    #: Cell sides past a cell, towards larger lng and lat, that a record
+    #: :meth:`cell_ranges` finds under the cell may reach (XZ2: 1, the
+    #: enlarged element).
+    cell_reach: int = 0
+    #: True when :meth:`cell_ranges` finds exactly the records filed
+    #: under the cell.  False: its ranges over-cover, and the walk keeps
+    #: a record only in the cell that holds its MBR centre.
+    cell_exact: bool = False
+
+    def cell_ranges(self, level: int, ix: int, iy: int, subtree: bool,
+                    time_extent: tuple[float, float] | None
+                    ) -> list[KeyBounds]:
+        """Key bounds of the records filed under quadtree cell
+        ``(ix, iy)`` of ``level`` — the Z2 grid's cells, ``2**level``
+        columns of longitude by rows of latitude — and, with
+        ``subtree``, under every cell below it.
+
+        This default files a record by its MBR centre, so only a subtree
+        holds records: it covers the cell's box, over the table's
+        ``time_extent`` on a temporal index, with :meth:`ranges`.
+        """
+        if not subtree:
+            return []
+        envelope = _Z2_GRID.cell_envelope(level, ix, iy)
+        return self.ranges(STQuery(envelope, *time_extent)
+                           if time_extent is not None
+                           else STQuery(envelope))
 
     def observe_extent(self, t_min: float, t_max: float) -> None:
         """A record lasting from ``t_min`` to ``t_max`` was stored.
@@ -320,6 +356,7 @@ class Z2Strategy(IndexStrategy):
     """Z-ordering over point geometries (spatial range queries)."""
 
     name = "z2"
+    cell_exact = True
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
@@ -346,11 +383,23 @@ class Z2Strategy(IndexStrategy):
                            max_ranges=self.max_ranges)
         return _spatial_fraction_of(ranges, 1 << 62)
 
+    def cell_ranges(self, level, ix, iy, subtree, time_extent):
+        """A cell is a key prefix: ``z << 2s … | (1 << 2s) − 1`` under
+        each shard, ``s`` levels above the curve's finest cells."""
+        if not subtree:
+            return []
+        shift = 2 * (self.curve.BITS_PER_DIM - level)
+        z = interleave2(ix, iy) << shift
+        return self._per_shard([(_pack_curve(z),
+                                 _pack_curve(z | ((1 << shift) - 1)))])
+
 
 class XZ2Strategy(IndexStrategy):
     """XZ-ordering over extended geometries (spatial range queries)."""
 
     name = "xz2"
+    cell_exact = True
+    cell_reach = 1
 
     def __init__(self, g: int = 12, **kwargs):
         super().__init__(**kwargs)
@@ -375,6 +424,16 @@ class XZ2Strategy(IndexStrategy):
     def _curve_fraction(self, query: STQuery) -> float:
         ranges = self.curve.ranges(query.envelope, self.max_ranges)
         return _spatial_fraction_of(ranges, self.curve.max_code() + 1)
+
+    @property
+    def cell_depth(self) -> int:
+        return self.curve.g
+
+    def cell_ranges(self, level, ix, iy, subtree, time_extent):
+        """The cell's own sequence code or, with ``subtree``, the one
+        contiguous code range of its subtree, under each shard."""
+        lo, hi = self.curve.subtree_codes(level, ix, iy)
+        return self._per_shard([_xz2_code_bounds(lo, hi if subtree else lo)])
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,18 @@ class XZ2Curve(_XZBase):
             level += 1
         return level, ix, iy
 
+    def subtree_codes(self, level: int, ix: int,
+                      iy: int) -> tuple[int, int]:
+        """First and last sequence code of the subtree under the cell
+        ``(ix, iy)`` of ``level``; the first is the cell's own code (the
+        inverse of :meth:`element`)."""
+        code = 0
+        for depth in range(level):
+            shift = level - 1 - depth
+            quadrant = ((ix >> shift) & 1) | (((iy >> shift) & 1) << 1)
+            code += 1 + quadrant * self._child_steps[depth]
+        return code, code + self._subtree_sizes[level] - 1
+
     def _signature_frame(self, code: int) -> tuple[float, int, int]:
         """``(scale, x0, y0)``: signature steps per unit, and the corner
         of ``code``'s element in those steps."""

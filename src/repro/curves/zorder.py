@@ -144,6 +144,17 @@ class Z2Curve:
                 self.lng_dim.normalize(envelope.max_lng),
                 self.lat_dim.normalize(envelope.max_lat))
 
+    def cell_envelope(self, level: int, ix: int, iy: int) -> Envelope:
+        """The box of the quadtree cell ``(ix, iy)`` at ``level``: the
+        finest cells ``ix << s … ((ix + 1) << s) − 1`` per axis, ``s``
+        levels below it."""
+        shift = self.BITS_PER_DIM - level
+        min_lng = self.lng_dim.denormalize(ix << shift)[0]
+        min_lat = self.lat_dim.denormalize(iy << shift)[0]
+        max_lng = self.lng_dim.denormalize(((ix + 1) << shift) - 1)[1]
+        max_lat = self.lat_dim.denormalize(((iy + 1) << shift) - 1)[1]
+        return Envelope(min_lng, min_lat, max_lng, max_lat)
+
 
 class Z3Curve:
     """The Z3 curve: lng/lat/time-in-period, 21 bits per axis.

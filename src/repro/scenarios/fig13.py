@@ -44,10 +44,12 @@ def fig13a(data, table):
     """k-NN (Order) vs data size: grows with data; JUST far below
     GeoSpark/LocationSpark, competitive with Simba.
 
-    Inverted here: at the scaled dataset's k/n ratio (150/10k against
-    150/71M) Algorithm 1 expands through many sparse 1 km cells on the
-    small fractions, each cell its own set of key ranges, so JUST's cost
-    *falls* as data fills them.
+    Still inverted at 20 %: k = 150 over the sparse 20 % sample (150/2k
+    against 150/71M) expands through many empty 1 km leaf cells before
+    it holds 150 candidates, so JUST peaks there (4 780 sim-ms).  From
+    40 % on it grows with data (3 033 to 3 400), one key range per
+    shard per cell, which leaves SpatialHadoop 3.9x above it at 100 %,
+    not 5x.
     """
     points = query_points(data.order_centers)
     for percent in FRACTIONS:

@@ -71,8 +71,8 @@ def fig14b(data, table):
     which every fraction holds.  k-NN uses one query point per fraction,
     k = 10 for the generated record count, and Algorithm 1's cell
     parameter g widened to 15 km so each expanding search probes a
-    bounded number of cells (every probed cell decodes all overlapping
-    trajectory rows).
+    bounded number of cells (every probed cell decodes all the
+    trajectory rows filed in it).
     """
     windows = data.traj_query_windows(DEFAULT_WINDOW_KM)
     prefix = traj_statistics(data.synthetic_fraction(FRACTIONS[0]))

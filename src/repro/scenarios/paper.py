@@ -16,6 +16,7 @@ from statistics import median
 from repro.baselines.base import items_from_orders, items_from_trajectories
 from repro.cluster import Cluster, CostModel
 from repro.core.engine import JustEngine
+from repro.core.knn import DEFAULT_MIN_CELL_KM
 from repro.core.schema import Field, FieldType, Schema
 from repro.datagen import (
     generate_order_dataset,
@@ -453,7 +454,7 @@ def just_st_ms(engine: JustEngine, table: str, windows: list[Envelope],
 
 def just_knn_ms(engine: JustEngine, table: str, k: int,
                 points: list[tuple[float, float]],
-                min_cell_km: float = 1.0) -> float:
+                min_cell_km: float = DEFAULT_MIN_CELL_KM) -> float:
     times = []
     for lng, lat in points:
         engine.store.clear_caches()

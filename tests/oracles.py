@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, hypot
 
 from repro.errors import ExecutionError
 from repro.sql.ast import (
@@ -61,6 +61,22 @@ def polyline_meets_box(xy, box) -> bool:
     """Does any segment of the polyline ``xy`` touch the closed ``box``?"""
     return any(segment_meets_box(x1, y1, x2, y2, box)
                for (x1, y1), (x2, y2) in zip(xy, xy[1:]))
+
+
+def knn_reference(records, lng, lat, k, area=None):
+    """Brute-force k-NN by the engine's distance: to each record's MBR
+    centre.  ``records`` are ``(fid, (min_x, min_y, max_x, max_y))``;
+    only records centred in the closed box ``area`` (``None``: anywhere)
+    are answers.  Returns the ``k`` nearest ``(distance, fid)`` pairs,
+    nearest first (equidistant records by fid)."""
+    ranked = []
+    for fid, (min_x, min_y, max_x, max_y) in records:
+        cx, cy = (min_x + max_x) / 2.0, (min_y + max_y) / 2.0
+        if area is None or (area[0] <= cx <= area[2]
+                            and area[1] <= cy <= area[3]):
+            ranked.append((hypot(lng - cx, lat - cy), fid))
+    ranked.sort()
+    return ranked[:k]
 
 
 # -- range planning: the reference walks --------------------------------------

@@ -60,7 +60,7 @@ class TestEmptyAndExhaustedTables:
     @pytest.mark.parametrize("k", [3, 4, 50])
     def test_k_at_least_row_count_stops_at_the_last_row(self, k):
         """Rows clustered beside the query point inside a search area
-        of ~3 000 one-km cells: once all three are seen there is nothing
+        of ~16 000 leaf cells: once all three are seen there is nothing
         left to find, whether or not ``k`` candidates were collected."""
         cluster = [(116.150, 39.950), (116.152, 39.951), (116.149, 39.953)]
         table = make_engine(cluster).table("pts")
@@ -76,8 +76,9 @@ class TestEmptyAndExhaustedTables:
         result = make_engine(points).knn("pts", 116.15, 39.95, 10)
         assert sorted(r["fid"] for r in result.rows) == [0, 1, 2]
         # Nearest-first: nothing beyond the farthest row's cell ring is
-        # visited, so part of the envelope's 4 096 cells never is.
-        assert result.extra["areas_queried"] < 4096
+        # visited, so part of the envelope's 1 320 leaf cells (24 x 55
+        # of the Z2 grid's level 16, the coarsest within 1 km) never is.
+        assert result.extra["areas_queried"] < 1320
         assert result.extra["areas_pruned"] > 0
 
 
@@ -87,8 +88,11 @@ class TestRequestContextReachesKNN:
         untimed = engine.knn("pts", 116.15, 39.95, 5)
         areas = untimed.extra["areas_queried"]
         assert areas > 100  # sparse: the expansion visits empty cells
-        per_area_ms = untimed.job.elapsed_ms / areas
-        ctx = RequestContext(deadline=Deadline(5 * per_area_ms))
+        # Every statement first pays the driver's fixed charge; the
+        # budget is that plus five areas' range jobs.
+        driver_ms = engine.cluster.model.query_overhead_ms
+        per_area_ms = (untimed.job.elapsed_ms - driver_ms) / areas
+        ctx = RequestContext(deadline=Deadline(driver_ms + 5 * per_area_ms))
         with pytest.raises(QueryTimeoutError) as info:
             engine.sql(KNN_SQL.format(k=5), ctx=ctx)
         # Cooperative cancellation: checked per area and per region
