@@ -1,0 +1,40 @@
+-- A tour of every kind of relation the catalog holds: a common table,
+-- a plugin table, a cached view and the sys.* system tables.
+-- Run it with:
+--   PYTHONPATH=src python -m repro --script examples/justql_tour.sql
+-- CI diffs its output against examples/justql_tour.out.
+
+CREATE TABLE orders (
+    fid integer:primary key,
+    time date,
+    geom point:srid=4326,
+    amount double
+);
+INSERT INTO orders VALUES
+    (1, 1538352000, st_makePoint(116.39, 39.91), 25.0),
+    (2, 1538355600, st_makePoint(116.41, 39.93), 12.5),
+    (3, 1538359200, st_makePoint(116.45, 39.95), 40.0),
+    (4, 1538362800, st_makePoint(116.52, 40.01), 8.0);
+CREATE TABLE fleet AS trajectory;
+CREATE VIEW big_orders AS
+    SELECT fid, amount FROM orders WHERE amount > 10;
+
+SHOW TABLES;
+SHOW VIEWS;
+
+DESC orders;
+DESC fleet;
+DESC big_orders;
+DESC sys.tables;
+
+EXPLAIN SELECT fid FROM big_orders WHERE amount > 20;
+EXPLAIN SELECT name, row_count FROM sys.tables WHERE kind = 'common';
+
+SELECT name, kind, plugin_type, indexes, row_count FROM sys.tables;
+SELECT fid, amount FROM big_orders ORDER BY amount DESC;
+
+DROP VIEW big_orders;
+DROP TABLE fleet;
+SHOW TABLES;
+SHOW VIEWS;
+SELECT name, kind FROM sys.tables;

@@ -10,7 +10,7 @@ from repro.core.schema import Field, FieldType, Schema
 from repro.core.engine import JustEngine, QueryResult
 from repro.core.tables import CommonTable, ViewTable
 from repro.core.plugins import TrajectoryPlugin
-from repro.core.catalog import Catalog, TableMeta
+from repro.core.catalog import Catalog
 
 __all__ = [
     "Field",
@@ -22,5 +22,4 @@ __all__ = [
     "ViewTable",
     "TrajectoryPlugin",
     "Catalog",
-    "TableMeta",
 ]

@@ -14,7 +14,7 @@ from functools import partial
 
 from repro.cluster.node import Cluster
 from repro.cluster.simclock import CostModel, SimJob
-from repro.core.catalog import Catalog, TableMeta
+from repro.core.catalog import TABLE_KINDS, VIEW_KINDS, Catalog
 from repro.core.knn import DEFAULT_MIN_CELL_KM, KNNResult, knn_query
 from repro.core.loader import SourceRegistry, apply_config, load_file
 from repro.core.query import choose_strategy, choose_strategy_cost_based
@@ -130,8 +130,6 @@ class JustEngine:
         self.catalog = Catalog()
         self.sources = SourceRegistry()
         self.compression_enabled = compression_enabled
-        self._tables: dict[str, CommonTable] = {}
-        self._views: dict[str, ViewTable] = {}
         self._topics: dict[str, object] = {}
         self._stream_loaders: list = []
         #: Future work #3: pick indexes by estimated cost, not rules.
@@ -145,8 +143,6 @@ class JustEngine:
         #: Optional monitoring pipeline (see :meth:`enable_monitoring`);
         #: None means no metrics history / SLOs / alerts are kept.
         self.monitor = None
-        #: Virtual ``sys.*`` tables: live row providers over engine state.
-        self.system_tables: dict[str, object] = {}
         from repro.core.systables import install_system_tables
         install_system_tables(self)
 
@@ -213,25 +209,19 @@ class JustEngine:
                               types=()) -> None:
         """Register (or re-register) one read-only ``sys.*`` table.
 
-        Re-registration replaces the provider — the service layer
-        upgrades ``sys.sessions`` / ``sys.slow_queries`` from the
+        Re-registration replaces the provider in place — the service
+        layer upgrades ``sys.sessions`` / ``sys.slow_queries`` from the
         engine's empty defaults to live server-backed ones.
         """
         from repro.core.systables import SystemTable
-        table = SystemTable(name, tuple(columns), provider,
-                            description=description, types=tuple(types))
-        self.system_tables[name] = table
-        self.catalog.replace(TableMeta(name, "system", table.schema(),
-                                       index_names=[]))
-
-    def has_system_table(self, name: str) -> bool:
-        return name in self.system_tables
-
-    def system_table(self, name: str):
-        return self.system_tables[name]
+        types = types or [FieldType.STRING] * len(columns)
+        schema = Schema([Field(column, ftype)
+                         for column, ftype in zip(columns, types)])
+        self.catalog.replace(SystemTable(name, schema, provider,
+                                         description))
 
     def system_rows(self, name: str) -> list[dict]:
-        return self.system_tables[name].rows()
+        return self.catalog.get(name, ("system",)).rows()
 
     # -- statistics --------------------------------------------------------------
     def analyze_table(self, name: str):
@@ -296,119 +286,83 @@ class JustEngine:
     def create_table(self, name: str, schema: Schema,
                      userdata: dict | None = None) -> CommonTable:
         """CREATE TABLE with an explicit schema (common table)."""
-        if self.catalog.exists(name) or name in self._views:
+        if self.catalog.exists(name):
             raise TableExistsError(name)
         index_names = self._index_names(
             userdata, self._default_index_names(schema))
         strategies = self._build_strategies(index_names, userdata)
         presplit, salt_buckets = _placement_options(userdata)
-        table = CommonTable(name, schema, self.store, strategies,
-                            self.compression_enabled,
-                            attribute_fields=_attribute_fields(userdata),
-                            presplit=presplit,
-                            salt_buckets=salt_buckets)
-        self.catalog.create(TableMeta(name, "common", schema, index_names,
-                                      userdata=userdata or {}))
-        self._tables[name] = table
-        return table
+        return self.catalog.create(CommonTable(
+            name, schema, self.store, strategies, self.compression_enabled,
+            attribute_fields=_attribute_fields(userdata),
+            presplit=presplit, salt_buckets=salt_buckets))
 
     def create_plugin_table(self, name: str, plugin_type: str,
                             userdata: dict | None = None) -> CommonTable:
         """CREATE TABLE <name> AS <plugin> (plugin table)."""
-        if self.catalog.exists(name) or name in self._views:
+        if self.catalog.exists(name):
             raise TableExistsError(name)
         cls = plugin_class(plugin_type)
         index_names = self._index_names(userdata, ["xz2", "xz2t"])
         strategies = self._build_strategies(index_names, userdata)
         presplit, salt_buckets = _placement_options(userdata)
-        table = cls(name, self.store, strategies, self.compression_enabled,
-                    attribute_fields=_attribute_fields(userdata),
-                    presplit=presplit, salt_buckets=salt_buckets)
-        self.catalog.create(TableMeta(name, "plugin", table.schema,
-                                      index_names, plugin_type=plugin_type,
-                                      userdata=userdata or {}))
-        self._tables[name] = table
-        return table
+        return self.catalog.create(cls(
+            name, self.store, strategies, self.compression_enabled,
+            attribute_fields=_attribute_fields(userdata),
+            presplit=presplit, salt_buckets=salt_buckets))
 
     def drop_table(self, name: str) -> None:
-        self.catalog.drop(name)
-        table = self._tables.pop(name)
-        table.drop_storage()
+        self.catalog.drop(name, TABLE_KINDS).drop_storage()
 
     def table(self, name: str) -> CommonTable:
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise TableNotFoundError(name) from None
+        return self.catalog.get(name, TABLE_KINDS)
 
     def has_table(self, name: str) -> bool:
-        return name in self._tables
+        return self.catalog.exists(name, TABLE_KINDS)
 
     def table_names(self, prefix: str = "") -> list[str]:
-        """User-table names (``sys.*`` system tables and materialized
-        views are not listed — views show up in ``SHOW VIEWS``)."""
-        return [m.name for m in self.catalog.list_tables(prefix)
-                if m.kind not in ("system", "view")]
+        """User-table names in creation order (``sys.*`` system tables
+        and views are not listed — views show up in ``SHOW VIEWS``)."""
+        return [t.name for t in self.catalog.list(prefix, TABLE_KINDS)]
 
     # -- views ----------------------------------------------------------------------
     def create_view(self, name: str, dataframe: DataFrame,
                     owner: str | None = None) -> ViewTable:
-        if self.catalog.exists(name) or name in self._views:
-            raise TableExistsError(name)
-        view = ViewTable(name, dataframe, owner)
-        self._views[name] = view
-        return view
+        return self.catalog.create(ViewTable(name, dataframe, owner))
 
     def create_materialized_view(self, name: str, columns, types=None,
                                  owner: str | None = None):
         """Create an empty, incrementally-maintained materialized view.
 
-        Unlike :meth:`create_view` snapshots, the view is registered in
-        the catalog (kind ``"view"``, so ``DESC`` and ``sys.tables``
-        see it) and is kept fresh by whatever stream loader it is
+        Unlike :meth:`create_view` snapshots, the view is listed in
+        ``sys.tables`` and is kept fresh by whatever stream loader it is
         attached to (:meth:`StreamLoader.materialize_window`).
         """
         from repro.streaming.views import MaterializedView
-        if self.catalog.exists(name) or name in self._views:
-            raise TableExistsError(name)
-        view = MaterializedView(name, columns, types=types, owner=owner)
-        self._views[name] = view
-        self.catalog.create(TableMeta(name, "view", view.schema(),
-                                      index_names=[]))
-        return view
-
-    def is_materialized_view(self, name: str) -> bool:
-        from repro.streaming.views import MaterializedView
-        return isinstance(self._views.get(name), MaterializedView)
+        return self.catalog.create(
+            MaterializedView(name, columns, types=types, owner=owner))
 
     def drop_view(self, name: str) -> None:
-        if name not in self._views:
-            raise TableNotFoundError(name)
-        del self._views[name]
-        if self.catalog.exists(name) and self.catalog.get(name).kind == "view":
-            self.catalog.drop(name)
+        self.catalog.drop(name, VIEW_KINDS)
 
     def view(self, name: str) -> ViewTable:
-        try:
-            view = self._views[name]
-        except KeyError:
-            raise TableNotFoundError(name) from None
+        view = self.catalog.get(name, VIEW_KINDS)
         view.touch()
         return view
 
     def has_view(self, name: str) -> bool:
-        return name in self._views
+        return self.catalog.exists(name, VIEW_KINDS)
 
     def view_names(self, prefix: str = "") -> list[str]:
-        return sorted(n for n in self._views if n.startswith(prefix))
+        return sorted(v.name for v in self.catalog.list(prefix, VIEW_KINDS))
 
     def store_view_to_table(self, view_name: str, table_name: str,
                             userdata: dict | None = None) -> CommonTable:
         """STORE VIEW ... TO TABLE ... (auto-creates the table)."""
         view = self.view(view_name)
         rows = view.dataframe.collect()
-        if table_name in self._tables:
-            table = self._tables[table_name]
+        if self.has_table(table_name):
+            table = self.table(table_name)
         else:
             schema = infer_schema(rows, view.dataframe.columns)
             table = self.create_table(table_name, schema, userdata)
@@ -427,9 +381,8 @@ class JustEngine:
         """
         import time as _time
         now = _time.monotonic()
-        stale = [name for name, view in self._views.items()
-                 if now - view.last_used_at > max_idle_seconds
-                 and not self.is_materialized_view(name)]
+        stale = [view.name for view in self.catalog.list(kinds=("view",))
+                 if now - view.last_used_at > max_idle_seconds]
         for name in stale:
             self.drop_view(name)
         return stale

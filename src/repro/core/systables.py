@@ -2,10 +2,10 @@
 
 Each system table is a named, read-only row provider over live engine
 state — metrics, regions, catalog, events, slow queries, sessions —
-registered in the catalog (kind ``"system"``) so ``SHOW``/``DESC`` see
-it, resolved by the SQL analyzer ahead of user-namespace prefixing, and
-executed as an in-memory DataFrame scan so WHERE / ORDER BY / LIMIT /
-GROUP BY work on it unchanged::
+held in the catalog beside the user's tables (kind ``"system"``) so
+``SHOW``/``DESC`` see it, resolved by its bare name from any user
+namespace, and executed as an in-memory DataFrame scan so WHERE /
+ORDER BY / LIMIT / GROUP BY work on it unchanged::
 
     SELECT * FROM sys.regions ORDER BY read_rate DESC LIMIT 5
     SELECT kind, count(*) FROM sys.events GROUP BY kind
@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.schema import Field, FieldType, Schema
+from repro.core.catalog import TABLE_KINDS
+from repro.core.schema import FieldType, Schema
+from repro.dataframe import DataFrame
 from repro.observability.metrics import Counter, Histogram
 
 #: Column name -> field type, for the catalog schemas of system tables.
@@ -32,21 +34,27 @@ _STRING = FieldType.STRING
 
 @dataclass(frozen=True)
 class SystemTable:
-    """One virtual table: a name, fixed columns, and a row provider."""
+    """One virtual table: a name, typed columns, and a row provider."""
+
+    kind = "system"
 
     name: str
-    columns: tuple[str, ...]
+    schema: Schema
     provider: object          # () -> list[dict]
     description: str = ""
-    types: tuple[FieldType, ...] = ()
+
+    def columns(self) -> list[str]:
+        return self.schema.names
+
+    def describe(self) -> list[dict]:
+        return self.schema.describe()
 
     def rows(self) -> list[dict]:
         return self.provider()
 
-    def schema(self) -> Schema:
-        types = self.types or tuple(_STRING for _ in self.columns)
-        return Schema([Field(name, ftype)
-                       for name, ftype in zip(self.columns, types)])
+    def scan(self) -> DataFrame:
+        """The provider's rows now, as a frame."""
+        return DataFrame.from_rows(self.rows(), self.columns())
 
 
 def _metrics_rows(engine) -> list[dict]:
@@ -94,45 +102,33 @@ def _region_rows(engine) -> list[dict]:
 
 def _table_rows(engine) -> list[dict]:
     rows = []
-    for meta in engine.catalog.list_tables():
-        if meta.kind == "system":
-            continue
-        if meta.kind == "view":
-            view = engine._views.get(meta.name)
-            if view is None:
-                continue
+    for relation in engine.catalog.list(
+            kinds=TABLE_KINDS + ("materialized_view",)):
+        if relation.kind == "materialized_view":
             rows.append({
-                "name": meta.name,
-                "kind": "materialized_view",
+                "name": relation.name,
+                "kind": relation.kind,
                 "plugin_type": None,
                 "indexes": "",
-                "row_count": view.row_count,
+                "row_count": relation.row_count,
                 "regions": 0,
-                "storage_bytes": view.estimated_bytes(),
+                "storage_bytes": relation.estimated_bytes(),
                 "analyzed_rows": None,
             })
             continue
-        table = engine._tables.get(meta.name)
-        if table is None:
-            continue
-        stats = getattr(table, "stats", None)
+        stats = relation.stats
         rows.append({
-            "name": meta.name,
-            "kind": meta.kind,
-            "plugin_type": meta.plugin_type,
-            "indexes": ",".join(meta.index_names),
-            "row_count": table.row_count,
+            "name": relation.name,
+            "kind": relation.kind,
+            "plugin_type": relation.plugin_type,
+            "indexes": ",".join(relation.strategies),
+            "row_count": relation.row_count,
             "regions": sum(t.num_regions
-                           for t in _physical_tables(table)),
-            "storage_bytes": table.storage_bytes(),
+                           for t in relation.physical_tables()),
+            "storage_bytes": relation.storage_bytes(),
             "analyzed_rows": None if stats is None else stats.row_count,
         })
     return rows
-
-
-def _physical_tables(table):
-    return ([table._id_table] + list(table._index_tables.values())
-            + list(table._attr_tables.values()))
 
 
 def _server_rows(engine) -> list[dict]:

@@ -35,6 +35,8 @@ class CommonTable:
     """A stored table with one or more spatio-temporal indexes."""
 
     kind = "common"
+    #: The ``CREATE TABLE ... AS <plugin>`` name (plugin tables only).
+    plugin_type: str | None = None
 
     #: Implicit column -> the stored fields :meth:`decorate_row` builds
     #: it from (plugin tables declare ``item`` here).
@@ -245,12 +247,14 @@ class CommonTable:
             return None
         return self.decorate_row(self.codec.decode_row(payload))
 
+    def physical_tables(self) -> list:
+        """The key-value tables backing this table: id, index, attribute."""
+        return [self._id_table, *self._index_tables.values(),
+                *self._attr_tables.values()]
+
     def flush(self) -> None:
         """Flush all memstores (called before storage measurements)."""
-        self._id_table.flush()
-        for table in self._index_tables.values():
-            table.flush()
-        for table in self._attr_tables.values():
+        for table in self.physical_tables():
             table.flush()
 
     # -- read path ---------------------------------------------------------------
@@ -432,25 +436,23 @@ class CommonTable:
     def columns(self) -> list[str]:
         return self.schema.names
 
+    def describe(self) -> list[dict]:
+        return self.schema.describe()
+
     # -- sizing -------------------------------------------------------------------
     def storage_bytes(self, include_memstore: bool = True) -> int:
         """Total storage (keys + values) across all physical tables."""
-        tables = ([self._id_table] + list(self._index_tables.values())
-                  + list(self._attr_tables.values()))
         if include_memstore:
-            return sum(t.total_bytes for t in tables)
-        return sum(t.disk_bytes for t in tables)
+            return sum(t.total_bytes for t in self.physical_tables())
+        return sum(t.disk_bytes for t in self.physical_tables())
 
     def index_storage_bytes(self, strategy_name: str) -> int:
         return self._index_tables[strategy_name].total_bytes
 
     def drop_storage(self) -> None:
         """Remove the physical key-value tables backing this table."""
-        self.store.drop_table(f"{self.name}__id")
-        for sname in self.strategies:
-            self.store.drop_table(f"{self.name}__{sname}")
-        for field_name in self._attr_tables:
-            self.store.drop_table(f"{self.name}__attr_{field_name}")
+        for table in self.physical_tables():
+            self.store.drop_table(table.name)
 
 
 class ViewTable:
@@ -468,6 +470,11 @@ class ViewTable:
 
     def touch(self) -> None:
         self.last_used_at = _time.monotonic()
+
+    def scan(self) -> DataFrame:
+        """The cached frame; reading it keeps the view from expiring."""
+        self.touch()
+        return self.dataframe
 
     def columns(self) -> list[str]:
         return list(self.dataframe.columns)

@@ -167,10 +167,9 @@ class JustServer:
         Materialized views survive: they are loader-maintained pipeline
         outputs, not per-session caches.
         """
-        for name in self.engine.view_names(session.namespace):
-            if self.engine.is_materialized_view(name):
-                continue
-            self.engine.drop_view(name)
+        for view in self.engine.catalog.list(session.namespace,
+                                             kinds=("view",)):
+            self.engine.drop_view(view.name)
 
     # -- administration ------------------------------------------------------
     def user_tables(self, user: str) -> list[str]:

@@ -10,7 +10,8 @@ while projecting only ``name, geom``).
 
 from __future__ import annotations
 
-from repro.errors import AnalysisError
+from repro.core.catalog import TABLE_KINDS
+from repro.errors import AnalysisError, TableNotFoundError
 from repro.sql.ast import (
     Aliased,
     Column,
@@ -34,11 +35,10 @@ from repro.sql.logical import (
     FilterNode,
     LimitNode,
     LogicalNode,
+    MemoryScanNode,
     ProjectNode,
     ScanNode,
     SortNode,
-    SystemScanNode,
-    ViewScanNode,
 )
 
 
@@ -120,19 +120,15 @@ def _analyze_one_source(engine, source, namespace: str) -> LogicalNode:
     if isinstance(source, SubquerySource):
         return analyze_select(engine, source.select, namespace)
     if isinstance(source, TableSource):
-        if source.name.startswith("sys.") and \
-                engine.has_system_table(source.name):
-            # System tables live outside user namespaces.
-            st = engine.system_table(source.name)
-            return SystemScanNode(source.name, list(st.columns))
-        name = namespace + source.name
-        if engine.has_view(name):
-            view = engine.view(name)
-            return ViewScanNode(name, view.columns())
-        if engine.has_table(name):
-            table = engine.table(name)
-            return ScanNode(name, table.columns())
-        raise AnalysisError(f"unknown table or view {source.name!r}")
+        try:
+            relation = engine.catalog.resolve(source.name, namespace)
+        except TableNotFoundError:
+            raise AnalysisError(
+                f"unknown table or view {source.name!r}") from None
+        if relation.kind in TABLE_KINDS:
+            return ScanNode(relation.name, relation.columns())
+        label = "SystemScan" if relation.kind == "system" else "ViewScan"
+        return MemoryScanNode(relation.name, relation.columns(), label)
     raise AnalysisError(f"unsupported FROM source {source!r}")
 
 

@@ -171,15 +171,7 @@ def _run_show(engine, stmt: ShowStmt, namespace: str) -> ResultSet:
 
 
 def _run_desc(engine, stmt: DescStmt, namespace: str) -> ResultSet:
-    if stmt.name.startswith("sys.") and \
-            engine.has_system_table(stmt.name):
-        rows = engine.system_table(stmt.name).schema().describe()
-        return ResultSet.from_rows(rows, ["field", "type", "flags"])
-    name = namespace + stmt.name
-    if engine.has_view(name):
-        rows = engine.view(name).describe()
-    else:
-        rows = engine.catalog.describe(name)
+    rows = engine.catalog.resolve(stmt.name, namespace).describe()
     return ResultSet.from_rows(rows, ["field", "type", "flags"])
 
 

@@ -50,27 +50,17 @@ class ScanNode(LogicalNode):
 
 
 @dataclass
-class ViewScanNode(LogicalNode):
-    """Scan of an in-memory view (a cached DataFrame)."""
+class MemoryScanNode(LogicalNode):
+    """Scan of an in-memory relation: a view's cached DataFrame
+    (``ViewScan``) or a ``sys.*`` table's live rows (``SystemScan``)."""
 
-    view_name: str
+    name: str
     columns: list[str]
+    label: str
     pushed_filter: Expr | None = None
 
     def describe(self) -> str:
-        return f"ViewScan[{self.view_name}]"
-
-
-@dataclass
-class SystemScanNode(LogicalNode):
-    """Scan of a virtual ``sys.*`` system table (live engine state)."""
-
-    table_name: str
-    columns: list[str]
-    pushed_filter: Expr | None = None
-
-    def describe(self) -> str:
-        return f"SystemScan[{self.table_name}]"
+        return f"{self.label}[{self.name}]"
 
 
 @dataclass

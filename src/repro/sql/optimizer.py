@@ -15,6 +15,8 @@ Three rewrite rules, exactly the paper's:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.errors import ExecutionError
 from repro.sql.ast import (
     Aliased,
@@ -41,11 +43,10 @@ from repro.sql.logical import (
     FilterNode,
     LimitNode,
     LogicalNode,
+    MemoryScanNode,
     ProjectNode,
     ScanNode,
     SortNode,
-    SystemScanNode,
-    ViewScanNode,
 )
 
 #: Functions safe to evaluate at plan time when all arguments are literal.
@@ -144,22 +145,11 @@ def _push_filters(plan: LogicalNode) -> LogicalNode:
 
 def _push_filter_into(child: LogicalNode, predicate: Expr) -> LogicalNode:
     """Push a predicate as deep as legal into ``child``."""
-    if isinstance(child, ScanNode):
+    if isinstance(child, (ScanNode, MemoryScanNode)):
         merged = join_conjuncts(
             split_conjuncts(child.pushed_filter)
             + split_conjuncts(predicate))
-        return ScanNode(child.table_name, child.columns, merged,
-                        child.pushed_projection)
-    if isinstance(child, ViewScanNode):
-        merged = join_conjuncts(
-            split_conjuncts(child.pushed_filter)
-            + split_conjuncts(predicate))
-        return ViewScanNode(child.view_name, child.columns, merged)
-    if isinstance(child, SystemScanNode):
-        merged = join_conjuncts(
-            split_conjuncts(child.pushed_filter)
-            + split_conjuncts(predicate))
-        return SystemScanNode(child.table_name, child.columns, merged)
+        return replace(child, pushed_filter=merged)
     if isinstance(child, ProjectNode):
         mapping = _passthrough_mapping(child)
         conjuncts = split_conjuncts(predicate)
@@ -247,8 +237,6 @@ def _push_projections(plan: LogicalNode,
             pruned = plan.columns[:1]
         return ScanNode(plan.table_name, plan.columns, plan.pushed_filter,
                         pruned)
-    if isinstance(plan, ViewScanNode):
-        return plan
     if isinstance(plan, ProjectNode):
         required: set[str] = set()
         for expr, _name in plan.projections:

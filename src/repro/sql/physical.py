@@ -45,11 +45,10 @@ from repro.sql.logical import (
     FilterNode,
     LimitNode,
     LogicalNode,
+    MemoryScanNode,
     ProjectNode,
     ScanNode,
     SortNode,
-    SystemScanNode,
-    ViewScanNode,
 )
 from repro.dataframe.functions import AggregateSpec
 
@@ -115,10 +114,8 @@ def execute_plan(plan: LogicalNode, engine, job, ctx=None) -> DataFrame:
 def _execute_node(plan: LogicalNode, engine, job, ctx=None) -> DataFrame:
     if isinstance(plan, ScanNode):
         return _execute_scan(plan, engine, job, ctx)
-    if isinstance(plan, ViewScanNode):
-        return _execute_view_scan(plan, engine, job)
-    if isinstance(plan, SystemScanNode):
-        return _execute_system_scan(plan, engine, job)
+    if isinstance(plan, MemoryScanNode):
+        return _memory_scan(plan, engine, job)
     if isinstance(plan, FilterNode):
         child = execute_plan(plan.child, engine, job, ctx)
         job.charge_cpu_batch(child.count(), child.num_batches)
@@ -166,25 +163,14 @@ def _extra_functions(engine) -> dict:
 
 # -- scans ---------------------------------------------------------------------
 
-def _execute_view_scan(plan: ViewScanNode, engine, job) -> DataFrame:
-    return _memory_scan(engine.view(plan.view_name).dataframe,
-                        plan.pushed_filter, engine, job)
-
-
-def _execute_system_scan(plan: SystemScanNode, engine, job) -> DataFrame:
-    """Materialize a virtual ``sys.*`` table as an in-memory scan."""
-    st = engine.system_table(plan.table_name)
-    df = DataFrame.from_rows(st.rows(), list(st.columns))
-    return _memory_scan(df, plan.pushed_filter, engine, job)
-
-
-def _memory_scan(df: DataFrame, pushed_filter: Expr | None, engine,
-                 job) -> DataFrame:
-    """One Spark stage over an in-memory frame (views, ``sys.*``)."""
+def _memory_scan(plan: MemoryScanNode, engine, job) -> DataFrame:
+    """One Spark stage over an in-memory relation: a view's cached
+    frame or a ``sys.*`` table's live rows."""
+    df = engine.catalog.get(plan.name).scan()
     job.charge_fixed("spark_stage", engine.cluster.model.spark_stage_ms)
     job.charge_memory_scan(df.estimated_bytes())
-    if pushed_filter is not None:
-        df = _filter_frame(df, pushed_filter, engine)
+    if plan.pushed_filter is not None:
+        df = _filter_frame(df, plan.pushed_filter, engine)
     return df
 
 
@@ -563,9 +549,13 @@ def _execute_dbscan(plan: ProjectNode, child: DataFrame, nm_item,
             if not isinstance(geometry, Point):
                 raise ExecutionError("st_DBSCAN clusters point geometries")
             points.append((geometry.lng, geometry.lat))
-    min_pts = int(eval_expr(min_pts_arg, rows[0] if rows else {}, extra))
-    radius = float(eval_expr(radius_arg, rows[0] if rows else {}, extra))
-    labels = dbscan(points, min_pts, radius)
+    first = rows[0] if rows else {}
+    try:
+        min_pts = int(eval_expr(min_pts_arg, first, extra))
+        radius = float(eval_expr(radius_arg, first, extra))
+        labels = dbscan(points, min_pts, radius)
+    except (TypeError, ValueError) as exc:
+        raise ExecutionError(f"st_DBSCAN: {exc}") from None
     out_rows = [{**row, "cluster": label}
                 for row, label in zip(rows, labels)]
     columns = child.columns + ["cluster"]

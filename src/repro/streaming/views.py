@@ -19,7 +19,7 @@ recomputing the view from scratch each poll.
 
 from __future__ import annotations
 
-from repro.core.schema import Field, FieldType, Schema
+from repro.core.schema import FieldType
 from repro.core.tables import ViewTable
 from repro.dataframe import DataFrame
 
@@ -40,11 +40,6 @@ class MaterializedView(ViewTable):
         self._rows: list[dict] = []
         self.refresh_count = 0
         self.total_refresh_ms = 0.0
-
-    def schema(self) -> Schema:
-        """Catalog schema (best-effort types; views never validate rows)."""
-        return Schema([Field(name, self._types.get(name, FieldType.STRING))
-                       for name in self.columns()])
 
     @property
     def row_count(self) -> int:
@@ -75,5 +70,7 @@ class MaterializedView(ViewTable):
         return [dict(row) for row in self._rows]
 
     def describe(self) -> list[dict]:
-        return [{"field": f.name, "type": f.ftype.value,
-                 "flags": "materialized"} for f in self.schema().fields]
+        """Best-effort types (views never validate rows)."""
+        return [{"field": name,
+                 "type": self._types.get(name, FieldType.STRING).value,
+                 "flags": "materialized"} for name in self.columns()]

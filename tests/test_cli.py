@@ -104,6 +104,18 @@ class TestMain:
         assert main(["--script", str(script)], out=out) == 0
         assert "1" in out.getvalue()
 
+    def test_script_reports_a_bad_dbscan_argument(self, tmp_path):
+        script = tmp_path / "dbscan.sql"
+        script.write_text(
+            "CREATE TABLE p (fid integer:primary key, geom point);\n"
+            "INSERT INTO p VALUES (1, st_makePoint(1, 2));\n"
+            "SELECT st_DBSCAN(geom, 0, 0.1) FROM p;\n"
+            "SHOW TABLES;\n")
+        out = io.StringIO()
+        assert main(["--script", str(script)], out=out) == 1
+        assert "error: st_DBSCAN" in out.getvalue()
+        assert out.getvalue().rstrip().endswith("(1 rows)")
+
     def test_interactive_loop(self, monkeypatch):
         out = io.StringIO()
         stdin = io.StringIO("SHOW TABLES;\nexit;\n")

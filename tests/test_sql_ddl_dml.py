@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import AnalysisError, TableNotFoundError
+from repro.service.client import JustClient
+from repro.service.server import JustServer
 
 from conftest import T0
 
@@ -38,6 +40,49 @@ class TestCreateAndDrop:
     def test_drop_missing_view(self, engine):
         with pytest.raises(TableNotFoundError):
             engine.sql("DROP VIEW ghost")
+
+
+class TestDropWrongKind:
+    """DROP TABLE on a view or a ``sys.*`` table, and DROP VIEW on a
+    table, are a typed ``TableNotFoundError`` that changes nothing."""
+
+    def test_drop_table_on_materialized_view(self, engine):
+        view = engine.create_materialized_view("mv", ["a"])
+        with pytest.raises(TableNotFoundError):
+            engine.sql("DROP TABLE mv")
+        assert engine.view("mv") is view
+        assert engine.sql("SELECT name, kind FROM sys.tables").rows == [
+            {"name": "mv", "kind": "materialized_view"}]
+
+    def test_drop_table_on_materialized_view_in_a_session(self):
+        server = JustServer()
+        server.engine.create_materialized_view("alice__mv", ["a"])
+        with JustClient(server, "alice") as client:
+            with pytest.raises(TableNotFoundError):
+                client.execute_query("DROP TABLE mv")
+            assert client.execute_query("SHOW VIEWS").rows == [
+                {"view": "mv"}]
+            assert client.execute_query("SELECT a FROM mv").rows == []
+        assert server.engine.has_view("alice__mv")
+
+    def test_drop_table_on_cached_view(self, poi_engine):
+        poi_engine.sql("CREATE VIEW v AS SELECT fid FROM poi LIMIT 2")
+        with pytest.raises(TableNotFoundError):
+            poi_engine.sql("DROP TABLE v")
+        assert len(poi_engine.sql("SELECT * FROM v").rows) == 2
+
+    def test_drop_view_on_table(self, poi_engine):
+        rows = poi_engine.sql("SELECT fid FROM poi").rows
+        with pytest.raises(TableNotFoundError):
+            poi_engine.sql("DROP VIEW poi")
+        assert poi_engine.sql("SELECT fid FROM poi").rows == rows
+
+    def test_drop_table_on_system_table(self, engine):
+        with pytest.raises(TableNotFoundError):
+            engine.drop_table("sys.metrics")
+        assert engine.sql("DESC sys.metrics").rows[0]["field"] == "name"
+        assert engine.sql("SELECT name FROM sys.metrics").columns == [
+            "name"]
 
 
 class TestShowDesc:

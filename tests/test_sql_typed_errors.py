@@ -27,27 +27,40 @@ ILL_TYPED = [
     "SELECT fid FROM t ORDER BY name + 1",
 ]
 
+POINTS = [
+    "CREATE TABLE p (fid integer:primary key, geom point)",
+    "INSERT INTO p VALUES (1, st_makePoint(116.30, 39.90)), "
+    "(2, st_makePoint(116.31, 39.91))",
+]
 
-def _engine(statement):
+#: st_DBSCAN(geom, minPts, radius) with minPts < 1 or radius <= 0.
+BAD_DBSCAN = [
+    "SELECT st_DBSCAN(geom, 0, 0.05) FROM p",
+    "SELECT st_DBSCAN(geom, 3, 0) FROM p",
+    "SELECT st_DBSCAN(geom, 3, -0.5) FROM p",
+]
+
+
+def _engine(statement, setups=SETUP):
     engine = JustEngine()
-    for setup in SETUP:
+    for setup in setups:
         engine.sql(setup)
     with pytest.raises(ExecutionError):
         engine.sql(statement)
 
 
-def _client(statement):
+def _client(statement, setups=SETUP):
     with JustClient(JustServer(), "alice") as client:
-        for setup in SETUP:
+        for setup in setups:
             client.execute_query(setup)
         with pytest.raises(ExecutionError):
             client.execute_query(statement)
 
 
-def _http(statement):
+def _http(statement, setups=SETUP):
     http = JustHttpServer()
     with JustHttpClient(http, "alice") as client:
-        for setup in SETUP:
+        for setup in setups:
             client.execute_query(setup)
         with pytest.raises(ExecutionError):
             client.execute_query(statement)
@@ -57,17 +70,27 @@ def _http(statement):
     assert response["kind"] == "ExecutionError", response
 
 
-def _shell(statement):
+def _shell(statement, setups=SETUP):
     out = io.StringIO()
     shell = Shell(out=out)
-    assert all(shell.execute(setup) for setup in SETUP)
+    assert all(shell.execute(setup) for setup in setups)
     assert shell.execute(statement) is False
     assert "error:" in out.getvalue()
 
 
-@pytest.mark.parametrize("entry", [_engine, _client, _http, _shell],
-                         ids=["engine.sql", "JustClient", "JustHttpClient",
-                              "Shell"])
+ENTRIES = pytest.mark.parametrize(
+    "entry", [_engine, _client, _http, _shell],
+    ids=["engine.sql", "JustClient", "JustHttpClient", "Shell"])
+
+
+@ENTRIES
 @pytest.mark.parametrize("statement", ILL_TYPED)
 def test_ill_typed_statement_is_an_execution_error(entry, statement):
     entry(statement)
+
+
+@ENTRIES
+@pytest.mark.parametrize("statement", BAD_DBSCAN,
+                         ids=["min_pts_0", "radius_0", "radius_negative"])
+def test_bad_dbscan_argument_is_an_execution_error(entry, statement):
+    entry(statement, POINTS)

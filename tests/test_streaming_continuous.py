@@ -185,7 +185,7 @@ class TestMaterializedViews:
     def test_view_is_catalog_registered_and_queryable(self, engine):
         loader, view = self._pipeline(engine)
         assert engine.catalog.exists("seg")
-        assert engine.catalog.get("seg").kind == "view"
+        assert engine.catalog.get("seg").kind == "materialized_view"
         # Not a table: SHOW TABLES skips it, SHOW VIEWS lists it.
         assert "seg" not in engine.table_names()
         assert "seg" in engine.view_names()
