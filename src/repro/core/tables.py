@@ -159,40 +159,96 @@ class CommonTable:
 
     # -- write path ------------------------------------------------------------
     def insert_rows(self, rows: list[dict], job: SimJob | None = None) -> int:
-        """Insert (or update, by primary key) a batch of rows."""
-        written = 0
+        """Insert (or update, by primary key) a batch of rows.
+
+        Every row is validated, normalised, encoded and keyed, and the
+        stored row it replaces looked up, before the first mutation, so a
+        batch with an invalid row writes nothing.  The mutations then go
+        to the store as one :meth:`KVStore.write_batch`, row by row in
+        the order a single-row insert writes them — the replaced row's
+        deletes, the index puts, the attribute puts, the id put.  The
+        grow-only statistics take in every row before the write (a row
+        that then fails to land only widens them, which is safe), and
+        ``row_count`` follows the id puts that landed (:meth:`_write`).
+        """
+        mutations = []
+        records = []
+        stored: set[bytes] = set()  # id keys the store held before
         encoded_bytes = 0
+        # fid -> the puts of its latest row in this batch, which a later
+        # row of the same fid replaces (the store does not hold it yet).
+        batch_puts: dict[str, list] = {}
         for row in rows:
             self.schema.validate_row(row)
             row = self.as_stored(row)
             fid = self.schema.fid_of(row)
             record = self._indexed_record(row) if self.strategies else None
-            self._delete_existing(fid)
             payload = self.codec.encode_row(row)
             encoded_bytes += len(payload)
-            for sname, strategy in self.strategies.items():
-                key = strategy.key(record)
-                self._index_tables[sname].put(key, payload)
-            for field_name, attr in self.attribute_indexes.items():
-                value = row.get(field_name)
-                if value is not None:
-                    self._attr_tables[field_name].put(
-                        attr.key_for_value(fid, value), payload)
-            self._id_table.put(fid.encode("utf-8"), payload)
-            if record is not None:
-                self._update_stats(record)
+            earlier = batch_puts.get(fid)
+            if earlier is not None:
+                mutations += [(table, key, None) for table, key, _ in earlier]
             else:
-                self.row_count += 1
-            written += 1
+                id_key = fid.encode("utf-8")
+                existing = self._id_table.get(id_key)
+                if existing is not None:
+                    mutations += self._row_deletes(fid, existing)
+                    stored.add(id_key)
+            puts = self._row_puts(fid, row, record, payload)
+            mutations += puts
+            batch_puts[fid] = puts
+            records.append(record)
+        for record in records:
+            if record is not None:
+                self._grow_stats(record)
+        self._write(mutations, stored)
         if job is not None:
-            puts = written * (len(self.strategies) + 1)
+            puts = len(rows) * (len(self.strategies) + 1)
             job.charge_cpu_records(puts,
                                    us_per_record=job.model.kv_put_us)
             job.charge_disk_write(encoded_bytes * (len(self.strategies) + 1))
-        return written
+        return len(rows)
 
-    def _update_stats(self, record: IndexedRecord) -> None:
-        self.row_count += 1
+    def _write(self, mutations: list, stored: set[bytes]) -> None:
+        """Apply ``mutations`` as one write batch and move ``row_count``
+        by the rows they add and remove — on failure, by those of the
+        mutations that landed, so a retried batch counts each row once.
+        ``stored`` holds the id keys of the rows the store held before.
+        """
+        try:
+            self.store.write_batch(mutations)
+        except Exception as exc:
+            self.row_count += self._rows_added(mutations, exc.landed, stored)
+            raise
+        self.row_count += self._rows_added(mutations, range(len(mutations)),
+                                           stored)
+
+    def _rows_added(self, mutations: list, landed, stored: set[bytes]) -> int:
+        """Rows gained (negative: lost) by the ``landed`` positions of
+        ``mutations``: each id key ends as its last landed mutation left
+        it, against whether it was ``stored`` before."""
+        present: dict[bytes, bool] = {}
+        id_table = self._id_table
+        for index in landed:
+            table, key, value = mutations[index]
+            if table is id_table:
+                present[key] = value is not None
+        return sum(now - (key in stored) for key, now in present.items())
+
+    def _row_puts(self, fid: str, row: dict, record: IndexedRecord | None,
+                  payload: bytes) -> list:
+        """The puts that store one row: index, attribute, id."""
+        puts = [(self._index_tables[sname], strategy.key(record), payload)
+                for sname, strategy in self.strategies.items()]
+        for field_name, attr in self.attribute_indexes.items():
+            value = row.get(field_name)
+            if value is not None:
+                puts.append((self._attr_tables[field_name],
+                             attr.key_for_value(fid, value), payload))
+        puts.append((self._id_table, fid.encode("utf-8"), payload))
+        return puts
+
+    def _grow_stats(self, record: IndexedRecord) -> None:
         env = record.geometry.envelope
         self.data_envelope = env if self.data_envelope is None \
             else self.data_envelope.expand(env)
@@ -207,28 +263,33 @@ class CommonTable:
                 for strategy in self.strategies.values():
                     strategy.observe_extent(record.t_min, t_max)
 
-    def _delete_existing(self, fid: str) -> bool:
-        existing = self._id_table.get(fid.encode("utf-8"))
-        if existing is None:
-            return False
+    def _row_deletes(self, fid: str, payload: bytes) -> list:
+        """The deletes that remove the stored row ``payload``: its
+        index, attribute and id keys, in the order its puts wrote them."""
+        deletes = []
         if self.strategies or self.attribute_indexes:
-            old_row = self.codec.decode_row(existing, self._key_fields)
+            old_row = self.codec.decode_row(payload, self._key_fields)
             if self.strategies:
                 record = self._indexed_record(old_row)
-                for sname, strategy in self.strategies.items():
-                    self._index_tables[sname].delete(strategy.key(record))
+                deletes += [(self._index_tables[sname], strategy.key(record),
+                             None)
+                            for sname, strategy in self.strategies.items()]
             for field_name, attr in self.attribute_indexes.items():
                 value = old_row.get(field_name)
                 if value is not None:
-                    self._attr_tables[field_name].delete(
-                        attr.key_for_value(fid, value))
-        self._id_table.delete(fid.encode("utf-8"))
-        self.row_count -= 1
-        return True
+                    deletes.append((self._attr_tables[field_name],
+                                    attr.key_for_value(fid, value), None))
+        deletes.append((self._id_table, fid.encode("utf-8"), None))
+        return deletes
 
     def delete(self, fid: str) -> bool:
         """Delete one record by feature id; True when it existed."""
-        return self._delete_existing(fid)
+        existing = self._id_table.get(fid.encode("utf-8"))
+        if existing is None:
+            return False
+        self._write(self._row_deletes(fid, existing),
+                    {fid.encode("utf-8")})
+        return True
 
     def get(self, fid: str, ctx=None,
             job: SimJob | None = None) -> dict | None:

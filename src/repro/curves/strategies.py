@@ -40,7 +40,7 @@ import math
 import struct
 import zlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import IndexError_
 from repro.curves.timeperiod import (
@@ -92,12 +92,19 @@ _STOP_PAD = b"\xff\x00"
 
 @dataclass(frozen=True, slots=True)
 class IndexedRecord:
-    """The index-relevant projection of a stored row."""
+    """The index-relevant projection of a stored row.
+
+    ``parts`` holds the key parts already built for this record — the
+    shard byte and fid bytes per shard count, the Z2 value, the XZ2 body
+    per resolution — so the indexes of one row (z2 and z2t, xz2 and
+    xz2t) build each once (:meth:`IndexStrategy.key`).
+    """
 
     fid: str
     geometry: Geometry
     t_min: float | None = None
     t_max: float | None = None
+    parts: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def shard_of(fid: str, num_shards: int) -> int:
@@ -125,9 +132,27 @@ def _xz2_curve(g: int) -> XZ2Curve:
     return curve
 
 
-def _xz2_body(curve: XZ2Curve, envelope: Envelope) -> bytes:
-    code = curve.index(envelope)
-    return _XZ2_BODY.pack(code, *curve.signature(envelope, code))
+def _xz2_body(curve: XZ2Curve, record: IndexedRecord) -> bytes:
+    """The XZ2 code and MBR signature of a record, built once per
+    record and resolution."""
+    part = ("xz2", curve.g)
+    body = record.parts.get(part)
+    if body is None:
+        envelope = record.geometry.envelope
+        code = curve.index(envelope)
+        body = record.parts[part] = _XZ2_BODY.pack(
+            code, *curve.signature(envelope, code))
+    return body
+
+
+def _z2_body(curve: Z2Curve, record: IndexedRecord) -> bytes:
+    """The packed Z2 value of a point record, built once per record."""
+    body = record.parts.get("z2")
+    if body is None:
+        env = record.geometry.envelope
+        body = record.parts["z2"] = _pack_curve(
+            curve.index(env.min_lng, env.min_lat))
+    return body
 
 
 def _xz2_code_bounds(lo: int, hi: int) -> tuple[bytes, bytes]:
@@ -162,10 +187,17 @@ class IndexStrategy(ABC):
 
     # -- write path --------------------------------------------------------
     def key(self, record: IndexedRecord) -> bytes:
-        """Full row key for a record (shard + body + feature id)."""
-        shard = shard_of(record.fid, self.num_shards)
-        return (bytes([shard]) + self._key_body(record) + b"\x00"
-                + record.fid.encode("utf-8"))
+        """Full row key for a record (shard + body + feature id).
+
+        The parts one row's indexes share are built once per record
+        (:attr:`IndexedRecord.parts`); the key bytes are the same.
+        """
+        ends = record.parts.get(self.num_shards)
+        if ends is None:
+            ends = record.parts[self.num_shards] = (
+                bytes([shard_of(record.fid, self.num_shards)]),
+                b"\x00" + record.fid.encode("utf-8"))
+        return ends[0] + self._key_body(record) + ends[1]
 
     @abstractmethod
     def _key_body(self, record: IndexedRecord) -> bytes:
@@ -365,8 +397,7 @@ class Z2Strategy(IndexStrategy):
     def _key_body(self, record: IndexedRecord) -> bytes:
         if not record.geometry.is_point():
             raise IndexError_("z2 indexes point geometries only")
-        env = record.geometry.envelope
-        return _pack_curve(self.curve.index(env.min_lng, env.min_lat))
+        return _z2_body(self.curve, record)
 
     def supports(self, query: STQuery) -> bool:
         return query.has_spatial
@@ -406,7 +437,7 @@ class XZ2Strategy(IndexStrategy):
         self.curve = _xz2_curve(g)
 
     def _key_body(self, record: IndexedRecord) -> bytes:
-        return _xz2_body(self.curve, record.geometry.envelope)
+        return _xz2_body(self.curve, record)
 
     def supports(self, query: STQuery) -> bool:
         return query.has_spatial
@@ -638,10 +669,8 @@ class Z2TStrategy(IndexStrategy):
             raise IndexError_("z2t indexes point geometries only")
         if record.t_min is None:
             raise IndexError_("z2t requires a timestamp")
-        env = record.geometry.envelope
         bin_number = period_bin(record.t_min, self.period)
-        z = self.curve.index(env.min_lng, env.min_lat)
-        return _pack_period(bin_number) + _pack_curve(z)
+        return _pack_period(bin_number) + _z2_body(self.curve, record)
 
     def supports(self, query: STQuery) -> bool:
         return query.has_spatial and query.has_temporal
@@ -691,8 +720,7 @@ class XZ2TStrategy(_BinnedByStart, IndexStrategy):
         if record.t_min is None:
             raise IndexError_("xz2t requires a time extent")
         bin_number = period_bin(record.t_min, self.period)
-        return _pack_period(bin_number) + _xz2_body(
-            self.curve, record.geometry.envelope)
+        return _pack_period(bin_number) + _xz2_body(self.curve, record)
 
     def supports(self, query: STQuery) -> bool:
         return query.has_spatial and query.has_temporal

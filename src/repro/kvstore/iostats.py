@@ -86,9 +86,10 @@ class IOStats:
     def record_key_rejected(self) -> None:
         self.scan_keys_rejected += 1
 
-    def record_wal_append(self, nbytes: int, server: int = 0) -> None:
+    def record_wal_append(self, nbytes: int, server: int = 0,
+                          records: int = 1) -> None:
         self.wal_bytes_written += nbytes
-        self.wal_appends += 1
+        self.wal_appends += records
         self.per_server_wal[server] += nbytes
 
     def record_wal_sync(self) -> None:

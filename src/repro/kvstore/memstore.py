@@ -33,6 +33,13 @@ class MemStore:
         self._data[key] = value
         self.size_bytes += len(key) + (len(value) if value is not None else 0)
 
+    def entry_bytes(self, key: bytes) -> int:
+        """What ``key``'s entry adds to ``size_bytes`` (0 when absent)."""
+        if key not in self._data:
+            return 0
+        value = self._data[key]
+        return len(key) + (len(value) if value is not None else 0)
+
     def get(self, key: bytes) -> tuple[bool, bytes | None]:
         """``(found, value)``; found tombstones return ``(True, None)``."""
         if key in self._data:

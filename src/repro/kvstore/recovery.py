@@ -108,7 +108,7 @@ def recover_server(store, server: int, records: list[WALRecord],
             server=region.server, from_server=server,
             applied_seqno=follower.applied_seqno,
             catchup_records=reapplied[region.region_id]))
-    # Re-applied edits bypass KVTable._mutate, so re-check the split
+    # Re-applied edits bypass KVStore.write_batch, so re-check the split
     # threshold for every recovered region rather than deferring to the
     # next mutation.
     for table, region, _follower in recovered.values():

@@ -89,18 +89,28 @@ class Region:
         self.reads += 1
         self.read_rate.record(self._now_ms())
 
-    def record_write(self) -> None:
-        self.writes += 1
-        self.write_rate.record(self._now_ms())
-
     # -- write path ----------------------------------------------------------
     def put(self, key: bytes, value: bytes | None,
             seqno: int | None = None) -> None:
+        self.apply(((key, value),), seqno)
+
+    def apply(self, mutations, seqno: int | None = None) -> None:
+        """Absorb ``(key, value-or-None)`` mutations logged up to
+        ``seqno``, then flush once if the memstore is full.
+
+        Only the last mutation may fill the memstore — the store cuts a
+        write batch into segments that way (DESIGN §7.1) — so one check
+        at the end flushes exactly where one put at a time would.
+        """
         if seqno is not None:
             self.max_seqno = max(self.max_seqno, seqno)
-        self.record_write()
-        self.memstore.put(key, value)
-        if self.memstore.size_bytes >= self._flush_bytes:
+        memstore = self.memstore
+        now_ms = self._now_ms()
+        for key, value in mutations:
+            self.writes += 1
+            self.write_rate.record(now_ms)
+            memstore.put(key, value)
+        if memstore.size_bytes >= self._flush_bytes:
             self.flush()
 
     def flush(self) -> None:

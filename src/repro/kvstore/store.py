@@ -156,33 +156,18 @@ class KVTable:
 
     # -- API -----------------------------------------------------------------
     def put(self, key: bytes, value: bytes) -> None:
-        """Insert or overwrite one cell.
+        """Insert or overwrite one cell (a one-mutation
+        :meth:`KVStore.write_batch`).
 
         With a write-ahead log configured, the mutation is logged on the
         hosting region server before it reaches the memstore; under the
         ``SYNC`` policy it is durable when this returns.
         """
-        self._mutate(key, value)
+        self._store.write_batch(((self, key, value),))
 
     def delete(self, key: bytes) -> None:
         """Delete one cell (tombstone until compaction)."""
-        self._mutate(key, None)
-
-    def _mutate(self, key: bytes, value: bytes | None) -> None:
-        self._store.tick_faults("put")
-        key = self._salted(key)
-        region = self._region_for(key)
-        self._store.check_available(self.name, region, "put")
-        seqno = self._store.wal_append(region, self.name, key, value)
-        # Replicate between the primary WAL append and the memstore
-        # apply: a failed SYNC quorum raises here, so the rejected
-        # write is at worst a ghost record in the primary log
-        # (indeterminate, like any timed-out distributed commit).
-        self._store.replicate_append(region, self.name, key, value,
-                                     seqno)
-        region.put(key, value, seqno)
-        if region.total_bytes >= self._store.split_bytes:
-            self._split(region)
+        self._store.write_batch(((self, key, None),))
 
     def get(self, key: bytes, ctx=None) -> bytes | None:
         self._store.tick_faults("get")
@@ -604,6 +589,142 @@ class KVStore:
         for cache in self._caches:
             cache.clear()
 
+    # -- write path ------------------------------------------------------------
+    def write_batch(self, mutations) -> None:
+        """Apply ``(kv_table, key, value-or-None)`` mutations in order,
+        with exactly the effect of applying them one at a time.
+
+        The call is one fault-injection op, and each region it visits is
+        gated (availability, gray faults) once.  The batch is cut into
+        chunks, each ending after any mutation that could bring its
+        region to ``split_bytes``: the prediction adds every mutation's
+        full size and ignores overwrites, so it is never later than the
+        real trigger, and the size check runs there — splits happen at
+        the points and in the order of one put at a time, and
+        :meth:`next_server` places the daughters as it would.  Inside a
+        chunk each region is visited once, in order of first appearance,
+        and its mutations are cut into segments where its memstore
+        fills (:meth:`_segments`).  Each segment is one WAL group
+        commit, then one replica ship (one quorum ack under ``SYNC``)
+        and one memstore apply that ends with the flush (and compaction)
+        one put at a time makes there.  See DESIGN §7.1.
+
+        An exception raised from a batch carries ``landed``: the
+        positions in ``mutations``, ascending, of the mutations that
+        were applied before it.  These need not be a prefix, since a
+        chunk is applied region by region.
+        """
+        if not mutations:
+            return
+        split_bytes = self.split_bytes
+        routed = [(table, table._salted(key), value)
+                  for table, key, value in mutations]
+        gated: set[int] = set()
+        start = 0
+        applied: dict[Region, int] = {}  # region -> its mutations applied
+        try:
+            self.tick_faults("put")
+            while start < len(routed):
+                # region -> its (key, value) mutations in this chunk; the
+                # dict keeps the regions in order of first appearance.
+                chunk: dict[Region, list] = {}
+                grown: dict[Region, int] = {}
+                for end in range(start, len(routed)):
+                    table, key, value = routed[end]
+                    region = table._region_for(key)
+                    size = grown.get(region)
+                    if size is None:
+                        size = region.total_bytes
+                        chunk[region] = []
+                    size += len(key) if value is None \
+                        else len(key) + len(value)
+                    grown[region] = size
+                    chunk[region].append((key, value))
+                    if size >= split_bytes:
+                        break
+                # Only the chunk's last mutation can have brought its
+                # region to split_bytes.
+                last_table, last_region = table, region
+                for region in chunk:
+                    if region.region_id not in gated:
+                        self.check_available(region.table, region, "put")
+                        gated.add(region.region_id)
+                # Every segment of the chunk is logged before any is
+                # applied, so the chunk's flushes find all its appends in
+                # their logs and one checkpoint sync covers them, as it
+                # would one put at a time.
+                logged = [(region, segment,
+                           self.wal_append(region, region.table, segment))
+                          for region, items in chunk.items()
+                          for segment in self._segments(region, items)]
+                for region, segment, records in logged:
+                    seqno = None
+                    if records is not None:
+                        # A failed SYNC quorum raises here, before the
+                        # memstore apply: the rest of the chunk is at
+                        # worst ghost records in the logs (indeterminate,
+                        # like any timed-out distributed commit).
+                        self.replicate_append(region, records)
+                        seqno = records[-1].seqno
+                    region.apply(segment, seqno)
+                    applied[region] = applied.get(region, 0) + len(segment)
+                start, applied = end + 1, {}
+                if last_region.total_bytes >= split_bytes:
+                    last_table._split(last_region)
+            for wal in self._wals or ():
+                wal.maybe_sync()
+        except Exception as exc:
+            exc.landed = self._landed(routed, start, applied)
+            raise
+
+    @staticmethod
+    def _landed(routed: list, start: int,
+                applied: dict[Region, int]) -> list[int]:
+        """Positions of the mutations a failed :meth:`write_batch`
+        applied: every one before the failing chunk (which starts at
+        ``start``), and of that chunk each region's first ``applied``.
+        No region splits inside a chunk, so the routing still holds."""
+        landed = list(range(start))
+        if applied:
+            seen: dict[Region, int] = {}
+            for index in range(start, len(routed)):
+                table, key, _ = routed[index]
+                region = table._region_for(key)
+                rank = seen.get(region, 0)
+                seen[region] = rank + 1
+                if rank < applied.get(region, 0):
+                    landed.append(index)
+        return landed
+
+    def _segments(self, region: Region, items: list):
+        """Cut one region's mutations of a chunk after each one that
+        brings its memstore to ``flush_bytes``.
+
+        The memstore size is followed exactly — an overwrite frees the
+        bytes of the entry it replaces, a flush empties it — so a
+        segment ends where one put at a time flushes, and nowhere else.
+        """
+        memstore = region.memstore
+        size = memstore.size_bytes
+        written: dict[bytes, int] = {}  # entry bytes since the last flush
+        flushed = False
+        first = 0
+        for index, (key, value) in enumerate(items):
+            entry = len(key) if value is None else len(key) + len(value)
+            old = written.get(key)
+            if old is None:
+                old = 0 if flushed else memstore.entry_bytes(key)
+            size += entry - old
+            written[key] = entry
+            if size >= self.flush_bytes:
+                yield items[first:index + 1]
+                first = index + 1
+                size = 0
+                written = {}
+                flushed = True
+        if first < len(items):
+            yield items[first:]
+
     # -- replication -----------------------------------------------------------
     def enable_replication(self, factor: int = 3,
                            read_mode="primary") -> "object":
@@ -635,12 +756,11 @@ class KVStore:
         if self.replication is not None:
             self.replication.detach_region(region)
 
-    def replicate_append(self, region: Region, table: str, key: bytes,
-                         value: bytes | None,
-                         seqno: int | None) -> None:
-        """Ship one primary WAL append to the region's followers."""
+    def replicate_append(self, region: Region, records) -> None:
+        """Ship one segment's primary WAL records to the region's
+        followers (one quorum ack under ``SYNC``)."""
         if self.replication is not None:
-            self.replication.on_append(region, table, key, value, seqno)
+            self.replication.on_append(region, records)
 
     def route_read(self, table: str, region: Region, op: str,
                    ctx=None):
@@ -673,12 +793,13 @@ class KVStore:
         if self.fault_injector is not None:
             self.fault_injector.on_op(self, op)
 
-    def wal_append(self, region: Region, table: str, key: bytes,
-                   value: bytes | None) -> int | None:
+    def wal_append(self, region: Region, table: str, mutations):
+        """Log one segment of ``region``'s mutations on its server as
+        one group commit; its WAL records, or ``None`` without a log."""
         wal = self.wal_for(region.server)
         if wal is None:
             return None
-        return wal.append(table, region.region_id, key, value)
+        return wal.append_batch(table, region.region_id, mutations)
 
     def check_available(self, table: str, region: Region,
                         op: str = "scan", ctx=None) -> None:

@@ -8,7 +8,8 @@ trade-off:
 
 ``SYNC``
     every append is fsynced before it is acknowledged — zero acknowledged
-    writes are ever lost, at one fsync per mutation.
+    writes are ever lost, at one fsync per group commit (one region's
+    segment of a write batch, :meth:`WriteAheadLog.append_batch`).
 ``PERIODIC``
     appends accumulate and one group-commit fsync covers the whole batch
     once ``periodic_bytes`` are pending — bounded loss window, amortized
@@ -90,24 +91,42 @@ class WriteAheadLog:
     # -- write path ----------------------------------------------------------
     def append(self, table: str, region_id: int, key: bytes,
                value: bytes | None) -> int:
-        """Log one mutation; returns its sequence number.
+        """Log one mutation (a group of one, then :meth:`maybe_sync`);
+        returns its sequence number."""
+        seqno = self.append_batch(table, region_id, ((key, value),))[0].seqno
+        self.maybe_sync()
+        return seqno
 
-        Under ``SYNC`` the record is durable when this returns; other
-        policies leave it in the unsynced tail until the next sync.
+    def append_batch(self, table: str, region_id: int,
+                     mutations) -> list[WALRecord]:
+        """Log ``(key, value-or-None)`` mutations of one region as one
+        group commit; returns their records, seqnos ascending.
+
+        Under ``SYNC`` one fsync makes the whole group durable before
+        this returns.  ``PERIODIC`` and ``ASYNC`` leave it in the
+        unsynced tail: the writer calls :meth:`maybe_sync` when its
+        batch ends (``KVStore.write_batch`` once per call).
         """
-        record = WALRecord(self._next_seqno, table, region_id, key, value)
-        self._next_seqno += 1
-        self._records.append(record)
-        self.appended_seqno = record.seqno
-        self._pending_bytes += record.nbytes
-        self.total_bytes += record.nbytes
-        self._stats.record_wal_append(record.nbytes, self.server)
+        first = self._next_seqno
+        records = [WALRecord(seqno, table, region_id, key, value)
+                   for seqno, (key, value) in enumerate(mutations, first)]
+        self._next_seqno = first + len(records)
+        self._records += records
+        self.appended_seqno = self._next_seqno - 1
+        nbytes = sum(record.nbytes for record in records)
+        self._pending_bytes += nbytes
+        self.total_bytes += nbytes
+        self._stats.record_wal_append(nbytes, self.server, len(records))
         if self.policy is SyncPolicy.SYNC:
             self.sync()
-        elif self.policy is SyncPolicy.PERIODIC and \
+        return records
+
+    def maybe_sync(self) -> None:
+        """End of a write batch: under ``PERIODIC``, one group-commit
+        sync once ``periodic_bytes`` are pending."""
+        if self.policy is SyncPolicy.PERIODIC and \
                 self._pending_bytes >= self.periodic_bytes:
             self.sync()
-        return record.seqno
 
     def sync(self) -> None:
         """Group-commit: one fsync makes every pending append durable."""

@@ -168,20 +168,28 @@ class ReplicationManager:
             self.dropped_ships += 1
         return verdict
 
-    def _apply_record(self, region, follower: FollowerReplica,
-                      record: WALRecord) -> None:
-        """Land one shipped record on a follower: its WAL, then memstore."""
+    def _apply_records(self, follower: FollowerReplica,
+                       records: list[WALRecord]) -> None:
+        """Land a run of shipped records (one region's, in stream order)
+        on a follower: one group commit to its WAL, then its memstore."""
+        if not records:
+            return
+        first = records[0]
         wal = self.store.wal_for(follower.server)
         if wal is not None:
-            follower.local_max_seqno = wal.append(
-                record.table, record.region_id, record.key, record.value)
-        follower.memstore.put(record.key, record.value)
-        if record.seqno:
-            follower.applied_seqno = max(follower.applied_seqno,
-                                         record.seqno)
-        follower.shipped_records += 1
-        self.records_shipped += 1
-        self.bytes_shipped += record.nbytes
+            follower.local_max_seqno = wal.append_batch(
+                first.table, first.region_id,
+                [(record.key, record.value) for record in records]
+            )[-1].seqno
+            wal.maybe_sync()
+        memstore = follower.memstore
+        for record in records:
+            memstore.put(record.key, record.value)
+        follower.applied_seqno = max(follower.applied_seqno,
+                                     records[-1].seqno)
+        follower.shipped_records += len(records)
+        self.records_shipped += len(records)
+        self.bytes_shipped += sum(record.nbytes for record in records)
 
     def _apply_marker(self, region, follower: FollowerReplica,
                       marker: FlushMarker) -> None:
@@ -197,88 +205,98 @@ class ReplicationManager:
         self.markers_shipped += 1
 
     def _drain(self, region, follower: FollowerReplica) -> bool:
-        """Ship the follower's queued backlog in order.
+        """Ship the follower's queued backlog in order, each run of
+        records between flush markers landing as one group commit.
 
         Returns True when the backlog fully landed and the follower is
-        still ``LIVE``.  A blocked link (partition) leaves the backlog
-        queued for a later attempt; a record *dropped* mid-flight after
-        the sender moved on leaves a gap in the stream, so the follower
-        is marked ``TORN`` — its applied prefix stays valid (and
-        promotable) but it must be rebuilt before applying more.
+        still ``LIVE``.  A blocked link (partition) leaves the rest of
+        the backlog queued for a later attempt; a record *dropped*
+        mid-flight after the sender moved on leaves a gap in the stream,
+        so the follower is marked ``TORN`` — its applied prefix stays
+        valid (and promotable) but it must be rebuilt before applying
+        more.
         """
         if follower.state != LIVE:
             return False
-        while follower.pending:
-            item = follower.pending[0]
+        pending = follower.pending
+        run: list[WALRecord] = []
+        while pending:
+            item = pending[0]
             if isinstance(item, FlushMarker):
-                follower.pending.popleft()
+                self._apply_records(follower, run)
+                run = []
+                pending.popleft()
                 self._apply_marker(region, follower, item)
                 continue
             verdict = self._ship_verdict(follower.server)
             if verdict == "blocked":
-                return False
-            follower.pending.popleft()
+                break
+            pending.popleft()
             if verdict == "drop":
                 follower.dropped_records += 1
                 follower.state = TORN
-                return False
-            self._apply_record(region, follower, item)
-        return True
+                break
+            run.append(item)
+        self._apply_records(follower, run)
+        return not pending and follower.state == LIVE
 
     def _ship_sync(self, region, follower: FollowerReplica,
-                   record: WALRecord) -> bool:
-        """Ship one record synchronously for a quorum ack.
+                   records: list[WALRecord]) -> bool:
+        """Ship one segment synchronously for a quorum ack.
 
-        In-order shipping first drains anything already queued; if the
-        link is down or drops the record, no ack — the record joins the
-        queue so the stream keeps its order when the link heals.
+        In-order shipping first drains anything already queued.  Each
+        record gets its own verdict: the ones before the first blocked
+        or lost record land as one group commit, and it and the rest
+        join the queue so the stream keeps its order when the link
+        heals.  Only a segment that landed whole acks.
         """
         if not self._drain(region, follower):
-            follower.pending.append(record)
+            follower.pending.extend(records)
             return False
-        if self._ship_verdict(follower.server) != "ok":
-            # Blocked, or lost in flight but not acknowledged: the
-            # sender still holds it, so this is a retry, not a torn
-            # stream.
-            follower.pending.append(record)
-            return False
-        self._apply_record(region, follower, record)
+        for shipped, record in enumerate(records):
+            if self._ship_verdict(follower.server) != "ok":
+                # Blocked, or lost in flight but not acknowledged: the
+                # sender still holds it, so this is a retry, not a torn
+                # stream.
+                self._apply_records(follower, records[:shipped])
+                follower.pending.extend(records[shipped:])
+                return False
+        self._apply_records(follower, records)
         return True
 
-    def on_append(self, region, table: str, key: bytes,
-                  value: bytes | None, seqno: int | None) -> None:
-        """One primary WAL append happened; replicate it.
+    def on_append(self, region, records: list[WALRecord]) -> None:
+        """One segment of ``region``'s writes reached the primary WAL
+        (one group commit); replicate it.
 
-        Under ``SYNC`` the write needs ``quorum`` durable copies
+        Under ``SYNC`` the segment needs ``quorum`` durable copies
         (primary included) before it is acknowledged — too few and this
         raises :class:`~repro.errors.ReplicationQuorumError` *before*
-        the primary memstore applies the value.  Other policies enqueue
-        to every follower and ship lazily (at flushes and chore ticks).
+        the primary memstore applies it.  Other policies enqueue to
+        every follower and ship lazily (at flushes and chore ticks).
         """
         followers = self._followers.get(region.region_id)
         if not followers:
             return
-        record = WALRecord(seqno if seqno is not None else 0, table,
-                           region.region_id, key, value)
         sync = self.store.wal_policy is SyncPolicy.SYNC
         acks = 1  # the primary's own synced append
         for follower in followers:
             if follower.state != LIVE:
                 continue  # torn/rebuilding replicas heal via the chore
             if sync and acks < self.quorum:
-                if self._ship_sync(region, follower, record):
+                if self._ship_sync(region, follower, records):
                     acks += 1
             else:
-                follower.pending.append(record)
+                follower.pending.extend(records)
         if sync and acks < self.quorum:
             self.quorum_failures += 1
-            raise ReplicationQuorumError(table, region.region_id,
+            raise ReplicationQuorumError(records[0].table,
+                                         region.region_id,
                                          region.server, acks,
                                          self.quorum)
         if sync:
             # Modeled quorum-ack latency: sequential synchronous ships,
-            # one follower WAL fsync each (the primary's own fsync is
-            # charged by the WAL itself).
+            # one follower WAL group commit each (the primary's own
+            # fsync is charged by the WAL itself).
             self.quorum_ack_ms.observe(
                 (acks - 1) * self.store.cost_model.fsync_ms)
 

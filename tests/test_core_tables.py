@@ -1,16 +1,125 @@
 """Common/plugin/view tables: inserts, updates, queries, storage."""
 
+import math
+
 import pytest
 
+from repro import JustEngine, Schema
 from repro.core.tables import ViewTable
 from repro.curves import STQuery
 from repro.dataframe import DataFrame
-from repro.errors import QueryTimeoutError, SchemaError
+from repro.errors import (
+    QueryTimeoutError,
+    ReplicationQuorumError,
+    SchemaError,
+)
+from repro.faults import FaultInjector, FaultPlan, PartitionedFollower
 from repro.geometry import Envelope, Point
+from repro.kvstore import ScanSpec, SyncPolicy
 from repro.resilience import Deadline, RequestContext
 from repro.trajectory import STSeries, Trajectory
 
-from conftest import T0, make_poi_rows
+from conftest import POI_SCHEMA_FIELDS, T0, make_poi_rows
+
+
+class TestInvalidRowWritesNothing:
+    """Rows are validated, encoded and keyed before the first mutation:
+    a batch whose third row has no geometry used to raise after storing
+    the first two."""
+
+    SCHEMA = ("CREATE TABLE t (fid integer:primary key, name string, "
+              "time date, geom point)")
+
+    @staticmethod
+    def _assert_empty(engine):
+        table = engine.table("t")
+        assert table.row_count == 0
+        assert table.full_scan() == []
+        assert all(kv.count() == 0 for kv in table.physical_tables())
+
+    def test_engine_insert(self, engine):
+        engine.sql(self.SCHEMA)
+        rows = [{"fid": i, "name": "n", "time": T0,
+                 "geom": None if i == 2 else Point(116.3, 39.9)}
+                for i in range(4)]
+        with pytest.raises(SchemaError, match="no geometry"):
+            engine.insert("t", rows)
+        self._assert_empty(engine)
+
+    def test_justql_insert_values(self, engine):
+        engine.sql(self.SCHEMA)
+        values = ", ".join(
+            f"({i}, 'n', {T0}, "
+            f"{'NULL' if i == 2 else 'st_makePoint(116.3, 39.9)'})"
+            for i in range(4))
+        with pytest.raises(SchemaError, match="no geometry"):
+            engine.sql(f"INSERT INTO t VALUES {values}")
+        self._assert_empty(engine)
+
+
+class TestFailedBatchKeepsRowCount:
+    """A batch that fails in the store partway (a SYNC quorum lost to a
+    follower partition) counts exactly the rows that landed, so the
+    retried batch leaves ``row_count`` and k-NN as a clean load would."""
+
+    def test_quorum_failure_mid_batch_then_retry(self):
+        engine = JustEngine(wal_policy=SyncPolicy.SYNC,
+                            replication_factor=3, split_bytes=8 * 1024,
+                            flush_bytes=4 * 1024)
+        engine.create_table("poi", Schema(list(POI_SCHEMA_FIELDS)))
+        table = engine.table("poi")
+        rows = make_poi_rows(300, seed=5)
+        # Every replication link breaks after 600 shipped records: the
+        # batch's first chunks are acked, a later segment loses quorum.
+        FaultInjector(FaultPlan(
+            [PartitionedFollower(s, after_ships=600)
+             for s in range(engine.store.num_servers)])).attach(engine.store)
+        with pytest.raises(ReplicationQuorumError):
+            table.insert_rows(rows)
+        landed = len(table.full_scan())
+        assert 0 < landed < len(rows)
+        assert table.row_count == landed
+
+        engine.store.fault_injector = None  # the partition heals
+        assert table.insert_rows(rows) == len(rows)
+        assert table.row_count == len(table.full_scan()) == len(rows)
+        lng, lat = 116.25, 39.95
+        nearest = sorted(rows, key=lambda r: math.hypot(
+            r["geom"].lng - lng, r["geom"].lat - lat))[:10]
+        result = engine.knn("poi", lng, lat, 10)
+        assert [r["fid"] for r in result.rows] == \
+            [r["fid"] for r in nearest]
+
+
+class TestOneBatchEqualsOneRowAtATime:
+    def test_upserts_within_one_batch(self):
+        """Rows that replace stored rows and rows earlier in the same
+        batch leave every physical table as one-row inserts would."""
+        rows = make_poi_rows(60, seed=3)
+        for i, row in enumerate(make_poi_rows(40, seed=4)):
+            rows.append(dict(row, fid=i % 25, name=f"v{i}"))
+
+        def loaded(batched: bool):
+            engine = JustEngine(split_bytes=8 * 1024, flush_bytes=1024)
+            engine.create_table("poi", Schema(list(POI_SCHEMA_FIELDS)),
+                                userdata={"just.attribute.indices": "name"})
+            table = engine.table("poi")
+            table.insert_rows(rows[:30])
+            if batched:
+                table.insert_rows(rows[30:])
+            else:
+                for row in rows[30:]:
+                    table.insert_rows([row])
+            return table
+
+        batched, single = loaded(True), loaded(False)
+        assert [list(kv.scan(ScanSpec.full()))
+                for kv in batched.physical_tables()] == \
+            [list(kv.scan(ScanSpec.full()))
+             for kv in single.physical_tables()]
+        assert batched.row_count == single.row_count == 60
+        assert batched.data_envelope == single.data_envelope
+        assert batched.time_extent == single.time_extent
 
 
 class TestCommonTable:

@@ -147,12 +147,16 @@ def _flat(registry) -> dict:
 
 
 #: ``_flat`` of the run above, recorded at the commit before this file
-#: was added (where every one of these numbers was also pushed).
+#: was added (where every one of these numbers was also pushed).  Five
+#: moved when inserts became one write batch (DESIGN §7.1): WAL syncs
+#: and quorum acks count group commits, the upsert lookups run before
+#: the writes (``balancer.imbalance``), and the faulted insert ships per
+#: segment (``blocked_ships``, ``dropped_ships``).
 GOLDEN = {
     'admission.admitted': 4,
     'admission.in_flight': 0,
     'admission.shed': 1,
-    'balancer.imbalance': 2.055934,
+    'balancer.imbalance': 1.947991,
     'balancer.merges': 0,
     'balancer.moves': 0,
     'balancer.runs': 1,
@@ -170,20 +174,20 @@ GOLDEN = {
     'kvstore.scans_started': 5,
     'kvstore.wal_appends': 3757,
     'kvstore.wal_bytes_written': 272781,
-    'kvstore.wal_syncs': 3757,
+    'kvstore.wal_syncs': 552,
     'monitor.scrape_ms': 0.53,
     'monitor.scrapes': 3,
     'monitor.series': 94,
-    'replication.blocked_ships': 2,
+    'replication.blocked_ships': 1,
     'replication.bytes_shipped': 173805,
-    'replication.dropped_ships': 1,
+    'replication.dropped_ships': 2,
     'replication.follower_reads': 1,
     'replication.hedge_wins': 2,
     'replication.hedged_reads': 2,
     'replication.lagging_followers': 0,
     'replication.max_lag_records': 0,
     'replication.promotions': 5,
-    'replication.quorum_ack_ms': [1332, 5328.0],
+    'replication.quorum_ack_ms': [226, 904.0],
     'replication.rebuilds': 5,
     'replication.records_shipped': 2397,
     'server.slow_queries_logged': 0,
