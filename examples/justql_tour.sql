@@ -33,6 +33,21 @@ EXPLAIN SELECT name, row_count FROM sys.tables WHERE kind = 'common';
 SELECT name, kind, plugin_type, indexes, row_count FROM sys.tables;
 SELECT fid, amount FROM big_orders ORDER BY amount DESC;
 
+-- The expression grammar: NOT binds tighter than AND, and AND than
+-- OR, unary minus binds tighter than * and %, and BETWEEN takes its
+-- own AND.
+SELECT fid FROM orders
+    WHERE NOT amount > 20 AND fid > 1 OR fid = 3 ORDER BY fid;
+SELECT fid, -amount * 2 % 7 AS m, - fid * -3 + 1 AS n, -(fid - 5) % 3 AS r
+    FROM orders ORDER BY fid;
+SELECT fid FROM orders
+    WHERE fid <> 2 AND amount BETWEEN 10 AND 30 AND fid < 4 ORDER BY fid;
+SELECT fid, amount FROM orders
+    WHERE geom WITHIN st_makeMBR(116.38, 39.9, 116.46, 39.96)
+      AND time BETWEEN 1538352000 AND 1538359200 ORDER BY fid;
+SELECT count(*) AS n FROM orders
+    WHERE amount IS NOT NULL AND NOT (fid = 1 OR fid = 4);
+
 DROP VIEW big_orders;
 DROP TABLE fleet;
 SHOW TABLES;

@@ -87,7 +87,7 @@ class Ring:
     their totals.  Gauge rings keep only ``(ts, value)``.  Evicted
     points stay in the lists until ``capacity // 8 + 1`` of them have
     gathered and are then deleted in one slice, so an append never
-    shifts the columns.
+    shifts the columns.  Points are appended by :func:`record_points`.
     """
 
     __slots__ = ("capacity", "first", "ts", "values", "totals")
@@ -103,20 +103,14 @@ class Ring:
     def __len__(self) -> int:
         return len(self.ts) - self.first
 
-    def append(self, ts: float, value: float) -> None:
-        totals = self.totals
-        if totals is not None:
-            totals.append(totals[-1] + _growth(self.values[-1], value)
-                          if totals else 0.0)
-        self.ts.append(ts)
-        self.values.append(value)
-        if len(self.ts) - self.first > self.capacity:
-            self.first += 1
-            if self.first > self.capacity // 8:
-                del self.ts[:self.first], self.values[:self.first]
-                if totals is not None:
-                    del totals[:self.first]
-                self.first = 0
+    def evict(self) -> None:
+        """Retire the oldest retained point (one past ``capacity``)."""
+        self.first += 1
+        if self.first > self.capacity // 8:
+            del self.ts[:self.first], self.values[:self.first]
+            if self.totals is not None:
+                del self.totals[:self.first]
+            self.first = 0
 
     def points(self, lo: int, hi: int) -> list[tuple[float, float]]:
         return list(zip(self.ts[lo:hi], self.values[lo:hi]))
@@ -144,22 +138,19 @@ class Series:
     rings: list[Ring] = field(default_factory=list)
     samples: int = 0  # total points ever recorded (drives tier strides)
     last_ms: float = -float("inf")
+    #: ``(stride, ring)`` per tier.
+    strided: tuple[tuple[int, Ring], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rings:
             self.rings = [Ring(capacity, self.kind == "counter")
                           for _stride, capacity in self.tiers]
+        self.strided = tuple((stride, ring) for (stride, _capacity), ring
+                             in zip(self.tiers, self.rings))
 
     def record(self, sim_ms: float, value: float) -> None:
-        if sim_ms < self.last_ms:
-            raise ValueError(f"series {self.name!r}: point at {sim_ms} "
-                             f"sim-ms precedes {self.last_ms}")
-        self.last_ms = sim_ms
-        index = self.samples
-        self.samples += 1
-        for (stride, _capacity), ring in zip(self.tiers, self.rings):
-            if index % stride == 0:
-                ring.append(sim_ms, value)
+        record_points(sim_ms, ((self, value),))
 
     def _span(self, start_ms: float | None, end_ms: float | None,
               baseline: bool) -> tuple[Ring | None, int, int]:
@@ -175,7 +166,7 @@ class Series:
         """
         chosen = None
         for ring in self.rings:
-            if not len(ring):
+            if ring.first == len(ring.ts):
                 continue
             oldest = ring.ts[ring.first]
             if start_ms is not None and oldest <= start_ms:
@@ -231,6 +222,38 @@ class Series:
         return ring.points(ring.first, len(ring.ts))
 
 
+def record_points(sim_ms: float, points) -> None:
+    """Record ``(series, value)`` points, all taken at ``sim_ms``.
+
+    A point lands in every tier whose stride divides its series' sample
+    index.  The ring appends are inline: one scrape is one loop over
+    its points, not three calls per point.
+    """
+    for series, value in points:
+        if sim_ms < series.last_ms:
+            raise ValueError(f"series {series.name!r}: point at {sim_ms} "
+                             f"sim-ms precedes {series.last_ms}")
+        series.last_ms = sim_ms
+        index = series.samples
+        series.samples = index + 1
+        for stride, ring in series.strided:
+            if index % stride:
+                continue
+            values = ring.values
+            totals = ring.totals
+            if totals is not None:
+                if totals:
+                    delta = value - values[-1]  # _growth, inline
+                    totals.append(totals[-1]
+                                  + (delta if delta >= 0 else value))
+                else:
+                    totals.append(0.0)
+            ring.ts.append(sim_ms)
+            values.append(value)
+            if len(values) - ring.first > ring.capacity:
+                ring.evict()
+
+
 class MetricsHistory:
     """All retained series plus the PromQL-flavoured query helpers."""
 
@@ -241,11 +264,19 @@ class MetricsHistory:
 
     def record(self, name: str, kind: str, sim_ms: float,
                value: float) -> None:
-        series = self.series.get(name)
-        if series is None:
-            series = Series(name, kind, self.tiers)
-            self.series[name] = series
-        series.record(sim_ms, value)
+        self.record_scrape(sim_ms, ((name, kind, value),))
+
+    def record_scrape(self, sim_ms: float, points) -> None:
+        """Record ``(name, kind, value)`` points, all taken at ``sim_ms``;
+        a name seen for the first time starts a series of that kind."""
+        series = self.series
+        record_points(sim_ms, [
+            (series.get(name) or self._add(name, kind), value)
+            for name, kind, value in points])
+
+    def _add(self, name: str, kind: str) -> Series:
+        series = self.series[name] = Series(name, kind, self.tiers)
+        return series
 
     def get(self, name: str) -> Series | None:
         return self.series.get(name)
@@ -345,7 +376,9 @@ class MetricsScraper:
     registry series; histograms are exploded into counter series
     (``_count``, ``_sum``, cumulative ``_bucket_le_*``) and gauge
     series (``_p50``/``_p95``/``_p99``), so the SLO layer can take
-    exact windowed increases over latency distributions.
+    exact windowed increases over latency distributions.  The exploded
+    keys are formatted once per histogram, and the whole scrape is
+    recorded in one :meth:`MetricsHistory.record_scrape`.
 
     Scraping is not free in real clusters and is not free here: each
     tick charges a modeled cost (``SCRAPE_BASE_COST_MS`` +
@@ -365,6 +398,8 @@ class MetricsScraper:
         #: Series recorded by the latest scrape.
         self.series = 0
         self._last_run_ms = -float("inf")
+        #: Series keys of each histogram, by registry key.
+        self._exploded: dict[str, tuple] = {}
 
         def scrapes():
             return self.scrapes
@@ -384,33 +419,40 @@ class MetricsScraper:
     def tick(self) -> None:
         now = self.events.now_ms
         self._last_run_ms = now
-        recorded = 0
+        points: list[tuple[str, str, float]] = []
+        append = points.append
         for key, metric in self.registry.items():
-            recorded += self._scrape_metric(key, metric, now)
+            if not isinstance(metric, Histogram):
+                append((key, "counter" if isinstance(metric, Counter)
+                        else "gauge", metric.value))
+                continue
+            # Histogram: explode into exact counters + quantile gauges.
+            keys = self._exploded.get(key)
+            if keys is None:
+                keys = self._exploded[key] = _exploded_keys(key, metric)
+            count_key, sum_key, quantile_keys, bucket_keys = keys
+            append((count_key, "counter", metric.count))
+            append((sum_key, "counter", metric.sum))
+            for quantile_key, q in quantile_keys:
+                append((quantile_key, "gauge", metric.quantile(q)))
+            for bucket_key, (_bound, count) in zip(bucket_keys,
+                                                   metric.bucket_counts()):
+                append((bucket_key, "counter", count))
+        self.history.record_scrape(now, points)
+        recorded = len(points)
         cost = SCRAPE_BASE_COST_MS + SCRAPE_COST_PER_SERIES_MS * recorded
         self.scrapes += 1
         self.total_scrape_ms += cost
         self.series = recorded
         self.events.advance(cost)
 
-    def _scrape_metric(self, key: str, metric, now: float) -> int:
-        if not isinstance(metric, Histogram):
-            kind = "counter" if isinstance(metric, Counter) else "gauge"
-            self.history.record(key, kind, now, metric.value)
-            return 1
-        # Histogram: explode into exact counters + quantile gauges.
-        self.history.record(suffixed_key(key, "count"), "counter", now,
-                            metric.count)
-        self.history.record(suffixed_key(key, "sum"), "counter", now,
-                            metric.sum)
-        recorded = 2
-        for q in ("p50", "p95", "p99"):
-            self.history.record(suffixed_key(key, q), "gauge", now,
-                                getattr(metric, q))
-            recorded += 1
-        for bound, count in metric.bucket_counts():
-            self.history.record(
-                suffixed_key(key, f"bucket_le_{bound:g}"), "counter",
-                now, count)
-            recorded += 1
-        return recorded
+
+def _exploded_keys(key: str, histogram: Histogram):
+    """A histogram's series keys: ``_count``, ``_sum``, the quantile
+    gauges with their quantile, and one ``_bucket_le_*`` per bound."""
+    return (suffixed_key(key, "count"), suffixed_key(key, "sum"),
+            tuple((suffixed_key(key, name), q)
+                  for name, q in (("p50", 0.50), ("p95", 0.95),
+                                  ("p99", 0.99))),
+            tuple(suffixed_key(key, f"bucket_le_{bound:g}")
+                  for bound in histogram.buckets))

@@ -299,6 +299,12 @@ class MetricsRegistry:
         self._help: dict[str, str] = {}
         #: Exposed series not listed yet, with the tests that list them.
         self._pending: dict[str, list] = {}
+        #: The sorted listing and the ``(metrics, pending)`` sizes it
+        #: was built at: ``_metrics`` only grows, and ``_pending`` only
+        #: gains keys ``_metrics`` gains too, so equal sizes mean the
+        #: same listing.
+        self._listed: list[tuple[str, Counter | Gauge | Histogram]] = []
+        self._listed_at = (0, 0)
 
     def _get(self, name: str, labels: dict, cls, **kwargs):
         key = _metric_key(name, labels)
@@ -366,11 +372,17 @@ class MetricsRegistry:
 
     def items(self) -> list[tuple[str, Counter | Gauge | Histogram]]:
         """(flattened key, metric) pairs of every listed series, sorted."""
-        for key in [key for key, tests in self._pending.items()
+        pending = self._pending
+        for key in [key for key, tests in pending.items()
                     if any(test() for test in tests)]:
-            del self._pending[key]
-        return [(key, self._metrics[key]) for key in sorted(self._metrics)
-                if key not in self._pending]
+            del pending[key]
+        sizes = (len(self._metrics), len(pending))
+        if sizes != self._listed_at:
+            self._listed = [(key, self._metrics[key])
+                            for key in sorted(self._metrics)
+                            if key not in pending]
+            self._listed_at = sizes
+        return list(self._listed)
 
     def __contains__(self, key: str) -> bool:
         return any(key == listed for listed, _ in self.items())

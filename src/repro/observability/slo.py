@@ -24,6 +24,7 @@ unwindowed lifetime quantiles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.observability.events import AlertEvent, SloBurnEvent
 from repro.observability.history import MetricsHistory, suffixed_key
@@ -162,19 +163,21 @@ class LatencyObjective(Objective):
 
     kind = "latency"
 
+    @cached_property
+    def series_keys(self) -> tuple[str, str]:
+        """The scraped ``_count`` and ``_bucket_le_<threshold>`` keys."""
+        return (suffixed_key(self.metric, "count"),
+                suffixed_key(self.metric,
+                             f"bucket_le_{self.threshold_ms:g}"))
+
     def bad_fraction(self, history: MetricsHistory, start_ms: float,
                      end_ms: float) -> float | None:
         window_ms = end_ms - start_ms
-        total = history.query("increase",
-                              suffixed_key(self.metric, "count"),
-                              window_ms, end_ms)
+        count_key, good_key = self.series_keys
+        total = history.query("increase", count_key, window_ms, end_ms)
         if total <= 0:
             return None
-        good = history.query(
-            "increase",
-            suffixed_key(self.metric,
-                         f"bucket_le_{self.threshold_ms:g}"),
-            window_ms, end_ms)
+        good = history.query("increase", good_key, window_ms, end_ms)
         return min(1.0, max(0.0, (total - good) / total))
 
     def exemplar(self, registry) -> str:

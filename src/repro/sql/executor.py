@@ -20,7 +20,7 @@ from repro.sql.ast import (
 )
 from repro.sql.expressions import eval_expr
 from repro.sql.optimizer import optimize
-from repro.sql.parser import parse_statement
+from repro.sql.parser import parse_filter, parse_statement
 from repro.sql.physical import execute_plan
 from repro.sql.result import ResultSet
 
@@ -237,17 +237,9 @@ def _parse_load_filter(filter_text: str | None):
     """
     if not filter_text:
         return None, None
-    text = filter_text.strip()
-    limit = None
-    lowered = text.lower()
-    if " limit " in f" {lowered} ":
-        index = lowered.rfind("limit ")
-        limit = int(text[index + len("limit "):].strip())
-        text = text[:index].strip()
-    if not text:
+    expr, limit = parse_filter(filter_text)
+    if expr is None:
         return None, limit
-
-    expr = _parse_filter_expr(text)
 
     def row_filter(source_row: dict) -> bool:
         try:
@@ -262,19 +254,6 @@ def _parse_load_filter(filter_text: str | None):
             return False
 
     return row_filter, limit
-
-
-def _parse_filter_expr(text: str):
-    from repro.sql.lexer import tokenize
-    from repro.sql.parser import _Parser
-
-    parser = _Parser(text)
-    parser.tokens = tokenize(text)
-    expr = parser._parse_expr()  # noqa: SLF001 — reuse expression grammar
-    if parser.peek().kind != "end":
-        raise AnalysisError(f"trailing input in FILTER: "
-                            f"{parser.peek().text!r}")
-    return expr
 
 
 def _coerce_scalar(value):

@@ -1,8 +1,15 @@
-"""Tokenizer for JustQL."""
+"""Tokenizer for JustQL: one compiled master regex, one pass.
+
+Each match of :data:`_MASTER` is one token, in a named group, after the
+whitespace and comments before it.  ``finditer`` never skips a
+character: the ``bad`` alternative matches any one character and is
+reported, and the ``end`` alternative ends the token list.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.errors import ParseError
 
@@ -18,90 +25,73 @@ KEYWORDS = {
 _SYMBOLS = ("<=", ">=", "!=", "<>", "::", "(", ")", ",", ".", ";", "=",
             "<", ">", "*", "+", "-", "/", "%", "{", "}", ":", "[", "]", "|")
 
+#: One token and the whitespace and ``--`` comments before it.  The
+#: alternatives, in match order: a number starts with an ASCII digit (or
+#: ``.`` and one), and its exponent may dangle (``1e``), which the
+#: parser rejects at the literal.  A quoted string is the unrolled loop
+#: ``q [^q]* (qq [^q]*)* q`` whose closing quote may not be followed by
+#: another, so ``''`` is always an escape and ``'''`` is unterminated,
+#: not an empty string and a stray quote.  ``uname`` is a name that
+#: starts with a non-ASCII word character, which only a letter may do;
+#: ``bad`` is any other character, and ``end`` the end of the text.
+_MASTER = re.compile(r"(?:\s|--[^\n]*\n?)*(?:" + "|".join((
+    r"(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]*)?)",
+    r"(?P<name>[A-Za-z_]\w*)",
+    r"(?P<string>'[^']*(?:''[^']*)*'(?!')|\"[^\"]*(?:\"\"[^\"]*)*\"(?!\"))",
+    "(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+    r"(?P<uname>[^\W0-9]\w*)",
+    r"(?P<end>\Z)",
+    r"(?P<bad>[\s\S])",
+)) + ")")
 
-@dataclass(frozen=True, slots=True)
-class Token:
+
+class Token(NamedTuple):
     """One lexical token: kind is ``ident``, ``keyword``, ``number``,
-    ``string``, ``symbol``, or ``end``."""
+    ``string``, ``symbol``, or ``end``; ``text`` is a string's value.
+
+    ``lowered`` is the token's source text, lower-cased for a name
+    (``ident``/``keyword``), quotes included for a string.  So it names
+    a symbol or keyword alone: no other token has ``lowered == "and"``
+    or ``lowered == ")"``.
+    """
 
     kind: str
     text: str
     position: int
+    lowered: str
 
-    @property
-    def lowered(self) -> str:
-        return self.text.lower()
+
+#: Builds a Token from one tuple, without NamedTuple's Python-level
+#: ``__new__`` frame (one per token on the statement path).
+_new_token = tuple.__new__
 
 
 def tokenize(statement: str) -> list[Token]:
     """Tokenize a JustQL statement; raises ParseError on bad input."""
     tokens: list[Token] = []
-    i = 0
-    n = len(statement)
-    while i < n:
-        ch = statement[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and statement.startswith("--", i):
-            end = statement.find("\n", i)
-            i = n if end < 0 else end + 1
-            continue
-        if ch in "'\"":
-            quote = ch
-            j = i + 1
-            buf = []
-            while j < n:
-                if statement[j] == quote:
-                    if j + 1 < n and statement[j + 1] == quote:
-                        buf.append(quote)  # doubled quote escape
-                        j += 2
-                        continue
-                    break
-                buf.append(statement[j])
-                j += 1
-            else:
-                raise ParseError("unterminated string literal", i, statement)
-            tokens.append(Token("string", "".join(buf), i))
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n
-                            and statement[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                c = statement[j]
-                if c.isdigit():
-                    j += 1
-                elif c == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif c in "eE" and not seen_exp and j > i:
-                    seen_exp = True
-                    j += 1
-                    if j < n and statement[j] in "+-":
-                        j += 1
-                else:
-                    break
-            tokens.append(Token("number", statement[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (statement[j].isalnum() or statement[j] == "_"):
-                j += 1
-            text = statement[i:j]
-            kind = "keyword" if text.lower() in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, i))
-            i = j
-            continue
-        for symbol in _SYMBOLS:
-            if statement.startswith(symbol, i):
-                tokens.append(Token("symbol", symbol, i))
-                i += len(symbol)
-                break
+    append = tokens.append
+    for match in _MASTER.finditer(statement):
+        kind = match.lastgroup
+        text = match.group(kind)
+        position = match.start(kind)
+        if kind == "name" or kind == "uname" and text[0].isalpha():
+            lowered = text.lower()
+            kind = "keyword" if lowered in KEYWORDS else "ident"
+            append(_new_token(Token, (kind, text, position, lowered)))
+        elif kind == "number" or kind == "symbol":
+            append(_new_token(Token, (kind, text, position, text)))
+        elif kind == "string":
+            quote = text[0]
+            append(_new_token(Token, (
+                kind, text[1:-1].replace(quote + quote, quote), position,
+                text)))
+        elif kind == "end":
+            append(_new_token(Token, (kind, "", position, "")))
+            break
+        elif kind == "bad" and text in "'\"":
+            raise ParseError("unterminated string literal", position,
+                             statement)
         else:
-            raise ParseError(f"unexpected character {ch!r}", i, statement)
-    tokens.append(Token("end", "", n))
+            raise ParseError(f"unexpected character {text[0]!r}", position,
+                             statement)
     return tokens

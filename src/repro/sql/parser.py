@@ -1,8 +1,14 @@
-"""Recursive-descent parser for JustQL (the ANTLR substitute)."""
+"""Parser for JustQL (the ANTLR substitute).
+
+Statements are recursive descent; expressions are one precedence-
+climbing loop over the binding powers below, the loop ANTLR 4 makes of
+a left-recursive expression rule.
+"""
 
 from __future__ import annotations
 
 import ast as _pyast
+import math
 
 from repro.errors import ParseError
 from repro.sql.ast import (
@@ -35,12 +41,53 @@ from repro.sql.ast import (
 )
 from repro.sql.lexer import Token, tokenize
 
-_COMPARISONS = {"=", "!=", "<>", "<", "<=", ">", ">="}
+#: Binding powers, loosest first.  Predicates do not chain, and after a
+#: predicate or a NOT operand only AND/OR may follow.
+_OR, _AND, _NOT, _PREDICATE, _ADDITIVE, _MULTIPLICATIVE, _UNARY = range(1, 8)
+_OPEN = _UNARY + 1  # no ceiling
+
+#: Infix operators by token text (keywords lower-cased).
+_INFIX = {
+    "or": _OR, "and": _AND,
+    "=": _PREDICATE, "!=": _PREDICATE, "<>": _PREDICATE, "<": _PREDICATE,
+    "<=": _PREDICATE, ">": _PREDICATE, ">=": _PREDICATE,
+    "between": _PREDICATE, "within": _PREDICATE, "like": _PREDICATE,
+    "in": _PREDICATE, "is": _PREDICATE,
+    "+": _ADDITIVE, "-": _ADDITIVE,
+    "*": _MULTIPLICATIVE, "/": _MULTIPLICATIVE, "%": _MULTIPLICATIVE,
+}
+
+_CONSTANTS = {"true": True, "false": False, "null": None}
 
 
 def parse_statement(statement: str) -> Statement:
     """Parse one JustQL statement into an AST node."""
     return _Parser(statement).parse()
+
+
+def parse_expression(text: str) -> Expr:
+    """Parse ``text`` as one JustQL expression and nothing more."""
+    parser = _Parser(text)
+    expr = parser._parse_expr()
+    parser.expect_end()
+    return expr
+
+
+def parse_filter(text: str) -> tuple[Expr | None, int | None]:
+    """A LOAD FILTER string: ``[expression] [LIMIT n]``, then the end.
+
+    ``'trajId="1068" limit 10'`` is a predicate over source rows and a
+    cap on the rows loaded; either part may be missing.
+    """
+    parser = _Parser(text)
+    token = parser.peek()
+    expr = None
+    if token.kind != "end" and token.lowered != "limit":
+        expr = parser._parse_expr()
+    limit = parser._parse_limit() if parser.accept_keyword("limit") \
+        else None
+    parser.expect_end()
+    return expr, limit
 
 
 class _Parser:
@@ -50,8 +97,10 @@ class _Parser:
         self.index = 0
 
     # -- token helpers ------------------------------------------------------
-    def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+    # The token list ends with one ``end`` token, which is never consumed.
+    # A token's ``lowered`` names a keyword or symbol alone (see Token).
+    def peek(self) -> Token:
+        return self.tokens[self.index]
 
     def advance(self) -> Token:
         token = self.tokens[self.index]
@@ -60,12 +109,12 @@ class _Parser:
         return token
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.peek().position, self.statement)
+        return ParseError(message, self.tokens[self.index].position,
+                          self.statement)
 
-    def accept_keyword(self, *words: str) -> bool:
-        token = self.peek()
-        if token.kind == "keyword" and token.lowered in words:
-            self.advance()
+    def accept_keyword(self, word: str) -> bool:
+        if self.tokens[self.index].lowered == word:
+            self.index += 1
             return True
         return False
 
@@ -75,9 +124,8 @@ class _Parser:
                              f"got {self.peek().text!r}")
 
     def accept_symbol(self, symbol: str) -> bool:
-        token = self.peek()
-        if token.kind == "symbol" and token.text == symbol:
-            self.advance()
+        if self.tokens[self.index].lowered == symbol:
+            self.index += 1
             return True
         return False
 
@@ -86,11 +134,16 @@ class _Parser:
             raise self.error(f"expected {symbol!r}, got {self.peek().text!r}")
 
     def expect_name(self) -> str:
-        token = self.peek()
-        if token.kind in ("ident", "keyword"):
-            self.advance()
+        token = self.tokens[self.index]
+        if token.kind == "ident" or token.kind == "keyword":
+            self.index += 1
             return token.text
         raise self.error(f"expected a name, got {token.text!r}")
+
+    def expect_end(self) -> None:
+        token = self.tokens[self.index]
+        if token.kind != "end":
+            raise self.error(f"trailing input: {token.text!r}")
 
     # -- statement dispatch ------------------------------------------------------
     def parse(self) -> Statement:
@@ -98,33 +151,16 @@ class _Parser:
         if token.kind != "keyword":
             raise self.error(f"statement must start with a keyword, "
                              f"got {token.text!r}")
-        word = token.lowered
-        handlers = {
-            "select": self._parse_select_statement,
-            "explain": self._parse_explain,
-            "create": self._parse_create,
-            "drop": self._parse_drop,
-            "show": self._parse_show,
-            "desc": self._parse_desc,
-            "describe": self._parse_desc,
-            "insert": self._parse_insert,
-            "load": self._parse_load,
-            "store": self._parse_store,
-            "analyze": self._parse_analyze,
-        }
-        handler = handlers.get(word)
+        handler = _STATEMENTS.get(token.lowered)
         if handler is None:
-            raise self.error(f"unsupported statement {word.upper()!r}")
-        result = handler()
+            raise self.error(f"unsupported statement "
+                             f"{token.lowered.upper()!r}")
+        result = getattr(self, handler)()
         self.accept_symbol(";")
-        if self.peek().kind != "end":
-            raise self.error(f"trailing input: {self.peek().text!r}")
+        self.expect_end()
         return result
 
     # -- SELECT --------------------------------------------------------------------
-    def _parse_select_statement(self) -> SelectStmt:
-        return self._parse_select()
-
     def _parse_select(self) -> SelectStmt:
         self.expect_keyword("select")
         distinct = self.accept_keyword("distinct")
@@ -154,12 +190,7 @@ class _Parser:
             order_by.append(self._parse_order_item())
             while self.accept_symbol(","):
                 order_by.append(self._parse_order_item())
-        limit = None
-        if self.accept_keyword("limit"):
-            token = self.advance()
-            if token.kind != "number":
-                raise self.error("LIMIT expects a number")
-            limit = int(float(token.text))
+        limit = self._parse_limit() if self.accept_keyword("limit") else None
         return SelectStmt(projections, source, where, group_by, having,
                           order_by, limit, distinct, joins)
 
@@ -236,118 +267,117 @@ class _Parser:
         return name
 
     # -- expressions -------------------------------------------------------------------
-    def _parse_expr(self) -> Expr:
-        return self._parse_or()
+    def _parse_expr(self, min_bp: int = 0) -> Expr:
+        """One expression whose infix operators all bind tighter than
+        ``min_bp`` (see ``_INFIX``).
 
-    def _parse_or(self) -> Expr:
-        left = self._parse_and()
-        while self.accept_keyword("or"):
-            left = BinaryOp("or", left, self._parse_and())
-        return left
+        A prefix NOT is an operator only where an AND/OR operand may
+        start (``min_bp <= _NOT``); deeper down it is a column name, as
+        any keyword is.  ``ceiling`` is the loosest operator that may
+        still follow: after a predicate or a NOT operand only AND/OR
+        may, so ``a = b = c`` and ``a IS NULL + 1`` stop at the second
+        operator and fail in the caller.
+        """
+        tokens = self.tokens
+        lowered = tokens[self.index].lowered
+        ceiling = _OPEN
+        if lowered == "not" and min_bp <= _NOT:
+            self.index += 1
+            left = UnaryOp("not", self._parse_expr(_NOT))
+            ceiling = _AND
+        elif lowered == "-":
+            self.index += 1
+            left = UnaryOp("-", self._parse_expr(_UNARY))
+        else:
+            left = self._parse_primary()
+        while True:
+            op = tokens[self.index].lowered
+            level = _INFIX.get(op, 0)
+            if level <= min_bp or level > ceiling:
+                return left
+            self.index += 1
+            if level == _PREDICATE:
+                left = self._parse_predicate(op, left)
+                ceiling = _AND
+            else:
+                left = BinaryOp(op, left, self._parse_expr(level))
+                ceiling = level
 
-    def _parse_and(self) -> Expr:
-        left = self._parse_not()
-        while self.accept_keyword("and"):
-            left = BinaryOp("and", left, self._parse_not())
-        return left
-
-    def _parse_not(self) -> Expr:
-        if self.accept_keyword("not"):
-            return UnaryOp("not", self._parse_not())
-        return self._parse_predicate()
-
-    def _parse_predicate(self) -> Expr:
-        left = self._parse_additive()
-        token = self.peek()
-        if token.kind == "symbol" and token.text in _COMPARISONS:
-            self.advance()
-            op = "!=" if token.text == "<>" else token.text
-            return BinaryOp(op, left, self._parse_additive())
-        if self.accept_keyword("between"):
-            low = self._parse_additive()
+    def _parse_predicate(self, op: str, left: Expr) -> Expr:
+        """The rest of ``left <op> ...`` once ``op`` is consumed."""
+        if op == "between":
+            low = self._parse_expr(_PREDICATE)
             self.expect_keyword("and")
-            high = self._parse_additive()
-            return Between(left, low, high)
-        if self.accept_keyword("within"):
-            return BinaryOp("within", left, self._parse_additive())
-        if self.accept_keyword("like"):
-            pattern = self._parse_additive()
-            return BinaryOp("like", left, pattern)
-        if self.accept_keyword("in"):
-            func = self._parse_additive()
-            if not isinstance(func, FuncCall):
-                raise self.error("IN expects a set function such as st_KNN")
-            return InFunc(left, func)
-        if self.accept_keyword("is"):
+            return Between(left, low, self._parse_expr(_PREDICATE))
+        if op == "is":
             negated = self.accept_keyword("not")
             self.expect_keyword("null")
             return IsNull(left, negated)
-        return left
-
-    def _parse_additive(self) -> Expr:
-        left = self._parse_multiplicative()
-        while True:
-            if self.accept_symbol("+"):
-                left = BinaryOp("+", left, self._parse_multiplicative())
-            elif self.accept_symbol("-"):
-                left = BinaryOp("-", left, self._parse_multiplicative())
-            else:
-                return left
-
-    def _parse_multiplicative(self) -> Expr:
-        left = self._parse_unary()
-        while True:
-            if self.accept_symbol("*"):
-                left = BinaryOp("*", left, self._parse_unary())
-            elif self.accept_symbol("/"):
-                left = BinaryOp("/", left, self._parse_unary())
-            elif self.accept_symbol("%"):
-                left = BinaryOp("%", left, self._parse_unary())
-            else:
-                return left
-
-    def _parse_unary(self) -> Expr:
-        if self.accept_symbol("-"):
-            return UnaryOp("-", self._parse_unary())
-        return self._parse_primary()
+        right = self._parse_expr(_PREDICATE)
+        if op == "in":
+            if not isinstance(right, FuncCall):
+                raise self.error("IN expects a set function such as st_KNN")
+            return InFunc(left, right)
+        return BinaryOp("!=" if op == "<>" else op, left, right)
 
     def _parse_primary(self) -> Expr:
-        token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            text = token.text
-            value = float(text) if ("." in text or "e" in text.lower()) \
-                else int(text)
-            return Literal(value)
-        if token.kind == "string":
-            self.advance()
+        token = self.tokens[self.index]
+        kind = token.kind
+        if kind == "number":
+            self.index += 1
+            return Literal(self._number(token))
+        if kind == "string":
+            self.index += 1
             return Literal(token.text)
-        if self.accept_keyword("true"):
-            return Literal(True)
-        if self.accept_keyword("false"):
-            return Literal(False)
-        if self.accept_keyword("null"):
-            return Literal(None)
-        if self.accept_symbol("("):
+        if token.lowered == "(":
+            self.index += 1
             expr = self._parse_expr()
             self.expect_symbol(")")
             return expr
-        if token.kind in ("ident", "keyword"):
-            name = self.expect_name()
-            if self.accept_symbol("("):
-                args: list[Expr] = []
-                if not self.accept_symbol(")"):
-                    while True:
-                        if self.accept_symbol("*"):
-                            args.append(Star())
-                        else:
-                            args.append(self._parse_expr())
-                        if self.accept_symbol(")"):
-                            break
-                        self.expect_symbol(",")
-                return FuncCall(name.lower(), tuple(args))
-            return Column(name)
-        raise self.error(f"unexpected token {token.text!r} in expression")
+        if token.lowered in _CONSTANTS:
+            self.index += 1
+            return Literal(_CONSTANTS[token.lowered])
+        if kind != "ident" and kind != "keyword":
+            raise self.error(f"unexpected token {token.text!r} in expression")
+        self.index += 1
+        if not self.accept_symbol("("):
+            return Column(token.text)
+        args: list[Expr] = []
+        if not self.accept_symbol(")"):
+            while True:
+                if self.accept_symbol("*"):
+                    args.append(Star())
+                else:
+                    args.append(self._parse_expr())
+                if self.accept_symbol(")"):
+                    break
+                self.expect_symbol(",")
+        return FuncCall(token.lowered, tuple(args))
+
+    def _number(self, token: Token) -> int | float:
+        """A number token's value; a dangling exponent (``1e``, ``2E+``)
+        or an integer too long to convert is a ParseError at the
+        literal."""
+        text = token.text
+        try:
+            if "." in text or "e" in text or "E" in text:
+                return float(text)
+            return int(text)
+        except ValueError:
+            raise ParseError(f"malformed number {text!r}", token.position,
+                             self.statement) from None
+
+    def _parse_limit(self) -> int:
+        """The count after LIMIT: a finite number, truncated."""
+        token = self.advance()
+        if token.kind != "number":
+            raise self.error("LIMIT expects a number")
+        self._number(token)  # a dangling exponent is a ParseError
+        value = float(token.text)
+        if not math.isfinite(value):
+            raise ParseError(f"LIMIT {token.text} is not finite",
+                             token.position, self.statement)
+        return int(value)
 
     # -- CREATE / DROP / SHOW / DESC -----------------------------------------------------
     def _parse_create(self) -> Statement:
@@ -434,9 +464,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            text = token.text
-            return float(text) if ("." in text or "e" in text.lower()) \
-                else int(text)
+            return self._number(token)
         if token.kind == "string":
             self.advance()
             return token.text
@@ -479,7 +507,8 @@ class _Parser:
         raw = text[start:i + 1]
         try:
             value = _pyast.literal_eval(raw)
-        except (ValueError, SyntaxError) as exc:
+        except (ValueError, SyntaxError, TypeError, RecursionError,
+                MemoryError) as exc:
             raise ParseError(f"malformed JSON literal: {exc}", start,
                              text) from None
         if not isinstance(value, dict):
@@ -575,3 +604,19 @@ class _Parser:
         self.expect_keyword("table")
         table = self.expect_name()
         return StoreViewStmt(view, table)
+
+
+#: Statement handlers by leading keyword.
+_STATEMENTS = {
+    "select": "_parse_select",
+    "explain": "_parse_explain",
+    "create": "_parse_create",
+    "drop": "_parse_drop",
+    "show": "_parse_show",
+    "desc": "_parse_desc",
+    "describe": "_parse_desc",
+    "insert": "_parse_insert",
+    "load": "_parse_load",
+    "store": "_parse_store",
+    "analyze": "_parse_analyze",
+}

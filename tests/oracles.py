@@ -1,7 +1,9 @@
 """Independent reference implementations the engine is checked against.
 
 Nothing here shares logic with ``repro``: an oracle that called the code
-under test would agree with its bugs.  (ROADMAP item 6 lifts the
+under test would agree with its bugs.  The one exception is
+``ReferenceParser``, which inherits the JustQL parser's statement-level
+code on purpose: it checks the lexer and the expression grammar only.  (ROADMAP item 6 lifts the
 brute-force references of ``benchmarks/perf/workloads.py`` here; the
 benchmark keeps its own copies, tests never import from ``benchmarks/``.)
 """
@@ -15,7 +17,7 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, floor, hypot
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ParseError
 from repro.sql.ast import (
     Aliased,
     Between,
@@ -34,6 +36,8 @@ from repro.sql.functions import (
     SET_FUNCTIONS,
     lookup_scalar,
 )
+from repro.sql.lexer import KEYWORDS, Token
+from repro.sql.parser import _Parser
 
 
 def segment_meets_box(x1, y1, x2, y2, box) -> bool:
@@ -571,3 +575,214 @@ class HistogramReference:
         rank = max(0, min(len(ordered) - 1,
                           int(q * len(ordered) + 0.5) - 1))
         return ordered[rank]
+
+
+# -- the JustQL front end before the master-regex lexer -----------------------
+# A character loop for a lexer and one method per precedence level for
+# expressions.  ``ReferenceParser`` keeps the parser's statement-level
+# code (it subclasses it), so only the lexer and expressions differ.
+
+_REFERENCE_SYMBOLS = ("<=", ">=", "!=", "<>", "::", "(", ")", ",", ".",
+                      ";", "=", "<", ">", "*", "+", "-", "/", "%", "{",
+                      "}", ":", "[", "]", "|")
+_REFERENCE_COMPARISONS = {"=", "!=", "<>", "<", "<=", ">", ">="}
+
+
+def reference_tokenize(statement: str) -> list[Token]:
+    """Tokenize a JustQL statement one character at a time."""
+    tokens: list[Token] = []
+    i = 0
+    n = len(statement)
+    while i < n:
+        ch = statement[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "-" and statement.startswith("--", i):
+            end = statement.find("\n", i)
+            i = n if end < 0 else end + 1
+            continue
+        if ch in "'\"":
+            quote = ch
+            j = i + 1
+            buf = []
+            while j < n:
+                if statement[j] == quote:
+                    if j + 1 < n and statement[j + 1] == quote:
+                        buf.append(quote)  # doubled quote escape
+                        j += 2
+                        continue
+                    break
+                buf.append(statement[j])
+                j += 1
+            else:
+                raise ParseError("unterminated string literal", i, statement)
+            tokens.append(Token("string", "".join(buf), i,
+                                statement[i:j + 1]))
+            i = j + 1
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n
+                            and statement[i + 1].isdigit()):
+            j = i
+            seen_dot = False
+            seen_exp = False
+            while j < n:
+                c = statement[j]
+                if c.isdigit():
+                    j += 1
+                elif c == "." and not seen_dot and not seen_exp:
+                    seen_dot = True
+                    j += 1
+                elif c in "eE" and not seen_exp and j > i:
+                    seen_exp = True
+                    j += 1
+                    if j < n and statement[j] in "+-":
+                        j += 1
+                else:
+                    break
+            text = statement[i:j]
+            tokens.append(Token("number", text, i, text))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (statement[j].isalnum() or statement[j] == "_"):
+                j += 1
+            text = statement[i:j]
+            lowered = text.lower()
+            kind = "keyword" if lowered in KEYWORDS else "ident"
+            tokens.append(Token(kind, text, i, lowered))
+            i = j
+            continue
+        for symbol in _REFERENCE_SYMBOLS:
+            if statement.startswith(symbol, i):
+                tokens.append(Token("symbol", symbol, i, symbol))
+                i += len(symbol)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i, statement)
+    tokens.append(Token("end", "", n, ""))
+    return tokens
+
+
+class ReferenceParser(_Parser):
+    """The parser's statements over ``reference_tokenize`` and an
+    eight-level recursive descent for expressions."""
+
+    def __init__(self, statement: str):
+        self.statement = statement
+        self.tokens = reference_tokenize(statement)
+        self.index = 0
+
+    def _parse_expr(self) -> Expr:
+        return self._parse_or()
+
+    def _parse_or(self) -> Expr:
+        left = self._parse_and()
+        while self.accept_keyword("or"):
+            left = BinaryOp("or", left, self._parse_and())
+        return left
+
+    def _parse_and(self) -> Expr:
+        left = self._parse_not()
+        while self.accept_keyword("and"):
+            left = BinaryOp("and", left, self._parse_not())
+        return left
+
+    def _parse_not(self) -> Expr:
+        if self.accept_keyword("not"):
+            return UnaryOp("not", self._parse_not())
+        return self._parse_predicate()
+
+    def _parse_predicate(self) -> Expr:
+        left = self._parse_additive()
+        token = self.peek()
+        if token.kind == "symbol" and token.text in _REFERENCE_COMPARISONS:
+            self.advance()
+            op = "!=" if token.text == "<>" else token.text
+            return BinaryOp(op, left, self._parse_additive())
+        if self.accept_keyword("between"):
+            low = self._parse_additive()
+            self.expect_keyword("and")
+            high = self._parse_additive()
+            return Between(left, low, high)
+        if self.accept_keyword("within"):
+            return BinaryOp("within", left, self._parse_additive())
+        if self.accept_keyword("like"):
+            pattern = self._parse_additive()
+            return BinaryOp("like", left, pattern)
+        if self.accept_keyword("in"):
+            func = self._parse_additive()
+            if not isinstance(func, FuncCall):
+                raise self.error("IN expects a set function such as st_KNN")
+            return InFunc(left, func)
+        if self.accept_keyword("is"):
+            negated = self.accept_keyword("not")
+            self.expect_keyword("null")
+            return IsNull(left, negated)
+        return left
+
+    def _parse_additive(self) -> Expr:
+        left = self._parse_multiplicative()
+        while True:
+            if self.accept_symbol("+"):
+                left = BinaryOp("+", left, self._parse_multiplicative())
+            elif self.accept_symbol("-"):
+                left = BinaryOp("-", left, self._parse_multiplicative())
+            else:
+                return left
+
+    def _parse_multiplicative(self) -> Expr:
+        left = self._parse_unary()
+        while True:
+            if self.accept_symbol("*"):
+                left = BinaryOp("*", left, self._parse_unary())
+            elif self.accept_symbol("/"):
+                left = BinaryOp("/", left, self._parse_unary())
+            elif self.accept_symbol("%"):
+                left = BinaryOp("%", left, self._parse_unary())
+            else:
+                return left
+
+    def _parse_unary(self) -> Expr:
+        if self.accept_symbol("-"):
+            return UnaryOp("-", self._parse_unary())
+        return self._parse_primary()
+
+    def _parse_primary(self) -> Expr:
+        token = self.peek()
+        if token.kind == "number":
+            self.advance()
+            text = token.text
+            value = float(text) if ("." in text or "e" in text.lower()) \
+                else int(text)
+            return Literal(value)
+        if token.kind == "string":
+            self.advance()
+            return Literal(token.text)
+        if self.accept_keyword("true"):
+            return Literal(True)
+        if self.accept_keyword("false"):
+            return Literal(False)
+        if self.accept_keyword("null"):
+            return Literal(None)
+        if self.accept_symbol("("):
+            expr = self._parse_expr()
+            self.expect_symbol(")")
+            return expr
+        if token.kind in ("ident", "keyword"):
+            name = self.expect_name()
+            if self.accept_symbol("("):
+                args: list[Expr] = []
+                if not self.accept_symbol(")"):
+                    while True:
+                        if self.accept_symbol("*"):
+                            args.append(Star())
+                        else:
+                            args.append(self._parse_expr())
+                        if self.accept_symbol(")"):
+                            break
+                        self.expect_symbol(",")
+                return FuncCall(name.lower(), tuple(args))
+            return Column(name)
+        raise self.error(f"unexpected token {token.text!r} in expression")

@@ -144,11 +144,11 @@ class TestEvaluationCostAtUptime:
         rings it queries hold ~9x more: windows are found by bisection
         (a few more comparisons per doubling) and counter increases are
         two running totals, not a walk."""
-        record = MetricsHistory.record
+        record_scrape = MetricsHistory.record_scrape
         monkeypatch.setattr(
-            MetricsHistory, "record",
-            lambda self, name, kind, sim_ms, value: record(
-                self, name, kind, _CountedMs(sim_ms), value))
+            MetricsHistory, "record_scrape",
+            lambda self, sim_ms, points: record_scrape(
+                self, _CountedMs(sim_ms), points))
         engine = JustEngine()
         monitor = engine.enable_monitoring()
         JustServer(engine)  # registers the statement histogram

@@ -21,8 +21,9 @@ from oracles import (
     increase_reference,
     rate_per_s_reference,
 )
-from repro.observability.history import MetricsHistory
-from repro.observability.metrics import Histogram
+from repro.observability.events import EventLog
+from repro.observability.history import MetricsHistory, MetricsScraper
+from repro.observability.metrics import Counter, Histogram, MetricsRegistry
 
 #: Small tiers, so a few hundred points roll every ring past capacity.
 TIERS = ((1, 8), (3, 8), (9, 16))
@@ -191,3 +192,93 @@ def test_undecimated_histogram_folds_long_and_short_tails(values,
         if i % reads_every == 0:
             assert histogram.quantile(0.95) == reference.quantile(0.95)
     assert histogram.quantile(0.5) == reference.quantile(0.5)
+
+
+# -- one whole scrape against one point at a time ------------------------------
+
+def _exploded_reference(key, histogram):
+    """A histogram's ``(name, kind, value)`` series, spelled out."""
+    base, brace, labels = key.partition("{")
+
+    def name(suffix):
+        return f"{base}_{suffix}{brace}{labels}"
+
+    points = [(name("count"), "counter", histogram.count),
+              (name("sum"), "counter", histogram.sum)]
+    points += [(name(f"p{round(q * 100)}"), "gauge", histogram.quantile(q))
+               for q in (0.5, 0.95, 0.99)]
+    points += [(name(f"bucket_le_{bound:g}"), "counter", count)
+               for bound, count in histogram.bucket_counts()]
+    return points
+
+
+_scrape_steps = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 1.0, 2.5, 40.0]),        # clock advance
+        st.integers(0, 3),                              # counter growth
+        st.floats(-5.0, 5.0, allow_nan=False),         # gauge value
+        st.lists(st.tuples(st.sampled_from(["scan", "get"]),
+                           st.floats(0.0, 300.0, allow_nan=False)),
+                 max_size=3),                           # observations
+        st.sampled_from(["grow", "grow", "grow", "reset"]),
+        st.booleans()),                                 # arm the late one
+    min_size=30, max_size=60)
+
+#: Every ring rolls within 30 scrapes; capacity 8 lets evicted points
+#: gather before they are deleted.
+SCRAPE_TIERS = ((1, 8), (2, 8), (3, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(steps=_scrape_steps)
+def test_a_scrape_records_what_one_point_at_a_time_records(steps):
+    """Counters, gauges, a labelled bucketed histogram, an exposed
+    counter that resets (a failover re-registration) and a series
+    listed only once its ``since`` holds, through tiers small enough to
+    roll every ring: after every scrape ``rows()`` equals a
+    ``SeriesReference`` per series fed the same points one by one."""
+    registry = MetricsRegistry()
+    events = EventLog()
+    history = MetricsHistory(SCRAPE_TIERS)
+    scraper = MetricsScraper(registry, events, history)
+    counter = registry.counter("ops", kind="read")
+    gauge = registry.gauge("inflight")
+    state = {"restarts": 0, "armed": False}
+    registry.expose("restarted", lambda: state["restarts"])
+    registry.expose("late", lambda: 7 + state["restarts"], kind="gauge",
+                    since=lambda: state["armed"])
+    references: dict[str, tuple[str, SeriesReference]] = {}
+    for dt, grow, level, observations, action, arm in steps:
+        events.advance(dt)
+        counter.inc(grow)
+        gauge.set(level)
+        for op, value in observations:
+            registry.histogram("lat", buckets=(1.0, 10.0, 100.0),
+                               op=op).observe(value)
+        state["restarts"] = (state["restarts"] + grow
+                             if action == "grow" else grow % 2)
+        state["armed"] = state["armed"] or arm
+        now = events.now_ms
+        expected = []
+        for key, metric in registry.items():
+            if isinstance(metric, Histogram):
+                expected += _exploded_reference(key, metric)
+            else:
+                kind = "counter" if isinstance(metric, Counter) \
+                    else "gauge"
+                expected.append((key, kind, metric.value))
+        scraper.tick()
+        for name, kind, value in expected:
+            references.setdefault(
+                name, (kind, SeriesReference(SCRAPE_TIERS)))[1].record(
+                    now, value)
+        assert scraper.series == len(expected)
+        assert history.rows() == [
+            {"name": name, "kind": kind, "tier": tier,
+             "ts_ms": round(ts, 3), "value": value,
+             "rate_per_s": None if rate is None else round(rate, 6)}
+            for name, (kind, reference) in sorted(references.items())
+            for tier, ts, value, rate in reference.rows(kind)]
+    assert state["armed"] == ("late" in history.series)
+    assert all(len(ring) == 8
+               for ring in history.get("ops{kind=read}").rings)
