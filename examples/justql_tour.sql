@@ -48,6 +48,29 @@ SELECT fid, amount FROM orders
 SELECT count(*) AS n FROM orders
     WHERE amount IS NOT NULL AND NOT (fid = 1 OR fid = 4);
 
+-- Aggregates and sorts over NULLs: count(col) counts the non-NULL
+-- values and avg skips them.  A DESC key puts NULLs first, and rows that
+-- tie on every key keep their scan order.
+CREATE TABLE trips (
+    fid integer:primary key,
+    time date,
+    geom point:srid=4326,
+    fare double,
+    zone string
+);
+INSERT INTO trips VALUES
+    (1, 1538352000, st_makePoint(116.39, 39.91), 10.0, 'north'),
+    (2, 1538352600, st_makePoint(116.40, 39.92), NULL, 'north'),
+    (3, 1538353200, st_makePoint(116.41, 39.93), 14.5, 'south'),
+    (4, 1538353800, st_makePoint(116.42, 39.94), 14.5, NULL),
+    (5, 1538354400, st_makePoint(116.43, 39.95), NULL, 'south'),
+    (6, 1538355000, st_makePoint(116.44, 39.96), 7.25, 'north'),
+    (7, 1538355600, st_makePoint(116.45, 39.97), 14.5, 'south');
+SELECT zone, count(*) AS n, count(fare) AS fares, avg(fare) AS mean
+    FROM trips GROUP BY zone ORDER BY zone;
+SELECT zone, fare, fid FROM trips ORDER BY fare DESC, zone DESC LIMIT 5;
+DROP TABLE trips;
+
 DROP VIEW big_orders;
 DROP TABLE fleet;
 SHOW TABLES;

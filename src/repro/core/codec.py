@@ -21,7 +21,7 @@ import gzip as _gzip
 import struct
 import zlib
 from itertools import accumulate, chain
-from operator import sub
+from operator import itemgetter, sub
 
 from repro.errors import SchemaError
 from repro.core.schema import FieldType, Schema
@@ -215,6 +215,132 @@ def decode_value(data: bytes, ftype: FieldType):
 
 # -- row codec -----------------------------------------------------------------
 
+#: Field types stored at one fixed width: their ``struct`` code.  A
+#: schema's leading run of these (stored plain) is read in one call.
+_FIXED_CODES = {
+    FieldType.INTEGER: "q",
+    FieldType.LONG: "q",
+    FieldType.DOUBLE: "d",
+    FieldType.DATE: "d",
+    FieldType.POINT: "dd",
+}
+
+
+def _walk(rows, pos: int, steps) -> list:
+    """The one field walker: read the fields ``steps`` describes
+    (``(wanted, decode, compress)`` each) from offset ``pos`` of every
+    row in ``rows``; returns the wanted values row after row, in one
+    flat list.  A field that is not wanted is stepped over by its length
+    prefix: never sliced, decompressed or decoded."""
+    values: list = []
+    append = values.append
+    for data in rows:
+        at = pos
+        for wanted, decode, compress in steps:
+            flag = data[at]
+            at += 1
+            if flag == _FLAG_NULL:
+                if wanted:
+                    append(None)
+                continue
+            length = data[at]
+            at += 1
+            if length >= 0x80:  # a multi-byte varint
+                length, at = read_varint(data, at - 1)
+            if wanted:
+                payload = data[at:at + length]
+                if flag == _FLAG_COMPRESSED:
+                    payload = decompress_bytes(payload, compress)
+                append(decode(payload))
+            at += length
+    return values
+
+
+def _split(values: list, width: int) -> list[list]:
+    """A flat row-after-row list of ``width`` fields as its columns."""
+    return [values[i::width] for i in range(width)]
+
+
+class _DecodePlan:
+    """How the fields of one ``wanted`` set are read out of stored rows.
+
+    The schema's leading run of fixed-width fields that are stored
+    plain is read with one ``struct.unpack_from`` per row, whose flag
+    and length bytes must equal the plain full-width header; the fields
+    after the run go through :func:`_walk`.  A row whose header differs
+    (a NULL or compressed field in the run) is walked field by field
+    from its first byte, and so is every row of a chunk that holds one.
+    Either way the walk stops after the last wanted field.
+    """
+
+    __slots__ = ("names", "_unpack", "_size", "_header", "_expected",
+                 "_picks", "_tail", "_tail_width", "_steps")
+
+    def __init__(self, fields, run: int, wanted):
+        def want(name):
+            return wanted is None or name in wanted
+        self.names = [name for name, *_ in fields if want(name)]
+        steps = [(want(name), decode, compress)
+                 for name, _code, decode, compress in fields]
+        while steps and not steps[-1][0]:
+            steps.pop()  # nothing wanted after here: stop walking
+        self._steps = steps
+        self._tail = steps[run:]
+        self._tail_width = sum(wanted for wanted, *_ in self._tail)
+        if not self._tail:  # the run need only reach its last wanted field
+            run = min(run, len(steps))
+        self._unpack = None
+        if not run:
+            return
+        fmt, header, expected, picks = ">", [], [], []
+        index = 0
+        for name, code, _decode, _compress in fields[:run]:
+            fmt += "BB" + code
+            header += [index, index + 1]
+            expected += [_FLAG_PLAIN, 8 * len(code)]
+            if want(name):
+                picks.append((index + 2, len(code) == 2))
+            index += 2 + len(code)
+        layout = struct.Struct(fmt)
+        self._unpack = layout.unpack_from
+        self._size = layout.size
+        self._header = itemgetter(*header)
+        self._expected = tuple(expected)
+        self._picks = picks
+
+    def row(self, data: bytes) -> list:
+        """One row's wanted values, in schema order."""
+        if self._unpack is not None:
+            try:
+                head = self._unpack(data)
+            except struct.error:  # shorter than a plain run: a NULL in it
+                head = None
+            if head is not None and self._header(head) == self._expected:
+                return [Point(head[i], head[i + 1]) if point else head[i]
+                        for i, point in self._picks] \
+                    + _walk((data,), self._size, self._tail)
+        return _walk((data,), 0, self._steps)
+
+    def columns(self, rows: list[bytes]) -> list[list]:
+        """Every row's wanted values, one list per field."""
+        if self._unpack is not None:
+            try:
+                heads = list(map(self._unpack, rows))
+            except struct.error:
+                heads = None
+            if heads is not None and list(map(self._header, heads)).count(
+                    self._expected) == len(heads):
+                columns = []
+                for i, point in self._picks:
+                    values = map(itemgetter(i), heads)
+                    columns.append(list(
+                        map(Point, values, map(itemgetter(i + 1), heads))
+                        if point else values))
+                return columns + _split(_walk(rows, self._size, self._tail),
+                                        self._tail_width)
+        return _split(_walk(rows, 0, self._steps), len(self.names))
+
+
 class RowCodec:
     """Serializes full rows against a schema, honouring field compression.
 
@@ -225,8 +351,17 @@ class RowCodec:
     def __init__(self, schema: Schema, compression_enabled: bool = True):
         self.schema = schema
         self.compression_enabled = compression_enabled
-        self._decode_plan = [(f.name, _DECODERS[f.ftype], f.compress)
-                             for f in schema.fields]
+        self._fields = [(f.name, _FIXED_CODES.get(f.ftype),
+                         _DECODERS[f.ftype], f.compress)
+                        for f in schema.fields]
+        run = 0
+        for f in schema.fields:
+            if f.ftype not in _FIXED_CODES or (
+                    compression_enabled and f.compress != "none"):
+                break
+            run += 1
+        self._run = run
+        self._plans: dict = {}
 
     def encode_row(self, row: dict) -> bytes:
         out = bytearray()
@@ -247,31 +382,32 @@ class RowCodec:
                 out += payload
         return bytes(out)
 
+    def _plan(self, wanted) -> _DecodePlan:
+        """The compiled plan of ``wanted``, cached by its frozenset."""
+        if wanted.__class__ is set:
+            wanted = frozenset(wanted)
+        plan = self._plans.get(wanted)
+        if plan is None:
+            plan = self._plans[wanted] = _DecodePlan(self._fields,
+                                                     self._run, wanted)
+        return plan
+
     def decode_row(self, data: bytes, wanted=None) -> dict:
         """The row's fields named in ``wanted`` (``None``: every field).
 
-        A field that is not wanted is stepped over by its length prefix:
-        never sliced, decompressed or decoded.  Names in ``wanted`` that
-        are not schema fields (a plugin table's ``item``) are ignored.
+        A field that is not wanted is never sliced, decompressed or
+        decoded.  Names in ``wanted`` that are not schema fields (a
+        plugin table's ``item``) are ignored.
         """
-        row: dict = {}
-        pos = 0
-        for name, decode, compress in self._decode_plan:
-            flag = data[pos]
-            pos += 1
-            skip = wanted is not None and name not in wanted
-            if flag == _FLAG_NULL:
-                if not skip:
-                    row[name] = None
-                continue
-            length = data[pos]
-            pos += 1
-            if length >= 0x80:  # a multi-byte varint
-                length, pos = read_varint(data, pos - 1)
-            if not skip:
-                payload = data[pos:pos + length]
-                if flag == _FLAG_COMPRESSED:
-                    payload = decompress_bytes(payload, compress)
-                row[name] = decode(payload)
-            pos += length
-        return row
+        plan = self._plans.get(wanted) if wanted.__class__ is not set \
+            else None
+        if plan is None:
+            plan = self._plan(wanted)
+        return dict(zip(plan.names, plan.row(data)))
+
+    def decode_columns(self, payloads: list[bytes],
+                       wanted=None) -> dict[str, list]:
+        """:meth:`decode_row` over a chunk of rows, column-major:
+        ``{field: [value of each row]}`` for the fields in ``wanted``."""
+        plan = self._plan(wanted)
+        return dict(zip(plan.names, plan.columns(payloads)))

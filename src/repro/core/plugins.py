@@ -31,6 +31,13 @@ TRAJECTORY_SCHEMA = Schema([
 ])
 
 
+def _trajectory(tid, oid, series) -> Trajectory | None:
+    """A trajectory row's ``item``: None without a GPS list."""
+    if series is None:
+        return None
+    return Trajectory(tid, oid or "", series)
+
+
 class TrajectoryPlugin(CommonTable):
     """The ``CREATE TABLE <name> AS trajectory`` plugin table.
 
@@ -95,9 +102,17 @@ class TrajectoryPlugin(CommonTable):
         series = row.get("gps_list")
         if series is not None and (wanted is None or "item" in wanted):
             row = dict(row)
-            row["item"] = Trajectory(row["tid"], row.get("oid") or "",
-                                     series)
+            row["item"] = _trajectory(row["tid"], row.get("oid"), series)
         return row
+
+    def decorate_columns(self, data: dict[str, list],
+                         wanted=None) -> dict[str, list]:
+        """The ``item`` column: each row's Trajectory (None without a
+        GPS list)."""
+        if wanted is None or "item" in wanted:
+            data["item"] = list(map(_trajectory, data["tid"], data["oid"],
+                                    data["gps_list"]))
+        return data
 
     def columns(self) -> list[str]:
         return self.schema.names + ["item"]
@@ -171,6 +186,13 @@ class GeofencePlugin(CommonTable):
             row = dict(row)
             row["item"] = row["area"]
         return row
+
+    def decorate_columns(self, data: dict[str, list],
+                         wanted=None) -> dict[str, list]:
+        """The ``item`` column: the ``area`` column itself."""
+        if wanted is None or "item" in wanted:
+            data["item"] = data["area"]
+        return data
 
     def columns(self) -> list[str]:
         return self.schema.names + ["item"]

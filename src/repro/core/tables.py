@@ -23,7 +23,7 @@ from repro.curves.strategies import (
     KeyBounds,
     STQuery,
 )
-from repro.dataframe import DataFrame, batches_from_rows
+from repro.dataframe import BatchBuilder, DataFrame, batches_from_rows
 from repro.errors import SchemaError
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
@@ -345,29 +345,47 @@ class CommonTable:
                 return geometry.intersects_envelope(query.envelope)
         return True
 
+    def decorate_columns(self, data: dict[str, list],
+                         wanted=None) -> dict[str, list]:
+        """:meth:`decorate_row` over a column-major chunk: ``data`` with
+        the implicit columns named in ``wanted`` added."""
+        return data
+
     def _decoded(self, chunks, num_ranges: int, job: SimJob | None,
-                 wanted=None):
+                 decode_chunk):
         """The one scan primitive: decode key-value ``chunks`` (lists of
-        pairs from one store scan), yielding one list of rows per chunk.
-        Rows carry the fields in ``wanted`` (:meth:`decoded_fields`).
+        pairs from one store scan) with ``decode_chunk``, yielding what
+        it makes of each chunk: rows (:meth:`_chunk_rows`) or columns
+        (:meth:`_chunk_columns`).
 
         Store I/O and CPU are charged in a ``finally`` so an abandoned
         scan (deadline mid-chunk, early consumer exit) still accounts
         exactly for the work it did.  Decode is per-record work, so it
-        pays the per-record CPU rate whatever the chunking.
+        pays the per-record CPU rate whatever the chunking or the shape.
         """
         before = self.store.stats.snapshot()
-        decode = self.codec.decode_row
         scanned = 0
         try:
             for chunk in chunks:
                 scanned += len(chunk)
-                yield [decode(payload, wanted) for _key, payload in chunk]
+                yield decode_chunk(chunk)
         finally:
             if job is not None:
                 delta = self.store.stats.snapshot().delta(before)
                 job.charge_store_scan(delta, num_ranges=num_ranges)
                 job.charge_cpu_records(scanned)
+
+    def _chunk_rows(self, wanted, chunk) -> list[dict]:
+        """One chunk as undecorated rows of the fields in ``wanted``."""
+        decode = self.codec.decode_row
+        return [decode(payload, wanted) for _key, payload in chunk]
+
+    def _chunk_columns(self, wanted, chunk) -> tuple[dict[str, list], int]:
+        """One chunk as decorated columns of ``wanted``, and its size."""
+        payloads = [payload for _key, payload in chunk]
+        return (self.decorate_columns(
+            self.codec.decode_columns(payloads, wanted), wanted),
+            len(payloads))
 
     def _range_chunks(self, kv_table, ranges: list[KeyBounds],
                       job: SimJob | None, ctx, wanted=None,
@@ -381,7 +399,8 @@ class CommonTable:
         """
         pairs = kv_table.scan(
             ScanSpec(ranges=ranges, key_filter=key_filter), ctx)
-        return self._decoded(chunk_pairs(pairs), len(ranges), job, wanted)
+        return self._decoded(chunk_pairs(pairs), len(ranges), job,
+                             partial(self._chunk_rows, wanted))
 
     def index_chunks(self, strategy_name: str, ranges: list[KeyBounds],
                      job: SimJob | None, ctx):
@@ -417,16 +436,6 @@ class CommonTable:
                 if self._matches(row, query, predicate):
                     yield self.decorate_row(row, wanted)
 
-    def _full_rows(self, job: SimJob | None, ctx,
-                   columns: list[str] | None = None):
-        """Every row, decorated, via the feature-id table (whose
-        region-local chunks are the cheaper stream for a full pass)."""
-        wanted = self.decoded_fields(columns)
-        chunks = self._id_table.scan_batches(ScanSpec.full(), ctx)
-        return map(partial(self.decorate_row, wanted=wanted),
-                   chain.from_iterable(
-                       self._decoded(chunks, 1, job, wanted)))
-
     def _attribute_rows(self, field_name: str, ranges: list[KeyBounds],
                         job: SimJob | None, ctx):
         """Decorated rows of a secondary attribute index's key ranges."""
@@ -460,14 +469,27 @@ class CommonTable:
 
     def full_scan(self, job: SimJob | None = None, ctx=None) -> list[dict]:
         """Every row, via the feature-id table."""
-        return list(self._full_rows(job, ctx))
+        return [row for batch in self.full_scan_batches(job, ctx)
+                for row in batch.iter_rows()]
 
     def full_scan_batches(self, job: SimJob | None = None, ctx=None,
                           columns: list[str] | None = None):
-        """:meth:`full_scan` as a stream of :class:`RowBatch`es of
-        ``columns`` (``None``: every column), decoding only those."""
-        return batches_from_rows(self._full_rows(job, ctx, columns),
-                                 columns or self.columns())
+        """Every row as a stream of :class:`RowBatch`es of ``columns``
+        (``None``: every column), decoding only those.
+
+        The feature-id table's region-local chunks are the cheaper
+        stream for a full pass; each decodes straight into columns, and
+        the batches fill across chunk and region boundaries.
+        """
+        wanted = self.decoded_fields(columns)
+        builder = BatchBuilder(columns or self.columns())
+        chunks = self._id_table.scan_batches(ScanSpec.full(), ctx)
+        for data, count in self._decoded(
+                chunks, 1, job, partial(self._chunk_columns, wanted)):
+            yield from builder.extend(data, count)
+        tail = builder.take()
+        if tail is not None:
+            yield tail
 
     def _attribute_index(self, field_name: str):
         try:

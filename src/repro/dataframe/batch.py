@@ -11,6 +11,7 @@ is paid once per batch instead of once per record.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator
 
 #: Rows per batch on the scan path.  Small enough that an early LIMIT
@@ -137,6 +138,26 @@ class BatchBuilder:
         if self._count >= self.batch_rows:
             return self.take()
         return None
+
+    def extend(self, data: dict[str, list], count: int):
+        """Append ``count`` rows given column-major (a column ``data``
+        lacks reads as all-None); yields each batch that completes."""
+        for c in self.columns:
+            values = data.get(c)
+            self._data[c] += values if values is not None \
+                else repeat(None, count)
+        self._count += count
+        while self._count >= self.batch_rows:
+            size = self.batch_rows
+            if self._count == size:
+                yield self.take()
+                return
+            yield RowBatch({c: values[:size]
+                            for c, values in self._data.items()},
+                           self.columns, size)
+            self._data = {c: values[size:]
+                          for c, values in self._data.items()}
+            self._count -= size
 
     def take(self) -> "RowBatch | None":
         """Emit whatever has accumulated (None when empty)."""

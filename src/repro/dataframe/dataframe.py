@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
 from repro.dataframe.batch import RowBatch
-from repro.dataframe.functions import AggregateSpec
+from repro.dataframe.functions import AggregateSpec, fold_batch, group_rows
 from repro.errors import ExecutionError
 
 DEFAULT_PARTITIONS = 8
@@ -145,14 +146,31 @@ class DataFrame:
 
     def order_by(self, keys: list[str],
                  ascending: list[bool] | None = None) -> "DataFrame":
-        """Global sort; the result has a single ordered partition."""
+        """Global stable sort; the result is a single ordered batch.
+
+        An index permutation is sorted once per key, right to left, on
+        that column's :func:`_sort_key`s; the columns are then gathered
+        through it.  A column of plain ints and floats is its own sort
+        key: ``(0, a) < (0, b)`` is ``a < b`` for those.
+        """
         if ascending is None:
             ascending = [True] * len(keys)
-        rows = self.collect()
-        # Stable multi-key sort: apply keys right-to-left.
+        count = self.count()
+        order = list(range(count))
         for key, asc in reversed(list(zip(keys, ascending))):
-            rows.sort(key=lambda r: _sort_key(r.get(key)), reverse=not asc)
-        return DataFrame.from_rows(rows, self.columns, 1)
+            sort_keys = self._column(key)
+            if not _NUMBERS.issuperset(map(type, sort_keys)):
+                sort_keys = list(map(_sort_key, sort_keys))
+            order.sort(key=sort_keys.__getitem__, reverse=not asc)
+        data = {c: list(map(self._column(c).__getitem__, order))
+                for c in self.columns}
+        return DataFrame([RowBatch(data, self.columns, count)], self.columns)
+
+    def _column(self, name: str) -> list:
+        """Every row's value of ``name``, batch after batch."""
+        return list(chain.from_iterable(
+            batch.data.get(name) or repeat(None, len(batch))
+            for batch in self._batches))
 
     def limit(self, n: int) -> "DataFrame":
         # Columnar: slice whole batches instead of copying rows.
@@ -182,23 +200,19 @@ class DataFrame:
         unknown = [k for k in keys if k not in self.columns]
         if unknown:
             raise ExecutionError(f"unknown group keys: {unknown}")
-        groups: dict[tuple, list[object]] = {}
-        for row in self.iter_rows():
-            key = tuple(row.get(k) for k in keys)
-            if key not in groups:
-                groups[key] = [spec.seed() for spec in aggregates]
-            accs = groups[key]
-            for i, spec in enumerate(aggregates):
-                value = row if spec.column is None else row.get(spec.column)
-                accs[i] = spec.step(accs[i], value)
-        columns = list(keys) + [spec.output for spec in aggregates]
-        out = []
-        for key, accs in groups.items():
-            row = dict(zip(keys, key))
-            for spec, acc in zip(aggregates, accs):
-                row[spec.output] = spec.final(acc)
-            out.append(row)
-        return DataFrame.from_rows(out, columns, self.num_partitions)
+        groups: dict[tuple, list] = {}
+        for batch in self._batches:
+            columns = batch.select(
+                [*keys, *(spec.column for spec in aggregates
+                          if spec.column is not None)]).data
+            fold_batch(groups, [columns[k] for k in keys],
+                       [None if spec.column is None else columns[spec.column]
+                        for spec in aggregates],
+                       aggregates, len(batch))
+        return DataFrame.from_rows(
+            group_rows(groups, keys, aggregates),
+            list(keys) + [spec.output for spec in aggregates],
+            self.num_partitions)
 
     def join(self, other: "DataFrame", on: list[str],
              how: str = "inner") -> "DataFrame":
@@ -298,6 +312,9 @@ class _AlwaysLast:
 
 
 _ALWAYS_LAST = _AlwaysLast()
+
+
+_NUMBERS = frozenset({int, float})
 
 
 def _sort_key(value):

@@ -50,7 +50,7 @@ from repro.sql.logical import (
     ScanNode,
     SortNode,
 )
-from repro.dataframe.functions import AggregateSpec
+from repro.dataframe.functions import AggregateSpec, fold_batch, group_rows
 
 
 @dataclass
@@ -569,8 +569,8 @@ def _execute_aggregate(plan: AggregateNode, engine, job,
     """Hash aggregation folding column-major batches directly.
 
     Group keys and aggregate inputs are evaluated once per batch as
-    whole columns; the fold then indexes into those lists instead of
-    materializing widened per-row dicts.
+    whole columns, then :func:`fold_batch` folds each group's run of
+    them — the fold ``DataFrame.group_by`` runs too.
     """
     child = execute_plan(plan.child, engine, job, ctx)
     extra = _extra_functions(engine)
@@ -579,46 +579,33 @@ def _execute_aggregate(plan: AggregateNode, engine, job,
     agg_exprs: list[Expr | None] = []
     for call, output in plan.agg_calls:
         factory = AGGREGATE_FUNCTIONS[call.name]
-        if call.is_star_count or not call.args:
-            specs.append(factory(output))
-            agg_exprs.append(None)  # COUNT(*): step ignores the value
+        if call.is_star_count or (call.name == "count" and not call.args):
+            specs.append(factory(None, output))
+            agg_exprs.append(None)  # COUNT(*): counts rows
+        elif not call.args:
+            raise ExecutionError(f"{call.name}() needs an argument")
         else:
             specs.append(factory(f"__agg_in_{output}", output))
             agg_exprs.append(call.args[0])
 
-    group_names = [name for _e, name in plan.group_exprs]
     batches = child.to_batches()
-    groups: dict[tuple, list[object]] = {}
+    groups: dict[tuple, list] = {}
     total = 0
     for batch in batches:
         total += len(batch)
         _count_batch(metrics)
-        key_cols = [eval_expr_batch(expr, batch, extra)
-                    for expr, _name in plan.group_exprs]
-        in_cols = [None if e is None
-                   else eval_expr_batch(e, batch, extra)
-                   for e in agg_exprs]
-        for i in range(len(batch)):
-            key = tuple(col[i] for col in key_cols)
-            accs = groups.get(key)
-            if accs is None:
-                accs = [spec.seed() for spec in specs]
-                groups[key] = accs
-            for j, spec in enumerate(specs):
-                col = in_cols[j]
-                accs[j] = spec.step(accs[j],
-                                    None if col is None else col[i])
+        fold_batch(groups,
+                   [eval_expr_batch(expr, batch, extra)
+                    for expr, _name in plan.group_exprs],
+                   [None if e is None else eval_expr_batch(e, batch, extra)
+                    for e in agg_exprs],
+                   specs, len(batch))
     job.charge_cpu_batch(total, len(batches), us_per_record=0.8)
 
-    columns = group_names + [spec.output for spec in specs]
-    out = []
-    for key, accs in groups.items():
-        row = dict(zip(group_names, key))
-        for spec, acc in zip(specs, accs):
-            row[spec.output] = spec.final(acc)
-        out.append(row)
+    group_names = [name for _e, name in plan.group_exprs]
     # One row per group: a single batch, however many the input had.
-    return DataFrame.from_rows(out, columns, 1)
+    return DataFrame.from_rows(group_rows(groups, group_names, specs),
+                               group_names + [s.output for s in specs], 1)
 
 
 def _execute_sort(plan: SortNode, engine, job, ctx=None) -> DataFrame:

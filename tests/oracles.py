@@ -1,9 +1,11 @@
 """Independent reference implementations the engine is checked against.
 
 Nothing here shares logic with ``repro``: an oracle that called the code
-under test would agree with its bugs.  The one exception is
-``ReferenceParser``, which inherits the JustQL parser's statement-level
-code on purpose: it checks the lexer and the expression grammar only.  (ROADMAP item 6 lifts the
+under test would agree with its bugs.  Two exceptions, on purpose:
+``ReferenceParser`` inherits the JustQL parser's statement-level code
+(it checks the lexer and the expression grammar only), and
+``decode_row_reference`` decodes each value with the codec's own
+per-type decoders (it checks the row walk only).  (ROADMAP item 6 lifts the
 brute-force references of ``benchmarks/perf/workloads.py`` here; the
 benchmark keeps its own copies, tests never import from ``benchmarks/``.)
 """
@@ -786,3 +788,134 @@ class ReferenceParser(_Parser):
                 return FuncCall(name.lower(), tuple(args))
             return Column(name)
         raise self.error(f"unexpected token {token.text!r} in expression")
+
+
+# -- the row-at-a-time scan tail before column-major decode -------------------
+# One dict per stored row from a field-by-field walk, a per-row ``step``
+# fold for GROUP BY, and a sort of the row dicts for ORDER BY.  The walk
+# reuses the codec's per-type value decoders and ``decompress_bytes``:
+# it checks how a row is walked, not how one value is encoded.
+
+def decode_row_reference(codec, data: bytes, wanted=None) -> dict:
+    """``codec``'s schema fields named in ``wanted`` (``None``: all),
+    read flag, LEB128 length and payload at a time from ``data``."""
+    from repro.core.codec import decode_value, decompress_bytes
+    row: dict = {}
+    pos = 0
+    for field in codec.schema.fields:
+        flag = data[pos]
+        pos += 1
+        skip = wanted is not None and field.name not in wanted
+        if flag == 0:
+            if not skip:
+                row[field.name] = None
+            continue
+        length = shift = 0
+        while True:
+            byte = data[pos]
+            pos += 1
+            length |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                break
+            shift += 7
+        if not skip:
+            payload = data[pos:pos + length]
+            if flag == 2:
+                payload = decompress_bytes(payload, field.compress)
+            row[field.name] = decode_value(payload, field.ftype)
+        pos += length
+    return row
+
+
+def _step_min(acc, v):
+    return acc if v is None else v if acc is None or v < acc else acc
+
+
+def _step_max(acc, v):
+    return acc if v is None else v if acc is None or v > acc else acc
+
+
+def _step_avg(acc, v):
+    return acc if v is None else (acc[0] + v, acc[1] + 1)
+
+
+def _step_collect(acc, v):
+    acc.append(v)
+    return acc
+
+
+#: ``name -> (seed, step(acc, value), final)``.  ``count`` with no
+#: column is COUNT(*); with one it counts the non-NULL values.
+REFERENCE_AGGREGATES = {
+    "count": (lambda: 0, lambda acc, v: acc + (v is not None),
+              lambda acc: acc),
+    "count_star": (lambda: 0, lambda acc, _row: acc + 1, lambda acc: acc),
+    "sum": (lambda: 0, lambda acc, v: acc if v is None else acc + v,
+            lambda acc: acc),
+    "min": (lambda: None, _step_min, lambda acc: acc),
+    "max": (lambda: None, _step_max, lambda acc: acc),
+    "avg": (lambda: (0.0, 0), _step_avg,
+            lambda acc: acc[0] / acc[1] if acc[1] else None),
+    "collect_list": (list, _step_collect, lambda acc: acc),
+}
+
+
+def group_by_reference(rows, keys, aggregates) -> list[dict]:
+    """Hash aggregation one row at a time.  ``aggregates`` are
+    ``(name, column, output)``; a ``None`` column is COUNT(*).  Groups
+    come out in first-seen order."""
+    folds = [REFERENCE_AGGREGATES["count_star" if column is None else name]
+             for name, column, _output in aggregates]
+    groups: dict[tuple, list] = {}
+    for row in rows:
+        key = tuple(row.get(k) for k in keys)
+        if key not in groups:
+            groups[key] = [seed() for seed, _step, _final in folds]
+        accs = groups[key]
+        for i, ((_seed, step, _final), (_name, column, _output)) in \
+                enumerate(zip(folds, aggregates)):
+            accs[i] = step(accs[i], row if column is None
+                           else row.get(column))
+    out = []
+    for key, accs in groups.items():
+        row = dict(zip(keys, key))
+        for (_seed, _step, final), (_name, _column, output), acc in \
+                zip(folds, aggregates, accs):
+            row[output] = final(acc)
+        out.append(row)
+    return out
+
+
+class _AlwaysLast:
+    def __lt__(self, other) -> bool:
+        return False
+
+    def __gt__(self, other) -> bool:
+        return not isinstance(other, _AlwaysLast)
+
+
+_LAST = _AlwaysLast()
+
+
+def _reference_sort_key(value):
+    if value is None:
+        return (2, _LAST)
+    if isinstance(value, bool):
+        return (0, int(value))
+    if isinstance(value, (int, float)):
+        return (0, value)
+    return (1, str(value))
+
+
+def order_by_reference(rows, keys, ascending=None) -> list[dict]:
+    """Stable multi-key sort of row dicts: one pass per key, right to
+    left.  NULLs sort after every value ascending, before them
+    descending; bools sort as 0/1 among the numbers; anything else
+    sorts by its text after the numbers."""
+    if ascending is None:
+        ascending = [True] * len(keys)
+    rows = list(rows)
+    for key, asc in reversed(list(zip(keys, ascending))):
+        rows.sort(key=lambda r: _reference_sort_key(r.get(key)),
+                  reverse=not asc)
+    return rows
