@@ -83,8 +83,8 @@ class IOStats:
     def record_scan(self) -> None:
         self.scans_started += 1
 
-    def record_key_rejected(self) -> None:
-        self.scan_keys_rejected += 1
+    def record_key_rejected(self, count: int = 1) -> None:
+        self.scan_keys_rejected += count
 
     def record_wal_append(self, nbytes: int, server: int = 0,
                           records: int = 1) -> None:

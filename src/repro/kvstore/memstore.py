@@ -46,16 +46,21 @@ class MemStore:
             return True, self._data[key]
         return False, None
 
-    def scan(self, ranges):
-        """Yield ``(key, value_or_tombstone)`` for keys in ``ranges``
-        (sorted, disjoint half-open bounds) in one forward pass that
-        seeks past the ranges holding no key (:func:`seek_spans`)."""
+    def spans(self, ranges):
+        """Yield ``(keys, values)`` of each span of keys in ``ranges``
+        (sorted, disjoint half-open bounds), found in one forward pass
+        that seeks past the ranges holding no key (:func:`seek_spans`).
+        ``values`` holds tombstones as ``None``; both lists are copies."""
         keys = self._sorted_keys
-        data = self._data
+        value_of = self._data.__getitem__
         for lo, hi in seek_spans(keys, ranges):
-            for i in range(lo, hi):
-                key = keys[i]
-                yield key, data[key]
+            span = keys[lo:hi]
+            yield span, list(map(value_of, span))
+
+    def scan(self, ranges):
+        """``(key, value_or_tombstone)`` of every key in ``ranges``."""
+        for keys, values in self.spans(ranges):
+            yield from zip(keys, values)
 
     def items_sorted(self):
         """All entries in key order (used by flush)."""

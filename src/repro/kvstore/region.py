@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import heapq
 import itertools
 
 from repro.kvstore.blockcache import BlockCache
 from repro.kvstore.iostats import IOStats
 from repro.kvstore.memstore import MemStore
+from repro.kvstore.merge import CANCEL_CHECK_ROWS, run_merge
 from repro.kvstore.sstable import DEFAULT_BLOCK_BYTES, SSTable
 from repro.kvstore.wal import WriteAheadLog
 from repro.observability.events import (
@@ -220,62 +220,67 @@ class Region:
                 return value
         return None
 
-    #: Rows yielded between cooperative deadline checks during a scan.
-    CANCEL_CHECK_ROWS = 128
+    #: Merged entries between cooperative deadline checks during a scan.
+    CANCEL_CHECK_ROWS = CANCEL_CHECK_ROWS
+
+    def run_merge(self, ranges, cache: BlockCache | None, ctx=None,
+                  replica=None):
+        """The entries of ``ranges``, key-sorted, as a started
+        :func:`~repro.kvstore.merge.run_merge` of the SSTable runs and
+        the memstore (a follower's, with ``replica``, whose server then
+        pays the block reads).
+
+        ``ranges`` are sorted, disjoint half-open bounds; the region
+        holds only keys of its own span, so nothing needs clipping.
+        Each source seeks through the range list in a single forward
+        pass that pays per span of its own keys, not per range
+        (:func:`~repro.kvstore.scan.seek_spans`).  Memory stays bounded
+        by the sources' current spans, SSTable blocks are only charged
+        as the merge reaches them (an early ``LIMIT`` or cancellation
+        stops paying for them), and the deadline is checked every
+        ``CANCEL_CHECK_ROWS`` *merged* entries — a cancelled query
+        aborts mid-merge instead of after materializing the region.
+        """
+        memstore = self.memstore if replica is None else replica.memstore
+        server = self.server if replica is None else replica.server
+        return run_merge(
+            [(sstable._keys, sstable._values,
+              sstable.spans(ranges, cache, server))
+             for sstable in self.sstables],
+            memstore.spans(ranges), self._stats.record_memstore_read,
+            ctx, f"region {self.region_id} scan")
 
     def scan(self, ranges, cache: BlockCache | None, ctx=None,
              replica=None):
-        """Yield live ``(key, value)`` pairs of ``ranges``, key-sorted.
+        """Yield the live ``(key, value)`` pairs of :meth:`run_merge`,
+        one at a time.
 
-        ``ranges`` are sorted, disjoint half-open bounds; the region
-        holds only keys of its own span, so nothing needs clipping.  The
-        merge is streaming: one ``heapq.merge`` over the SSTable runs
-        and the memstore, each seeking through the range list in a
-        single forward pass that pays per span of its own keys, not per
-        range (:func:`~repro.kvstore.scan.seek_spans`), with newest-wins
-        precedence per key.  So memory
-        stays bounded by the merge frontier, SSTable blocks are only
-        charged as the merge reaches them (an early ``LIMIT`` or
-        cancellation stops paying for them), and the deadline is
-        checked every ``CANCEL_CHECK_ROWS`` *merged* entries — a
-        cancelled query aborts mid-merge instead of after materializing
-        the region.
+        A memstore entry is accounted as it is pulled — when the one
+        before it has been handed out — so the accounting is exact
+        wherever the consumer stops.
         """
-        # Rank 0 is the memstore (newest); SSTables count up from the
-        # newest run.  Streams yield (key, rank, value): merge order is
-        # (key, rank), so for equal keys the newest version comes first
-        # and later (older) versions are skipped.  Ranks are unique per
-        # stream, so tuple comparison never reaches the values.
-        memstore = self.memstore if replica is None else replica.memstore
-        server = self.server if replica is None else replica.server
-        newest = len(self.sstables)
-        streams = [self._ranked_sstable_stream(sstable, newest - i,
-                                               ranges, cache, server)
-                   for i, sstable in enumerate(self.sstables)]
-        streams.append(self._ranked_memstore_stream(ranges, memstore))
-        previous: bytes | None = None
-        processed = 0
-        for key, _rank, value in heapq.merge(*streams):
-            processed += 1
-            if ctx is not None and \
-                    processed % self.CANCEL_CHECK_ROWS == 0:
-                ctx.check(f"region {self.region_id} scan")
-            if key == previous:
-                continue  # an older version masked by a newer write
-            previous = key
-            if value is not None:  # tombstones yield nothing
-                yield key, value
-
-    def _ranked_sstable_stream(self, sstable: SSTable, rank: int, ranges,
-                               cache: BlockCache | None, server: int):
-        for key, value in sstable.scan(ranges, cache, server):
-            yield key, rank, value
-
-    def _ranked_memstore_stream(self, ranges, memstore: MemStore):
-        for key, value in memstore.scan(ranges):
-            self._stats.record_memstore_read(
-                len(key) + (len(value) if value is not None else 0))
-            yield key, 0, value
+        record = self._stats.record_memstore_read
+        for keys, values, lo, hi, in_memstore in self.run_merge(
+                ranges, cache, ctx, replica):
+            if hi - lo == 1:
+                value = values[lo]
+                if value is not None:
+                    yield keys[lo], value
+            elif in_memstore:
+                for i in range(lo, hi):
+                    value = values[i]
+                    if i != lo:
+                        record(len(keys[i]) + len(value or b""))
+                    if value is not None:
+                        yield keys[i], value
+            else:
+                values = values[lo:hi]
+                if None in values:
+                    for key, value in zip(keys[lo:hi], values):
+                        if value is not None:
+                            yield key, value
+                else:
+                    yield from zip(keys[lo:hi], values)
 
     # -- sizing --------------------------------------------------------------
     @property

@@ -86,22 +86,21 @@ class SSTable:
         if cache is not None:
             cache.admit(key, size)
 
-    def scan(self, ranges, cache: BlockCache | None = None,
-             server: int = 0):
-        """Yield entries with a key in ``ranges`` (sorted, disjoint
-        :data:`~repro.kvstore.scan.Bounds`), charging touched blocks.
+    def spans(self, ranges, cache: BlockCache | None = None,
+              server: int = 0):
+        """Yield ``(lo, hi)``: index spans of this run's keys in
+        ``ranges`` (sorted, disjoint :data:`~repro.kvstore.scan.Bounds`),
+        in key order, each inside one block.
 
         One forward pass serves every range, seeking past ranges that
-        hold no key of this run (:func:`~repro.kvstore.scan.seek_spans`).
-        The pass proceeds block-at-a-time: a block is charged once, as
-        the pass first reaches it (even if several ranges land in it),
-        then its entries stream out of a plain index range — no
-        per-entry block lookup.  Charging stays lazy, so an early
-        ``LIMIT`` or a cancelled consumer never pays for blocks the
-        merge did not reach.
+        hold no key of this run (:func:`~repro.kvstore.scan.seek_spans`),
+        and cuts each span at block boundaries.  A block is charged once,
+        as the pass first reaches it (even if several ranges land in
+        it), just before its first span is handed out.  Charging stays
+        lazy, so an early ``LIMIT`` or a cancelled consumer never pays
+        for blocks the pass did not reach.
         """
         keys = self._keys
-        values = self._values
         starts = self._block_starts
         size = len(keys)
         charged = -1
@@ -113,10 +112,17 @@ class SSTable:
                 if block != charged:
                     self._charge_block(block, cache, server)
                     charged = block
-                for j in range(lo, min(hi, block_end)):
-                    yield keys[j], values[j]
+                yield lo, min(hi, block_end)
                 lo = block_end
                 block += 1
+
+    def scan(self, ranges, cache: BlockCache | None = None,
+             server: int = 0):
+        """The entries of :meth:`spans`, one ``(key, value)`` at a time."""
+        keys = self._keys
+        values = self._values
+        for lo, hi in self.spans(ranges, cache, server):
+            yield from zip(keys[lo:hi], values[lo:hi])
 
     def get(self, key: bytes, cache: BlockCache | None = None,
             server: int = 0) -> tuple[bool, bytes | None]:

@@ -6,7 +6,7 @@ import heapq
 import zlib
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from itertools import islice
+from itertools import compress, islice
 from operator import itemgetter
 
 from repro.errors import (
@@ -18,7 +18,12 @@ from repro.kvstore.blockcache import BlockCache
 from repro.kvstore.iostats import IOStats
 from repro.kvstore.recovery import RecoveryReport, recover_server
 from repro.kvstore.region import DEFAULT_FLUSH_BYTES, Region
-from repro.kvstore.scan import Bounds, ScanSpec, chunk_pairs
+from repro.kvstore.scan import (
+    DEFAULT_BATCH_ROWS,
+    Bounds,
+    ScanSpec,
+    chunk_pairs,
+)
 from repro.kvstore.sstable import DEFAULT_BLOCK_BYTES, SSTable
 from repro.kvstore.wal import (
     DEFAULT_PERIODIC_BYTES,
@@ -193,7 +198,7 @@ class KVTable:
         report and the scan continues over the live regions instead of
         failing all-or-nothing.
         """
-        yield from islice(self._open_scan(spec, ctx), spec.limit)
+        yield from self._open_scan(spec, ctx)
 
     def scan_batches(self, spec: ScanSpec, ctx=None):
         """Batched :meth:`scan`: yields lists of ``(key, value)`` pairs.
@@ -203,24 +208,22 @@ class KVTable:
         table layer's columnar decode) amortize per-row work.  Batches
         never span regions, so per-region span accounting stays exact.
         """
-        remaining = spec.limit
-        for batch in self._open_scan(spec, ctx, batched=True):
-            if remaining is not None and len(batch) >= remaining:
-                yield batch[:remaining]
-                return
-            if remaining is not None:
-                remaining -= len(batch)
-            yield batch
+        yield from self._open_scan(spec, ctx, batched=True)
 
     def _open_scan(self, spec: ScanSpec, ctx, batched: bool = False):
         """Count one scan and open its stream of pairs (or, when
-        ``batched``, of lists of pairs)."""
+        ``batched``, of lists of pairs), ending at ``spec.limit``."""
         self._store.tick_faults("scan")
         self._stats.record_scan()
-        if not self.salt_buckets:
-            return self._scan_regions(spec.ranges, ctx, batched,
-                                      spec.key_filter)
-        pairs = self._scan_salted(spec.ranges, ctx, spec.key_filter)
+        if not self.salt_buckets and batched:
+            return self._scan_regions(spec.ranges, ctx, True,
+                                      spec.key_filter, spec.limit)
+        pairs = self._scan_salted(spec.ranges, ctx, spec.key_filter) \
+            if self.salt_buckets \
+            else self._scan_regions(spec.ranges, ctx,
+                                    key_filter=spec.key_filter)
+        if spec.limit is not None:
+            pairs = islice(pairs, spec.limit)
         return chunk_pairs(pairs) if batched else pairs
 
     def _scan_salted(self, bounds: Sequence[Bounds], ctx=None,
@@ -254,20 +257,26 @@ class KVTable:
                                  for b in range(self.salt_buckets)))
 
     def _scan_regions(self, bounds: Sequence[Bounds], ctx=None,
-                      batched: bool = False, key_filter=None):
+                      batched: bool = False, key_filter=None,
+                      limit: int | None = None):
         """Yield the live entries of ``bounds``, one visit per region:
         one routing/availability check, one hotness tick, one trace span
-        and one :meth:`Region.scan` over the ranges that fall in it.
+        and one :meth:`Region.run_merge` over the ranges that fall in it.
 
-        Entries come out as pairs, or — when ``batched`` — as lists of
-        pairs whose result bytes are accounted once per batch.  Entries
-        whose key fails ``key_filter`` stay in the region: they were
-        read (their blocks are charged) but are not a result.
+        Entries come out as pairs, or — when ``batched`` — as
+        region-local lists of at most :data:`DEFAULT_BATCH_ROWS` pairs
+        (``limit`` in all), built from the merge's slices and accounted
+        once per list.  Entries whose key fails ``key_filter`` stay in
+        the region: they were read (their blocks are charged) but are
+        not a result.
         """
         profile = getattr(ctx, "profile", None) if ctx is not None \
             else None
         record_result = self._stats.record_result
+        record_rejected = self._stats.record_key_rejected
         for region, ranges in self._regions_overlapping(bounds):
+            if limit == 0:
+                return
             if ctx is not None:
                 ctx.check(f"scan of {self.name!r}")
             try:
@@ -286,35 +295,71 @@ class KVTable:
             before = self._stats.snapshot() if profile is not None \
                 else None
             region_rows = 0
-            stream = region.scan(ranges, cache, ctx, replica=replica)
-            if key_filter is not None:
-                stream = self._accepted(stream, key_filter)
             try:
-                if not batched:
-                    for key, value in stream:
-                        record_result(len(key) + len(value))
-                        region_rows += 1
-                        yield key, value
-                else:
-                    for batch in chunk_pairs(stream):
-                        record_result(sum(len(key) + len(value)
-                                          for key, value in batch))
-                        region_rows += len(batch)
-                        yield batch
+                if batched:
+                    runs = region.run_merge(ranges, cache, ctx,
+                                            replica=replica)
+                    for chunk in self._chunks(runs, key_filter, limit):
+                        region_rows += len(chunk)
+                        if limit is not None:
+                            limit -= len(chunk)
+                        yield chunk
+                    continue
+                # Pairs one at a time, each accounted as it is handed
+                # out, so an abandoned generator stays exact.
+                for key, value in region.scan(ranges, cache, ctx,
+                                              replica=replica):
+                    if key_filter is not None and not key_filter(key):
+                        record_rejected()
+                        continue
+                    record_result(len(key) + len(value))
+                    region_rows += 1
+                    yield key, value
             finally:
                 if profile is not None:
                     self._record_region_span(profile, region, before,
                                              region_rows, len(ranges))
 
-    def _accepted(self, stream, key_filter):
-        """The pairs of ``stream`` whose key passes ``key_filter``; the
-        others are counted and dropped."""
-        rejected = self._stats.record_key_rejected
-        for pair in stream:
-            if key_filter(pair[0]):
-                yield pair
-            else:
-                rejected()
+    def _chunks(self, runs, key_filter, limit: int | None):
+        """The merge's live pairs in lists of at most
+        :data:`DEFAULT_BATCH_ROWS` (``limit`` in all): the merge gathers
+        the entries a list has room for, ``key_filter`` runs once over
+        them, and each list's result bytes are counted as it is handed
+        out.
+
+        The merge is never asked for more than the room left, so a full
+        list ends exactly where a pair-at-a-time stream would have
+        stopped pulling.
+        """
+        stats = self._stats
+        take = runs.send
+        while limit is None or limit > 0:
+            size = DEFAULT_BATCH_ROWS if limit is None \
+                else min(DEFAULT_BATCH_ROWS, limit)
+            keys: list[bytes] = []
+            values: list[bytes] = []
+            while len(keys) < size:
+                try:
+                    run_keys, run_values, _, _, _ = take(size - len(keys))
+                except StopIteration:
+                    break
+                if key_filter is not None:
+                    passed = list(map(key_filter, run_keys))
+                    if not all(passed):
+                        run_keys = list(compress(run_keys, passed))
+                        run_values = list(compress(run_values, passed))
+                        stats.record_key_rejected(
+                            len(passed) - len(run_keys))
+                keys += run_keys
+                values += run_values
+            if keys:
+                stats.record_result(sum(map(len, keys))
+                                    + sum(map(len, values)))
+                yield list(zip(keys, values))
+            if len(keys) < size:
+                return  # merged out
+            if limit is not None:
+                limit -= size
 
     def _record_region_span(self, profile, region, before,
                             region_rows: int, num_ranges: int) -> None:

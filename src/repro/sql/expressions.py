@@ -7,6 +7,7 @@ leaves.  :func:`eval_expr` evaluates a single row as a batch of one.
 
 from __future__ import annotations
 
+import math
 import re
 from contextlib import contextmanager
 
@@ -173,12 +174,21 @@ def _like(value: str, pattern: str) -> bool:
     return re.fullmatch(regex, value, re.DOTALL) is not None
 
 
+def _modulo(a, b):
+    """Spark's ``%``: the remainder takes the dividend's sign, so
+    integers divide truncating toward zero and doubles use ``fmod``."""
+    if isinstance(a, int) and isinstance(b, int):
+        remainder = abs(a) % abs(b)
+        return -remainder if a < 0 else remainder
+    return math.fmod(a, b)
+
+
 _BINARY_OPS = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
     "/": lambda a, b: None if b == 0 else a / b,
-    "%": lambda a, b: None if b == 0 else a % b,
+    "%": lambda a, b: None if b == 0 else _modulo(a, b),
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
     "<": lambda a, b: a < b,

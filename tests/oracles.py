@@ -12,14 +12,19 @@ benchmark keeps its own copies, tests never import from ``benchmarks/``.)
 
 from __future__ import annotations
 
+import heapq
 import re
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
-from itertools import product
-from math import ceil, floor, hypot
+from itertools import chain, islice, product
+from math import ceil, floor, fmod, hypot
 
-from repro.errors import ExecutionError, ParseError
+from repro.errors import (
+    ExecutionError,
+    ParseError,
+    RegionUnavailableError,
+)
 from repro.sql.ast import (
     Aliased,
     Between,
@@ -313,6 +318,122 @@ def memstore_scan_reference(memstore, ranges):
             yield key, data[key]
 
 
+# -- region scans: the reference heap merge -----------------------------------
+#
+# The entry-at-a-time merge ``Region.scan`` shipped until the run merge
+# (``kvstore/merge.py::RunMerge``) replaced it, kept as the definition
+# of what a region scan yields and when each source reads: one
+# ``heapq.merge`` over one ``(key, rank, value)`` stream per source
+# (runs oldest first, then the memstore; rank 0 is the memstore and
+# ranks count up from the newest run), newest version first, the
+# deadline checked every 128th merged entry.  ``table_scan_reference``
+# is ``KVTable.scan``/``scan_batches`` over it, the store loop of the
+# same release (routing, key filter, per-entry or per-list result
+# bytes), with one change: a batched scan under a ``limit`` stops
+# pulling at the limit, so it accounts only the pairs it hands out.
+
+def region_scan_reference(region, ranges, cache=None, ctx=None,
+                          replica=None):
+    """``Region.scan``: live ``(key, value)`` pairs of ``ranges``."""
+    memstore = region.memstore if replica is None else replica.memstore
+    server = region.server if replica is None else replica.server
+    stats = region._stats
+
+    def run_stream(sstable, rank):
+        for key, value in sstable_scan_reference(sstable, ranges, cache,
+                                                 server):
+            yield key, rank, value
+
+    def memstore_stream():
+        for key, value in memstore_scan_reference(memstore, ranges):
+            stats.record_memstore_read(
+                len(key) + (len(value) if value is not None else 0))
+            yield key, 0, value
+
+    newest = len(region.sstables)
+    streams = [run_stream(sstable, newest - i)
+               for i, sstable in enumerate(region.sstables)]
+    streams.append(memstore_stream())
+    previous = None
+    processed = 0
+    for key, _rank, value in heapq.merge(*streams):
+        processed += 1
+        if ctx is not None and processed % 128 == 0:
+            ctx.check(f"region {region.region_id} scan")
+        if key == previous:
+            continue  # an older version masked by a newer write
+        previous = key
+        if value is not None:  # tombstones yield nothing
+            yield key, value
+
+
+def _region_streams_reference(table, spec, ctx):
+    """One stream of accepted pairs per region visit, in key order."""
+    store = table._store
+    stats = table._stats
+    for region, ranges in table._regions_overlapping(spec.ranges):
+        if ctx is not None:
+            ctx.check(f"scan of {table.name!r}")
+        try:
+            replica = store.route_read(table.name, region, "scan", ctx)
+        except RegionUnavailableError as exc:
+            if ctx is not None and ctx.partial_results:
+                ctx.record_skip(table.name, region.region_id,
+                                region.server, str(exc))
+                continue
+            raise
+        server = region.server if replica is None else replica.server
+        region.record_read()
+        yield _accepted_reference(
+            region_scan_reference(region, ranges, store.cache_for(server),
+                                  ctx, replica), spec.key_filter, stats)
+
+
+def _accepted_reference(pairs, key_filter, stats):
+    for key, value in pairs:
+        if key_filter is None or key_filter(key):
+            yield key, value
+        else:
+            stats.record_key_rejected()
+
+
+def table_scan_reference(table, spec, ctx=None, batched=False):
+    """``KVTable.scan`` (pairs) or ``scan_batches`` (region-local lists
+    of at most 256 pairs) of ``spec`` on an unsalted table."""
+    table._store.tick_faults("scan")
+    stats = table._stats
+    stats.record_scan()
+    streams = _region_streams_reference(table, spec, ctx)
+    if not batched:
+        for key, value in islice(chain.from_iterable(streams),
+                                 spec.limit):
+            stats.record_result(len(key) + len(value))
+            yield key, value
+        return
+    remaining = spec.limit
+    while remaining is None or remaining > 0:
+        pairs = next(streams, None)
+        if pairs is None:
+            return
+        for batch in _chunks_reference(islice(pairs, remaining)):
+            stats.record_result(sum(len(key) + len(value)
+                                    for key, value in batch))
+            if remaining is not None:
+                remaining -= len(batch)
+            yield batch
+
+
+def _chunks_reference(pairs, size=256):
+    batch = []
+    for pair in pairs:
+        batch.append(pair)
+        if len(batch) == size:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
+
+
 def scan_ranges_reference(ranges):
     """``ScanSpec.ranges`` of a range list: empty ranges dropped, then
     ``ValueError`` unless the rest are sorted and pairwise disjoint."""
@@ -333,8 +454,9 @@ def scan_ranges_reference(ranges):
 # short-circuit AND/OR, division by zero -> NULL).  It reads the AST
 # and the function registry (data, not evaluation logic) from ``repro``
 # and lets builtin exceptions escape as they are: a row "raises" when
-# any exception comes out.  One edit since: ``%`` in LIKE spans
-# newlines (``re.DOTALL``), the bug fixed in the same change.
+# any exception comes out.  Two edits since: ``%`` in LIKE spans
+# newlines (``re.DOTALL``), the bug fixed in the same change, and the
+# ``%`` operator takes the dividend's sign, as Spark SQL's does.
 
 def eval_expr_reference(expr: Expr, row: dict,
                         extra_functions: dict | None = None):
@@ -432,7 +554,13 @@ def _eval_binary(expr: BinaryOp, row: dict, extra_functions):
     if op == "%":
         if right == 0:
             return None
-        return left % right
+        if isinstance(left, int) and isinstance(right, int):
+            # Truncated division: the quotient rounds toward zero.
+            quotient = abs(left) // abs(right)
+            if (left < 0) != (right < 0):
+                quotient = -quotient
+            return left - right * quotient
+        return fmod(left, right)
     if op == "=":
         return left == right
     if op == "!=":

@@ -11,13 +11,13 @@ the same ``IOStats`` deltas and the same block-cache state.
 
 import math
 from collections.abc import Sequence
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
     memstore_scan_reference,
+    region_scan_reference,
     scan_ranges_reference,
     sstable_scan_reference,
 )
@@ -131,14 +131,12 @@ class TestSameAsTheWalk:
             for key, value in follower.items():
                 replica.memstore.put(key, value)
 
-        def scan(cache):
-            return region.scan(ranges, cache, replica=replica)
-
-        seek = observe(stats, warmed_cache(region.sstables), scan)
-        with mock.patch.object(SSTable, "scan", sstable_scan_reference), \
-                mock.patch.object(MemStore, "scan",
-                                  memstore_scan_reference):
-            walk = observe(stats, warmed_cache(region.sstables), scan)
+        seek = observe(stats, warmed_cache(region.sstables),
+                       lambda c: region.scan(ranges, c, replica=replica))
+        # The heap merge over the per-range walks.
+        walk = observe(stats, warmed_cache(region.sstables),
+                       lambda c: region_scan_reference(region, ranges, c,
+                                                       replica=replica))
         assert seek == walk
 
     @settings(max_examples=150, deadline=None)

@@ -1,6 +1,10 @@
 """Expression evaluation semantics (three-valued logic, functions)."""
 
+import math
+import sqlite3
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError
 from repro.geometry import Envelope, Point
@@ -32,6 +36,31 @@ class TestArithmetic:
         assert eval_expr(BinaryOp("*", lit(52), lit(9)), {}) == 468
         assert eval_expr(BinaryOp("/", lit(7), lit(2)), {}) == 3.5
         assert eval_expr(BinaryOp("%", lit(7), lit(2)), {}) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.integers(-10**6, 10**6), b=st.integers(-50, 50))
+    def test_integer_modulo_is_sqlite_s(self, a, b):
+        """Truncated division, as in Spark, Java and SQLite: the
+        remainder takes the dividend's sign, and ``% 0`` is NULL."""
+        with sqlite3.connect(":memory:") as db:
+            (want,) = db.execute("SELECT ? % ?", (a, b)).fetchone()
+        assert eval_expr(BinaryOp("%", lit(a), lit(b)), {}) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(-1e6, 1e6), b=st.floats(-50, 50) | st.integers(
+        -50, 50))
+    def test_double_modulo_is_fmod(self, a, b):
+        got = eval_expr(BinaryOp("%", lit(a), lit(b)), {})
+        if b == 0:
+            assert got is None
+        else:
+            assert got == math.fmod(a, b)
+
+    def test_modulo_signs(self):
+        for (a, b), want in {(-7, 3): -1, (7, -3): 1, (-7, -3): -1,
+                             (7, 3): 1, (-7.5, 2): -1.5,
+                             (7.5, -2): 1.5}.items():
+            assert eval_expr(BinaryOp("%", lit(a), lit(b)), {}) == want
 
     def test_divide_by_zero_is_null(self):
         assert eval_expr(BinaryOp("/", lit(1), lit(0)), {}) is None

@@ -425,12 +425,15 @@ class TestExecutorEquivalence:
         from repro.sql.physical import execute_plan
         engine, _rows = poi_engine_and_rows
         window = (116.0, 39.8, 116.5, 40.1)
+        # Both sides start from cold block caches, whatever ran before.
+        engine.store.clear_caches()
         api = engine.st_range_query(
             "poi", Envelope(*window), T0, T0 + 2 * 86400,
             predicate="within").job.breakdown
         statement = (
             f"SELECT * FROM poi WHERE geom WITHIN st_makeMBR{window} "
             f"AND time BETWEEN {T0} AND {T0 + 2 * 86400}")
+        engine.store.clear_caches()
         sql = engine.sql(statement).job.breakdown
         for label in ("disk_read", "seek", "network"):
             assert sql[label] == api[label], label
