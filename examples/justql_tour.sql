@@ -69,6 +69,10 @@ INSERT INTO trips VALUES
 SELECT zone, count(*) AS n, count(fare) AS fares, avg(fare) AS mean
     FROM trips GROUP BY zone ORDER BY zone;
 SELECT zone, fare, fid FROM trips ORDER BY fare DESC, zone DESC LIMIT 5;
+SELECT fid, zone FROM trips WHERE zone IN ('north', 'east')
+    AND fid NOT IN (6) ORDER BY fid;
+SELECT fid, fare IN (10.0, NULL) AS maybe, fare NOT IN (14.5) AS other
+    FROM trips ORDER BY fid;
 DROP TABLE trips;
 
 DROP VIEW big_orders;

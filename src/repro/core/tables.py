@@ -27,7 +27,7 @@ from repro.dataframe import BatchBuilder, DataFrame, batches_from_rows
 from repro.errors import SchemaError
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
-from repro.kvstore.scan import ScanSpec, chunk_pairs
+from repro.kvstore.scan import ScanSpec
 from repro.kvstore.store import KVStore
 
 
@@ -390,16 +390,14 @@ class CommonTable:
     def _range_chunks(self, kv_table, ranges: list[KeyBounds],
                       job: SimJob | None, ctx, wanted=None,
                       key_filter=None):
-        """Decoded chunks of one index table's key ranges, in key order.
-
-        Curve strategies produce hundreds of small ranges over many
-        regions, so chunks fill *across* range and region boundaries
-        from the store's merged pair stream.  Keys that fail the
-        strategy's ``key_filter`` never leave the store.
+        """Decoded chunks of one index table's key ranges, in key order:
+        one store scan serves every range, and each of its region-local
+        lists decodes into one chunk.  Keys that fail the strategy's
+        ``key_filter`` never leave the store.
         """
-        pairs = kv_table.scan(
+        chunks = kv_table.scan_batches(
             ScanSpec(ranges=ranges, key_filter=key_filter), ctx)
-        return self._decoded(chunk_pairs(pairs), len(ranges), job,
+        return self._decoded(chunks, len(ranges), job,
                              partial(self._chunk_rows, wanted))
 
     def index_chunks(self, strategy_name: str, ranges: list[KeyBounds],

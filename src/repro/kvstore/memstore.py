@@ -57,11 +57,6 @@ class MemStore:
             span = keys[lo:hi]
             yield span, list(map(value_of, span))
 
-    def scan(self, ranges):
-        """``(key, value_or_tombstone)`` of every key in ``ranges``."""
-        for keys, values in self.spans(ranges):
-            yield from zip(keys, values)
-
     def items_sorted(self):
         """All entries in key order (used by flush)."""
         for key in self._sorted_keys:

@@ -18,7 +18,7 @@ _KEY, _KEYS, _VALUES, _HEAD, _END = 0, 2, 3, 4, 5
 
 
 def run_merge(sstables, memstore, record_memstore, ctx=None,
-              where: str = ""):
+              where: str = "", key_filter=None, record_rejected=None):
     """Merge one region's sources newest-wins, a run at a time.
 
     ``sstables`` are ``(keys, values, spans)`` of each SSTable run,
@@ -27,22 +27,20 @@ def run_merge(sstables, memstore, record_memstore, ctx=None,
     reaches it); ``memstore`` yields the memstore's ``(keys, values)``
     span copies (:meth:`MemStore.spans`).
 
-    Returns a started generator of runs ``(keys, values, lo, hi,
-    memstore)``: entries ``lo:hi`` of ``keys``/``values``.  Each step of
-    the merge takes the longest slice of the source with the smallest
-    head that lies strictly below every other source's head, so a
-    region with one non-empty source moves a block slice per step,
-    while keys that interleave cost one heap step per entry, as a heap
-    merge of single entries would.  Older versions of a key handed out
-    are skipped.
-
-    Iterating hands out one step at a time: one source's own lists,
-    tombstones (``None`` values) included, the memstore entries after
-    the head left for the consumer to account as it hands them out
-    (``memstore`` is true).  ``send(cap)`` hands out the next ``cap``
-    live entries whole, gathered across steps into fresh lists and fully
-    accounted (``memstore`` false); fewer only at the end of the merge
-    or before a deadline check.
+    Returns ``None`` when no source holds an entry of the ranges, else
+    a started generator: ``send(cap)`` hands out the next
+    ``cap`` live entries as ``(keys, values, more)``, fresh lists
+    gathered across the merge's steps and fully accounted.  With a
+    ``key_filter`` those are the entries whose key it accepts; the
+    others are read but only counted (``record_rejected(n)``).  Each step
+    takes the longest slice of the source with the smallest head that
+    lies strictly below every other source's head, so a region with one
+    non-empty source moves a block slice per step, while keys that
+    interleave cost one heap step per entry, as a heap merge of single
+    entries would.  Older versions of a key and tombstones are skipped.
+    Fewer than ``cap`` come back only before a deadline check, or at the
+    end of the merge, where ``more`` is false (a send that empties the
+    merge exactly may still say true; the next one hands out nothing).
 
     What a source reads is accounted as an entry-at-a-time merge
     (``heapq.merge`` over one stream per source) accounts it, at every
@@ -54,12 +52,6 @@ def run_merge(sstables, memstore, record_memstore, ctx=None,
     entry (masked versions and tombstones count), and no run spans such
     a point.
     """
-    runs = _merge(sstables, memstore, record_memstore, ctx, where)
-    next(runs)
-    return runs
-
-
-def _merge(sstables, memstore, record_memstore, ctx, where):
     heap = []
     rank = len(sstables)
     for keys, values, spans in sstables:
@@ -75,7 +67,16 @@ def _merge(sstables, memstore, record_memstore, ctx, where):
         record_memstore(len(keys[0]) + len(values[0] or b""))
         heap.append([keys[0], 0, keys, values, 0, len(keys), memstore,
                      True])
+    if not heap:
+        return None
     heapify(heap)
+    runs = _merge(heap, record_memstore, ctx, where, key_filter,
+                  record_rejected)
+    next(runs)
+    return runs
+
+
+def _merge(heap, record_memstore, ctx, where, key_filter, record_rejected):
     size = len(heap)
     processed = 0
     next_check = CANCEL_CHECK_ROWS
@@ -105,32 +106,36 @@ def _merge(sstables, memstore, record_memstore, ctx, where):
                     stop = bisect_left(keys, bound, stop + 1, end)
             if stop - head == 1:
                 previous = key
-                if room is None:
-                    room = yield keys, values, head, stop, in_memstore
-                elif values[head] is not None:
-                    out_keys.append(key)
-                    out_values.append(values[head])
-                    room -= 1
+                if values[head] is not None:
+                    if key_filter is None or key_filter(key):
+                        out_keys.append(key)
+                        out_values.append(values[head])
+                        room -= 1
+                    else:
+                        record_rejected(1)
             else:
-                if room is not None and stop - head > room:
+                if stop - head > room:
                     stop = head + room
                 if ctx is not None and \
                         stop - head > next_check - processed:
                     stop = head + next_check - processed
                 processed += stop - head - 1
                 previous = keys[stop - 1]
-                if room is None:
-                    room = yield keys, values, head, stop, in_memstore
-                else:
-                    run_keys, run_values = _live_slice(
-                        keys, values, head, stop, in_memstore,
-                        record_memstore)
-                    out_keys += run_keys
-                    out_values += run_values
-                    room -= len(run_keys)
+                run_keys, run_values = _live_slice(
+                    keys, values, head, stop, in_memstore,
+                    record_memstore)
+                if key_filter is not None:
+                    passed = list(map(key_filter, run_keys))
+                    if not all(passed):
+                        record_rejected(passed.count(False))
+                        run_keys = list(compress(run_keys, passed))
+                        run_values = list(compress(run_values, passed))
+                out_keys += run_keys
+                out_values += run_values
+                room -= len(run_keys)
         if room == 0 or (out_keys and ctx is not None
                          and processed + 1 == next_check):
-            room = yield out_keys, out_values, 0, len(out_keys), False
+            room = yield out_keys, out_values, True
             out_keys = []
             out_values = []
         # Pull the source's next head.
@@ -150,8 +155,7 @@ def _merge(sstables, memstore, record_memstore, ctx, where):
         if in_memstore:
             record_memstore(len(key) + len(values[stop] or b""))
         heapreplace(heap, source)
-    if out_keys:
-        yield out_keys, out_values, 0, len(out_keys), False
+    yield out_keys, out_values, False
 
 
 def _live_slice(keys, values, lo, hi, in_memstore, record_memstore):

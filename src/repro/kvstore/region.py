@@ -224,11 +224,13 @@ class Region:
     CANCEL_CHECK_ROWS = CANCEL_CHECK_ROWS
 
     def run_merge(self, ranges, cache: BlockCache | None, ctx=None,
-                  replica=None):
+                  replica=None, key_filter=None):
         """The entries of ``ranges``, key-sorted, as a started
-        :func:`~repro.kvstore.merge.run_merge` of the SSTable runs and
+        :func:`~repro.kvstore.merge.run_merge` (``None`` when the region
+        holds none) of the SSTable runs and
         the memstore (a follower's, with ``replica``, whose server then
-        pays the block reads).
+        pays the block reads), handing out only the entries whose key
+        passes ``key_filter`` and counting the rest as rejected.
 
         ``ranges`` are sorted, disjoint half-open bounds; the region
         holds only keys of its own span, so nothing needs clipping.
@@ -248,39 +250,8 @@ class Region:
               sstable.spans(ranges, cache, server))
              for sstable in self.sstables],
             memstore.spans(ranges), self._stats.record_memstore_read,
-            ctx, f"region {self.region_id} scan")
-
-    def scan(self, ranges, cache: BlockCache | None, ctx=None,
-             replica=None):
-        """Yield the live ``(key, value)`` pairs of :meth:`run_merge`,
-        one at a time.
-
-        A memstore entry is accounted as it is pulled — when the one
-        before it has been handed out — so the accounting is exact
-        wherever the consumer stops.
-        """
-        record = self._stats.record_memstore_read
-        for keys, values, lo, hi, in_memstore in self.run_merge(
-                ranges, cache, ctx, replica):
-            if hi - lo == 1:
-                value = values[lo]
-                if value is not None:
-                    yield keys[lo], value
-            elif in_memstore:
-                for i in range(lo, hi):
-                    value = values[i]
-                    if i != lo:
-                        record(len(keys[i]) + len(value or b""))
-                    if value is not None:
-                        yield keys[i], value
-            else:
-                values = values[lo:hi]
-                if None in values:
-                    for key, value in zip(keys[lo:hi], values):
-                        if value is not None:
-                            yield key, value
-                else:
-                    yield from zip(keys[lo:hi], values)
+            ctx, f"region {self.region_id} scan", key_filter,
+            self._stats.record_key_rejected)
 
     # -- sizing --------------------------------------------------------------
     @property

@@ -7,42 +7,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter, le, lt
 
-# One key-value chunk decodes into one RowBatch, so the chunk size is
-# the dataframe layer's batch size, not a second constant.
-from repro.dataframe.batch import DEFAULT_BATCH_ROWS
-
-
-def chunk_pairs(pairs):
-    """Group a ``(key, value)`` stream into lists of
-    :data:`DEFAULT_BATCH_ROWS`.
-
-    The source generator is pulled lazily, one batch ahead of the
-    consumer, so deadline checks and lazy block charges inside the
-    stream keep their granularity.
-    """
-    batch: list = []
-    for pair in pairs:
-        batch.append(pair)
-        if len(batch) >= DEFAULT_BATCH_ROWS:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
-def prefix_successor(prefix: bytes) -> bytes | None:
-    """The smallest byte string greater than every key with ``prefix``.
-
-    Trailing ``0xff`` bytes cannot be incremented, so they are stripped
-    first; a prefix that is empty or all ``0xff`` has no successor
-    (every key sorts below no finite bound) and returns ``None``.
-    """
-    trimmed = prefix.rstrip(b"\xff")
-    if not trimmed:
-        return None
-    return trimmed[:-1] + bytes([trimmed[-1] + 1])
-
-
 #: One half-open key range ``[start, stop)``; ``stop=None`` is unbounded.
 Bounds = tuple[bytes, bytes | None]
 
@@ -116,55 +80,31 @@ def _in_scan_order(ranges) -> tuple[Bounds, ...]:
 
 @dataclass(frozen=True, slots=True)
 class ScanSpec:
-    """A scan request: one inclusive key range, or a list of ``ranges``.
-
-    ``end=None`` means unbounded above, so the default spec covers a
-    whole table whatever its key lengths.  ``limit`` stops the scan after
-    that many live entries.  When ``end_exclusive`` is set the range is
-    ``[start, end)`` instead, which lets prefix scans use an exact
-    successor-of-prefix upper bound.
+    """A scan request: a list of key ``ranges`` and an optional
+    ``key_filter``.
 
     ``ranges`` (HBase's ``MultiRowRangeFilter``) are half-open
     :data:`Bounds`, sorted and pairwise disjoint (adjacent is fine); one
-    scan serves them all.  It is what the store reads: a spec built from
-    ``start``/``end`` holds its one range there too.
+    scan serves them all.  The default, ``ScanSpec()`` or
+    :meth:`full`, is the one unbounded range, so it covers a whole
+    table whatever its key lengths.
 
     ``key_filter`` (``key -> bool``, see ``IndexStrategy.key_filter``)
     is applied to each live key inside the region visit, HBase
     server-side-filter style: a rejected entry is counted
     (``IOStats.scan_keys_rejected``) and never becomes a result — no
-    result bytes, no value handed over, and it does not count towards
-    ``limit``.
+    result bytes and no value handed over.
     """
 
-    start: bytes = b""
-    end: bytes | None = None
-    limit: int | None = None
-    end_exclusive: bool = False
-    ranges: tuple[Bounds, ...] | None = None
+    ranges: tuple[Bounds, ...] = ((b"", None),)
     key_filter: Callable[[bytes], bool] | None = None
 
     def __post_init__(self) -> None:
-        ranges = self.ranges
-        if ranges is None:
-            end = self.end
-            if end is not None and not self.end_exclusive:
-                end += b"\x00"
-            ranges = ((self.start, end),)
         # Every source seeks through the ranges in one forward pass
         # (seek_spans), so they must come in scan order; empty ones
         # select nothing.
-        object.__setattr__(self, "ranges", _in_scan_order(ranges))
+        object.__setattr__(self, "ranges", _in_scan_order(self.ranges))
 
     @classmethod
     def full(cls) -> "ScanSpec":
         return cls()
-
-    @classmethod
-    def prefix(cls, prefix: bytes) -> "ScanSpec":
-        """Scan every key beginning with ``prefix``, whatever its length."""
-        successor = prefix_successor(prefix)
-        if successor is None:
-            # No finite upper bound exists; scan to the end of the table.
-            return cls(prefix, None)
-        return cls(prefix, successor, end_exclusive=True)

@@ -116,14 +116,6 @@ class SSTable:
                 lo = block_end
                 block += 1
 
-    def scan(self, ranges, cache: BlockCache | None = None,
-             server: int = 0):
-        """The entries of :meth:`spans`, one ``(key, value)`` at a time."""
-        keys = self._keys
-        values = self._values
-        for lo, hi in self.spans(ranges, cache, server):
-            yield from zip(keys[lo:hi], values[lo:hi])
-
     def get(self, key: bytes, cache: BlockCache | None = None,
             server: int = 0) -> tuple[bool, bytes | None]:
         """Point lookup; charges the containing block on access."""

@@ -6,9 +6,12 @@ import heapq
 import zlib
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from itertools import compress, islice
+from itertools import islice
 from operator import itemgetter
 
+# One key-value list decodes into one RowBatch, so the list size is
+# the dataframe layer's batch size, not a second constant.
+from repro.dataframe.batch import DEFAULT_BATCH_ROWS
 from repro.errors import (
     RegionUnavailableError,
     TableExistsError,
@@ -18,12 +21,7 @@ from repro.kvstore.blockcache import BlockCache
 from repro.kvstore.iostats import IOStats
 from repro.kvstore.recovery import RecoveryReport, recover_server
 from repro.kvstore.region import DEFAULT_FLUSH_BYTES, Region
-from repro.kvstore.scan import (
-    DEFAULT_BATCH_ROWS,
-    Bounds,
-    ScanSpec,
-    chunk_pairs,
-)
+from repro.kvstore.scan import Bounds, ScanSpec
 from repro.kvstore.sstable import DEFAULT_BLOCK_BYTES, SSTable
 from repro.kvstore.wal import (
     DEFAULT_PERIODIC_BYTES,
@@ -184,11 +182,18 @@ class KVTable:
                           replica=replica)
 
     def scan(self, spec: ScanSpec, ctx=None):
-        """Yield live ``(key, value)`` pairs across regions, key-sorted.
+        """:meth:`scan_batches` one ``(key, value)`` pair at a time."""
+        for chunk in self.scan_batches(spec, ctx):
+            yield from chunk
+
+    def scan_batches(self, spec: ScanSpec, ctx=None):
+        """Yield live ``(key, value)`` pairs across regions, key-sorted,
+        in lists of at most :data:`DEFAULT_BATCH_ROWS`.
 
         One scan serves the spec's whole range list: faults tick and
         ``scans_started`` rises once, and every region the ranges touch
-        is visited once (see :meth:`_scan_regions`).
+        is visited once (see :meth:`_scan_regions`).  On an unsalted
+        table a list never spans regions.
 
         ``ctx`` (a :class:`repro.resilience.RequestContext`) makes the
         scan deadline-aware — the remaining budget is checked before
@@ -198,33 +203,12 @@ class KVTable:
         report and the scan continues over the live regions instead of
         failing all-or-nothing.
         """
-        yield from self._open_scan(spec, ctx)
-
-    def scan_batches(self, spec: ScanSpec, ctx=None):
-        """Batched :meth:`scan`: yields lists of ``(key, value)`` pairs.
-
-        Identical routing, deadline, partial-results, and accounting
-        behavior; entries arrive a batch at a time so consumers (the
-        table layer's columnar decode) amortize per-row work.  Batches
-        never span regions, so per-region span accounting stays exact.
-        """
-        yield from self._open_scan(spec, ctx, batched=True)
-
-    def _open_scan(self, spec: ScanSpec, ctx, batched: bool = False):
-        """Count one scan and open its stream of pairs (or, when
-        ``batched``, of lists of pairs), ending at ``spec.limit``."""
         self._store.tick_faults("scan")
         self._stats.record_scan()
-        if not self.salt_buckets and batched:
-            return self._scan_regions(spec.ranges, ctx, True,
-                                      spec.key_filter, spec.limit)
-        pairs = self._scan_salted(spec.ranges, ctx, spec.key_filter) \
-            if self.salt_buckets \
-            else self._scan_regions(spec.ranges, ctx,
-                                    key_filter=spec.key_filter)
-        if spec.limit is not None:
-            pairs = islice(pairs, spec.limit)
-        return chunk_pairs(pairs) if batched else pairs
+        if self.salt_buckets:
+            yield from self._scan_salted(spec.ranges, ctx, spec.key_filter)
+        else:
+            yield from self._scan_regions(spec.ranges, ctx, spec.key_filter)
 
     def _scan_salted(self, bounds: Sequence[Bounds], ctx=None,
                      key_filter=None):
@@ -234,9 +218,10 @@ class KVTable:
         space, so one per-bucket pass over every ``salt + [start, stop)``
         with the salt byte stripped yields the bucket's rows in logical
         order; a ``heapq.merge`` over the buckets restores the global
-        order.  A logical key lives in exactly one bucket, so merge
-        comparisons never tie (and never reach the values).  A
-        ``key_filter`` sees the logical key, behind the salt byte.
+        order, cut again into lists.  A logical key lives in exactly one
+        bucket, so merge comparisons never tie (and never reach the
+        values).  A ``key_filter`` sees the logical key, behind the salt
+        byte.
         """
         salted_filter = None if key_filter is None \
             else lambda key: key_filter(key[1:])
@@ -249,34 +234,29 @@ class KVTable:
                        bytes([bucket + 1]) if stop is None
                        else prefix + stop)
                       for start, stop in bounds]
-            for key, value in self._scan_regions(
-                    salted, ctx, key_filter=salted_filter):
-                yield key[1:], value
+            for chunk in self._scan_regions(salted, ctx, salted_filter):
+                for key, value in chunk:
+                    yield key[1:], value
 
-        yield from heapq.merge(*(bucket_stream(b)
-                                 for b in range(self.salt_buckets)))
+        merged = heapq.merge(*(bucket_stream(b)
+                               for b in range(self.salt_buckets)))
+        while chunk := list(islice(merged, DEFAULT_BATCH_ROWS)):
+            yield chunk
 
     def _scan_regions(self, bounds: Sequence[Bounds], ctx=None,
-                      batched: bool = False, key_filter=None,
-                      limit: int | None = None):
-        """Yield the live entries of ``bounds``, one visit per region:
-        one routing/availability check, one hotness tick, one trace span
-        and one :meth:`Region.run_merge` over the ranges that fall in it.
+                      key_filter=None):
+        """Yield the live entries of ``bounds`` in region-local lists of
+        at most :data:`DEFAULT_BATCH_ROWS`, one visit per region: one
+        routing/availability check, one hotness tick, one trace span and
+        one :meth:`Region.run_merge` over the ranges that fall in it.
 
-        Entries come out as pairs, or — when ``batched`` — as
-        region-local lists of at most :data:`DEFAULT_BATCH_ROWS` pairs
-        (``limit`` in all), built from the merge's slices and accounted
-        once per list.  Entries whose key fails ``key_filter`` stay in
-        the region: they were read (their blocks are charged) but are
-        not a result.
+        Entries whose key fails ``key_filter`` stay in the region's
+        merge: they were read (their blocks are charged) but are not a
+        result.
         """
         profile = getattr(ctx, "profile", None) if ctx is not None \
             else None
-        record_result = self._stats.record_result
-        record_rejected = self._stats.record_key_rejected
         for region, ranges in self._regions_overlapping(bounds):
-            if limit == 0:
-                return
             if ctx is not None:
                 ctx.check(f"scan of {self.name!r}")
             try:
@@ -294,72 +274,51 @@ class KVTable:
             region.record_read()
             before = self._stats.snapshot() if profile is not None \
                 else None
-            region_rows = 0
-            try:
-                if batched:
-                    runs = region.run_merge(ranges, cache, ctx,
-                                            replica=replica)
-                    for chunk in self._chunks(runs, key_filter, limit):
-                        region_rows += len(chunk)
-                        if limit is not None:
-                            limit -= len(chunk)
-                        yield chunk
-                    continue
-                # Pairs one at a time, each accounted as it is handed
-                # out, so an abandoned generator stays exact.
-                for key, value in region.scan(ranges, cache, ctx,
-                                              replica=replica):
-                    if key_filter is not None and not key_filter(key):
-                        record_rejected()
-                        continue
-                    record_result(len(key) + len(value))
-                    region_rows += 1
-                    yield key, value
-            finally:
-                if profile is not None:
-                    self._record_region_span(profile, region, before,
-                                             region_rows, len(ranges))
+            runs = region.run_merge(ranges, cache, ctx, replica,
+                                    key_filter)
+            chunks = () if runs is None else self._chunks(runs)
+            if profile is None:
+                yield from chunks
+            else:
+                yield from self._traced(chunks, profile, region, before,
+                                        len(ranges))
 
-    def _chunks(self, runs, key_filter, limit: int | None):
-        """The merge's live pairs in lists of at most
-        :data:`DEFAULT_BATCH_ROWS` (``limit`` in all): the merge gathers
-        the entries a list has room for, ``key_filter`` runs once over
-        them, and each list's result bytes are counted as it is handed
-        out.
+    def _chunks(self, runs):
+        """The region merge's entries in lists of at most
+        :data:`DEFAULT_BATCH_ROWS`, each list's result bytes counted as
+        it is handed out.
 
-        The merge is never asked for more than the room left, so a full
-        list ends exactly where a pair-at-a-time stream would have
-        stopped pulling.
+        The merge is asked for a list's room and gathers exactly that
+        many accepted entries, so a full list ends where a
+        pair-at-a-time stream would have stopped pulling; only a
+        deadline check cuts it short, and then the rest is asked for.
         """
-        stats = self._stats
         take = runs.send
-        while limit is None or limit > 0:
-            size = DEFAULT_BATCH_ROWS if limit is None \
-                else min(DEFAULT_BATCH_ROWS, limit)
-            keys: list[bytes] = []
-            values: list[bytes] = []
-            while len(keys) < size:
-                try:
-                    run_keys, run_values, _, _, _ = take(size - len(keys))
-                except StopIteration:
-                    break
-                if key_filter is not None:
-                    passed = list(map(key_filter, run_keys))
-                    if not all(passed):
-                        run_keys = list(compress(run_keys, passed))
-                        run_values = list(compress(run_values, passed))
-                        stats.record_key_rejected(
-                            len(passed) - len(run_keys))
+        record_result = self._stats.record_result
+        size = DEFAULT_BATCH_ROWS
+        more = True
+        while more:
+            keys, values, more = take(size)
+            while more and len(keys) < size:  # cut before a deadline check
+                run_keys, run_values, more = take(size - len(keys))
                 keys += run_keys
                 values += run_values
             if keys:
-                stats.record_result(sum(map(len, keys))
-                                    + sum(map(len, values)))
+                record_result(sum(map(len, keys)) + sum(map(len, values)))
                 yield list(zip(keys, values))
-            if len(keys) < size:
-                return  # merged out
-            if limit is not None:
-                limit -= size
+
+    def _traced(self, chunks, profile, region, before, num_ranges: int):
+        """``chunks`` of one region visit, merged into the trace's span
+        for the region (:meth:`_record_region_span`) however the visit
+        ends; ``before`` is the stats snapshot taken as it began."""
+        rows = 0
+        try:
+            for chunk in chunks:
+                rows += len(chunk)
+                yield chunk
+        finally:
+            self._record_region_span(profile, region, before, rows,
+                                     num_ranges)
 
     def _record_region_span(self, profile, region, before,
                             region_rows: int, num_ranges: int) -> None:
@@ -532,7 +491,7 @@ class KVTable:
 
     def count(self) -> int:
         """Number of live entries (full scan, charges I/O)."""
-        return sum(1 for _ in self.scan(ScanSpec.full()))
+        return sum(map(len, self.scan_batches(ScanSpec.full())))
 
     def servers_used(self) -> set[int]:
         return {r.server for r in self._regions}

@@ -292,7 +292,10 @@ class _Parser:
             left = self._parse_primary()
         while True:
             op = tokens[self.index].lowered
-            level = _INFIX.get(op, 0)
+            if op == "not" and tokens[self.index + 1].lowered == "in":
+                level = _PREDICATE  # NOT IN (...)
+            else:
+                level = _INFIX.get(op, 0)
             if level <= min_bp or level > ceiling:
                 return left
             self.index += 1
@@ -313,12 +316,31 @@ class _Parser:
             negated = self.accept_keyword("not")
             self.expect_keyword("null")
             return IsNull(left, negated)
+        if op == "not":
+            self.expect_keyword("in")
+            if self.peek().lowered != "(":
+                raise self.error("NOT IN expects a list of values")
+            return UnaryOp("not", self._parse_in_list(left))
+        if op == "in" and self.peek().lowered == "(":
+            return self._parse_in_list(left)
         right = self._parse_expr(_PREDICATE)
         if op == "in":
             if not isinstance(right, FuncCall):
                 raise self.error("IN expects a set function such as st_KNN")
             return InFunc(left, right)
         return BinaryOp("!=" if op == "<>" else op, left, right)
+
+    def _parse_in_list(self, left: Expr) -> Expr:
+        """``(e1, ..., en)`` after ``left IN``, as ``left = e1 OR ... OR
+        left = en``: SQL's IN, NULLs included (no match but a NULL
+        comparison is NULL, so NOT IN is NULL there too)."""
+        self.expect_symbol("(")
+        expr = BinaryOp("=", left, self._parse_expr())
+        while self.accept_symbol(","):
+            expr = BinaryOp("or", expr,
+                            BinaryOp("=", left, self._parse_expr()))
+        self.expect_symbol(")")
+        return expr
 
     def _parse_primary(self) -> Expr:
         token = self.tokens[self.index]

@@ -31,6 +31,22 @@ def make_poi_rows(n: int = 500, seed: int = 11) -> list[dict]:
     } for i in range(n)]
 
 
+def cache_state(caches):
+    """What twin runs over one store restore between them: each block
+    cache's entries in LRU order, and its byte counts."""
+    return [(list(cache._entries.items()), cache.used_bytes,
+             cache.evicted_bytes) for cache in caches]
+
+
+def restore(caches, state):
+    """Put the block caches back to a :func:`cache_state`."""
+    for cache, (entries, used, evicted) in zip(caches, state):
+        cache._entries.clear()
+        cache._entries.update(entries)
+        cache._used = used
+        cache.evicted_bytes = evicted
+
+
 def on_the_stored_grid(points) -> list[tuple]:
     """``(lng, lat, t)`` samples quantized to what the ``st_series``
     codec stores (1e-6 degree, 1 ms): what a decode hands back, and the

@@ -17,7 +17,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import deque
 from fractions import Fraction
-from itertools import chain, islice, product
+from itertools import chain, product
 from math import ceil, floor, fmod, hypot
 
 from repro.errors import (
@@ -25,6 +25,7 @@ from repro.errors import (
     ParseError,
     RegionUnavailableError,
 )
+from repro.kvstore.scan import ScanSpec
 from repro.sql.ast import (
     Aliased,
     Between,
@@ -329,8 +330,7 @@ def memstore_scan_reference(memstore, ranges):
 # deadline checked every 128th merged entry.  ``table_scan_reference``
 # is ``KVTable.scan``/``scan_batches`` over it, the store loop of the
 # same release (routing, key filter, per-entry or per-list result
-# bytes), with one change: a batched scan under a ``limit`` stops
-# pulling at the limit, so it accounts only the pairs it hands out.
+# bytes); the store's ``limit`` it also honoured is gone.
 
 def region_scan_reference(region, ranges, cache=None, ctx=None,
                           replica=None):
@@ -405,21 +405,14 @@ def table_scan_reference(table, spec, ctx=None, batched=False):
     stats.record_scan()
     streams = _region_streams_reference(table, spec, ctx)
     if not batched:
-        for key, value in islice(chain.from_iterable(streams),
-                                 spec.limit):
+        for key, value in chain.from_iterable(streams):
             stats.record_result(len(key) + len(value))
             yield key, value
         return
-    remaining = spec.limit
-    while remaining is None or remaining > 0:
-        pairs = next(streams, None)
-        if pairs is None:
-            return
-        for batch in _chunks_reference(islice(pairs, remaining)):
+    for pairs in streams:
+        for batch in _chunks_reference(pairs):
             stats.record_result(sum(len(key) + len(value)
                                     for key, value in batch))
-            if remaining is not None:
-                remaining -= len(batch)
             yield batch
 
 
@@ -432,6 +425,21 @@ def _chunks_reference(pairs, size=256):
             batch = []
     if batch:
         yield batch
+
+
+def range_chunks_reference(table, kv_table, ranges, job, ctx, wanted=None,
+                           key_filter=None):
+    """``CommonTable._range_chunks`` as the pair path composed it: the
+    pair walk of one multi-range scan, cut into 256-pair chunks across
+    region boundaries, each pair decoded by ``decode_row``.  It charges
+    through the table's own ``_decoded`` (the accounting primitive, not
+    the path under test)."""
+    pairs = table_scan_reference(
+        kv_table, ScanSpec(ranges=ranges, key_filter=key_filter), ctx)
+    decode = table.codec.decode_row
+    return table._decoded(
+        _chunks_reference(pairs), len(ranges), job,
+        lambda chunk: [decode(payload, wanted) for _key, payload in chunk])
 
 
 def scan_ranges_reference(ranges):

@@ -338,11 +338,15 @@ class TestPresplitAndSalting:
         got = [k for k, _ in table.scan(ScanSpec.full())]
         assert got == sorted(keys)  # salt bytes stripped, order restored
         ranged = [k for k, _ in
-                  table.scan(ScanSpec.prefix(b"k001"), )]
+                  table.scan(ScanSpec(ranges=[(b"k001", b"k002")]))]
         assert ranged == [k for k in sorted(keys)
                           if k.startswith(b"k001")]
-        limited = [k for k, _ in table.scan(ScanSpec(limit=5))]
-        assert limited == sorted(keys)[:5]
+        batches = list(table.scan_batches(ScanSpec(
+            ranges=[(b"k000", b"k001"), (b"k0015", None)])))
+        # The merged buckets are cut again into lists of at most 256.
+        assert [len(batch) for batch in batches] == [150]
+        assert [k for k, _ in batches[0]] == \
+            sorted(keys)[:100] + sorted(keys)[150:]
 
     def test_presplit_beyond_buckets_dedups_to_bucket_count(self):
         store = small_store()

@@ -89,12 +89,12 @@ class KVStoreMachine(RuleBasedStateMachine):
         expected = sorted((k, v) for k, v in self.model.items()
                           if lo <= k <= hi)
         for table in self.tables:
-            assert list(table.scan(ScanSpec(lo, hi))) == expected
+            assert list(table.scan(
+                ScanSpec(ranges=[(lo, hi + b"\x00")]))) == expected
 
     @rule(ranges=range_lists(),
-          limit=st.none() | st.integers(min_value=1, max_value=20),
           read_mode=st.sampled_from(["primary", "follower"]))
-    def multi_range_scan_is_the_single_scans_in_a_row(self, ranges, limit,
+    def multi_range_scan_is_the_single_scans_in_a_row(self, ranges,
                                                        read_mode):
         def context():
             return RequestContext(read_mode=read_mode)
@@ -102,15 +102,13 @@ class KVStoreMachine(RuleBasedStateMachine):
         expected = sorted(
             (k, v) for k, v in self.model.items()
             if any(start <= k and (stop is None or k < stop)
-                   for start, stop in ranges))[:limit]
+                   for start, stop in ranges))
         for table in self.tables:
-            singles = [pair for start, stop in ranges
-                       for pair in table.scan(
-                           ScanSpec(start, stop, end_exclusive=True),
-                           context())]
-            multi = list(table.scan(ScanSpec(ranges=ranges, limit=limit),
-                                    context()))
-            assert multi == singles[:limit]
+            singles = [pair for bounds in ranges
+                       for pair in table.scan(ScanSpec(ranges=[bounds]),
+                                              context())]
+            multi = list(table.scan(ScanSpec(ranges=ranges), context()))
+            assert multi == singles
             # SYNC quorum writes keep the best follower caught up, so
             # either replica also agrees with the model.
             assert multi == expected

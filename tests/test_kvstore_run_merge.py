@@ -6,23 +6,19 @@ source with the smallest head that lies below every other head; the
 entry-at-a-time heap merge it replaced lives on as
 ``tests/oracles.py::region_scan_reference`` (and, for the store loop
 over it, ``table_scan_reference``).  Twin runs over one store — the
-block caches restored between them — must agree on the pairs or lists
-handed out, the ``IOStats`` deltas and the block-cache LRU order, for
-full scans, abandoned ones and ones a deadline cancels.
+block caches restored between them — must agree on the lists handed
+out, the ``IOStats`` deltas and the block-cache LRU order, for full
+scans, abandoned ones and ones a deadline cancels; a pair scan run to
+its end must agree with the pair walk.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import (
-    region_scan_reference,
-    sstable_scan_reference,
-    table_scan_reference,
-)
+from conftest import cache_state, restore
+from oracles import sstable_scan_reference, table_scan_reference
 from repro.errors import QueryTimeoutError
-from repro.kvstore import KVStore
-from repro.kvstore.blockcache import BlockCache
+from repro.kvstore import KVStore, merge
 from repro.kvstore.iostats import IOStats
-from repro.kvstore.region import Region
 from repro.kvstore.scan import ScanSpec
 from repro.kvstore.wal import SyncPolicy
 from repro.replication.replica import FollowerReplica
@@ -120,19 +116,6 @@ def consume(scan, stop):
     return items, False
 
 
-def cache_state(caches):
-    return [(list(cache._entries.items()), cache.used_bytes,
-             cache.evicted_bytes) for cache in caches]
-
-
-def restore(caches, state):
-    for cache, (entries, used, evicted) in zip(caches, state):
-        cache._entries.clear()
-        cache._entries.update(entries)
-        cache._used = used
-        cache.evicted_bytes = evicted
-
-
 def twin(stats: IOStats, caches, run, reference):
     """``run`` and ``reference`` from the same cache state: what each
     handed out, charged and left in the caches."""
@@ -155,30 +138,34 @@ class TestRegionScan:
         stop=stops, warm=st.booleans())
     def test_same_as_the_heap_merge(self, ops, follower, ranges, stop,
                                     warm):
-        stats = IOStats()
-        region = Region(b"", None, stats, flush_bytes=1 << 30,
+        # One region on a one-table store; a follower read is routed to
+        # a replica whose memstore need not match the primary's.
+        store = KVStore(num_servers=2, cache_bytes_per_server=CACHE_BYTES,
+                        flush_bytes=1 << 30, split_bytes=1 << 30,
                         block_bytes=BLOCK_BYTES)
+        table = store.create_table("t")
+        (region,) = table.regions()
         for op in ops:
             apply(op, region.put, lambda key: region.put(key, None),
                   lambda name: getattr(region, name)())
-        replica = None
         if follower is not None:
             replica = FollowerReplica(server=1)
             for key, value in follower.items():
                 replica.memstore.put(key, value)
-        cache = BlockCache(CACHE_BYTES)
+            store.route_read = lambda *args: replica
         if warm:
             for sstable in region.sstables:
                 list(sstable_scan_reference(sstable, [(b"\x7f", None)],
-                                            cache))
+                                            store._caches[0]))
+        spec = ScanSpec(ranges=ranges)
 
-        def scan(merge):
-            return lambda: consume(
-                lambda ctx: merge(region, ranges, cache, ctx, replica),
-                stop)
+        def scan(open_scan):
+            return lambda: consume(open_scan, stop)
 
-        twin(stats, [cache], scan(Region.scan),
-             scan(region_scan_reference))
+        twin(store.stats, store._caches,
+             scan(lambda ctx: table.scan_batches(spec, ctx)),
+             scan(lambda ctx: table_scan_reference(table, spec, ctx,
+                                                   batched=True)))
 
 
 def _build_table(ops, replicated: bool, split_bytes: int):
@@ -203,43 +190,42 @@ def _rejects(key_bytes):
 class TestTableScan:
     @settings(max_examples=200, deadline=None)
     @given(ops=operations, ranges=range_lists(), stop=stops,
-           limit=st.none() | st.integers(0, 30),
            rejected=st.none() | st.sets(st.sampled_from(ALPHABET),
                                         max_size=3),
-           batched=st.booleans(), replicated=st.booleans())
+           replicated=st.booleans())
     def test_same_as_the_store_loop_over_the_heap_merge(
-            self, ops, ranges, stop, limit, rejected, batched,
-            replicated):
-        check_table_scan(ops, ranges, stop, limit, rejected, batched,
-                         replicated)
+            self, ops, ranges, stop, rejected, replicated):
+        check_table_scan(ops, ranges, stop, rejected, replicated)
 
     def test_a_filtered_chunk_cancelled_before_it_fills(self):
         # 300 keys in one region: the deadline's second check is the
         # merge's 128th entry, inside the first list, after the filter
         # has turned keys away.
         check_table_scan([("fill", 0, 300, 1, b"")], [(b"", None)],
-                         ("deadline", 1), None, {0, 1, 127}, True, False,
+                         ("deadline", 1), {0, 1, 127}, False,
                          split_bytes=1 << 20)
 
 
-def check_table_scan(ops, ranges, stop, limit, rejected, batched,
-                     replicated, split_bytes=700):
+def check_table_scan(ops, ranges, stop, rejected, replicated,
+                     split_bytes=700):
     store, table = _build_table(ops, replicated, split_bytes)
-    spec = ScanSpec(ranges=ranges, limit=limit,
-                    key_filter=None if rejected is None
+    spec = ScanSpec(ranges=ranges, key_filter=None if rejected is None
                     else _rejects(rejected))
-    api = type(table).scan_batches if batched else type(table).scan
 
     def scan(open_scan):
-        return lambda: consume(lambda ctx: open_scan(ctx), stop)
+        return lambda: consume(open_scan, stop)
 
     handed, _ = twin(
         store.stats, store._caches,
-        scan(lambda ctx: api(table, spec, ctx)),
+        scan(lambda ctx: table.scan_batches(spec, ctx)),
         scan(lambda ctx: table_scan_reference(table, spec, ctx,
-                                              batched)))
-    if batched:
-        assert all(0 < len(batch) <= 256 for batch in handed)
+                                              batched=True)))
+    assert all(0 < len(batch) <= 256 for batch in handed)
+    if stop[0] == "all":
+        # Run to the end, the pairs of ``scan`` are the pair walk's.
+        twin(store.stats, store._caches,
+             scan(lambda ctx: table.scan(spec, ctx)),
+             scan(lambda ctx: table_scan_reference(table, spec, ctx)))
 
 
 def _loaded(rows: int, runs: int = 1):
@@ -253,63 +239,70 @@ def _loaded(rows: int, runs: int = 1):
     return store, table
 
 
-class TestLimitAccountsWhatItHandsOut:
-    """``limit=10`` over 1 000 keys hands out 10 pairs, 260 bytes, from
-    either API, and reads no block past the last one handed out."""
-
-    def test_both_apis_account_exactly_the_limit(self):
-        for api in ("scan", "scan_batches"):
-            store, table = _loaded(1000)
-            before = store.stats.snapshot()
-            out = list(getattr(table, api)(ScanSpec(limit=10)))
-            pairs = out if api == "scan" else [p for b in out for p in b]
-            delta = store.stats.snapshot().delta(before)
-            (sstable,) = table.regions()[0].sstables
-            assert len(pairs) == 10, api
-            assert delta.result_bytes == 260, api
-            # Nine 26-byte entries fill a 256-byte block: two blocks.
-            assert delta.blocks_read == sstable._block_of(9) + 1 == 2
-
-    def test_no_block_is_read_past_the_last_pair(self):
-        store, table = _loaded(1000)
-        (sstable,) = table.regions()[0].sstables
-        for limit in (1, 9, 10, 11, 255, 256, 257, 600):
-            before = store.stats.snapshot()
-            batches = list(table.scan_batches(ScanSpec(limit=limit)))
-            delta = store.stats.snapshot().delta(before)
-            assert [len(b) for b in batches] == \
-                [256] * (limit // 256) + [limit % 256] * bool(limit % 256)
-            last = sstable._block_of(limit - 1)
-            assert delta.blocks_read == last + 1, limit
-            assert delta.result_bytes == 26 * limit
-
-
 class TestOneSourceIsBlockSlices:
-    def test_a_compacted_region_merges_in_block_slices(self):
+    """A step of the merge hands out one source's slice: a block slice
+    when one source is left, one entry where sources interleave."""
+
+    @staticmethod
+    def slices(monkeypatch):
+        """The ``(lo, hi)`` of every slice of more than one entry the
+        merge takes (a single entry is appended without a slice)."""
+        taken = []
+
+        def spy(keys, values, lo, hi, *rest):
+            taken.append((lo, hi))
+            return live_slice(keys, values, lo, hi, *rest)
+        live_slice = merge._live_slice
+        monkeypatch.setattr(merge, "_live_slice", spy)
+        return taken
+
+    def test_a_compacted_region_merges_in_block_slices(self, monkeypatch):
         store, table = _loaded(1000)
         (region,) = table.regions()
         (sstable,) = region.sstables
-        runs = [(lo, hi) for _k, _v, lo, hi, _m
-                in region.run_merge([(b"", None)], None)]
+        taken = self.slices(monkeypatch)
+        keys, _, more = region.run_merge([(b"", None)], None).send(5000)
         starts = sstable._block_starts
-        assert runs == list(zip(starts, starts[1:] + [len(sstable)]))
+        blocks = zip(starts, starts[1:] + [len(sstable)])
+        assert taken == [(lo, hi) for lo, hi in blocks if hi - lo > 1]
+        assert (len(keys), more) == (1000, False)
 
-    def test_interleaved_runs_merge_an_entry_at_a_time(self):
+    def test_interleaved_runs_merge_an_entry_at_a_time(self, monkeypatch):
         store, table = _loaded(40, runs=4)
         (region,) = table.regions()
-        runs = [keys[lo:hi] for keys, _v, lo, hi, _m
-                in region.run_merge([(b"", None)], None)]
-        assert [len(keys) for keys in runs] == [1] * 40
-        assert [key for keys in runs for key in keys] == \
-            [b"%06d" % i for i in range(40)]
+        taken = self.slices(monkeypatch)
+        keys, _, _ = region.run_merge([(b"", None)], None).send(100)
+        assert taken == []
+        assert keys == [b"%06d" % i for i in range(40)]
 
     def test_send_gathers_exactly_cap_live_entries(self):
         store, table = _loaded(1000, runs=3)
         (region,) = table.regions()
         region.put(b"%06d" % 4, None)  # a tombstone is not handed out
         runs = region.run_merge([(b"", None)], None)
-        gathered = [runs.send(cap) for cap in (1, 7, 300, 2)]
-        assert [len(keys) for keys, *_ in gathered] == [1, 7, 300, 2]
-        assert all(run[2:] == (0, len(run[0]), False) for run in gathered)
+        gathered = [runs.send(cap) for cap in (1, 7, 300, 2, 1000)]
+        assert [len(keys) for keys, *_ in gathered] == [1, 7, 300, 2, 689]
+        assert [more for *_, more in gathered] == [True] * 4 + [False]
         assert [key for keys, *_ in gathered for key in keys] == \
-            [b"%06d" % i for i in range(311) if i != 4]
+            [b"%06d" % i for i in range(1000) if i != 4]
+
+    def test_no_merge_where_no_source_holds_a_key(self):
+        store, table = _loaded(100, runs=2)
+        (region,) = table.regions()
+        before = store.stats.snapshot()
+        assert region.run_merge([(b"000010a", b"000010b")], None) is None
+        assert store.stats.snapshot().delta(before).blocks_read == 0
+
+    def test_a_key_filter_counts_what_it_turns_away(self):
+        store, table = _loaded(100, runs=2)
+        (region,) = table.regions()
+        before = store.stats.snapshot()
+        runs = region.run_merge([(b"", None)], None,
+                                key_filter=lambda key: int(key) % 3 == 0)
+        keys, _, more = runs.send(10)
+        # Ten accepted keys (every third), the twenty between them read
+        # and turned away; the merge stops at the tenth.
+        assert keys == [b"%06d" % i for i in range(0, 30, 3)]
+        assert more
+        assert store.stats.snapshot().delta(before).scan_keys_rejected \
+            == 18

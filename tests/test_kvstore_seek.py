@@ -68,6 +68,28 @@ def range_lists(draw, stored=()):
     return ranges
 
 
+def sstable_pairs(sstable, ranges, cache=None, server=0):
+    """The entries of ``sstable.spans``, one ``(key, value)`` at a time."""
+    for lo, hi in sstable.spans(ranges, cache, server):
+        yield from zip(sstable._keys[lo:hi], sstable._values[lo:hi])
+
+
+def memstore_pairs(memstore, ranges):
+    """The entries of ``memstore.spans``, one ``(key, value)`` at a time."""
+    for keys, values in memstore.spans(ranges):
+        yield from zip(keys, values)
+
+
+def region_pairs(region, ranges, cache=None, replica=None):
+    """Every live entry of ``ranges``: one ``send`` asks the region's
+    run merge for all of them at once (no merge: none)."""
+    runs = region.run_merge(ranges, cache, replica=replica)
+    if runs is None:
+        return []
+    keys, values, _ = runs.send(1 << 30)
+    return list(zip(keys, values))
+
+
 def observe(stats: IOStats, cache: BlockCache, scan):
     """Pairs of ``scan(cache)``, the I/O it charged, the cache after."""
     before = stats.snapshot()
@@ -92,7 +114,7 @@ class TestSameAsTheWalk:
         stats = IOStats()
         sstable = SSTable(sorted(stored.items()), stats, BLOCK_BYTES)
         seek = observe(stats, warmed_cache([sstable]),
-                       lambda c: sstable.scan(ranges, c, server))
+                       lambda c: sstable_pairs(sstable, ranges, c, server))
         walk = observe(stats, warmed_cache([sstable]),
                        lambda c: sstable_scan_reference(sstable, ranges,
                                                         c, server))
@@ -105,7 +127,7 @@ class TestSameAsTheWalk:
         memstore = MemStore()
         for key, value in stored.items():
             memstore.put(key, value)
-        assert list(memstore.scan(ranges)) == \
+        assert list(memstore_pairs(memstore, ranges)) == \
             list(memstore_scan_reference(memstore, ranges))
 
     @settings(max_examples=100, deadline=None)
@@ -132,7 +154,7 @@ class TestSameAsTheWalk:
                 replica.memstore.put(key, value)
 
         seek = observe(stats, warmed_cache(region.sstables),
-                       lambda c: region.scan(ranges, c, replica=replica))
+                       lambda c: region_pairs(region, ranges, c, replica))
         # The heap merge over the per-range walks.
         walk = observe(stats, warmed_cache(region.sstables),
                        lambda c: region_scan_reference(region, ranges, c,
@@ -201,8 +223,8 @@ class TestCostIsPerRowNotPerRange:
         memstore = MemStore()
         for key in rows:
             memstore.put(key, b"v")
-        for scan in (lambda r: sstable.scan(r, None),
-                     lambda r: memstore.scan(r)):
+        for scan in (lambda r: sstable_pairs(sstable, r),
+                     lambda r: memstore_pairs(memstore, r)):
             ranges = self.ranges()
             assert [key for key, _ in scan(ranges)] == rows[:k]
             assert ranges.reads <= self.bound(k)
@@ -222,7 +244,7 @@ class TestCostIsPerRowNotPerRange:
             region.flush()
         region.put(rows[-1], b"newer")
         ranges = self.ranges()
-        assert [key for key, _ in region.scan(ranges, None)] == rows[:k]
+        assert [key for key, _ in region_pairs(region, ranges)] == rows[:k]
         assert ranges.reads <= self.bound(k, sources=3)
 
 

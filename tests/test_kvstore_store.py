@@ -1,10 +1,13 @@
 """Region/table/store behaviour: routing, splits, merge semantics."""
 
+from bisect import bisect_right
+from itertools import islice
+
 import pytest
 
+from repro.dataframe.batch import DEFAULT_BATCH_ROWS
 from repro.errors import TableExistsError, TableNotFoundError
 from repro.kvstore import KVStore, ScanSpec
-from repro.kvstore.scan import DEFAULT_BATCH_ROWS, prefix_successor
 
 
 def small_store(**kwargs):
@@ -64,15 +67,11 @@ class TestReadWrite:
         random.Random(5).shuffle(shuffled)
         for key in shuffled:
             table.put(key, key)
-        got = [k for k, _ in table.scan(ScanSpec(b"0050", b"0059"))]
+        # The range is half-open: ``0059\x00`` is the first key past
+        # ``0059``, so the scan includes it.
+        got = [k for k, _ in table.scan(
+            ScanSpec(ranges=[(b"0050", b"0059\x00")]))]
         assert got == keys[50:60]
-
-    def test_scan_limit(self):
-        table = small_store().create_table("t")
-        for i in range(50):
-            table.put(f"{i:03d}".encode(), b"v")
-        got = list(table.scan(ScanSpec(b"", b"\xff", limit=7)))
-        assert len(got) == 7
 
     def test_deleted_keys_not_scanned(self):
         table = small_store().create_table("t")
@@ -105,12 +104,8 @@ class TestReadWrite:
 
 
 class TestPrefixScan:
-    def test_prefix_successor_bound(self):
-        assert prefix_successor(b"ab") == b"ac"
-        assert prefix_successor(b"a\xff") == b"b"
-        assert prefix_successor(b"a\xff\xff") == b"b"
-        assert prefix_successor(b"\xff\xff") is None
-        assert prefix_successor(b"") is None
+    """A prefix scan is the range from the prefix to its successor, or
+    to the end of the table when the prefix is all ``0xff``."""
 
     def test_prefix_includes_keys_longer_than_16_bytes_past_prefix(self):
         # Regression: the old end bound (prefix + b"\xff" * 16) silently
@@ -120,7 +115,7 @@ class TestPrefixScan:
         table.put(long_key, b"deep")
         table.put(b"p", b"exact")
         table.put(b"p\xff" * 20, b"ff-heavy")
-        got = dict(table.scan(ScanSpec.prefix(b"p")))
+        got = dict(table.scan(ScanSpec(ranges=[(b"p", b"q")])))
         assert got == {long_key: b"deep", b"p": b"exact",
                        b"p\xff" * 20: b"ff-heavy"}
 
@@ -129,27 +124,28 @@ class TestPrefixScan:
         table.put(b"pa", b"in")
         table.put(b"q", b"out")
         table.put(b"q" + b"\x00" * 30, b"out-too")
-        got = [k for k, _ in table.scan(ScanSpec.prefix(b"p"))]
+        got = [k for k, _ in table.scan(ScanSpec(ranges=[(b"p", b"q")]))]
         assert got == [b"pa"]
 
     def test_all_ff_prefix_scans_to_table_end(self):
         table = small_store().create_table("t")
         table.put(b"\xff\xffz", b"v")
         table.put(b"a", b"other")
-        got = [k for k, _ in table.scan(ScanSpec.prefix(b"\xff\xff"))]
+        got = [k for k, _ in table.scan(
+            ScanSpec(ranges=[(b"\xff\xff", None)]))]
         assert got == [b"\xff\xffz"]
 
     def test_unbounded_scans_have_no_key_length_ceiling(self):
         # Regression: successor-less prefixes fell back to a finite
         # b"\xff" * 32 bound, excluding matching keys longer than 32
-        # bytes.  end=None is now a true "to the end of the table".
+        # bytes.  stop=None is a true "to the end of the table".
         table = small_store().create_table("t")
         beyond = b"\xff" * 40
         table.put(beyond, b"v")
         table.put(b"a", b"other")
-        assert dict(table.scan(ScanSpec.prefix(b"\xff\xff")))[beyond] == b"v"
-        assert dict(table.scan(ScanSpec.prefix(b"")))[beyond] == b"v"
-        assert dict(table.scan(ScanSpec.full()))[beyond] == b"v"
+        for spec in (ScanSpec(ranges=[(b"\xff\xff", None)]), ScanSpec(),
+                     ScanSpec.full()):
+            assert dict(table.scan(spec))[beyond] == b"v"
 
 
 class TestRegionSplitting:
@@ -204,12 +200,10 @@ class TestRegionSplitting:
         for i in range(2000):
             table.put(f"{i:06d}".encode(), payload)
         assert table.num_regions > 1
-        # A limit larger than the first region's share must continue
-        # seamlessly into the next region, in key order.
-        first_region_keys = len(list(
-            table._regions[0].scan([(b"", b"\xff" * 8)], None)))
-        limit = first_region_keys + 25
-        got = [k for k, _ in table.scan(ScanSpec(limit=limit))]
+        # A consumer that stops past the first region's share sees the
+        # scan continue seamlessly into the next region, in key order.
+        limit = len(table._regions[0].all_entries()) + 25
+        got = [k for k, _ in islice(table.scan(ScanSpec.full()), limit)]
         assert got == [f"{i:06d}".encode() for i in range(limit)]
 
     def test_split_on_single_server_store(self):
@@ -271,13 +265,14 @@ class TestIOAccounting:
         for i in range(500):
             table.put(f"{i:04d}".encode(), b"v" * 100)
         table.flush()
-        list(table.scan(ScanSpec(b"0000", b"0100")))
+        spec = ScanSpec(ranges=[(b"0000", b"0100")])
+        list(table.scan(spec))
         base = store.stats.disk_bytes_read
-        list(table.scan(ScanSpec(b"0000", b"0100")))  # cache hit
+        list(table.scan(spec))  # cache hit
         cached_delta = store.stats.disk_bytes_read - base
         store.clear_caches()
         base = store.stats.disk_bytes_read
-        list(table.scan(ScanSpec(b"0000", b"0100")))  # cold again
+        list(table.scan(spec))  # cold again
         cold_delta = store.stats.disk_bytes_read - base
         assert cached_delta == 0
         assert cold_delta > 0
@@ -312,14 +307,13 @@ class TestScanSpecRanges:
         assert ScanSpec(ranges=[]).ranges == ()
 
     def test_single_range_is_the_one_element_case(self):
-        assert ScanSpec(b"a", b"c").ranges == ((b"a", b"c\x00"),)
-        assert ScanSpec(b"a", b"c", end_exclusive=True).ranges == \
-            ((b"a", b"c"),)
-        assert ScanSpec.full().ranges == ((b"", None),)
-        assert ScanSpec(b"c", b"a").ranges == ()
+        assert ScanSpec(ranges=[(b"a", b"c")]).ranges == ((b"a", b"c"),)
+        assert ScanSpec().ranges == ScanSpec.full().ranges == \
+            ((b"", None),)
+        assert ScanSpec(ranges=[(b"c", b"a")]).ranges == ()
         table = small_store().create_table("t")
         table.put(b"b", b"v")
-        assert list(table.scan(ScanSpec(b"c", b"a"))) == []
+        assert list(table.scan(ScanSpec(ranges=[(b"c", b"a")]))) == []
         assert list(table.scan(ScanSpec(ranges=[]))) == []
 
 
@@ -446,27 +440,34 @@ class TestMultiRangeScan:
         assert len(charged) <= sum(s.num_blocks for s in region.sstables)
 
     def test_block_charging_stays_lazy_under_early_exit(self):
-        store, table = self.loaded()
+        store, table = self.loaded(rows=3000)
         (region,) = table.regions()
-        before = store.stats.snapshot()
-        scan = table.scan(ScanSpec(ranges=_every_tenth_range(60)))
-        first = next(scan)
-        scan.close()
-        delta = store.stats.snapshot().delta(before)
-        assert first[0] == _key(0)
-        # The merge primed one entry per run, so one block per run.
-        assert delta.blocks_read + delta.cache_hits == len(region.sstables)
-        # The abandoned generator accounted exactly what it handed out.
-        assert delta.result_bytes == len(first[0]) + len(first[1])
-        # LIMIT stops the same way.
-        before = store.stats.snapshot()
-        rows = list(table.scan(
-            ScanSpec(ranges=_every_tenth_range(60), limit=2)))
-        delta = store.stats.snapshot().delta(before)
-        assert len(rows) == 2
-        assert delta.blocks_read + delta.cache_hits <= \
-            2 * len(region.sstables)
-        assert delta.result_bytes == sum(len(k) + len(v) for k, v in rows)
+        spec = ScanSpec(ranges=_every_tenth_range(300))
+        expected = [_key(10 * i + j) for i in range(300) for j in range(3)]
+        first_list = expected[:DEFAULT_BATCH_ROWS]
+        # The runs interleave key by key; the other two runs' heads
+        # after the list are the next two keys, already pulled.
+        last_pulled = expected[DEFAULT_BATCH_ROWS + 1]
+        reached = sum(
+            sstable._block_of(bisect_right(sstable._keys, last_pulled) - 1)
+            + 1 for sstable in region.sstables)
+        for open_scan in (table.scan, table.scan_batches):
+            store.clear_caches()
+            before = store.stats.snapshot()
+            scan = open_scan(spec)
+            first = next(scan)
+            scan.close()
+            delta = store.stats.snapshot().delta(before)
+            # An abandoned scan accounted the one list it handed out
+            # (a pair consumer gets the list's first pair) ...
+            if open_scan == table.scan:
+                assert first[0] == _key(0)
+            else:
+                assert [key for key, _ in first] == first_list
+            assert delta.result_bytes == 45 * DEFAULT_BATCH_ROWS
+            # ... and read no block past the merge's heads.
+            assert delta.blocks_read + delta.cache_hits <= reached
+            assert reached < sum(s.num_blocks for s in region.sstables) / 2
 
     def test_batched_scan_accounts_batches_handed_out(self):
         store, table = self.loaded(rows=3000, runs=1)
@@ -481,6 +482,16 @@ class TestMultiRangeScan:
         assert delta.scans_started == 1
         assert delta.result_bytes == sum(len(k) + len(v) for k, v in batch)
 
+    def test_salted_lists_are_cut_after_the_bucket_merge(self):
+        store = small_store()
+        table = store.create_table("t", presplit=4, salt_buckets=4)
+        keys = [_key(i) for i in range(600)]
+        for key in reversed(keys):
+            table.put(key, b"v")
+        batches = list(table.scan_batches(ScanSpec.full()))
+        assert [len(batch) for batch in batches] == [256, 256, 88]
+        assert [key for batch in batches for key, _ in batch] == keys
+
     def test_deadline_cancels_mid_pass(self):
         from repro.errors import QueryTimeoutError
         from repro.kvstore.region import Region
@@ -491,16 +502,20 @@ class TestMultiRangeScan:
         ctx = RequestContext(deadline=deadline)
         consumed = []
         with pytest.raises(QueryTimeoutError):
-            for key, _value in table.scan(
+            for batch in table.scan_batches(
                     ScanSpec(ranges=_every_tenth_range(300, width=8)),
                     ctx):
-                consumed.append(key)
-                if len(consumed) == 10:
-                    deadline.charge(2.0)  # budget gone mid-pass
-        # The pass was abandoned within one cancellation window, many
-        # ranges short of the end, and stopped charging blocks there.
-        assert 10 <= len(consumed) <= Region.CANCEL_CHECK_ROWS
-        assert store.stats.blocks_read < region.sstables[0].num_blocks / 2
+                consumed += batch
+                deadline.charge(2.0)  # budget gone mid-pass
+        # The pass was abandoned within one cancellation window of the
+        # first list, many ranges short of the end, and stopped
+        # charging blocks there.
+        assert len(consumed) == DEFAULT_BATCH_ROWS
+        (sstable,) = region.sstables
+        window_end = DEFAULT_BATCH_ROWS + Region.CANCEL_CHECK_ROWS
+        last = int(_every_tenth_range(300, width=8)[window_end // 8][0])
+        assert store.stats.blocks_read <= sstable._block_of(last + 8) + 1
+        assert store.stats.blocks_read < sstable.num_blocks / 2
 
     def test_partial_results_skip_a_dead_region(self):
         from repro.errors import RegionUnavailableError

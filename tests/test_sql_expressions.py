@@ -6,7 +6,7 @@ import sqlite3
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ParseError
 from repro.geometry import Envelope, Point
 from repro.sql.ast import (
     Between,
@@ -24,6 +24,7 @@ from repro.sql.expressions import (
     referenced_columns,
     split_conjuncts,
 )
+from repro.sql.parser import parse_expression
 
 
 def lit(v):
@@ -89,6 +90,42 @@ class TestNullSemantics:
 
     def test_between_with_null(self):
         assert eval_expr(Between(lit(None), lit(1), lit(2)), {}) is None
+
+
+class TestInList:
+    """``v [NOT] IN (e1, ..., en)`` is SQL's: checked against sqlite3,
+    NULL in the list and on the left included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=st.none() | st.integers(-3, 3),
+           items=st.lists(st.none() | st.integers(-3, 3), min_size=1,
+                          max_size=4),
+           negated=st.booleans())
+    def test_same_as_sqlite(self, v, items, negated):
+        values = ", ".join("NULL" if i is None else str(i) for i in items)
+        text = f"v {'NOT ' if negated else ''}IN ({values})"
+        with sqlite3.connect(":memory:") as db:
+            (want,) = db.execute(f"SELECT {text} FROM (SELECT ? AS v)",
+                                 (v,)).fetchone()
+        got = eval_expr(parse_expression(text), {"v": v})
+        assert got == (None if want is None else bool(want))
+
+    def test_null_cases(self):
+        for text, want in [("NULL IN (1, 2)", None),
+                           ("NULL NOT IN (1)", None),
+                           ("1 IN (NULL, 1)", True),
+                           ("3 IN (1, NULL)", None),
+                           ("3 NOT IN (1, NULL)", None),
+                           ("3 NOT IN (1, 2)", True)]:
+            assert eval_expr(parse_expression(text), {}) is want, text
+
+    def test_a_set_function_keeps_its_meaning(self):
+        expr = parse_expression("geom IN st_KNN(geom, 3)")
+        assert type(expr).__name__ == "InFunc"
+        with pytest.raises(ParseError):
+            parse_expression("geom NOT IN st_KNN(geom, 3)")
+        with pytest.raises(ParseError):
+            parse_expression("v IN ()")
 
 
 class TestFunctions:

@@ -22,6 +22,13 @@ class TestBasicSelect:
         rs = poi_engine.sql("SELECT name FROM poi WHERE fid = 42")
         assert rs.rows == [{"name": poi_rows[42]["name"]}]
 
+    def test_where_in_list(self, poi_engine):
+        rs = poi_engine.sql("SELECT fid FROM poi WHERE fid IN (3, 7, 42)")
+        assert sorted(row["fid"] for row in rs.rows) == [3, 7, 42]
+        rs = poi_engine.sql("SELECT fid FROM poi WHERE fid < 5 "
+                            "AND fid NOT IN (1, 3)")
+        assert sorted(row["fid"] for row in rs.rows) == [0, 2, 4]
+
     def test_arithmetic_projection(self, poi_engine):
         rs = poi_engine.sql("SELECT fid + 1 AS next FROM poi "
                             "WHERE fid = 0")
