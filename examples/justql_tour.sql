@@ -49,8 +49,9 @@ SELECT count(*) AS n FROM orders
     WHERE amount IS NOT NULL AND NOT (fid = 1 OR fid = 4);
 
 -- Aggregates and sorts over NULLs: count(col) counts the non-NULL
--- values and avg skips them.  A DESC key puts NULLs first, and rows that
--- tie on every key keep their scan order.
+-- values and avg skips them.  NULLs sort first ascending and last
+-- descending, as in Spark, and rows that tie on every key keep their
+-- scan order.
 CREATE TABLE trips (
     fid integer:primary key,
     time date,

@@ -1,11 +1,9 @@
-"""Continuous ingestion + the adaptive OLTP path (Section IX).
+"""Continuous ingestion (Section IX).
 
 A Kafka-like topic receives courier GPS pings; a micro-batch loader
 drains it into an indexed table while queries run concurrently — new and
 even historical events become queryable immediately, with no index
 rebuild (the property Table I denies to every Hadoop/Spark baseline).
-The engine runs with the cost-based planner and adaptive execution, so
-small dispatch lookups skip the distributed-driver overhead.
 
 Run:  python examples/streaming_ingest.py
 """
@@ -25,7 +23,7 @@ def ping(rng, i, t):
 
 
 def main() -> None:
-    engine = JustEngine(cost_based_planner=True, adaptive_execution=True)
+    engine = JustEngine()
     engine.sql("CREATE TABLE pings (fid string:primary key, "
                "name string, time date, geom point)")
     topic = engine.create_topic("courier-gps")
@@ -52,9 +50,8 @@ def main() -> None:
         rs = engine.st_range_query(
             "pings", Envelope(116.25, 39.87, 116.3, 39.92),
             t_base, t_base + 60)
-        path = "local" if "driver_local" in rs.breakdown else "distributed"
         print(f"          live query: {len(rs.rows)} pings, "
-              f"{rs.sim_ms:.0f} sim-ms via the {path} path")
+              f"{rs.sim_ms:.0f} sim-ms")
 
     # A late, historical correction: yesterday's ping arrives now.
     topic.append(ping(rng, 999, T0 - 86400))

@@ -17,7 +17,9 @@ from repro.cluster.simclock import CostModel, SimJob
 from repro.core.catalog import TABLE_KINDS, VIEW_KINDS, Catalog
 from repro.core.knn import DEFAULT_MIN_CELL_KM, KNNResult, knn_query
 from repro.core.loader import SourceRegistry, apply_config, load_file
-from repro.core.query import choose_strategy, choose_strategy_cost_based
+# Unused here; ``benchmarks/perf/layers.py`` wraps both names in this
+# module, and they go when its SPANS rows do.
+from repro.core.query import choose_strategy, choose_strategy_cost_based  # noqa: F401
 from repro.core.plugins import plugin_class
 from repro.core.schema import Field, FieldType, Schema
 from repro.core.tables import CommonTable, ViewTable
@@ -44,13 +46,6 @@ from repro.kvstore.store import (
     KVStore,
 )
 from repro.trajectory.model import STSeries, TSeries
-
-#: Adaptive execution (future work #4): a request estimated to read at
-#: most this many index bytes runs on one machine, charged
-#: ``LOCAL_OVERHEAD_MS`` instead of the distributed-driver overhead.
-OLTP_THRESHOLD_BYTES = 64 * 1024
-LOCAL_OVERHEAD_MS = 5.0
-
 
 @dataclass
 class QueryResult:
@@ -83,8 +78,6 @@ class JustEngine:
                  compression_enabled: bool = True,
                  cache_bytes_per_server: int = DEFAULT_CACHE_BYTES,
                  block_bytes: int = DEFAULT_BLOCK_BYTES,
-                 cost_based_planner: bool = False,
-                 adaptive_execution: bool = False,
                  wal_policy=None,
                  split_bytes: int = DEFAULT_SPLIT_BYTES,
                  flush_bytes: int = DEFAULT_FLUSH_BYTES,
@@ -132,11 +125,6 @@ class JustEngine:
         self.compression_enabled = compression_enabled
         self._topics: dict[str, object] = {}
         self._stream_loaders: list = []
-        #: Future work #3: pick indexes by estimated cost, not rules.
-        self.cost_based_planner = cost_based_planner
-        #: Future work #4: serve small requests on a single machine,
-        #: skipping the distributed-job overhead (OLAP + OLTP combined).
-        self.adaptive_execution = adaptive_execution
         #: Optional hot-region load balancer (see :meth:`enable_balancer`);
         #: None means placement stays pure round-robin.
         self.balancer = None
@@ -222,25 +210,6 @@ class JustEngine:
 
     def system_rows(self, name: str) -> list[dict]:
         return self.catalog.get(name, ("system",)).rows()
-
-    # -- statistics --------------------------------------------------------------
-    def analyze_table(self, name: str):
-        """ANALYZE TABLE: measure live statistics for the planner.
-
-        Rescans the table (charged like any full scan), snapshots the
-        measured row count, envelope, time extent, index sizes, and
-        per-region key distribution into a
-        :class:`~repro.core.stats.TableStats` on ``table.stats``, which
-        the cost-based planner prefers over the grow-only inline stats.
-        Returns ``(stats, job)``.
-        """
-        from repro.core.stats import collect_table_stats
-        table = self.table(name)
-        job = self.cluster.job()
-        stats = collect_table_stats(table, job,
-                                    now_ms=self.events.now_ms)
-        table.stats = stats
-        return stats, job
 
     # -- index configuration ----------------------------------------------------
     def _default_index_names(self, schema: Schema) -> list[str]:
@@ -429,49 +398,16 @@ class JustEngine:
         return QueryResult(rows=[], job=job, extra={"loaded": len(mapped)})
 
     # -- query operations -------------------------------------------------------------------
-    def _plan(self, table, query: STQuery):
-        """Pick (strategy_name, effective_query) per the planner mode."""
-        if self.cost_based_planner:
-            return choose_strategy_cost_based(table, query,
-                                              self.cluster.model)
-        return choose_strategy(table, query)
-
-    def _charge_query_overhead(self, job, table, strategy_name: str,
-                               query: STQuery) -> None:
-        """Distributed-driver overhead, or the cheap local path when
-        adaptive execution sees a small request (future work #4)."""
-        if self.adaptive_execution and strategy_name in table.strategies:
-            strategy = table.strategies[strategy_name]
-            selectivity = strategy.estimate_selectivity(
-                query, table.time_extent, table.data_envelope)
-            estimated = selectivity * max(
-                1, table.index_storage_bytes(strategy_name))
-            if estimated <= OLTP_THRESHOLD_BYTES:
-                job.charge_fixed("driver_local", LOCAL_OVERHEAD_MS)
-                return
-        job.charge_fixed("driver", self.cluster.model.query_overhead_ms)
-
     def _range_query(self, table_name: str, query: STQuery,
                      predicate: str, ctx) -> QueryResult:
-        """Plan, charge and run one index-served range query."""
+        """Charge the driver and run one index-served range query (the
+        table plans it, as it does for SQL)."""
         table = self.table(table_name)
         job = self.cluster.job()
         if ctx is not None:
             ctx.bind(job)
-        if table.strategies:
-            strategy_name, effective = self._plan(table, query)
-            self._charge_query_overhead(job, table, strategy_name,
-                                        effective)
-            rows = table.query(effective, predicate, job, strategy_name,
-                               ctx)
-            if effective is not query:
-                rows = [r for r in rows if table._matches(r, query,
-                                                          predicate)]
-        else:
-            job.charge_fixed("driver",
-                             self.cluster.model.query_overhead_ms)
-            rows = table.query(query, predicate, job, ctx=ctx)
-        return QueryResult(rows, job)
+        job.charge_fixed("driver", self.cluster.model.query_overhead_ms)
+        return QueryResult(table.query(query, predicate, job, ctx=ctx), job)
 
     def spatial_range_query(self, table_name: str, envelope: Envelope,
                             predicate: str = "intersects",

@@ -113,10 +113,8 @@ def _table_rows(engine) -> list[dict]:
                 "row_count": relation.row_count,
                 "regions": 0,
                 "storage_bytes": relation.estimated_bytes(),
-                "analyzed_rows": None,
             })
             continue
-        stats = relation.stats
         rows.append({
             "name": relation.name,
             "kind": relation.kind,
@@ -126,7 +124,6 @@ def _table_rows(engine) -> list[dict]:
             "regions": sum(t.num_regions
                            for t in relation.physical_tables()),
             "storage_bytes": relation.storage_bytes(),
-            "analyzed_rows": None if stats is None else stats.row_count,
         })
     return rows
 
@@ -232,9 +229,9 @@ SYSTEM_TABLE_SPECS = [
      "Per-region key range, placement, size, and decayed hotness."),
     ("sys.tables",
      ("name", "kind", "plugin_type", "indexes", "row_count", "regions",
-      "storage_bytes", "analyzed_rows"),
-     (_STRING, _STRING, _STRING, _STRING, _LONG, _LONG, _LONG, _LONG),
-     "Catalog tables with live size and ANALYZE snapshots."),
+      "storage_bytes"),
+     (_STRING, _STRING, _STRING, _STRING, _LONG, _LONG, _LONG),
+     "Catalog tables and materialized views with live size."),
     ("sys.servers",
      ("server", "state", "regions", "memstore_bytes", "sstable_bytes",
       "reads", "writes", "read_rate", "write_rate",

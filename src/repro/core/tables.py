@@ -87,12 +87,10 @@ class CommonTable:
         # Data statistics maintained on insert: used by the planner to
         # bound time-only queries and by k-NN to bound the search area.
         # These are grow-only (deletes never shrink the envelope or the
-        # time extent); ANALYZE TABLE snapshots measured statistics into
-        # ``stats``, which the cost-based planner prefers when present.
+        # time extent).
         self.row_count = 0
         self.data_envelope: Envelope | None = None
         self.time_extent: tuple[float, float] | None = None
-        self.stats = None  # TableStats from the last ANALYZE TABLE
 
     # -- record projection (overridden by plugin tables) ---------------------
     @property
@@ -412,9 +410,10 @@ class CommonTable:
                  columns: list[str] | None = None):
         """Index-served ST range: exact-filtered, decorated rows.
 
-        Without ``strategy_name`` the rule-based planner picks the index
-        and the (possibly widened or clamped) query it scans; the exact
-        filter always applies the caller's ``query``.
+        The one place a range query is planned: without
+        ``strategy_name`` the rule-based planner picks the index and the
+        (possibly widened or clamped) query it scans; the exact filter
+        always applies the caller's ``query``.
         """
         from repro.core.query import choose_strategy  # avoid import cycle
         effective = query
@@ -526,9 +525,6 @@ class CommonTable:
         if include_memstore:
             return sum(t.total_bytes for t in self.physical_tables())
         return sum(t.disk_bytes for t in self.physical_tables())
-
-    def index_storage_bytes(self, strategy_name: str) -> int:
-        return self._index_tables[strategy_name].total_bytes
 
     def drop_storage(self) -> None:
         """Remove the physical key-value tables backing this table."""

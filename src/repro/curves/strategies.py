@@ -284,54 +284,6 @@ class IndexStrategy(ABC):
         Strategies that bin by start time widen their look-back to keep
         reaching it (see :class:`_BinnedByStart`)."""
 
-    # -- statistics for the cost-based planner -------------------------------
-    def estimate_selectivity(self, query: STQuery,
-                             time_extent: tuple[float, float] | None = None,
-                             data_envelope: Envelope | None = None
-                             ) -> float:
-        """Estimated fraction of this index's *data* a query scans.
-
-        Curve coverage is computed against the whole coordinate space but
-        keys cluster where the data lives, so when the table's observed
-        ``data_envelope`` is known the spatial coverage is normalized by
-        the data's share of the space.  Used by the cost-based planner
-        (Section IX future work #3) and the adaptive OLTP path (#4).
-        """
-        if not self.supports(query):
-            return 1.0
-        if query.is_empty:
-            return 0.0
-        spatial = self._curve_fraction(query)
-        if data_envelope is not None:
-            occupancy = max(1e-12,
-                            (data_envelope.width * data_envelope.height)
-                            / (360.0 * 180.0))
-            spatial = spatial / occupancy
-        spatial = max(spatial, self._selectivity_floor(query))
-        return min(1.0, spatial
-                   * self._temporal_fraction(query, time_extent))
-
-    def _selectivity_floor(self, query: STQuery) -> float:
-        """Lower bound on per-period coverage (0 where none applies)."""
-        return 0.0
-
-    def _curve_fraction(self, query: STQuery) -> float:
-        """Covered curve-value space / total curve-value space."""
-        return 1.0
-
-    def _temporal_fraction(self, query: STQuery,
-                           time_extent) -> float:
-        """Fraction of the data's periods a temporal strategy touches."""
-        return 1.0
-
-
-def _spatial_fraction_of(ranges: list[tuple[int, int]],
-                         space: int) -> float:
-    if space <= 0:
-        return 1.0
-    covered = sum(hi - lo + 1 for lo, hi in ranges)
-    return min(1.0, covered / space)
-
 
 class _BinnedByStart:
     """Look-back of a strategy that files a record under the period of
@@ -370,16 +322,6 @@ class _BinnedByStart:
         return range(start, bins.stop)
 
 
-def _bins_fraction(query: STQuery, period: TimePeriod,
-                   time_extent) -> float:
-    if not query.has_temporal or time_extent is None:
-        return 1.0
-    total = len(period_bins_covering(time_extent[0], time_extent[1],
-                                     period))
-    touched = len(period_bins_covering(query.t_min, query.t_max, period))
-    return min(1.0, touched / max(1, total))
-
-
 # ---------------------------------------------------------------------------
 # Spatial-only strategies
 # ---------------------------------------------------------------------------
@@ -407,12 +349,6 @@ class Z2Strategy(IndexStrategy):
         return [(_pack_curve(lo), _pack_curve(hi))
                 for lo, hi in z2_ranges(x_lo, y_lo, x_hi, y_hi,
                                         max_ranges=self.max_ranges)]
-
-    def _curve_fraction(self, query: STQuery) -> float:
-        x_lo, y_lo, x_hi, y_hi = self.curve.cell_of(query.envelope)
-        ranges = z2_ranges(x_lo, y_lo, x_hi, y_hi,
-                           max_ranges=self.max_ranges)
-        return _spatial_fraction_of(ranges, 1 << 62)
 
     def cell_ranges(self, level, ix, iy, subtree, time_extent):
         """A cell is a key prefix: ``z << 2s … | (1 << 2s) − 1`` under
@@ -451,10 +387,6 @@ class XZ2Strategy(IndexStrategy):
         if not query.has_spatial:
             return None
         return _xz2_key_filter(self.curve, query.envelope, offset=1)
-
-    def _curve_fraction(self, query: STQuery) -> float:
-        ranges = self.curve.ranges(query.envelope, self.max_ranges)
-        return _spatial_fraction_of(ranges, self.curve.max_code() + 1)
 
     @property
     def cell_depth(self) -> int:
@@ -530,39 +462,6 @@ class Z3Strategy(IndexStrategy):
                             prefix + _pack_curve(hi)))
         return out
 
-    def _curve_fraction(self, query: STQuery) -> float:
-        env = query.envelope
-        x_lo = self.curve.lng_dim.normalize(env.min_lng)
-        x_hi = self.curve.lng_dim.normalize(env.max_lng)
-        y_lo = self.curve.lat_dim.normalize(env.min_lat)
-        y_hi = self.curve.lat_dim.normalize(env.max_lat)
-        # Representative bin: the first one the query touches.
-        bin_number = period_bin(query.t_min, self.period)
-        start = period_start(bin_number, self.period)
-        lo_frac = max(0.0, (query.t_min - start) / self.period.seconds)
-        hi_frac = min(1.0, (query.t_max - start) / self.period.seconds)
-        t_lo = self.curve.time_dim.normalize(lo_frac)
-        t_hi = self.curve.time_dim.normalize(hi_frac)
-        ranges = z3_ranges(x_lo, y_lo, t_lo, x_hi, y_hi, t_hi,
-                           max_ranges=min(self.RANGE_BUDGET_CAP,
-                                          self.max_ranges))
-        return _spatial_fraction_of(ranges, 1 << 63)
-
-    def _temporal_fraction(self, query: STQuery, time_extent) -> float:
-        return _bins_fraction(query, self.period, time_extent)
-    def _selectivity_floor(self, query: STQuery) -> float:
-        """Interleaving makes spatial filtering unreliable inside a
-        period (Section IV-B): conservatively assume each touched period
-        contributes at least its covered time-slice fraction."""
-        if not query.has_temporal:
-            return 0.0
-        bin_number = period_bin(query.t_min, self.period)
-        start = period_start(bin_number, self.period)
-        lo_frac = max(0.0, (query.t_min - start) / self.period.seconds)
-        hi_frac = min(1.0, (query.t_max - start) / self.period.seconds)
-        return max(0.0, hi_frac - lo_frac)
-
-
 
 class XZ3Strategy(_BinnedByStart, IndexStrategy):
     """Per-period space-time XZ curve for extended objects (Figure 5a).
@@ -619,31 +518,6 @@ class XZ3Strategy(_BinnedByStart, IndexStrategy):
                             prefix + _pack_curve(hi)))
         return out
 
-    def _curve_fraction(self, query: STQuery) -> float:
-        bin_number = period_bin(query.t_min, self.period)
-        start = period_start(bin_number, self.period)
-        lo_frac = max(0.0, (query.t_min - start) / self.period.seconds)
-        hi_frac = min(1.0, (query.t_max - start) / self.period.seconds)
-        ranges = self.curve.ranges(query.envelope, lo_frac, hi_frac,
-                                   min(self.RANGE_BUDGET_CAP,
-                                       self.max_ranges))
-        return _spatial_fraction_of(ranges, self.curve.max_code() + 1)
-
-    def _temporal_fraction(self, query: STQuery, time_extent) -> float:
-        return _bins_fraction(query, self.period, time_extent)
-    def _selectivity_floor(self, query: STQuery) -> float:
-        """Interleaving makes spatial filtering unreliable inside a
-        period (Section IV-B): conservatively assume each touched period
-        contributes at least its covered time-slice fraction."""
-        if not query.has_temporal:
-            return 0.0
-        bin_number = period_bin(query.t_min, self.period)
-        start = period_start(bin_number, self.period)
-        lo_frac = max(0.0, (query.t_min - start) / self.period.seconds)
-        hi_frac = min(1.0, (query.t_max - start) / self.period.seconds)
-        return max(0.0, hi_frac - lo_frac)
-
-
 
 # ---------------------------------------------------------------------------
 # The paper's strategies: Z2T and XZ2T
@@ -689,15 +563,6 @@ class Z2TStrategy(IndexStrategy):
                             prefix + _pack_curve(hi)))
         return out
 
-    def _curve_fraction(self, query: STQuery) -> float:
-        x_lo, y_lo, x_hi, y_hi = self.curve.cell_of(query.envelope)
-        ranges = z2_ranges(x_lo, y_lo, x_hi, y_hi,
-                           max_ranges=self.max_ranges)
-        return _spatial_fraction_of(ranges, 1 << 62)
-
-    def _temporal_fraction(self, query: STQuery, time_extent) -> float:
-        return _bins_fraction(query, self.period, time_extent)
-
 
 class XZ2TStrategy(_BinnedByStart, IndexStrategy):
     """XZ2T (Section IV-C): a separate XZ2 index inside each time period.
@@ -741,13 +606,6 @@ class XZ2TStrategy(_BinnedByStart, IndexStrategy):
             for lo, hi in spatial:
                 out.append((prefix + lo, prefix + hi))
         return out
-
-    def _curve_fraction(self, query: STQuery) -> float:
-        ranges = self.curve.ranges(query.envelope, self.max_ranges)
-        return _spatial_fraction_of(ranges, self.curve.max_code() + 1)
-
-    def _temporal_fraction(self, query: STQuery, time_extent) -> float:
-        return _bins_fraction(query, self.period, time_extent)
 
 
 # ---------------------------------------------------------------------------

@@ -299,27 +299,12 @@ def estimate_value_bytes(value) -> int:
     return 32
 
 
-class _AlwaysLast:
-    """Sorts after every comparable value (NULLS LAST semantics)."""
-
-    __slots__ = ()
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, _AlwaysLast)
-
-
-_ALWAYS_LAST = _AlwaysLast()
-
-
 _NUMBERS = frozenset({int, float})
 
 
 def _sort_key(value):
     if value is None:
-        return (2, _ALWAYS_LAST)
+        return (-1, 0)  # ASC NULLS FIRST, DESC NULLS LAST, as in Spark
     if isinstance(value, bool):
         return (0, int(value))
     if isinstance(value, (int, float)):

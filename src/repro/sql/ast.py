@@ -223,15 +223,6 @@ class LoadStmt(Statement):
 
 
 @dataclass
-class AnalyzeStmt(Statement):
-    """ANALYZE TABLE <name> — snapshot row counts, extents, index sizes
-    and per-region key distribution into ``table.stats`` for the
-    cost-based planner."""
-
-    table: str
-
-
-@dataclass
 class ExplainStmt(Statement):
     """EXPLAIN [ANALYZE] SELECT ...
 

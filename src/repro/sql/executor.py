@@ -6,7 +6,6 @@ from repro.core.schema import Field, Schema
 from repro.errors import AnalysisError, ExecutionError
 from repro.sql.analyzer import analyze_select
 from repro.sql.ast import (
-    AnalyzeStmt,
     CreateTableStmt,
     ExplainStmt,
     CreateViewStmt,
@@ -67,8 +66,6 @@ def execute_statement(engine, statement: str,
         return _run_insert(engine, stmt, namespace, ctx)
     if isinstance(stmt, LoadStmt):
         return _run_load(engine, stmt, namespace, ctx)
-    if isinstance(stmt, AnalyzeStmt):
-        return _run_analyze(engine, stmt, namespace, ctx)
     raise ExecutionError(f"unhandled statement {type(stmt).__name__}")
 
 
@@ -173,20 +170,6 @@ def _run_show(engine, stmt: ShowStmt, namespace: str) -> ResultSet:
 def _run_desc(engine, stmt: DescStmt, namespace: str) -> ResultSet:
     rows = engine.catalog.resolve(stmt.name, namespace).describe()
     return ResultSet.from_rows(rows, ["field", "type", "flags"])
-
-
-def _run_analyze(engine, stmt: AnalyzeStmt, namespace: str,
-                 ctx=None) -> ResultSet:
-    if stmt.table.startswith("sys."):
-        raise ExecutionError(
-            f"cannot ANALYZE the virtual system table {stmt.table!r}")
-    stats, job = engine.analyze_table(namespace + stmt.table)
-    if ctx is not None:
-        ctx.bind(job)
-        ctx.charge(0.0, label="driver")
-    return ResultSet.status(
-        f"table {stmt.table} analyzed: {stats.row_count} rows, "
-        f"{len(stats.distribution)} regions", job)
 
 
 # -- DML ------------------------------------------------------------------------------

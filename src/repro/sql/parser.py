@@ -13,7 +13,6 @@ import math
 from repro.errors import ParseError
 from repro.sql.ast import (
     Aliased,
-    AnalyzeStmt,
     ExplainStmt,
     JoinClause,
     Between,
@@ -218,11 +217,6 @@ class _Parser:
         self.expect_keyword("explain")
         analyze = self.accept_keyword("analyze")
         return ExplainStmt(self._parse_select(), analyze=analyze)
-
-    def _parse_analyze(self) -> AnalyzeStmt:
-        self.expect_keyword("analyze")
-        self.expect_keyword("table")
-        return AnalyzeStmt(self._parse_dotted_name())
 
     def _parse_order_item(self) -> tuple[Expr, bool]:
         expr = self._parse_expr()
@@ -640,5 +634,4 @@ _STATEMENTS = {
     "insert": "_parse_insert",
     "load": "_parse_load",
     "store": "_parse_store",
-    "analyze": "_parse_analyze",
 }

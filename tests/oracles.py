@@ -1022,20 +1022,9 @@ def group_by_reference(rows, keys, aggregates) -> list[dict]:
     return out
 
 
-class _AlwaysLast:
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, _AlwaysLast)
-
-
-_LAST = _AlwaysLast()
-
-
 def _reference_sort_key(value):
     if value is None:
-        return (2, _LAST)
+        return (-1, 0)
     if isinstance(value, bool):
         return (0, int(value))
     if isinstance(value, (int, float)):
@@ -1045,9 +1034,9 @@ def _reference_sort_key(value):
 
 def order_by_reference(rows, keys, ascending=None) -> list[dict]:
     """Stable multi-key sort of row dicts: one pass per key, right to
-    left.  NULLs sort after every value ascending, before them
-    descending; bools sort as 0/1 among the numbers; anything else
-    sorts by its text after the numbers."""
+    left.  NULLs sort before every value ascending, after them
+    descending (Spark's defaults); bools sort as 0/1 among the numbers;
+    anything else sorts by its text after the numbers."""
     if ascending is None:
         ascending = [True] * len(keys)
     rows = list(rows)

@@ -299,7 +299,7 @@ class TestOrderBy:
         partitions=st.integers(1, 4), limit=st.integers(0, 45))
     def test_equals_the_row_sort(self, rows, keys, directions, partitions,
                                  limit):
-        """Ties keep their input order; NULLs last ascending, first
+        """Ties keep their input order; NULLs first ascending, last
         descending; ``True`` ties ``1``."""
         ascending = directions[:len(keys)]
         df = DataFrame.from_rows(rows, ["a", "b", "i"], partitions)

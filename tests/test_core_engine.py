@@ -1,5 +1,9 @@
 """JustEngine facade: DDL, views, loading, query operations."""
 
+import ast
+import inspect
+from pathlib import Path
+
 import pytest
 
 from repro import Envelope, FieldType, JustEngine, Point, Schema, Field
@@ -42,6 +46,8 @@ REMOVED_OPTIONS = [
     (JustEngine, "oltp_threshold_bytes", 64 * 1024),
     (JustEngine, "local_overhead_ms", 5.0),
     (JustEngine, "read_mode", "primary"),
+    (JustEngine, "cost_based_planner", False),
+    (JustEngine, "adaptive_execution", False),
     (lambda **kw: _durable_store().enable_replication(**kw),
      "interval_ms", 200.0),
     (lambda **kw: ReplicationManager(_durable_store(), **kw),
@@ -65,7 +71,7 @@ REMOVED_OPTIONS = [
     (JustServer, "profile_capacity", 64),
     (KVStore, "fault_injector", None),
 ]
-_OWNERS = ["JustEngine"] * 8 + ["KVStore.enable_replication"] + \
+_OWNERS = ["JustEngine"] * 10 + ["KVStore.enable_replication"] + \
     ["ReplicationManager"] * 3 + ["Monitor"] * 2 + \
     ["MetricsScraper"] * 3 + ["JustServer"] * 2 + ["KVStore"]
 
@@ -78,6 +84,35 @@ def test_removed_constructor_option_is_a_type_error(build, option,
                                                     old_default):
     with pytest.raises(TypeError):
         build(**{option: old_default})
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _names_passed(path: Path) -> set[str]:
+    """Keyword-argument names and string dict keys in one file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.Dict):
+            names.update(key.value for key in node.keys
+                         if isinstance(key, ast.Constant))
+    return names
+
+
+def test_every_engine_option_has_a_user():
+    """An option only tests or examples set is an option nobody needs:
+    each ``JustEngine`` parameter is passed by name (a keyword or a dict
+    key) somewhere in ``src/`` outside ``engine.py``, or in
+    ``benchmarks/``."""
+    used = set()
+    for path in [*(ROOT / "src").rglob("*.py"),
+                 *(ROOT / "benchmarks").rglob("*.py")]:
+        if path != ROOT / "src" / "repro" / "core" / "engine.py":
+            used |= _names_passed(path)
+    options = set(inspect.signature(JustEngine).parameters)
+    assert options <= used, sorted(options - used)
 
 
 def test_replication_is_switched_on_by_the_factor_alone():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import JustEngine, Schema
-from repro.core.query import choose_strategy, choose_strategy_cost_based
+from repro.core.query import choose_strategy
 from repro.curves import STQuery
 from repro.curves.timeperiod import TimePeriod, period_bins_covering
 from repro.errors import ExecutionError
@@ -165,16 +165,11 @@ class TestTimeWindowClamp:
         assert engine.st_range_query("poi", ENV, 0.0, 1e12).rows == []
         assert engine.store.stats.scans_started == scans
 
-    @pytest.mark.parametrize("cost_based", [False, True])
-    def test_range_count_is_bounded_by_the_extents_bins(self, cost_based):
+    def test_range_count_is_bounded_by_the_extents_bins(self):
         engine = _poi_engine("z2t", make_poi_rows(50))
         table = engine.table("poi")
         query = STQuery(ENV, 0.0, 1e12)
-        if cost_based:
-            name, effective = choose_strategy_cost_based(
-                table, query, engine.cluster.model)
-        else:
-            name, effective = choose_strategy(table, query)
+        name, effective = choose_strategy(table, query)
         assert (effective.t_min, effective.t_max) == table.time_extent
         strategy = table.strategies[name]
         ranges = strategy.ranges(effective)

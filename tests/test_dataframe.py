@@ -96,8 +96,14 @@ class TestGlobalOps:
         assert [r["id"] for r in out] == [4, 3, 2, 1]
 
     def test_order_by_nulls_last(self):
-        out = sample().order_by(["v"]).collect()
+        """Descending puts NULLs last (Spark's DESC NULLS LAST)."""
+        out = sample().order_by(["v"], [False]).collect()
         assert out[-1]["v"] is None
+
+    def test_order_by_nulls_first(self):
+        """Ascending puts NULLs first (Spark's ASC NULLS FIRST)."""
+        out = sample().order_by(["v"]).collect()
+        assert out[0]["v"] is None
 
     def test_limit(self):
         assert sample().limit(2).count() == 2

@@ -22,7 +22,7 @@ from oracles import range_chunks_reference
 from repro import JustEngine, Schema
 from repro.core.knn import knn_query
 from repro.core.plugins import TrajectoryPlugin
-from repro.core.query import STQuery
+from repro.core.query import STQuery, choose_strategy
 from repro.datagen import generate_traj_dataset
 from repro.geometry import Envelope
 from repro.kvstore import SyncPolicy
@@ -141,7 +141,7 @@ class TestSameAsThePairPath:
         rows, *_ = twin(engine, poi,
                         _api("query", poi, query, None, 0, None))
         assert len(rows) == 600
-        strategy, _ = engine._plan(poi, query)
+        strategy, _ = choose_strategy(poi, query)
         assert poi._index_tables[strategy].num_regions > 3
 
 
@@ -151,7 +151,7 @@ class TestPartialResults:
                                   flush_bytes=1024))
         poi = engine.table("poi")
         query = _window(poi, (0.0, 1.0, 0.0, 1.0), (0.0, 1.0))
-        strategy, _ = engine._plan(poi, query)
+        strategy, _ = choose_strategy(poi, query)
         regions = poi._index_tables[strategy].regions()
         victim = regions[len(regions) // 2].server
         engine.store.crash_server(victim, defer_failover=True)

@@ -1,7 +1,11 @@
 """End-to-end SELECT execution through the full SQL stack."""
 
-import pytest
+import sqlite3
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import JustEngine
 from repro.errors import AnalysisError
 from repro.geometry import Point
 
@@ -138,6 +142,32 @@ class TestOrderingAndPaging:
 
     def test_limit_zero(self, poi_engine):
         assert len(poi_engine.sql("SELECT * FROM poi LIMIT 0")) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(st.none() | st.integers(-2, 2),
+                                   st.none() | st.sampled_from("ab")),
+                         min_size=1, max_size=12))
+    def test_nulls_sort_as_in_sqlite(self, rows):
+        """ASC puts NULLs first and DESC last: Spark's defaults, which
+        SQLite shares."""
+        values = ", ".join(
+            f"({fid}, {'NULL' if v is None else v}, "
+            f"{'NULL' if s is None else repr(s)})"
+            for fid, (v, s) in enumerate(rows))
+        engine = JustEngine(num_servers=1)
+        engine.sql("CREATE TABLE t (fid integer:primary key, v integer, "
+                   "s string)")
+        engine.sql(f"INSERT INTO t VALUES {values}")
+        with sqlite3.connect(":memory:") as db:
+            db.execute("CREATE TABLE t (fid INTEGER, v INTEGER, s TEXT)")
+            db.execute(f"INSERT INTO t VALUES {values}")
+            for order in ("v, fid", "v DESC, fid", "s DESC, v, fid",
+                          "s, v DESC, fid"):
+                query = f"SELECT fid, v, s FROM t ORDER BY {order}"
+                want = [tuple(r) for r in db.execute(query)]
+                got = [(r["fid"], r["v"], r["s"])
+                       for r in engine.sql(query).rows]
+                assert got == want, order
 
 
 class TestViews:

@@ -129,6 +129,21 @@ def test_malformed_number_is_a_parse_error_at_the_literal(statement,
         engine.sql(statement)
 
 
+#: Statements JustQL does not have: a ParseError at the first keyword.
+UNSUPPORTED = ["ANALYZE TABLE poi", "ANALYZE TABLE sys.events"]
+
+
+@pytest.mark.parametrize("statement", UNSUPPORTED)
+def test_unsupported_statement_is_a_parse_error_at_its_keyword(statement):
+    with pytest.raises(ParseError) as info:
+        parse_statement(statement)
+    assert info.value.position == 0
+    engine = JustEngine()
+    engine.sql(SETUP[0])
+    with pytest.raises(ParseError):
+        engine.sql(statement)
+
+
 #: Keywords, symbols and the lexemes the lexer once mis-took.
 _SOUP = st.sampled_from([
     "SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "BETWEEN", "IN", "IS",

@@ -3,7 +3,6 @@ state, in-process and over the HTTP transport."""
 
 import pytest
 
-from repro.errors import ExecutionError
 from repro.service.http import JustHttpClient, JustHttpServer
 from repro.service.server import JustServer
 from tests.conftest import T0, make_poi_rows
@@ -87,7 +86,6 @@ class TestSysCatalogTables:
         assert poi["row_count"] == ROWS
         assert poi["regions"] >= 1
         assert poi["storage_bytes"] > 0
-        assert poi["analyzed_rows"] is None
 
     def test_sys_metrics_exposes_counters(self, served, session):
         run(served, session, "SELECT fid FROM poi LIMIT 1")
@@ -118,20 +116,6 @@ class TestSysCatalogTables:
         rows = run(served, session,
                    "EXPLAIN SELECT * FROM sys.regions").rows
         assert any("SystemScan[sys.regions]" in r["plan"] for r in rows)
-
-
-class TestAnalyzeStatement:
-    def test_analyze_snapshots_stats(self, served, session):
-        result = run(served, session, "ANALYZE TABLE poi")
-        assert f"{ROWS} rows" in result.message
-        rows = run(served, session,
-                   "SELECT analyzed_rows FROM sys.tables "
-                   "WHERE name = 'alice__poi'").rows
-        assert rows == [{"analyzed_rows": ROWS}]
-
-    def test_analyze_rejects_system_tables(self, served, session):
-        with pytest.raises(ExecutionError):
-            run(served, session, "ANALYZE TABLE sys.events")
 
     def test_writes_to_system_tables_fail(self, served, session):
         with pytest.raises(Exception):

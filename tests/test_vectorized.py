@@ -413,8 +413,9 @@ class TestExecutorEquivalence:
 
     def test_engine_api_and_sql_scan_cost_the_same(
             self, poi_engine_and_rows):
-        """One read path, one price: the same window costs the same
-        I/O through ``engine.st_range_query`` and through SQL, and the
+        """One read path, one price: the same window returns the same
+        rows at the same I/O through ``engine.*_range_query`` and through
+        SQL, the windows the planner rewrites included, and costs the
         same CPU when the plan is a bare scan."""
         from repro.sql.executor import (
             analyze_select,
@@ -423,20 +424,14 @@ class TestExecutorEquivalence:
         )
         from repro.sql.logical import ScanNode
         from repro.sql.physical import execute_plan
-        engine, _rows = poi_engine_and_rows
+        engine, rows = poi_engine_and_rows
         window = (116.0, 39.8, 116.5, 40.1)
-        # Both sides start from cold block caches, whatever ran before.
-        engine.store.clear_caches()
-        api = engine.st_range_query(
-            "poi", Envelope(*window), T0, T0 + 2 * 86400,
-            predicate="within").job.breakdown
-        statement = (
-            f"SELECT * FROM poi WHERE geom WITHIN st_makeMBR{window} "
-            f"AND time BETWEEN {T0} AND {T0 + 2 * 86400}")
-        engine.store.clear_caches()
-        sql = engine.sql(statement).job.breakdown
-        for label in ("disk_read", "seek", "network"):
-            assert sql[label] == api[label], label
+        box = Envelope(*window)
+        within = f"geom WITHIN st_makeMBR{window}"
+        days = f"time BETWEEN {T0} AND {T0 + 2 * 86400}"
+        statement = f"SELECT * FROM poi WHERE {within} AND {days}"
+        api = _same_price(engine, statement, engine.st_range_query, "poi",
+                          box, T0, T0 + 2 * 86400, predicate="within")
         # The statement's plan is Project over Scan; run the scan alone.
         scan = optimize(analyze_select(
             engine, parse_statement(statement), "")).child
@@ -444,6 +439,43 @@ class TestExecutorEquivalence:
         job = engine.cluster.job()
         execute_plan(scan, engine, job)
         assert job.breakdown["cpu"] == api["cpu"] > 0
+        # A temporal-only window, widened to the world envelope.
+        _same_price(engine, f"SELECT * FROM poi WHERE {days}",
+                    engine.st_range_query, "poi", None, T0, T0 + 2 * 86400)
+        # A window running past the time extent, clamped to it.
+        long_ago, far_ahead = T0 - 30 * 86400, T0 + 3000 * 86400
+        _same_price(engine, f"SELECT * FROM poi WHERE {within} AND time "
+                    f"BETWEEN {long_ago} AND {far_ahead}",
+                    engine.st_range_query, "poi", box, long_ago, far_ahead,
+                    predicate="within")
+        one_index = JustEngine()
+        for index in ("z2", "z2t"):
+            one_index.create_table(index, Schema(list(POI_SCHEMA_FIELDS)),
+                                   userdata={"geomesa.indices.enabled":
+                                             index})
+            one_index.insert(index, rows)
+            one_index.table(index).flush()
+        # A spatial-only window on z2t alone, widened to the time extent.
+        _same_price(one_index, f"SELECT * FROM z2t WHERE {within}",
+                    one_index.spatial_range_query, "z2t", box, "within")
+        # An ST window on z2 alone: the time is filtered, not scanned.
+        _same_price(one_index, f"SELECT * FROM z2 WHERE {within} AND "
+                    f"{days}", one_index.st_range_query, "z2", box, T0,
+                    T0 + 2 * 86400, predicate="within")
+
+
+def _same_price(engine, statement, range_query, *args, **kwargs) -> dict:
+    """Run ``range_query(*args)`` and ``statement`` from cold block
+    caches; both return the same rows and charge the same I/O.  Returns
+    the range query's ``SimJob.breakdown``."""
+    engine.store.clear_caches()
+    api = range_query(*args, **kwargs)
+    engine.store.clear_caches()
+    sql = engine.sql(statement)
+    assert api.rows and sql.rows == api.rows
+    for label in ("disk_read", "seek", "network"):
+        assert sql.job.breakdown[label] == api.job.breakdown[label], label
+    return api.job.breakdown
 
 
 class TestOneExecutor:
