@@ -48,6 +48,15 @@ SELECT fid, amount FROM orders
 SELECT count(*) AS n FROM orders
     WHERE amount IS NOT NULL AND NOT (fid = 1 OR fid = 4);
 
+-- A radius is a window: the bounding box of the circle is scanned
+-- from the Z2 index (the region scan below reads orders__z2, not the
+-- whole table), and the exact distance then decides each row.
+EXPLAIN ANALYZE SELECT fid, amount FROM orders
+    WHERE st_distance_m(geom, st_makePoint(116.40, 39.92)) < 3000;
+SELECT fid, amount FROM orders
+    WHERE st_distance_m(geom, st_makePoint(116.40, 39.92)) < 3000
+    ORDER BY fid;
+
 -- Aggregates and sorts over NULLs: count(col) counts the non-NULL
 -- values and avg skips them.  NULLs sort first ascending and last
 -- descending, as in Spark, and rows that tie on every key keep their

@@ -126,6 +126,11 @@ class Field:
                 f"{type(value).__name__}")
 
 
+def _first(fields: list[Field], test) -> Field | None:
+    """The first of ``fields`` whose type passes ``test``."""
+    return next((f for f in fields if test(f.ftype)), None)
+
+
 class Schema:
     """An ordered collection of fields with at most one primary key."""
 
@@ -141,6 +146,14 @@ class Schema:
         self.fields = list(fields)
         self._by_name = {f.name: f for f in fields}
         self.primary_key = pks[0] if pks else None
+        # A schema never changes once built, so the default columns are
+        # found once here rather than on every row an exact filter tests.
+        #: The first geometry-typed field (the default spatial column).
+        self.geometry_field = _first(fields, lambda t: t.is_geometry)
+        #: The first date-typed field (the default temporal column).
+        self.time_field = _first(fields, lambda t: t == FieldType.DATE)
+        self.st_series_field = _first(
+            fields, lambda t: t == FieldType.ST_SERIES)
 
     def __iter__(self):
         return iter(self.fields)
@@ -160,29 +173,6 @@ class Schema:
     @property
     def names(self) -> list[str]:
         return [f.name for f in self.fields]
-
-    @property
-    def geometry_field(self) -> Field | None:
-        """The first geometry-typed field (the default spatial column)."""
-        for f in self.fields:
-            if f.ftype.is_geometry:
-                return f
-        return None
-
-    @property
-    def time_field(self) -> Field | None:
-        """The first date-typed field (the default temporal column)."""
-        for f in self.fields:
-            if f.ftype == FieldType.DATE:
-                return f
-        return None
-
-    @property
-    def st_series_field(self) -> Field | None:
-        for f in self.fields:
-            if f.ftype == FieldType.ST_SERIES:
-                return f
-        return None
 
     def validate_row(self, row: dict) -> None:
         """Check a row's values; extra keys are rejected."""

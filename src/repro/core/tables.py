@@ -464,11 +464,6 @@ class CommonTable:
                           columns),
             columns or self.columns())
 
-    def full_scan(self, job: SimJob | None = None, ctx=None) -> list[dict]:
-        """Every row, via the feature-id table."""
-        return [row for batch in self.full_scan_batches(job, ctx)
-                for row in batch.iter_rows()]
-
     def full_scan_batches(self, job: SimJob | None = None, ctx=None,
                           columns: list[str] | None = None):
         """Every row as a stream of :class:`RowBatch`es of ``columns``

@@ -36,6 +36,16 @@ from repro.ops.analysis.transforms import (
 )
 
 
+def _null_in_null_out(fn: Callable) -> Callable:
+    """``fn`` answering NULL when any argument is NULL, as Spark's and
+    Sedona's point functions do."""
+    def call(*args):
+        if any(arg is None for arg in args):
+            return None
+        return fn(*args)
+    return call
+
+
 def _as_point(*args) -> Point:
     """Accept either one Point or an (lng, lat) pair."""
     if len(args) == 1 and isinstance(args[0], Point):
@@ -46,14 +56,21 @@ def _as_point(*args) -> Point:
         "expected a point or an (lng, lat) pair of coordinates")
 
 
+@_null_in_null_out
 def _st_distance(a, b) -> float:
     pa, pb = _as_point(a), _as_point(b)
     return euclidean_distance(pa.lng, pa.lat, pb.lng, pb.lat)
 
 
+@_null_in_null_out
 def _st_distance_m(a, b) -> float:
     pa, pb = _as_point(a), _as_point(b)
     return haversine_distance_m(pa.lng, pa.lat, pb.lng, pb.lat)
+
+
+def _transform(fn: Callable) -> Callable:
+    """A coordinate transform over a point or an (lng, lat) pair."""
+    return _null_in_null_out(lambda *args: fn(_as_point(*args)))
 
 
 def _st_within(geometry, envelope) -> bool:
@@ -88,10 +105,10 @@ SCALAR_FUNCTIONS: dict[str, Callable] = {
     "st_distance_m": _st_distance_m,
     "st_geomfromtext": lambda text: from_wkt(text),
     "st_astext": lambda g: to_wkt(g) if g is not None else None,
-    "st_wgs84togcj02": lambda *a: st_wgs84_to_gcj02(_as_point(*a)),
-    "st_gcj02towgs84": lambda *a: st_gcj02_to_wgs84(_as_point(*a)),
-    "st_gcj02tobd09": lambda *a: st_gcj02_to_bd09(_as_point(*a)),
-    "st_bd09togcj02": lambda *a: st_bd09_to_gcj02(_as_point(*a)),
+    "st_wgs84togcj02": _transform(st_wgs84_to_gcj02),
+    "st_gcj02towgs84": _transform(st_gcj02_to_wgs84),
+    "st_gcj02tobd09": _transform(st_gcj02_to_bd09),
+    "st_bd09togcj02": _transform(st_bd09_to_gcj02),
     "st_trajnoisefilter": lambda item, *p: traj_noise_filter(item, *p),
     "st_trajlength_m": lambda item: item.length_m(),
     "st_trajduration_s": lambda item: item.duration_s(),

@@ -9,12 +9,16 @@ short-circuit to their dedicated access paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.knn import knn_query
+from repro.core.query import choose_strategy
+from repro.core.schema import FieldType
 from repro.curves.strategies import STQuery
 from repro.dataframe import DataFrame, RowBatch, batches_from_rows
 from repro.errors import ExecutionError
+from repro.geometry.distance import EARTH_RADIUS_M
 from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
 from repro.sql.ast import (
@@ -323,7 +327,8 @@ def _classify_conjuncts(predicate: Expr | None, table) -> _ScanPredicates:
     geom_names = {geometry_name, "geom", "geometry", "gps_list"} - {None}
 
     for conjunct in split_conjuncts(predicate):
-        if _is_spatial(conjunct, geom_names, preds):
+        if _is_spatial(conjunct, geom_names, preds) or \
+                _is_radius(conjunct, table, preds):
             continue
         if _is_temporal(conjunct, time_names, preds):
             continue
@@ -358,11 +363,141 @@ def _is_spatial(conjunct: Expr, geom_names: set[str],
         mode = "within" if conjunct.name == "st_within" else "intersects"
     if envelope is None:
         return False
-    preds.envelope = envelope if preds.envelope is None else \
-        (preds.envelope.intersection(envelope)
-         or Envelope.of_point(envelope.min_lng, envelope.min_lat))
+    _push_window(preds, envelope)
     preds.spatial_mode = mode
     return True
+
+
+def _push_window(preds: _ScanPredicates, envelope: Envelope) -> None:
+    """Narrow the scan's spatial window to ``envelope``.
+
+    Windows that share no point leave a degenerate one, and a residual
+    ``FALSE``: a row on that point passes the index and the exact
+    filter, yet meets only one of the windows.
+    """
+    if preds.envelope is None:
+        preds.envelope = envelope
+        return
+    shared = preds.envelope.intersection(envelope)
+    if shared is None:
+        shared = Envelope.of_point(envelope.min_lng, envelope.min_lat)
+        preds.residual.append(Literal(False))
+    preds.envelope = shared
+
+
+def _is_radius(conjunct: Expr, table, preds: _ScanPredicates) -> bool:
+    """``st_distance_m(geom, P) < r`` (or ``st_distance``, ``<=``, the
+    arguments swapped, ``r > ...``) on a point table: the circle's
+    bounding box becomes the scan's window, as a ``WITHIN`` of that box
+    would, and the conjunct stays residual, so every row the scan
+    returns still passes the exact distance test.
+
+    Pushed only when the box is sure to hold every row the test
+    accepts: the table's geometry is a stored ``POINT`` column (a plugin
+    table indexes a geometry derived from other fields), the table has
+    an index that serves a spatial window, and ``r`` is a finite,
+    non-negative literal.  Rows with a NULL geometry are never indexed;
+    the test answers NULL for them, so they are never returned either.
+    """
+    if not isinstance(conjunct, BinaryOp):
+        return False
+    if conjunct.op in ("<", "<="):
+        call, radius = conjunct.left, conjunct.right
+    elif conjunct.op in (">", ">="):
+        call, radius = conjunct.right, conjunct.left
+    else:
+        return False
+    if not (isinstance(call, FuncCall) and call.name in _CIRCLE_BOXES
+            and len(call.args) == 2 and isinstance(radius, Literal)):
+        return False
+    column, centre = call.args
+    if isinstance(centre, Column):
+        column, centre = centre, column
+    field = table.schema.geometry_field
+    if not (isinstance(column, Column) and table.plugin_type is None
+            and field is not None and field.ftype == FieldType.POINT
+            and column.name == field.name
+            and isinstance(centre, Literal)
+            and isinstance(centre.value, Point)):
+        return False
+    r = _radius_value(radius.value)
+    if r is None or not _serves_window(table):
+        return False
+    _push_window(preds, _CIRCLE_BOXES[call.name](centre.value, r))
+    preds.residual.append(conjunct)
+    return True
+
+
+def _radius_value(value) -> float | None:
+    """``value`` as a finite, non-negative radius, else ``None``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        r = float(value)
+    except OverflowError:
+        return None
+    return r if math.isfinite(r) and r >= 0.0 else None
+
+
+def _serves_window(table) -> bool:
+    """Does the planner have an index for a spatial window on ``table``?"""
+    try:
+        choose_strategy(table, STQuery(Envelope.world()))
+    except ExecutionError:
+        return False
+    return True
+
+
+#: How much wider than exact a circle's box is: a relative margin on
+#: the radius, and an absolute one in degrees under it, which also
+#: covers offsets too small for the distance formulas to register.
+#: Float rounding in the box or in the residual's distance is far
+#: below both, so it can never exclude a row the residual accepts.
+_BOX_MARGIN = 1e-9
+_BOX_PAD_DEG = 1e-9
+
+
+def _haversine_box(centre: Point, radius_m: float) -> Envelope:
+    """Bounding box of the points within ``radius_m`` metres of
+    ``centre`` by :func:`haversine_distance_m`.
+
+    A circle of angular radius ``d`` spans ``lat ± d`` and, unless it
+    reaches a pole, ``lng ± asin(sin d / cos lat)``; a circle that
+    reaches a pole or crosses the antimeridian takes every longitude.
+    """
+    d = radius_m / EARTH_RADIUS_M * (1.0 + _BOX_MARGIN)
+    half_lat = math.degrees(d) + _BOX_PAD_DEG
+    min_lat, max_lat = centre.lat - half_lat, centre.lat + half_lat
+    if min_lat <= -90.0 or max_lat >= 90.0:
+        return _clipped(-180.0, min_lat, 180.0, max_lat)
+    spread = math.sin(d) / math.cos(math.radians(centre.lat))
+    if spread >= 1.0:
+        return _clipped(-180.0, min_lat, 180.0, max_lat)
+    half_lng = math.degrees(math.asin(spread)) + _BOX_PAD_DEG
+    min_lng, max_lng = centre.lng - half_lng, centre.lng + half_lng
+    if min_lng <= -180.0 or max_lng >= 180.0:
+        min_lng, max_lng = -180.0, 180.0
+    return _clipped(min_lng, min_lat, max_lng, max_lat)
+
+
+def _planar_box(centre: Point, radius_deg: float) -> Envelope:
+    """Bounding box of the points within ``radius_deg`` degrees of
+    ``centre`` by :func:`euclidean_distance` (planar: no wrap-around)."""
+    half = radius_deg * (1.0 + _BOX_MARGIN) + _BOX_PAD_DEG
+    return _clipped(centre.lng - half, centre.lat - half,
+                    centre.lng + half, centre.lat + half)
+
+
+def _clipped(min_lng: float, min_lat: float, max_lng: float,
+             max_lat: float) -> Envelope:
+    """The box cut to the WGS84 coordinate space, where every point is."""
+    return Envelope(max(min_lng, -180.0), max(min_lat, -90.0),
+                    min(max_lng, 180.0), min(max_lat, 90.0))
+
+
+#: Distance function -> the box of its circle.
+_CIRCLE_BOXES = {"st_distance_m": _haversine_box,
+                 "st_distance": _planar_box}
 
 
 def _is_temporal(conjunct: Expr, time_names: set[str],

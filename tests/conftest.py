@@ -31,6 +31,13 @@ def make_poi_rows(n: int = 500, seed: int = 11) -> list[dict]:
     } for i in range(n)]
 
 
+def all_rows(table) -> list[dict]:
+    """Every row of ``table``, in its id-table key order: its full scan's
+    batches, flattened."""
+    return [row for batch in table.full_scan_batches()
+            for row in batch.iter_rows()]
+
+
 def cache_state(caches):
     """What twin runs over one store restore between them: each block
     cache's entries in LRU order, and its byte counts."""

@@ -35,7 +35,7 @@ from repro.geometry import LineString, Polygon
 from repro.kvstore.scan import ScanSpec
 from repro.trajectory import STSeries, TSeries, Trajectory
 
-from conftest import POI_SCHEMA_FIELDS, T0, make_poi_rows
+from conftest import POI_SCHEMA_FIELDS, T0, all_rows, make_poi_rows
 
 
 def exact(value):
@@ -349,7 +349,7 @@ class TestFullScan:
             columns=["fid", "score"])]
         assert sizes == [256] * (total // 256) + \
             ([total % 256] if total % 256 else [])
-        assert exact_rows(table.full_scan()) == \
+        assert exact_rows(all_rows(table)) == \
             exact_rows(_stored_rows(table))
 
     @pytest.mark.parametrize("statement, keys, aggregates", [
@@ -422,7 +422,7 @@ class TestPluginItems:
             assert row["item"] == table.get(row["tid"])["item"]
         assert [r["item"] for r in engine.sql("SELECT item FROM trips")] \
             == [r["item"] for r in rows]
-        assert table.full_scan() == [table.get(r["tid"]) for r in rows]
+        assert all_rows(table) == [table.get(r["tid"]) for r in rows]
 
     def test_geofence(self):
         engine = JustEngine()
@@ -438,4 +438,4 @@ class TestPluginItems:
         assert len(rows) == 30
         for row in rows:
             assert row["item"] == table.get(row["gid"])["item"]
-        assert table.full_scan() == [table.get(r["gid"]) for r in rows]
+        assert all_rows(table) == [table.get(r["gid"]) for r in rows]

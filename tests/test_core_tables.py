@@ -19,7 +19,7 @@ from repro.kvstore import ScanSpec, SyncPolicy
 from repro.resilience import Deadline, RequestContext
 from repro.trajectory import STSeries, Trajectory
 
-from conftest import POI_SCHEMA_FIELDS, T0, make_poi_rows
+from conftest import POI_SCHEMA_FIELDS, T0, all_rows, make_poi_rows
 
 
 class TestInvalidRowWritesNothing:
@@ -34,7 +34,7 @@ class TestInvalidRowWritesNothing:
     def _assert_empty(engine):
         table = engine.table("t")
         assert table.row_count == 0
-        assert table.full_scan() == []
+        assert all_rows(table) == []
         assert all(kv.count() == 0 for kv in table.physical_tables())
 
     def test_engine_insert(self, engine):
@@ -76,13 +76,13 @@ class TestFailedBatchKeepsRowCount:
              for s in range(engine.store.num_servers)])).attach(engine.store)
         with pytest.raises(ReplicationQuorumError):
             table.insert_rows(rows)
-        landed = len(table.full_scan())
+        landed = len(all_rows(table))
         assert 0 < landed < len(rows)
         assert table.row_count == landed
 
         engine.store.fault_injector = None  # the partition heals
         assert table.insert_rows(rows) == len(rows)
-        assert table.row_count == len(table.full_scan()) == len(rows)
+        assert table.row_count == len(all_rows(table)) == len(rows)
         lng, lat = 116.25, 39.95
         nearest = sorted(rows, key=lambda r: math.hypot(
             r["geom"].lng - lng, r["geom"].lat - lat))[:10]
@@ -183,7 +183,7 @@ class TestCommonTable:
             poi_rows[0]["geom"].lng, poi_rows[0]["geom"].lat)
 
     def test_full_scan(self, poi_engine):
-        assert len(poi_engine.table("poi").full_scan()) == 500
+        assert len(all_rows(poi_engine.table("poi"))) == 500
 
     def test_storage_bytes_positive_after_flush(self, poi_engine):
         table = poi_engine.table("poi")

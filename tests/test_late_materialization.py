@@ -14,7 +14,7 @@ from repro import JustEngine, Polygon
 from repro.core.plugins import TRAJECTORY_SCHEMA
 from repro.trajectory import STSeries, Trajectory
 
-from conftest import T0, on_the_stored_grid
+from conftest import T0, all_rows, on_the_stored_grid
 from oracles import polyline_meets_box
 
 
@@ -151,7 +151,7 @@ class TestGeofenceStatements:
         # ... which is what the row API's full decode says as well.
         from repro import Envelope
         window = Envelope(116.33, 39.92, 116.37, 39.95)
-        by_hand = [r["gid"] for r in table.full_scan()
+        by_hand = [r["gid"] for r in all_rows(table)
                    if r["area"].intersects_envelope(window)
                    and r["valid_from"] <= T0 + 9000.0]
         assert sorted(r["gid"] for r in narrow.rows) == sorted(by_hand)

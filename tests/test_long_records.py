@@ -21,6 +21,8 @@ from repro.curves import (
 from repro.geometry import Envelope, LineString, Polygon
 from repro.trajectory.model import STSeries, Trajectory
 
+from conftest import all_rows
+
 DAY = 86400.0
 HOUR = 3600.0
 T0 = 17800 * DAY            # a period boundary
@@ -63,7 +65,7 @@ class TestALongTrajectoryStaysVisible:
         assert [r["tid"] for r in table.query(query)] == ["long"]
         assert sorted(r["tid"] for r in
                       table.query(STQuery(ENV), strategy_name="xz2")) \
-            == sorted(r["tid"] for r in table.full_scan())
+            == sorted(r["tid"] for r in all_rows(table))
         assert [r["tid"] for r in table.query(
             query, strategy_name=name)] == ["long"]
         rows = engine.sql(

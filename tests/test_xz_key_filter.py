@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import on_the_stored_grid
+from conftest import all_rows, on_the_stored_grid
 from oracles import (
     xz2_element_reference,
     xz2_signature_reference,
@@ -412,7 +412,7 @@ class TestTheFilterNeverLosesARow:
                     # no index and no key filter in front of it.
                     query = STQuery(window, t_lo, t_hi) if temporal \
                         else STQuery(window)
-                    exact = {row[pk] for row in table.full_scan()
+                    exact = {row[pk] for row in all_rows(table)
                              if table._matches(row, query, "intersects")}
                     assert exact <= mbr_hits
                     assert {row[pk] for row in result.rows} == exact
