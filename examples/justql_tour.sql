@@ -83,7 +83,55 @@ SELECT fid, zone FROM trips WHERE zone IN ('north', 'east')
     AND fid NOT IN (6) ORDER BY fid;
 SELECT fid, fare IN (10.0, NULL) AS maybe, fare NOT IN (14.5) AS other
     FROM trips ORDER BY fid;
+
+-- Joins on unqualified names (each key is a column of one side), a
+-- LEFT JOIN keeping the trip without a depot, DISTINCT, and ORDER BY
+-- an expression.
+CREATE TABLE depots (did string:primary key, label string);
+INSERT INTO depots VALUES
+    ('north', 'Andingmen'), ('south', 'Yongdingmen'), ('west', 'Fuxingmen');
+SELECT fid, zone, label FROM trips JOIN depots ON zone = did ORDER BY fid;
+SELECT fid, label FROM trips LEFT JOIN depots ON zone = did ORDER BY fid;
+SELECT DISTINCT zone FROM trips ORDER BY zone;
+SELECT fid, fare FROM trips ORDER BY fid % 3, fid DESC;
+DROP TABLE depots;
 DROP TABLE trips;
+
+-- Files LOAD through the CONFIG transforms: a CSV of shops into a table
+-- with an attribute index on zone (the equality reads shops__attr_zone,
+-- not the whole table), and GeoJSON stations, whose WGS84 points
+-- st_wgs84ToGcj02 moves into the GCJ-02 frame of Chinese maps.
+CREATE TABLE shops (
+    fid integer:primary key,
+    time date,
+    geom point:srid=4326,
+    zone string
+) USERDATA {'just.attribute.indices': 'zone'};
+LOAD file:examples/data/shops.csv TO geomesa:shops CONFIG {
+    'fid': 'to_int(id)',
+    'time': 'long_to_date_s(ts)',
+    'geom': 'lng_lat_to_point(lng, lat)',
+    'zone': 'zone'
+};
+EXPLAIN ANALYZE SELECT fid FROM shops WHERE zone = 'east';
+SELECT fid, zone FROM shops WHERE zone = 'east' ORDER BY fid;
+CREATE TABLE stations (
+    fid integer:primary key,
+    time date,
+    geom point:srid=4326,
+    name string
+);
+LOAD file:examples/data/stations.geojson TO geomesa:stations CONFIG {
+    'fid': 'to_int(id)',
+    'time': 'long_to_date_s(opened)',
+    'geom': 'geometry',
+    'name': 'name'
+};
+SELECT fid, name, st_x(st_wgs84ToGcj02(geom)) AS gcj_lng,
+       st_y(st_wgs84ToGcj02(geom)) AS gcj_lat
+    FROM stations ORDER BY fid;
+DROP TABLE shops;
+DROP TABLE stations;
 
 DROP VIEW big_orders;
 DROP TABLE fleet;

@@ -64,10 +64,3 @@ def feature_table() -> list[dict]:
         "s_or_st": f.s_or_st,
         "non_point": f.non_point,
     } for f in FEATURE_MATRIX]
-
-
-def features_of(name: str) -> SystemFeatures:
-    for features in FEATURE_MATRIX:
-        if features.name.lower() == name.lower():
-            return features
-    raise KeyError(f"unknown system {name!r}")

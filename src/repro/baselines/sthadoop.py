@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.baselines.base import HadoopBaseline, Item
 from repro.cluster.simclock import SimJob
 from repro.curves.timeperiod import TimePeriod, period_bin
-from repro.errors import UnsupportedOperationError
 from repro.geometry.envelope import Envelope
 
 
@@ -43,25 +42,6 @@ class STHadoop(HadoopBaseline):
                                us_per_record=self.serialize_us_per_record
                                / 2.0)
         job.charge_disk_write(self.raw_bytes)
-
-    def append_future(self, items: list[Item]) -> SimJob:
-        """ST-Hadoop's limited update path: future-time appends only."""
-        job = self.cluster.job()
-        for item in items:
-            bin_number = period_bin(item.t_min, self.period)
-            if self.max_loaded_bin is not None and \
-                    bin_number <= self.max_loaded_bin:
-                raise UnsupportedOperationError(
-                    "ST-Hadoop cannot insert into historical time slices")
-        for item in items:
-            bin_number = period_bin(item.t_min, self.period)
-            self.slices.setdefault(bin_number, {}) \
-                .setdefault((0, 0), []).append(item)
-            self.items.append(item)
-            self.max_loaded_bin = max(self.max_loaded_bin or bin_number,
-                                      bin_number)
-        job.charge_disk_write(sum(i.raw_bytes for i in items))
-        return job
 
     def _st_query(self, query: Envelope, t_min: float, t_max: float,
                   job: SimJob) -> list[Item]:

@@ -26,6 +26,7 @@ engine through the service layer, but the CLI is single-user by design.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from repro.errors import JustError
@@ -35,6 +36,9 @@ from repro.sql.result import ResultSet
 
 PROMPT = "justql> "
 CONTINUATION = "   ...> "
+
+#: What ends an interactive session, with or without a semicolon.
+_EXIT = ("exit", "quit")
 
 #: Truncate very wide cells so tables stay readable.
 MAX_CELL_WIDTH = 48
@@ -74,32 +78,35 @@ def format_result(result: ResultSet, max_rows: int = 50) -> str:
     return "\n".join(lines)
 
 
-def split_statements(text: str) -> list[str]:
-    """Split a script on semicolons, respecting quoted strings."""
+#: The pieces a script is cut into: a ``--`` comment, a quoted string
+#: (``''`` is two strings back to back; an unterminated one runs to the
+#: end), a semicolon, or a run of other text.
+_PIECES = re.compile(
+    r"""--[^\n]*|'[^']*(?:'|\Z)|"[^"]*(?:"|\Z)|;|[^-'";]+|-""")
+
+
+def _split(text: str) -> tuple[list[str], str]:
+    """``text``'s complete statements, cut at the semicolons outside
+    quotes and ``--`` comments (which are dropped, as the lexer skips
+    them), and the unfinished text after the last one."""
     statements = []
     current: list[str] = []
-    quote: str | None = None
-    for ch in text:
-        if quote:
-            current.append(ch)
-            if ch == quote:
-                quote = None
-            continue
-        if ch in "'\"":
-            quote = ch
-            current.append(ch)
-            continue
-        if ch == ";":
+    for piece in _PIECES.findall(text):
+        if piece == ";":
             statement = "".join(current).strip()
             if statement:
                 statements.append(statement)
             current = []
-            continue
-        current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        statements.append(tail)
-    return statements
+        elif not piece.startswith("--"):
+            current.append(piece)
+    return statements, "".join(current)
+
+
+def split_statements(text: str) -> list[str]:
+    """Split a script into statements; the last needs no semicolon."""
+    statements, tail = _split(text)
+    tail = tail.strip()
+    return statements + [tail] if tail else statements
 
 
 class Shell:
@@ -131,22 +138,21 @@ class Shell:
         stdin = stdin if stdin is not None else sys.stdin
         print("JUST reproduction — JustQL shell "
               "(end statements with ';', Ctrl-D to exit)", file=self.out)
-        buffer: list[str] = []
+        pending = ""
         while True:
-            prompt = CONTINUATION if buffer else PROMPT
+            prompt = CONTINUATION if pending.strip() else PROMPT
             print(prompt, end="", file=self.out, flush=True)
             line = stdin.readline()
             if not line:
                 break
-            buffer.append(line)
-            text = "".join(buffer)
-            if ";" in line or text.strip().lower() in ("exit", "quit"):
-                buffer = []
-                stripped = text.strip().rstrip(";").strip()
-                if stripped.lower() in ("exit", "quit"):
-                    break
-                if stripped:
-                    self.execute(stripped)
+            statements, pending = _split(pending + line)
+            if pending.strip().lower() in _EXIT:
+                statements.append(pending.strip())
+            for statement in statements:
+                if statement.lower() in _EXIT:
+                    print("bye", file=self.out)
+                    return
+                self.execute(statement)
         print("bye", file=self.out)
 
 

@@ -59,15 +59,6 @@ class QueryResult:
     def sim_ms(self) -> float:
         return self.job.elapsed_ms
 
-    @property
-    def breakdown(self) -> dict[str, float]:
-        return dict(self.job.breakdown)
-
-    def dataframe(self, columns: list[str] | None = None) -> DataFrame:
-        return DataFrame.from_rows(self.rows, columns)
-
-    def __len__(self) -> int:
-        return len(self.rows)
 
 
 class JustEngine:
@@ -208,9 +199,6 @@ class JustEngine:
         self.catalog.replace(SystemTable(name, schema, provider,
                                          description))
 
-    def system_rows(self, name: str) -> list[dict]:
-        return self.catalog.get(name, ("system",)).rows()
-
     # -- index configuration ----------------------------------------------------
     def _default_index_names(self, schema: Schema) -> list[str]:
         geometry = schema.geometry_field
@@ -315,12 +303,7 @@ class JustEngine:
         self.catalog.drop(name, VIEW_KINDS)
 
     def view(self, name: str) -> ViewTable:
-        view = self.catalog.get(name, VIEW_KINDS)
-        view.touch()
-        return view
-
-    def has_view(self, name: str) -> bool:
-        return self.catalog.exists(name, VIEW_KINDS)
+        return self.catalog.get(name, VIEW_KINDS)
 
     def view_names(self, prefix: str = "") -> list[str]:
         return sorted(v.name for v in self.catalog.list(prefix, VIEW_KINDS))
@@ -342,21 +325,6 @@ class JustEngine:
         table.insert_rows(coerced, self.cluster.job())
         return table
 
-    def expire_views(self, max_idle_seconds: float) -> list[str]:
-        """Drop *cached* views idle for longer than ``max_idle_seconds``.
-
-        Materialized views are durable pipeline outputs, not session
-        caches — they never expire.
-        """
-        import time as _time
-        now = _time.monotonic()
-        stale = [view.name for view in self.catalog.list(kinds=("view",))
-                 if now - view.last_used_at > max_idle_seconds]
-        for name in stale:
-            self.drop_view(name)
-        return stale
-
-    # -- manipulation operations --------------------------------------------------------
     def insert(self, table_name: str, rows: list[dict]) -> QueryResult:
         table = self.table(table_name)
         job = self.cluster.job()
@@ -373,7 +341,7 @@ class JustEngine:
         """LOAD <source> TO geomesa:<table> CONFIG {...} [FILTER ...].
 
         ``source`` is ``hive:<name>`` for a registered source or
-        ``file:<path>`` for CSV/GeoJSON/GPX/KML files.
+        ``file:<path>`` for CSV and GeoJSON files.
         """
         scheme, _, locator = source.partition(":")
         if scheme == "hive" or scheme == "hbase":

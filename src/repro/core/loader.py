@@ -1,6 +1,6 @@
 """Data-source loaders and LOAD-statement field mapping (Section V-B).
 
-Supports the paper's file sources (CSV, GeoJSON, GPX, KML) plus
+Supports CSV and GeoJSON file sources plus
 "hive-like" external sources: any iterable of dict rows registered with
 the engine under a name, addressable as ``hive:<name>`` in LOAD
 statements.  The CONFIG mapping uses the paper's preset transform
@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -137,90 +136,9 @@ def _geojson_geometry(geometry: dict | None):
     raise SchemaError(f"unsupported GeoJSON geometry type {gtype!r}")
 
 
-def _strip_ns(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
-def load_gpx(path: str | Path) -> list[dict]:
-    """Read GPX track points into ``(track, lng, lat, time)`` rows.
-
-    GPX timestamps are ISO-8601; they are converted to epoch seconds.
-    """
-    from datetime import datetime, timezone
-
-    tree = ET.parse(path)
-    rows = []
-    track_index = 0
-    for element in tree.iter():
-        if _strip_ns(element.tag) == "trk":
-            track_index += 1
-            for point in element.iter():
-                if _strip_ns(point.tag) != "trkpt":
-                    continue
-                time_text = None
-                for child in point:
-                    if _strip_ns(child.tag) == "time":
-                        time_text = child.text
-                epoch = None
-                if time_text:
-                    parsed = datetime.fromisoformat(
-                        time_text.replace("Z", "+00:00"))
-                    if parsed.tzinfo is None:
-                        parsed = parsed.replace(tzinfo=timezone.utc)
-                    epoch = parsed.timestamp()
-                rows.append({
-                    "track": str(track_index),
-                    "lng": float(point.get("lon")),
-                    "lat": float(point.get("lat")),
-                    "time": epoch,
-                })
-    return rows
-
-
-def load_kml(path: str | Path) -> list[dict]:
-    """Read KML Placemarks into ``(name, geometry)`` rows."""
-    tree = ET.parse(path)
-    rows = []
-    for element in tree.iter():
-        if _strip_ns(element.tag) != "Placemark":
-            continue
-        name = None
-        geometry = None
-        for child in element.iter():
-            tag = _strip_ns(child.tag)
-            if tag == "name" and name is None:
-                name = (child.text or "").strip()
-            elif tag in ("Point", "LineString", "Polygon"):
-                geometry = _kml_geometry(tag, child)
-        rows.append({"name": name, "geometry": geometry})
-    return rows
-
-
-def _kml_coordinates(element) -> list[tuple[float, float]]:
-    for child in element.iter():
-        if _strip_ns(child.tag) == "coordinates":
-            coords = []
-            for token in (child.text or "").split():
-                parts = token.split(",")
-                coords.append((float(parts[0]), float(parts[1])))
-            return coords
-    raise SchemaError("KML geometry without coordinates")
-
-
-def _kml_geometry(tag: str, element):
-    coords = _kml_coordinates(element)
-    if tag == "Point":
-        return Point(*coords[0])
-    if tag == "LineString":
-        return LineString(coords)
-    return Polygon(coords)
-
-
 FILE_LOADERS: dict[str, Callable[[str], list[dict]]] = {
     "csv": load_csv,
     "geojson": load_geojson,
-    "gpx": load_gpx,
-    "kml": load_kml,
 }
 
 

@@ -48,7 +48,8 @@ class TrajectoryPlugin(CommonTable):
 
     kind = "plugin"
     plugin_type = "trajectory"
-    filter_fields = ("gps_list", "start_time", "end_time")
+    geometry_column = "gps_list"
+    time_columns = ("start_time", "end_time")
     implicit_inputs = {"item": ("tid", "oid", "gps_list")}
 
     def __init__(self, name, store, strategies,
@@ -60,10 +61,6 @@ class TrajectoryPlugin(CommonTable):
                          attribute_fields=attribute_fields
                          if attribute_fields is not None else ["oid"],
                          presplit=presplit, salt_buckets=salt_buckets)
-
-    def trajectories_of(self, oid: str, job=None) -> list[dict]:
-        """All trajectories of one moving object (the ID query)."""
-        return self.attribute_query("oid", oid, job)
 
     def as_stored(self, row: dict) -> dict:
         """The GPS list is stored in 1e-6 degree ticks; its MBR — hence
@@ -82,13 +79,6 @@ class TrajectoryPlugin(CommonTable):
             p = series[0]
             return Point(p.lng, p.lat)
         return series.as_linestring()
-
-    def record_time_extent(self, row: dict) -> tuple[float, float] | None:
-        start = row.get("start_time")
-        end = row.get("end_time")
-        if start is None or end is None:
-            return None
-        return (float(start), float(end))
 
     def record_envelope(self, row: dict):
         """The GPS list's cached MBR, without building a LineString."""
@@ -158,7 +148,8 @@ class GeofencePlugin(CommonTable):
 
     kind = "plugin"
     plugin_type = "geofence"
-    filter_fields = ("area", "valid_from", "valid_to")
+    geometry_column = "area"
+    time_columns = ("valid_from", "valid_to")
     implicit_inputs = {"item": ("area",)}
 
     def __init__(self, name, store, strategies,
@@ -171,13 +162,6 @@ class GeofencePlugin(CommonTable):
                          if attribute_fields is not None
                          else ["category"],
                          presplit=presplit, salt_buckets=salt_buckets)
-
-    def record_time_extent(self, row: dict) -> tuple[float, float] | None:
-        valid_from = row.get("valid_from")
-        valid_to = row.get("valid_to")
-        if valid_from is None or valid_to is None:
-            return None
-        return (float(valid_from), float(valid_to))
 
     def decorate_row(self, row: dict, wanted=None) -> dict:
         """Attach the implicit ``item``: the fence polygon itself."""

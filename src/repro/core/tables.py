@@ -9,7 +9,6 @@ historical updates need no index rebuild.
 
 from __future__ import annotations
 
-import time as _time
 from functools import partial
 from itertools import chain
 
@@ -41,6 +40,13 @@ class CommonTable:
     #: Implicit column -> the stored fields :meth:`decorate_row` builds
     #: it from (plugin tables declare ``item`` here).
     implicit_inputs: dict[str, tuple[str, ...]] = {}
+    #: The stored column :meth:`record_geometry` reads, the only one a
+    #: spatial predicate is pushed into the index scan on, and the ones
+    #: :meth:`record_time_extent` reads, start first (one column is an
+    #: instant, two an extent's bounds).  Plugin tables declare theirs;
+    #: a common table takes its schema's first geometry and date fields.
+    geometry_column: str | None = None
+    time_columns: tuple[str, ...] = ()
 
     def __init__(self, name: str, schema: Schema, store: KVStore,
                  strategies: dict[str, IndexStrategy],
@@ -51,6 +57,10 @@ class CommonTable:
             raise SchemaError(f"table {name!r} needs a primary key")
         self.name = name
         self.schema = schema
+        if self.plugin_type is None:
+            geometry, time = schema.geometry_field, schema.time_field
+            self.geometry_column = geometry.name if geometry else None
+            self.time_columns = (time.name,) if time else ()
         self.store = store
         self.strategies = dict(strategies)
         self.codec = RowCodec(schema, compression_enabled)
@@ -97,8 +107,8 @@ class CommonTable:
     def filter_fields(self) -> tuple[str, ...]:
         """Stored fields the ``record_*`` projections below read: what
         the exact filter and the index keys of a row are computed from."""
-        fields = (self.schema.geometry_field, self.schema.time_field)
-        return tuple(f.name for f in fields if f is not None)
+        return tuple(filter(None, (self.geometry_column,
+                                   *self.time_columns)))
 
     def decoded_fields(self, columns: list[str] | None,
                        filtered: bool = False) -> frozenset[str] | None:
@@ -119,17 +129,16 @@ class CommonTable:
             else frozenset(wanted)
 
     def record_geometry(self, row: dict) -> Geometry | None:
-        field = self.schema.geometry_field
-        return row.get(field.name) if field is not None else None
+        return row.get(self.geometry_column)
 
     def record_time_extent(self, row: dict) -> tuple[float, float] | None:
-        field = self.schema.time_field
-        if field is None:
+        columns = self.time_columns
+        if not columns:
             return None
-        value = row.get(field.name)
-        if value is None:
+        start, end = row.get(columns[0]), row.get(columns[-1])
+        if start is None or end is None:
             return None
-        return (float(value), float(value))
+        return (float(start), float(end))
 
     def record_envelope(self, row: dict) -> Envelope | None:
         """MBR of the row's geometry — overridable with a cheaper path
@@ -433,13 +442,6 @@ class CommonTable:
                 if self._matches(row, query, predicate):
                     yield self.decorate_row(row, wanted)
 
-    def _attribute_rows(self, field_name: str, ranges: list[KeyBounds],
-                        job: SimJob | None, ctx):
-        """Decorated rows of a secondary attribute index's key ranges."""
-        chunks = self._range_chunks(self._attr_tables[field_name], ranges,
-                                    job, ctx)
-        return map(self.decorate_row, chain.from_iterable(chunks))
-
     def query(self, query: STQuery, predicate: str = "intersects",
               job: SimJob | None = None,
               strategy_name: str | None = None, ctx=None) -> list[dict]:
@@ -495,18 +497,9 @@ class CommonTable:
                         job: SimJob | None = None, ctx=None) -> list[dict]:
         """Equality lookup served by a secondary attribute index."""
         ranges = self._attribute_index(field_name).ranges_for_value(value)
-        return list(self._attribute_rows(field_name, ranges, job, ctx))
-
-    def attribute_range_query(self, field_name: str, low, high,
-                              job: SimJob | None = None,
-                              ctx=None) -> list[dict]:
-        """BETWEEN lookup served by a secondary attribute index.
-
-        The index range is inclusive; callers post-filter exact bounds.
-        """
-        ranges = self._attribute_index(field_name).ranges_for_between(
-            low, high)
-        return list(self._attribute_rows(field_name, ranges, job, ctx))
+        chunks = self._range_chunks(self._attr_tables[field_name], ranges,
+                                    job, ctx)
+        return list(map(self.decorate_row, chain.from_iterable(chunks)))
 
     def columns(self) -> list[str]:
         return self.schema.names
@@ -537,15 +530,9 @@ class ViewTable:
         self.name = name
         self.dataframe = dataframe
         self.owner = owner
-        self.created_at = _time.monotonic()
-        self.last_used_at = self.created_at
-
-    def touch(self) -> None:
-        self.last_used_at = _time.monotonic()
 
     def scan(self) -> DataFrame:
-        """The cached frame; reading it keeps the view from expiring."""
-        self.touch()
+        """The cached frame."""
         return self.dataframe
 
     def columns(self) -> list[str]:

@@ -621,7 +621,7 @@ class AttributeStrategy(IndexStrategy):
     """Secondary index over one scalar attribute of the table.
 
     Values are encoded order-preservingly: strings as UTF-8, numbers as
-    biased big-endian doubles.  Serves equality and BETWEEN predicates.
+    biased big-endian doubles.  Serves equality predicates.
     """
 
     name = "attr"
@@ -669,14 +669,6 @@ class AttributeStrategy(IndexStrategy):
         sorted by start, pairwise disjoint (one per shard)."""
         body = self.encode_value(value) + b"\x00"
         return [(bytes([s]) + body, bytes([s]) + body + _ATTR_STOP)
-                for s in range(self.num_shards)]
-
-    def ranges_for_between(self, low, high) -> list[KeyBounds]:
-        """Key bounds for a BETWEEN predicate on the indexed field,
-        sorted by start, pairwise disjoint (one per shard)."""
-        lo = self.encode_value(low)
-        hi = self.encode_value(high)
-        return [(bytes([s]) + lo, bytes([s]) + hi + _ATTR_STOP)
                 for s in range(self.num_shards)]
 
 

@@ -47,10 +47,6 @@ class RowBatch:
         data = {c: [row.get(c) for row in rows] for c in columns}
         return cls(data, columns, len(rows))
 
-    @classmethod
-    def empty(cls, columns: list[str]) -> "RowBatch":
-        return cls({c: [] for c in columns}, columns, 0)
-
     # -- accessors -----------------------------------------------------------
     def __len__(self) -> int:
         return self.num_rows
@@ -62,17 +58,11 @@ class RowBatch:
         """The values of one column; KeyError when absent."""
         return self.data[name]
 
-    def row(self, i: int) -> Row:
-        return {c: self.data[c][i] for c in self.columns}
-
     def iter_rows(self) -> Iterator[Row]:
         data = self.data
         columns = self.columns
         for i in range(self.num_rows):
             yield {c: data[c][i] for c in columns}
-
-    def to_rows(self) -> list[Row]:
-        return list(self.iter_rows())
 
     # -- columnar transformations --------------------------------------------
     def select(self, columns: list[str]) -> "RowBatch":

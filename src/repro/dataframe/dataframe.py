@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.dataframe.batch import RowBatch
 from repro.dataframe.functions import AggregateSpec, fold_batch, group_rows
@@ -52,10 +52,6 @@ class DataFrame:
         """Build a DataFrame over ``batches`` (one partition each)."""
         return cls(batches, columns)
 
-    @classmethod
-    def empty(cls, columns: list[str]) -> "DataFrame":
-        return cls([], columns)
-
     # -- basic accessors -------------------------------------------------------
     @property
     def num_batches(self) -> int:
@@ -80,14 +76,6 @@ class DataFrame:
     def count(self) -> int:
         return sum(len(b) for b in self._batches)
 
-    def first(self) -> Row | None:
-        for row in self.iter_rows():
-            return row
-        return None
-
-    def column_values(self, column: str) -> list[object]:
-        return [row.get(column) for row in self.iter_rows()]
-
     # -- row-wise transformations ------------------------------------------------
     def select(self, columns: list[str]) -> "DataFrame":
         """Keep only ``columns`` (missing values become ``None``)."""
@@ -97,40 +85,6 @@ class DataFrame:
         # Columnar: share the kept column lists, no row rebuilds.
         return DataFrame([b.select(columns) for b in self._batches],
                          columns)
-
-    def where(self, predicate: Callable[[Row], bool]) -> "DataFrame":
-        return self.map_partitions(
-            lambda rows: [row for row in rows if predicate(row)],
-            self.columns)
-
-    def with_column(self, name: str,
-                    fn: Callable[[Row], object]) -> "DataFrame":
-        """Add or replace a column computed per row."""
-        columns = self.columns if name in self.columns \
-            else self.columns + [name]
-        return DataFrame(
-            [b.with_column(name, [fn(row) for row in b.iter_rows()])
-             for b in self._batches], columns)
-
-    def map_rows(self, fn: Callable[[Row], Row],
-                 columns: list[str]) -> "DataFrame":
-        """1-1 transformation to a new row shape."""
-        return self.map_partitions(
-            lambda rows: [fn(row) for row in rows], columns)
-
-    def flat_map(self, fn: Callable[[Row], Iterable[Row]],
-                 columns: list[str]) -> "DataFrame":
-        """1-N transformation (the engine's 1-N analysis operations)."""
-        return self.map_partitions(
-            lambda rows: [out for row in rows for out in fn(row)], columns)
-
-    def map_partitions(self, fn: Callable[[list[Row]], list[Row]],
-                       columns: list[str]) -> "DataFrame":
-        """Partition-wise transformation (N-M analysis operations):
-        ``fn`` maps each batch's rows to new rows."""
-        return DataFrame(
-            [RowBatch.from_rows(fn(b.to_rows()), columns)
-             for b in self._batches], columns)
 
     # -- global operations -------------------------------------------------------
     def distinct(self) -> "DataFrame":
@@ -187,16 +141,11 @@ class DataFrame:
                 remaining = 0
         return DataFrame(kept, self.columns)
 
-    def union(self, other: "DataFrame") -> "DataFrame":
-        if self.columns != other.columns:
-            raise ExecutionError(
-                f"union of incompatible schemas: {self.columns} vs "
-                f"{other.columns}")
-        return DataFrame(self._batches + other._batches, self.columns)
-
     def group_by(self, keys: list[str],
                  aggregates: list[AggregateSpec]) -> "DataFrame":
-        """Hash aggregation; one output row per distinct key tuple."""
+        """Hash aggregation: one output row per distinct key tuple, in
+        first-seen order, as a single batch.  SQL ``GROUP BY`` runs
+        here, on columns its expressions were evaluated into."""
         unknown = [k for k in keys if k not in self.columns]
         if unknown:
             raise ExecutionError(f"unknown group keys: {unknown}")
@@ -211,8 +160,7 @@ class DataFrame:
                        aggregates, len(batch))
         return DataFrame.from_rows(
             group_rows(groups, keys, aggregates),
-            list(keys) + [spec.output for spec in aggregates],
-            self.num_partitions)
+            list(keys) + [spec.output for spec in aggregates], 1)
 
     def join(self, other: "DataFrame", on: list[str],
              how: str = "inner") -> "DataFrame":
@@ -241,10 +189,6 @@ class DataFrame:
                 out.append(merged)
         return DataFrame.from_rows(out, columns, self.num_partitions)
 
-    def repartition(self, num_partitions: int) -> "DataFrame":
-        return DataFrame.from_rows(self.collect(), self.columns,
-                                   num_partitions)
-
     # -- sizing --------------------------------------------------------------
     def estimated_bytes(self) -> int:
         """Rough in-memory footprint used for cost accounting.
@@ -262,9 +206,6 @@ class DataFrame:
                     total += estimate_value_bytes(value)
         return total
 
-    def __repr__(self) -> str:
-        return (f"DataFrame(columns={self.columns}, rows={self.count()}, "
-                f"partitions={self.num_partitions})")
 
 
 def estimate_value_bytes(value) -> int:

@@ -27,17 +27,6 @@ class DatasetStats:
     def raw_size_mb(self) -> float:
         return self.raw_size_bytes / (1024.0 * 1024.0)
 
-    def as_row(self) -> dict:
-        return {
-            "dataset": self.name,
-            "points": self.num_points,
-            "records": self.num_records,
-            "raw_mb": round(self.raw_size_mb, 2),
-            "time_start": self.time_start,
-            "time_end": self.time_end,
-        }
-
-
 def _csv_bytes_per_gps_point() -> int:
     # "traj123,lorry45,116.123456,39.123456,1393632000.123\n"
     return len("traj12345,lorry123,116.123456,39.123456,1393632000.123\n")

@@ -1,4 +1,4 @@
-"""GeoHash encoding/decoding.
+"""GeoHash encoding.
 
 The Urban Block Indicator System (Section VII-B) partitions space into
 ~150 m grids "where the GeoHash code has a length of 7"; this module
@@ -9,24 +9,8 @@ way the paper's deployment does.
 from __future__ import annotations
 
 from repro.errors import GeometryError
-from repro.geometry.envelope import Envelope
 
 _BASE32 = "0123456789bcdefghjkmnpqrstuvwxyz"
-_DECODE = {ch: i for i, ch in enumerate(_BASE32)}
-
-#: Approximate cell sizes (width m x height m) per precision at the
-#: equator, for documentation and the tests.
-CELL_SIZE_M = {
-    1: (5_009_400, 4_992_600),
-    2: (1_252_300, 624_100),
-    3: (156_500, 156_000),
-    4: (39_100, 19_500),
-    5: (4_900, 4_900),
-    6: (1_200, 609),
-    7: (152.9, 152.4),
-    8: (38.2, 19.0),
-    9: (4.8, 4.8),
-}
 
 
 def encode(lng: float, lat: float, precision: int = 7) -> str:
@@ -66,79 +50,3 @@ def encode(lng: float, lat: float, precision: int = 7) -> str:
             value = 0
     return "".join(out)
 
-
-def decode_envelope(geohash: str) -> Envelope:
-    """The cell (envelope) a GeoHash string names."""
-    if not geohash:
-        raise GeometryError("empty geohash")
-    lng_lo, lng_hi = -180.0, 180.0
-    lat_lo, lat_hi = -90.0, 90.0
-    even = True
-    for ch in geohash.lower():
-        try:
-            value = _DECODE[ch]
-        except KeyError:
-            raise GeometryError(
-                f"invalid geohash character {ch!r}") from None
-        for shift in range(4, -1, -1):
-            bit = (value >> shift) & 1
-            if even:
-                mid = (lng_lo + lng_hi) / 2.0
-                if bit:
-                    lng_lo = mid
-                else:
-                    lng_hi = mid
-            else:
-                mid = (lat_lo + lat_hi) / 2.0
-                if bit:
-                    lat_lo = mid
-                else:
-                    lat_hi = mid
-            even = not even
-    return Envelope(lng_lo, lat_lo, lng_hi, lat_hi)
-
-
-def decode(geohash: str) -> tuple[float, float]:
-    """Centre coordinate of a GeoHash cell."""
-    return decode_envelope(geohash).center
-
-
-def neighbors(geohash: str) -> list[str]:
-    """The up-to-8 surrounding cells at the same precision."""
-    env = decode_envelope(geohash)
-    cx, cy = env.center
-    out = []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            lng = cx + dx * env.width
-            lat = cy + dy * env.height
-            if -180.0 <= lng <= 180.0 and -90.0 <= lat <= 90.0:
-                candidate = encode(lng, lat, len(geohash))
-                if candidate != geohash and candidate not in out:
-                    out.append(candidate)
-    return out
-
-
-def cover_envelope(envelope: Envelope, precision: int = 7,
-                   max_cells: int = 4096) -> list[str]:
-    """All GeoHash cells of the precision intersecting an envelope."""
-    probe = decode_envelope(encode(envelope.min_lng, envelope.min_lat,
-                                   precision))
-    out = []
-    lat = envelope.min_lat
-    while lat <= envelope.max_lat + probe.height:
-        lng = envelope.min_lng
-        while lng <= envelope.max_lng + probe.width:
-            cell = encode(min(lng, 180.0), min(lat, 90.0), precision)
-            cell_env = decode_envelope(cell)
-            if cell_env.intersects(envelope) and cell not in out:
-                out.append(cell)
-                if len(out) > max_cells:
-                    raise GeometryError(
-                        f"envelope covers more than {max_cells} geohash "
-                        f"cells at precision {precision}")
-            lng += probe.width
-        lat += probe.height
-    return out

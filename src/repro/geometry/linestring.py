@@ -92,13 +92,6 @@ class LineString(Geometry):
     def __repr__(self) -> str:
         return f"LineString({len(self._coords)} points)"
 
-    def length_degrees(self) -> float:
-        """Total planar length of the line in degree units."""
-        total = 0.0
-        for (x1, y1), (x2, y2) in zip(self._coords, self._coords[1:]):
-            total += ((x2 - x1) ** 2 + (y2 - y1) ** 2) ** 0.5
-        return total
-
     def intersects_envelope(self, env: Envelope) -> bool:
         """Exact segment-vs-rectangle intersection test."""
         if not self._envelope.intersects(env):

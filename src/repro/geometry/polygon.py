@@ -53,14 +53,6 @@ class Polygon(Geometry):
     def __repr__(self) -> str:
         return f"Polygon({len(self._ring)} vertices)"
 
-    def area_degrees(self) -> float:
-        """Unsigned planar area (shoelace) in degree² units."""
-        total = 0.0
-        ring = self._ring
-        for (x1, y1), (x2, y2) in zip(ring, ring[1:] + ring[:1]):
-            total += x1 * y2 - x2 * y1
-        return abs(total) / 2.0
-
     def contains_point(self, lng: float, lat: float) -> bool:
         """Ray-casting point-in-polygon test (boundary counts as inside)."""
         if not self._envelope.contains_point(lng, lat):

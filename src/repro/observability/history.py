@@ -12,13 +12,13 @@ dense, old history is sparse, and memory is O(tiers × capacity) per
 series no matter how long the cluster runs — the same shape as
 Prometheus retention + recording rules or an RRDtool archive set.
 
-Window queries (``increase``, ``rate``, ``avg_over_time``, …) are
-**counter-reset aware**: a sample smaller than its predecessor means
-the process restarted (failover, promote), and the new value counts as
-growth from zero instead of producing a negative rate — Prometheus
-``rate()`` semantics.  Their cost does not grow with uptime: rings are
-time-ordered, so a window is found by bisection, and counter rings
-carry running totals, so ``increase``/``rate`` read two points.
+The window query, ``increase``, is **counter-reset aware**: a sample
+smaller than its predecessor means the process restarted (failover,
+promote), and the new value counts as growth from zero instead of
+producing a negative rate — Prometheus ``increase()`` semantics.  Its
+cost does not grow with uptime: rings are time-ordered, so a window is
+found by bisection, and counter rings carry running totals, so it
+reads two points.
 """
 
 from __future__ import annotations
@@ -35,37 +35,6 @@ from repro.observability.metrics import Counter, Histogram
 #: ~17 min at 2 s resolution and ~2.3 h at 16 s resolution.
 DEFAULT_TIERS: tuple[tuple[int, int], ...] = ((1, 512), (8, 512),
                                               (64, 512))
-
-
-# -- window functions over point lists ----------------------------------------
-
-def avg_over_time(points: list[tuple[float, float]]) -> float:
-    return (sum(v for _, v in points) / len(points)) if points else 0.0
-
-
-def max_over_time(points: list[tuple[float, float]]) -> float:
-    return max((v for _, v in points), default=0.0)
-
-
-def min_over_time(points: list[tuple[float, float]]) -> float:
-    return min((v for _, v in points), default=0.0)
-
-
-def last_over_time(points: list[tuple[float, float]]) -> float:
-    return points[-1][1] if points else 0.0
-
-
-#: Aggregations :meth:`MetricsHistory.query` applies to the in-window
-#: points; ``increase`` and ``rate`` are answered from running totals.
-OVER_TIME_FUNCS = {
-    "avg_over_time": avg_over_time,
-    "max_over_time": max_over_time,
-    "min_over_time": min_over_time,
-    "last_over_time": last_over_time,
-}
-
-#: Every function name :meth:`MetricsHistory.query` accepts.
-WINDOW_FUNCS = ("increase", "rate", *OVER_TIME_FUNCS)
 
 
 def _growth(prev: float, cur: float) -> float:
@@ -111,9 +80,6 @@ class Ring:
             if self.totals is not None:
                 del self.totals[:self.first]
             self.first = 0
-
-    def points(self, lo: int, hi: int) -> list[tuple[float, float]]:
-        return list(zip(self.ts[lo:hi], self.values[lo:hi]))
 
     def increase(self, lo: int, hi: int) -> float:
         """Reset-aware growth from point ``lo`` to point ``hi - 1``."""
@@ -185,41 +151,11 @@ class Series:
             lo -= 1
         return chosen, lo, hi
 
-    def points(self, start_ms: float | None = None,
-               end_ms: float | None = None,
-               baseline: bool = False) -> list[tuple[float, float]]:
-        """Points in ``[start_ms, end_ms]`` from the finest covering tier.
-
-        With ``baseline`` the last retained point *before* ``start_ms``
-        is prepended.  Counters are step functions sampled at scrapes,
-        so ``increase`` over a window is exact only against the value
-        the counter held *entering* the window — without the baseline a
-        window spanning fewer than two scrapes reads as zero growth,
-        which starves short burn-rate windows whenever statements cost
-        more simulated time than the window spans.
-        """
-        ring, lo, hi = self._span(start_ms, end_ms, baseline)
-        return ring.points(lo, hi) if ring is not None else []
-
     def increase(self, start_ms: float, end_ms: float) -> float:
         """Reset-aware growth over ``[start_ms, end_ms]``, from the
         baseline point entering the window; never < 0 on a counter."""
         ring, lo, hi = self._span(start_ms, end_ms, baseline=True)
         return ring.increase(lo, hi) if ring is not None else 0.0
-
-    def rate_per_s(self, start_ms: float, end_ms: float) -> float:
-        """Reset-aware per-second rate over the window (0 if degenerate)."""
-        ring, lo, hi = self._span(start_ms, end_ms, baseline=True)
-        if hi - lo < 2:
-            return 0.0
-        elapsed_ms = ring.ts[hi - 1] - ring.ts[lo]
-        if elapsed_ms <= 0:
-            return 0.0
-        return ring.increase(lo, hi) / (elapsed_ms / 1000.0)
-
-    def tier_points(self, tier: int) -> list[tuple[float, float]]:
-        ring = self.rings[tier]
-        return ring.points(ring.first, len(ring.ts))
 
 
 def record_points(sim_ms: float, points) -> None:
@@ -255,16 +191,12 @@ def record_points(sim_ms: float, points) -> None:
 
 
 class MetricsHistory:
-    """All retained series plus the PromQL-flavoured query helpers."""
+    """All retained series and the windowed ``increase`` query."""
 
     def __init__(self,
                  tiers: tuple[tuple[int, int], ...] = DEFAULT_TIERS):
         self.tiers = tuple(tiers)
         self.series: dict[str, Series] = {}
-
-    def record(self, name: str, kind: str, sim_ms: float,
-               value: float) -> None:
-        self.record_scrape(sim_ms, ((name, kind, value),))
 
     def record_scrape(self, sim_ms: float, points) -> None:
         """Record ``(name, kind, value)`` points, all taken at ``sim_ms``;
@@ -278,42 +210,25 @@ class MetricsHistory:
         series = self.series[name] = Series(name, kind, self.tiers)
         return series
 
-    def get(self, name: str) -> Series | None:
-        return self.series.get(name)
-
     def names(self, prefix: str = "") -> list[str]:
         return sorted(n for n in self.series if n.startswith(prefix))
 
     def __len__(self) -> int:
         return len(self.series)
 
-    def query(self, func: str, name: str, window_ms: float,
-              now_ms: float) -> float:
-        """``func(name[window_ms])`` evaluated at ``now_ms``.
+    def increase(self, name: str, window_ms: float,
+                 now_ms: float) -> float:
+        """Reset-aware growth of ``name`` over the ``window_ms`` ending
+        at ``now_ms``.
 
-        Counter deltas (``increase``/``rate``) use the baseline sample
-        entering the window, so they stay exact when the window holds
-        fewer than two scrapes, and cost two bisections at any uptime;
-        the ``*_over_time`` aggregations see only in-window points.
+        It starts from the baseline sample entering the window, so it
+        stays exact when the window holds fewer than two scrapes, and it
+        costs two bisections at any uptime.
         """
-        if func not in WINDOW_FUNCS:
-            raise KeyError(func)
         series = self.series.get(name)
         if series is None:
             return 0.0
-        start_ms = now_ms - window_ms
-        if func == "increase":
-            return series.increase(start_ms, now_ms)
-        if func == "rate":
-            return series.rate_per_s(start_ms, now_ms)
-        return OVER_TIME_FUNCS[func](series.points(start_ms, now_ms))
-
-    def rate(self, name: str, window_ms: float, now_ms: float) -> float:
-        return self.query("rate", name, window_ms, now_ms)
-
-    def increase(self, name: str, window_ms: float,
-                 now_ms: float) -> float:
-        return self.query("increase", name, window_ms, now_ms)
+        return series.increase(now_ms - window_ms, now_ms)
 
     def rows(self, name: str | None = None,
              start_ms: float | None = None) -> list[dict]:

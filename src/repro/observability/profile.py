@@ -139,9 +139,6 @@ class QueryProfile:
     def sim_ms(self) -> float:
         return self.root.sim_ms
 
-    def operator_spans(self) -> list[Span]:
-        return [s for _d, s in self.root.walk() if s.kind == "operator"]
-
     def as_dict(self) -> dict:
         return {"statement": self.statement, "user": self.user,
                 "trace_id": self.trace_id,

@@ -132,12 +132,12 @@ class AvailabilityObjective(Objective):
     def bad_fraction(self, history: MetricsHistory, start_ms: float,
                      end_ms: float) -> float | None:
         total = sum(
-            history.query("increase", name, end_ms - start_ms, end_ms)
+            history.increase(name, end_ms - start_ms, end_ms)
             for name in self.total_series)
         if total <= 0:
             return None
         bad = sum(
-            history.query("increase", name, end_ms - start_ms, end_ms)
+            history.increase(name, end_ms - start_ms, end_ms)
             for name in self.bad_series)
         return min(1.0, max(0.0, bad / total))
 
@@ -174,10 +174,10 @@ class LatencyObjective(Objective):
                      end_ms: float) -> float | None:
         window_ms = end_ms - start_ms
         count_key, good_key = self.series_keys
-        total = history.query("increase", count_key, window_ms, end_ms)
+        total = history.increase(count_key, window_ms, end_ms)
         if total <= 0:
             return None
-        good = history.query("increase", good_key, window_ms, end_ms)
+        good = history.increase(good_key, window_ms, end_ms)
         return min(1.0, max(0.0, (total - good) / total))
 
     def exemplar(self, registry) -> str:

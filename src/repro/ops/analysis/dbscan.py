@@ -71,18 +71,3 @@ def dbscan(points: list[tuple[float, float]], min_pts: int,
                 queue.extend(j_neighbours)
         cluster += 1
     return labels
-
-
-def cluster_centroids(points: list[tuple[float, float]],
-                      labels: list[int]) -> dict[int, tuple[float, float]]:
-    """Mean position per cluster label (noise excluded)."""
-    sums: dict[int, list[float]] = defaultdict(lambda: [0.0, 0.0, 0])
-    for (x, y), label in zip(points, labels):
-        if label == NOISE:
-            continue
-        acc = sums[label]
-        acc[0] += x
-        acc[1] += y
-        acc[2] += 1
-    return {label: (acc[0] / acc[2], acc[1] / acc[2])
-            for label, acc in sums.items()}

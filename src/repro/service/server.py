@@ -172,10 +172,6 @@ class JustServer:
             self.engine.drop_view(view.name)
 
     # -- administration ------------------------------------------------------
-    def user_tables(self, user: str) -> list[str]:
-        prefix = f"{user}__"
-        return [n[len(prefix):] for n in self.engine.table_names(prefix)]
-
     def admission_stats(self) -> dict:
         """Operational counters from the admission controller."""
         return self.admission.stats()

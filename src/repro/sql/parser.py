@@ -64,14 +64,6 @@ def parse_statement(statement: str) -> Statement:
     return _Parser(statement).parse()
 
 
-def parse_expression(text: str) -> Expr:
-    """Parse ``text`` as one JustQL expression and nothing more."""
-    parser = _Parser(text)
-    expr = parser._parse_expr()
-    parser.expect_end()
-    return expr
-
-
 def parse_filter(text: str) -> tuple[Expr | None, int | None]:
     """A LOAD FILTER string: ``[expression] [LIMIT n]``, then the end.
 

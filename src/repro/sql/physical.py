@@ -10,7 +10,7 @@ short-circuit to their dedicated access paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.knn import knn_query
 from repro.core.query import choose_strategy
@@ -54,21 +54,29 @@ from repro.sql.logical import (
     ScanNode,
     SortNode,
 )
-from repro.dataframe.functions import AggregateSpec, fold_batch, group_rows
+from repro.dataframe.functions import AggregateSpec
 
 
 @dataclass
 class _ScanPredicates:
-    """Conjuncts recognized by the scan planner."""
+    """Conjuncts recognized by the scan planner.
+
+    ``residual`` holds every conjunct the chosen access path does not
+    serve exactly; :func:`_classify_conjuncts` moves the ones only the
+    ST window (``windowed``) or the primary key (``keyed``) serves back
+    into it when another path wins.
+    """
 
     envelope: Envelope | None = None
-    spatial_mode: str = "intersects"
+    spatial_mode: str | None = None
     t_min: float | None = None
     t_max: float | None = None
     knn: tuple[Point, int] | None = None
     fid: object | None = None
     attr: tuple[str, object] | None = None
-    residual: list[Expr] | None = None
+    residual: list[Expr] = field(default_factory=list)
+    windowed: list[Expr] = field(default_factory=list)
+    keyed: list[Expr] = field(default_factory=list)
 
 
 def execute_plan(plan: LogicalNode, engine, job, ctx=None) -> DataFrame:
@@ -149,12 +157,14 @@ def _execute_join(plan: JoinNode, engine, job, ctx=None) -> DataFrame:
     job.charge_cpu_records(left.count() + right.count(),
                            us_per_record=3.0)
     if plan.right_column != plan.left_column:
-        right = right.map_rows(
-            lambda row: {**{k: v for k, v in row.items()
-                            if k != plan.right_column},
-                         plan.left_column: row.get(plan.right_column)},
-            [plan.left_column if c == plan.right_column else c
-             for c in right.columns])
+        # Rename the right key to the left one: a new name per column
+        # list, the lists themselves shared.
+        names = [plan.left_column if c == plan.right_column else c
+                 for c in right.columns]
+        right = DataFrame.from_batches(
+            [RowBatch(dict(zip(names, b.select(right.columns).data
+                               .values())), names, len(b))
+             for b in right.to_batches()], names)
     return left.join(right, [plan.left_column], how=plan.how)
 
 
@@ -207,23 +217,6 @@ def _has_pushed_st(preds: _ScanPredicates) -> bool:
         (preds.t_min is not None and preds.t_max is not None)
 
 
-def _apply_pushed_st_filter(table, preds: _ScanPredicates,
-                            rows: list[dict]) -> list[dict]:
-    """Enforce envelope/time conjuncts on the point/kNN access paths.
-
-    The classifier consumes spatial conjuncts (and BETWEEN temporal
-    conjuncts) into ``preds`` expecting a range scan to serve them; when
-    primary-key or kNN access wins instead, those conjuncts must still
-    be applied per row or the scan silently returns rows outside the
-    requested window.
-    """
-    if not _has_pushed_st(preds):
-        return rows
-    query = _st_query(preds)
-    return [row for row in rows
-            if table._matches(row, query, preds.spatial_mode)]
-
-
 def _execute_scan(plan: ScanNode, engine, job, ctx=None) -> DataFrame:
     """Serve a table scan batch-at-a-time from the best access path.
 
@@ -244,23 +237,21 @@ def _execute_scan(plan: ScanNode, engine, job, ctx=None) -> DataFrame:
     if preds.knn is not None:
         point, k = preds.knn
         result = knn_query(table, point.lng, point.lat, k, job, ctx=ctx)
-        rows = _apply_pushed_st_filter(table, preds, result.rows)
-        source = batches_from_rows(rows, columns)
+        source = batches_from_rows(result.rows, columns)
     elif preds.fid is not None:
         row = table.get(str(preds.fid), ctx, job=job)
         job.charge_cpu_records(1)
-        rows = _apply_pushed_st_filter(
-            table, preds, [row] if row is not None else [])
-        source = batches_from_rows(rows, columns)
-    elif preds.attr is not None and preds.envelope is None \
-            and preds.t_min is None:
+        source = batches_from_rows([row] if row is not None else [],
+                                   columns)
+    elif preds.attr is not None and not _has_pushed_st(preds):
         field_name, value = preds.attr
         source = batches_from_rows(
             table.attribute_query(field_name, value, job, ctx), columns)
     elif _has_pushed_st(preds):
         decoded = table.decoded_fields(projection, filtered=True)
-        source = table.query_batches(_st_query(preds), preds.spatial_mode,
-                                     job, ctx=ctx, columns=projection)
+        source = table.query_batches(
+            _st_query(preds), preds.spatial_mode or "intersects", job,
+            ctx=ctx, columns=projection)
     else:
         decoded = table.decoded_fields(projection)
         source = table.full_scan_batches(job, ctx, columns=projection)
@@ -314,58 +305,75 @@ def _filter_batch(batch: RowBatch, conjuncts: list[Expr],
 
 
 def _classify_conjuncts(predicate: Expr | None, table) -> _ScanPredicates:
-    preds = _ScanPredicates(residual=[])
-    geometry_field = table.schema.geometry_field
-    geometry_name = geometry_field.name if geometry_field else None
-    time_field = table.schema.time_field
-    time_name = time_field.name if time_field else None
-    pk = table.schema.primary_key
-    pk_name = pk.name if pk else None
-    # Plugin tables index the derived geometry/time extent; map the
-    # conventional column names onto them too.
-    time_names = {time_name, "time", "start_time"} - {None}
-    geom_names = {geometry_name, "geom", "geometry", "gps_list"} - {None}
+    """Sort a scan's conjuncts into what its access path serves and the
+    residual.
 
+    Only the columns the table's exact filter reads are pushed
+    (:attr:`~repro.core.tables.CommonTable.geometry_column` and
+    ``time_columns``), and only with literals the index can use: a NULL,
+    a string or a second k-NN stays residual, where it answers as on an
+    unindexed column.  k-NN wins over the primary key, which wins over
+    the window; what the winner does not serve goes back into the
+    residual.
+    """
+    preds = _ScanPredicates()
+    geometry = table.geometry_column
+    pk = table.schema.primary_key
     for conjunct in split_conjuncts(predicate):
-        if _is_spatial(conjunct, geom_names, preds) or \
-                _is_radius(conjunct, table, preds):
-            continue
-        if _is_temporal(conjunct, time_names, preds):
-            continue
-        if _is_knn(conjunct, geom_names, preds):
-            continue
-        if _is_fid(conjunct, pk_name, preds):
-            continue
-        if _is_attribute(conjunct, table, preds):
+        if _is_knn(conjunct, geometry, preds) or \
+                _is_spatial(conjunct, table, preds) or \
+                _is_radius(conjunct, table, preds) or \
+                _is_temporal(conjunct, table.time_columns, preds) or \
+                _is_fid(conjunct, pk, preds) or \
+                _is_attribute(conjunct, table, preds):
             continue
         preds.residual.append(conjunct)
+    if preds.knn is not None:
+        preds.residual += preds.keyed
+        preds.fid = None
+    if preds.knn is not None or preds.fid is not None:
+        preds.residual += preds.windowed
     return preds
 
 
-def _is_spatial(conjunct: Expr, geom_names: set[str],
-                preds: _ScanPredicates) -> bool:
-    envelope = None
-    mode = None
-    if isinstance(conjunct, BinaryOp) and conjunct.op == "within" and \
-            isinstance(conjunct.left, Column) and \
-            conjunct.left.name in geom_names and \
-            isinstance(conjunct.right, Literal) and \
-            isinstance(conjunct.right.value, Envelope):
-        envelope, mode = conjunct.right.value, "within"
+def _is_spatial(conjunct: Expr, table, preds: _ScanPredicates) -> bool:
+    """``geom WITHIN box``, ``st_within(geom, box)`` or
+    ``st_intersects(geom, box)`` on the table's geometry column.
+
+    Two windows narrow to their intersection when that is exact: both
+    ``within`` (a geometry lies in two boxes when it lies in their
+    intersection), or on a point column, where meeting a box is lying
+    in it.  Otherwise the later conjunct stays residual.
+    """
+    if isinstance(conjunct, BinaryOp) and conjunct.op == "within":
+        column, box, mode = conjunct.left, conjunct.right, "within"
     elif isinstance(conjunct, FuncCall) and \
             conjunct.name in ("st_within", "st_intersects") and \
-            len(conjunct.args) == 2 and \
-            isinstance(conjunct.args[0], Column) and \
-            conjunct.args[0].name in geom_names and \
-            isinstance(conjunct.args[1], Literal) and \
-            isinstance(conjunct.args[1].value, Envelope):
-        envelope = conjunct.args[1].value
+            len(conjunct.args) == 2:
+        column, box = conjunct.args
         mode = "within" if conjunct.name == "st_within" else "intersects"
-    if envelope is None:
+    else:
         return False
-    _push_window(preds, envelope)
+    if not (isinstance(column, Column)
+            and column.name == table.geometry_column
+            and isinstance(box, Literal)
+            and isinstance(box.value, Envelope)):
+        return False
+    if preds.spatial_mode not in (None, mode) or \
+            preds.spatial_mode == "intersects" and not _is_point_table(table):
+        return False
+    _push_window(preds, box.value)
     preds.spatial_mode = mode
+    preds.windowed.append(conjunct)
     return True
+
+
+def _is_point_table(table) -> bool:
+    """Is the indexed geometry a stored ``POINT`` column?  (A plugin
+    table indexes a geometry derived from other fields.)"""
+    field_ = table.schema.geometry_field
+    return table.plugin_type is None and field_ is not None \
+        and field_.ftype == FieldType.POINT
 
 
 def _push_window(preds: _ScanPredicates, envelope: Envelope) -> None:
@@ -413,10 +421,8 @@ def _is_radius(conjunct: Expr, table, preds: _ScanPredicates) -> bool:
     column, centre = call.args
     if isinstance(centre, Column):
         column, centre = centre, column
-    field = table.schema.geometry_field
-    if not (isinstance(column, Column) and table.plugin_type is None
-            and field is not None and field.ftype == FieldType.POINT
-            and column.name == field.name
+    if not (isinstance(column, Column) and _is_point_table(table)
+            and column.name == table.geometry_column
             and isinstance(centre, Literal)
             and isinstance(centre.value, Point)):
         return False
@@ -500,92 +506,139 @@ _CIRCLE_BOXES = {"st_distance_m": _haversine_box,
                  "st_distance": _planar_box}
 
 
-def _is_temporal(conjunct: Expr, time_names: set[str],
+def _is_temporal(conjunct: Expr, time_columns: tuple[str, ...],
                  preds: _ScanPredicates) -> bool:
-    if isinstance(conjunct, Between) and \
-            isinstance(conjunct.operand, Column) and \
-            conjunct.operand.name in time_names and \
-            isinstance(conjunct.low, Literal) and \
-            isinstance(conjunct.high, Literal):
-        low = float(conjunct.low.value)
-        high = float(conjunct.high.value)
-        preds.t_min = low if preds.t_min is None else max(preds.t_min, low)
-        preds.t_max = high if preds.t_max is None else min(preds.t_max,
-                                                           high)
+    """A bound on the start of the table's time extent.
+
+    On a one-column extent (an instant) ``BETWEEN`` is exactly the
+    window and a comparison stays residual too, since the window is
+    closed.  On a two-column extent a bound on the start column only
+    narrows the window (an extent that starts in it overlaps it), so it
+    always stays residual; a bound on the end column is not pushed.
+    """
+    if not time_columns:
+        return False
+    start = time_columns[0]
+    exact = len(time_columns) == 1
+    if isinstance(conjunct, Between) and _is_column(conjunct.operand, start):
+        low, high = _time_value(conjunct.low), _time_value(conjunct.high)
+        if low is None or high is None:
+            return False
+        _narrow_time(preds, low, high)
+        (preds.windowed if exact else preds.residual).append(conjunct)
         return True
     if isinstance(conjunct, BinaryOp) and \
             conjunct.op in ("<", "<=", ">", ">=") and \
-            isinstance(conjunct.left, Column) and \
-            conjunct.left.name in time_names and \
-            isinstance(conjunct.right, Literal):
-        value = float(conjunct.right.value)
+            _is_column(conjunct.left, start):
+        value = _time_value(conjunct.right)
+        if value is None:
+            return False
         if conjunct.op in (">", ">="):
-            preds.t_min = value if preds.t_min is None else \
-                max(preds.t_min, value)
+            _narrow_time(preds, value, None)
         else:
-            preds.t_max = value if preds.t_max is None else \
-                min(preds.t_max, value)
-        # Keep as residual too: the index range is closed while the
-        # original predicate may be strict.
+            _narrow_time(preds, None, value)
         preds.residual.append(conjunct)
         return True
     return False
 
 
-def _is_knn(conjunct: Expr, geom_names: set[str],
+def _is_column(expr: Expr, name: str | None) -> bool:
+    return isinstance(expr, Column) and expr.name == name
+
+
+def _time_value(expr: Expr) -> float | None:
+    """A literal time bound as a finite number, else ``None``."""
+    if not isinstance(expr, Literal) or isinstance(expr.value, bool) or \
+            not isinstance(expr.value, (int, float)):
+        return None
+    value = float(expr.value)
+    return value if math.isfinite(value) else None
+
+
+def _narrow_time(preds: _ScanPredicates, low: float | None,
+                 high: float | None) -> None:
+    if low is not None:
+        preds.t_min = low if preds.t_min is None else max(preds.t_min, low)
+    if high is not None:
+        preds.t_max = high if preds.t_max is None else \
+            min(preds.t_max, high)
+
+
+def _is_knn(conjunct: Expr, geometry: str | None,
             preds: _ScanPredicates) -> bool:
+    """``geom IN st_KNN(st_makePoint(lng, lat), k)``: one per scan, with
+    literal arguments; the k-NN set is taken over the whole table and
+    every other conjunct filters it."""
     if not (isinstance(conjunct, InFunc)
-            and isinstance(conjunct.operand, Column)
-            and conjunct.operand.name in geom_names
+            and _is_column(conjunct.operand, geometry)
             and conjunct.func.name == "st_knn"
             and len(conjunct.func.args) == 2):
         return False
     point_arg, k_arg = conjunct.func.args
     if not (isinstance(point_arg, Literal)
             and isinstance(point_arg.value, Point)
-            and isinstance(k_arg, Literal)):
+            and isinstance(k_arg, Literal)
+            and isinstance(k_arg.value, int)
+            and not isinstance(k_arg.value, bool)):
         raise ExecutionError("st_KNN expects (st_makePoint(lng, lat), k) "
-                             "with literal arguments")
-    preds.knn = (point_arg.value, int(k_arg.value))
+                             "with literal arguments and an integer k")
+    if preds.knn is not None:
+        raise ExecutionError("a scan takes one st_KNN predicate")
+    preds.knn = (point_arg.value, k_arg.value)
     return True
+
+
+def _equality(conjunct: Expr) -> tuple[str, object] | None:
+    """``column = literal`` (either way round) as ``(column, value)``."""
+    if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
+        return None
+    left, right = conjunct.left, conjunct.right
+    if isinstance(right, Column) and isinstance(left, Literal):
+        left, right = right, left
+    if isinstance(left, Column) and isinstance(right, Literal):
+        return left.name, right.value
+    return None
 
 
 def _is_attribute(conjunct: Expr, table,
                   preds: _ScanPredicates) -> bool:
-    """Equality on a field with a secondary attribute index.
+    """Equality on a field with a secondary attribute index, to a
+    string or a number.
 
     The conjunct also stays in the residual list: when a stronger access
     path (spatio-temporal ranges) serves the scan, the equality is
     enforced per row instead.
     """
-    indexed = getattr(table, "attribute_indexes", {})
-    if not indexed or preds.attr is not None:
+    equality = _equality(conjunct)
+    if equality is None or preds.attr is not None:
         return False
-    if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
-        left, right = conjunct.left, conjunct.right
-        if isinstance(right, Column) and isinstance(left, Literal):
-            left, right = right, left
-        if isinstance(left, Column) and left.name in indexed and \
-                isinstance(right, Literal) and right.value is not None:
-            preds.attr = (left.name, right.value)
-            preds.residual.append(conjunct)
-            return True
-    return False
+    name, value = equality
+    if name not in table.attribute_indexes or isinstance(value, bool) or \
+            not isinstance(value, (str, int, float)):
+        return False
+    preds.attr = equality
+    preds.residual.append(conjunct)
+    return True
 
 
-def _is_fid(conjunct: Expr, pk_name: str | None,
-            preds: _ScanPredicates) -> bool:
-    if pk_name is None:
+#: Primary key type -> the literal types its feature ids are spelled by.
+_KEY_LITERALS = {FieldType.STRING: str, FieldType.INTEGER: int,
+                 FieldType.LONG: int}
+
+
+def _is_fid(conjunct: Expr, pk, preds: _ScanPredicates) -> bool:
+    """The first ``pk = literal`` whose literal spells a stored feature
+    id (an ``int`` for an integer key, a ``str`` for a string one)."""
+    equality = _equality(conjunct)
+    if equality is None or pk is None or preds.fid is not None:
         return False
-    if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
-        left, right = conjunct.left, conjunct.right
-        if isinstance(right, Column) and isinstance(left, Literal):
-            left, right = right, left
-        if isinstance(left, Column) and left.name == pk_name and \
-                isinstance(right, Literal):
-            preds.fid = right.value
-            return True
-    return False
+    name, value = equality
+    if name != pk.name or isinstance(value, bool) or \
+            not isinstance(value, _KEY_LITERALS.get(pk.ftype, ())):
+        return False
+    preds.fid = value
+    preds.keyed.append(conjunct)
+    return True
 
 
 # -- projections (including 1-N and N-M operations) ------------------------------
@@ -701,11 +754,11 @@ def _execute_dbscan(plan: ProjectNode, child: DataFrame, nm_item,
 
 def _execute_aggregate(plan: AggregateNode, engine, job,
                        ctx=None) -> DataFrame:
-    """Hash aggregation folding column-major batches directly.
+    """Hash aggregation over column-major batches.
 
     Group keys and aggregate inputs are evaluated once per batch as
-    whole columns, then :func:`fold_batch` folds each group's run of
-    them — the fold ``DataFrame.group_by`` runs too.
+    whole columns, added to the batch under their output names, and
+    :meth:`DataFrame.group_by` folds each group's run of them.
     """
     child = execute_plan(plan.child, engine, job, ctx)
     extra = _extra_functions(engine)
@@ -723,24 +776,25 @@ def _execute_aggregate(plan: AggregateNode, engine, job,
             specs.append(factory(f"__agg_in_{output}", output))
             agg_exprs.append(call.args[0])
 
-    batches = child.to_batches()
-    groups: dict[tuple, list] = {}
-    total = 0
-    for batch in batches:
-        total += len(batch)
+    inputs = [*plan.group_exprs,
+              *((e, s.column) for e, s in zip(agg_exprs, specs)
+                if e is not None)]
+    batches = []
+    for batch in child.to_batches():
         _count_batch(metrics)
-        fold_batch(groups,
-                   [eval_expr_batch(expr, batch, extra)
-                    for expr, _name in plan.group_exprs],
-                   [None if e is None else eval_expr_batch(e, batch, extra)
-                    for e in agg_exprs],
-                   specs, len(batch))
-    job.charge_cpu_batch(total, len(batches), us_per_record=0.8)
-
-    group_names = [name for _e, name in plan.group_exprs]
-    # One row per group: a single batch, however many the input had.
-    return DataFrame.from_rows(group_rows(groups, group_names, specs),
-                               group_names + [s.output for s in specs], 1)
+        # Every input is evaluated before any is added: an output name
+        # may shadow a column another expression reads.
+        values = [eval_expr_batch(expr, batch, extra)
+                  for expr, _name in inputs]
+        for (_expr, name), column in zip(inputs, values):
+            batch = batch.with_column(name, column)
+        batches.append(batch)
+    job.charge_cpu_batch(sum(map(len, batches)), len(batches),
+                         us_per_record=0.8)
+    columns = list(dict.fromkeys(
+        [*child.columns, *(name for _e, name in inputs)]))
+    return DataFrame(batches, columns).group_by(
+        [name for _e, name in plan.group_exprs], specs)
 
 
 def _execute_sort(plan: SortNode, engine, job, ctx=None) -> DataFrame:

@@ -8,9 +8,8 @@ substrate and the continuous-query layer on top of it:
   mapping events through a LOAD-style CONFIG into a stored table.
 * :mod:`~repro.streaming.watermark` — bounded-out-of-orderness
   event-time watermarks.
-* :mod:`~repro.streaming.window` — tumbling/sliding windows with
-  commutative aggregates, finalized exactly once when the watermark
-  passes (including curve-cell heatmap keys).
+* :mod:`~repro.streaming.window` — tumbling windows with commutative
+  aggregates, finalized exactly once when the watermark passes.
 * :mod:`~repro.streaming.views` — incrementally-maintained
   materialized views, registered in the catalog and queryable in SQL.
 * :mod:`~repro.streaming.alerts` — geofence enter/exit alerting joined
@@ -27,15 +26,9 @@ from repro.streaming.watermark import WatermarkTracker
 from repro.streaming.window import (
     Avg,
     Count,
-    Max,
-    Min,
-    SlidingWindows,
-    Sum,
     TumblingWindows,
     WindowedAggregator,
     batch_aggregate,
-    cell_envelope,
-    curve_cell_key,
 )
 
 __all__ = [
@@ -43,16 +36,10 @@ __all__ = [
     "StreamLoader",
     "WatermarkTracker",
     "TumblingWindows",
-    "SlidingWindows",
     "WindowedAggregator",
     "batch_aggregate",
     "Count",
-    "Sum",
     "Avg",
-    "Min",
-    "Max",
-    "curve_cell_key",
-    "cell_envelope",
     "MaterializedView",
     "GeofenceAlert",
     "GeofenceAlerter",

@@ -53,11 +53,6 @@ class WatermarkTracker:
             self.max_event_time = float(event_time)
         return self.watermark
 
-    def is_late(self, event_time: float) -> bool:
-        """True if an event at ``event_time`` is behind the watermark."""
-        wm = self.watermark
-        return wm is not None and event_time < wm
-
     def snapshot(self) -> dict:
         return {"watermark": self.watermark,
                 "max_event_time": self.max_event_time,

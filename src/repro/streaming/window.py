@@ -6,23 +6,13 @@ watermark passes a window's end — only then is the window finalized and
 emitted, exactly once.  Late events (behind an already-finalized
 window) are counted and dropped, never re-opening emitted results.
 
-Two window assigners:
-
-* :class:`TumblingWindows` — back-to-back ``[k*size, (k+1)*size)``
-  intervals; every event lands in exactly one.
-* :class:`SlidingWindows` — ``size``-long windows starting every
-  ``slide``; an event lands in ``ceil(size / slide)`` of them.
-
-Aggregates (:class:`Count` / :class:`Sum` / :class:`Avg` /
-:class:`Min` / :class:`Max`) are commutative and associative, so the
-finalized output of a watermarked stream is *exactly* equal to a cold
-batch recomputation over the same events — the parity property the
-tests and the ``streaming`` scenario assert.
-
-Spatial heatmaps fall out of the key function: :func:`curve_cell_key`
-keys events by their reduced-precision Z2 curve cell, so a windowed
-``Count`` per key is a space-time heatmap; :func:`cell_envelope` maps a
-cell id back to its lng/lat rectangle for rendering.
+The window assigner, :class:`TumblingWindows`, cuts event time into
+back-to-back ``[k*size, (k+1)*size)`` intervals; every event lands in
+exactly one.  The aggregates (:class:`Count` / :class:`Avg`) are
+commutative and associative, so the finalized output of a watermarked
+stream is *exactly* equal to a cold batch recomputation over the same
+events — the parity property the tests and the ``streaming`` scenario
+assert.
 """
 
 from __future__ import annotations
@@ -30,9 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.curves.zorder import Dimension, deinterleave2, interleave2
 from repro.errors import ExecutionError
-from repro.geometry.envelope import Envelope
 
 Window = tuple[float, float]  # [start, end) in epoch seconds
 
@@ -55,31 +43,6 @@ class TumblingWindows:
         return [(start, start + self.size_s)]
 
 
-@dataclass(frozen=True)
-class SlidingWindows:
-    """``size_s``-long windows, one starting every ``slide_s`` seconds."""
-
-    size_s: float
-    slide_s: float
-
-    def __post_init__(self):
-        if self.size_s <= 0 or self.slide_s <= 0:
-            raise ExecutionError("window size and slide must be > 0")
-        if self.slide_s > self.size_s:
-            raise ExecutionError(
-                "slide larger than size leaves gaps between windows")
-
-    def assign(self, event_time: float) -> list[Window]:
-        last_start = math.floor(event_time / self.slide_s) * self.slide_s
-        out: list[Window] = []
-        start = last_start
-        while start > event_time - self.size_s:
-            out.append((start, start + self.size_s))
-            start -= self.slide_s
-        out.reverse()
-        return out
-
-
 # -- aggregate functions -----------------------------------------------------
 # Each aggregate is a tiny fold: initial() -> state, step(state, row) ->
 # state, final(state) -> value.  All are commutative over rows, which is
@@ -96,24 +59,10 @@ class Count:
         return state
 
 
-class _FieldAgg:
+class Avg:
     def __init__(self, field: str):
         self.field = field
 
-
-class Sum(_FieldAgg):
-    def initial(self):
-        return 0.0
-
-    def step(self, state, row):
-        value = row.get(self.field)
-        return state if value is None else state + float(value)
-
-    def final(self, state):
-        return state
-
-
-class Avg(_FieldAgg):
     def initial(self):
         return (0, 0.0)
 
@@ -126,58 +75,6 @@ class Avg(_FieldAgg):
     def final(self, state):
         count, total = state
         return None if count == 0 else total / count
-
-
-class Min(_FieldAgg):
-    def initial(self):
-        return None
-
-    def step(self, state, row):
-        value = row.get(self.field)
-        if value is None:
-            return state
-        return value if state is None else min(state, value)
-
-    def final(self, state):
-        return state
-
-
-class Max(Min):
-    def step(self, state, row):
-        value = row.get(self.field)
-        if value is None:
-            return state
-        return value if state is None else max(state, value)
-
-
-# -- spatial keys ------------------------------------------------------------
-
-def curve_cell_key(geom_field: str = "geom", bits: int = 12):
-    """Key function: the event's reduced-precision Z2 curve cell.
-
-    ``bits`` bits per axis ⇒ a ``2^bits × 2^bits`` global grid (12 bits
-    ≈ 8.8 km cells at the equator).  Windowed ``Count`` keyed by this is
-    a space-time heatmap on the same curve the storage indexes use.
-    """
-    lng_dim = Dimension(-180.0, 180.0, bits)
-    lat_dim = Dimension(-90.0, 90.0, bits)
-
-    def key(row: dict) -> int:
-        geom = row[geom_field]
-        return interleave2(lng_dim.normalize(geom.lng),
-                           lat_dim.normalize(geom.lat))
-
-    return key
-
-
-def cell_envelope(cell: int, bits: int = 12) -> Envelope:
-    """The lng/lat rectangle of a :func:`curve_cell_key` cell id."""
-    lng_dim = Dimension(-180.0, 180.0, bits)
-    lat_dim = Dimension(-90.0, 90.0, bits)
-    xi, yi = deinterleave2(cell)
-    lng_lo, lng_hi = lng_dim.denormalize(xi)
-    lat_lo, lat_hi = lat_dim.denormalize(yi)
-    return Envelope(lng_lo, lat_lo, lng_hi, lat_hi)
 
 
 # -- the windowed aggregation operator ---------------------------------------
@@ -198,18 +95,11 @@ class WindowedAggregator:
 
     def __init__(self, windows, aggregates: dict,
                  key_fields: tuple[str, ...] = (),
-                 key_fn=None, key_columns=None,
                  time_field: str = "time", time_fn=None):
         self.windows = windows
         self._agg_names = list(aggregates)
         self._aggs = [aggregates[name] for name in self._agg_names]
-        if key_fn is not None:
-            self._key_fn = key_fn
-            self.key_columns = tuple(key_columns) if key_columns else ("key",)
-        else:
-            names = tuple(key_fields)
-            self._key_fn = lambda row: tuple(row.get(n) for n in names)
-            self.key_columns = names
+        self.key_columns = tuple(key_fields)
         self.time_fn = time_fn or (lambda row: float(row[time_field]))
         self._open: dict[Window, dict] = {}
         self._finalized_up_to = -math.inf
@@ -225,12 +115,9 @@ class WindowedAggregator:
     def open_windows(self) -> int:
         return len(self._open)
 
-    def _as_key(self, key) -> tuple:
-        return key if isinstance(key, tuple) else (key,)
-
     def add(self, row: dict) -> None:
         event_time = self.time_fn(row)
-        key = self._as_key(self._key_fn(row))
+        key = tuple(row.get(name) for name in self.key_columns)
         for window in self.windows.assign(event_time):
             if window[1] <= self._finalized_up_to:
                 self.late_dropped += 1

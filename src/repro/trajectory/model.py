@@ -163,6 +163,13 @@ class STSeries:
         # envelope's: nothing for the constructor to coerce or find.
         return LineString.from_columns(*self._lnglat(), self.envelope)
 
+    def intersects_envelope(self, envelope: Envelope) -> bool:
+        """Does the path meet ``envelope``?  Its one fix, or the polyline
+        through its fixes, as the trajectory table's exact filter has it."""
+        if len(self) == 1:
+            return envelope.contains_point(self[0].lng, self[0].lat)
+        return self.as_linestring().intersects_envelope(envelope)
+
     def length_m(self) -> float:
         """Travelled distance in metres."""
         points = self.points

@@ -8,6 +8,7 @@ import pytest
 
 from repro import JustEngine, Point, Schema, Field, FieldType
 from repro.datagen import generate_order_dataset, generate_traj_dataset
+from repro.sql.parser import _Parser
 
 POI_SCHEMA_FIELDS = [
     Field("fid", FieldType.INTEGER, primary_key=True),
@@ -36,6 +37,14 @@ def all_rows(table) -> list[dict]:
     batches, flattened."""
     return [row for batch in table.full_scan_batches()
             for row in batch.iter_rows()]
+
+
+def parse_expression(text: str):
+    """``text`` parsed as one JustQL expression and nothing more."""
+    parser = _Parser(text)
+    expr = parser._parse_expr()
+    parser.expect_end()
+    return expr
 
 
 def cache_state(caches):

@@ -620,6 +620,19 @@ def rate_per_s_reference(points) -> float:
     return increase_reference(points) / (elapsed_ms / 1000.0)
 
 
+def retained(series, tier: int) -> list[tuple[float, float]]:
+    """A ``Series``' retained ``(ts, value)`` points in one tier."""
+    ring = series.rings[tier]
+    return list(zip(ring.ts[ring.first:], ring.values[ring.first:]))
+
+
+def window_points(series, start_ms=None, end_ms=None, baseline=False):
+    """The ``(ts, value)`` points a ``Series`` window query reads."""
+    ring, lo, hi = series._span(start_ms, end_ms, baseline)
+    return [] if ring is None else list(zip(ring.ts[lo:hi],
+                                            ring.values[lo:hi]))
+
+
 class SeriesReference:
     """``Series``: tiered ``deque`` rings of ``(ts, value)`` tuples."""
 

@@ -388,7 +388,7 @@ class TestIntrospection:
 
     def test_sys_balancer_exposes_decision_history(self):
         engine = JustEngine()
-        assert engine.system_rows("sys.balancer") == []
+        assert engine.sql("SELECT * FROM sys.balancer").rows == []
         balancer = engine.enable_balancer(
             BalancerPolicy(imbalance_ratio=1.1))
         for i, writes in enumerate((300, 60)):
@@ -397,7 +397,7 @@ class TestIntrospection:
             region.server = 0
             heat(region, writes, engine.store.events.now_ms)
         balancer.tick()
-        rows = engine.system_rows("sys.balancer")
+        rows = engine.sql("SELECT * FROM sys.balancer").rows
         assert rows and rows[0]["action"] == "move"
         assert rows[0]["src_server"] != rows[0]["dest_server"]
 

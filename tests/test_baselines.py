@@ -12,12 +12,7 @@ from repro.baselines import (
     STHadoop,
     feature_table,
 )
-from repro.baselines.base import (
-    Item,
-    items_from_orders,
-    items_from_trajectories,
-)
-from repro.baselines.registry import features_of
+from repro.baselines.base import items_from_orders, items_from_trajectories
 from repro.cluster import Cluster
 from repro.errors import (
     SimulatedOutOfMemoryError,
@@ -108,24 +103,6 @@ class TestCapabilities:
         with pytest.raises(UnsupportedOperationError):
             system.st_range_query(QUERY, 0.0, 1.0)
 
-    def test_st_hadoop_historical_append_rejected(self, traj_items):
-        system = STHadoop(big_cluster())
-        system.load(traj_items)
-        historical = Item("old", traj_items[0].envelope,
-                          traj_items[0].t_min - 86400 * 900,
-                          traj_items[0].t_min - 86400 * 900, 64)
-        with pytest.raises(UnsupportedOperationError):
-            system.append_future([historical])
-
-    def test_st_hadoop_future_append_accepted(self, traj_items):
-        system = STHadoop(big_cluster())
-        system.load(traj_items)
-        future = Item("new", traj_items[0].envelope,
-                      max(i.t_max for i in traj_items) + 86400 * 10,
-                      max(i.t_max for i in traj_items) + 86400 * 10, 64)
-        system.append_future([future])
-        assert any(i.fid == "new" for i in system.items)
-
 
 class TestCostShapes:
     def test_hadoop_queries_dominated_by_job_launch(self, order_items):
@@ -208,9 +185,6 @@ class TestRegistry:
         just = rows[0]
         assert just["data_update"] == "Yes"
         assert just["s_or_st"] == "S/ST"
-        sthadoop = features_of("st-hadoop")
-        assert sthadoop.data_update == "Limited"
+        sthadoop = next(r for r in rows if r["system"] == "ST-Hadoop")
+        assert sthadoop["data_update"] == "Limited"
 
-    def test_unknown_system(self):
-        with pytest.raises(KeyError):
-            features_of("Oracle")

@@ -20,6 +20,16 @@ class TestSplitStatements:
     def test_empty(self):
         assert split_statements(" ;  ; ") == []
 
+    def test_comments_are_skipped_quotes_and_all(self):
+        assert split_statements(
+            "-- the circle's box; and more\nSHOW TABLES;\n"
+            "SELECT '--not; a comment' FROM t; -- it's done\n") == \
+            ["SHOW TABLES", "SELECT '--not; a comment' FROM t"]
+
+    def test_doubled_quotes_and_an_unterminated_string(self):
+        assert split_statements("SELECT 'it''s; fine'; SELECT 'open;") \
+            == ["SELECT 'it''s; fine'", "SELECT 'open;"]
+
 
 class TestFormatResult:
     def test_status_message(self):
@@ -115,6 +125,30 @@ class TestMain:
         assert main(["--script", str(script)], out=out) == 1
         assert "error: st_DBSCAN" in out.getvalue()
         assert out.getvalue().rstrip().endswith("(1 rows)")
+
+    def test_script_with_an_apostrophe_in_a_comment(self, tmp_path):
+        script = tmp_path / "comment.sql"
+        script.write_text("-- the circle's box\nSHOW TABLES;\nSHOW VIEWS;\n")
+        out = io.StringIO()
+        assert main(["--script", str(script)], out=out) == 0
+        assert out.getvalue().count("(0 rows)") == 2
+
+    def test_interactive_runs_every_statement_on_a_line(self):
+        out = io.StringIO()
+        Shell(out=out).interact(stdin=io.StringIO(
+            "SHOW TABLES; SHOW VIEWS;\nquit\n"))
+        text = out.getvalue()
+        assert text.count("(0 rows)") == 2 and "error" not in text
+
+    def test_interactive_string_keeps_a_semicolon_across_lines(self):
+        out = io.StringIO()
+        Shell(out=out).interact(stdin=io.StringIO(
+            "CREATE TABLE t (fid integer:primary key, geom point, s string);"
+            "\nINSERT INTO t VALUES (1, st_makePoint(1, 2), 'a;\n"
+            "b');\nSELECT s FROM t;\n"))
+        text = out.getvalue()
+        assert "error" not in text
+        assert "a;\nb" in text
 
     def test_interactive_loop(self, monkeypatch):
         out = io.StringIO()

@@ -230,11 +230,8 @@ class TestGroupBy:
         aggregates=_aggregates, partitions=st.integers(1, 5))
     def test_equals_the_row_fold(self, rows, keys, aggregates, partitions):
         df = DataFrame.from_rows(rows, ["g", "h", "v", "w"], partitions)
-        # The output frame deals its rows over the input's partitions.
-        expected = DataFrame.from_rows(
-            group_by_reference(df.collect(), keys, aggregates),
-            keys + [output for _n, _c, output in aggregates],
-            df.num_partitions).collect()
+        # One output batch, groups in first-seen order.
+        expected = group_by_reference(df.collect(), keys, aggregates)
         got = df.group_by(keys, _specs(aggregates)).collect()
         assert exact_rows(got) == exact_rows(expected)
 
@@ -250,7 +247,7 @@ class TestGroupBy:
                           "lo": None, "hi": None}
         assert df.group_by([], _specs(aggregates)).collect() == \
             group_by_reference(df.collect(), [], aggregates)
-        empty = DataFrame.empty(["g", "v"])
+        empty = DataFrame([], ["g", "v"])
         assert empty.group_by(["g"], _specs(aggregates)).collect() == []
         assert empty.group_by([], _specs(aggregates)).collect() == []
 

@@ -99,19 +99,6 @@ class TestAttributeIndexMaintenance:
         assert not any(r["fid"] == victim
                        for r in table.attribute_query("name", "poi2"))
 
-    def test_range_query_numeric(self):
-        engine = JustEngine()
-        from repro.core.schema import Field, FieldType
-        engine.create_table("t", Schema([
-            Field("fid", FieldType.INTEGER, primary_key=True),
-            Field("score", FieldType.DOUBLE),
-        ]), userdata={"just.attribute.indices": "score"})
-        engine.table("t").insert_rows(
-            [{"fid": i, "score": float(i)} for i in range(50)])
-        rows = engine.table("t").attribute_range_query("score", 10.0,
-                                                       19.5)
-        assert sorted(r["fid"] for r in rows) == list(range(10, 20))
-
 
 class TestTrajMesaIdQuery:
     def test_trajectories_of(self):
@@ -120,7 +107,7 @@ class TestTrajMesaIdQuery:
         trajs = generate_traj_dataset(30, 40, seed=3)
         table.insert_trajectories(trajs)
         oid = trajs[5].oid
-        got = table.trajectories_of(oid)
+        got = table.attribute_query("oid", oid)
         expected = sorted(t.tid for t in trajs if t.oid == oid)
         assert sorted(r["tid"] for r in got) == expected
         assert all(r["item"].oid == oid for r in got)

@@ -219,11 +219,6 @@ class TestViews:
         with pytest.raises(TableNotFoundError):
             engine.view("v")
 
-    def test_expire_views(self, engine):
-        engine.create_view("v", DataFrame.from_rows([{"a": 1}]))
-        assert engine.expire_views(max_idle_seconds=-1.0) == ["v"]
-        assert not engine.has_view("v")
-
     def test_store_view_infers_schema(self, poi_engine):
         poi_engine.create_view("v", DataFrame.from_rows(
             [{"name": "a", "score": 1.5}, {"name": "b", "score": 2.5}]))
@@ -258,12 +253,6 @@ class TestQueries:
         result = poi_engine.knn("poi", 116.25, 39.9, 7)
         assert len(result.rows) == 7
         assert "areas_queried" in result.extra
-
-    def test_query_result_dataframe(self, poi_engine):
-        result = poi_engine.spatial_range_query(
-            "poi", Envelope(116.0, 39.8, 116.5, 40.1))
-        df = result.dataframe()
-        assert df.count() == len(result.rows)
 
 
 class TestLoad:

@@ -8,8 +8,6 @@ from repro.core.loader import (
     load_csv,
     load_file,
     load_geojson,
-    load_gpx,
-    load_kml,
 )
 from repro.errors import ExecutionError
 from repro.geometry import LineString, Point, Polygon
@@ -79,38 +77,6 @@ class TestFileLoaders:
         path.write_text('{"type": "Feature"}')
         with pytest.raises(ExecutionError):
             load_geojson(path)
-
-    def test_gpx(self, tmp_path):
-        path = tmp_path / "track.gpx"
-        path.write_text("""<?xml version="1.0"?>
-<gpx xmlns="http://www.topografix.com/GPX/1/1">
- <trk><trkseg>
-  <trkpt lon="116.30" lat="39.90">
-    <time>2014-03-01T00:00:00Z</time></trkpt>
-  <trkpt lon="116.31" lat="39.91">
-    <time>2014-03-01T00:00:30Z</time></trkpt>
- </trkseg></trk>
-</gpx>""")
-        rows = load_gpx(path)
-        assert len(rows) == 2
-        assert rows[0]["lng"] == 116.30
-        assert rows[1]["time"] - rows[0]["time"] == 30.0
-        assert rows[0]["track"] == "1"
-
-    def test_kml(self, tmp_path):
-        path = tmp_path / "places.kml"
-        path.write_text("""<?xml version="1.0"?>
-<kml xmlns="http://www.opengis.net/kml/2.2"><Document>
- <Placemark><name>spot</name>
-   <Point><coordinates>116.3,39.9,0</coordinates></Point>
- </Placemark>
- <Placemark><name>road</name>
-   <LineString><coordinates>0,0 1,1 2,1</coordinates></LineString>
- </Placemark>
-</Document></kml>""")
-        rows = load_kml(path)
-        assert rows[0] == {"name": "spot", "geometry": Point(116.3, 39.9)}
-        assert isinstance(rows[1]["geometry"], LineString)
 
     def test_load_file_dispatch(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -317,12 +317,6 @@ class TestScanAccounting:
 
 
 class TestViewTable:
-    def test_touch_updates_recency(self):
-        view = ViewTable("v", DataFrame.from_rows([{"a": 1}]))
-        before = view.last_used_at
-        view.touch()
-        assert view.last_used_at >= before
-
     def test_describe(self):
         view = ViewTable("v", DataFrame.from_rows([{"a": 1, "b": 2}]))
         assert [r["field"] for r in view.describe()] == ["a", "b"]

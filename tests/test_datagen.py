@@ -107,5 +107,3 @@ class TestStatistics:
         assert synthetic.num_points == pytest.approx(2 * traj.num_points,
                                                      rel=0.01)
         assert traj.raw_size_bytes > 0
-        row = traj.as_row()
-        assert row["dataset"] == "Traj" and row["raw_mb"] > 0

@@ -1,18 +1,10 @@
-"""GeoHash encoding/decoding."""
+"""GeoHash encoding."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import GeometryError
-from repro.geometry import Envelope
-from repro.geometry.distance import haversine_distance_m
-from repro.geometry.geohash import (
-    cover_envelope,
-    decode,
-    decode_envelope,
-    encode,
-    neighbors,
-)
+from repro.geometry.geohash import encode
 
 lngs = st.floats(-180, 180, allow_nan=False)
 lats = st.floats(-90, 90, allow_nan=False)
@@ -24,33 +16,13 @@ class TestKnownValues:
         assert encode(-5.6, 42.6, 5) == "ezs42"
         assert encode(112.5584, 37.8324, 9) == "ww8p1r4t8"
 
-    def test_decode_reference(self):
-        lng, lat = decode("ezs42")
-        assert lng == pytest.approx(-5.6, abs=0.05)
-        assert lat == pytest.approx(42.6, abs=0.05)
-
 
 class TestRoundtrip:
-    @given(lng=lngs, lat=lats)
-    def test_decode_cell_contains_point(self, lng, lat):
-        cell = decode_envelope(encode(lng, lat, 7))
-        assert cell.buffer(1e-9, 1e-9).contains_point(lng, lat)
-
     @given(lng=lngs, lat=lats, precision=st.integers(1, 9))
     def test_prefix_property(self, lng, lat, precision):
         # A longer geohash refines the shorter one.
         assert encode(lng, lat, precision) == \
             encode(lng, lat, 9)[:precision]
-
-    def test_precision7_is_about_150m(self):
-        cell = decode_envelope(encode(116.4, 39.9, 7))
-        width_m = haversine_distance_m(cell.min_lng, cell.min_lat,
-                                       cell.max_lng, cell.min_lat)
-        height_m = haversine_distance_m(cell.min_lng, cell.min_lat,
-                                        cell.min_lng, cell.max_lat)
-        # The paper: "about 150m x 150m grids (GeoHash length 7)".
-        assert 100 < width_m < 200
-        assert 100 < height_m < 200
 
 
 class TestValidation:
@@ -63,33 +35,3 @@ class TestValidation:
     def test_bad_coordinate(self):
         with pytest.raises(GeometryError):
             encode(200, 0)
-
-    def test_bad_characters(self):
-        with pytest.raises(GeometryError):
-            decode("ab!c")
-        with pytest.raises(GeometryError):
-            decode("")
-
-
-class TestNeighborsAndCover:
-    def test_neighbors_are_adjacent(self):
-        center = encode(116.4, 39.9, 6)
-        around = neighbors(center)
-        assert 3 <= len(around) <= 8
-        center_env = decode_envelope(center)
-        for other in around:
-            env = decode_envelope(other)
-            assert env.buffer(1e-9, 1e-9).intersects(
-                center_env.buffer(1e-9, 1e-9))
-
-    def test_cover_envelope(self):
-        env = Envelope(116.40, 39.90, 116.41, 39.91)
-        cells = cover_envelope(env, precision=6)
-        assert cells
-        union = Envelope.union_all([decode_envelope(c) for c in cells])
-        assert union.contains(env)
-
-    def test_cover_cap(self):
-        with pytest.raises(GeometryError):
-            cover_envelope(Envelope(-10, -10, 10, 10), precision=8,
-                           max_cells=16)

@@ -45,10 +45,6 @@ class TestLineString:
         assert line.envelope.as_tuple() == (0, 0, 4, 5)
         assert not line.is_point()
 
-    def test_length(self):
-        line = LineString([(0, 0), (3, 4)])
-        assert line.length_degrees() == pytest.approx(5.0)
-
     def test_exact_intersection_crossing(self):
         # Diagonal line whose envelope overlaps the box but whose
         # geometry passes outside it.
@@ -131,10 +127,6 @@ class TestPolygon:
     def test_closed_ring_deduplicated(self):
         tri = Polygon([(0, 0), (4, 0), (0, 4), (0, 0)])
         assert len(tri.ring) == 3
-
-    def test_area(self):
-        tri = Polygon([(0, 0), (4, 0), (0, 4)])
-        assert tri.area_degrees() == pytest.approx(8.0)
 
     def test_contains_point(self):
         tri = Polygon([(0, 0), (4, 0), (0, 4)])

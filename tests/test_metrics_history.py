@@ -10,15 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import increase_reference, rate_per_s_reference
+from oracles import increase_reference, retained, window_points
 from repro.observability.events import EventLog
 from repro.observability.history import (
     DEFAULT_TIERS,
-    OVER_TIME_FUNCS,
     MetricsHistory,
     MetricsScraper,
     Series,
-    WINDOW_FUNCS,
     suffixed_key,
 )
 from repro.observability.metrics import MetricsRegistry
@@ -29,7 +27,7 @@ from repro.observability.metrics import MetricsRegistry
 def _history(points, kind="counter"):
     history = MetricsHistory()
     for ts, value in points:
-        history.record("c", kind, ts, value)
+        history.record_scrape(ts, [("c", kind, value)])
     return history
 
 
@@ -45,26 +43,14 @@ class TestWindowFunctions:
                                kind)
             assert history.increase("c", 2.0, 2.0) == 7.0
 
-    def test_rate_per_s_uses_elapsed_time(self):
-        history = _history([(0.0, 0.0), (2_000.0, 10.0)])
-        assert history.rate("c", 2_000.0, 2_000.0) == pytest.approx(5.0)
-
-    def test_rate_degenerate_windows_are_zero(self):
-        assert MetricsHistory().rate("c", 10.0, 5.0) == 0.0
-        assert _history([(5.0, 3.0)]).rate("c", 10.0, 5.0) == 0.0
-        assert _history([(5.0, 3.0), (5.0, 9.0)]).rate(
-            "c", 10.0, 5.0) == 0.0
-
     def test_suffixed_key_inserts_before_labels(self):
         assert suffixed_key("h", "count") == "h_count"
         assert suffixed_key("h{op=scan}", "count") == "h_count{op=scan}"
 
-    def test_unknown_function_and_time_travel_are_errors(self):
+    def test_time_travel_is_an_error(self):
         history = _history([(5.0, 3.0)])
-        with pytest.raises(KeyError):
-            history.query("median", "c", 10.0, 5.0)
         with pytest.raises(ValueError):
-            history.record("c", "counter", 4.0, 4.0)
+            history.record_scrape(4.0, [("c", "counter", 4.0)])
 
 
 # -- tiered series ------------------------------------------------------------
@@ -75,28 +61,28 @@ class TestSeries:
                         tiers=((1, 512), (8, 512), (64, 512)))
         for i in range(100):
             series.record(float(i), float(i))
-        assert len(series.tier_points(0)) == 100
-        assert [ts for ts, _ in series.tier_points(1)] == \
+        assert len(retained(series, 0)) == 100
+        assert [ts for ts, _ in retained(series, 1)] == \
             [float(i) for i in range(0, 100, 8)]
-        assert [ts for ts, _ in series.tier_points(2)] == [0.0, 64.0]
+        assert [ts for ts, _ in retained(series, 2)] == [0.0, 64.0]
 
     def test_rings_are_bounded(self):
         series = Series("s", "gauge", tiers=((1, 16), (4, 16)))
         for i in range(1000):
             series.record(float(i), 1.0)
-        assert len(series.tier_points(0)) == 16
-        assert len(series.tier_points(1)) == 16
+        assert len(retained(series, 0)) == 16
+        assert len(retained(series, 1)) == 16
 
     def test_points_prefers_finest_covering_tier(self):
         series = Series("s", "counter", tiers=((1, 8), (4, 64)))
         for i in range(64):
             series.record(float(i), float(i))
         # Recent window: tier 0 still covers it -> every point.
-        recent = series.points(start_ms=58.0, end_ms=63.0)
+        recent = window_points(series, start_ms=58.0, end_ms=63.0)
         assert [ts for ts, _ in recent] == [58.0, 59.0, 60.0,
                                             61.0, 62.0, 63.0]
         # Old window: evicted from tier 0, served at stride-4.
-        old = series.points(start_ms=8.0, end_ms=20.0)
+        old = window_points(series, start_ms=8.0, end_ms=20.0)
         assert [ts for ts, _ in old] == [8.0, 12.0, 16.0, 20.0]
 
     def test_baseline_prepends_sample_entering_the_window(self):
@@ -104,14 +90,14 @@ class TestSeries:
         series.record(0.0, 100.0)
         series.record(1_000.0, 160.0)
         # Window holds one sample; the baseline makes the delta exact.
-        assert series.points(500.0, 1_000.0) == [(1_000.0, 160.0)]
-        assert series.points(500.0, 1_000.0, baseline=True) == \
+        assert window_points(series, 500.0, 1_000.0) == [(1_000.0, 160.0)]
+        assert window_points(series, 500.0, 1_000.0, baseline=True) == \
             [(0.0, 100.0), (1_000.0, 160.0)]
 
     def test_history_short_window_increase_sees_growth(self):
         history = MetricsHistory()
-        history.record("c", "counter", 0.0, 0.0)
-        history.record("c", "counter", 5_000.0, 40.0)
+        history.record_scrape(0.0, [("c", "counter", 0.0)])
+        history.record_scrape(5_000.0, [("c", "counter", 40.0)])
         # 100 ms window holds a single scrape, but the counter grew.
         assert history.increase("c", 100.0, 5_000.0) == 40.0
 
@@ -151,20 +137,14 @@ def _select_points(raw, tiers, start_ms, end_ms, baseline):
     return selected
 
 
-#: The reference walks over a selected point list.
-_REFERENCE_FUNCS = {"increase": increase_reference,
-                    "rate": rate_per_s_reference, **OVER_TIME_FUNCS}
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     deltas=st.lists(st.floats(min_value=0.0, max_value=100.0,
                               allow_nan=False), min_size=2,
                     max_size=120),
-    func=st.sampled_from(sorted(WINDOW_FUNCS)),
     window=st.floats(min_value=10.0, max_value=2_000.0),
 )
-def test_downsampled_query_equals_raw_recompute(deltas, func, window):
+def test_downsampled_query_equals_raw_recompute(deltas, window):
     """Tiering is transparent: the tiered store answers every window
     query exactly as recomputing the same selection from the raw
     stream would — including windows old enough to fall off tier 0.
@@ -174,12 +154,11 @@ def test_downsampled_query_equals_raw_recompute(deltas, func, window):
     raw = _monotone_counter(deltas)
     history = MetricsHistory(tiers)
     for ts, value in raw:
-        history.record("c", "counter", ts, value)
+        history.record_scrape(ts, [("c", "counter", value)])
     now_ms = raw[-1][0]
-    expected = _REFERENCE_FUNCS[func](_select_points(
-        raw, tiers, now_ms - window, now_ms,
-        baseline=func in ("increase", "rate")))
-    assert history.query(func, "c", window, now_ms) == \
+    expected = increase_reference(_select_points(
+        raw, tiers, now_ms - window, now_ms, baseline=True))
+    assert history.increase("c", window, now_ms) == \
         pytest.approx(expected)
 
 
@@ -202,10 +181,9 @@ def test_rate_never_negative_across_counter_resets(segments, window):
         for delta in segment:
             total += delta
             ts += 25.0
-            history.record("c", "counter", ts, total)
+            history.record_scrape(ts, [("c", "counter", total)])
     for now_ms in (ts, ts / 2, window):
         assert history.increase("c", window, now_ms) >= 0.0
-        assert history.rate("c", window, now_ms) >= 0.0
 
 
 # -- the scraper chore --------------------------------------------------------
@@ -235,9 +213,10 @@ class TestMetricsScraper:
         registry.counter("reqs").inc(3)
         registry.gauge("depth").set(7.0)
         scraper.tick()
-        assert scraper.history.get("reqs").kind == "counter"
-        assert scraper.history.get("depth").kind == "gauge"
-        assert scraper.history.get("reqs").tier_points(0)[-1][1] == 3
+        series = scraper.history.series
+        assert series["reqs"].kind == "counter"
+        assert series["depth"].kind == "gauge"
+        assert retained(series["reqs"], 0)[-1][1] == 3
 
     def test_histogram_explodes_into_exact_series(self):
         registry, events, scraper = _scraper()
@@ -245,12 +224,12 @@ class TestMetricsScraper:
         for value in (5.0, 50.0, 500.0):
             histogram.observe(value)
         scraper.tick()
-        history = scraper.history
-        assert history.get("lat_count").tier_points(0)[-1][1] == 3
-        assert history.get("lat_sum").tier_points(0)[-1][1] == 555.0
-        assert history.get("lat_bucket_le_10").tier_points(0)[-1][1] == 1
-        assert history.get("lat_bucket_le_100").tier_points(0)[-1][1] == 2
-        assert history.get("lat_p95") is not None
+        series = scraper.history.series
+        assert retained(series["lat_count"], 0)[-1][1] == 3
+        assert retained(series["lat_sum"], 0)[-1][1] == 555.0
+        assert retained(series["lat_bucket_le_10"], 0)[-1][1] == 1
+        assert retained(series["lat_bucket_le_100"], 0)[-1][1] == 2
+        assert "lat_p95" in series
 
     def test_scrape_charges_the_shared_clock(self):
         registry, events, scraper = _scraper()
@@ -274,23 +253,23 @@ class TestMetricsScraper:
 class TestHistoryRows:
     def test_rows_carry_adjacent_rate(self):
         history = MetricsHistory()
-        history.record("c", "counter", 0.0, 0.0)
-        history.record("c", "counter", 2_000.0, 10.0)
+        history.record_scrape(0.0, [("c", "counter", 0.0)])
+        history.record_scrape(2_000.0, [("c", "counter", 10.0)])
         rows = [r for r in history.rows("c") if r["tier"] == 0]
         assert rows[0]["rate_per_s"] is None
         assert rows[1]["rate_per_s"] == pytest.approx(5.0)
 
     def test_gauge_rows_have_no_rate(self):
         history = MetricsHistory()
-        history.record("g", "gauge", 0.0, 1.0)
-        history.record("g", "gauge", 1_000.0, 2.0)
+        history.record_scrape(0.0, [("g", "gauge", 1.0)])
+        history.record_scrape(1_000.0, [("g", "gauge", 2.0)])
         assert all(r["rate_per_s"] is None for r in history.rows("g"))
 
     def test_rows_filter_by_name_and_start(self):
         history = MetricsHistory()
         for ts in (0.0, 1_000.0, 2_000.0):
-            history.record("a", "gauge", ts, ts)
-            history.record("b", "gauge", ts, ts)
+            history.record_scrape(ts, [("a", "gauge", ts)])
+            history.record_scrape(ts, [("b", "gauge", ts)])
         rows = history.rows("a", start_ms=1_000.0)
         assert {r["name"] for r in rows} == {"a"}
         assert all(r["ts_ms"] >= 1_000.0 for r in rows)
@@ -298,7 +277,7 @@ class TestHistoryRows:
     def test_rows_floor_between_points_keeps_the_predecessor_rate(self):
         history = MetricsHistory()
         for ts, value in ((0.0, 0), (1_000.0, 10), (2_000.0, 30)):
-            history.record("c", "counter", ts, value)
+            history.record_scrape(ts, [("c", "counter", value)])
         rows = [r for r in history.rows("c", start_ms=1_500.0)
                 if r["tier"] == 0]
         assert [(r["ts_ms"], r["rate_per_s"]) for r in rows] == \

@@ -33,6 +33,7 @@ from repro.service.http import JustHttpClient, JustHttpServer
 from repro.service.server import JustServer
 
 from conftest import POI_SCHEMA_FIELDS, T0
+from oracles import retained
 
 
 # -- burn windows -------------------------------------------------------------
@@ -54,7 +55,8 @@ class TestBurnWindows:
 
 def _record_counters(history, ts, **values):
     for name, value in values.items():
-        history.record(name.replace("__", "."), "counter", ts, value)
+        history.record_scrape(
+            ts, [(name.replace("__", "."), "counter", value)])
 
 
 class TestObjectives:
@@ -172,8 +174,8 @@ class TestEvaluationCostAtUptime:
         early = reads_of_one_evaluation()
         scrape_until(3_000)
         late = reads_of_one_evaluation()
-        series = monitor.history.get("server.statements{status=ok}")
-        assert len(series.tier_points(0)) + len(series.tier_points(1)) \
+        series = monitor.history.series["server.statements{status=ok}"]
+        assert len(retained(series, 0)) + len(retained(series, 1)) \
             >= 8 * 100
         assert 0 < early and late < 1.25 * early
 
@@ -329,7 +331,7 @@ class TestMonitoredService:
             engine.monitor.tick()
         key = f"streaming.rows_loaded{{loader={loader.name}}}"
         now_ms = engine.events.now_ms
-        assert engine.monitor.history.rate(key, now_ms, now_ms) > 0
+        assert engine.monitor.history.increase(key, now_ms, now_ms) > 0
         result = engine.sql(
             f"SELECT ts_ms, rate_per_s FROM sys.metrics_history "
             f"WHERE name = '{key}' AND tier = 0 ORDER BY ts_ms")
@@ -346,9 +348,10 @@ class TestMonitoredService:
         engine.sql("INSERT INTO t VALUES (1, st_makePoint(1.0, 2.0))")
         engine.sql("INSERT INTO t VALUES (2, st_makePoint(3.0, 4.0))")
         engine.monitor.tick()
-        series = engine.monitor.history.get("replication.records_shipped")
+        series = engine.monitor.history.series.get(
+            "replication.records_shipped")
         assert series is not None
-        assert series.tier_points(0)[-1][1] > 0
+        assert retained(series, 0)[-1][1] > 0
         result = engine.sql(
             "SELECT value FROM sys.metrics_history "
             "WHERE name = 'replication.records_shipped'")
@@ -363,9 +366,9 @@ class TestMonitoredService:
         engine.sql("INSERT INTO t VALUES (1, st_makePoint(1.0, 2.0))")
         engine.balancer.tick()
         engine.monitor.tick()
-        series = engine.monitor.history.get("balancer.runs")
+        series = engine.monitor.history.series.get("balancer.runs")
         assert series is not None
-        assert series.tier_points(0)[-1][1] >= 1
+        assert retained(series, 0)[-1][1] >= 1
 
     def test_http_monitoring_routes(self):
         server = monitored_service()

@@ -456,7 +456,8 @@ class TestServerObservability:
         assert select.statement == WORKLOAD[-1]
         assert select.user == "alice"
         assert select.sim_ms > 0
-        assert select.operator_spans()  # SELECT traced its operators
+        # SELECT traced its operators.
+        assert any(span.kind == "operator" for _d, span in select.root.walk())
 
     def test_slow_query_log_captures_trace(self):
         server = JustServer(slow_query_ms=0.001)

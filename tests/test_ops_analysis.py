@@ -14,7 +14,7 @@ from repro.ops import (
     traj_segment,
     traj_stay_points,
 )
-from repro.ops.analysis.dbscan import NOISE, cluster_centroids
+from repro.ops.analysis.dbscan import NOISE
 from repro.trajectory import STSeries, Trajectory
 
 
@@ -168,12 +168,6 @@ class TestDBSCAN:
             dbscan([(0, 0)], min_pts=0, radius=1.0)
         with pytest.raises(ValueError):
             dbscan([(0, 0)], min_pts=1, radius=0.0)
-
-    def test_centroids(self):
-        points = [(0.0, 0.0), (2.0, 2.0), (100.0, 100.0)]
-        labels = [0, 0, NOISE]
-        centroids = cluster_centroids(points, labels)
-        assert centroids == {0: (1.0, 1.0)}
 
     def test_empty_input(self):
         assert dbscan([], min_pts=3, radius=1.0) == []

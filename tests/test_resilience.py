@@ -371,13 +371,13 @@ class TestSessionExpiryInterplay:
         client.execute_query("CREATE TABLE t (fid integer:primary key, "
                              "name string, geom point)")
         client.execute_query("CREATE VIEW v AS SELECT fid FROM t")
-        assert server.engine.has_view("alice__v")
+        assert "alice__v" in server.engine.view_names()
         # The session goes stale while the client still holds it; the
         # next statement reconnects, and expiry has dropped the views.
         server.sessions._sessions[client.session_id].touch(now=-1e9)
         rs = client.execute_query("SHOW VIEWS")
         assert rs.rows == []
-        assert not server.engine.has_view("alice__v")
+        assert "alice__v" not in server.engine.view_names()
         assert client.reconnects == 1
 
     def test_reconnect_preserves_namespace_isolation(self):
@@ -392,8 +392,8 @@ class TestSessionExpiryInterplay:
         # After the transparent reconnect alice still sees only hers.
         assert alice.execute_query("SHOW TABLES").rows == \
             [{"table": "t"}]
-        assert server.user_tables("alice") == ["t"]
-        assert server.user_tables("bob") == ["t"]
+        assert server.engine.table_names("alice__") == ["alice__t"]
+        assert server.engine.table_names("bob__") == ["bob__t"]
 
     def test_breaker_state_survives_reconnect(self):
         server = JustServer(session_timeout_s=10.0)

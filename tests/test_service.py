@@ -61,8 +61,8 @@ class TestServer:
         # Same visible name, different physical tables, no collision.
         assert server.execute(alice, "SHOW TABLES").rows == \
             [{"table": "t"}]
-        assert server.user_tables("alice") == ["t"]
-        assert server.user_tables("bob") == ["t"]
+        assert server.engine.table_names("alice__") == ["alice__t"]
+        assert server.engine.table_names("bob__") == ["bob__t"]
 
     def test_shared_engine_across_users(self):
         server = JustServer()
@@ -80,9 +80,9 @@ class TestServer:
                             "name string, geom point)")
         server.engine.insert("alice__t", [])
         server.execute(sid, "CREATE VIEW v AS SELECT fid FROM t")
-        assert server.engine.has_view("alice__v")
+        assert "alice__v" in server.engine.view_names()
         server.disconnect(sid)
-        assert not server.engine.has_view("alice__v")
+        assert "alice__v" not in server.engine.view_names()
 
     def test_stale_session_rejected(self):
         server = JustServer(session_timeout_s=10.0)

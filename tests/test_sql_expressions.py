@@ -6,6 +6,7 @@ import sqlite3
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import parse_expression
 from repro.errors import ExecutionError, ParseError
 from repro.geometry import Envelope, Point
 from repro.sql.ast import (
@@ -24,7 +25,6 @@ from repro.sql.expressions import (
     referenced_columns,
     split_conjuncts,
 )
-from repro.sql.parser import parse_expression
 
 
 def lit(v):

@@ -24,11 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import parse_expression
 from oracles import ReferenceParser, reference_tokenize
 from repro.cli import split_statements
 from repro.errors import ParseError
 from repro.sql.lexer import _MASTER, tokenize
-from repro.sql.parser import _Parser, parse_expression
+from repro.sql.parser import _Parser
 
 ROOT = Path(__file__).resolve().parent.parent
 

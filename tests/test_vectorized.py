@@ -46,7 +46,7 @@ class TestRowBatch:
         assert len(batch) == 3
         assert batch.column("a") == [1, 2, None]
         assert batch.column("b") == ["x", None, "z"]
-        assert batch.to_rows() == [{"a": 1, "b": "x"},
+        assert list(batch.iter_rows()) == [{"a": 1, "b": "x"},
                                    {"a": 2, "b": None},
                                    {"b": "z", "a": None}]
 
@@ -268,7 +268,7 @@ class TestEvalExprBatch:
         with pytest.raises(ExecutionError):
             eval_expr_batch(col("ghost"), batch, {})
         # ... for the rows it has: no rows, nothing evaluated.
-        assert eval_expr_batch(col("ghost"), RowBatch.empty(["a"])) == []
+        assert eval_expr_batch(col("ghost"), RowBatch.from_rows([], ["a"])) == []
 
     def test_literal_broadcasts(self):
         batch = RowBatch.from_rows(MIXED_ROWS, ["a", "b", "s"])
