@@ -24,6 +24,18 @@ def main() -> None:
         table.insert_trajectories(trajs)
         print(f"[ops] loaded {table.row_count} trajectories")
 
+        # ST range on the GPS list: paths that cross a window (the exact
+        # polyline test) and paths that lie wholly inside it (their MBR).
+        cx, cy = table.data_envelope.center
+        box = (f"st_makeMBR({cx - 0.1:.3f}, {cy - 0.1:.3f}, "
+               f"{cx + 0.1:.3f}, {cy + 0.1:.3f})")
+        crossing = ops.execute_query(
+            f"SELECT tid FROM fleet WHERE st_intersects(gps_list, {box})")
+        inside = ops.execute_query(
+            f"SELECT tid FROM fleet WHERE gps_list WITHIN {box}")
+        print(f"[ops] {len(crossing)} trajectories cross the central "
+              f"window, {len(inside)} lie wholly inside it")
+
         # 1-1: noise filtering via SQL.
         rs = ops.execute_query(
             "SELECT tid, st_trajNoiseFilter(item) AS clean FROM fleet "

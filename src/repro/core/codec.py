@@ -11,16 +11,25 @@ both behaviours fall out of real codecs here.
 columns (1e-6 degree ticks, millisecond timestamps — see
 :class:`~repro.trajectory.model.STSeries`), which is byte-efficient on
 its own and leaves the long runs of small deltas that DEFLATE then
-shrinks several-fold.  Every sequence is packed and unpacked with one
-``struct`` call, not one per element.
+shrinks several-fold.  A delta-layout value decodes into one ``array``
+of i32 deltas (one ``frombytes``, byte-swapped on little-endian hosts)
+behind the first sample: the series sums it into columns only when
+asked, and its exact window test runs on the deltas in ticks.  Every
+other sequence is packed and unpacked with one ``struct`` call, not one
+per element.
+
+A stored value shorter than its type or its count says is corrupt, and
+decodes to a :class:`SchemaError`, as a corrupt compressed payload does.
 """
 
 from __future__ import annotations
 
 import gzip as _gzip
 import struct
+import sys
 import zlib
-from itertools import accumulate, chain
+from array import array
+from itertools import chain
 from operator import itemgetter, sub
 
 from repro.errors import SchemaError
@@ -38,6 +47,12 @@ _GEOM_TAGS = {Point: 0, LineString: 1, Polygon: 2}
 _unpack_long = struct.Struct(">q").unpack
 _unpack_double = struct.Struct(">d").unpack
 _unpack_point = struct.Struct(">dd").unpack
+_unpack_count = struct.Struct(">I").unpack_from
+_unpack_first = struct.Struct(">iiq").unpack_from
+#: The ``array`` typecode of a 4-byte signed int, and whether the host
+#: must byte-swap the stored big-endian ones.
+_I32 = next(code for code in "il" if array(code).itemsize == 4)
+_SWAP = sys.byteorder == "little"
 _I32_MIN, _I32_MAX = -(1 << 31), (1 << 31) - 1
 
 
@@ -62,7 +77,10 @@ def read_varint(data: bytes, pos: int) -> tuple[int, int]:
     result = 0
     shift = 0
     while True:
-        byte = data[pos]
+        try:
+            byte = data[pos]
+        except IndexError:
+            raise SchemaError("truncated varint") from None
         pos += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
@@ -120,20 +138,28 @@ def _encode_st_series(series: STSeries) -> bytes:
     return bytes(out)
 
 
+def _truncated(what: str, data: bytes) -> SchemaError:
+    return SchemaError(f"truncated {what} value ({len(data)} bytes)")
+
+
 def _decode_st_series(data: bytes) -> STSeries:
     count, pos = read_varint(data, 0)
     if count == 0:
         return STSeries.from_fixed_point([], [], [])
-    if data[pos] == 0:  # delta layout: first sample, then i32 deltas
-        first = struct.unpack_from(">iiq", data, pos + 1)
-        deltas = struct.unpack_from(">%di" % (3 * (count - 1)), data,
-                                    pos + 17)
-        columns = [list(accumulate(deltas[i::3], initial=first[i]))
-                   for i in range(3)]
-    else:
-        flat = struct.unpack_from(">" + "iiq" * count, data, pos + 1)
-        columns = [list(flat[i::3]) for i in range(3)]
-    return STSeries.from_fixed_point(*columns)
+    layout = data[pos:pos + 1]
+    if layout == b"\x00":  # delta layout: first sample, then i32 deltas
+        end = pos + 17 + 12 * (count - 1)
+        if len(data) < end:
+            raise _truncated("st_series", data)
+        deltas = array(_I32)
+        deltas.frombytes(memoryview(data)[pos + 17:end])
+        if _SWAP:
+            deltas.byteswap()
+        return STSeries.from_deltas(_unpack_first(data, pos + 1), deltas)
+    if not layout or len(data) < pos + 1 + 16 * count:
+        raise _truncated("st_series", data)
+    flat = struct.unpack_from(">" + "iiq" * count, data, pos + 1)
+    return STSeries.from_fixed_point(*(list(flat[i::3]) for i in range(3)))
 
 
 def _encode_pairs(pairs) -> bytes:
@@ -143,7 +169,12 @@ def _encode_pairs(pairs) -> bytes:
 
 
 def _decode_pairs(data: bytes) -> list[tuple[float, float]]:
-    (count,) = struct.unpack_from(">I", data, 0)
+    try:
+        (count,) = _unpack_count(data)
+    except struct.error:
+        raise _truncated("counted", data) from None
+    if len(data) < 4 + 16 * count:
+        raise _truncated("counted", data)
     flat = struct.unpack_from(">%dd" % (2 * count), data, 4)
     return list(zip(flat[0::2], flat[1::2]))
 
@@ -177,17 +208,50 @@ def encode_value(value, ftype: FieldType) -> bytes:
 
 
 def _decode_long(data: bytes) -> int:
-    return _unpack_long(data)[0]
+    try:
+        return _unpack_long(data)[0]
+    except struct.error:
+        raise _truncated("long", data) from None
 
 
 def _decode_double(data: bytes) -> float:
-    return _unpack_double(data)[0]
+    try:
+        return _unpack_double(data)[0]
+    except struct.error:
+        raise _truncated("double", data) from None
+
+
+def _decode_string(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # cut inside a multi-byte char
+        raise SchemaError(f"corrupt string value: {exc}") from None
+
+
+_BOOLEANS = {b"\x01": True, b"\x00": False}
+
+
+def _decode_boolean(data: bytes) -> bool:
+    try:
+        return _BOOLEANS[data]
+    except KeyError:
+        raise _truncated("boolean", data) from None
+
+
+def _decode_point(data: bytes) -> Point:
+    try:
+        return Point(*_unpack_point(data))
+    except struct.error:
+        raise _truncated("point", data) from None
+
+
+_GEOM_TYPES = (FieldType.POINT, FieldType.LINESTRING, FieldType.POLYGON)
 
 
 def _decode_geometry(data: bytes):
-    inner_type = (FieldType.POINT, FieldType.LINESTRING,
-                  FieldType.POLYGON)[data[0]]
-    return _DECODERS[inner_type](data[1:])
+    if not data or data[0] >= len(_GEOM_TYPES):
+        raise _truncated("geometry", data)
+    return _DECODERS[_GEOM_TYPES[data[0]]](data[1:])
 
 
 #: One decoder per field type; :class:`RowCodec` binds them per field
@@ -197,9 +261,9 @@ _DECODERS = {
     FieldType.LONG: _decode_long,
     FieldType.DOUBLE: _decode_double,
     FieldType.DATE: _decode_double,
-    FieldType.STRING: lambda data: data.decode("utf-8"),
-    FieldType.BOOLEAN: lambda data: data == b"\x01",
-    FieldType.POINT: lambda data: Point(*_unpack_point(data)),
+    FieldType.STRING: _decode_string,
+    FieldType.BOOLEAN: _decode_boolean,
+    FieldType.POINT: _decode_point,
     FieldType.LINESTRING: lambda data: LineString(_decode_pairs(data)),
     FieldType.POLYGON: lambda data: Polygon(_decode_pairs(data)),
     FieldType.GEOMETRY: _decode_geometry,
@@ -234,25 +298,28 @@ def _walk(rows, pos: int, steps) -> list:
     prefix: never sliced, decompressed or decoded."""
     values: list = []
     append = values.append
-    for data in rows:
-        at = pos
-        for wanted, decode, compress in steps:
-            flag = data[at]
-            at += 1
-            if flag == _FLAG_NULL:
+    try:
+        for data in rows:
+            at = pos
+            for wanted, decode, compress in steps:
+                flag = data[at]
+                at += 1
+                if flag == _FLAG_NULL:
+                    if wanted:
+                        append(None)
+                    continue
+                length = data[at]
+                at += 1
+                if length >= 0x80:  # a multi-byte varint
+                    length, at = read_varint(data, at - 1)
                 if wanted:
-                    append(None)
-                continue
-            length = data[at]
-            at += 1
-            if length >= 0x80:  # a multi-byte varint
-                length, at = read_varint(data, at - 1)
-            if wanted:
-                payload = data[at:at + length]
-                if flag == _FLAG_COMPRESSED:
-                    payload = decompress_bytes(payload, compress)
-                append(decode(payload))
-            at += length
+                    payload = data[at:at + length]
+                    if flag == _FLAG_COMPRESSED:
+                        payload = decompress_bytes(payload, compress)
+                    append(decode(payload))
+                at += length
+    except IndexError:  # the row ends inside a flag or a length
+        raise SchemaError("truncated row") from None
     return values
 
 

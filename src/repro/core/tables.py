@@ -142,8 +142,8 @@ class CommonTable:
 
     def record_envelope(self, row: dict) -> Envelope | None:
         """MBR of the row's geometry — overridable with a cheaper path
-        than materializing the full geometry (plugin tables filter
-        thousands of rows per query through this)."""
+        than materializing the full geometry (``WITHIN`` and k-NN read
+        it for every row they examine)."""
         geometry = self.record_geometry(row)
         return geometry.envelope if geometry is not None else None
 
@@ -340,16 +340,16 @@ class CommonTable:
             if t_max < query.t_min or t_min > query.t_max:
                 return False
         if query.envelope is not None:
-            envelope = self.record_envelope(row)
-            if envelope is not None:
-                if predicate == "within":
-                    return query.envelope.contains(envelope)
-                if not query.envelope.intersects(envelope):
-                    return False
-                if query.envelope.contains(envelope):
-                    return True  # exact test cannot change the answer
-                geometry = self.record_geometry(row)
-                return geometry.intersects_envelope(query.envelope)
+            if predicate == "within":
+                envelope = self.record_envelope(row)
+                return envelope is None or query.envelope.contains(envelope)
+            # The stored value answers itself, each type with its own
+            # shortcuts; an st_series runs in ticks, never becoming a
+            # line.  NULL, or an empty series (falsy by its length), has
+            # no shape to test.
+            geometry = row.get(self.geometry_column)
+            return not geometry or geometry.intersects_envelope(
+                query.envelope)
         return True
 
     def decorate_columns(self, data: dict[str, list],

@@ -9,12 +9,14 @@ field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.errors import SchemaError
 from repro.geometry.distance import haversine_distance_m
 from repro.geometry.envelope import Envelope
-from repro.geometry.linestring import LineString
+from repro.geometry.linestring import LineString, _segments_intersect
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,15 +43,17 @@ class STSeries:
     """An ordered, time-monotone sequence of GPS samples.
 
     The stored form is fixed point — 1e-6 degree ticks and millisecond
-    timestamps, one integer column each.  A series built by the codec
-    (:meth:`from_fixed_point`) *is* those three columns: ``len``,
-    ``envelope``, ``time_extent`` and ``as_linestring`` answer from them,
-    and the ``GPSPoint`` tuple is built on first access to ``points``
-    (iteration, indexing, ``==``, ``hash``) — a scan that filters on the
-    bounding box and selects ``tid`` never builds one.
+    timestamps, one integer column each.  A series the codec decodes
+    from the delta layout (:meth:`from_deltas`) holds its first sample
+    and one array of i32 deltas; the columns (:meth:`fixed_point`) are
+    prefix-summed from it on first use (``envelope``, ``time_extent``,
+    ``points``, ``==``, ``hash``, re-encoding), and the ``GPSPoint``
+    tuple on first access to ``points`` (iteration, indexing, ``==``,
+    ``hash``).  :meth:`intersects_envelope`, the trajectory table's
+    exact filter, runs on the deltas themselves and builds neither.
     """
 
-    __slots__ = ("_points", "_fixed", "_envelope")
+    __slots__ = ("_points", "_deltas", "_fixed", "_envelope")
 
     def __init__(self, points):
         pts = tuple(p if isinstance(p, GPSPoint) else GPSPoint(*p)
@@ -59,8 +63,18 @@ class STSeries:
                 raise SchemaError("st_series timestamps must be "
                                   "non-decreasing")
         self._points = pts
+        self._deltas = None
         self._fixed = None
         self._envelope = None  # computed lazily, cached (immutable)
+
+    @classmethod
+    def _from_stored(cls, deltas, fixed) -> "STSeries":
+        series = object.__new__(cls)
+        series._points = None
+        series._deltas = deltas
+        series._fixed = fixed
+        series._envelope = None
+        return series
 
     @classmethod
     def from_fixed_point(cls, lng6: list[int], lat6: list[int],
@@ -69,22 +83,41 @@ class STSeries:
         if sorted(t_ms) != t_ms:
             raise SchemaError("st_series timestamps must be "
                               "non-decreasing")
-        series = object.__new__(cls)
-        series._points = None
-        series._fixed = (lng6, lat6, t_ms)
-        series._envelope = None
-        return series
+        return cls._from_stored(None, (lng6, lat6, t_ms))
+
+    @classmethod
+    def from_deltas(cls, first: tuple[int, int, int],
+                    deltas) -> "STSeries":
+        """A series over its first stored sample ``(lng6, lat6, t_ms)``
+        and the deltas to each later one, interleaved ``dlng, dlat, dt``
+        (an ``array`` of i32: the codec's delta layout).  Time must not
+        run backwards: checked here, at decode, on the ``dt`` column."""
+        if deltas and min(deltas[2::3]) < 0:
+            raise SchemaError("st_series timestamps must be "
+                              "non-decreasing")
+        return cls._from_stored((first, deltas), None)
 
     def as_stored(self) -> "STSeries":
         """This series after a round trip through the codec: itself when
-        it already is its stored columns, else one over them."""
-        if self._fixed is not None:
+        it already is its stored form, else one over its columns."""
+        if self._is_stored:
             return self
         return STSeries.from_fixed_point(*self.fixed_point())
+
+    @property
+    def _is_stored(self) -> bool:
+        """Built by the codec (or :meth:`as_stored`), not from points."""
+        return self._deltas is not None or self._fixed is not None
 
     def fixed_point(self) -> tuple[list[int], list[int], list[int]]:
         """The stored columns ``(lng6, lat6, t_ms)`` of this series."""
         if self._fixed is not None:
+            return self._fixed
+        if self._deltas is not None:
+            first, deltas = self._deltas
+            self._fixed = tuple(
+                list(accumulate(deltas[i::3], initial=first[i]))
+                for i in range(3))
             return self._fixed
         pts = self._points
         return ([round(p.lng * 1e6) for p in pts],
@@ -96,7 +129,7 @@ class STSeries:
         if self._points is not None:
             return ([p.lng for p in self._points],
                     [p.lat for p in self._points])
-        lng6, lat6, _t_ms = self._fixed
+        lng6, lat6, _t_ms = self.fixed_point()
         return [v / 1e6 for v in lng6], [v / 1e6 for v in lat6]
 
     @property
@@ -104,10 +137,12 @@ class STSeries:
         if self._points is None:
             self._points = tuple(map(
                 GPSPoint, *self._lnglat(),
-                [v / 1000.0 for v in self._fixed[2]]))
+                [v / 1000.0 for v in self.fixed_point()[2]]))
         return self._points
 
     def __len__(self) -> int:
+        if self._deltas is not None:
+            return len(self._deltas[1]) // 3 + 1
         if self._fixed is not None:
             return len(self._fixed[2])
         return len(self._points)
@@ -132,10 +167,10 @@ class STSeries:
         if not len(self):
             raise SchemaError("empty st_series has no envelope")
         if self._envelope is None:
-            if self._fixed is not None:
+            if self._is_stored:
                 # Division by a positive constant is monotone, so these
                 # are the very floats min/max over the points would find.
-                lng6, lat6, _t_ms = self._fixed
+                lng6, lat6, _t_ms = self.fixed_point()
                 self._envelope = Envelope(
                     min(lng6) / 1e6, min(lat6) / 1e6,
                     max(lng6) / 1e6, max(lat6) / 1e6)
@@ -149,31 +184,126 @@ class STSeries:
     def time_extent(self) -> tuple[float, float]:
         if not len(self):
             raise SchemaError("empty st_series has no time extent")
-        if self._fixed is not None:
-            t_ms = self._fixed[2]
+        if self._is_stored:
+            t_ms = self.fixed_point()[2]
             return t_ms[0] / 1000.0, t_ms[-1] / 1000.0
         return self._points[0].time, self._points[-1].time
 
     def as_linestring(self) -> LineString:
         if len(self) < 2:
             raise SchemaError("st_series needs >= 2 points for a linestring")
-        if self._fixed is None:
+        if not self._is_stored:
             return LineString(zip(*self._lnglat()))
         # Stored columns divide into floats whose bounds are the cached
         # envelope's: nothing for the constructor to coerce or find.
         return LineString.from_columns(*self._lnglat(), self.envelope)
 
+    def _tick_columns(self):
+        """The stored longitude and latitude columns, in ticks: summed
+        on the fly from the deltas when no list of them exists yet."""
+        if self._fixed is None and self._deltas is not None:
+            (lng6, lat6, _t_ms), deltas = self._deltas
+            return (accumulate(deltas[0::3], initial=lng6),
+                    accumulate(deltas[1::3], initial=lat6))
+        lng6, lat6, _t_ms = self.fixed_point()
+        return lng6, lat6
+
     def intersects_envelope(self, envelope: Envelope) -> bool:
-        """Does the path meet ``envelope``?  Its one fix, or the polyline
-        through its fixes, as the trajectory table's exact filter has it."""
-        if len(self) == 1:
-            return envelope.contains_point(self[0].lng, self[0].lat)
-        return self.as_linestring().intersects_envelope(envelope)
+        """Does the path as stored meet ``envelope``?  Its one fix, or
+        the polyline through its fixes, on the 1e-6 degree grid.
+
+        One pass over the tick columns, which stops at the first fix
+        inside the window.  The window's bounds are tick thresholds
+        (:func:`_window_ticks`), so every fix-in-window test and every
+        segment-box reject answers exactly as it would on the floats
+        ``tick / 1e6``; a segment whose box meets the window but has no
+        end inside it gets the orientation tests on those floats.
+        """
+        lo_x, lo_y, hi_x, hi_y = _window_ticks(envelope)
+        fixes = zip(*self._tick_columns())
+        px, py = next(fixes, (None, None))
+        if px is None:
+            return False  # an empty series meets nothing
+        if lo_x <= px <= hi_x and lo_y <= py <= hi_y:
+            return True
+        edges = None
+        for x, y in fixes:
+            if lo_x <= x <= hi_x and lo_y <= y <= hi_y:
+                return True
+            if not (x < lo_x and px < lo_x or x > hi_x and px > hi_x
+                    or y < lo_y and py < lo_y or y > hi_y and py > hi_y):
+                # The segment's box meets the window, no end is in it.
+                if edges is None:
+                    edges = _window_edges(envelope)
+                a, b = (px / 1e6, py / 1e6), (x / 1e6, y / 1e6)
+                for c, d in edges:
+                    if _segments_intersect(a, b, c, d):
+                        return True
+            px, py = x, y
+        return False
 
     def length_m(self) -> float:
         """Travelled distance in metres."""
         points = self.points
         return sum(a.distance_m(b) for a, b in zip(points, points[1:]))
+
+
+#: Beyond every stored tick (a tick is an i32): the threshold of a
+#: bound no fix can reach.
+_FAR = 1 << 40
+
+
+def _tick_at_least(v: float) -> int:
+    """The smallest tick ``n`` with ``n / 1e6 >= v``.
+
+    ``n / 1e6`` is correctly rounded and monotone in ``n``, so
+    ``n >= _tick_at_least(v)`` holds exactly when ``n / 1e6 >= v``
+    (for every tick; a NaN bound is met by none)."""
+    if not -1e4 < v < 1e4:  # no tick lies that far out (or NaN)
+        return -_FAR if v < 0 else _FAR
+    n = math.ceil(v * 1e6)
+    while (n - 1) / 1e6 >= v:
+        n -= 1
+    while n / 1e6 < v:
+        n += 1
+    return n
+
+
+def _tick_at_most(v: float) -> int:
+    """The largest tick ``n`` with ``n / 1e6 <= v`` (the mirror image:
+    ``-n / 1e6`` is ``-(n / 1e6)`` exactly)."""
+    return -_tick_at_least(-v)
+
+
+#: The last window :func:`_window_ticks` converted, and its thresholds:
+#: a statement tests every row it decodes against one window object.
+#: The thresholds are a function of the window alone, and the pair is
+#: swapped in one assignment, so callers that share the slot (threads,
+#: interleaved statements) can only cost each other a recomputation.
+_last_window: tuple = (None, ())
+
+
+def _window_ticks(window: Envelope) -> tuple[int, int, int, int]:
+    """``window``'s bounds as tick thresholds ``(lo_x, lo_y, hi_x,
+    hi_y)``: a fix ``(x, y)`` is in it exactly when ``lo_x <= x <=
+    hi_x and lo_y <= y <= hi_y``.  Converted once per window."""
+    global _last_window
+    seen, ticks = _last_window
+    if seen is not window:
+        ticks = (_tick_at_least(window.min_lng),
+                 _tick_at_least(window.min_lat),
+                 _tick_at_most(window.max_lng),
+                 _tick_at_most(window.max_lat))
+        _last_window = (window, ticks)
+    return ticks
+
+
+def _window_edges(window: Envelope) -> list:
+    """The window's four sides as float segments."""
+    min_x, min_y, max_x, max_y = window.as_tuple()
+    corners = [(min_x, min_y), (max_x, min_y),
+               (max_x, max_y), (min_x, max_y)]
+    return list(zip(corners, corners[1:] + corners[:1]))
 
 
 class TSeries:

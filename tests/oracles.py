@@ -75,6 +75,52 @@ def polyline_meets_box(xy, box) -> bool:
                for (x1, y1), (x2, y2) in zip(xy, xy[1:]))
 
 
+def _orient_reference(a, b, c) -> int:
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (v > 0) - (v < 0)
+
+
+def _on_segment_reference(a, b, c) -> bool:
+    return (min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1]))
+
+
+def _segments_cross_reference(p1, p2, p3, p4) -> bool:
+    o1, o2 = _orient_reference(p1, p2, p3), _orient_reference(p1, p2, p4)
+    o3, o4 = _orient_reference(p3, p4, p1), _orient_reference(p3, p4, p2)
+    return (o1 != o2 and o3 != o4) \
+        or (o1 == 0 and _on_segment_reference(p1, p2, p3)) \
+        or (o2 == 0 and _on_segment_reference(p1, p2, p4)) \
+        or (o3 == 0 and _on_segment_reference(p3, p4, p1)) \
+        or (o4 == 0 and _on_segment_reference(p3, p4, p2))
+
+
+def linestring_meets_box_reference(xy, box) -> bool:
+    """The float polyline∩box test a trajectory's exact filter ran
+    before it moved to 1e-6 degree ticks: MBR, then every vertex, then
+    the four orientation tests per segment whose own box meets ``box``.
+    ``xy`` holds two or more ``(lng, lat)`` floats."""
+    min_x, min_y, max_x, max_y = box
+    xs, ys = [x for x, _ in xy], [y for _, y in xy]
+    if min(xs) > max_x or max(xs) < min_x or min(ys) > max_y \
+            or max(ys) < min_y:
+        return False
+    if any(min_x <= x <= max_x and min_y <= y <= max_y for x, y in xy):
+        return True
+    corners = [(min_x, min_y), (max_x, min_y), (max_x, max_y),
+               (min_x, max_y)]
+    edges = list(zip(corners, corners[1:] + corners[:1]))
+    for a, b in zip(xy, xy[1:]):
+        if (a[0] < min_x and b[0] < min_x) or \
+                (a[0] > max_x and b[0] > max_x) or \
+                (a[1] < min_y and b[1] < min_y) or \
+                (a[1] > max_y and b[1] > max_y):
+            continue
+        if any(_segments_cross_reference(a, b, c, d) for c, d in edges):
+            return True
+    return False
+
+
 def knn_reference(records, lng, lat, k, area=None):
     """Brute-force k-NN by the engine's distance: to each record's MBR
     centre.  ``records`` are ``(fid, (min_x, min_y, max_x, max_y))``;

@@ -17,7 +17,7 @@ from repro.core.codec import (
 from repro.core.schema import Field, FieldType, Schema
 from repro.errors import SchemaError
 from repro.geometry import LineString, Point, Polygon
-from repro.trajectory import GPSPoint, STSeries, TSeries
+from repro.trajectory import STSeries, TSeries
 
 from conftest import on_the_stored_grid
 
@@ -460,3 +460,107 @@ class TestDecodedSeriesIsItsColumns:
                                          1, 1, 4_999)
         with pytest.raises(SchemaError):
             decode_value(data, FieldType.ST_SERIES)
+
+
+_TICK_SERIES = st.integers(1, 140).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-180_000_000, 180_000_000), min_size=n,
+             max_size=n),
+    st.lists(st.integers(-90_000_000, 90_000_000), min_size=n, max_size=n),
+    st.lists(st.integers(0, 4_000_000_000), min_size=n,
+             max_size=n).map(sorted)))
+
+
+class TestLazySeriesEqualsEager:
+    """A decoded series holds its first sample and the deltas; every
+    view of it equals the one an eagerly built series over the same
+    stored values gives."""
+
+    @given(columns=_TICK_SERIES)
+    @settings(max_examples=150, deadline=None)
+    def test_every_view_matches(self, columns):
+        lng6, lat6, t_ms = columns
+        eager = STSeries([(x / 1e6, y / 1e6, t / 1000.0)
+                          for x, y, t in zip(lng6, lat6, t_ms)])
+        data = encode_value(eager, FieldType.ST_SERIES)
+        decoded = decode_value(data, FieldType.ST_SERIES)
+        assert len(decoded) == len(eager) == len(t_ms)
+        assert decoded.envelope == eager.envelope
+        assert decoded.time_extent == eager.time_extent
+        assert decoded.fixed_point() == eager.fixed_point() == \
+            (lng6, lat6, t_ms)
+        assert decoded == eager and hash(decoded) == hash(eager)
+        assert decoded.points == eager.points
+        assert decoded.as_stored() is decoded
+        assert eager.as_stored() == decoded
+        assert encode_value(decoded, FieldType.ST_SERIES) == data
+        assert encode_value(eager.as_stored(), FieldType.ST_SERIES) == data
+
+    @given(columns=_TICK_SERIES.filter(lambda c: len(c[2]) >= 2),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_time_running_backwards_fails_at_decode(self, columns, data):
+        lng6, lat6, t_ms = columns
+        t_ms = sorted(t % 1_000_000 for t in t_ms)  # the delta layout
+        good = encode_value(STSeries.from_fixed_point(lng6, lat6, t_ms),
+                            FieldType.ST_SERIES)
+        start = len(good) - 12 * (len(t_ms) - 1)
+        assert good[start - 17] == 0  # the delta layout
+        # The i-th sample steps one millisecond back in time.
+        i = data.draw(st.integers(1, len(t_ms) - 1))
+        bad = bytearray(good)
+        dt = start + 12 * (i - 1) + 8
+        bad[dt:dt + 4] = struct.pack(">i", -1)
+        with pytest.raises(SchemaError):
+            decode_value(bytes(bad), FieldType.ST_SERIES)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_XY = st.tuples(st.floats(-180.0, 180.0), st.floats(-90.0, 90.0))
+#: A value of every type whose stored length is fixed or counted.
+_VALUES = st.one_of(
+    st.tuples(st.sampled_from([FieldType.INTEGER, FieldType.LONG]),
+              st.integers(-2 ** 63, 2 ** 63 - 1)),
+    st.tuples(st.sampled_from([FieldType.DOUBLE, FieldType.DATE]),
+              _FINITE),
+    st.tuples(st.just(FieldType.BOOLEAN), st.booleans()),
+    st.tuples(st.sampled_from([FieldType.POINT, FieldType.GEOMETRY]),
+              _XY.map(lambda xy: Point(*xy))),
+    st.tuples(st.sampled_from([FieldType.LINESTRING, FieldType.GEOMETRY]),
+              st.lists(_XY, min_size=2, max_size=6).map(LineString)),
+    st.tuples(st.sampled_from([FieldType.POLYGON, FieldType.GEOMETRY]),
+              st.lists(_XY, min_size=3, max_size=6, unique=True)
+              .map(Polygon)),
+    st.tuples(st.just(FieldType.T_SERIES),
+              st.lists(_FINITE, max_size=6).map(
+                  lambda ts: TSeries((t, 1.0) for t in sorted(ts)))),
+    st.tuples(st.just(FieldType.ST_SERIES), _TICK_SERIES.map(
+        lambda c: STSeries.from_fixed_point(*c))),
+    st.tuples(st.just(FieldType.ST_SERIES), st.just(STSeries([]))),
+)
+
+
+class TestTruncatedValuesAreSchemaErrors:
+    """A stored value cut short — a fixed-width value, a count, a
+    varint, an ``st_series`` header or its deltas — decodes to a
+    ``SchemaError``, as a corrupt compressed payload does; never to a
+    raw ``struct.error`` or ``IndexError``, nor to a shorter value."""
+
+    @given(case=_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_every_proper_prefix_fails_typed(self, case):
+        ftype, value = case
+        data = encode_value(value, ftype)
+        assert decode_value(data, ftype) == value
+        for cut in range(len(data)):
+            with pytest.raises(SchemaError):
+                decode_value(data[:cut], ftype)
+
+    def test_every_proper_prefix_of_a_row_fails_typed(self):
+        # The row ends in a fixed-width field, so no prefix is a row.
+        codec = RowCodec(PROJECTION_SCHEMA)
+        data = codec.encode_row(PROJECTION_ROW)
+        for cut in range(len(data)):
+            with pytest.raises(SchemaError):
+                codec.decode_row(data[:cut])
+            with pytest.raises(SchemaError):
+                codec.decode_columns([data, data[:cut]])
