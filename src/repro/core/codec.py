@@ -29,8 +29,9 @@ import struct
 import sys
 import zlib
 from array import array
-from itertools import chain
-from operator import itemgetter, sub
+from functools import partial
+from itertools import chain, repeat
+from operator import add, attrgetter, itemgetter, sub
 
 from repro.errors import SchemaError
 from repro.core.schema import FieldType, Schema
@@ -44,6 +45,9 @@ _FLAG_PLAIN = 1
 _FLAG_COMPRESSED = 2
 
 _GEOM_TAGS = {Point: 0, LineString: 1, Polygon: 2}
+_pack_long = struct.Struct(">q").pack
+_pack_double = struct.Struct(">d").pack
+_pack_point = struct.Struct(">dd").pack
 _unpack_long = struct.Struct(">q").unpack
 _unpack_double = struct.Struct(">d").unpack
 _unpack_point = struct.Struct(">dd").unpack
@@ -179,32 +183,40 @@ def _decode_pairs(data: bytes) -> list[tuple[float, float]]:
     return list(zip(flat[0::2], flat[1::2]))
 
 
+def _encode_double(value) -> bytes:
+    return _pack_double(float(value))
+
+
+def _encode_geometry(value) -> bytes:
+    tag = _GEOM_TAGS[type(value)]
+    return bytes((tag,)) + _ENCODERS[_GEOM_TYPES[tag]](value)
+
+
+#: One encoder per field type, bound per field once by :class:`RowCodec`
+#: (as :data:`_DECODERS` is): no type dispatch per value.
+_ENCODERS = {
+    FieldType.INTEGER: _pack_long,
+    FieldType.LONG: _pack_long,
+    FieldType.DOUBLE: _encode_double,
+    FieldType.DATE: _encode_double,
+    FieldType.STRING: lambda value: value.encode("utf-8"),
+    FieldType.BOOLEAN: lambda value: b"\x01" if value else b"\x00",
+    FieldType.POINT: lambda value: _pack_point(value.lng, value.lat),
+    FieldType.LINESTRING: lambda value: _encode_pairs(value.coords),
+    FieldType.POLYGON: lambda value: _encode_pairs(value.ring),
+    FieldType.GEOMETRY: _encode_geometry,
+    FieldType.ST_SERIES: _encode_st_series,
+    FieldType.T_SERIES: lambda value: _encode_pairs(value.samples),
+}
+
+
 def encode_value(value, ftype: FieldType) -> bytes:
     """Serialize one non-null value of the given type."""
-    if ftype in (FieldType.INTEGER, FieldType.LONG):
-        return struct.pack(">q", value)
-    if ftype in (FieldType.DOUBLE, FieldType.DATE):
-        return struct.pack(">d", float(value))
-    if ftype == FieldType.STRING:
-        return value.encode("utf-8")
-    if ftype == FieldType.BOOLEAN:
-        return b"\x01" if value else b"\x00"
-    if ftype == FieldType.POINT:
-        return struct.pack(">dd", value.lng, value.lat)
-    if ftype == FieldType.LINESTRING:
-        return _encode_pairs(value.coords)
-    if ftype == FieldType.POLYGON:
-        return _encode_pairs(value.ring)
-    if ftype == FieldType.GEOMETRY:
-        tag = _GEOM_TAGS[type(value)]
-        inner_type = (FieldType.POINT, FieldType.LINESTRING,
-                      FieldType.POLYGON)[tag]
-        return bytes([tag]) + encode_value(value, inner_type)
-    if ftype == FieldType.ST_SERIES:
-        return _encode_st_series(value)
-    if ftype == FieldType.T_SERIES:
-        return _encode_pairs(value.samples)
-    raise SchemaError(f"cannot encode type {ftype}")
+    try:
+        encode = _ENCODERS[ftype]
+    except KeyError:
+        raise SchemaError(f"cannot encode type {ftype}") from None
+    return encode(value)
 
 
 def _decode_long(data: bytes) -> int:
@@ -318,6 +330,8 @@ def _walk(rows, pos: int, steps) -> list:
                         payload = decompress_bytes(payload, compress)
                     append(decode(payload))
                 at += length
+            if at > len(data):  # the last value walked was cut short
+                raise SchemaError("truncated row")
     except IndexError:  # the row ends inside a flag or a length
         raise SchemaError("truncated row") from None
     return values
@@ -408,6 +422,141 @@ class _DecodePlan:
         return _split(_walk(rows, 0, self._steps), len(self.names))
 
 
+# -- encode plan -----------------------------------------------------------------
+
+#: The flag and length bytes of a plain value of ``n < 128`` bytes.
+_PLAIN_HEADS = [bytes((_FLAG_PLAIN, n)) for n in range(0x80)]
+_NULL_SEGMENT = bytes((_FLAG_NULL,))
+
+
+def _head(flag: int, length: int) -> bytes:
+    """A stored value's flag byte and varint length."""
+    if length < 0x80:
+        return bytes((flag, length))
+    out = bytearray((flag,))
+    write_varint(length, out)
+    return bytes(out)
+
+
+def _value_segments(name: str, encode, compress, columns) -> list[bytes]:
+    """Field ``name`` of every row as it is stored: its flag, its
+    length and its (compressed) payload, or the NULL flag alone."""
+    out = []
+    for value in columns[name]:
+        if value is None:
+            out.append(_NULL_SEGMENT)
+            continue
+        payload = encode(value)
+        if compress is None:
+            out.append(_head(_FLAG_PLAIN, len(payload)) + payload)
+        else:
+            payload = compress_bytes(payload, compress)
+            out.append(_head(_FLAG_COMPRESSED, len(payload)) + payload)
+    return out
+
+
+#: What the packed paths meet in a NULL (``None`` has no ``encode``,
+#: ``lng`` or ``float``; ``struct`` refuses it) or in a value that
+#: cannot be stored; the per-value path then stores the NULLs and raises
+#: what one value's encoder raises.
+_UNPACKABLE = (AttributeError, TypeError, ValueError, OverflowError,
+               struct.error)
+
+
+def _string_segments(name: str, columns) -> list[bytes]:
+    """A plain string field: while no value is NULL or 128 bytes long,
+    each row's UTF-8 under its one-byte head, at C speed."""
+    try:
+        data = [value.encode("utf-8") for value in columns[name]]
+    except _UNPACKABLE:
+        data = None
+    if data is not None:
+        lengths = list(map(len, data))
+        if not lengths or max(lengths) < 0x80:
+            return list(map(add, map(_PLAIN_HEADS.__getitem__, lengths),
+                            data))
+    return _value_segments(name, _ENCODERS[FieldType.STRING], None, columns)
+
+
+class _FixedRun:
+    """A run of fixed-width fields stored plain: every row's run is one
+    ``struct`` pack, whose format holds each field's flag and length
+    bytes (as one ``H``).  A run with a NULL in it is encoded field by
+    field (:data:`_UNPACKABLE`).  ``d`` packs an int as ``float()``
+    converts it; one past a double's range fails the pack, and the
+    per-value path raises what ``float()`` raises."""
+
+    __slots__ = ("_fields", "_names", "_pack", "_args")
+
+    def __init__(self, fields):
+        self._fields = fields
+        self._names = [f.name for f in fields]
+        fmt, args = ">", []
+        for f in fields:
+            code = _FIXED_CODES[f.ftype]
+            fmt += "H" + code
+            args.append((_FLAG_PLAIN << 8 | 8 * len(code),
+                         _point_args if f.ftype is FieldType.POINT
+                         else _column_args))
+        self._pack = struct.Struct(fmt).pack
+        self._args = args
+
+    def __call__(self, columns) -> list[bytes]:
+        args = []
+        for name, (head, spread) in zip(self._names, self._args):
+            args.append(repeat(head))
+            args += spread(columns[name])
+        try:
+            return list(map(self._pack, *args))
+        except _UNPACKABLE:
+            return _joined([_value_segments(f.name, _ENCODERS[f.ftype], None,
+                                            columns) for f in self._fields])
+
+
+def _point_args(column):
+    return map(_LNG, column), map(_LAT, column)
+
+
+def _column_args(column):
+    return (column,)
+
+
+_LNG, _LAT = attrgetter("lng"), attrgetter("lat")
+
+
+def _joined(segments: list[list[bytes]]) -> list[bytes]:
+    """Each row's segments, field after field, as one byte string."""
+    if len(segments) == 1:
+        return segments[0]
+    if len(segments) == 2:
+        return list(map(add, *segments))
+    return list(map(b"".join, zip(*segments)))
+
+
+def _encode_plan(schema: Schema, compression_enabled: bool) -> list:
+    """How a batch is encoded: one callable per run of plain fixed-width
+    fields (:class:`_FixedRun`) and per other field, each mapping the
+    batch's columns to every row's bytes of its fields."""
+    plan, run = [], []
+    for f in schema.fields:
+        compress = f.compress if compression_enabled and \
+            f.compress != "none" else None
+        if compress is None and f.ftype in _FIXED_CODES:
+            run.append(f)
+            continue
+        if run:
+            plan.append(_FixedRun(run))
+            run = []
+        if compress is None and f.ftype is FieldType.STRING:
+            plan.append(partial(_string_segments, f.name))
+        else:
+            plan.append(partial(_value_segments, f.name,
+                                _ENCODERS[f.ftype], compress))
+    if run:
+        plan.append(_FixedRun(run))
+    return plan
+
+
 class RowCodec:
     """Serializes full rows against a schema, honouring field compression.
 
@@ -429,25 +578,24 @@ class RowCodec:
             run += 1
         self._run = run
         self._plans: dict = {}
+        self._encode_plan = _encode_plan(schema, compression_enabled)
+
+    def encode_columns(self, columns: dict[str, list]) -> list[bytes]:
+        """Every row of a column-major batch (``{field: [value of each
+        row]}``, every schema field present, ``None`` for NULL) as its
+        stored bytes: a pass per run of plain fixed-width fields and per
+        other field, then one join per row."""
+        return _joined([part(columns) for part in self._encode_plan])
+
+    def encode_rows(self, rows: list[dict]) -> list[bytes]:
+        """:meth:`encode_columns` of row dicts (a missing field is
+        NULL)."""
+        return self.encode_columns({
+            f.name: [row.get(f.name) for row in rows]
+            for f in self.schema.fields})
 
     def encode_row(self, row: dict) -> bytes:
-        out = bytearray()
-        for f in self.schema.fields:
-            value = row.get(f.name)
-            if value is None:
-                out.append(_FLAG_NULL)
-                continue
-            payload = encode_value(value, f.ftype)
-            if self.compression_enabled and f.compress != "none":
-                compressed = compress_bytes(payload, f.compress)
-                out.append(_FLAG_COMPRESSED)
-                write_varint(len(compressed), out)
-                out += compressed
-            else:
-                out.append(_FLAG_PLAIN)
-                write_varint(len(payload), out)
-                out += payload
-        return bytes(out)
+        return self.encode_rows([row])[0]
 
     def _plan(self, wanted) -> _DecodePlan:
         """The compiled plan of ``wanted``, cached by its frozenset."""

@@ -62,13 +62,18 @@ class TrajectoryPlugin(CommonTable):
                          if attribute_fields is not None else ["oid"],
                          presplit=presplit, salt_buckets=salt_buckets)
 
-    def as_stored(self, row: dict) -> dict:
+    def stored_columns(self, columns: dict[str, list]) -> dict[str, list]:
         """The GPS list is stored in 1e-6 degree ticks; its MBR — hence
         its XZ code and signature — is taken from those."""
-        series = row.get("gps_list")
-        if series is None:
-            return row
-        return {**row, "gps_list": series.as_stored()}
+        return {**columns, "gps_list": [
+            None if series is None else series.as_stored()
+            for series in columns["gps_list"]]}
+
+    def _shapes(self, geometries: list) -> tuple[list, list]:
+        """A GPS list is keyed by its MBR, a one-fix list as a point:
+        no line is built on insert."""
+        return ([series.envelope for series in geometries],
+                [len(series) == 1 for series in geometries])
 
     # The index-relevant geometry is the GPS polyline, not a stored column.
     def record_geometry(self, row: dict) -> Geometry | None:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 
 from repro.errors import SchemaError
 from repro.geometry.base import Geometry
@@ -84,6 +86,12 @@ class Field:
             raise SchemaError(
                 f"field {self.name!r}: unknown compression "
                 f"{self.compress!r}; expected one of {_VALID_COMPRESSION}")
+        # The exact value types :meth:`invalid_at` passes without a look
+        # at each value (subclasses take the per-value check).
+        passing = set(_PY_TYPES[self.ftype])
+        if not self.primary_key:
+            passing.add(type(None))
+        object.__setattr__(self, "_passing", frozenset(passing))
 
     @classmethod
     def parse(cls, name: str, type_spec: str) -> "Field":
@@ -110,6 +118,21 @@ class Field:
                 key, _, value = option.partition("=")
                 options[key.strip()] = value.strip()
         return cls(name, ftype, primary_key, srid, compress, options)
+
+    def invalid_at(self, column: list) -> int | None:
+        """Where :meth:`validate` first rejects a value of ``column``
+        (``None``: nowhere).  A column of the field's own types (and
+        NULLs, unless it is the primary key) passes at C speed."""
+        if self._passing.issuperset(map(type, column)):
+            return None
+        expected = _PY_TYPES[self.ftype]
+        for index, value in enumerate(column):
+            if value is None:
+                if self.primary_key:
+                    return index
+            elif not isinstance(value, expected):
+                return index
+        return None
 
     def validate(self, value) -> None:
         """Raise SchemaError when ``value`` cannot live in this column."""
@@ -174,19 +197,41 @@ class Schema:
     def names(self) -> list[str]:
         return [f.name for f in self.fields]
 
-    def validate_row(self, row: dict) -> None:
-        """Check a row's values; extra keys are rejected."""
-        extras = set(row) - set(self._by_name)
-        if extras:
-            raise SchemaError(f"row has unknown fields: {sorted(extras)}")
-        for f in self.fields:
-            f.validate(row.get(f.name))
+    def validate_rows(self, rows: list[dict]) -> dict[str, list]:
+        """Check a batch of rows a column at a time, and return it as
+        columns: ``{field: [value of each row]}``, ``None`` where a row
+        omits the field.
 
-    def fid_of(self, row: dict) -> str:
-        """The record's feature id (stringified primary key)."""
+        Raises the :class:`SchemaError` that checking row after row
+        raises: of the first row with an unknown key or a bad value, and
+        in that row the unknown keys before the fields in schema order.
+        """
+        known = self._by_name.keys()
+        first = None  # (row index, a call raising its first failure)
+        if not known >= set(chain.from_iterable(rows)):
+            index, row = next((i, row) for i, row in enumerate(rows)
+                              if not known >= row.keys())
+            first = (index, partial(self._reject_unknown, row))
+        columns = {}
+        for f in self.fields:
+            column = columns[f.name] = [row.get(f.name) for row in rows]
+            index = f.invalid_at(column)
+            if index is not None and (first is None or index < first[0]):
+                first = (index, partial(f.validate, column[index]))
+        if first is not None:
+            first[1]()
+        return columns
+
+    def _reject_unknown(self, row: dict) -> None:
+        extras = set(row) - set(self._by_name)
+        raise SchemaError(f"row has unknown fields: {sorted(extras)}")
+
+    def fids(self, columns: dict[str, list]) -> list[str]:
+        """The feature ids (stringified primary keys) of a column-major
+        batch (:meth:`validate_rows`)."""
         if self.primary_key is None:
             raise SchemaError("schema has no primary key")
-        return str(row[self.primary_key.name])
+        return list(map(str, columns[self.primary_key.name]))
 
     def describe(self) -> list[dict]:
         """Rows for the DESC statement."""

@@ -10,15 +10,16 @@ historical updates need no index rebuild.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
+from itertools import chain, count, repeat
+from operator import attrgetter
 
 from repro.cluster.simclock import SimJob
 from repro.core.codec import RowCodec
 from repro.core.schema import Schema
 from repro.curves.strategies import (
     AttributeStrategy,
-    IndexedRecord,
     IndexStrategy,
+    KeyBatch,
     KeyBounds,
     STQuery,
 )
@@ -26,8 +27,12 @@ from repro.dataframe import BatchBuilder, DataFrame, batches_from_rows
 from repro.errors import SchemaError
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
+from repro.geometry.point import Point
 from repro.kvstore.scan import ScanSpec
 from repro.kvstore.store import KVStore
+
+
+_LNG, _LAT = attrgetter("lng"), attrgetter("lat")
 
 
 class CommonTable:
@@ -147,74 +152,143 @@ class CommonTable:
         geometry = self.record_geometry(row)
         return geometry.envelope if geometry is not None else None
 
-    def as_stored(self, row: dict) -> dict:
-        """``row`` with the values the codec stores lossily replaced by
-        what :meth:`RowCodec.decode_row` will give back, so the keys an
-        insert writes are the keys a later upsert or delete of the
+    def stored_columns(self, columns: dict[str, list]) -> dict[str, list]:
+        """``columns`` with the values the codec stores lossily replaced
+        by what :meth:`RowCodec.decode_row` will give back, so the keys
+        an insert writes are the keys a later upsert or delete of the
         decoded row removes.  Lossless schemas store what they get."""
-        return row
+        return columns
 
-    def _indexed_record(self, row: dict) -> IndexedRecord:
-        fid = self.schema.fid_of(row)
-        geometry = self.record_geometry(row)
-        if geometry is None:
+    def _shapes(self, geometries: list) -> tuple[list[Envelope], list]:
+        """The MBR of each of ``geometries`` and whether it is a point:
+        all key building reads of a geometry."""
+        return ([g.envelope for g in geometries],
+                [g.is_point() for g in geometries])
+
+    def _key_batch(self, columns: dict[str, list],
+                   fids: list[str]) -> KeyBatch:
+        """The index-relevant columns of a batch (:meth:`_shapes`, and
+        the start and end of :meth:`record_time_extent`)."""
+        geometries = columns.get(self.geometry_column) or [None] * len(fids)
+        if not all(geometries):  # NULL, or an empty series
+            fid = next(fid for fid, g in zip(fids, geometries) if not g)
             raise SchemaError(
                 f"table {self.name!r}: row {fid!r} has no geometry to index")
-        extent = self.record_time_extent(row)
-        t_min, t_max = extent if extent is not None else (None, None)
-        return IndexedRecord(fid, geometry, t_min, t_max)
+        t_min, t_max = self._time_columns(columns, len(fids))
+        if set(map(type, geometries)) == {Point}:
+            return KeyBatch.of_points(fids, list(map(_LNG, geometries)),
+                                      list(map(_LAT, geometries)),
+                                      t_min, t_max)
+        return KeyBatch.of_envelopes(fids, *self._shapes(geometries),
+                                     t_min, t_max)
+
+    def _time_columns(self, columns: dict[str, list], size: int):
+        """:meth:`record_time_extent` of every row, as a start and an end
+        column (``None`` for a row without one)."""
+        if not self.time_columns:
+            nothing = [None] * size
+            return nothing, nothing
+        starts = columns[self.time_columns[0]]
+        ends = columns[self.time_columns[-1]]
+        if None in starts or None in ends:
+            extents = [(None, None) if start is None or end is None
+                       else (float(start), float(end))
+                       for start, end in zip(starts, ends)]
+            return [lo for lo, _ in extents], [hi for _, hi in extents]
+        t_min = list(map(float, starts))
+        return t_min, t_min if ends is starts else list(map(float, ends))
 
     # -- write path ------------------------------------------------------------
     def insert_rows(self, rows: list[dict], job: SimJob | None = None) -> int:
         """Insert (or update, by primary key) a batch of rows.
 
-        Every row is validated, normalised, encoded and keyed, and the
-        stored row it replaces looked up, before the first mutation, so a
-        batch with an invalid row writes nothing.  The mutations then go
-        to the store as one :meth:`KVStore.write_batch`, row by row in
-        the order a single-row insert writes them — the replaced row's
-        deletes, the index puts, the attribute puts, the id put.  The
-        grow-only statistics take in every row before the write (a row
-        that then fails to land only widens them, which is safe), and
+        The batch is validated, normalised, encoded and keyed a column
+        at a time (:meth:`_prepare`) before the store is read, so a batch
+        with an invalid row reads and writes nothing.  Then each row's
+        stored predecessor is looked up and the mutations go to the store
+        as one :meth:`KVStore.write_batch`, row by row in the order a
+        single-row insert writes them — the replaced row's deletes, the
+        index puts, the attribute puts, the id put.  The grow-only
+        statistics take in every row before the write (a row that then
+        fails to land only widens them, which is safe), and
         ``row_count`` follows the id puts that landed (:meth:`_write`).
         """
+        fids, batch, payloads, row_puts = self._prepare(rows)
         mutations = []
-        records = []
         stored: set[bytes] = set()  # id keys the store held before
-        encoded_bytes = 0
         # fid -> the puts of its latest row in this batch, which a later
         # row of the same fid replaces (the store does not hold it yet).
         batch_puts: dict[str, list] = {}
-        for row in rows:
-            self.schema.validate_row(row)
-            row = self.as_stored(row)
-            fid = self.schema.fid_of(row)
-            record = self._indexed_record(row) if self.strategies else None
-            payload = self.codec.encode_row(row)
-            encoded_bytes += len(payload)
+        get = self._id_table.get
+        for fid, puts in zip(fids, row_puts):
             earlier = batch_puts.get(fid)
             if earlier is not None:
                 mutations += [(table, key, None) for table, key, _ in earlier]
             else:
-                id_key = fid.encode("utf-8")
-                existing = self._id_table.get(id_key)
+                id_key = puts[-1][1]
+                existing = get(id_key)
                 if existing is not None:
                     mutations += self._row_deletes(fid, existing)
                     stored.add(id_key)
-            puts = self._row_puts(fid, row, record, payload)
             mutations += puts
             batch_puts[fid] = puts
-            records.append(record)
-        for record in records:
-            if record is not None:
-                self._grow_stats(record)
+        if batch is not None and len(batch):
+            self._widen_stats(batch)
         self._write(mutations, stored)
         if job is not None:
             puts = len(rows) * (len(self.strategies) + 1)
             job.charge_cpu_records(puts,
                                    us_per_record=job.model.kv_put_us)
-            job.charge_disk_write(encoded_bytes * (len(self.strategies) + 1))
+            job.charge_disk_write(sum(map(len, payloads))
+                                  * (len(self.strategies) + 1))
         return len(rows)
+
+    def _prepare(self, rows: list[dict]):
+        """:meth:`_prepare_columns`, raising what a row-at-a-time
+        preparation raised: the first row that fails on its own, with
+        the first error of its own checks (validation, the geometry,
+        encoding, index keys in index order, attribute keys)."""
+        try:
+            return self._prepare_columns(rows)
+        except Exception:
+            # Any error: a pass stops at whichever row it meets first,
+            # which need not be the row or the check the loop met first.
+            # Rows are prepared independently, so rerun them one by one.
+            for row in rows:
+                try:
+                    self._prepare_columns([row])
+                except Exception as first:
+                    raise first from None
+            raise
+
+    def _prepare_columns(self, rows: list[dict]):
+        """A batch as column passes: its feature ids, its
+        :class:`KeyBatch` (``None`` without indexes), each row's payload
+        and each row's puts — index, attribute, id, in that order."""
+        columns = self.stored_columns(self.schema.validate_rows(rows))
+        fids = self.schema.fids(columns)
+        batch = self._key_batch(columns, fids) if self.strategies else None
+        payloads = self.codec.encode_columns(columns)
+        # After the encode, which meets a fid UTF-8 cannot hold first.
+        fid_bytes = batch.fid_bytes if batch is not None \
+            else [fid.encode("utf-8") for fid in fids]
+        put_columns = [
+            zip(repeat(self._index_tables[name]), strategy.keys(batch),
+                payloads)
+            for name, strategy in self.strategies.items()]
+        sparse = False
+        for field_name, attr in self.attribute_indexes.items():
+            keys = [None if value is None else attr.key_for_value(fid, value)
+                    for fid, value in zip(fids, columns[field_name])]
+            sparse = sparse or None in keys
+            put_columns.append(zip(repeat(self._attr_tables[field_name]),
+                                   keys, payloads))
+        put_columns.append(zip(repeat(self._id_table), fid_bytes, payloads))
+        row_puts = list(map(list, zip(*put_columns)))
+        if sparse:  # a NULL attribute has no attribute key
+            row_puts = [[put for put in puts if put[1] is not None]
+                        for puts in row_puts]
+        return fids, batch, payloads, row_puts
 
     def _write(self, mutations: list, stored: set[bytes]) -> None:
         """Apply ``mutations`` as one write batch and move ``row_count``
@@ -242,33 +316,50 @@ class CommonTable:
                 present[key] = value is not None
         return sum(now - (key in stored) for key, now in present.items())
 
-    def _row_puts(self, fid: str, row: dict, record: IndexedRecord | None,
-                  payload: bytes) -> list:
-        """The puts that store one row: index, attribute, id."""
-        puts = [(self._index_tables[sname], strategy.key(record), payload)
-                for sname, strategy in self.strategies.items()]
-        for field_name, attr in self.attribute_indexes.items():
-            value = row.get(field_name)
-            if value is not None:
-                puts.append((self._attr_tables[field_name],
-                             attr.key_for_value(fid, value), payload))
-        puts.append((self._id_table, fid.encode("utf-8"), payload))
-        return puts
-
-    def _grow_stats(self, record: IndexedRecord) -> None:
-        env = record.geometry.envelope
-        self.data_envelope = env if self.data_envelope is None \
-            else self.data_envelope.expand(env)
-        if record.t_min is not None:
-            t_max = record.t_max if record.t_max is not None else record.t_min
-            if self.time_extent is None:
-                self.time_extent = (record.t_min, t_max)
-            else:
-                self.time_extent = (min(self.time_extent[0], record.t_min),
-                                    max(self.time_extent[1], t_max))
-            if t_max > record.t_min:
+    def _widen_stats(self, batch: KeyBatch) -> None:
+        """Take a batch into the grow-only statistics as the rows one at
+        a time would: ``data_envelope`` and ``time_extent`` fold the
+        rows in order onto what they held (``min``/``max`` meet a NaN
+        time by position), and each strategy observes every extent that
+        lasts.  A strategy that rejects an extent (an infinite one)
+        raises with the rows up to and including it taken in."""
+        stop = len(batch)
+        lasting = [] if batch.t_max is batch.t_min else [
+            (index, lo, hi) for index, lo, hi in
+            zip(count(), batch.t_min, batch.t_max)
+            if lo is not None and hi is not None and hi > lo]
+        try:
+            for index, lo, hi in lasting:
+                stop = index + 1
                 for strategy in self.strategies.values():
-                    strategy.observe_extent(record.t_min, t_max)
+                    strategy.observe_extent(lo, hi)
+            stop = len(batch)
+        finally:
+            self._widen_bounds(batch, stop)
+
+    def _widen_bounds(self, batch: KeyBatch, stop: int) -> None:
+        """Fold the MBRs and time extents of ``batch``'s first ``stop``
+        rows into ``data_envelope`` and ``time_extent``."""
+        def fold(pick, current, column):
+            return pick(column if current is None
+                        else chain((current,), column))
+        env = self.data_envelope
+        current = (None,) * 4 if env is None else (
+            env.min_lng, env.min_lat, env.max_lng, env.max_lat)
+        self.data_envelope = Envelope(*map(
+            fold, (min, min, max, max), current,
+            (batch.min_lng[:stop], batch.min_lat[:stop],
+             batch.max_lng[:stop], batch.max_lat[:stop])))
+        starts, ends = batch.t_min[:stop], batch.t_max[:stop]
+        if None in starts:
+            timed = [(lo, hi) for lo, hi in zip(starts, ends)
+                     if lo is not None]
+            if not timed:
+                return
+            starts, ends = [lo for lo, _ in timed], [hi for _, hi in timed]
+        extent = self.time_extent or (None, None)
+        self.time_extent = (fold(min, extent[0], starts),
+                            fold(max, extent[1], ends))
 
     def _row_deletes(self, fid: str, payload: bytes) -> list:
         """The deletes that remove the stored row ``payload``: its
@@ -277,9 +368,11 @@ class CommonTable:
         if self.strategies or self.attribute_indexes:
             old_row = self.codec.decode_row(payload, self._key_fields)
             if self.strategies:
-                record = self._indexed_record(old_row)
-                deletes += [(self._index_tables[sname], strategy.key(record),
-                             None)
+                batch = self._key_batch(
+                    {name: [value] for name, value in old_row.items()},
+                    [fid])
+                deletes += [(self._index_tables[sname],
+                             strategy.keys(batch)[0], None)
                             for sname, strategy in self.strategies.items()]
             for field_name, attr in self.attribute_indexes.items():
                 value = old_row.get(field_name)

@@ -38,20 +38,23 @@ from __future__ import annotations
 
 import math
 import struct
-import zlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from math import floor
+from operator import add
+from zlib import crc32
 
 from repro.errors import IndexError_
 from repro.curves.timeperiod import (
+    REF_TIME,
     TimePeriod,
     period_bin,
     period_bins_covering,
-    period_offset,
     period_start,
 )
 from repro.curves.xz import XZ2Curve, XZ3Curve
-from repro.curves.zorder import Z2Curve, Z3Curve, interleave2
+from repro.curves.zorder import Z2Curve, Z3Curve, interleave2, interleave3
 from repro.curves.zranges import DEFAULT_MAX_RANGES, z2_ranges, z3_ranges
 from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
@@ -92,24 +95,122 @@ _STOP_PAD = b"\xff\x00"
 
 @dataclass(frozen=True, slots=True)
 class IndexedRecord:
-    """The index-relevant projection of a stored row.
-
-    ``parts`` holds the key parts already built for this record — the
-    shard byte and fid bytes per shard count, the Z2 value, the XZ2 body
-    per resolution — so the indexes of one row (z2 and z2t, xz2 and
-    xz2t) build each once (:meth:`IndexStrategy.key`).
-    """
+    """The index-relevant projection of one row, what
+    :meth:`IndexStrategy.key` reads (a :class:`KeyBatch` of one)."""
 
     fid: str
     geometry: Geometry
     t_min: float | None = None
     t_max: float | None = None
-    parts: dict = field(default_factory=dict, compare=False, repr=False)
+
+
+class KeyBatch:
+    """The index-relevant columns of a batch of rows, what
+    :meth:`IndexStrategy.keys` reads: per row its feature id, its MBR
+    bounds, whether its geometry is a point and its time extent
+    (``None`` for a row without one).
+
+    The parts that several indexes of one table share — the UTF-8 fids,
+    the shards per shard count, the ``0x00`` + fid suffixes, the Z2
+    values, the period bins, the XZ2 bodies per resolution — are built
+    once per batch, on first use, so z2 and z2t (xz2 and xz2t) key a
+    row from one Z2 value (XZ2 body).
+    """
+
+    def __init__(self, fids, min_lng, min_lat, max_lng, max_lat,
+                 points, t_min, t_max, envelopes=None):
+        self.fids = fids
+        self.min_lng, self.min_lat = min_lng, min_lat
+        self.max_lng, self.max_lat = max_lng, max_lat
+        self.points = points
+        self.t_min, self.t_max = t_min, t_max
+        if envelopes is not None:
+            self.envelopes = envelopes
+        self._parts: dict = {}
+
+    @classmethod
+    def of_points(cls, fids, lngs, lats, t_min, t_max):
+        """A batch of point geometries given by their coordinates."""
+        return cls(fids, lngs, lats, lngs, lats, [True] * len(fids),
+                   t_min, t_max)
+
+    @classmethod
+    def of_envelopes(cls, fids, envelopes, points, t_min, t_max):
+        """A batch of geometries given by their MBRs."""
+        return cls(fids,
+                   [e.min_lng for e in envelopes],
+                   [e.min_lat for e in envelopes],
+                   [e.max_lng for e in envelopes],
+                   [e.max_lat for e in envelopes],
+                   points, t_min, t_max, envelopes)
+
+    @classmethod
+    def of_records(cls, records) -> "KeyBatch":
+        return cls.of_envelopes(
+            [r.fid for r in records],
+            [r.geometry.envelope for r in records],
+            [r.geometry.is_point() for r in records],
+            [r.t_min for r in records], [r.t_max for r in records])
+
+    def __len__(self) -> int:
+        return len(self.fids)
+
+    def part(self, name, build):
+        """The shared part ``name``, built by ``build()`` once."""
+        value = self._parts.get(name)
+        if value is None:
+            value = self._parts[name] = build()
+        return value
+
+    @cached_property
+    def envelopes(self) -> list[Envelope]:
+        return list(map(Envelope, self.min_lng, self.min_lat,
+                        self.max_lng, self.max_lat))
+
+    @cached_property
+    def fid_bytes(self) -> list[bytes]:
+        return [fid.encode("utf-8") for fid in self.fids]
+
+    @cached_property
+    def suffixes(self) -> list[bytes]:
+        """Each key's ``0x00`` + feature id tail."""
+        return [b"\x00" + fid for fid in self.fid_bytes]
+
+    @cached_property
+    def z2_values(self) -> list[int]:
+        """The Z2 value of each row's MBR corner (of a point: itself)."""
+        return list(map(interleave2,
+                        _Z2_GRID.lng_dim.normalize_all(self.min_lng),
+                        _Z2_GRID.lat_dim.normalize_all(self.min_lat)))
+
+    def shards(self, num_shards: int) -> list[int]:
+        """Each row's shard (:func:`shard_of`)."""
+        return self.part(("shards", num_shards), lambda: [
+            crc32(fid) % num_shards for fid in self.fid_bytes])
+
+    def bins(self, period: TimePeriod) -> list[int]:
+        """The period bin of each row's start (Equation 1)."""
+        seconds = period.seconds
+        return self.part(("bins", period), lambda: [
+            floor((t - REF_TIME) / seconds) for t in self.t_min])
+
+    def require_points(self, index: str) -> None:
+        if not all(self.points):
+            raise IndexError_(f"{index} indexes point geometries only")
+
+    def require_times(self, message: str) -> None:
+        if None in self.t_min:
+            raise IndexError_(message)
 
 
 def shard_of(fid: str, num_shards: int) -> int:
     """Deterministic shard for a feature id."""
-    return zlib.crc32(fid.encode("utf-8")) % num_shards
+    return crc32(fid.encode("utf-8")) % num_shards
+
+
+_SHARD_PERIOD_CURVE = struct.Struct(">BIQ")
+_SHARD_CURVE = struct.Struct(">BQ")
+_SHARD_BYTES = [bytes([shard]) for shard in range(256)]
 
 
 def _pack_period(bin_number: int) -> bytes:
@@ -132,27 +233,24 @@ def _xz2_curve(g: int) -> XZ2Curve:
     return curve
 
 
-def _xz2_body(curve: XZ2Curve, record: IndexedRecord) -> bytes:
-    """The XZ2 code and MBR signature of a record, built once per
-    record and resolution."""
-    part = ("xz2", curve.g)
-    body = record.parts.get(part)
-    if body is None:
-        envelope = record.geometry.envelope
-        code = curve.index(envelope)
-        body = record.parts[part] = _XZ2_BODY.pack(
-            code, *curve.signature(envelope, code))
-    return body
+def _xz2_bodies(curve: XZ2Curve, batch: KeyBatch) -> list[bytes]:
+    """The XZ2 code and MBR signature of each row, built once per batch
+    and resolution."""
+    def build():
+        bodies = []
+        for envelope in batch.envelopes:
+            code = curve.index(envelope)
+            bodies.append(_XZ2_BODY.pack(
+                code, *curve.signature(envelope, code)))
+        return bodies
+    return batch.part(("xz2", curve.g), build)
 
 
-def _z2_body(curve: Z2Curve, record: IndexedRecord) -> bytes:
-    """The packed Z2 value of a point record, built once per record."""
-    body = record.parts.get("z2")
-    if body is None:
-        env = record.geometry.envelope
-        body = record.parts["z2"] = _pack_curve(
-            curve.index(env.min_lng, env.min_lat))
-    return body
+def _keys(strategy: "IndexStrategy", batch: KeyBatch, bodies) -> list[bytes]:
+    """Shard byte + body + ``0x00`` + feature id, row by row."""
+    prefixes = map(_SHARD_BYTES.__getitem__,
+                   batch.shards(strategy.num_shards))
+    return list(map(add, map(add, prefixes, bodies), batch.suffixes))
 
 
 def _xz2_code_bounds(lo: int, hi: int) -> tuple[bytes, bytes]:
@@ -186,22 +284,15 @@ class IndexStrategy(ABC):
         self.max_ranges = max_ranges
 
     # -- write path --------------------------------------------------------
-    def key(self, record: IndexedRecord) -> bytes:
-        """Full row key for a record (shard + body + feature id).
-
-        The parts one row's indexes share are built once per record
-        (:attr:`IndexedRecord.parts`); the key bytes are the same.
-        """
-        ends = record.parts.get(self.num_shards)
-        if ends is None:
-            ends = record.parts[self.num_shards] = (
-                bytes([shard_of(record.fid, self.num_shards)]),
-                b"\x00" + record.fid.encode("utf-8"))
-        return ends[0] + self._key_body(record) + ends[1]
-
     @abstractmethod
-    def _key_body(self, record: IndexedRecord) -> bytes:
-        """Strategy-specific key body (period/curve bytes)."""
+    def keys(self, batch: KeyBatch) -> list[bytes]:
+        """Full row keys (shard + body + feature id) of every row of
+        ``batch``, in its order."""
+
+    def key(self, record: IndexedRecord) -> bytes:
+        """The full row key of one record: :meth:`keys` of a batch of
+        one."""
+        return self.keys(KeyBatch.of_records([record]))[0]
 
     # -- read path ---------------------------------------------------------
     @abstractmethod
@@ -336,10 +427,11 @@ class Z2Strategy(IndexStrategy):
         super().__init__(**kwargs)
         self.curve = Z2Curve()
 
-    def _key_body(self, record: IndexedRecord) -> bytes:
-        if not record.geometry.is_point():
-            raise IndexError_("z2 indexes point geometries only")
-        return _z2_body(self.curve, record)
+    def keys(self, batch: KeyBatch) -> list[bytes]:
+        batch.require_points("z2")
+        return list(map(add, map(_SHARD_CURVE.pack,
+                                 batch.shards(self.num_shards),
+                                 batch.z2_values), batch.suffixes))
 
     def supports(self, query: STQuery) -> bool:
         return query.has_spatial
@@ -372,8 +464,8 @@ class XZ2Strategy(IndexStrategy):
         super().__init__(**kwargs)
         self.curve = _xz2_curve(g)
 
-    def _key_body(self, record: IndexedRecord) -> bytes:
-        return _xz2_body(self.curve, record)
+    def keys(self, batch: KeyBatch) -> list[bytes]:
+        return _keys(self, batch, _xz2_bodies(self.curve, batch))
 
     def supports(self, query: STQuery) -> bool:
         return query.has_spatial
@@ -425,16 +517,21 @@ class Z3Strategy(IndexStrategy):
         self.period = period
         self.curve = Z3Curve()
 
-    def _key_body(self, record: IndexedRecord) -> bytes:
-        if not record.geometry.is_point():
-            raise IndexError_("z3 indexes point geometries only")
-        if record.t_min is None:
-            raise IndexError_("z3 requires a timestamp")
-        env = record.geometry.envelope
-        bin_number = period_bin(record.t_min, self.period)
-        fraction = period_offset(record.t_min, self.period)
-        z = self.curve.index(env.min_lng, env.min_lat, fraction)
-        return _pack_period(bin_number) + _pack_curve(z)
+    def keys(self, batch: KeyBatch) -> list[bytes]:
+        batch.require_points("z3")
+        batch.require_times("z3 requires a timestamp")
+        bins = batch.bins(self.period)
+        seconds = self.period.seconds
+        # period_offset: the start of the bin, then the fraction past it.
+        fractions = [(t - (REF_TIME + b * seconds)) / seconds
+                     for t, b in zip(batch.t_min, bins)]
+        curve = self.curve
+        z = map(interleave3, curve.lng_dim.normalize_all(batch.min_lng),
+                curve.lat_dim.normalize_all(batch.min_lat),
+                curve.time_dim.normalize_all(fractions))
+        return list(map(add, map(
+            _SHARD_PERIOD_CURVE.pack, batch.shards(self.num_shards),
+            [b + _PERIOD_BIAS for b in bins], z), batch.suffixes))
 
     def supports(self, query: STQuery) -> bool:
         return query.has_spatial and query.has_temporal
@@ -484,16 +581,21 @@ class XZ3Strategy(_BinnedByStart, IndexStrategy):
         self.curve = XZ3Curve(g)
         self.lookback_periods = lookback_periods
 
-    def _key_body(self, record: IndexedRecord) -> bytes:
-        if record.t_min is None:
-            raise IndexError_("xz3 requires a time extent")
-        t_max = record.t_max if record.t_max is not None else record.t_min
-        bin_number = period_bin(record.t_min, self.period)
-        start = period_start(bin_number, self.period)
-        lo_frac = (record.t_min - start) / self.period.seconds
-        hi_frac = min(1.0, (t_max - start) / self.period.seconds)
-        code = self.curve.index(record.geometry.envelope, lo_frac, hi_frac)
-        return _pack_period(bin_number) + _pack_curve(code)
+    def keys(self, batch: KeyBatch) -> list[bytes]:
+        batch.require_times("xz3 requires a time extent")
+        seconds = self.period.seconds
+        bodies = []
+        for envelope, t_min, t_max, bin_number in zip(
+                batch.envelopes, batch.t_min, batch.t_max,
+                batch.bins(self.period)):
+            if t_max is None:
+                t_max = t_min
+            start = period_start(bin_number, self.period)
+            lo_frac = (t_min - start) / seconds
+            hi_frac = min(1.0, (t_max - start) / seconds)
+            code = self.curve.index(envelope, lo_frac, hi_frac)
+            bodies.append(_pack_period(bin_number) + _pack_curve(code))
+        return _keys(self, batch, bodies)
 
     def supports(self, query: STQuery) -> bool:
         return query.has_spatial and query.has_temporal
@@ -538,13 +640,13 @@ class Z2TStrategy(IndexStrategy):
         self.period = period
         self.curve = Z2Curve()
 
-    def _key_body(self, record: IndexedRecord) -> bytes:
-        if not record.geometry.is_point():
-            raise IndexError_("z2t indexes point geometries only")
-        if record.t_min is None:
-            raise IndexError_("z2t requires a timestamp")
-        bin_number = period_bin(record.t_min, self.period)
-        return _pack_period(bin_number) + _z2_body(self.curve, record)
+    def keys(self, batch: KeyBatch) -> list[bytes]:
+        batch.require_points("z2t")
+        batch.require_times("z2t requires a timestamp")
+        return list(map(add, map(
+            _SHARD_PERIOD_CURVE.pack, batch.shards(self.num_shards),
+            [b + _PERIOD_BIAS for b in batch.bins(self.period)],
+            batch.z2_values), batch.suffixes))
 
     def supports(self, query: STQuery) -> bool:
         return query.has_spatial and query.has_temporal
@@ -581,11 +683,11 @@ class XZ2TStrategy(_BinnedByStart, IndexStrategy):
         self.curve = _xz2_curve(g)
         self.lookback_periods = lookback_periods
 
-    def _key_body(self, record: IndexedRecord) -> bytes:
-        if record.t_min is None:
-            raise IndexError_("xz2t requires a time extent")
-        bin_number = period_bin(record.t_min, self.period)
-        return _pack_period(bin_number) + _xz2_body(self.curve, record)
+    def keys(self, batch: KeyBatch) -> list[bytes]:
+        batch.require_times("xz2t requires a time extent")
+        periods = map(_pack_period, batch.bins(self.period))
+        return _keys(self, batch, map(add, periods,
+                                      _xz2_bodies(self.curve, batch)))
 
     def supports(self, query: STQuery) -> bool:
         return query.has_spatial and query.has_temporal
@@ -654,7 +756,7 @@ class AttributeStrategy(IndexStrategy):
         return (bytes([shard]) + self.encode_value(value) + b"\x00"
                 + fid.encode("utf-8"))
 
-    def _key_body(self, record: IndexedRecord) -> bytes:
+    def keys(self, batch: KeyBatch) -> list[bytes]:
         raise IndexError_(
             "attribute index keys are built via key_for_value()")
 

@@ -111,6 +111,14 @@ class Dimension:
         fraction = (value - self.low) / (self.high - self.low)
         return min(self.max_index, int(fraction * (self.max_index + 1)))
 
+    def normalize_all(self, values) -> list[int]:
+        """:meth:`normalize` over a column, in the same float steps."""
+        low, high, top = self.low, self.high, self.max_index
+        span, cells = high - low, top + 1
+        return [0 if v <= low else top if v >= high
+                else min(top, int((v - low) / span * cells))
+                for v in values]
+
     def denormalize(self, index: int) -> tuple[float, float]:
         """Continuous ``[low, high)`` interval covered by cell ``index``."""
         span = (self.high - self.low) / (self.max_index + 1)

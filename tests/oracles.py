@@ -1103,3 +1103,231 @@ def order_by_reference(rows, keys, ascending=None) -> list[dict]:
         rows.sort(key=lambda r: _reference_sort_key(r.get(key)),
                   reverse=not asc)
     return rows
+
+
+# -- the row-at-a-time insert preparation before the column passes ------------
+# Each row validated, normalised, keyed (an ``IndexedRecord`` per row, its
+# keys built strategy by strategy from the row's geometry) and encoded
+# field by field with a dispatch on the field type per value; the store
+# read for its predecessor in between; the statistics grown record by
+# record.  Only the per-type payload encoders (series, coordinate pairs)
+# and the curves' own per-value index functions are shared with the
+# engine: this checks how a batch is prepared, not how a curve or a
+# series is encoded.
+
+_PERIOD_BIAS_REFERENCE = 1 << 31
+
+
+def _validate_row_reference(schema, row: dict) -> None:
+    from repro.errors import SchemaError
+    extras = set(row) - {f.name for f in schema.fields}
+    if extras:
+        raise SchemaError(f"row has unknown fields: {sorted(extras)}")
+    for field in schema.fields:
+        field.validate(row.get(field.name))
+
+
+def _encode_value_reference(value, ftype) -> bytes:
+    import struct
+    from repro.core.codec import _encode_pairs, _encode_st_series
+    from repro.core.schema import FieldType
+    from repro.geometry.linestring import LineString
+    from repro.geometry.point import Point
+    from repro.geometry.polygon import Polygon
+    if ftype in (FieldType.INTEGER, FieldType.LONG):
+        return struct.pack(">q", value)
+    if ftype in (FieldType.DOUBLE, FieldType.DATE):
+        return struct.pack(">d", float(value))
+    if ftype == FieldType.STRING:
+        return value.encode("utf-8")
+    if ftype == FieldType.BOOLEAN:
+        return b"\x01" if value else b"\x00"
+    if ftype == FieldType.POINT:
+        return struct.pack(">dd", value.lng, value.lat)
+    if ftype == FieldType.LINESTRING:
+        return _encode_pairs(value.coords)
+    if ftype == FieldType.POLYGON:
+        return _encode_pairs(value.ring)
+    if ftype == FieldType.GEOMETRY:
+        tag = {Point: 0, LineString: 1, Polygon: 2}[type(value)]
+        inner = (FieldType.POINT, FieldType.LINESTRING, FieldType.POLYGON)
+        return bytes([tag]) + _encode_value_reference(value, inner[tag])
+    if ftype == FieldType.ST_SERIES:
+        return _encode_st_series(value)
+    return _encode_pairs(value.samples)  # T_SERIES
+
+
+def encode_row_reference(codec, row: dict) -> bytes:
+    """``row`` stored field by field: flag, LEB128 length, payload."""
+    from repro.core.codec import compress_bytes, write_varint
+    out = bytearray()
+    for field in codec.schema.fields:
+        value = row.get(field.name)
+        if value is None:
+            out.append(0)
+            continue
+        payload = _encode_value_reference(value, field.ftype)
+        if codec.compression_enabled and field.compress != "none":
+            payload = compress_bytes(payload, field.compress)
+            out.append(2)
+        else:
+            out.append(1)
+        write_varint(len(payload), out)
+        out += payload
+    return bytes(out)
+
+
+def _z2_reference(curve, lng, lat) -> int:
+    return interleave([curve.lng_dim.normalize(lng),
+                       curve.lat_dim.normalize(lat)], 31)
+
+
+def index_key_reference(strategy, record) -> bytes:
+    """One record's key in ``strategy``: shard byte, the strategy's body
+    built from the record's geometry, ``0x00``, the feature id."""
+    import struct
+    import zlib
+    from repro.curves.timeperiod import period_bin, period_offset, period_start
+    from repro.errors import IndexError_
+    name = strategy.name
+    geometry, t_min = record.geometry, record.t_min
+    env = geometry.envelope
+    if name in ("z2", "z2t", "z3") and not geometry.is_point():
+        raise IndexError_(f"{name} indexes point geometries only")
+    if name in ("z2t", "z3") and t_min is None:
+        raise IndexError_(f"{name} requires a timestamp")
+    if name in ("xz2t", "xz3") and t_min is None:
+        raise IndexError_(f"{name} requires a time extent")
+
+    def period(bin_number):
+        return struct.pack(">I", bin_number + _PERIOD_BIAS_REFERENCE)
+
+    def xz2_body():
+        code = strategy.curve.index(env)
+        return struct.pack(">IBBBB", code,
+                           *strategy.curve.signature(env, code))
+
+    if name == "z2":
+        body = struct.pack(">Q", _z2_reference(strategy.curve, env.min_lng,
+                                               env.min_lat))
+    elif name == "z2t":
+        body = period(period_bin(t_min, strategy.period)) + struct.pack(
+            ">Q", _z2_reference(strategy.curve, env.min_lng, env.min_lat))
+    elif name == "z3":
+        bin_number = period_bin(t_min, strategy.period)
+        fraction = period_offset(t_min, strategy.period)
+        curve = strategy.curve
+        z = interleave([curve.lng_dim.normalize(env.min_lng),
+                        curve.lat_dim.normalize(env.min_lat),
+                        curve.time_dim.normalize(fraction)], 21)
+        body = period(bin_number) + struct.pack(">Q", z)
+    elif name == "xz2":
+        body = xz2_body()
+    elif name == "xz2t":
+        body = period(period_bin(t_min, strategy.period)) + xz2_body()
+    else:  # xz3
+        t_max = record.t_max if record.t_max is not None else t_min
+        bin_number = period_bin(t_min, strategy.period)
+        start = period_start(bin_number, strategy.period)
+        seconds = strategy.period.seconds
+        code = strategy.curve.index(env, (t_min - start) / seconds,
+                                    min(1.0, (t_max - start) / seconds))
+        body = period(bin_number) + struct.pack(">Q", code)
+    fid = record.fid.encode("utf-8")
+    shard = zlib.crc32(fid) % strategy.num_shards
+    return bytes([shard]) + body + b"\x00" + fid
+
+
+def _record_reference(table, row: dict):
+    from repro.curves.strategies import IndexedRecord
+    from repro.errors import SchemaError
+    fid = str(row[table.schema.primary_key.name])
+    geometry = table.record_geometry(row)
+    if geometry is None:
+        raise SchemaError(
+            f"table {table.name!r}: row {fid!r} has no geometry to index")
+    extent = table.record_time_extent(row)
+    t_min, t_max = extent if extent is not None else (None, None)
+    return IndexedRecord(fid, geometry, t_min, t_max)
+
+
+def _row_puts_reference(table, fid, row, record, payload) -> list:
+    puts = [(table._index_tables[name],
+             index_key_reference(strategy, record), payload)
+            for name, strategy in table.strategies.items()]
+    for field_name, attr in table.attribute_indexes.items():
+        value = row.get(field_name)
+        if value is not None:
+            puts.append((table._attr_tables[field_name],
+                         attr.key_for_value(fid, value), payload))
+    puts.append((table._id_table, fid.encode("utf-8"), payload))
+    return puts
+
+
+def _row_deletes_reference(table, fid, payload) -> list:
+    deletes = []
+    if table.strategies or table.attribute_indexes:
+        old_row = table.codec.decode_row(payload, table._key_fields)
+        if table.strategies:
+            record = _record_reference(table, old_row)
+            deletes += [(table._index_tables[name],
+                         index_key_reference(strategy, record), None)
+                        for name, strategy in table.strategies.items()]
+        for field_name, attr in table.attribute_indexes.items():
+            value = old_row.get(field_name)
+            if value is not None:
+                deletes.append((table._attr_tables[field_name],
+                                attr.key_for_value(fid, value), None))
+    deletes.append((table._id_table, fid.encode("utf-8"), None))
+    return deletes
+
+
+def _grow_stats_reference(table, record) -> None:
+    env = record.geometry.envelope
+    table.data_envelope = env if table.data_envelope is None \
+        else table.data_envelope.expand(env)
+    if record.t_min is not None:
+        t_max = record.t_max if record.t_max is not None else record.t_min
+        if table.time_extent is None:
+            table.time_extent = (record.t_min, t_max)
+        else:
+            table.time_extent = (min(table.time_extent[0], record.t_min),
+                                 max(table.time_extent[1], t_max))
+        if t_max > record.t_min:
+            for strategy in table.strategies.values():
+                strategy.observe_extent(record.t_min, t_max)
+
+
+def insert_mutations_reference(table, rows: list[dict]) -> int:
+    """``table.insert_rows(rows)`` as it ran a row at a time: validate,
+    normalise, key and encode a row, read the row it replaces, build its
+    mutations; then grow the statistics record by record and write the
+    whole list through the table's own ``_write``."""
+    mutations, records, stored = [], [], set()
+    batch_puts: dict = {}
+    for row in rows:
+        _validate_row_reference(table.schema, row)
+        if table.plugin_type == "trajectory" and \
+                row.get("gps_list") is not None:
+            row = {**row, "gps_list": row["gps_list"].as_stored()}
+        fid = str(row[table.schema.primary_key.name])
+        record = _record_reference(table, row) if table.strategies else None
+        payload = encode_row_reference(table.codec, row)
+        earlier = batch_puts.get(fid)
+        if earlier is not None:
+            mutations += [(kv, key, None) for kv, key, _ in earlier]
+        else:
+            id_key = fid.encode("utf-8")
+            existing = table._id_table.get(id_key)
+            if existing is not None:
+                mutations += _row_deletes_reference(table, fid, existing)
+                stored.add(id_key)
+        puts = _row_puts_reference(table, fid, row, record, payload)
+        mutations += puts
+        batch_puts[fid] = puts
+        records.append(record)
+    for record in records:
+        if record is not None:
+            _grow_stats_reference(table, record)
+    table._write(mutations, stored)
+    return len(rows)

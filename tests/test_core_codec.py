@@ -564,3 +564,17 @@ class TestTruncatedValuesAreSchemaErrors:
                 codec.decode_row(data[:cut])
             with pytest.raises(SchemaError):
                 codec.decode_columns([data, data[:cut]])
+
+    @pytest.mark.parametrize("wanted", [None, {"name"}])
+    def test_a_row_cut_inside_its_last_string_fails_typed(self, wanted):
+        # A string decodes from any slice, so only the walk's end tells:
+        # cut by 2 bytes, this row used to decode to name 'alp'.
+        codec = RowCodec(Schema([
+            Field("fid", FieldType.INTEGER, primary_key=True),
+            Field("name", FieldType.STRING)]))
+        data = codec.encode_row({"fid": 1, "name": "alpha"})
+        for cut in (1, 2, 4):
+            with pytest.raises(SchemaError, match="truncated row"):
+                codec.decode_row(data[:-cut], wanted)
+            with pytest.raises(SchemaError, match="truncated row"):
+                codec.decode_columns([data, data[:-cut]], wanted)

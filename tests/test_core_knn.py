@@ -212,7 +212,8 @@ class TestAgainstBruteForce:
             [d for d, _fid in expected], abs=1e-12)
         distance_of = {str(fid): d for d, fid in knn_reference(
             records, lng, lat, len(records))}
-        fids = [table.schema.fid_of(row) for row in result.rows]
+        fids = [str(row[table.schema.primary_key.name])
+                for row in result.rows]
         assert len(set(fids)) == len(fids)
         assert [distance_of[fid] for fid in fids] == pytest.approx(
             result.distances, abs=1e-12)

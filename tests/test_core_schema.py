@@ -98,16 +98,16 @@ class TestSchema:
 
     def test_validate_row(self):
         schema = self.make()
-        schema.validate_row({"fid": 1, "name": "x", "time": 0.0,
-                             "geom": Point(0, 0)})
+        schema.validate_rows([{"fid": 1, "name": "x", "time": 0.0,
+                               "geom": Point(0, 0)}])
         with pytest.raises(SchemaError):
-            schema.validate_row({"fid": 1, "extra": True})
+            schema.validate_rows([{"fid": 1, "extra": True}])
         with pytest.raises(SchemaError):
-            schema.validate_row({"fid": None})
+            schema.validate_rows([{"fid": None}])
 
     def test_fid_of(self):
         schema = self.make()
-        assert schema.fid_of({"fid": 42}) == "42"
+        assert schema.fids({"fid": [42, 7]}) == ["42", "7"]
 
     def test_describe(self):
         rows = self.make().describe()
