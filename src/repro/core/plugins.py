@@ -13,9 +13,8 @@ from repro.core.schema import Field, FieldType, Schema
 from repro.core.tables import CommonTable
 from repro.cluster.simclock import SimJob
 from repro.errors import SchemaError
-from repro.geometry.base import Geometry
 from repro.geometry.point import Point
-from repro.trajectory.model import STSeries, Trajectory
+from repro.trajectory.model import Trajectory
 
 #: Fields of the trajectory plugin table (Figure 6): MBR and endpoints are
 #: derivable from the GPS list, so storage keeps identity, time extent and
@@ -50,7 +49,8 @@ class TrajectoryPlugin(CommonTable):
     plugin_type = "trajectory"
     geometry_column = "gps_list"
     time_columns = ("start_time", "end_time")
-    implicit_inputs = {"item": ("tid", "oid", "gps_list")}
+    #: The implicit ``item``: the whole :class:`Trajectory`.
+    implicit_columns = {"item": (_trajectory, ("tid", "oid", "gps_list"))}
 
     def __init__(self, name, store, strategies,
                  compression_enabled: bool = True,
@@ -68,49 +68,6 @@ class TrajectoryPlugin(CommonTable):
         return {**columns, "gps_list": [
             None if series is None else series.as_stored()
             for series in columns["gps_list"]]}
-
-    def _shapes(self, geometries: list) -> tuple[list, list]:
-        """A GPS list is keyed by its MBR, a one-fix list as a point:
-        no line is built on insert."""
-        return ([series.envelope for series in geometries],
-                [len(series) == 1 for series in geometries])
-
-    # The index-relevant geometry is the GPS polyline, not a stored column.
-    def record_geometry(self, row: dict) -> Geometry | None:
-        series: STSeries | None = row.get("gps_list")
-        if series is None or len(series) == 0:
-            return None
-        if len(series) == 1:
-            p = series[0]
-            return Point(p.lng, p.lat)
-        return series.as_linestring()
-
-    def record_envelope(self, row: dict):
-        """The GPS list's cached MBR, without building a LineString."""
-        series = row.get("gps_list")
-        if series is None or len(series) == 0:
-            return None
-        return series.envelope
-
-    def decorate_row(self, row: dict, wanted=None) -> dict:
-        """Attach the implicit ``item`` field: the full Trajectory."""
-        series = row.get("gps_list")
-        if series is not None and (wanted is None or "item" in wanted):
-            row = dict(row)
-            row["item"] = _trajectory(row["tid"], row.get("oid"), series)
-        return row
-
-    def decorate_columns(self, data: dict[str, list],
-                         wanted=None) -> dict[str, list]:
-        """The ``item`` column: each row's Trajectory (None without a
-        GPS list)."""
-        if wanted is None or "item" in wanted:
-            data["item"] = list(map(_trajectory, data["tid"], data["oid"],
-                                    data["gps_list"]))
-        return data
-
-    def columns(self) -> list[str]:
-        return self.schema.names + ["item"]
 
     # -- convenience API ------------------------------------------------------
     @staticmethod
@@ -155,7 +112,8 @@ class GeofencePlugin(CommonTable):
     plugin_type = "geofence"
     geometry_column = "area"
     time_columns = ("valid_from", "valid_to")
-    implicit_inputs = {"item": ("area",)}
+    #: The implicit ``item``: the fence polygon itself.
+    implicit_columns = {"item": (lambda area: area, ("area",))}
 
     def __init__(self, name, store, strategies,
                  compression_enabled: bool = True,
@@ -167,24 +125,6 @@ class GeofencePlugin(CommonTable):
                          if attribute_fields is not None
                          else ["category"],
                          presplit=presplit, salt_buckets=salt_buckets)
-
-    def decorate_row(self, row: dict, wanted=None) -> dict:
-        """Attach the implicit ``item``: the fence polygon itself."""
-        if row.get("area") is not None and \
-                (wanted is None or "item" in wanted):
-            row = dict(row)
-            row["item"] = row["area"]
-        return row
-
-    def decorate_columns(self, data: dict[str, list],
-                         wanted=None) -> dict[str, list]:
-        """The ``item`` column: the ``area`` column itself."""
-        if wanted is None or "item" in wanted:
-            data["item"] = data["area"]
-        return data
-
-    def columns(self) -> list[str]:
-        return self.schema.names + ["item"]
 
     def active_fences(self, lng: float, lat: float, at_time: float,
                       job=None) -> list[dict]:

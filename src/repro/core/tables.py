@@ -9,8 +9,9 @@ historical updates need no index rebuild.
 
 from __future__ import annotations
 
+import math
 from functools import partial
-from itertools import chain, count, repeat
+from itertools import chain, repeat
 from operator import attrgetter
 
 from repro.cluster.simclock import SimJob
@@ -25,7 +26,6 @@ from repro.curves.strategies import (
 )
 from repro.dataframe import BatchBuilder, DataFrame, batches_from_rows
 from repro.errors import SchemaError
-from repro.geometry.base import Geometry
 from repro.geometry.envelope import Envelope
 from repro.geometry.point import Point
 from repro.kvstore.scan import ScanSpec
@@ -42,10 +42,13 @@ class CommonTable:
     #: The ``CREATE TABLE ... AS <plugin>`` name (plugin tables only).
     plugin_type: str | None = None
 
-    #: Implicit column -> the stored fields :meth:`decorate_row` builds
-    #: it from (plugin tables declare ``item`` here).
-    implicit_inputs: dict[str, tuple[str, ...]] = {}
-    #: The stored column :meth:`record_geometry` reads, the only one a
+    #: Implicit column -> ``(build, inputs)``: its value is
+    #: ``build(*inputs)`` over the row's stored fields ``inputs``
+    #: (plugin tables declare ``item`` here; :meth:`decorate_row`,
+    #: :meth:`decorate_columns`).
+    implicit_columns: dict[str, tuple] = {}
+    #: The stored column a row's index keys, its MBR and the exact
+    #: filter read (a geometry or an ``st_series``), the only one a
     #: spatial predicate is pushed into the index scan on, and the ones
     #: :meth:`record_time_extent` reads, start first (one column is an
     #: instant, two an extent's bounds).  Plugin tables declare theirs;
@@ -127,14 +130,11 @@ class CommonTable:
         wanted = set(columns)
         if filtered:
             wanted.update(self.filter_fields)
-        for implicit, inputs in self.implicit_inputs.items():
+        for implicit, (_build, inputs) in self.implicit_columns.items():
             if implicit in wanted:
                 wanted.update(inputs)
         return None if wanted.issuperset(self.columns()) \
             else frozenset(wanted)
-
-    def record_geometry(self, row: dict) -> Geometry | None:
-        return row.get(self.geometry_column)
 
     def record_time_extent(self, row: dict) -> tuple[float, float] | None:
         columns = self.time_columns
@@ -146,11 +146,10 @@ class CommonTable:
         return (float(start), float(end))
 
     def record_envelope(self, row: dict) -> Envelope | None:
-        """MBR of the row's geometry — overridable with a cheaper path
-        than materializing the full geometry (``WITHIN`` and k-NN read
-        it for every row they examine)."""
-        geometry = self.record_geometry(row)
-        return geometry.envelope if geometry is not None else None
+        """MBR of the row's geometry (``WITHIN`` and k-NN read it for
+        every row they examine); a NULL or an empty series has none."""
+        geometry = row.get(self.geometry_column)
+        return geometry.envelope if geometry else None
 
     def stored_columns(self, columns: dict[str, list]) -> dict[str, list]:
         """``columns`` with the values the codec stores lossily replaced
@@ -159,16 +158,12 @@ class CommonTable:
         decoded row removes.  Lossless schemas store what they get."""
         return columns
 
-    def _shapes(self, geometries: list) -> tuple[list[Envelope], list]:
-        """The MBR of each of ``geometries`` and whether it is a point:
-        all key building reads of a geometry."""
-        return ([g.envelope for g in geometries],
-                [g.is_point() for g in geometries])
-
     def _key_batch(self, columns: dict[str, list],
                    fids: list[str]) -> KeyBatch:
-        """The index-relevant columns of a batch (:meth:`_shapes`, and
-        the start and end of :meth:`record_time_extent`)."""
+        """The index-relevant columns of a batch: each geometry's MBR
+        and whether it is a point (all key building reads of one; an
+        ``st_series`` builds no line), and the start and end of
+        :meth:`record_time_extent`."""
         geometries = columns.get(self.geometry_column) or [None] * len(fids)
         if not all(geometries):  # NULL, or an empty series
             fid = next(fid for fid, g in zip(fids, geometries) if not g)
@@ -179,7 +174,8 @@ class CommonTable:
             return KeyBatch.of_points(fids, list(map(_LNG, geometries)),
                                       list(map(_LAT, geometries)),
                                       t_min, t_max)
-        return KeyBatch.of_envelopes(fids, *self._shapes(geometries),
+        return KeyBatch.of_envelopes(fids, [g.envelope for g in geometries],
+                                     [g.is_point() for g in geometries],
                                      t_min, t_max)
 
     def _time_columns(self, columns: dict[str, list], size: int):
@@ -265,8 +261,10 @@ class CommonTable:
         """A batch as column passes: its feature ids, its
         :class:`KeyBatch` (``None`` without indexes), each row's payload
         and each row's puts — index, attribute, id, in that order."""
-        columns = self.stored_columns(self.schema.validate_rows(rows))
+        columns = self.schema.validate_rows(rows)
         fids = self.schema.fids(columns)
+        self._check_extents(columns, fids)
+        columns = self.stored_columns(columns)
         batch = self._key_batch(columns, fids) if self.strategies else None
         payloads = self.codec.encode_columns(columns)
         # After the encode, which meets a fid UTF-8 cannot hold first.
@@ -289,6 +287,23 @@ class CommonTable:
             row_puts = [[put for put in puts if put[1] is not None]
                         for puts in row_puts]
         return fids, batch, payloads, row_puts
+
+    def _check_extents(self, columns: dict[str, list],
+                       fids: list[str]) -> None:
+        """Validation of a table whose time extent has a start and an end
+        column: each row's extent, where it has both, is finite and
+        ordered, so binning and look-back (:meth:`_widen_stats`) can
+        take it in."""
+        if len(self.time_columns) != 2:
+            return
+        starts, ends = (columns[name] for name in self.time_columns)
+        for fid, start, end in zip(fids, starts, ends):
+            if start is not None and end is not None and \
+                    not -math.inf < start <= end < math.inf:
+                raise SchemaError(
+                    f"table {self.name!r}: row {fid!r} has time extent "
+                    f"[{start!r}, {end!r}]; an extent must be finite and "
+                    f"must not end before it starts")
 
     def _write(self, mutations: list, stored: set[bytes]) -> None:
         """Apply ``mutations`` as one write batch and move ``row_count``
@@ -318,28 +333,20 @@ class CommonTable:
 
     def _widen_stats(self, batch: KeyBatch) -> None:
         """Take a batch into the grow-only statistics as the rows one at
-        a time would: ``data_envelope`` and ``time_extent`` fold the
-        rows in order onto what they held (``min``/``max`` meet a NaN
-        time by position), and each strategy observes every extent that
-        lasts.  A strategy that rejects an extent (an infinite one)
-        raises with the rows up to and including it taken in."""
-        stop = len(batch)
-        lasting = [] if batch.t_max is batch.t_min else [
-            (index, lo, hi) for index, lo, hi in
-            zip(count(), batch.t_min, batch.t_max)
-            if lo is not None and hi is not None and hi > lo]
-        try:
-            for index, lo, hi in lasting:
-                stop = index + 1
-                for strategy in self.strategies.values():
-                    strategy.observe_extent(lo, hi)
-            stop = len(batch)
-        finally:
-            self._widen_bounds(batch, stop)
+        a time would: each strategy observes every extent that lasts
+        (:meth:`_check_extents` made them finite and ordered), and
+        :meth:`_widen_bounds` folds the MBRs and times."""
+        if batch.t_max is not batch.t_min:
+            for lo, hi in zip(batch.t_min, batch.t_max):
+                if lo is not None and hi is not None and hi > lo:
+                    for strategy in self.strategies.values():
+                        strategy.observe_extent(lo, hi)
+        self._widen_bounds(batch)
 
-    def _widen_bounds(self, batch: KeyBatch, stop: int) -> None:
-        """Fold the MBRs and time extents of ``batch``'s first ``stop``
-        rows into ``data_envelope`` and ``time_extent``."""
+    def _widen_bounds(self, batch: KeyBatch) -> None:
+        """Fold the MBRs and time extents of ``batch``'s rows, in order,
+        onto ``data_envelope`` and ``time_extent`` (``min``/``max`` meet
+        a NaN time by position)."""
         def fold(pick, current, column):
             return pick(column if current is None
                         else chain((current,), column))
@@ -348,9 +355,8 @@ class CommonTable:
             env.min_lng, env.min_lat, env.max_lng, env.max_lat)
         self.data_envelope = Envelope(*map(
             fold, (min, min, max, max), current,
-            (batch.min_lng[:stop], batch.min_lat[:stop],
-             batch.max_lng[:stop], batch.max_lat[:stop])))
-        starts, ends = batch.t_min[:stop], batch.t_max[:stop]
+            (batch.min_lng, batch.min_lat, batch.max_lng, batch.max_lat)))
+        starts, ends = batch.t_min, batch.t_max
         if None in starts:
             timed = [(lo, hi) for lo, hi in zip(starts, ends)
                      if lo is not None]
@@ -420,8 +426,12 @@ class CommonTable:
 
     # -- read path ---------------------------------------------------------------
     def decorate_row(self, row: dict, wanted=None) -> dict:
-        """Hook for plugin tables to add the implicit fields (e.g.
-        ``item``) named in ``wanted`` (``None``: all of them)."""
+        """``row`` (a freshly decoded dict, so it is extended in place)
+        with the implicit columns named in ``wanted`` (``None``: all of
+        them) added."""
+        for name, (build, inputs) in self.implicit_columns.items():
+            if wanted is None or name in wanted:
+                row[name] = build(*map(row.get, inputs))
         return row
 
     def _matches(self, row: dict, query: STQuery, predicate: str) -> bool:
@@ -449,6 +459,9 @@ class CommonTable:
                          wanted=None) -> dict[str, list]:
         """:meth:`decorate_row` over a column-major chunk: ``data`` with
         the implicit columns named in ``wanted`` added."""
+        for name, (build, inputs) in self.implicit_columns.items():
+            if wanted is None or name in wanted:
+                data[name] = list(map(build, *(data[i] for i in inputs)))
         return data
 
     def _decoded(self, chunks, num_ranges: int, job: SimJob | None,
@@ -595,7 +608,7 @@ class CommonTable:
         return list(map(self.decorate_row, chain.from_iterable(chunks)))
 
     def columns(self) -> list[str]:
-        return self.schema.names
+        return self.schema.names + list(self.implicit_columns)
 
     def describe(self) -> list[dict]:
         return self.schema.describe()

@@ -41,6 +41,7 @@ import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import floor
 from operator import add
 from zlib import crc32
@@ -376,41 +377,19 @@ class IndexStrategy(ABC):
         reaching it (see :class:`_BinnedByStart`)."""
 
 
-class _BinnedByStart:
-    """Look-back of a strategy that files a record under the period of
-    its *start* (XZ3, XZ2T): a window must also scan the periods in
-    which records still running at its start were filed.
+def _z2_cover(curve: Z2Curve, envelope: Envelope,
+              budget: int) -> list[tuple[bytes, bytes]]:
+    """Inclusive Z2 body ranges covering ``envelope`` (Z2, Z2T)."""
+    return [(_pack_curve(lo), _pack_curve(hi))
+            for lo, hi in z2_ranges(*curve.cell_of(envelope),
+                                    max_ranges=budget)]
 
-    ``lookback_periods`` (one, as GeoMesa assumes) covers every record
-    no longer than that many periods.  Longer ones are a table
-    statistic, grow-only like ``time_extent``: the longest seen, in
-    periods, and the earliest period one of them was filed under — the
-    extra look-back stops there, so a fence valid "forever" costs the
-    periods since it began, not the periods it will last.
-    """
 
-    period: TimePeriod
-    lookback_periods: int
-    _long_reach = 0
-    _long_first_bin = 0
-
-    def observe_extent(self, t_min: float, t_max: float) -> None:
-        reach = math.ceil((t_max - t_min) / self.period.seconds)
-        if reach <= self.lookback_periods:
-            return
-        first_bin = period_bin(t_min, self.period)
-        if not self._long_reach or first_bin < self._long_first_bin:
-            self._long_first_bin = first_bin
-        self._long_reach = max(self._long_reach, reach)
-
-    def _bins_reaching(self, query: STQuery) -> range:
-        """The period bins whose records can reach ``query``'s window."""
-        bins = period_bins_covering(query.t_min, query.t_max, self.period)
-        start = bins.start - self.lookback_periods
-        if self._long_reach:
-            start = min(start, max(bins.start - self._long_reach,
-                                   self._long_first_bin))
-        return range(start, bins.stop)
+def _xz2_cover(curve: XZ2Curve, envelope: Envelope,
+               budget: int) -> list[tuple[bytes, bytes]]:
+    """Inclusive XZ2 body ranges covering ``envelope`` (XZ2, XZ2T)."""
+    return [_xz2_code_bounds(lo, hi)
+            for lo, hi in curve.ranges(envelope, budget)]
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +401,7 @@ class Z2Strategy(IndexStrategy):
 
     name = "z2"
     cell_exact = True
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.curve = Z2Curve()
+    curve = _Z2_GRID
 
     def keys(self, batch: KeyBatch) -> list[bytes]:
         batch.require_points("z2")
@@ -437,10 +413,7 @@ class Z2Strategy(IndexStrategy):
         return query.has_spatial
 
     def _body_ranges(self, query: STQuery) -> list[tuple[bytes, bytes]]:
-        x_lo, y_lo, x_hi, y_hi = self.curve.cell_of(query.envelope)
-        return [(_pack_curve(lo), _pack_curve(hi))
-                for lo, hi in z2_ranges(x_lo, y_lo, x_hi, y_hi,
-                                        max_ranges=self.max_ranges)]
+        return _z2_cover(self.curve, query.envelope, self.max_ranges)
 
     def cell_ranges(self, level, ix, iy, subtree, time_extent):
         """A cell is a key prefix: ``z << 2s … | (1 << 2s) − 1`` under
@@ -471,9 +444,7 @@ class XZ2Strategy(IndexStrategy):
         return query.has_spatial
 
     def _body_ranges(self, query: STQuery) -> list[tuple[bytes, bytes]]:
-        return [_xz2_code_bounds(lo, hi)
-                for lo, hi in self.curve.ranges(query.envelope,
-                                                self.max_ranges)]
+        return _xz2_cover(self.curve, query.envelope, self.max_ranges)
 
     def key_filter(self, query: STQuery):
         if not query.has_spatial:
@@ -492,10 +463,97 @@ class XZ2Strategy(IndexStrategy):
 
 
 # ---------------------------------------------------------------------------
-# Native GeoMesa spatio-temporal strategies (Z3 / XZ3)
+# Spatio-temporal strategies: a period bin before the curve body
 # ---------------------------------------------------------------------------
 
-class Z3Strategy(IndexStrategy):
+class _PerPeriod(IndexStrategy):
+    """A strategy whose key body is the record's period bin followed by
+    a curve body (Z3, XZ3, Z2T, XZ2T).  A window scans each bin it
+    covers: the bin's period prefix before that bin's body ranges.  A
+    subclass supplies only the per-bin cover (:meth:`_bin_covers`).
+    """
+
+    #: Most body ranges one bin's cover may have.  Octree decomposition
+    #: spends its budget across three dimensions, so real planners
+    #: (GeoMesa) produce far coarser covers per period than a 2D planner
+    #: would: Z3 and XZ3 cap it at 32, which is what makes the
+    #: interleaved strategies over-scan (Section IV-B).  Z2T and XZ2T
+    #: leave it uncapped.
+    RANGE_BUDGET_CAP = math.inf
+
+    def __init__(self, period: TimePeriod = TimePeriod.DAY, **kwargs):
+        super().__init__(**kwargs)
+        self.period = period
+
+    def supports(self, query: STQuery) -> bool:
+        return query.has_spatial and query.has_temporal
+
+    def _bins(self, query: STQuery) -> range:
+        """The period bins whose records can meet ``query``'s window."""
+        return period_bins_covering(query.t_min, query.t_max, self.period)
+
+    def _body_ranges(self, query: STQuery) -> list[tuple[bytes, bytes]]:
+        bins = self._bins(query)
+        budget = max(8, min(self.RANGE_BUDGET_CAP,
+                            self.max_ranges // len(bins)))
+        out: list[tuple[bytes, bytes]] = []
+        for bin_number, cover in zip(bins,
+                                     self._bin_covers(query, bins, budget)):
+            prefix = _pack_period(bin_number)
+            out += [(prefix + lo, prefix + hi) for lo, hi in cover]
+        return out
+
+    @abstractmethod
+    def _bin_covers(self, query: STQuery, bins: range, budget: int):
+        """Each of ``bins``' inclusive body ranges after the period
+        prefix, sorted and disjoint, at most ``budget`` per bin."""
+
+    def _fractions(self, query: STQuery,
+                   bin_number: int) -> tuple[float, float]:
+        """The part of bin ``bin_number`` that ``query``'s window covers,
+        as fractions of the period clamped to ``[0, 1]``."""
+        start = period_start(bin_number, self.period)
+        seconds = self.period.seconds
+        return (max(0.0, (query.t_min - start) / seconds),
+                min(1.0, (query.t_max - start) / seconds))
+
+
+class _BinnedByStart(_PerPeriod):
+    """Look-back of a strategy that files a record under the period of
+    its *start* (XZ3, XZ2T): a window must also scan the periods in
+    which records still running at its start were filed.
+
+    One period of look-back, as GeoMesa assumes, covers every record no
+    longer than a period.  Longer ones are a table statistic, grow-only
+    like ``time_extent``: the longest seen, in periods, and the earliest
+    period one of them was filed under — the extra look-back stops
+    there, so a long record (a fence valid for years) costs the periods
+    since it began, not the periods it lasts.  An extent is finite and
+    ordered: a table rejects any other before it stores the row.
+    """
+
+    _long_reach = 0
+    _long_first_bin = 0
+
+    def observe_extent(self, t_min: float, t_max: float) -> None:
+        reach = math.ceil((t_max - t_min) / self.period.seconds)
+        if reach <= 1:
+            return
+        first_bin = period_bin(t_min, self.period)
+        if not self._long_reach or first_bin < self._long_first_bin:
+            self._long_first_bin = first_bin
+        self._long_reach = max(self._long_reach, reach)
+
+    def _bins(self, query: STQuery) -> range:
+        bins = super()._bins(query)
+        start = bins.start - 1
+        if self._long_reach:
+            start = min(start, max(bins.start - self._long_reach,
+                                   self._long_first_bin))
+        return range(start, bins.stop)
+
+
+class Z3Strategy(_PerPeriod):
     """Per-period interleaved space-time curve for points (Figure 3e).
 
     The paper's analysis (Section IV-B) shows why this struggles: within a
@@ -505,17 +563,8 @@ class Z3Strategy(IndexStrategy):
     """
 
     name = "z3"
-
-    #: Per-period range budget.  Octree decomposition spends its budget
-    #: across three dimensions, so real planners (GeoMesa) produce far
-    #: coarser covers per period than a 2D planner would — this cap is
-    #: what makes the interleaved strategies over-scan (Section IV-B).
     RANGE_BUDGET_CAP = 32
-
-    def __init__(self, period: TimePeriod = TimePeriod.DAY, **kwargs):
-        super().__init__(**kwargs)
-        self.period = period
-        self.curve = Z3Curve()
+    curve = Z3Curve()
 
     def keys(self, batch: KeyBatch) -> list[bytes]:
         batch.require_points("z3")
@@ -533,53 +582,37 @@ class Z3Strategy(IndexStrategy):
             _SHARD_PERIOD_CURVE.pack, batch.shards(self.num_shards),
             [b + _PERIOD_BIAS for b in bins], z), batch.suffixes))
 
-    def supports(self, query: STQuery) -> bool:
-        return query.has_spatial and query.has_temporal
-
-    def _body_ranges(self, query: STQuery) -> list[tuple[bytes, bytes]]:
-        env = query.envelope
-        x_lo = self.curve.lng_dim.normalize(env.min_lng)
-        x_hi = self.curve.lng_dim.normalize(env.max_lng)
-        y_lo = self.curve.lat_dim.normalize(env.min_lat)
-        y_hi = self.curve.lat_dim.normalize(env.max_lat)
-        bins = period_bins_covering(query.t_min, query.t_max, self.period)
-        out: list[tuple[bytes, bytes]] = []
-        per_bin_budget = max(8, min(self.RANGE_BUDGET_CAP,
-                                    self.max_ranges // max(1, len(bins))))
+    def _bin_covers(self, query, bins, budget):
+        curve, env = self.curve, query.envelope
+        x_lo = curve.lng_dim.normalize(env.min_lng)
+        x_hi = curve.lng_dim.normalize(env.max_lng)
+        y_lo = curve.lat_dim.normalize(env.min_lat)
+        y_hi = curve.lat_dim.normalize(env.max_lat)
         for bin_number in bins:
-            start = period_start(bin_number, self.period)
-            lo_frac = max(0.0, (query.t_min - start) / self.period.seconds)
-            hi_frac = min(1.0, (query.t_max - start) / self.period.seconds)
-            t_lo = self.curve.time_dim.normalize(lo_frac)
-            t_hi = self.curve.time_dim.normalize(hi_frac)
-            prefix = _pack_period(bin_number)
-            for lo, hi in z3_ranges(x_lo, y_lo, t_lo, x_hi, y_hi, t_hi,
-                                    max_ranges=per_bin_budget):
-                out.append((prefix + _pack_curve(lo),
-                            prefix + _pack_curve(hi)))
-        return out
+            lo_frac, hi_frac = self._fractions(query, bin_number)
+            t_lo = curve.time_dim.normalize(lo_frac)
+            t_hi = curve.time_dim.normalize(hi_frac)
+            yield [(_pack_curve(lo), _pack_curve(hi))
+                   for lo, hi in z3_ranges(x_lo, y_lo, t_lo, x_hi, y_hi,
+                                           t_hi, max_ranges=budget)]
 
 
-class XZ3Strategy(_BinnedByStart, IndexStrategy):
+class XZ3Strategy(_BinnedByStart):
     """Per-period space-time XZ curve for extended objects (Figure 5a).
 
     Objects are binned by their start time (``t_min``); queries therefore
-    scan ``lookback_periods`` extra preceding periods — more once longer
-    objects are stored, see :class:`_BinnedByStart` — to catch objects
-    that started earlier but extend into the query window.
+    scan one extra preceding period — more once longer objects are
+    stored, see :class:`_BinnedByStart` — to catch objects that started
+    earlier but extend into the query window.
     """
 
     name = "xz3"
-
-    #: See Z3Strategy.RANGE_BUDGET_CAP: 3D planners produce coarse covers.
     RANGE_BUDGET_CAP = 32
 
     def __init__(self, period: TimePeriod = TimePeriod.DAY, g: int = 8,
-                 lookback_periods: int = 1, **kwargs):
-        super().__init__(**kwargs)
-        self.period = period
+                 **kwargs):
+        super().__init__(period, **kwargs)
         self.curve = XZ3Curve(g)
-        self.lookback_periods = lookback_periods
 
     def keys(self, batch: KeyBatch) -> list[bytes]:
         batch.require_times("xz3 requires a time extent")
@@ -597,35 +630,23 @@ class XZ3Strategy(_BinnedByStart, IndexStrategy):
             bodies.append(_pack_period(bin_number) + _pack_curve(code))
         return _keys(self, batch, bodies)
 
-    def supports(self, query: STQuery) -> bool:
-        return query.has_spatial and query.has_temporal
-
-    def _body_ranges(self, query: STQuery) -> list[tuple[bytes, bytes]]:
-        bins = self._bins_reaching(query)
-        out: list[tuple[bytes, bytes]] = []
-        per_bin_budget = max(8, min(self.RANGE_BUDGET_CAP,
-                                    self.max_ranges // max(1, len(bins))))
+    def _bin_covers(self, query, bins, budget):
         for bin_number in bins:
-            start = period_start(bin_number, self.period)
-            lo_frac = max(0.0, (query.t_min - start) / self.period.seconds)
-            hi_frac = min(1.0, (query.t_max - start) / self.period.seconds)
+            lo_frac, hi_frac = self._fractions(query, bin_number)
             if hi_frac <= 0.0:
-                # Lookback period: objects binned here may still reach the
+                # Look-back period: objects binned here may still reach the
                 # query window, so scan their full time extent.
                 lo_frac, hi_frac = 0.0, 1.0
-            prefix = _pack_period(bin_number)
-            for lo, hi in self.curve.ranges(query.envelope, lo_frac, hi_frac,
-                                            per_bin_budget):
-                out.append((prefix + _pack_curve(lo),
-                            prefix + _pack_curve(hi)))
-        return out
+            yield [(_pack_curve(lo), _pack_curve(hi))
+                   for lo, hi in self.curve.ranges(query.envelope, lo_frac,
+                                                   hi_frac, budget)]
 
 
 # ---------------------------------------------------------------------------
 # The paper's strategies: Z2T and XZ2T
 # ---------------------------------------------------------------------------
 
-class Z2TStrategy(IndexStrategy):
+class Z2TStrategy(_PerPeriod):
     """Z2T (Section IV-B): a separate Z2 index inside each time period.
 
     Key = ``Num(t) :: Z2(lng, lat)`` (Equation 2).  Temporal filtering is
@@ -634,11 +655,7 @@ class Z2TStrategy(IndexStrategy):
     """
 
     name = "z2t"
-
-    def __init__(self, period: TimePeriod = TimePeriod.DAY, **kwargs):
-        super().__init__(**kwargs)
-        self.period = period
-        self.curve = Z2Curve()
+    curve = _Z2_GRID
 
     def keys(self, batch: KeyBatch) -> list[bytes]:
         batch.require_points("z2t")
@@ -648,40 +665,25 @@ class Z2TStrategy(IndexStrategy):
             [b + _PERIOD_BIAS for b in batch.bins(self.period)],
             batch.z2_values), batch.suffixes))
 
-    def supports(self, query: STQuery) -> bool:
-        return query.has_spatial and query.has_temporal
-
-    def _body_ranges(self, query: STQuery) -> list[tuple[bytes, bytes]]:
-        x_lo, y_lo, x_hi, y_hi = self.curve.cell_of(query.envelope)
-        bins = period_bins_covering(query.t_min, query.t_max, self.period)
-        per_bin_budget = max(8, self.max_ranges // max(1, len(bins)))
-        spatial = z2_ranges(x_lo, y_lo, x_hi, y_hi,
-                            max_ranges=per_bin_budget)
-        out: list[tuple[bytes, bytes]] = []
-        for bin_number in bins:
-            prefix = _pack_period(bin_number)
-            for lo, hi in spatial:
-                out.append((prefix + _pack_curve(lo),
-                            prefix + _pack_curve(hi)))
-        return out
+    def _bin_covers(self, query, bins, budget):
+        """One spatial cover, the same in every bin."""
+        return repeat(_z2_cover(self.curve, query.envelope, budget))
 
 
-class XZ2TStrategy(_BinnedByStart, IndexStrategy):
+class XZ2TStrategy(_BinnedByStart):
     """XZ2T (Section IV-C): a separate XZ2 index inside each time period.
 
     Key = ``Num(t_min) :: XZ2(mbr) :: signature(mbr)`` (Equation 3 plus
     the MBR signature).  Like XZ3, binning is by start time, so queries
-    scan ``lookback_periods`` preceding periods (:class:`_BinnedByStart`).
+    also scan earlier periods (:class:`_BinnedByStart`).
     """
 
     name = "xz2t"
 
     def __init__(self, period: TimePeriod = TimePeriod.DAY, g: int = 12,
-                 lookback_periods: int = 1, **kwargs):
-        super().__init__(**kwargs)
-        self.period = period
+                 **kwargs):
+        super().__init__(period, **kwargs)
         self.curve = _xz2_curve(g)
-        self.lookback_periods = lookback_periods
 
     def keys(self, batch: KeyBatch) -> list[bytes]:
         batch.require_times("xz2t requires a time extent")
@@ -689,25 +691,14 @@ class XZ2TStrategy(_BinnedByStart, IndexStrategy):
         return _keys(self, batch, map(add, periods,
                                       _xz2_bodies(self.curve, batch)))
 
-    def supports(self, query: STQuery) -> bool:
-        return query.has_spatial and query.has_temporal
-
     def key_filter(self, query: STQuery):
         if not query.has_spatial:
             return None
         return _xz2_key_filter(self.curve, query.envelope, offset=5)
 
-    def _body_ranges(self, query: STQuery) -> list[tuple[bytes, bytes]]:
-        bins = self._bins_reaching(query)
-        per_bin_budget = max(8, self.max_ranges // max(1, len(bins)))
-        spatial = self.curve.ranges(query.envelope, per_bin_budget)
-        out: list[tuple[bytes, bytes]] = []
-        spatial = [_xz2_code_bounds(lo, hi) for lo, hi in spatial]
-        for bin_number in bins:
-            prefix = _pack_period(bin_number)
-            for lo, hi in spatial:
-                out.append((prefix + lo, prefix + hi))
-        return out
+    def _bin_covers(self, query, bins, budget):
+        """One spatial cover, the same in every bin."""
+        return repeat(_xz2_cover(self.curve, query.envelope, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -719,19 +710,16 @@ class XZ2TStrategy(_BinnedByStart, IndexStrategy):
 _ATTR_STOP = b"\xff" * 8 + b"\x00"
 
 
-class AttributeStrategy(IndexStrategy):
+class AttributeStrategy:
     """Secondary index over one scalar attribute of the table.
 
     Values are encoded order-preservingly: strings as UTF-8, numbers as
     biased big-endian doubles.  Serves equality predicates.
     """
 
-    name = "attr"
-
-    def __init__(self, field: str, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, field: str, num_shards: int = 4):
         self.field = field
-        self._values: dict[str, object] = {}
+        self.num_shards = num_shards
 
     @staticmethod
     def encode_value(value) -> bytes:
@@ -755,16 +743,6 @@ class AttributeStrategy(IndexStrategy):
         shard = shard_of(fid, self.num_shards)
         return (bytes([shard]) + self.encode_value(value) + b"\x00"
                 + fid.encode("utf-8"))
-
-    def keys(self, batch: KeyBatch) -> list[bytes]:
-        raise IndexError_(
-            "attribute index keys are built via key_for_value()")
-
-    def supports(self, query: STQuery) -> bool:
-        return False  # never used for spatio-temporal predicates
-
-    def _body_ranges(self, query: STQuery) -> list[tuple[bytes, bytes]]:
-        raise IndexError_("attribute index serves value ranges only")
 
     def ranges_for_value(self, value) -> list[KeyBounds]:
         """Key bounds for an equality predicate on the indexed field,
@@ -805,6 +783,6 @@ def strategy_from_name(name: str, *, period: TimePeriod = TimePeriod.DAY,
         raise IndexError_(
             f"unknown index strategy {name!r}; expected one of {valid}"
         ) from None
-    if cls in (Z2Strategy, XZ2Strategy):
+    if not issubclass(cls, _PerPeriod):
         return cls(num_shards=num_shards, max_ranges=max_ranges)
     return cls(period=period, num_shards=num_shards, max_ranges=max_ranges)

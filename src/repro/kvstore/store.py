@@ -87,15 +87,19 @@ class KVTable:
         self._region_starts: list[bytes] = [r.start_key
                                             for r in self._regions]
 
+    def _region(self, start: bytes, end: bytes | None,
+                server: int) -> Region:
+        """A region of this table over ``[start, end)`` on ``server``."""
+        store = self._store
+        return Region(start, end, self._stats, server=server,
+                      flush_bytes=store.flush_bytes,
+                      block_bytes=store.block_bytes,
+                      wal=store.wal_for(server),
+                      cache_lookup=store.cache_for,
+                      events=store.events, table=self.name)
+
     def _new_region(self, start: bytes, end: bytes | None) -> Region:
-        server = self._store.next_server()
-        region = Region(start, end, self._stats,
-                        server=server,
-                        flush_bytes=self._store.flush_bytes,
-                        block_bytes=self._store.block_bytes,
-                        wal=self._store.wal_for(server),
-                        cache_lookup=self._store.cache_for,
-                        events=self._store.events, table=self.name)
+        region = self._region(start, end, self._store.next_server())
         self._store.region_created(region)
         return region
 
@@ -375,22 +379,9 @@ class KVTable:
         split_key = entries[mid][0]
         if split_key <= region.start_key:
             return
-        left_server = region.server
-        right_server = self._store.next_server()
-        left = Region(region.start_key, split_key, self._stats,
-                      server=left_server,
-                      flush_bytes=self._store.flush_bytes,
-                      block_bytes=self._store.block_bytes,
-                      wal=self._store.wal_for(left_server),
-                      cache_lookup=self._store.cache_for,
-                      events=self._store.events, table=self.name)
-        right = Region(split_key, region.end_key, self._stats,
-                       server=right_server,
-                       flush_bytes=self._store.flush_bytes,
-                       block_bytes=self._store.block_bytes,
-                       wal=self._store.wal_for(right_server),
-                       cache_lookup=self._store.cache_for,
-                       events=self._store.events, table=self.name)
+        left = self._region(region.start_key, split_key, region.server)
+        right = self._region(split_key, region.end_key,
+                             self._store.next_server())
         # An HBase split creates reference files rather than rewriting
         # data, so the daughters' SSTables are built without write charges.
         left.sstables = [SSTable(entries[:mid], self._stats,
@@ -449,13 +440,7 @@ class KVTable:
                 f"regions {left.region_id} and {right.region_id} are "
                 f"not adjacent in table {self.name!r}")
         entries = left.all_entries() + right.all_entries()
-        merged = Region(left.start_key, right.end_key, self._stats,
-                        server=left.server,
-                        flush_bytes=self._store.flush_bytes,
-                        block_bytes=self._store.block_bytes,
-                        wal=self._store.wal_for(left.server),
-                        cache_lookup=self._store.cache_for,
-                        events=self._store.events, table=self.name)
+        merged = self._region(left.start_key, right.end_key, left.server)
         if entries:
             merged.sstables = [SSTable(entries, self._stats,
                                        self._store.block_bytes,

@@ -51,6 +51,9 @@ class STSeries:
     tuple on first access to ``points`` (iteration, indexing, ``==``,
     ``hash``).  :meth:`intersects_envelope`, the trajectory table's
     exact filter, runs on the deltas themselves and builds neither.
+
+    A table reads a series as it reads a geometry: its ``envelope``,
+    :meth:`is_point` and :meth:`intersects_envelope`.
     """
 
     __slots__ = ("_points", "_deltas", "_fixed", "_envelope")
@@ -188,6 +191,10 @@ class STSeries:
             t_ms = self.fixed_point()[2]
             return t_ms[0] / 1000.0, t_ms[-1] / 1000.0
         return self._points[0].time, self._points[-1].time
+
+    def is_point(self) -> bool:
+        """Exactly one fix: indexed as a point."""
+        return len(self) == 1
 
     def as_linestring(self) -> LineString:
         if len(self) < 2:

@@ -1238,11 +1238,45 @@ def index_key_reference(strategy, record) -> bytes:
     return bytes([shard]) + body + b"\x00" + fid
 
 
+def _geometry_reference(table, row: dict):
+    """The geometry a row is indexed by: its geometry column, or of a
+    trajectory the point of its one fix or the line through its fixes;
+    None for a NULL or an empty series."""
+    from repro.geometry.point import Point
+    value = row.get(table.geometry_column)
+    if table.plugin_type != "trajectory" or value is None:
+        return value
+    if len(value) == 0:
+        return None
+    if len(value) == 1:
+        return Point(value[0].lng, value[0].lat)
+    return value.as_linestring()
+
+
+def _check_extent_reference(table, row: dict) -> None:
+    """A plugin row's time extent, where it has both ends, is finite and
+    does not end before it starts."""
+    import math
+    from repro.errors import SchemaError
+    if len(table.time_columns) != 2:
+        return
+    start, end = (row.get(name) for name in table.time_columns)
+    if start is None or end is None:
+        return
+    if start != start or end != end or math.inf in (abs(start), abs(end)) \
+            or end < start:
+        fid = str(row[table.schema.primary_key.name])
+        raise SchemaError(
+            f"table {table.name!r}: row {fid!r} has time extent "
+            f"[{start!r}, {end!r}]; an extent must be finite and "
+            f"must not end before it starts")
+
+
 def _record_reference(table, row: dict):
     from repro.curves.strategies import IndexedRecord
     from repro.errors import SchemaError
     fid = str(row[table.schema.primary_key.name])
-    geometry = table.record_geometry(row)
+    geometry = _geometry_reference(table, row)
     if geometry is None:
         raise SchemaError(
             f"table {table.name!r}: row {fid!r} has no geometry to index")
@@ -1307,6 +1341,7 @@ def insert_mutations_reference(table, rows: list[dict]) -> int:
     batch_puts: dict = {}
     for row in rows:
         _validate_row_reference(table.schema, row)
+        _check_extent_reference(table, row)
         if table.plugin_type == "trajectory" and \
                 row.get("gps_list") is not None:
             row = {**row, "gps_list": row["gps_list"].as_stored()}

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro import Envelope, FieldType, JustEngine, Point, Schema, Field
+from repro.curves.strategies import XZ2TStrategy, XZ3Strategy
 from repro.curves.timeperiod import TimePeriod
 from repro.dataframe import DataFrame
 from repro.errors import (
@@ -70,10 +71,13 @@ REMOVED_OPTIONS = [
     (JustServer, "admission", AdmissionController()),
     (JustServer, "profile_capacity", 64),
     (KVStore, "fault_injector", None),
+    (XZ2TStrategy, "lookback_periods", 1),
+    (XZ3Strategy, "lookback_periods", 1),
 ]
 _OWNERS = ["JustEngine"] * 10 + ["KVStore.enable_replication"] + \
     ["ReplicationManager"] * 3 + ["Monitor"] * 2 + \
-    ["MetricsScraper"] * 3 + ["JustServer"] * 2 + ["KVStore"]
+    ["MetricsScraper"] * 3 + ["JustServer"] * 2 + ["KVStore"] + \
+    ["XZ2TStrategy", "XZ3Strategy"]
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,9 @@ from repro.curves import (
     Z3Strategy,
     strategy_from_name,
 )
+from repro.curves import strategies
 from repro.curves.strategies import shard_of
+from repro.curves.xz import XZ2Curve
 from repro.errors import IndexError_
 from repro.geometry import Envelope, LineString, Point
 from repro.kvstore import ScanSpec
@@ -146,14 +148,48 @@ class TestRecall:
                 assert covered_by(strategy, record, query)
 
     def test_xz3_lookback_catches_spanning_objects(self):
-        strategy = XZ3Strategy(period=TimePeriod.DAY,
-                               lookback_periods=1)
+        strategy = XZ3Strategy(period=TimePeriod.DAY)
         line = LineString([(116.1, 39.9), (116.2, 39.95)])
         # Starts late on day 0, extends into day 1.
         record = IndexedRecord("span", line, 86000.0, 90000.0)
         query = STQuery(Envelope(116.0, 39.8, 116.3, 40.0),
                         87000.0, 95000.0)  # only day 1
         assert covered_by(strategy, record, query)
+
+
+class TestPerPeriodCover:
+    """Z2T and XZ2T scan one spatial cover in every period bin: it is
+    computed once per window, not once per bin."""
+
+    @pytest.mark.parametrize("name, bins", [("z2t", 3), ("xz2t", 4)])
+    def test_a_three_period_window_computes_one_spatial_cover(
+            self, monkeypatch, name, bins):
+        calls = []
+
+        def counted(real):
+            def call(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(strategies, "z2_ranges",
+                            counted(strategies.z2_ranges))
+        monkeypatch.setattr(XZ2Curve, "ranges", counted(XZ2Curve.ranges))
+        strategy = strategy_from_name(name, num_shards=1)
+        day = TimePeriod.DAY.seconds
+        query = STQuery(Envelope(116.3, 39.9, 116.4, 40.0),
+                        0.5 * day, 2.5 * day)  # bins 0, 1 and 2
+        ranges = strategy.ranges(query)
+        assert len(calls) == 1
+        # Every bin the window covers (xz2t: and one look-back bin)
+        # holds the same body ranges under its period prefix.
+        by_period: dict[bytes, list] = {}
+        for start, stop in ranges:
+            by_period.setdefault(start[1:5], []).append(
+                (start[5:], stop[5:]))
+        assert len(by_period) == bins
+        assert all(bodies == next(iter(by_period.values()))
+                   for bodies in by_period.values())
 
 
 class TestZ2TRangeEfficiency:

@@ -29,6 +29,7 @@ from repro.core.plugins import (
 from repro.core.schema import Field, FieldType, Schema
 from repro.core.tables import CommonTable
 from repro.curves.strategies import IndexedRecord, strategy_from_name
+from repro.errors import SchemaError
 from repro.geometry import LineString, Point, Polygon
 from repro.kvstore.store import KVStore
 from repro.trajectory import STSeries, Trajectory
@@ -346,21 +347,34 @@ def test_nan_times_fold_into_the_time_extent_in_row_order():
     assert new.time_extent == (T0 - 5, T0 + 50)
 
 
-def test_an_infinite_extent_stops_the_stats_where_the_rows_did():
-    """A fence valid "forever" cannot be binned by a look-back: the
-    statistics keep the rows up to it, as one row at a time did."""
-    spec = ("geofence", GEOFENCE_SCHEMA, ["xz2t"], None, True)
+@pytest.mark.parametrize("index", ["xz2t", "xz3"])
+@pytest.mark.parametrize("valid_to", [math.inf, math.nan, T0 - 1.0],
+                         ids=["infinite", "nan", "inverted"])
+def test_a_bad_extent_is_rejected_before_a_read(index, valid_to):
+    """A fence valid "forever", or ending before it starts, has no
+    period reach a look-back could take in: its batch is rejected as
+    invalid, naming the row, before the store is read, and the
+    statistics stay as they were."""
+    spec = ("geofence", GEOFENCE_SCHEMA, [index], None, True)
     area = Polygon([(116.0, 39.0), (116.1, 39.0), (116.1, 39.1)])
-    rows = [{"gid": str(i), "name": "n", "category": "c",
-             "valid_from": T0 + i, "valid_to": T0 + DAY * (i + 2)
-             if i != 1 else math.inf, "area": area} for i in range(3)]
+
+    def fence(gid, valid_to):
+        return {"gid": gid, "name": "n", "category": "c",
+                "valid_from": T0 + 1, "valid_to": valid_to, "area": area}
+
     new, reference = build(spec), build(spec)
+    stored = [fence("0", T0 + 3 * DAY)]
+    new.insert_rows(stored)
+    insert_mutations_reference(reference, stored)
+    before, gets, writes = _stats(new), new.gets, len(new.writes)
+    rows = [fence("2", T0 + DAY), fence("1", valid_to), fence("3", T0)]
     got = _outcome(lambda: new.insert_rows(rows))
-    assert got is not None and got[0] is OverflowError
+    assert got is not None and got[0] is SchemaError
+    assert "row '1' has time extent" in got[1]
     assert got == _outcome(lambda: insert_mutations_reference(reference,
                                                               rows))
-    assert _stats(new) == _stats(reference)
-    assert new.time_extent == (T0, math.inf)
+    assert new.gets == gets and len(new.writes) == writes
+    assert _stats(new) == before == _stats(reference)
 
 
 def test_trajectories_are_keyed_from_their_mbr_without_a_line():

@@ -21,7 +21,6 @@ from repro.curves.strategies import (
     Z2TStrategy,
     Z3Strategy,
 )
-from repro.geometry import LineString
 
 from conftest import POI_SCHEMA_FIELDS, T0, make_poi_rows
 
@@ -214,7 +213,8 @@ class TestTableIII_StorageSettings:
         trajectory = small_trajs[0]
         table.insert_trajectories([trajectory])
         row = table.get(trajectory.tid)
-        geometry = table.record_geometry(row)
-        assert isinstance(geometry, LineString)
+        # The MBR of the series as stored (1e-6 degree ticks).
+        assert table.record_envelope(row) == \
+            trajectory.series.as_stored().envelope
         assert table.record_time_extent(row) == pytest.approx(
             (trajectory.start_time, trajectory.end_time))

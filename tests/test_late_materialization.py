@@ -11,7 +11,13 @@ from collections import Counter
 import pytest
 
 from repro import JustEngine, Polygon
-from repro.core.plugins import TRAJECTORY_SCHEMA
+from repro.core.plugins import (
+    GEOFENCE_SCHEMA,
+    TRAJECTORY_SCHEMA,
+    GeofencePlugin,
+    TrajectoryPlugin,
+)
+from repro.kvstore import KVStore
 from repro.trajectory import STSeries, Trajectory
 
 from conftest import T0, all_rows, on_the_stored_grid
@@ -156,3 +162,46 @@ class TestGeofenceStatements:
                    and r["valid_from"] <= T0 + 9000.0]
         assert sorted(r["gid"] for r in narrow.rows) == sorted(by_hand)
         assert 0 < len(by_hand) < 30
+
+
+class TestImplicitColumns:
+    """A plugin declares its ``item`` once; the row and the column
+    decoration are both derived from that declaration."""
+
+    @staticmethod
+    def _table_and_rows(kind, trajectories):
+        store = KVStore(num_servers=1)
+        if kind == "trajectory":
+            table = TrajectoryPlugin("t", store, {})
+            rows = [TrajectoryPlugin.row_of(t) for t in trajectories[:6]]
+            rows.append({"tid": "no-gps", "oid": None})
+            return table, rows, TRAJECTORY_SCHEMA
+        table = GeofencePlugin("t", store, {})
+        rows = [{"gid": f"g{i}", "name": "n", "category": "c",
+                 "valid_from": T0, "valid_to": T0 + 60.0,
+                 "area": _square(116.3 + i / 100, 39.9, 0.01)}
+                for i in range(6)]
+        rows.append({"gid": "no-area"})
+        return table, rows, GEOFENCE_SCHEMA
+
+    @pytest.mark.parametrize("kind", ["trajectory", "geofence"])
+    @pytest.mark.parametrize("select", ["all", "item", "no-item"])
+    def test_columns_are_the_rows_decorated_one_by_one(
+            self, trajectories, kind, select):
+        table, rows, schema = self._table_and_rows(kind, trajectories)
+        assert table.columns() == schema.names + ["item"]
+        columns = {"all": None, "item": ["item"],
+                   "no-item": schema.names[:2]}[select]
+        wanted = table.decoded_fields(columns)
+        payloads = table.codec.encode_rows(rows)
+        data = table.decorate_columns(
+            table.codec.decode_columns(payloads, wanted), wanted)
+        decorated = [table.decorate_row(table.codec.decode_row(p, wanted),
+                                        wanted) for p in payloads]
+        assert ("item" in data) == (select != "no-item")
+        for row in decorated:
+            assert row.keys() == data.keys()
+        for name, column in data.items():
+            assert column == [row[name] for row in decorated], name
+        if "item" in data:  # the last row has no GPS list / no area
+            assert data["item"][-1] is None
