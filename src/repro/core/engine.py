@@ -243,28 +243,27 @@ class JustEngine:
     def create_table(self, name: str, schema: Schema,
                      userdata: dict | None = None) -> CommonTable:
         """CREATE TABLE with an explicit schema (common table)."""
-        if self.catalog.exists(name):
-            raise TableExistsError(name)
-        index_names = self._index_names(
-            userdata, self._default_index_names(schema))
-        strategies = self._build_strategies(index_names, userdata)
-        presplit, salt_buckets = _placement_options(userdata)
-        return self.catalog.create(CommonTable(
-            name, schema, self.store, strategies, self.compression_enabled,
-            attribute_fields=_attribute_fields(userdata),
-            presplit=presplit, salt_buckets=salt_buckets))
+        return self._create(CommonTable, name, schema, userdata)
 
     def create_plugin_table(self, name: str, plugin_type: str,
                             userdata: dict | None = None) -> CommonTable:
         """CREATE TABLE <name> AS <plugin> (plugin table)."""
+        cls = plugin_class(plugin_type)
+        return self._create(cls, name, cls.schema, userdata)
+
+    def _create(self, cls: type[CommonTable], name: str, schema: Schema,
+                userdata: dict | None) -> CommonTable:
+        """A ``cls`` table of ``schema``, indexed as ``cls`` declares
+        unless USERDATA says otherwise."""
         if self.catalog.exists(name):
             raise TableExistsError(name)
-        cls = plugin_class(plugin_type)
-        index_names = self._index_names(userdata, ["xz2", "xz2t"])
+        index_names = self._index_names(
+            userdata, list(cls.default_index_names)
+            or self._default_index_names(schema))
         strategies = self._build_strategies(index_names, userdata)
         presplit, salt_buckets = _placement_options(userdata)
         return self.catalog.create(cls(
-            name, self.store, strategies, self.compression_enabled,
+            name, schema, self.store, strategies, self.compression_enabled,
             attribute_fields=_attribute_fields(userdata),
             presplit=presplit, salt_buckets=salt_buckets))
 

@@ -47,20 +47,13 @@ class TrajectoryPlugin(CommonTable):
 
     kind = "plugin"
     plugin_type = "trajectory"
+    default_index_names = ("xz2", "xz2t")
     geometry_column = "gps_list"
     time_columns = ("start_time", "end_time")
     #: The implicit ``item``: the whole :class:`Trajectory`.
     implicit_columns = {"item": (_trajectory, ("tid", "oid", "gps_list"))}
-
-    def __init__(self, name, store, strategies,
-                 compression_enabled: bool = True,
-                 attribute_fields: list[str] | None = None,
-                 presplit: int = 0, salt_buckets: int = 0):
-        super().__init__(name, TRAJECTORY_SCHEMA, store, strategies,
-                         compression_enabled,
-                         attribute_fields=attribute_fields
-                         if attribute_fields is not None else ["oid"],
-                         presplit=presplit, salt_buckets=salt_buckets)
+    schema = TRAJECTORY_SCHEMA
+    default_attribute_fields = ("oid",)
 
     def stored_columns(self, columns: dict[str, list]) -> dict[str, list]:
         """The GPS list is stored in 1e-6 degree ticks; its MBR — hence
@@ -110,21 +103,13 @@ class GeofencePlugin(CommonTable):
 
     kind = "plugin"
     plugin_type = "geofence"
+    default_index_names = ("xz2", "xz2t")
     geometry_column = "area"
     time_columns = ("valid_from", "valid_to")
     #: The implicit ``item``: the fence polygon itself.
     implicit_columns = {"item": (lambda area: area, ("area",))}
-
-    def __init__(self, name, store, strategies,
-                 compression_enabled: bool = True,
-                 attribute_fields: list[str] | None = None,
-                 presplit: int = 0, salt_buckets: int = 0):
-        super().__init__(name, GEOFENCE_SCHEMA, store, strategies,
-                         compression_enabled,
-                         attribute_fields=attribute_fields
-                         if attribute_fields is not None
-                         else ["category"],
-                         presplit=presplit, salt_buckets=salt_buckets)
+    schema = GEOFENCE_SCHEMA
+    default_attribute_fields = ("category",)
 
     def active_fences(self, lng: float, lat: float, at_time: float,
                       job=None) -> list[dict]:

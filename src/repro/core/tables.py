@@ -16,13 +16,14 @@ from operator import attrgetter
 
 from repro.cluster.simclock import SimJob
 from repro.core.codec import RowCodec
-from repro.core.schema import Schema
+from repro.core.schema import FieldType, Schema
 from repro.curves.strategies import (
     AttributeStrategy,
     IndexStrategy,
     KeyBatch,
     KeyBounds,
     STQuery,
+    period_keyable,
 )
 from repro.dataframe import BatchBuilder, DataFrame, batches_from_rows
 from repro.errors import SchemaError
@@ -35,12 +36,26 @@ from repro.kvstore.store import KVStore
 _LNG, _LAT = attrgetter("lng"), attrgetter("lat")
 
 
+def _no_float(value) -> bool:
+    """Whether no float holds ``value`` (an int too large)."""
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
 class CommonTable:
     """A stored table with one or more spatio-temporal indexes."""
 
     kind = "common"
-    #: The ``CREATE TABLE ... AS <plugin>`` name (plugin tables only).
+    #: The ``CREATE TABLE ... AS <plugin>`` name, the plugin's fixed
+    #: schema, and the indexes and attribute indexes built unless
+    #: USERDATA names others (a common table's indexes follow its schema).
     plugin_type: str | None = None
+    schema: Schema | None = None
+    default_index_names: tuple[str, ...] = ()
+    default_attribute_fields: tuple[str, ...] = ()
 
     #: Implicit column -> ``(build, inputs)``: its value is
     #: ``build(*inputs)`` over the row's stored fields ``inputs``
@@ -91,7 +106,9 @@ class CommonTable:
         # Figure 1): one sorted key space per indexed scalar field.
         self.attribute_indexes: dict[str, AttributeStrategy] = {}
         self._attr_tables = {}
-        for field_name in attribute_fields or []:
+        if attribute_fields is None:
+            attribute_fields = self.default_attribute_fields
+        for field_name in attribute_fields:
             self.schema.field(field_name)  # validates existence
             self.attribute_indexes[field_name] = AttributeStrategy(
                 field_name)
@@ -263,7 +280,7 @@ class CommonTable:
         and each row's puts — index, attribute, id, in that order."""
         columns = self.schema.validate_rows(rows)
         fids = self.schema.fids(columns)
-        self._check_extents(columns, fids)
+        self._check_values(columns, fids)
         columns = self.stored_columns(columns)
         batch = self._key_batch(columns, fids) if self.strategies else None
         payloads = self.codec.encode_columns(columns)
@@ -288,22 +305,49 @@ class CommonTable:
                         for puts in row_puts]
         return fids, batch, payloads, row_puts
 
-    def _check_extents(self, columns: dict[str, list],
-                       fids: list[str]) -> None:
-        """Validation of a table whose time extent has a start and an end
-        column: each row's extent, where it has both, is finite and
-        ordered, so binning and look-back (:meth:`_widen_stats`) can
-        take it in."""
-        if len(self.time_columns) != 2:
-            return
-        starts, ends = (columns[name] for name in self.time_columns)
-        for fid, start, end in zip(fids, starts, ends):
-            if start is not None and end is not None and \
-                    not -math.inf < start <= end < math.inf:
+    def _check_values(self, columns: dict[str, list],
+                      fids: list[str]) -> None:
+        """Validation the schema's types leave to the table: each DATE
+        or DOUBLE value converts to a float (the codec stores one), each
+        time extent with both ends is finite and ordered (so binning and
+        look-back, :meth:`_widen_stats`, take it in) and, under a
+        per-period index, each time has a period bin a key holds."""
+        for f in self.schema:
+            column = columns[f.name]
+            if f.ftype not in (FieldType.DATE, FieldType.DOUBLE):
+                continue
+            try:
+                sum(filter(None, column), 0.0)  # converts every int
+            except OverflowError:
+                fid = next(fid for fid, value in zip(fids, column)
+                           if value is not None and _no_float(value))
                 raise SchemaError(
-                    f"table {self.name!r}: row {fid!r} has time extent "
-                    f"[{start!r}, {end!r}]; an extent must be finite and "
-                    f"must not end before it starts")
+                    f"table {self.name!r}: row {fid!r} has {f.name!r} = "
+                    f"an integer too large for a float") from None
+        times = [columns[name] for name in self.time_columns]
+        if len(times) == 2:
+            for fid, start, end in zip(fids, *times):
+                if start is not None and end is not None and \
+                        not -math.inf < start <= end < math.inf:
+                    raise SchemaError(
+                        f"table {self.name!r}: row {fid!r} has time "
+                        f"extent [{start!r}, {end!r}]; an extent must be "
+                        f"finite and must not end before it starts")
+        period = min((s.period for s in self.strategies.values()
+                      if s.period), key=attrgetter("seconds"), default=None)
+        for column in times if period else ():
+            # Bins grow with time, so the extremes decide; a NaN min and
+            # max pass over fails its row's rerun alone (:meth:`_prepare`).
+            known = list(filter(None, column))  # 0, dropped, is in bin 0
+            if known and not (period_keyable(min(known), period)
+                              and period_keyable(max(known), period)):
+                fid, t = next((fid, t) for fid, t in zip(fids, column)
+                              if t is not None
+                              and not period_keyable(t, period))
+                raise SchemaError(
+                    f"table {self.name!r}: row {fid!r} has time "
+                    f"{float(t)!r}, outside the period bins an index key "
+                    f"holds")
 
     def _write(self, mutations: list, stored: set[bytes]) -> None:
         """Apply ``mutations`` as one write batch and move ``row_count``
@@ -334,7 +378,7 @@ class CommonTable:
     def _widen_stats(self, batch: KeyBatch) -> None:
         """Take a batch into the grow-only statistics as the rows one at
         a time would: each strategy observes every extent that lasts
-        (:meth:`_check_extents` made them finite and ordered), and
+        (:meth:`_check_values` made them finite and ordered), and
         :meth:`_widen_bounds` folds the MBRs and times."""
         if batch.t_max is not batch.t_min:
             for lo, hi in zip(batch.t_min, batch.t_max):
@@ -466,10 +510,9 @@ class CommonTable:
 
     def _decoded(self, chunks, num_ranges: int, job: SimJob | None,
                  decode_chunk):
-        """The one scan primitive: decode key-value ``chunks`` (lists of
-        pairs from one store scan) with ``decode_chunk``, yielding what
-        it makes of each chunk: rows (:meth:`_chunk_rows`) or columns
-        (:meth:`_chunk_columns`).
+        """The one scan primitive: decode the payloads of ``chunks`` (the
+        ``(keys, values)`` lists of one store scan) with ``decode_chunk``
+        into rows (:meth:`_chunk_rows`) or columns (:meth:`_chunk_columns`).
 
         Store I/O and CPU are charged in a ``finally`` so an abandoned
         scan (deadline mid-chunk, early consumer exit) still accounts
@@ -479,23 +522,22 @@ class CommonTable:
         before = self.store.stats.snapshot()
         scanned = 0
         try:
-            for chunk in chunks:
-                scanned += len(chunk)
-                yield decode_chunk(chunk)
+            for _keys, values in chunks:
+                scanned += len(values)
+                yield decode_chunk(values)
         finally:
             if job is not None:
                 delta = self.store.stats.snapshot().delta(before)
                 job.charge_store_scan(delta, num_ranges=num_ranges)
                 job.charge_cpu_records(scanned)
 
-    def _chunk_rows(self, wanted, chunk) -> list[dict]:
-        """One chunk as undecorated rows of the fields in ``wanted``."""
+    def _chunk_rows(self, wanted, payloads) -> list[dict]:
+        """Payloads as undecorated rows of the fields in ``wanted``."""
         decode = self.codec.decode_row
-        return [decode(payload, wanted) for _key, payload in chunk]
+        return [decode(payload, wanted) for payload in payloads]
 
-    def _chunk_columns(self, wanted, chunk) -> tuple[dict[str, list], int]:
-        """One chunk as decorated columns of ``wanted``, and its size."""
-        payloads = [payload for _key, payload in chunk]
+    def _chunk_columns(self, wanted, payloads) -> tuple[dict[str, list], int]:
+        """Payloads as decorated columns of ``wanted``, and how many."""
         return (self.decorate_columns(
             self.codec.decode_columns(payloads, wanted), wanted),
             len(payloads))

@@ -218,6 +218,12 @@ def _pack_period(bin_number: int) -> bytes:
     return struct.pack(">I", bin_number + _PERIOD_BIAS)
 
 
+def period_keyable(t: float, period: TimePeriod) -> bool:
+    """Whether the period bin of ``t`` fits a key's period field
+    (:func:`_pack_period`); NaN and the infinities have no bin."""
+    return -_PERIOD_BIAS <= (t - REF_TIME) / period.seconds < _PERIOD_BIAS
+
+
 def _pack_curve(value: int) -> bytes:
     return struct.pack(">Q", value)
 
@@ -276,6 +282,8 @@ class IndexStrategy(ABC):
 
     #: Short name used in USERDATA hints, e.g. ``"z2t"``.
     name: str = "abstract"
+    #: The period whose bin prefixes each key body (``None``: none).
+    period: TimePeriod | None = None
 
     def __init__(self, num_shards: int = 4,
                  max_ranges: int = DEFAULT_MAX_RANGES):

@@ -6,6 +6,8 @@ from bisect import bisect_left
 from heapq import heapify, heappop, heapreplace
 from itertools import compress
 
+from repro.dataframe.batch import DEFAULT_BATCH_ROWS
+
 #: Merged entries between cooperative deadline checks.
 CANCEL_CHECK_ROWS = 128
 
@@ -28,29 +30,26 @@ def run_merge(sstables, memstore, record_memstore, ctx=None,
     span copies (:meth:`MemStore.spans`).
 
     Returns ``None`` when no source holds an entry of the ranges, else
-    a started generator: ``send(cap)`` hands out the next
-    ``cap`` live entries as ``(keys, values, more)``, fresh lists
-    gathered across the merge's steps and fully accounted.  With a
-    ``key_filter`` those are the entries whose key it accepts; the
-    others are read but only counted (``record_rejected(n)``).  Each step
-    takes the longest slice of the source with the smallest head that
-    lies strictly below every other source's head, so a region with one
-    non-empty source moves a block slice per step, while keys that
-    interleave cost one heap step per entry, as a heap merge of single
-    entries would.  Older versions of a key and tombstones are skipped.
-    Fewer than ``cap`` come back only before a deadline check, or at the
-    end of the merge, where ``more`` is false (a send that empties the
-    merge exactly may still say true; the next one hands out nothing).
+    an unstarted generator of ``(keys, values)``: fresh lists of
+    :data:`DEFAULT_BATCH_ROWS` live entries each, fully accounted, the
+    last one shorter and never empty.  With a ``key_filter`` those are
+    the entries whose key it accepts; the others are read but only
+    counted (``record_rejected(n)``).  Each step takes the longest
+    slice of the source with the smallest head that lies strictly below
+    every other source's head, so a region with one non-empty source
+    moves a block slice per step, while keys that interleave cost one
+    heap step per entry, as a heap merge of single entries would.
+    Older versions of a key and tombstones are skipped.
 
     What a source reads is accounted as an entry-at-a-time merge
     (``heapq.merge`` over one stream per source) accounts it, at every
     point a consumer can stop: the sources are primed in order (runs
     oldest first, then the memstore), and a source pulls its next head
     — charging a block, or recording a memstore entry's bytes — only
-    once the entries before it are handed out and more are asked for.
+    once the list before it is handed out and the next is asked for.
     ``ctx`` is checked before every :data:`CANCEL_CHECK_ROWS`-th merged
     entry (masked versions and tombstones count), and no run spans such
-    a point.
+    a point; a check that raises drops the list being gathered.
     """
     heap = []
     rank = len(sstables)
@@ -70,10 +69,8 @@ def run_merge(sstables, memstore, record_memstore, ctx=None,
     if not heap:
         return None
     heapify(heap)
-    runs = _merge(heap, record_memstore, ctx, where, key_filter,
+    return _merge(heap, record_memstore, ctx, where, key_filter,
                   record_rejected)
-    next(runs)
-    return runs
 
 
 def _merge(heap, record_memstore, ctx, where, key_filter, record_rejected):
@@ -81,10 +78,10 @@ def _merge(heap, record_memstore, ctx, where, key_filter, record_rejected):
     processed = 0
     next_check = CANCEL_CHECK_ROWS
     previous = None
-    # What ``send(cap)`` gathers for its consumer, and the room left.
+    # The list being gathered, and the room left in it.
     out_keys: list = []
     out_values: list = []
-    room = yield
+    room = DEFAULT_BATCH_ROWS
     while size:
         source = heap[0]
         key, _, keys, values, head, end, spans, in_memstore = source
@@ -133,11 +130,11 @@ def _merge(heap, record_memstore, ctx, where, key_filter, record_rejected):
                 out_keys += run_keys
                 out_values += run_values
                 room -= len(run_keys)
-        if room == 0 or (out_keys and ctx is not None
-                         and processed + 1 == next_check):
-            room = yield out_keys, out_values, True
+        if room == 0:
+            yield out_keys, out_values
             out_keys = []
             out_values = []
+            room = DEFAULT_BATCH_ROWS
         # Pull the source's next head.
         if stop == end:
             span = next(spans, None)
@@ -155,7 +152,8 @@ def _merge(heap, record_memstore, ctx, where, key_filter, record_rejected):
         if in_memstore:
             record_memstore(len(key) + len(values[stop] or b""))
         heapreplace(heap, source)
-    yield out_keys, out_values, False
+    if out_keys:
+        yield out_keys, out_values
 
 
 def _live_slice(keys, values, lo, hi, in_memstore, record_memstore):

@@ -225,12 +225,13 @@ class Region:
 
     def run_merge(self, ranges, cache: BlockCache | None, ctx=None,
                   replica=None, key_filter=None):
-        """The entries of ``ranges``, key-sorted, as a started
-        :func:`~repro.kvstore.merge.run_merge` (``None`` when the region
-        holds none) of the SSTable runs and
-        the memstore (a follower's, with ``replica``, whose server then
-        pays the block reads), handing out only the entries whose key
-        passes ``key_filter`` and counting the rest as rejected.
+        """The entries of ``ranges``, key-sorted, as the
+        :func:`~repro.kvstore.merge.run_merge` generator of ``(keys,
+        values)`` lists (``None`` when the region holds none) of the
+        SSTable runs and the memstore (a follower's, with ``replica``,
+        whose server then pays the block reads), handing out only the
+        entries whose key passes ``key_filter`` and counting the rest as
+        rejected.
 
         ``ranges`` are sorted, disjoint half-open bounds; the region
         holds only keys of its own span, so nothing needs clipping.

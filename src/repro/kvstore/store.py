@@ -187,12 +187,12 @@ class KVTable:
 
     def scan(self, spec: ScanSpec, ctx=None):
         """:meth:`scan_batches` one ``(key, value)`` pair at a time."""
-        for chunk in self.scan_batches(spec, ctx):
-            yield from chunk
+        for keys, values in self.scan_batches(spec, ctx):
+            yield from zip(keys, values)
 
     def scan_batches(self, spec: ScanSpec, ctx=None):
-        """Yield live ``(key, value)`` pairs across regions, key-sorted,
-        in lists of at most :data:`DEFAULT_BATCH_ROWS`.
+        """Yield live entries across regions, key-sorted, as
+        ``(keys, values)`` lists of at most :data:`DEFAULT_BATCH_ROWS`.
 
         One scan serves the spec's whole range list: faults tick and
         ``scans_started`` rises once, and every region the ranges touch
@@ -238,21 +238,22 @@ class KVTable:
                        bytes([bucket + 1]) if stop is None
                        else prefix + stop)
                       for start, stop in bounds]
-            for chunk in self._scan_regions(salted, ctx, salted_filter):
-                for key, value in chunk:
+            for keys, values in self._scan_regions(salted, ctx, salted_filter):
+                for key, value in zip(keys, values):
                     yield key[1:], value
 
         merged = heapq.merge(*(bucket_stream(b)
                                for b in range(self.salt_buckets)))
         while chunk := list(islice(merged, DEFAULT_BATCH_ROWS)):
-            yield chunk
+            yield [key for key, _ in chunk], [value for _, value in chunk]
 
     def _scan_regions(self, bounds: Sequence[Bounds], ctx=None,
                       key_filter=None):
-        """Yield the live entries of ``bounds`` in region-local lists of
-        at most :data:`DEFAULT_BATCH_ROWS`, one visit per region: one
+        """Yield the live entries of ``bounds`` as the region merges'
+        ``(keys, values)`` lists, one visit per region: one
         routing/availability check, one hotness tick, one trace span and
         one :meth:`Region.run_merge` over the ranges that fall in it.
+        Each list's result bytes are counted as it is handed out.
 
         Entries whose key fails ``key_filter`` stay in the region's
         merge: they were read (their blocks are charged) but are not a
@@ -260,6 +261,7 @@ class KVTable:
         """
         profile = getattr(ctx, "profile", None) if ctx is not None \
             else None
+        record_result = self._stats.record_result
         for region, ranges in self._regions_overlapping(bounds):
             if ctx is not None:
                 ctx.check(f"scan of {self.name!r}")
@@ -280,49 +282,16 @@ class KVTable:
                 else None
             runs = region.run_merge(ranges, cache, ctx, replica,
                                     key_filter)
-            chunks = () if runs is None else self._chunks(runs)
-            if profile is None:
-                yield from chunks
-            else:
-                yield from self._traced(chunks, profile, region, before,
-                                        len(ranges))
-
-    def _chunks(self, runs):
-        """The region merge's entries in lists of at most
-        :data:`DEFAULT_BATCH_ROWS`, each list's result bytes counted as
-        it is handed out.
-
-        The merge is asked for a list's room and gathers exactly that
-        many accepted entries, so a full list ends where a
-        pair-at-a-time stream would have stopped pulling; only a
-        deadline check cuts it short, and then the rest is asked for.
-        """
-        take = runs.send
-        record_result = self._stats.record_result
-        size = DEFAULT_BATCH_ROWS
-        more = True
-        while more:
-            keys, values, more = take(size)
-            while more and len(keys) < size:  # cut before a deadline check
-                run_keys, run_values, more = take(size - len(keys))
-                keys += run_keys
-                values += run_values
-            if keys:
-                record_result(sum(map(len, keys)) + sum(map(len, values)))
-                yield list(zip(keys, values))
-
-    def _traced(self, chunks, profile, region, before, num_ranges: int):
-        """``chunks`` of one region visit, merged into the trace's span
-        for the region (:meth:`_record_region_span`) however the visit
-        ends; ``before`` is the stats snapshot taken as it began."""
-        rows = 0
-        try:
-            for chunk in chunks:
-                rows += len(chunk)
-                yield chunk
-        finally:
-            self._record_region_span(profile, region, before, rows,
-                                     num_ranges)
+            rows = 0
+            try:
+                for keys, values in runs or ():
+                    record_result(sum(map(len, keys)) + sum(map(len, values)))
+                    rows += len(keys)
+                    yield keys, values
+            finally:  # however the visit ends
+                if profile is not None:
+                    self._record_region_span(profile, region, before, rows,
+                                             len(ranges))
 
     def _record_region_span(self, profile, region, before,
                             region_rows: int, num_ranges: int) -> None:
@@ -394,9 +363,6 @@ class KVTable:
         # daughters' SSTables, so the parent's log records are obsolete —
         # and so are its SSTables' cached blocks (on every replica
         # server).
-        region.evict_cached_blocks()
-        if region.wal is not None:
-            region.wal.retire_region(region.region_id)
         self._store.region_retired(region)
         self._store.region_created(left)
         self._store.region_created(right)
@@ -446,9 +412,6 @@ class KVTable:
                                        self._store.block_bytes,
                                        charge_write=False)]
         for parent in (left, right):
-            parent.evict_cached_blocks()
-            if parent.wal is not None:
-                parent.wal.retire_region(parent.region_id)
             self._store.region_retired(parent)
         self._store.region_created(merged)
         self._regions[index:index + 2] = [merged]
@@ -476,7 +439,7 @@ class KVTable:
 
     def count(self) -> int:
         """Number of live entries (full scan, charges I/O)."""
-        return sum(map(len, self.scan_batches(ScanSpec.full())))
+        return sum(len(keys) for keys, _ in self.scan_batches(ScanSpec.full()))
 
     def servers_used(self) -> set[int]:
         return {r.server for r in self._regions}
@@ -741,7 +704,13 @@ class KVStore:
             self.replication.attach_region(region)
 
     def region_retired(self, region: Region) -> None:
-        """A region ceased to exist (split parent, merge parent, drop)."""
+        """A region ceased to exist (split parent, merge parent, drop):
+        its cached blocks are evicted on every server serving it (which
+        reads its followers, so before they detach), its log records
+        retired and its replicas detached."""
+        region.evict_cached_blocks()
+        if region.wal is not None:
+            region.wal.retire_region(region.region_id)
         if self.replication is not None:
             self.replication.detach_region(region)
 
@@ -959,9 +928,6 @@ class KVStore:
         if name not in self._tables:
             raise TableNotFoundError(name)
         for region in self._tables[name]._regions:
-            region.evict_cached_blocks()
-            if region.wal is not None:
-                region.wal.retire_region(region.region_id)
             self.region_retired(region)
         del self._tables[name]
 

@@ -479,13 +479,16 @@ def range_chunks_reference(table, kv_table, ranges, job, ctx, wanted=None,
     pair walk of one multi-range scan, cut into 256-pair chunks across
     region boundaries, each pair decoded by ``decode_row``.  It charges
     through the table's own ``_decoded`` (the accounting primitive, not
-    the path under test)."""
+    the path under test), which takes each chunk as its keys and its
+    payloads."""
     pairs = table_scan_reference(
         kv_table, ScanSpec(ranges=ranges, key_filter=key_filter), ctx)
     decode = table.codec.decode_row
+    chunks = (([key for key, _ in chunk], [value for _, value in chunk])
+              for chunk in _chunks_reference(pairs))
     return table._decoded(
-        _chunks_reference(pairs), len(ranges), job,
-        lambda chunk: [decode(payload, wanted) for _key, payload in chunk])
+        chunks, len(ranges), job,
+        lambda payloads: [decode(payload, wanted) for payload in payloads])
 
 
 def scan_ranges_reference(ranges):
@@ -1272,6 +1275,47 @@ def _check_extent_reference(table, row: dict) -> None:
             f"must not end before it starts")
 
 
+def _check_floats_reference(table, row: dict) -> None:
+    """Each DATE or DOUBLE value of a row converts to a float."""
+    from repro.core.schema import FieldType
+    from repro.errors import SchemaError
+    for field in table.schema.fields:
+        value = row.get(field.name)
+        if field.ftype in (FieldType.DATE, FieldType.DOUBLE) and \
+                value is not None:
+            try:
+                float(value)
+            except OverflowError:
+                fid = str(row[table.schema.primary_key.name])
+                raise SchemaError(
+                    f"table {table.name!r}: row {fid!r} has "
+                    f"{field.name!r} = an integer too large for a "
+                    f"float") from None
+
+
+def _check_periods_reference(table, row: dict) -> None:
+    """On a table with a per-period index, each of a row's times packs
+    into the period field of every such index's key."""
+    import struct
+    from repro.curves.timeperiod import period_bin
+    from repro.errors import SchemaError
+    for name in table.time_columns:
+        t = row.get(name)
+        if t is None:
+            continue
+        for strategy in table.strategies.values():
+            if strategy.period is None:
+                continue
+            try:
+                struct.pack(">I", period_bin(t, strategy.period) + 2**31)
+            except (ValueError, OverflowError, struct.error):
+                fid = str(row[table.schema.primary_key.name])
+                raise SchemaError(
+                    f"table {table.name!r}: row {fid!r} has time "
+                    f"{float(t)!r}, outside the period bins an index "
+                    f"key holds") from None
+
+
 def _record_reference(table, row: dict):
     from repro.curves.strategies import IndexedRecord
     from repro.errors import SchemaError
@@ -1341,7 +1385,9 @@ def insert_mutations_reference(table, rows: list[dict]) -> int:
     batch_puts: dict = {}
     for row in rows:
         _validate_row_reference(table.schema, row)
+        _check_floats_reference(table, row)
         _check_extent_reference(table, row)
+        _check_periods_reference(table, row)
         if table.plugin_type == "trajectory" and \
                 row.get("gps_list") is not None:
             row = {**row, "gps_list": row["gps_list"].as_stored()}

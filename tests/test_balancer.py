@@ -344,9 +344,8 @@ class TestPresplitAndSalting:
         batches = list(table.scan_batches(ScanSpec(
             ranges=[(b"k000", b"k001"), (b"k0015", None)])))
         # The merged buckets are cut again into lists of at most 256.
-        assert [len(batch) for batch in batches] == [150]
-        assert [k for k, _ in batches[0]] == \
-            sorted(keys)[:100] + sorted(keys)[150:]
+        assert [len(batch_keys) for batch_keys, _ in batches] == [150]
+        assert batches[0][0] == sorted(keys)[:100] + sorted(keys)[150:]
 
     def test_presplit_beyond_buckets_dedups_to_bucket_count(self):
         store = small_store()

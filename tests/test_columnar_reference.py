@@ -337,7 +337,7 @@ def _stored_rows(table):
 class TestFullScan:
     def test_batches_fill_across_regions_as_rows_did(self, regions_engine):
         table = regions_engine.table("poi")
-        chunks = [len(c) for c in
+        chunks = [len(keys) for keys, _ in
                   table._id_table.scan_batches(ScanSpec.full())]
         assert table._id_table.num_regions > 2
         assert any(size % 256 for size in chunks[:-1])  # region ends

@@ -184,7 +184,7 @@ def build(spec) -> CommonTable:
         table = CommonTable("t", schema, store, strategies, compression,
                             attribute_fields=attributes)
     else:
-        table = PLUGINS[kind][0]("t", store, strategies, compression)
+        table = PLUGINS[kind][0]("t", schema, store, strategies, compression)
     table.writes = []
     table.gets = 0
     write_batch, get = store.write_batch, table._id_table.get
@@ -375,6 +375,89 @@ def test_a_bad_extent_is_rejected_before_a_read(index, valid_to):
                                                               rows))
     assert new.gets == gets and len(new.writes) == writes
     assert _stats(new) == before == _stats(reference)
+
+
+POINTS = Schema([Field("fid", FieldType.INTEGER, primary_key=True),
+                 Field("geom", FieldType.POINT),
+                 Field("time", FieldType.DATE)])
+SCALARS = Schema([Field("fid", FieldType.INTEGER, primary_key=True),
+                  Field("d", FieldType.DATE),
+                  Field("x", FieldType.DOUBLE)])
+_AREA = Polygon([(116.0, 39.0), (116.1, 39.0), (116.1, 39.1)])
+#: Each table shape, and a valid row of it by feature id.
+SHAPES = {
+    "fence-xz2t": (("geofence", GEOFENCE_SCHEMA, ["xz2", "xz2t"], None,
+                    True),
+                   lambda gid: {"gid": gid, "name": "n", "category": "c",
+                                "valid_from": T0, "valid_to": T0 + DAY,
+                                "area": _AREA}),
+    "fence-xz3": (("geofence", GEOFENCE_SCHEMA, ["xz2", "xz3"], None,
+                   True),
+                  lambda gid: {"gid": gid, "name": "n", "category": "c",
+                               "valid_from": T0, "valid_to": T0 + DAY,
+                               "area": _AREA}),
+    "points-z2t": (("common", POINTS, ["z2t"], [], True),
+                   lambda fid: {"fid": int(fid), "geom": Point(116.3, 39.9),
+                                "time": T0}),
+    "scalars": (("common", SCALARS, [], [], True),
+                lambda fid: {"fid": int(fid), "d": T0, "x": 1.5}),
+}
+_TOO_LARGE = "an integer too large for a float"
+_UNKEYABLE = "outside the period bins an index key holds"
+
+
+@pytest.mark.parametrize("shape, field, value, error", [
+    *((fence, field, value, error)
+      for fence in ("fence-xz2t", "fence-xz3")
+      for field, value, error in (
+          ("valid_from", 10**400, _TOO_LARGE),
+          ("valid_to", 10**400, _TOO_LARGE),
+          ("valid_from", -1e300, _UNKEYABLE),
+          ("valid_to", 1e300, _UNKEYABLE))),
+    ("points-z2t", "time", 10**400, _TOO_LARGE),
+    ("points-z2t", "time", 1e300, _UNKEYABLE),
+    ("points-z2t", "time", -1e300, _UNKEYABLE),
+    ("scalars", "d", 10**400, _TOO_LARGE),
+    ("scalars", "x", 10**400, _TOO_LARGE),
+    ("scalars", "d", 1e300, None),
+    ("scalars", "x", -1e300, None),
+])
+def test_a_value_a_column_cannot_hold_is_rejected_before_a_read(
+        shape, field, value, error):
+    """A DATE or DOUBLE int no float holds, and on a table with a
+    per-period index a time whose period bin no key holds, fail
+    validation: a SchemaError naming the first such row, before the
+    store is read, with the statistics as they were."""
+    spec, row = SHAPES[shape]
+    new, reference = build(spec), build(spec)
+    stored = [row("0")]
+    new.insert_rows(stored)
+    insert_mutations_reference(reference, stored)
+    before, gets, writes = _stats(new), new.gets, len(new.writes)
+    rows = [row("2"), {**row("1"), field: value}, row("3")]
+    got = _outcome(lambda: new.insert_rows(rows))
+    assert got == _outcome(lambda: insert_mutations_reference(reference,
+                                                              rows))
+    if error is None:
+        assert got is None
+        return
+    assert got[0] is SchemaError
+    assert "row '1' has" in got[1] and error in got[1]
+    assert new.gets == gets and len(new.writes) == writes
+    assert _stats(new) == before == _stats(reference)
+
+
+@pytest.mark.parametrize("shape, field", [
+    ("fence-xz2t", "valid_to"), ("fence-xz3", "valid_to"),
+    ("points-z2t", "time")])
+def test_the_last_time_a_day_period_key_holds_is_accepted(shape, field):
+    spec, row = SHAPES[shape]
+    table = build(spec)
+    limit = 2**31 * DAY  # the start of the first bin past the period field
+    table.insert_rows([{**row("1"), field: math.nextafter(limit, 0.0)}])
+    assert table.time_extent[1] == math.nextafter(limit, 0.0)
+    with pytest.raises(SchemaError, match=_UNKEYABLE):
+        table.insert_rows([{**row("2"), field: limit}])
 
 
 def test_trajectories_are_keyed_from_their_mbr_without_a_line():

@@ -5,13 +5,11 @@ from repro.kvstore.region import Region
 
 
 def scan(region, ranges):
-    """Every live ``(key, value)`` of ``ranges``: one ``send`` asks the
-    region's run merge for all of them at once (no merge: none)."""
+    """Every live ``(key, value)`` of ``ranges``: the lists of the
+    region's run merge, concatenated (no merge: none)."""
     runs = region.run_merge(ranges, None)
-    if runs is None:
-        return []
-    keys, values, _ = runs.send(1 << 30)
-    return list(zip(keys, values))
+    return [pair for keys, values in runs or ()
+            for pair in zip(keys, values)]
 
 
 def make_region(**kwargs):

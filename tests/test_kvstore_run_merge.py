@@ -116,6 +116,13 @@ def consume(scan, stop):
     return items, False
 
 
+def pair_lists(batches):
+    """``scan_batches``' ``(keys, values)`` lists as lists of pairs, the
+    shape the reference walk hands out."""
+    for keys, values in batches:
+        yield list(zip(keys, values))
+
+
 def twin(stats: IOStats, caches, run, reference):
     """``run`` and ``reference`` from the same cache state: what each
     handed out, charged and left in the caches."""
@@ -163,7 +170,7 @@ class TestRegionScan:
             return lambda: consume(open_scan, stop)
 
         twin(store.stats, store._caches,
-             scan(lambda ctx: table.scan_batches(spec, ctx)),
+             scan(lambda ctx: pair_lists(table.scan_batches(spec, ctx))),
              scan(lambda ctx: table_scan_reference(table, spec, ctx,
                                                    batched=True)))
 
@@ -217,7 +224,7 @@ def check_table_scan(ops, ranges, stop, rejected, replicated,
 
     handed, _ = twin(
         store.stats, store._caches,
-        scan(lambda ctx: table.scan_batches(spec, ctx)),
+        scan(lambda ctx: pair_lists(table.scan_batches(spec, ctx))),
         scan(lambda ctx: table_scan_reference(table, spec, ctx,
                                               batched=True)))
     assert all(0 < len(batch) <= 256 for batch in handed)
@@ -261,29 +268,30 @@ class TestOneSourceIsBlockSlices:
         (region,) = table.regions()
         (sstable,) = region.sstables
         taken = self.slices(monkeypatch)
-        keys, _, more = region.run_merge([(b"", None)], None).send(5000)
-        starts = sstable._block_starts
-        blocks = zip(starts, starts[1:] + [len(sstable)])
-        assert taken == [(lo, hi) for lo, hi in blocks if hi - lo > 1]
-        assert (len(keys), more) == (1000, False)
+        lists = list(region.run_merge([(b"", None)], None))
+        # Block slices, also cut where a list fills.
+        cuts = sorted({*sstable._block_starts, 256, 512, 768})
+        slices = zip(cuts, cuts[1:] + [len(sstable)])
+        assert taken == [(lo, hi) for lo, hi in slices if hi - lo > 1]
+        assert [len(keys) for keys, _ in lists] == [256, 256, 256, 232]
 
     def test_interleaved_runs_merge_an_entry_at_a_time(self, monkeypatch):
         store, table = _loaded(40, runs=4)
         (region,) = table.regions()
         taken = self.slices(monkeypatch)
-        keys, _, _ = region.run_merge([(b"", None)], None).send(100)
+        keys, _ = next(region.run_merge([(b"", None)], None))
         assert taken == []
         assert keys == [b"%06d" % i for i in range(40)]
 
-    def test_send_gathers_exactly_cap_live_entries(self):
+    def test_every_list_but_the_last_holds_256_live_entries(self):
         store, table = _loaded(1000, runs=3)
         (region,) = table.regions()
         region.put(b"%06d" % 4, None)  # a tombstone is not handed out
-        runs = region.run_merge([(b"", None)], None)
-        gathered = [runs.send(cap) for cap in (1, 7, 300, 2, 1000)]
-        assert [len(keys) for keys, *_ in gathered] == [1, 7, 300, 2, 689]
-        assert [more for *_, more in gathered] == [True] * 4 + [False]
-        assert [key for keys, *_ in gathered for key in keys] == \
+        # Deadline checks that never trip cut no list short.
+        lists = list(region.run_merge([(b"", None)], None,
+                                      ctx=Countdown(1 << 30)))
+        assert [len(keys) for keys, _ in lists] == [256, 256, 256, 231]
+        assert [key for keys, _ in lists for key in keys] == \
             [b"%06d" % i for i in range(1000) if i != 4]
 
     def test_no_merge_where_no_source_holds_a_key(self):
@@ -294,15 +302,14 @@ class TestOneSourceIsBlockSlices:
         assert store.stats.snapshot().delta(before).blocks_read == 0
 
     def test_a_key_filter_counts_what_it_turns_away(self):
-        store, table = _loaded(100, runs=2)
+        store, table = _loaded(1000, runs=2)
         (region,) = table.regions()
         before = store.stats.snapshot()
         runs = region.run_merge([(b"", None)], None,
                                 key_filter=lambda key: int(key) % 3 == 0)
-        keys, _, more = runs.send(10)
-        # Ten accepted keys (every third), the twenty between them read
-        # and turned away; the merge stops at the tenth.
-        assert keys == [b"%06d" % i for i in range(0, 30, 3)]
-        assert more
+        keys, _ = next(runs)
+        # 256 accepted keys (every third), the 510 between them read and
+        # turned away; the merge stops at the 256th.
+        assert keys == [b"%06d" % i for i in range(0, 768, 3)]
         assert store.stats.snapshot().delta(before).scan_keys_rejected \
-            == 18
+            == 510

@@ -81,13 +81,11 @@ def memstore_pairs(memstore, ranges):
 
 
 def region_pairs(region, ranges, cache=None, replica=None):
-    """Every live entry of ``ranges``: one ``send`` asks the region's
-    run merge for all of them at once (no merge: none)."""
+    """Every live entry of ``ranges``: the lists of the region's run
+    merge, concatenated (no merge: none)."""
     runs = region.run_merge(ranges, cache, replica=replica)
-    if runs is None:
-        return []
-    keys, values, _ = runs.send(1 << 30)
-    return list(zip(keys, values))
+    return [pair for keys, values in runs or ()
+            for pair in zip(keys, values)]
 
 
 def observe(stats: IOStats, cache: BlockCache, scan):

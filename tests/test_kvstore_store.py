@@ -463,7 +463,7 @@ class TestMultiRangeScan:
             if open_scan == table.scan:
                 assert first[0] == _key(0)
             else:
-                assert [key for key, _ in first] == first_list
+                assert first[0] == first_list
             assert delta.result_bytes == 45 * DEFAULT_BATCH_ROWS
             # ... and read no block past the merge's heads.
             assert delta.blocks_read + delta.cache_hits <= reached
@@ -476,11 +476,12 @@ class TestMultiRangeScan:
         batch = next(scan)
         scan.close()
         delta = store.stats.snapshot().delta(before)
-        assert [k for k, _ in batch] == [
+        keys, values = batch
+        assert keys == [
             _key(10 * i + j) for i in range(300)
             for j in range(3)][:DEFAULT_BATCH_ROWS]
         assert delta.scans_started == 1
-        assert delta.result_bytes == sum(len(k) + len(v) for k, v in batch)
+        assert delta.result_bytes == sum(map(len, keys + values))
 
     def test_salted_lists_are_cut_after_the_bucket_merge(self):
         store = small_store()
@@ -489,8 +490,10 @@ class TestMultiRangeScan:
         for key in reversed(keys):
             table.put(key, b"v")
         batches = list(table.scan_batches(ScanSpec.full()))
-        assert [len(batch) for batch in batches] == [256, 256, 88]
-        assert [key for batch in batches for key, _ in batch] == keys
+        assert [len(batch_keys) for batch_keys, _ in batches] == \
+            [256, 256, 88]
+        assert [key for batch_keys, _ in batches
+                for key in batch_keys] == keys
 
     def test_deadline_cancels_mid_pass(self):
         from repro.errors import QueryTimeoutError
@@ -502,10 +505,10 @@ class TestMultiRangeScan:
         ctx = RequestContext(deadline=deadline)
         consumed = []
         with pytest.raises(QueryTimeoutError):
-            for batch in table.scan_batches(
+            for keys, _ in table.scan_batches(
                     ScanSpec(ranges=_every_tenth_range(300, width=8)),
                     ctx):
-                consumed += batch
+                consumed += keys
                 deadline.charge(2.0)  # budget gone mid-pass
         # The pass was abandoned within one cancellation window of the
         # first list, many ranges short of the end, and stopped

@@ -172,11 +172,11 @@ class TestImplicitColumns:
     def _table_and_rows(kind, trajectories):
         store = KVStore(num_servers=1)
         if kind == "trajectory":
-            table = TrajectoryPlugin("t", store, {})
+            table = TrajectoryPlugin("t", TRAJECTORY_SCHEMA, store, {})
             rows = [TrajectoryPlugin.row_of(t) for t in trajectories[:6]]
             rows.append({"tid": "no-gps", "oid": None})
             return table, rows, TRAJECTORY_SCHEMA
-        table = GeofencePlugin("t", store, {})
+        table = GeofencePlugin("t", GEOFENCE_SCHEMA, store, {})
         rows = [{"gid": f"g{i}", "name": "n", "category": "c",
                  "valid_from": T0, "valid_to": T0 + 60.0,
                  "area": _square(116.3 + i / 100, 39.9, 0.01)}

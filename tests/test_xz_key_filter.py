@@ -306,7 +306,7 @@ class TestScanRejectsInsideTheRegion:
         batches = list(table.scan_batches(ScanSpec(key_filter=_even)))
         delta = store.stats.snapshot().delta(before)
         # One list of the 20 accepted keys; the 20 others stay behind.
-        assert [len(batch) for batch in batches] == [20]
+        assert [len(keys) for keys, _ in batches] == [20]
         assert delta.scan_keys_rejected == 20
         assert delta.result_bytes == 20 * (2 + 10)
 
